@@ -112,11 +112,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--mem-budget-mb=", 16) == 0) {
-      mem_budget_mb = std::strtoull(argv[i] + 16, nullptr, 10);
-      if (mem_budget_mb == 0) {
-        std::fprintf(stderr, "--mem-budget-mb must be >= 1\n");
+      uint64_t mb = 0;
+      if (!xmodel::tlax::ParseMemoryBudgetMb(argv[i] + 16, &mb) || mb == 0) {
+        std::fprintf(stderr, "--mem-budget-mb must be a whole number of "
+                             "megabytes in [1, 2^44)\n");
         return 2;
       }
+      mem_budget_mb = mb;
     }
   }
   xmodel::tlax::ExplorationPolicy policy =
@@ -221,21 +223,6 @@ int main(int argc, char** argv) {
         bench.AddResult(
             xmodel::common::StrCat(pname, "_w", w, "_idle_fraction"),
             result.idle_fraction);
-        if (sweep_policy == xmodel::tlax::ExplorationPolicy::kLevelSync) {
-          // Keep the pre-sweep key names so dashboards reading the PR 7
-          // artifact shape stay green; the barrier idle fraction is the
-          // baseline the relaxed rows are judged against.
-          bench.AddResult(
-              xmodel::common::StrCat("workers", w, "_states_per_sec"),
-              rate);
-          bench.AddResult(
-              xmodel::common::StrCat("workers", w, "_idle_fraction"),
-              result.barrier_idle_fraction);
-          if (w > 1) {
-            bench.AddResult(
-                xmodel::common::StrCat("scaling_speedup_w", w), speedup);
-          }
-        }
       }
     }
   }
@@ -294,20 +281,14 @@ int main(int argc, char** argv) {
             " unlimited vs ", result.distinct_states, " at ", mem_budget_mb,
             " MB"));
       }
-      const double cache_probes = static_cast<double>(
-          result.spill_cache_hits + result.spill_cache_misses);
-      const double cache_hit_ratio =
-          cache_probes > 0
-              ? static_cast<double>(result.spill_cache_hits) / cache_probes
-              : 0;
       const double mstates =
           static_cast<double>(result.distinct_states) / 1e6;
       const double probe_ms_per_mstate =
           mstates > 0 ? result.spill_probe_ms / mstates : 0;
       std::printf("  budget %4llu MB       %12llu states  %8.2f s  "
                   "%10.0f states/sec (%.2fx)  %llu generations  %llu runs  "
-                  "%.1f MB spilled  %llu frontier segment(s)  cache hit "
-                  "%.1f%%  probe %.0f ms/Mstate\n",
+                  "%.1f MB spilled  %llu frontier segment(s)  "
+                  "probe %.0f ms/Mstate\n",
                   mem_budget_mb,
                   static_cast<unsigned long long>(result.distinct_states),
                   result.seconds, rate,
@@ -316,7 +297,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(result.spill_runs),
                   static_cast<double>(result.spill_bytes) / (1 << 20),
                   static_cast<unsigned long long>(result.frontier_segments),
-                  100.0 * cache_hit_ratio, probe_ms_per_mstate);
+                  probe_ms_per_mstate);
       bench.AddResult("spill_tight_states_per_sec", rate);
       bench.AddResult("spill_generations",
                       static_cast<double>(result.spill_generations));
@@ -330,13 +311,12 @@ int main(int argc, char** argv) {
       bench.AddResult("spill_merge_ms", result.spill_merge_ms);
       bench.AddResult("spill_frontier_segments",
                       static_cast<double>(result.frontier_segments));
-      bench.AddResult("spill_cache_hit_ratio", cache_hit_ratio);
       bench.AddResult("spill_probe_ms_per_mstate", probe_ms_per_mstate);
     }
 
     // Tight-budget worker scaling: the disk tier must keep scaling with
-    // workers like the in-RAM checker does (batched probes + the shared
-    // block cache are the mechanisms), and distinct must stay
+    // workers like the in-RAM checker does (batched probes of the mapped
+    // runs are the mechanism), and distinct must stay
     // bit-identical to the unlimited run in every cell — any divergence
     // fails the bench outright.
     const std::vector<int> spill_sweep =

@@ -159,7 +159,12 @@ bool ParseArgs(int argc, char** argv, Options* options) {
     } else if (arg.rfind("--stall-timeout-ms=", 0) == 0) {
       options->stall_timeout_ms = std::atoll(arg.c_str() + 19);
     } else if (arg.rfind("--mem-budget-mb=", 0) == 0) {
-      options->mem_budget_mb = std::strtoull(arg.c_str() + 16, nullptr, 10);
+      if (!tlax::ParseMemoryBudgetMb(arg.substr(16),
+                                     &options->mem_budget_mb)) {
+        std::fprintf(stderr, "--mem-budget-mb must be a whole number of "
+                     "megabytes below 2^44\n");
+        return false;
+      }
     } else if (arg.rfind("--spill-dir=", 0) == 0) {
       options->spill_dir = arg.substr(12);
     } else if (arg.rfind("--spill-bloom-bits=", 0) == 0) {

@@ -62,8 +62,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (std::strncmp(argv[i], "--mem-budget-mb=", 16) == 0) {
-      gen_options.memory_budget_mb =
-          std::strtoull(argv[i] + 16, nullptr, 10);
+      if (!xmodel::tlax::ParseMemoryBudgetMb(argv[i] + 16,
+                                             &gen_options.memory_budget_mb)) {
+        std::fprintf(stderr, "--mem-budget-mb must be a whole number of "
+                     "megabytes below 2^44\n");
+        return 2;
+      }
     } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
       metrics_out = argv[i] + 14;
     } else {

@@ -25,6 +25,19 @@ bool ParseExplorationPolicy(const std::string& text,
   return false;
 }
 
+bool ParseMemoryBudgetMb(const std::string& text, uint64_t* out) {
+  constexpr uint64_t kMaxMb = (uint64_t{1} << 44) - 1;
+  if (text.empty()) return false;
+  uint64_t mb = 0;
+  for (char c : text) {
+    if (c < '0' || c > '9') return false;
+    mb = mb * 10 + static_cast<uint64_t>(c - '0');
+    if (mb > kMaxMb) return false;
+  }
+  *out = mb;
+  return true;
+}
+
 CheckResult ModelChecker::Check(const Spec& spec) const {
   // Resolve the exploration policy. Two option combinations require the
   // level-synchronous facade and clamp a relaxed request back to it,

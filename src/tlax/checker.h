@@ -52,6 +52,10 @@ const char* ExplorationPolicyName(ExplorationPolicy policy);
 /// Parses an --explore value; returns false (leaving `out` untouched) on
 /// anything but "level" or "relaxed".
 bool ParseExplorationPolicy(const std::string& text, ExplorationPolicy* out);
+/// Parses a --mem-budget-mb value: decimal digits only, at most 2^44 - 1
+/// so the byte count (`mb << 20`) fits in 64 bits. Returns false (leaving
+/// `out` untouched) on anything else.
+bool ParseMemoryBudgetMb(const std::string& text, uint64_t* out);
 
 struct CheckerOptions {
   /// Exploration order policy; see ExplorationPolicy. kLevelSync keeps
@@ -274,9 +278,6 @@ struct CheckResult {
   uint64_t spill_compactions = 0;
   double spill_probe_ms = 0;       // Disk probe time (past the Blooms).
   double spill_merge_ms = 0;       // Compaction merge time.
-  uint64_t spill_cache_hits = 0;    // Decoded-block cache hits.
-  uint64_t spill_cache_misses = 0;  // Decoded-block cache misses.
-  uint64_t spill_cache_bytes = 0;   // Resident decoded-block bytes at end.
   uint64_t frontier_segments = 0;  // Frontier segment files written.
   uint64_t checkpoints_written = 0;
   /// True when this run restored state from a checkpoint manifest.

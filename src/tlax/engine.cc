@@ -271,14 +271,6 @@ void EngineBase::FlushSpillMetrics(uint64_t frontier_segments_total) {
       .Set(static_cast<double>(stats.runs));
   registry.GetGauge("checker.spill.probe_ms").Set(stats.probe_ms);
   registry.GetGauge("checker.spill.merge_ms").Set(stats.merge_ms);
-  registry.GetCounter("checker.spill.cache.hits")
-      .Increment(stats.cache_hits - published_cache_hits_);
-  published_cache_hits_ = stats.cache_hits;
-  registry.GetCounter("checker.spill.cache.misses")
-      .Increment(stats.cache_misses - published_cache_misses_);
-  published_cache_misses_ = stats.cache_misses;
-  registry.GetGauge("checker.spill.cache.bytes")
-      .Set(static_cast<double>(stats.cache_bytes));
   registry.GetCounter("checker.spill.compact.count")
       .Increment(stats.compactions - published_compactions_);
   published_compactions_ = stats.compactions;
@@ -495,10 +487,6 @@ std::vector<TraceStep> EngineBase::BuildTrace(uint64_t end_fp,
     if (!edge.has_value()) break;
     chain.emplace_back(fp, edge->action);
     if (edge->action == kFpInitialAction) break;
-    // Overlap the next spilled-edge read with this iteration's bookkeeping
-    // (and, during forward replay, with state recomputation): warm the
-    // block cache for the predecessor's block in the background.
-    if (spill_enabled_) fpset_.PrefetchSpillEdge(edge->pred_fp);
     fp = edge->pred_fp;
   }
   std::reverse(chain.begin(), chain.end());
@@ -583,9 +571,6 @@ CheckResult EngineBase::Finish(common::Status status) {
     result_.spill_compactions = spill.compactions;
     result_.spill_probe_ms = spill.probe_ms;
     result_.spill_merge_ms = spill.merge_ms;
-    result_.spill_cache_hits = spill.cache_hits;
-    result_.spill_cache_misses = spill.cache_misses;
-    result_.spill_cache_bytes = spill.cache_bytes;
     result_.frontier_segments = frontier_segments_total_;
     result_.checkpoints_written = checkpoints_written_;
   }

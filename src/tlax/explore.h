@@ -233,10 +233,6 @@ class EngineBase {
     o.spill_defer_deletes = checkpointing;
     o.spill_block_entries = spill_block_entries;
     o.spill_bloom_bits = spill_bloom_bits;
-    // Engines overlap run merges with exploration; probes keep reading
-    // retiring runs during the swap. Checkpoints quiesce the thread via
-    // PauseSpillCompaction so manifests stay consistent.
-    o.spill_background_compact = true;
     return o;
   }
 
@@ -306,8 +302,6 @@ class EngineBase {
   uint64_t published_spill_bytes_ = 0;
   uint64_t published_frontier_segments_ = 0;
   uint64_t published_checkpoints_ = 0;
-  uint64_t published_cache_hits_ = 0;
-  uint64_t published_cache_misses_ = 0;
   uint64_t published_compactions_ = 0;
   uint64_t frontier_segments_total_ = 0;
   uint64_t checkpoints_written_ = 0;

@@ -191,6 +191,14 @@ void RelaxedEngine::ExitWorker() {
 }
 
 void RelaxedEngine::DoCheckpointLocked() {
+  // The batch that raised an abort stops resolving its pending probes,
+  // so successors already counted in the seen-set never reach a deque:
+  // deques plus spools are no longer a consistent cut. Keep the last
+  // manifest, which was taken before the abort.
+  if (abort_max_.load(std::memory_order_relaxed) ||
+      abort_io_.load(std::memory_order_relaxed)) {
+    return;
+  }
   const int64_t ckpt_start_ns = clock_->NowNanos();
   // Quiesce background compaction for the whole manifest section: with
   // no merge in flight the run list is stable, so the manifest names
@@ -386,7 +394,7 @@ void RelaxedEngine::WorkerLoop(int worker) {
       }
       if (spill_enabled_ && --spill_flush_countdown == 0) {
         spill_flush_countdown = kSpillFlushBatches;
-        // Live probe/merge/cache/compaction telemetry between
+        // Live probe/merge/compaction telemetry between
         // checkpoints. Single-writer discipline holds: the checkpoint
         // flush runs only while every active worker — including this
         // one — is parked under ckpt_mu_.

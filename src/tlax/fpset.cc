@@ -36,22 +36,6 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
   shard_shift_ = 64 - Log2(shards);
   if (shards == 1) shard_shift_ = 0;  // (fp >> 0) & 0 == 0 either way.
   if (!options_.spill_dir.empty()) {
-    // Memory-accounting rule: the decoded-block cache is a fixed slice
-    // carved out of the memory budget (a quarter, floor 256 KiB), and
-    // the hot-table eviction threshold shrinks by the same amount —
-    // hot table + cache together stay under --mem-budget-mb.
-    uint64_t cache_bytes = options_.spill_cache_bytes;
-    if (cache_bytes == 0) {
-      cache_bytes = options_.memory_budget_bytes > 0
-                        ? std::max<uint64_t>(256ull << 10,
-                                             options_.memory_budget_bytes / 4)
-                        : (4ull << 20);
-    }
-    if (options_.memory_budget_bytes > 0) {
-      hot_budget_bytes_ = options_.memory_budget_bytes > cache_bytes
-                              ? options_.memory_budget_bytes - cache_bytes
-                              : options_.memory_budget_bytes / 2;
-    }
     SpillTier::Options spill;
     spill.dir = options_.spill_dir;
     if (options_.spill_block_entries > 0) {
@@ -60,8 +44,6 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
     if (options_.spill_bloom_bits > 0) {
       spill.bloom_bits_per_key = options_.spill_bloom_bits;
     }
-    spill.cache_bytes = static_cast<size_t>(cache_bytes);
-    spill.background_compact = options_.spill_background_compact;
     spill.durable = options_.spill_durable;
     spill.defer_deletes = options_.spill_defer_deletes;
     tier_ = std::make_unique<SpillTier>(spill);
@@ -296,7 +278,7 @@ common::Status FingerprintSet::EvictIfOverBudget() {
     return common::Status::OK();
   }
   if (hot_count_.load(std::memory_order_relaxed) * kHotRecordBytes <=
-      hot_budget_bytes_) {
+      options_.memory_budget_bytes) {
     return common::Status::OK();
   }
   return EvictAll();
@@ -342,13 +324,9 @@ common::Status FingerprintSet::EvictAll() {
     for (uint64_t fp : captured[si]) shard.records.erase(fp);
   }
   hot_count_.fetch_sub(entries.size(), std::memory_order_relaxed);
-  if (options_.spill_background_compact) {
-    // The merge overlaps with exploration; errors surface through the
-    // sticky spill_status() the engines already poll at safe points.
-    tier_->RequestCompaction();
-    return tier_->status();
-  }
-  return tier_->CompactIfNeeded();
+  // SealRun woke the background merge if the run count calls for one;
+  // its errors surface through the sticky status the engines poll.
+  return tier_->status();
 }
 
 common::Status FingerprintSet::AdoptSpillRuns(
@@ -385,10 +363,6 @@ void FingerprintSet::ResumeSpillCompaction() {
 
 void FingerprintSet::StopSpillBackground() {
   if (tier_ != nullptr) tier_->StopBackground();
-}
-
-void FingerprintSet::PrefetchSpillEdge(uint64_t fp) const {
-  if (tier_ != nullptr) tier_->PrefetchForReplay(fp);
 }
 
 SpillTier::Stats FingerprintSet::spill_stats() const {

@@ -107,8 +107,8 @@ class FingerprintSet {
     std::string spill_dir;
     /// Estimated hot-table bytes that trigger eviction via
     /// EvictIfOverBudget. 0 means no budget (evictions only happen on
-    /// explicit EvictAll, e.g. at checkpoints). The decoded-block cache
-    /// is carved out of this budget (see spill_cache_bytes).
+    /// explicit EvictAll, e.g. at checkpoints). The hot table gets the
+    /// whole budget; spill runs are read through the OS page cache.
     uint64_t memory_budget_bytes = 0;
     /// Spill run block size, fingerprints per block
     /// (`--spill-block-size`). 0 keeps the tier default (256).
@@ -116,15 +116,6 @@ class FingerprintSet {
     /// Spill Bloom filter bits per key (`--spill-bloom-bits`). 0 keeps
     /// the tier default (10).
     uint64_t spill_bloom_bits = 0;
-    /// Decoded-block cache budget in bytes. 0 = auto: a quarter of
-    /// memory_budget_bytes (at least 256 KiB), or 4 MiB when no budget
-    /// is set. The hot-table eviction threshold shrinks by the same
-    /// amount, so cache + hot table together respect the budget.
-    uint64_t spill_cache_bytes = 0;
-    /// Run spill compaction on a dedicated background thread, overlapped
-    /// with exploration (engines enable this; tests default to the
-    /// synchronous path).
-    bool spill_background_compact = false;
     /// fsync spill runs (checkpoint durability).
     bool spill_durable = false;
     /// Defer deletion of compacted-away runs until PurgeSpillRetired()
@@ -254,19 +245,15 @@ class FingerprintSet {
   void PurgeSpillRetired();
 
   /// Quiesces/resumes the background compaction thread (no-ops without
-  /// one). Checkpointing brackets manifest construction + retired-file
+  /// spilling). Checkpointing brackets manifest construction + retired-file
   /// purge with this pair so a manifest never names a half-merged run
   /// set whose inputs a purge then deletes.
   void PauseSpillCompaction();
   void ResumeSpillCompaction();
-  /// Joins the background compaction thread; call before tearing down
-  /// the spill directory. Idempotent, no-op without a thread.
+  /// Serves any pending compaction request, then joins the background
+  /// compaction thread; call before tearing down the spill directory or
+  /// reading final spill stats. Idempotent, no-op without spilling.
   void StopSpillBackground();
-
-  /// Trace-rebuild read-ahead: asynchronously warms the spill tier's
-  /// block cache with the block holding `fp` (best effort, no-op when
-  /// spilling is off).
-  void PrefetchSpillEdge(uint64_t fp) const;
 
   /// Stats / sticky IO error / live runs of the disk tier (zero/OK/empty
   /// when spilling is off).
@@ -311,7 +298,6 @@ class FingerprintSet {
   Options options_;
   std::vector<Shard> shards_;
   int shard_shift_ = 0;
-  uint64_t hot_budget_bytes_ = 0;  // Budget minus the block-cache slice.
   std::atomic<size_t> size_{0};
   std::atomic<uint64_t> collisions_{0};
 

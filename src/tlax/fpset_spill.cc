@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <queue>
@@ -16,7 +15,6 @@
 #include "common/hash.h"
 #include "common/strings.h"
 #include "common/varint.h"
-#include "tlax/block_cache.h"
 
 namespace xmodel::tlax {
 
@@ -34,8 +32,8 @@ namespace {
 //       n times: fixed64 pred_fp, varint order_key, varint action,
 //                varint zigzag(depth)
 //       fixed64  block checksum: xor of the per-entry hashes — verified
-//                on every block decode, so a block re-read after cache
-//                eviction re-proves its integrity
+//                on every block decode, so an edge read from the mapped
+//                file re-proves its integrity each time
 //   [8]  checksum: xor of a per-entry hash chained over the fingerprint
 //        AND its edge fields, mixed with the count — a flipped bit in
 //        the sidecar fails validation, not just one in the fp stream
@@ -44,8 +42,7 @@ namespace {
 // varint deltas on purpose: run files are mmap'd, and a membership
 // probe binary-searches the array in place — no syscall, no block
 // decode, no allocation. The varint edge sidecar is only decoded on
-// the rare edge-lookup path (trace rebuild), which goes through the
-// block cache.
+// the rare edge-lookup path (trace rebuild).
 //
 // The sparse index (first fp + byte extent per block) and the Bloom
 // filter are rebuilt from a full scan when a file is adopted on resume;
@@ -195,9 +192,11 @@ common::Status DecodeBlockPayload(std::string_view payload,
   return common::Status::OK();
 }
 
+}  // namespace
+
 // Accumulates sorted entries into the on-disk run representation, the
 // shared backend of SealRun and compaction.
-class RunBuilder {
+class SpillTier::RunBuilder {
  public:
   RunBuilder(size_t block_entries, uint64_t bloom_bits_per_key,
              uint64_t expected_count)
@@ -264,86 +263,61 @@ class RunBuilder {
   uint64_t count_ = 0;
 };
 
-}  // namespace
-
 struct SpillTier::Run {
   std::string file;  // Name within the spill dir.
   std::string path;
-  int fd = -1;
-  uint64_t cache_id = 0;  // BlockCache namespace, unique per open run.
   uint64_t count = 0;
   uint64_t bytes = 0;
-  // Read-only map of the whole (immutable) file; null when mmap failed,
-  // in which case probes fall back to pread + decoded blocks.
+  // Read-only map of the whole (immutable) file: the only way probes,
+  // edge lookups and compaction read run bytes.
   const char* map = nullptr;
-  size_t map_len = 0;
   std::vector<uint64_t> block_first_fp;
   std::vector<uint64_t> block_offset;
   std::vector<uint32_t> block_len;
   std::vector<uint64_t> bloom;
 
   ~Run() {
-    if (map != nullptr) {
-      ::munmap(const_cast<char*>(map), map_len);
-    }
-    if (fd >= 0) ::close(fd);
+    if (map != nullptr) ::munmap(const_cast<char*>(map), bytes);
   }
 
-  // Best-effort: a run that fails to map still works via pread.
-  void TryMap() {
-    if (fd < 0 || bytes == 0) return;
-    void* m = ::mmap(nullptr, static_cast<size_t>(bytes), PROT_READ,
+  // Maps the file's `size` bytes. The descriptor is closed right away:
+  // the mapping alone keeps the pages reachable, even after compaction
+  // unlinks the file under an in-flight probe.
+  common::Status Map(uint64_t size) {
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) {
+      return common::Status::Internal("open " + path + ": " +
+                                      std::strerror(errno));
+    }
+    void* m = ::mmap(nullptr, static_cast<size_t>(size), PROT_READ,
                      MAP_SHARED, fd, 0);
-    if (m != MAP_FAILED) {
-      map = static_cast<const char*>(m);
-      map_len = static_cast<size_t>(bytes);
+    const int map_errno = errno;
+    ::close(fd);
+    if (m == MAP_FAILED) {
+      return common::Status::Internal("mmap " + path + ": " +
+                                      std::strerror(map_errno));
     }
-  }
-
-  bool MappedPayload(size_t block, std::string_view* out) const {
-    if (map == nullptr) return false;
-    const uint64_t off = block_offset[block];
-    const uint32_t len = block_len[block];
-    if (off > map_len || len > map_len - off) return false;
-    *out = std::string_view(map + off, len);
-    return true;
-  }
-
-  common::Status ReadBlock(size_t block, std::string* payload) const {
-    payload->resize(block_len[block]);
-    size_t done = 0;
-    while (done < payload->size()) {
-      const ssize_t n =
-          ::pread(fd, payload->data() + done, payload->size() - done,
-                  static_cast<off_t>(block_offset[block] + done));
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        return common::Status::Internal("pread " + path + ": " +
-                                        std::strerror(errno));
-      }
-      if (n == 0) return Corrupt(file, "block extends past end of file");
-      done += static_cast<size_t>(n);
-    }
+    map = static_cast<const char*>(m);
+    bytes = size;
     return common::Status::OK();
+  }
+
+  // Block extents come from the builder or from OpenRun's validating
+  // scan, so they always lie inside the map.
+  std::string_view Payload(size_t block) const {
+    return std::string_view(map + block_offset[block], block_len[block]);
   }
 };
 
 SpillTier::SpillTier(Options options) : options_(std::move(options)) {
   if (options_.block_entries == 0) options_.block_entries = 256;
   if (options_.bloom_bits_per_key == 0) options_.bloom_bits_per_key = 10;
-  if (options_.cache_bytes > 0) {
-    cache_ = std::make_unique<BlockCache>(options_.cache_bytes);
-  }
-  if (options_.background_compact && options_.compact_min_runs > 0) {
+  if (options_.compact_min_runs > 0) {
     compact_thread_ = std::thread([this] { CompactLoop(); });
   }
 }
 
-SpillTier::~SpillTier() {
-  StopBackground();
-  std::lock_guard<std::mutex> lock(prefetch_mu_);
-  if (prefetch_.valid()) prefetch_.wait();
-}
+SpillTier::~SpillTier() { StopBackground(); }
 
 void SpillTier::RecordError(const common::Status& status) const {
   std::lock_guard<std::mutex> lock(status_mu_);
@@ -363,31 +337,6 @@ std::string SpillTier::NextRunFile() {
   return buf;
 }
 
-common::Status SpillTier::GetDecodedBlock(
-    const Run& run, size_t block,
-    std::shared_ptr<const std::vector<Entry>>* out) const {
-  if (cache_) {
-    if (BlockCache::BlockPtr hit = cache_->Lookup(run.cache_id, block)) {
-      *out = std::move(hit);
-      return common::Status::OK();
-    }
-  }
-  std::string scratch;
-  std::string_view payload;
-  if (!run.MappedPayload(block, &payload)) {
-    common::Status read_status = run.ReadBlock(block, &scratch);
-    if (!read_status.ok()) return read_status;
-    payload = scratch;
-  }
-  auto entries = std::make_shared<std::vector<Entry>>();
-  common::Status status = DecodeBlockPayload(payload, run.file, entries.get());
-  if (!status.ok()) return status;
-  std::shared_ptr<const std::vector<Entry>> result = std::move(entries);
-  if (cache_) cache_->Insert(run.cache_id, block, result);
-  *out = std::move(result);
-  return common::Status::OK();
-}
-
 common::Status SpillTier::FindInRun(const Run& run, uint64_t fp,
                                     EdgeData* edge) const {
   auto it = std::upper_bound(run.block_first_fp.begin(),
@@ -397,24 +346,43 @@ common::Status SpillTier::FindInRun(const Run& run, uint64_t fp,
   }
   const size_t block =
       static_cast<size_t>(it - run.block_first_fp.begin()) - 1;
-  std::shared_ptr<const std::vector<Entry>> entries;
-  common::Status status = GetDecodedBlock(run, block, &entries);
+  std::vector<Entry> entries;
+  common::Status status =
+      DecodeBlockPayload(run.Payload(block), run.file, &entries);
   if (!status.ok()) return status;
   auto entry = std::lower_bound(
-      entries->begin(), entries->end(), fp,
+      entries.begin(), entries.end(), fp,
       [](const Entry& e, uint64_t key) { return e.first < key; });
-  if (entry == entries->end() || entry->first != fp) {
+  if (entry == entries.end() || entry->first != fp) {
     return common::Status::NotFound("");
   }
   *edge = entry->second;
   return common::Status::OK();
 }
 
-void SpillTier::RegisterSealed(std::shared_ptr<Run> run,
-                               size_t contents_bytes) {
-  bytes_written_.fetch_add(contents_bytes, std::memory_order_relaxed);
-  std::unique_lock<std::shared_mutex> lock(runs_mu_);
-  runs_.push_back(std::move(run));
+common::Status SpillTier::WriteRun(RunBuilder* builder,
+                                   std::shared_ptr<Run>* out) {
+  auto run = std::make_shared<Run>();
+  run->file = NextRunFile();
+  run->path = options_.dir + "/" + run->file;
+  const std::string contents = builder->Finish();
+  common::WriteFileOptions write_options;
+  write_options.durable = options_.durable;
+  common::Status status =
+      common::WriteFileAtomic(run->path, contents, write_options);
+  if (status.ok()) status = run->Map(contents.size());
+  if (!status.ok()) {
+    RecordError(status);
+    return status;
+  }
+  run->count = builder->count();
+  run->bloom = builder->TakeBloom();
+  run->block_first_fp = builder->TakeBlockFirstFp();
+  run->block_offset = builder->TakeBlockOffset();
+  run->block_len = builder->TakeBlockLen();
+  bytes_written_.fetch_add(contents.size(), std::memory_order_relaxed);
+  *out = std::move(run);
+  return common::Status::OK();
 }
 
 common::Status SpillTier::SealRun(const std::vector<Entry>& entries) {
@@ -430,42 +398,20 @@ common::Status SpillTier::SealRun(const std::vector<Entry>& entries) {
   RunBuilder builder(options_.block_entries, options_.bloom_bits_per_key,
                      entries.size());
   for (const Entry& e : entries) builder.Add(e.first, e.second);
-  auto run = std::make_shared<Run>();
-  run->file = NextRunFile();
-  run->path = options_.dir + "/" + run->file;
-  run->cache_id = next_cache_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::string contents = builder.Finish();
-  common::WriteFileOptions write_options;
-  write_options.durable = options_.durable;
-  common::Status status =
-      common::WriteFileAtomic(run->path, contents, write_options);
-  if (!status.ok()) {
-    RecordError(status);
-    return status;
-  }
-  run->fd = ::open(run->path.c_str(), O_RDONLY);
-  if (run->fd < 0) {
-    status = common::Status::Internal("open " + run->path + ": " +
-                                      std::strerror(errno));
-    RecordError(status);
-    return status;
-  }
-  run->count = builder.count();
-  run->bytes = contents.size();
-  run->bloom = builder.TakeBloom();
-  run->block_first_fp = builder.TakeBlockFirstFp();
-  run->block_offset = builder.TakeBlockOffset();
-  run->block_len = builder.TakeBlockLen();
-  run->TryMap();
+  std::shared_ptr<Run> run;
+  common::Status status = WriteRun(&builder, &run);
+  if (!status.ok()) return status;
   generations_.fetch_add(1, std::memory_order_relaxed);
-  RegisterSealed(std::move(run), contents.size());
-  if (compact_thread_.joinable() && options_.compact_min_runs > 0) {
-    size_t live = 0;
-    {
-      std::shared_lock<std::shared_mutex> lock(runs_mu_);
-      live = runs_.size();
-    }
-    if (live >= options_.compact_min_runs) RequestCompaction();
+  size_t live = 0;
+  {
+    std::unique_lock<std::shared_mutex> lock(runs_mu_);
+    runs_.push_back(std::move(run));
+    live = runs_.size();
+  }
+  if (options_.compact_min_runs > 0 && live >= options_.compact_min_runs) {
+    std::lock_guard<std::mutex> lock(compact_mu_);
+    compact_requested_ = true;
+    compact_cv_.notify_all();
   }
   return common::Status::OK();
 }
@@ -508,8 +454,8 @@ void SpillTier::FindBatch(const std::vector<uint64_t>& sorted_fps,
     probes_.fetch_add(survivors.size(), std::memory_order_relaxed);
     const int64_t start_ns = common::MonotonicClock::Real()->NowNanos();
     // One merged sweep: survivors are in ascending fp order, so their
-    // block indices are nondecreasing — group them and decode each
-    // block exactly once for the whole batch.
+    // block indices are nondecreasing — group them and search each
+    // block once for the whole batch.
     const size_t nblocks = run->block_first_fp.size();
     size_t bi = 0;
     while (bi < survivors.size()) {
@@ -530,44 +476,20 @@ void SpillTier::FindBatch(const std::vector<uint64_t>& sorted_fps,
              (last_block || sorted_fps[survivors[bj]] < next_first)) {
         ++bj;
       }
-      std::string_view raw;
-      if (run->MappedPayload(block, &raw)) {
-        // Mapped run: membership is an in-place binary search of the
-        // raw fingerprint array — no syscall, no decode, no cache
-        // traffic. This is the probe hot path.
-        for (size_t k = bi; k < bj; ++k) {
-          const int found = RawBlockContains(raw, sorted_fps[survivors[k]]);
-          if (found < 0) {
-            RecordError(Corrupt(run->file, "malformed block header"));
-            probe_ns_.fetch_add(
-                common::MonotonicClock::Real()->NowNanos() - start_ns,
-                std::memory_order_relaxed);
-            return;
-          }
-          if (found > 0) (*out)[survivors[k]].found = true;
-        }
-        bi = bj;
-        continue;
-      }
-      // Unmapped fallback: decode through the block cache so repeat
-      // probes of the block at least skip the pread.
-      std::shared_ptr<const std::vector<Entry>> entries;
-      common::Status status = GetDecodedBlock(*run, block, &entries);
-      if (!status.ok()) {
-        RecordError(status);
-        probe_ns_.fetch_add(
-            common::MonotonicClock::Real()->NowNanos() - start_ns,
-            std::memory_order_relaxed);
-        return;
-      }
+      // Membership is an in-place binary search of the mapped
+      // fingerprint array — no syscall, no decode. This is the probe hot
+      // path.
+      const std::string_view raw = run->Payload(block);
       for (size_t k = bi; k < bj; ++k) {
-        const uint64_t want = sorted_fps[survivors[k]];
-        auto entry = std::lower_bound(
-            entries->begin(), entries->end(), want,
-            [](const Entry& e, uint64_t key) { return e.first < key; });
-        if (entry != entries->end() && entry->first == want) {
-          (*out)[survivors[k]].found = true;
+        const int found = RawBlockContains(raw, sorted_fps[survivors[k]]);
+        if (found < 0) {
+          RecordError(Corrupt(run->file, "malformed block header"));
+          probe_ns_.fetch_add(
+              common::MonotonicClock::Real()->NowNanos() - start_ns,
+              std::memory_order_relaxed);
+          return;
         }
+        if (found > 0) (*out)[survivors[k]].found = true;
       }
       bi = bj;
     }
@@ -592,9 +514,7 @@ common::Status SpillTier::CompactIfNeeded() {
   const int64_t start_ns = common::MonotonicClock::Real()->NowNanos();
 
   // Streaming k-way merge: one decoded block per run in memory at a
-  // time, heap-ordered by the cursors' current fingerprints. Reads
-  // bypass the block cache — a merge touches every block exactly once,
-  // so caching it would only evict the probe working set.
+  // time, heap-ordered by the cursors' current fingerprints.
   struct Cursor {
     const Run* run = nullptr;
     size_t block = 0;
@@ -614,15 +534,8 @@ common::Status SpillTier::CompactIfNeeded() {
     if (c->block >= c->run->block_first_fp.size()) {
       return common::Status::OK();  // Exhausted.
     }
-    std::string scratch;
-    std::string_view payload;
-    if (!c->run->MappedPayload(c->block, &payload)) {
-      common::Status status = c->run->ReadBlock(c->block, &scratch);
-      if (!status.ok()) return status;
-      payload = scratch;
-    }
-    common::Status status =
-        DecodeBlockPayload(payload, c->run->file, &c->entries);
+    common::Status status = DecodeBlockPayload(c->run->Payload(c->block),
+                                               c->run->file, &c->entries);
     if (!status.ok()) return status;
     ++c->block;
     return common::Status::OK();
@@ -661,34 +574,9 @@ common::Status SpillTier::CompactIfNeeded() {
     }
   }
 
-  auto merged = std::make_shared<Run>();
-  merged->file = NextRunFile();
-  merged->path = options_.dir + "/" + merged->file;
-  merged->cache_id = next_cache_id_.fetch_add(1, std::memory_order_relaxed);
-  const std::string contents = builder.Finish();
-  common::WriteFileOptions write_options;
-  write_options.durable = options_.durable;
-  common::Status status =
-      common::WriteFileAtomic(merged->path, contents, write_options);
-  if (!status.ok()) {
-    RecordError(status);
-    return status;
-  }
-  merged->fd = ::open(merged->path.c_str(), O_RDONLY);
-  if (merged->fd < 0) {
-    status = common::Status::Internal("open " + merged->path + ": " +
-                                      std::strerror(errno));
-    RecordError(status);
-    return status;
-  }
-  merged->count = builder.count();
-  merged->bytes = contents.size();
-  merged->bloom = builder.TakeBloom();
-  merged->block_first_fp = builder.TakeBlockFirstFp();
-  merged->block_offset = builder.TakeBlockOffset();
-  merged->block_len = builder.TakeBlockLen();
-  merged->TryMap();
-  bytes_written_.fetch_add(contents.size(), std::memory_order_relaxed);
+  std::shared_ptr<Run> merged;
+  common::Status status = WriteRun(&builder, &merged);
+  if (!status.ok()) return status;
   compactions_.fetch_add(1, std::memory_order_relaxed);
   {
     // Swap: drop exactly the merged-away inputs. Runs sealed after the
@@ -714,7 +602,6 @@ common::Status SpillTier::CompactIfNeeded() {
   // The input runs are no longer reachable by probes; their files go now,
   // or at the next PurgeRetired() when a manifest may still name them.
   for (const std::shared_ptr<Run>& run : snapshot) {
-    if (cache_) cache_->EraseRun(run->cache_id);
     if (options_.defer_deletes) {
       std::lock_guard<std::mutex> lock(retired_mu_);
       retired_.push_back(run->path);
@@ -734,7 +621,9 @@ void SpillTier::CompactLoop() {
       return compact_stop_ ||
              (compact_requested_ && compact_pause_depth_ == 0);
     });
-    if (compact_stop_) return;
+    // A stop still serves a pending, unpaused request first, so
+    // StopBackground never leaves a requested merge behind.
+    if (!compact_requested_ || compact_pause_depth_ > 0) return;
     compact_requested_ = false;
     compact_busy_ = true;
     lock.unlock();
@@ -742,16 +631,6 @@ void SpillTier::CompactLoop() {
     lock.lock();
     compact_busy_ = false;
     compact_cv_.notify_all();
-  }
-}
-
-void SpillTier::RequestCompaction() {
-  if (compact_thread_.joinable()) {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    compact_requested_ = true;
-    compact_cv_.notify_all();
-  } else {
-    CompactIfNeeded();  // Synchronous fallback; errors land in status_.
   }
 }
 
@@ -776,25 +655,11 @@ void SpillTier::StopBackground() {
   if (compact_thread_.joinable()) compact_thread_.join();
 }
 
-void SpillTier::PrefetchForReplay(uint64_t fp) const {
-  std::lock_guard<std::mutex> lock(prefetch_mu_);
-  if (prefetch_.valid() &&
-      prefetch_.wait_for(std::chrono::seconds(0)) !=
-          std::future_status::ready) {
-    return;  // Slot busy; read-ahead is best effort.
-  }
-  prefetch_ = std::async(std::launch::async, [this, fp] {
-    EdgeData edge;
-    FindOnDisk(fp, &edge);  // Side effect: warms the block cache.
-  });
-}
-
 common::Status SpillTier::OpenRun(const std::string& file,
                                   std::shared_ptr<Run>* out) {
   auto run = std::make_shared<Run>();
   run->file = file;
   run->path = options_.dir + "/" + file;
-  run->cache_id = next_cache_id_.fetch_add(1, std::memory_order_relaxed);
   std::string contents;
   common::Status status = common::ReadFileToString(run->path, &contents);
   if (!status.ok()) return status;
@@ -857,14 +722,9 @@ common::Status SpillTier::OpenRun(const std::string& file,
   if (ChecksumFinish(checksum, scanned) != declared_checksum) {
     return Corrupt(file, "checksum mismatch");
   }
-  run->fd = ::open(run->path.c_str(), O_RDONLY);
-  if (run->fd < 0) {
-    return common::Status::Internal("open " + run->path + ": " +
-                                    std::strerror(errno));
-  }
+  status = run->Map(contents.size());
+  if (!status.ok()) return status;
   run->count = declared;
-  run->bytes = contents.size();
-  run->TryMap();
   *out = std::move(run);
   return common::Status::OK();
 }
@@ -892,16 +752,9 @@ common::Status SpillTier::AdoptRuns(const std::vector<std::string>& files) {
          !next_generation_.compare_exchange_weak(
              current, max_generation, std::memory_order_relaxed)) {
   }
-  std::vector<std::shared_ptr<Run>> replaced;
   {
     std::unique_lock<std::shared_mutex> lock(runs_mu_);
-    replaced = std::move(runs_);
-    runs_ = std::move(adopted);
-  }
-  if (cache_) {
-    for (const std::shared_ptr<Run>& run : replaced) {
-      cache_->EraseRun(run->cache_id);
-    }
+    runs_.swap(adopted);
   }
   return common::Status::OK();
 }
@@ -967,12 +820,6 @@ SpillTier::Stats SpillTier::stats() const {
   s.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   s.compactions = compactions_.load(std::memory_order_relaxed);
   s.probes = probes_.load(std::memory_order_relaxed);
-  if (cache_) {
-    const BlockCache::Stats c = cache_->stats();
-    s.cache_hits = c.hits;
-    s.cache_misses = c.misses;
-    s.cache_bytes = c.bytes;
-  }
   s.probe_ms =
       static_cast<double>(probe_ns_.load(std::memory_order_relaxed)) * 1e-6;
   s.merge_ms =

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -16,8 +15,6 @@
 #include "common/status.h"
 
 namespace xmodel::tlax {
-
-class BlockCache;
 
 /// The fingerprint set's disk tier: sealed, immutable runs of sorted
 /// fingerprints with their discovery edges, the TLC out-of-core design.
@@ -42,14 +39,14 @@ class BlockCache;
 /// Fast path: FindBatch probes a sorted batch of fingerprints with one
 /// merged sweep per run — survivors of the Bloom gate walk the block
 /// index monotonically and binary-search each mapped block in place.
-/// The decoded-block path (edge lookups for trace rebuild, and the
-/// pread fallback when mmap is unavailable) goes through a sharded LRU
-/// BlockCache (Options::cache_bytes, carved out of the checker's memory
-/// budget). Compaction optionally runs on a dedicated background thread
-/// (Options::background_compact) concurrent with probes — retiring runs
-/// stay readable through shared_ptr references until the merged run is
-/// swapped in, and Pause/ResumeCompaction quiesce the thread around
-/// checkpoint manifests so a manifest never names a half-merged run.
+/// Edge lookups (trace rebuild) decode the one mapped block that holds
+/// the fingerprint, re-verifying its checksum. The map is the only read
+/// path: a run that cannot be mapped is an error from SealRun, AdoptRuns
+/// or compaction. Compaction runs on a dedicated background thread
+/// concurrent with probes — retiring runs stay readable through
+/// shared_ptr references until the merged run is swapped in, and
+/// Pause/ResumeCompaction quiesce the thread around checkpoint manifests
+/// so a manifest never names a half-merged run.
 ///
 /// Thread safety: probes take a shared lock on the run list; sealing and
 /// compaction take it exclusively only for the list swap. SealRun /
@@ -67,12 +64,9 @@ class SpillTier {
     /// Bloom filter bits per key (`--spill-bloom-bits`). More bits =
     /// fewer false-positive disk probes, more RAM per spilled record.
     uint64_t bloom_bits_per_key = 10;
-    /// Compact when the run count reaches this. 0 disables compaction.
+    /// Compact (on the background thread) when the run count reaches
+    /// this. 0 disables compaction and the thread.
     size_t compact_min_runs = 8;
-    /// Byte budget for the decoded-block cache. 0 disables the cache.
-    size_t cache_bytes = 0;
-    /// Run compaction on a dedicated thread, overlapped with probes.
-    bool background_compact = false;
     /// fsync run files and the directory (checkpoint durability).
     bool durable = false;
     /// Keep compacted-away run files on disk until PurgeRetired().
@@ -114,9 +108,6 @@ class SpillTier {
     uint64_t compactions = 0;
     uint64_t compact_backlog = 0;   // Extra live runs a probe must consult.
     uint64_t probes = 0;            // Disk-path probes (past the filters).
-    uint64_t cache_hits = 0;        // Decoded-block cache hits (monotone).
-    uint64_t cache_misses = 0;      // Decoded-block cache misses (monotone).
-    uint64_t cache_bytes = 0;       // Resident decoded-block bytes.
     double probe_ms = 0;
     double merge_ms = 0;
   };
@@ -131,9 +122,8 @@ class SpillTier {
 
   /// Seals `entries` (sorted by fingerprint, strictly increasing,
   /// disjoint from every live run) as a new run file and registers it
-  /// for probes. Empty input is a no-op. In background_compact mode
-  /// this also wakes the compaction thread when the run count has
-  /// reached the threshold.
+  /// for probes. Empty input is a no-op. Also wakes the compaction
+  /// thread when the run count has reached the threshold.
   common::Status SealRun(const std::vector<Entry>& entries);
 
   /// Membership + edge probe across every live run. False means the
@@ -144,20 +134,17 @@ class SpillTier {
   /// Batched membership probe: `sorted_fps` must be ascending and
   /// unique. Every live run is swept once — per run, the surviving
   /// (Bloom-positive, not-yet-found) fingerprints walk the block index
-  /// monotonically and binary-search each mapped block in place (the
-  /// pread fallback decodes each block at most once for the batch).
+  /// monotonically and binary-search each mapped block in place.
   /// `out` is resized to match and filled positionally.
   void FindBatch(const std::vector<uint64_t>& sorted_fps,
                  std::vector<BatchHit>* out) const;
 
   /// K-way merges all live runs into one when the run count has reached
-  /// Options::compact_min_runs. Safe to call concurrently with probes
-  /// and SealRun (runs sealed after the merge snapshot survive).
+  /// Options::compact_min_runs. The background thread calls this; a
+  /// direct call (tests) serializes with it. Safe to call concurrently
+  /// with probes and SealRun (runs sealed after the merge snapshot
+  /// survive).
   common::Status CompactIfNeeded();
-
-  /// background_compact mode: nudges the compaction thread to check the
-  /// run count. No-op (beyond the synchronous fallback) otherwise.
-  void RequestCompaction();
 
   /// Quiesce/resume the background compaction thread. While paused, no
   /// merge is in flight and none starts, so run_infos() is stable —
@@ -167,14 +154,11 @@ class SpillTier {
   void PauseCompaction();
   void ResumeCompaction();
 
-  /// Joins the background compaction thread (idempotent). Called by the
-  /// destructor; engines call it before tearing down the spill dir.
+  /// Serves a pending compaction request (unless paused), then joins the
+  /// background thread (idempotent). Afterwards the stats are final and
+  /// every merge a SealRun asked for has run. Called by the destructor;
+  /// engines call it before tearing down the spill dir.
   void StopBackground();
-
-  /// One-slot async read-ahead for trace rebuild: warms the block cache
-  /// with the block that holds `fp` while the caller recomputes states.
-  /// Best effort — drops the request when the slot is busy.
-  void PrefetchForReplay(uint64_t fp) const;
 
   /// Resume path: opens and validates previously sealed run files (names
   /// within dir, in manifest order). A truncated or garbled file is a
@@ -202,29 +186,24 @@ class SpillTier {
 
  private:
   struct Run;
+  class RunBuilder;
 
   common::Status OpenRun(const std::string& file, std::shared_ptr<Run>* out);
+  /// Writes a finished builder as a new run file and maps it.
+  common::Status WriteRun(RunBuilder* builder, std::shared_ptr<Run>* out);
   void RecordError(const common::Status& status) const;
   std::string NextRunFile();
-  /// Decoded block fetch, through the cache when one is configured.
-  common::Status GetDecodedBlock(
-      const Run& run, size_t block,
-      std::shared_ptr<const std::vector<Entry>>* out) const;
   common::Status FindInRun(const Run& run, uint64_t fp, EdgeData* edge) const;
   void CompactLoop();
-  void RegisterSealed(std::shared_ptr<Run> run, size_t contents_bytes);
 
   Options options_;
   mutable std::shared_mutex runs_mu_;
   std::vector<std::shared_ptr<Run>> runs_;
   std::atomic<uint64_t> next_generation_{0};
-  std::atomic<uint64_t> next_cache_id_{0};
   std::atomic<bool> dir_ready_{false};
 
   std::mutex retired_mu_;
   std::vector<std::string> retired_;  // Paths awaiting PurgeRetired().
-
-  std::unique_ptr<BlockCache> cache_;
 
   // Background compaction coordination. compact_busy_ is true from the
   // moment the thread picks up a request until the merged run is swapped
@@ -237,9 +216,6 @@ class SpillTier {
   bool compact_busy_ = false;
   bool compact_stop_ = false;
   int compact_pause_depth_ = 0;
-
-  mutable std::mutex prefetch_mu_;
-  mutable std::future<void> prefetch_;
 
   mutable std::mutex status_mu_;
   mutable common::Status status_;

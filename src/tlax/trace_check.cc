@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
 #include <unordered_set>
 #include <utility>
 
@@ -33,22 +32,21 @@ class Timer {
   int64_t start_ns_;
 };
 
-// Relaxed mode flushes checker.trace.states.explored to the live registry
-// once per this many newly explored states, so a mid-run /metrics scrape
-// watches the counter advance instead of seeing 0 until the run ends.
+// The fold flushes checker.trace.states.explored to the live registry (and
+// heartbeats the watchdog) once per this many newly explored states, so a
+// mid-run /metrics scrape watches the counter advance instead of seeing 0
+// until the run ends.
 constexpr uint64_t kLiveFlushEntries = 1024;
 
 // End-of-run telemetry for one trace check (the checker.trace.* family).
-// `already_published` is the portion of states_explored the relaxed fold
-// already flushed live; only the remainder is added here so the counter
+// `already_published` is the portion of states_explored the fold already
+// flushed live; only the remainder is added here so the counter
 // reconciles exactly with the final total.
 void PublishTraceMetrics(const TraceCheckOptions& options,
                          const TraceCheckResult& result,
-                         uint64_t already_published = 0) {
+                         uint64_t already_published) {
   if (!options.publish_metrics) return;
   auto& registry = obs::MetricsRegistry::Global();
-  registry.GetGauge("checker.policy")
-      .Set(options.exploration == ExplorationPolicy::kRelaxed ? 1 : 0);
   registry.GetCounter("checker.trace.runs.completed").Increment();
   registry.GetCounter("checker.trace.steps.checked")
       .Increment(result.step_actions.size());
@@ -107,16 +105,13 @@ struct AdvanceContext {
   common::WorkerPool* pool = nullptr;
   std::vector<uint64_t>* worker_expansions = nullptr;
   obs::Histogram* level_hist = nullptr;
-  /// Relaxed policy: fold concurrently instead of stage-then-replay.
-  bool relaxed = false;
-  /// Heartbeaten once per drained expansion batch (both policies).
+  /// Heartbeaten once per drained expansion batch and at every fold flush.
   obs::Watchdog* watchdog = nullptr;
-  /// Relaxed live flush of checker.trace.states.explored: the counter and
-  /// the running tally of what has already been flushed to it. Both null
-  /// in level mode or when metrics are off; `published_explored` is
-  /// guarded by the relaxed fold mutex while the pool runs.
+  /// Live flush of checker.trace.states.explored (null when metrics are
+  /// off) and the explored tally as of the last flush. The serial fold
+  /// is the only writer of both.
   obs::Counter* live_explored = nullptr;
-  uint64_t* published_explored = nullptr;
+  uint64_t* flushed_explored = nullptr;
 };
 
 // One staged successor: produced in parallel, consumed by the serial fold
@@ -131,21 +126,13 @@ struct StagedExpansion {
 // `target`), searching up to `options.max_hidden_steps` spec actions deep.
 // Returns the action names whose final step explained the match.
 //
-// Parallelism, level policy: workers expand layer states concurrently
-// (action.next and Matches are the hot path), staging (action, matched,
-// successor) per source state; a serial fold then replays exploration
-// counting, the search budget, dedup, and explaining-action order exactly
-// as the serial sweep would, so results are bit-identical across worker
-// counts. The fold ignores staged work past the budget cut-off, trading
-// some wasted expansion on exhausted layers for determinism.
-//
-// Relaxed policy: no staging — workers fold each successor under a mutex
-// as soon as it is produced, flushing the live explored counter and
-// heartbeating the watchdog per batch. The viable-state sets (and hence
-// the verdict) are schedule-independent while the budget holds; explored
-// counts near budget exhaustion and the attribution of a multiply
-// reachable state to one explaining action are not, so the explaining
-// list is sorted for stable output.
+// Parallelism: workers expand layer states concurrently (action.next and
+// Matches are the hot path), staging (action, matched, successor) per
+// source state; a serial fold then replays exploration counting, the
+// search budget, dedup, and explaining-action order exactly as the serial
+// sweep would, so results are bit-identical across worker counts. The
+// fold ignores staged work past the budget cut-off, trading some wasted
+// expansion on exhausted layers for determinism.
 std::vector<std::string> AdvanceFrontier(const Spec& spec,
                                          const TraceState& target,
                                          const TraceCheckOptions& options,
@@ -189,58 +176,6 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
     if (ctx.level_hist != nullptr) {
       ctx.level_hist->Observe(static_cast<double>(layer.size()));
     }
-    if (ctx.relaxed) {
-      // Relaxed fold: bookkeeping happens under `fold_mu` as successors
-      // arrive, in whatever order the workers produce them. Budget
-      // exhaustion raises `exhausted` so peers stop expanding instead of
-      // finishing the layer for a fold that would discard their work.
-      std::mutex fold_mu;
-      std::vector<State> next_layer;
-      std::atomic<size_t> cursor{0};
-      std::atomic<bool> exhausted{false};
-      ctx.pool->Run([&](int worker) {
-        std::vector<State> successors;
-        uint64_t expanded = 0;
-        while (!exhausted.load(std::memory_order_relaxed)) {
-          const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= layer.size()) break;
-          for (uint16_t ai = 0; ai < actions.size(); ++ai) {
-            successors.clear();
-            actions[ai].next(layer[i], &successors);
-            for (State& succ : successors) {
-              ++expanded;
-              const bool matched = target.Matches(succ.vars());
-              std::lock_guard<std::mutex> lock(fold_mu);
-              ++*states_explored;
-              if (budget > 0) --budget;
-              if (matched) {
-                if (next.Add(succ)) note_action(actions[ai].name);
-              }
-              if (depth < options.max_hidden_steps && budget > 0 &&
-                  visited.Add(succ)) {
-                next_layer.push_back(std::move(succ));
-              }
-              if (budget == 0) {
-                exhausted.store(true, std::memory_order_relaxed);
-              }
-              if (ctx.live_explored != nullptr &&
-                  *states_explored - *ctx.published_explored >=
-                      kLiveFlushEntries) {
-                ctx.live_explored->Increment(*states_explored -
-                                             *ctx.published_explored);
-                *ctx.published_explored = *states_explored;
-              }
-            }
-          }
-          if (ctx.watchdog != nullptr) ctx.watchdog->Heartbeat();
-        }
-        if (ctx.worker_expansions != nullptr) {
-          (*ctx.worker_expansions)[static_cast<size_t>(worker)] += expanded;
-        }
-      });
-      layer = std::move(next_layer);
-      continue;
-    }
     // Stage: expand every layer state, in parallel.
     std::vector<std::vector<StagedExpansion>> staged(layer.size());
     std::atomic<size_t> cursor{0};
@@ -272,7 +207,6 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
     // Fold: serial replay of the classic bookkeeping over the staged
     // expansions, in source-state order.
     std::vector<State> next_layer;
-    uint64_t heartbeat_countdown = kLiveFlushEntries;
     for (size_t i = 0; i < layer.size(); ++i) {
       for (StagedExpansion& e : staged[i]) {
         ++*states_explored;
@@ -284,9 +218,13 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
             visited.Add(e.succ)) {
           next_layer.push_back(std::move(e.succ));
         }
-        if (ctx.watchdog != nullptr && --heartbeat_countdown == 0) {
-          heartbeat_countdown = kLiveFlushEntries;
-          ctx.watchdog->Heartbeat();
+        if (*states_explored - *ctx.flushed_explored >= kLiveFlushEntries) {
+          if (ctx.live_explored != nullptr) {
+            ctx.live_explored->Increment(*states_explored -
+                                         *ctx.flushed_explored);
+          }
+          *ctx.flushed_explored = *states_explored;
+          if (ctx.watchdog != nullptr) ctx.watchdog->Heartbeat();
         }
       }
       if (budget == 0) break;
@@ -294,10 +232,24 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
     layer = std::move(next_layer);
   }
   *frontier = std::move(next);
-  // Relaxed discovery order is schedule-dependent; sort so the reported
-  // explaining actions are stable run to run.
-  if (ctx.relaxed) std::sort(explaining.begin(), explaining.end());
   return explaining;
+}
+
+AdvanceContext MakeContext(const TraceCheckOptions& options,
+                           common::WorkerPool* pool,
+                           std::vector<uint64_t>* worker_expansions,
+                           uint64_t* flushed_explored) {
+  AdvanceContext ctx;
+  ctx.pool = pool;
+  ctx.worker_expansions = worker_expansions;
+  ctx.watchdog = options.watchdog;
+  ctx.flushed_explored = flushed_explored;
+  if (options.publish_metrics) {
+    ctx.level_hist = &LevelSizeHistogram();
+    ctx.live_explored = &obs::MetricsRegistry::Global().GetCounter(
+        "checker.trace.states.explored");
+  }
+  return ctx;
 }
 
 }  // namespace
@@ -309,19 +261,8 @@ TraceCheckResult TraceChecker::CheckParsed(const Spec& spec,
   common::WorkerPool pool(common::ResolveWorkerCount(options_.num_workers));
   std::vector<uint64_t> worker_expansions(
       static_cast<size_t>(pool.num_workers()), 0);
-  AdvanceContext ctx;
-  ctx.pool = &pool;
-  ctx.worker_expansions = &worker_expansions;
-  ctx.relaxed = options_.exploration == ExplorationPolicy::kRelaxed;
-  ctx.watchdog = options_.watchdog;
-  if (options_.publish_metrics) {
-    ctx.level_hist = &LevelSizeHistogram();
-    if (ctx.relaxed) {
-      ctx.live_explored = &obs::MetricsRegistry::Global().GetCounter(
-          "checker.trace.states.explored");
-      ctx.published_explored = published_explored;
-    }
-  }
+  const AdvanceContext ctx =
+      MakeContext(options_, &pool, &worker_expansions, published_explored);
 
   TraceCheckResult result = [&]() -> TraceCheckResult {
     TraceCheckResult result;
@@ -425,19 +366,8 @@ TraceCheckResult TraceChecker::CheckModule(const Spec& spec,
 
   common::WorkerPool pool(common::ResolveWorkerCount(options_.num_workers));
   worker_expansions.assign(static_cast<size_t>(pool.num_workers()), 0);
-  AdvanceContext ctx;
-  ctx.pool = &pool;
-  ctx.worker_expansions = &worker_expansions;
-  ctx.relaxed = options_.exploration == ExplorationPolicy::kRelaxed;
-  ctx.watchdog = options_.watchdog;
-  if (options_.publish_metrics) {
-    ctx.level_hist = &LevelSizeHistogram();
-    if (ctx.relaxed) {
-      ctx.live_explored = &obs::MetricsRegistry::Global().GetCounter(
-          "checker.trace.states.explored");
-      ctx.published_explored = &published;
-    }
-  }
+  const AdvanceContext ctx =
+      MakeContext(options_, &pool, &worker_expansions, &published);
 
   Frontier frontier;
   for (size_t i = 0; i < num_steps; ++i) {

@@ -7,7 +7,6 @@
 
 #include "common/clock.h"
 #include "common/status.h"
-#include "tlax/checker.h"
 #include "tlax/spec.h"
 #include "tlax/tla_text.h"
 
@@ -54,29 +53,23 @@ struct TraceCheckOptions {
   /// 0 = no memory-derived cap.
   uint64_t memory_budget_mb = 0;
   /// Expansion workers for the per-step search: 1 (default) is the classic
-  /// serial sweep, 0 means one per hardware thread. Workers only stage the
-  /// expensive action expansions; matches, dedup, budget accounting, and
-  /// explaining-action order are folded serially afterwards, so every
-  /// result field is identical across worker counts.
+  /// serial sweep, 0 means one per hardware thread. Each search layer is
+  /// staged then folded: workers only stage the expensive action
+  /// expansions; matches, dedup, budget accounting, and explaining-action
+  /// order are folded serially afterwards, so every result field is
+  /// identical across worker counts.
   int num_workers = 1;
-  /// Exploration policy for the per-step hidden-state search. kLevelSync
-  /// (default) keeps the stage-then-fold discipline above: workers only
-  /// stage expansions, bookkeeping replays serially, results are
-  /// bit-identical across worker counts. kRelaxed folds concurrently as
-  /// expansions finish (no staging barrier): the accept/reject verdict
-  /// and failed_step stay exact (the viable-state sets are
-  /// schedule-independent while the step budget holds), but
-  /// states_explored near budget exhaustion and the attribution of a
-  /// state reachable via several actions to one explaining action become
-  /// schedule-dependent; explaining lists are sorted for stable output.
-  ExplorationPolicy exploration = ExplorationPolicy::kLevelSync;
   /// Optional stall watchdog: heartbeats once per drained expansion batch
-  /// in both policies, so a wedged action expansion trips the stall
-  /// detector even mid-step. Not owned.
+  /// and every 1024 folded successors, so a wedged action expansion trips
+  /// the stall detector even mid-step. Not owned.
   obs::Watchdog* watchdog = nullptr;
   /// Wall-time source for `seconds`; null = the process steady clock.
   common::MonotonicClock* clock = nullptr;
-  /// Publish end-of-run checker.trace.* counters to the global registry.
+  /// Publish checker.trace.* counters to the global registry: at the end
+  /// of the run, plus a live flush of checker.trace.states.explored from
+  /// the fold every 1024 explored states, so a mid-run /metrics scrape
+  /// sees the counter advance. The total always reconciles exactly with
+  /// TraceCheckResult::states_explored.
   bool publish_metrics = true;
 };
 

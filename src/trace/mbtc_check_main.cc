@@ -15,11 +15,6 @@
 //   --no-stutter         disallow stuttering steps in the trace check
 //   --workers=N          trace-check expansion workers (0 = all cores);
 //                        results are identical across worker counts
-//   --explore=POLICY     per-step search policy: "level" (default,
-//                        deterministic stage-then-fold) or "relaxed"
-//                        (barrier-free concurrent fold — same verdict,
-//                        live-advancing explored counter, explaining
-//                        actions sorted)
 //   --metrics-out=FILE   write a metrics-registry snapshot as JSON
 //                        (crash-safe: temp file + atomic rename)
 //   --trace-out=FILE     record spans and write Chrome trace_event JSON
@@ -71,7 +66,6 @@ struct Options {
   bool stutter = true;
   int workers = 1;
   uint64_t mem_budget_mb = 0;
-  tlax::ExplorationPolicy explore = tlax::ExplorationPolicy::kLevelSync;
   int serve_port = -1;  // -1 = no HTTP server.
   int64_t serve_linger_ms = 0;
   int64_t stall_timeout_ms = 30'000;
@@ -80,8 +74,7 @@ struct Options {
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <log_directory> [--abstract] [--no-stutter]\n"
-               "           [--workers=N] [--explore=level|relaxed]\n"
-               "           [--mem-budget-mb=N]\n"
+               "           [--workers=N] [--mem-budget-mb=N]\n"
                "           [--metrics-out=FILE] [--trace-out=FILE]\n"
                "           [--events-out=FILE] [--serve=PORT] "
                "[--serve-linger-ms=N]\n"
@@ -124,13 +117,13 @@ bool ParseArgs(int argc, char** argv, Options* options) {
         std::fprintf(stderr, "--workers must be >= 0\n");
         return false;
       }
-    } else if (arg.rfind("--explore=", 0) == 0) {
-      if (!tlax::ParseExplorationPolicy(arg.substr(10), &options->explore)) {
-        std::fprintf(stderr, "--explore must be 'level' or 'relaxed'\n");
+    } else if (arg.rfind("--mem-budget-mb=", 0) == 0) {
+      if (!tlax::ParseMemoryBudgetMb(arg.substr(16),
+                                     &options->mem_budget_mb)) {
+        std::fprintf(stderr, "--mem-budget-mb must be a whole number of "
+                     "megabytes below 2^44\n");
         return false;
       }
-    } else if (arg.rfind("--mem-budget-mb=", 0) == 0) {
-      options->mem_budget_mb = std::strtoull(arg.c_str() + 16, nullptr, 10);
     } else if (!arg.empty() && arg[0] != '-' &&
                options->log_directory.empty()) {
       options->log_directory = arg;
@@ -264,7 +257,6 @@ int main(int argc, char** argv) {
   trace::MbtcPipelineOptions pipeline_options;
   pipeline_options.checker.allow_stuttering = options.stutter;
   pipeline_options.checker.num_workers = options.workers;
-  pipeline_options.checker.exploration = options.explore;
   pipeline_options.checker.memory_budget_mb = options.mem_budget_mb;
   // The checker heartbeats per drained expansion batch (on top of the
   // pipeline's per-phase beats), so /healthz stays live inside a long

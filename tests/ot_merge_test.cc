@@ -31,8 +31,11 @@ std::vector<Operation> AllOps(int n, int64_t ts, int64_t cid,
 
 // One TP1 sweep configuration: array length and the two ops' timestamps
 // (equal timestamps exercise the client-id tie-breaks in both directions).
+// Every field is 64-bit so the struct has no padding: gtest prints the
+// param's raw bytes into the test name, and padding bytes would make that
+// name differ from run to run.
 struct Tp1Config {
-  int array_len;
+  int64_t array_len;
   int64_t ts_a;
   int64_t ts_b;
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "specs/toy_specs.h"
 #include "tlax/tla_text.h"
 #include "tlax/trace_check.h"
@@ -157,6 +158,29 @@ TEST(TraceCheckTest, PresslerModeAgreesWithNative) {
   TraceCheckResult failed = TraceChecker(pressler).Check(spec, bad);
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(failed.failed_step, 2u);
+}
+
+// The fold flushes checker.trace.states.explored live every 1024 explored
+// states; the live flushes plus the end-of-run remainder must add up to
+// exactly states_explored, at any worker count.
+TEST(TraceCheckTest, LiveExploredCounterReconcilesWithResult) {
+  CounterSpec spec(/*limit=*/40);
+  // One observed step hiding 60 actions: the search sweeps the (x, y)
+  // grid up to x + y = 60, several live flushes' worth of states.
+  const std::vector<TraceState> trace = {Full(0, 0), Full(30, 30)};
+  obs::Counter& explored = obs::MetricsRegistry::Global().GetCounter(
+      "checker.trace.states.explored");
+  for (int workers : {1, 4}) {
+    TraceCheckOptions options;
+    options.max_hidden_steps = 60;
+    options.num_workers = workers;
+    const uint64_t before = explored.value();
+    TraceCheckResult result = TraceChecker(options).Check(spec, trace);
+    ASSERT_TRUE(result.ok()) << result.status.ToString();
+    EXPECT_GT(result.states_explored, 1024u);
+    EXPECT_EQ(explored.value() - before, result.states_explored)
+        << "workers=" << workers;
+  }
 }
 
 TEST(TraceCheckTest, CheckModuleNative) {

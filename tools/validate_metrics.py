@@ -58,18 +58,15 @@ Checks every file argument and exits nonzero on the first problem:
   frontier_segments,runs,probe_ms,merge_ms}` is flushed in one call, so
   the five must appear together — `bytes`/`frontier_segments` as
   counters, the rest as gauges, all finite and non-negative.
-  The block-cache family `checker.spill.cache.{hits,misses,bytes}`
-  (hits/misses counters, bytes gauge) and the compaction family
-  `checker.spill.compact.{count,ms,backlog}` (count counter, ms/backlog
-  gauges) are each all-or-nothing and require the core family — the
-  same flush publishes all three groups. `checker.spill.generations`
+  The compaction family `checker.spill.compact.{count,ms,backlog}`
+  (count counter, ms/backlog gauges) is all-or-nothing and requires the
+  core family — the same flush publishes both. `checker.spill.generations`
   (end-of-run only) and the checkpoint pair `checker.checkpoint.{writes,
   ms}` additionally require the core family: checkpointing implies
   spilling. When one invocation validates several Prometheus scrape
   bodies of the SAME serving process (pass them in scrape order, as the
   obs-live CI job does), the monotone spill counters
   `checker_spill_bytes` / `checker_spill_frontier_segments` /
-  `checker_spill_cache_hits` / `checker_spill_cache_misses` /
   `checker_spill_compact_count` / `checker_checkpoint_writes` must
   never move backwards between scrapes.
 - Domain-family sanity (any snapshot containing analysis.domain.* metrics):
@@ -361,15 +358,9 @@ _SPILL_CORE = {
     "checker.spill.merge_ms": "gauge",
 }
 
-# Published by the same flush as the core family, but validated as their
-# own all-or-nothing groups so older snapshots (pre block cache /
-# background compaction) stay valid.
-_SPILL_CACHE = {
-    "checker.spill.cache.hits": "counter",
-    "checker.spill.cache.misses": "counter",
-    "checker.spill.cache.bytes": "gauge",
-}
-
+# Published by the same flush as the core family, but validated as its
+# own all-or-nothing group so older snapshots (pre background
+# compaction) stay valid.
 _SPILL_COMPACT = {
     "checker.spill.compact.count": "counter",
     "checker.spill.compact.ms": "gauge",
@@ -400,18 +391,15 @@ def validate_spill_family(path, metrics):
             require(isinstance(value, (int, float)) and math.isfinite(value)
                     and value >= 0, path,
                     f"{name!r} must be finite and >= 0, got {value!r}")
-    for family, label in ((_SPILL_CACHE, "checker.spill.cache.*"),
-                          (_SPILL_COMPACT, "checker.spill.compact.*")):
-        present = [name for name in family if name in metrics]
-        if not present:
-            continue
-        missing = [name for name in family if name not in metrics]
+    if any(name in metrics for name in _SPILL_COMPACT):
+        missing = [name for name in _SPILL_COMPACT if name not in metrics]
         require(not missing, path,
-                f"{label} metrics are published together; missing {missing}")
+                f"checker.spill.compact.* metrics are published together; "
+                f"missing {missing}")
         require(core, path,
-                f"{label} without the core checker.spill.* family — the "
-                f"same flush publishes both")
-        for name, kind in family.items():
+                "checker.spill.compact.* without the core checker.spill.* "
+                "family — the same flush publishes both")
+        for name, kind in _SPILL_COMPACT.items():
             entry = metrics[name]
             require(entry.get("kind") == kind, path,
                     f"{name!r} must be a {kind}")
@@ -547,8 +535,6 @@ def validate_trace_doc(path, doc):
 _SCRAPE_MONOTONE_STATE = {}
 _SCRAPE_MONOTONE_NAMES = ("checker_spill_bytes",
                           "checker_spill_frontier_segments",
-                          "checker_spill_cache_hits",
-                          "checker_spill_cache_misses",
                           "checker_spill_compact_count",
                           "checker_checkpoint_writes")
 
@@ -693,23 +679,17 @@ def validate_prometheus_text(path, text):
             require(math.isfinite(samples[name]) and samples[name] >= 0,
                     path, f"{name!r} must be finite and >= 0, "
                     f"got {samples[name]!r}")
-    for group, label in ((("checker_spill_cache_hits",
-                          "checker_spill_cache_misses",
-                          "checker_spill_cache_bytes"),
-                         "checker_spill_cache_*"),
-                        (("checker_spill_compact_count",
-                          "checker_spill_compact_ms",
-                          "checker_spill_compact_backlog"),
-                         "checker_spill_compact_*")):
-        group_present = [name for name in group if name in samples]
-        if not group_present:
-            continue
-        missing = [name for name in group if name not in samples]
+    compact = ("checker_spill_compact_count", "checker_spill_compact_ms",
+               "checker_spill_compact_backlog")
+    if any(name in samples for name in compact):
+        missing = [name for name in compact if name not in samples]
         require(not missing, path,
-                f"{label} metrics are published together; missing {missing}")
+                f"checker_spill_compact_* metrics are published together; "
+                f"missing {missing}")
         require(bool(spill_present), path,
-                f"{label} without the core checker_spill_* family")
-        for name in group:
+                "checker_spill_compact_* without the core checker_spill_* "
+                "family")
+        for name in compact:
             require(math.isfinite(samples[name]) and samples[name] >= 0,
                     path, f"{name!r} must be finite and >= 0, "
                     f"got {samples[name]!r}")
