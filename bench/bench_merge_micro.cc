@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -131,22 +130,19 @@ BENCHMARK(BM_ModelCheckRaftMongoTiny);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): google-benchmark rejects flags
-// it does not know, so the harness flags (--quick, --metrics-out=FILE) are
-// stripped before Initialize(). Quick mode runs a single cheap benchmark
-// as the CI smoke test.
+// Custom main instead of BENCHMARK_MAIN(): the harness consumes its own
+// flags and forwards every other argument to google-benchmark, which
+// rejects the ones it does not know. Quick mode runs a single cheap
+// benchmark as the CI smoke test.
 int main(int argc, char** argv) {
-  xmodel::bench::Harness bench("merge_micro", argc, argv);
-
-  std::vector<char*> filtered;
-  filtered.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0 ||
-        std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      continue;
-    }
-    filtered.push_back(argv[i]);
-  }
+  std::vector<std::string> forwarded;
+  xmodel::bench::Harness bench("merge_micro", argc, argv,
+                               [&](std::string_view arg, std::string*) {
+                                 forwarded.emplace_back(arg);
+                                 return xmodel::common::FlagResult::kParsed;
+                               });
+  std::vector<char*> filtered = {argv[0]};
+  for (std::string& arg : forwarded) filtered.push_back(arg.data());
   std::string quick_filter = "--benchmark_filter=BM_MergeSingleTrivial";
   if (bench.quick()) filtered.push_back(quick_filter.data());
 

@@ -20,8 +20,6 @@
 // and `--explore=relaxed` switches the E1 rows' policy.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <thread>
 
@@ -101,34 +99,31 @@ bool RunRow(const Row& row, int workers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  xmodel::bench::Harness bench("state_space", argc, argv);
-  int workers = 1;
-  unsigned long long mem_budget_mb = 1;  // Tight budget for the spill sweep.
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      workers = std::atoi(argv[i] + 10);
-      if (workers < 0) {
-        std::fprintf(stderr, "--workers must be >= 0\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--mem-budget-mb=", 16) == 0) {
-      uint64_t mb = 0;
-      if (!xmodel::tlax::ParseMemoryBudgetMb(argv[i] + 16, &mb) || mb == 0) {
-        std::fprintf(stderr, "--mem-budget-mb must be a whole number of "
-                             "megabytes in [1, 2^44)\n");
-        return 2;
-      }
-      mem_budget_mb = mb;
-    }
-  }
-  xmodel::tlax::ExplorationPolicy policy =
-      xmodel::tlax::ExplorationPolicy::kLevelSync;
-  xmodel::tlax::ParseExplorationPolicy(bench.explore(), &policy);
+  // --workers and --explore set the E1 rows' workers and policy;
+  // --mem-budget-mb sets the spill sweep's tight budget (default 1, so 0
+  // is rejected).
+  xmodel::tlax::CheckerOptions flags;
+  flags.memory_budget_mb = 1;
+  const xmodel::common::FlagParser checker_flags = xmodel::tlax::CheckerFlags(
+      xmodel::tlax::kWorkersFlag | xmodel::tlax::kExploreFlag |
+          xmodel::tlax::kMemBudgetFlag,
+      &flags);
+  xmodel::bench::Harness bench(
+      "state_space", argc, argv,
+      [&](std::string_view arg, std::string* error) {
+        const xmodel::common::FlagResult result = checker_flags(arg, error);
+        if (flags.memory_budget_mb > 0) return result;
+        *error = "--mem-budget-mb must be >= 1 for the spill sweep";
+        return xmodel::common::FlagResult::kBad;
+      });
+  const int workers = flags.num_workers;
+  const unsigned long long mem_budget_mb = flags.memory_budget_mb;
+  const xmodel::tlax::ExplorationPolicy policy = flags.exploration;
 
   std::printf("E1: state-space cost of a trace-checkable specification\n");
   std::printf("(RaftMongo, 3 nodes; Abstract = pre-MBTC spec, Detailed = "
               "rewritten for MBTC; %d worker(s), %s exploration)\n\n",
-              workers, bench.explore().c_str());
+              workers, xmodel::tlax::ExplorationPolicyName(policy));
 
   double abstract_states = 1, abstract_secs = 1;
 

@@ -1,16 +1,13 @@
-// Shared harness for the experiment benches: uniform flag parsing
-// (--quick, --metrics-out=FILE, --serve=PORT, --events-out=FILE,
-// --explore=level|relaxed), a run timer, and a BENCH_<name>.json report
-// carrying the full
-// metrics-registry snapshot plus per-bench result values — the artifact
-// shape CI uploads and tools/validate_metrics.py checks.
+// Shared harness for the experiment benches: flag parsing, a run timer,
+// and a BENCH_<name>.json report carrying the full metrics-registry
+// snapshot plus per-bench result values — the artifact shape CI uploads
+// and tools/validate_metrics.py checks.
 //
-// --serve=PORT stands up the live observability plane (obs::ObsServer on
-// 127.0.0.1; /metrics, /healthz, /progress, /events) for the duration of
-// the bench; the bench's checker runs heartbeat the harness watchdog
-// (reachable via watchdog()) so /healthz reflects stalls.
-// --serve-linger-ms=N keeps the server up after Finish until the timeout
-// or GET /quitquitquit. --events-out=FILE attaches a JSONL event sink.
+// Harness flags: --quick (the CI smoke configuration) and the shared
+// observability flags --metrics-out=FILE (the report path),
+// --serve=PORT, --serve-linger-ms=N and --events-out=FILE (README.md
+// "Shared flags"). A bench that owns flags of its own passes a FlagHook;
+// any other argument, or a bad value, exits 2.
 //
 // Usage:
 //   int main(int argc, char** argv) {
@@ -26,9 +23,9 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -36,95 +33,57 @@
 #include "common/json.h"
 #include "common/status.h"
 #include "common/strings.h"
-#include "obs/eventlog.h"
 #include "obs/export.h"
-#include "obs/http.h"
 #include "obs/metrics.h"
-#include "obs/progress.h"
-#include "obs/watchdog.h"
+#include "obs/session.h"
 
 namespace xmodel::bench {
 
 class Harness {
  public:
-  /// Parses the harness flags out of argv (leaving unknown flags for the
-  /// bench) and starts the run timer. `--quick` (or the XMODEL_QUICK
-  /// environment variable) selects the CI smoke configuration;
-  /// `--metrics-out=FILE` overrides the default BENCH_<name>.json path.
-  Harness(const char* name, int argc, char** argv)
-      : name_(name), out_path_(common::StrCat("BENCH_", name, ".json")) {
-    int serve_port = -1;
-    std::string events_out;
-    for (int i = 1; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--quick") == 0) {
-        quick_ = true;
-      } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-        out_path_ = argv[i] + 14;
-      } else if (std::strncmp(argv[i], "--serve=", 8) == 0) {
-        serve_port = std::atoi(argv[i] + 8);
-      } else if (std::strncmp(argv[i], "--serve-linger-ms=", 18) == 0) {
-        serve_linger_ms_ = std::atoll(argv[i] + 18);
-      } else if (std::strncmp(argv[i], "--events-out=", 13) == 0) {
-        events_out = argv[i] + 13;
-      } else if (std::strncmp(argv[i], "--explore=", 10) == 0) {
-        explore_ = argv[i] + 10;
-        if (explore_ != "level" && explore_ != "relaxed") {
-          std::fprintf(stderr,
-                       "BENCH %s: --explore must be 'level' or 'relaxed'; "
-                       "using 'level'\n",
-                       name_.c_str());
-          explore_ = "level";
-        }
-      }
+  /// Parses argv (exiting 2 on an unknown flag or a bad value), starts
+  /// the observability session and the run timer. `bench_flags` parses the
+  /// flags the bench owns, if any.
+  Harness(const char* name, int argc, char** argv,
+          const common::FlagParser& bench_flags = nullptr)
+      : name_(name) {
+    obs::SessionOptions obs_options;
+    std::vector<common::FlagParser> parsers = {
+        [this](std::string_view arg, std::string*) {
+          if (arg != "--quick") return common::FlagResult::kUnknown;
+          quick_ = true;
+          return common::FlagResult::kParsed;
+        },
+        obs::SessionFlags(obs::kMetricsOutFlag | obs::kEventsOutFlag |
+                              obs::kServeFlag | obs::kServeLingerFlag,
+                          &obs_options)};
+    if (bench_flags) parsers.push_back(bench_flags);
+    if (!common::ParseFlags(argc, argv, common::StrCat("BENCH ", name),
+                            parsers)) {
+      std::exit(2);
     }
-    if (std::getenv("XMODEL_QUICK") != nullptr) quick_ = true;
-    if (!events_out.empty()) {
-      common::Status status =
-          obs::EventLog::Global().OpenJsonlSink(events_out);
-      if (!status.ok()) {
-        std::fprintf(stderr, "BENCH %s: events-out: %s\n", name_.c_str(),
-                     status.ToString().c_str());
-      }
-    }
-    if (serve_port >= 0) {
-      obs::ObsServer::Options serve_options;
-      serve_options.watchdog = &watchdog_;
-      serve_options.progress = &progress_;
-      server_ = std::make_unique<obs::ObsServer>(serve_options);
-      common::Status status = server_->Start(serve_port);
-      if (!status.ok()) {
-        std::fprintf(stderr, "BENCH %s: serve: %s\n", name_.c_str(),
-                     status.ToString().c_str());
-        server_.reset();
-      } else {
-        std::fprintf(stderr,
-                     "BENCH %s: serving observability on "
-                     "http://127.0.0.1:%d/\n",
-                     name_.c_str(), server_->port());
-      }
+    // The report takes --metrics-out's place: it embeds the snapshot.
+    out_path_ = obs_options.metrics_out.empty()
+                    ? common::StrCat("BENCH_", name, ".json")
+                    : obs_options.metrics_out;
+    obs_options.metrics_out.clear();
+    session_.emplace(std::move(obs_options));
+    common::Status status = session_->Start();
+    if (!status.ok()) {
+      std::fprintf(stderr, "BENCH %s: %s\n", name, status.ToString().c_str());
+      std::exit(2);
     }
     start_ns_ = common::MonotonicClock::Real()->NowNanos();
   }
 
-  ~Harness() {
-    if (server_ != nullptr) {
-      if (serve_linger_ms_ > 0) server_->WaitForQuit(serve_linger_ms_);
-      server_->Stop();
-    }
-    obs::EventLog::Global().CloseJsonlSink();
-  }
+  /// Lingers while serving (--serve-linger-ms), then stops the session.
+  ~Harness() { (void)session_->Finish(); }
 
   bool quick() const { return quick_; }
-  const std::string& out_path() const { return out_path_; }
-  /// Exploration policy name from --explore: "level" (default) or
-  /// "relaxed". Kept as a string so benches that never touch the model
-  /// checker need not link tlax; checker benches parse it with
-  /// tlax::ParseExplorationPolicy.
-  const std::string& explore() const { return explore_; }
   /// Wire these into CheckerOptions (watchdog/progress_reporter) so the
   /// live endpoints track the bench's checker runs.
-  obs::Watchdog* watchdog() { return &watchdog_; }
-  obs::ProgressTracker* progress() { return &progress_; }
+  obs::Watchdog* watchdog() { return session_->watchdog(); }
+  obs::ProgressTracker* progress() { return session_->progress(); }
 
   /// Records one headline number (or string) for the report's "results"
   /// object.
@@ -186,15 +145,11 @@ class Harness {
 
   std::string name_;
   std::string out_path_;
-  std::string explore_ = "level";
   bool quick_ = false;
   int64_t start_ns_ = 0;
-  int64_t serve_linger_ms_ = 0;
   std::string error_;
   std::vector<std::pair<std::string, common::Json>> results_;
-  obs::Watchdog watchdog_;
-  obs::ProgressTracker progress_;
-  std::unique_ptr<obs::ObsServer> server_;
+  std::optional<obs::Session> session_;
 };
 
 }  // namespace xmodel::bench

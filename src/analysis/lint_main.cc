@@ -10,60 +10,36 @@
 //                                 (must exit nonzero; CI checks this)
 //   xmodel_lint --unbounded-fixture  lint the missing-constraint fixture
 //                                    (must report an unbounded budget)
-//   xmodel_lint --workers=N     exploration workers for the bounded
-//                               model-check pass (0 = all cores)
-//   xmodel_lint --explore=POLICY  exploration policy for the bounded
-//                                 model-check pass: "level" (default) or
-//                                 "relaxed" (work-stealing frontier). The
-//                                 relaxed pass skips graph recording —
-//                                 recording needs level barriers and
-//                                 would clamp the policy back — so SCC
-//                                 counts read 0 there.
+//   xmodel_lint --max-samples=N  state budget of the footprint probe and
+//                                the bounded model-check pass (default
+//                                4096)
 //   xmodel_lint --domain-samples=N  state budget for the abstract-domain
 //                                   probe (default 262144)
-//   xmodel_lint --metrics-out=FILE  write a metrics-registry snapshot
-//                                   (crash-safe: temp file + atomic rename)
-//   xmodel_lint --events-out=FILE   append structured events as JSONL
-//   xmodel_lint --serve=PORT        live observability plane on
-//                                   127.0.0.1:PORT (/metrics /healthz
-//                                   /progress /events); 0 = ephemeral
-//   xmodel_lint --serve-linger-ms=N keep serving for N ms after the run
-//                                   (or until GET /quitquitquit)
-//   xmodel_lint --stall-timeout-ms=N  watchdog threshold (default 30000)
-//   xmodel_lint --mem-budget-mb=N   out-of-core model-check pass: bound
-//                                   the hot fingerprint table to ~N MB,
-//                                   spilling the rest as sorted run
-//                                   files (0 = unlimited). Implies the
-//                                   pass skips graph recording (SCC
-//                                   counts read 0), like --explore=relaxed.
-//   xmodel_lint --spill-dir=DIR     where spill runs/segments live
-//                                   (default: checkpoint dir, else a
-//                                   per-process temp dir)
-//   xmodel_lint --spill-bloom-bits=N  Bloom bits per spilled fingerprint
-//                                     in [1, 64] (default 10); more bits
-//                                     = fewer false-positive disk probes
-//   xmodel_lint --spill-block-size=N  fingerprints per spill-run block
-//                                     in [16, 65536] (default 256), the
-//                                     probe/merge IO granularity
-//   xmodel_lint --checkpoint-dir=DIR  periodically checkpoint the
-//                                     model-check pass; resumable
-//   xmodel_lint --checkpoint-every-s=N  seconds between checkpoints
-//                                       (0 = every barrier)
-//   xmodel_lint --resume            resume the model-check pass from
-//                                   --checkpoint-dir's manifest
+//
+// It also takes every shared checker flag (--workers, --explore,
+// --mem-budget-mb, --spill-dir, --checkpoint-dir, --checkpoint-every-s,
+// --resume) for the bounded model-check pass, and the shared
+// observability flags --metrics-out, --events-out, --serve,
+// --serve-linger-ms and --stall-timeout-ms; README.md "Shared flags"
+// lists them all. Lint checks every registered spec in one invocation, so
+// --spill-dir and --checkpoint-dir get one subdirectory per spec. Under
+// --explore=relaxed or any out-of-core flag the pass skips graph
+// recording (it needs level barriers and pins every state), so SCC counts
+// read 0 there.
 //
 // Besides the static passes, each spec gets a bounded model check (capped
 // at --max-samples distinct states) so the lint run also smoke-tests the
 // dynamic semantics; invariant violations surface as warning-severity
 // diagnostics and never change the exit status.
 //
-// Exit status: 0 when no error-severity diagnostic was produced.
+// Exit status: 0 when no error-severity diagnostic was produced, 1 when
+// one was, 2 on an unknown flag, a bad flag value, or an output failure.
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/diagnostics.h"
@@ -75,11 +51,8 @@
 #include "analysis/spec_registry.h"
 #include "common/fileio.h"
 #include "common/strings.h"
-#include "obs/eventlog.h"
-#include "obs/export.h"
-#include "obs/http.h"
 #include "obs/metrics.h"
-#include "obs/watchdog.h"
+#include "obs/session.h"
 #include "repl/replica_set.h"
 #include "repl/scenarios.h"
 #include "tlax/checker.h"
@@ -97,103 +70,38 @@ struct Options {
   bool unbounded_fixture = false;
   uint64_t max_samples = 4096;
   uint64_t domain_samples = analysis::DomainOptions{}.max_samples;
-  int workers = 1;
-  tlax::ExplorationPolicy explore = tlax::ExplorationPolicy::kLevelSync;
   std::string spec_filter;
-  std::string metrics_out;
-  std::string events_out;
-  int serve_port = -1;  // -1 = no HTTP server.
-  int64_t serve_linger_ms = 0;
-  int64_t stall_timeout_ms = 30'000;
-  uint64_t mem_budget_mb = 0;
-  std::string spill_dir;
-  uint64_t spill_bloom_bits = 0;    // 0 = tier default (10).
-  uint64_t spill_block_entries = 0; // 0 = tier default (256).
-  std::string checkpoint_dir;
-  int64_t checkpoint_every_s = 0;
-  bool resume = false;
+  tlax::CheckerOptions checker;
+  obs::SessionOptions obs;
 };
 
-bool ParseArgs(int argc, char** argv, Options* options) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--json") {
-      options->json = true;
-    } else if (arg == "--matrix") {
-      options->matrix = true;
-    } else if (arg == "--no-scenarios") {
-      options->scenarios = false;
-    } else if (arg == "--broken-fixture") {
-      options->broken_fixture = true;
-    } else if (arg == "--unbounded-fixture") {
-      options->unbounded_fixture = true;
-    } else if (arg.rfind("--spec=", 0) == 0) {
-      options->spec_filter = arg.substr(7);
-    } else if (arg.rfind("--max-samples=", 0) == 0) {
-      options->max_samples = std::strtoull(arg.c_str() + 14, nullptr, 10);
-    } else if (arg.rfind("--domain-samples=", 0) == 0) {
-      options->domain_samples = std::strtoull(arg.c_str() + 17, nullptr, 10);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      options->workers = std::atoi(arg.c_str() + 10);
-      if (options->workers < 0) {
-        std::fprintf(stderr, "--workers must be >= 0\n");
-        return false;
-      }
-    } else if (arg.rfind("--explore=", 0) == 0) {
-      if (!tlax::ParseExplorationPolicy(arg.substr(10), &options->explore)) {
-        std::fprintf(stderr, "--explore must be 'level' or 'relaxed'\n");
-        return false;
-      }
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      options->metrics_out = arg.substr(14);
-    } else if (arg.rfind("--events-out=", 0) == 0) {
-      options->events_out = arg.substr(13);
-    } else if (arg.rfind("--serve=", 0) == 0) {
-      options->serve_port = std::atoi(arg.c_str() + 8);
-      if (options->serve_port < 0 || options->serve_port > 65535) {
-        std::fprintf(stderr, "--serve must be a port in [0, 65535]\n");
-        return false;
-      }
-    } else if (arg.rfind("--serve-linger-ms=", 0) == 0) {
-      options->serve_linger_ms = std::atoll(arg.c_str() + 18);
-    } else if (arg.rfind("--stall-timeout-ms=", 0) == 0) {
-      options->stall_timeout_ms = std::atoll(arg.c_str() + 19);
-    } else if (arg.rfind("--mem-budget-mb=", 0) == 0) {
-      if (!tlax::ParseMemoryBudgetMb(arg.substr(16),
-                                     &options->mem_budget_mb)) {
-        std::fprintf(stderr, "--mem-budget-mb must be a whole number of "
-                     "megabytes below 2^44\n");
-        return false;
-      }
-    } else if (arg.rfind("--spill-dir=", 0) == 0) {
-      options->spill_dir = arg.substr(12);
-    } else if (arg.rfind("--spill-bloom-bits=", 0) == 0) {
-      options->spill_bloom_bits =
-          std::strtoull(arg.c_str() + 19, nullptr, 10);
-      if (options->spill_bloom_bits < 1 || options->spill_bloom_bits > 64) {
-        std::fprintf(stderr, "--spill-bloom-bits must be in [1, 64]\n");
-        return false;
-      }
-    } else if (arg.rfind("--spill-block-size=", 0) == 0) {
-      options->spill_block_entries =
-          std::strtoull(arg.c_str() + 19, nullptr, 10);
-      if (options->spill_block_entries < 16 ||
-          options->spill_block_entries > 65536) {
-        std::fprintf(stderr, "--spill-block-size must be in [16, 65536]\n");
-        return false;
-      }
-    } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
-      options->checkpoint_dir = arg.substr(17);
-    } else if (arg.rfind("--checkpoint-every-s=", 0) == 0) {
-      options->checkpoint_every_s = std::atoll(arg.c_str() + 21);
-    } else if (arg == "--resume") {
-      options->resume = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
+common::FlagResult ParseLintFlag(std::string_view arg, Options* options,
+                                 std::string* error) {
+  constexpr uint64_t kMaxSamples = std::numeric_limits<uint64_t>::max();
+  std::string_view value;
+  if (arg == "--json") {
+    options->json = true;
+  } else if (arg == "--matrix") {
+    options->matrix = true;
+  } else if (arg == "--no-scenarios") {
+    options->scenarios = false;
+  } else if (arg == "--broken-fixture") {
+    options->broken_fixture = true;
+  } else if (arg == "--unbounded-fixture") {
+    options->unbounded_fixture = true;
+  } else if (common::MatchFlag(arg, "--spec", &value)) {
+    options->spec_filter = std::string(value);
+  } else if (common::MatchFlag(arg, "--max-samples", &value)) {
+    return common::ParseIntegerFlag("--max-samples", value, uint64_t{1},
+                                    kMaxSamples, &options->max_samples, error);
+  } else if (common::MatchFlag(arg, "--domain-samples", &value)) {
+    return common::ParseIntegerFlag("--domain-samples", value, uint64_t{1},
+                                    kMaxSamples, &options->domain_samples,
+                                    error);
+  } else {
+    return common::FlagResult::kUnknown;
   }
-  return true;
+  return common::FlagResult::kParsed;
 }
 
 struct SpecSummary {
@@ -221,7 +129,6 @@ struct SpecSummary {
 };
 
 void LintOneSpec(const tlax::Spec& spec, const Options& options,
-                 obs::Watchdog* watchdog, obs::ProgressTracker* progress,
                  analysis::DiagnosticReport* report,
                  std::vector<SpecSummary>* summaries) {
   analysis::FootprintOptions footprint_options;
@@ -274,38 +181,25 @@ void LintOneSpec(const tlax::Spec& spec, const Options& options,
   // liveness structure (SCC count) of the explored fragment. Under
   // --explore=relaxed recording is skipped (it needs level barriers and
   // would clamp the policy back to level-sync) so the work-stealing
-  // frontier is what actually runs.
+  // frontier is what actually runs. Out-of-core requests also skip
+  // recording: spilling is incompatible with record_graph (the graph pins
+  // every state in memory, which is exactly what a memory budget says
+  // won't fit).
+  tlax::CheckerOptions check_options = options.checker;
   const bool relaxed =
-      options.explore == tlax::ExplorationPolicy::kRelaxed;
-  // Out-of-core requests also skip recording: spilling is incompatible
-  // with record_graph (the graph pins every state in memory, which is
-  // exactly what a memory budget says won't fit).
-  const bool out_of_core = options.mem_budget_mb > 0 ||
-                           !options.spill_dir.empty() ||
-                           !options.checkpoint_dir.empty();
-  tlax::CheckerOptions check_options;
-  check_options.exploration = options.explore;
-  check_options.num_workers = options.workers;
+      check_options.exploration == tlax::ExplorationPolicy::kRelaxed;
+  const bool out_of_core = check_options.memory_budget_mb > 0 ||
+                           !check_options.spill_dir.empty() ||
+                           !check_options.checkpoint_dir.empty();
   check_options.max_distinct_states = options.max_samples;
   check_options.record_graph = !relaxed && !out_of_core;
-  check_options.watchdog = watchdog;
-  check_options.progress_reporter = progress;
-  check_options.memory_budget_mb = options.mem_budget_mb;
-  check_options.spill_bloom_bits = options.spill_bloom_bits;
-  check_options.spill_block_entries = options.spill_block_entries;
-  check_options.checkpoint_every_s = options.checkpoint_every_s;
-  check_options.resume = options.resume;
-  // Lint checks every registered spec in one invocation, and manifests
-  // and run files are per-run, so each spec gets its own subdirectory.
-  if (!options.spill_dir.empty()) {
-    (void)common::EnsureDir(options.spill_dir);
-    check_options.spill_dir =
-        common::StrCat(options.spill_dir, "/", spec.name());
-  }
-  if (!options.checkpoint_dir.empty()) {
-    (void)common::EnsureDir(options.checkpoint_dir);
-    check_options.checkpoint_dir =
-        common::StrCat(options.checkpoint_dir, "/", spec.name());
+  // Manifests and run files are per-run, so each spec gets its own
+  // subdirectory.
+  for (std::string* dir :
+       {&check_options.spill_dir, &check_options.checkpoint_dir}) {
+    if (dir->empty()) continue;
+    (void)common::EnsureDir(*dir);
+    *dir = common::StrCat(*dir, "/", spec.name());
   }
   tlax::ModelChecker checker(check_options);
   tlax::CheckResult check = checker.Check(spec);
@@ -377,35 +271,28 @@ void AnalyzeScenarioLocks(analysis::DiagnosticReport* report,
 
 int main(int argc, char** argv) {
   Options options;
-  if (!ParseArgs(argc, argv, &options)) return 2;
-
-  if (!options.events_out.empty()) {
-    common::Status status =
-        obs::EventLog::Global().OpenJsonlSink(options.events_out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "events-out: %s\n", status.ToString().c_str());
-      return 2;
-    }
+  if (!common::ParseFlags(
+          argc, argv, "xmodel_lint",
+          {[&](std::string_view arg, std::string* error) {
+             return ParseLintFlag(arg, &options, error);
+           },
+           tlax::CheckerFlags(tlax::kAllCheckerFlags, &options.checker),
+           obs::SessionFlags(obs::kAllSessionFlags & ~obs::kTraceOutFlag,
+                             &options.obs)})) {
+    return 2;
   }
 
   // Live observability plane: the bounded model-check pass heartbeats the
   // watchdog at each BFS level barrier and feeds the progress tracker, so
   // /healthz and /progress stay honest while the lint run works.
-  obs::Watchdog watchdog(options.stall_timeout_ms);
-  obs::ProgressTracker progress;
-  obs::ObsServer::Options serve_options;
-  serve_options.watchdog = &watchdog;
-  serve_options.progress = &progress;
-  obs::ObsServer server(serve_options);
-  if (options.serve_port >= 0) {
-    common::Status status = server.Start(options.serve_port);
-    if (!status.ok()) {
-      std::fprintf(stderr, "serve: %s\n", status.ToString().c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "serving observability on http://127.0.0.1:%d/\n",
-                 server.port());
+  obs::Session session(options.obs);
+  common::Status started = session.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "xmodel_lint: %s\n", started.ToString().c_str());
+    return 2;
   }
+  options.checker.watchdog = session.watchdog();
+  options.checker.progress_reporter = session.progress();
 
   analysis::DiagnosticReport report;
   std::vector<SpecSummary> summaries;
@@ -413,10 +300,10 @@ int main(int argc, char** argv) {
 
   if (options.broken_fixture) {
     auto fixture = analysis::MakeBrokenFixtureSpec();
-    LintOneSpec(*fixture, options, &watchdog, &progress, &report, &summaries);
+    LintOneSpec(*fixture, options, &report, &summaries);
   } else if (options.unbounded_fixture) {
     auto fixture = analysis::MakeUnboundedFixtureSpec();
-    LintOneSpec(*fixture, options, &watchdog, &progress, &report, &summaries);
+    LintOneSpec(*fixture, options, &report, &summaries);
   } else {
     for (const analysis::RegisteredSpec& entry :
          analysis::RegisteredSpecs()) {
@@ -425,7 +312,7 @@ int main(int argc, char** argv) {
         continue;
       }
       auto spec = entry.make();
-      LintOneSpec(*spec, options, &watchdog, &progress, &report, &summaries);
+      LintOneSpec(*spec, options, &report, &summaries);
     }
     if (options.scenarios && options.spec_filter.empty()) {
       AnalyzeScenarioLocks(&report, &lock_streams);
@@ -510,40 +397,28 @@ int main(int argc, char** argv) {
     std::printf("\n%s", report.ToText().c_str());
   }
 
-  if (!options.metrics_out.empty()) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("analysis.specs.linted").Increment(summaries.size());
-    registry.GetCounter("analysis.lock_streams.analyzed")
-        .Increment(lock_streams);
-    registry.GetCounter("analysis.diagnostics.emitted")
-        .Increment(report.diagnostics().size());
-    for (const SpecSummary& s : summaries) {
-      const std::string prefix = common::StrCat("analysis.domain.", s.name);
-      // Gauge convention: state_bound == 0 means "unbounded" (a real
-      // budget is always >= 1), so dashboards can alert on it directly.
-      registry.GetGauge(common::StrCat(prefix, ".state_bound"))
-          .Set(std::isinf(s.state_bound) ? 0 : s.state_bound);
-      registry.GetGauge(common::StrCat(prefix, ".observed_distinct"))
-          .Set(static_cast<double>(s.check_distinct));
-      registry.GetGauge(common::StrCat(prefix, ".unbounded_vars"))
-          .Set(static_cast<double>(s.unbounded_vars.size()));
-      registry.GetGauge(common::StrCat(prefix, ".exhaustive"))
-          .Set(s.domain_exhaustive ? 1 : 0);
-    }
-    common::Status status =
-        obs::WriteMetricsJson(registry.Snapshot(), options.metrics_out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "metrics-out: %s\n", status.ToString().c_str());
-      return 2;
-    }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("analysis.specs.linted").Increment(summaries.size());
+  registry.GetCounter("analysis.lock_streams.analyzed").Increment(lock_streams);
+  registry.GetCounter("analysis.diagnostics.emitted")
+      .Increment(report.diagnostics().size());
+  for (const SpecSummary& s : summaries) {
+    const std::string prefix = common::StrCat("analysis.domain.", s.name);
+    // Gauge convention: state_bound == 0 means "unbounded" (a real budget
+    // is always >= 1), so dashboards can alert on it directly.
+    registry.GetGauge(common::StrCat(prefix, ".state_bound"))
+        .Set(std::isinf(s.state_bound) ? 0 : s.state_bound);
+    registry.GetGauge(common::StrCat(prefix, ".observed_distinct"))
+        .Set(static_cast<double>(s.check_distinct));
+    registry.GetGauge(common::StrCat(prefix, ".unbounded_vars"))
+        .Set(static_cast<double>(s.unbounded_vars.size()));
+    registry.GetGauge(common::StrCat(prefix, ".exhaustive"))
+        .Set(s.domain_exhaustive ? 1 : 0);
   }
-
-  if (options.serve_port >= 0) {
-    if (options.serve_linger_ms > 0) {
-      server.WaitForQuit(options.serve_linger_ms);
-    }
-    server.Stop();
+  common::Status finished = session.Finish();
+  if (!finished.ok()) {
+    std::fprintf(stderr, "xmodel_lint: %s\n", finished.ToString().c_str());
+    return 2;
   }
-  obs::EventLog::Global().CloseJsonlSink();
   return report.HasErrors() ? 1 : 0;
 }

@@ -22,12 +22,8 @@ GenerationReport GenerateTestCases(const specs::ArrayOtConfig& config,
   tlax::CheckerOptions checker_options;
   checker_options.record_graph = true;
   checker_options.num_workers = options.num_workers;
-  checker_options.exploration = options.exploration;
-  checker_options.memory_budget_mb = options.memory_budget_mb;
   tlax::CheckResult checked =
       tlax::ModelChecker(checker_options).Check(spec);
-  report.policy_notice = checked.policy_notice;
-  report.spill_notice = checked.spill_notice;
   report.spec_states = checked.distinct_states;
   report.model_check_seconds = checked.seconds;
   report.workers_used = checked.workers_used;

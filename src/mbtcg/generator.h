@@ -8,7 +8,6 @@
 #include "mbtcg/testcase.h"
 #include "ot/sync.h"
 #include "specs/array_ot_spec.h"
-#include "tlax/checker.h"
 
 namespace xmodel::mbtcg {
 
@@ -24,16 +23,6 @@ struct GenerateOptions {
   /// identical cases in identical order; via_dot exists as the fidelity
   /// mode and costs a full text round trip per run.
   bool via_dot = false;
-  /// Requested exploration policy for the model-check stage. Generation
-  /// records the state graph, which needs level barriers, so kRelaxed
-  /// always clamps back to level-sync — the checker's notice is surfaced
-  /// in GenerationReport::policy_notice so callers can tell the user.
-  tlax::ExplorationPolicy exploration = tlax::ExplorationPolicy::kLevelSync;
-  /// Requested out-of-core memory budget (CLI parity with the other
-  /// tools). Generation records the state graph, which pins every state
-  /// in memory, so the checker always gates spilling off here — the
-  /// explanation is surfaced in GenerationReport::spill_notice.
-  uint64_t memory_budget_mb = 0;
 };
 
 /// Statistics from one end-to-end MBTCG run.
@@ -52,12 +41,6 @@ struct GenerationReport {
   /// Exploration workers the model-check stage actually used (after
   /// resolving num_workers == 0 to the hardware thread count).
   int workers_used = 1;
-  /// Non-empty when the requested exploration policy was clamped (e.g.
-  /// relaxed → level-sync because generation records the graph).
-  std::string policy_notice;
-  /// Non-empty when a requested memory budget was gated off (graph
-  /// recording is incompatible with spilling).
-  std::string spill_notice;
 };
 
 /// The paper's §5.2 pipeline, end to end: model-check the array_ot spec

@@ -4,76 +4,72 @@
 // regenerate the full 4,913-case file.
 //
 // Usage: mbtcg_gen <output.cc> [max_cases] [--swap] [--descending]
-//                  [--workers=N] [--via-dot] [--explore=level|relaxed]
-//                  [--mem-budget-mb=N] [--metrics-out=FILE]
+//                  [--via-dot] [--workers=N] [--metrics-out=FILE]
 //
-// --workers drives both the graph-recording model check and the per-leaf
-// extraction fan-out (0 = one per hardware thread); the generated file is
-// identical at every worker count. --via-dot routes extraction through the
-// DOT serialize-parse round trip (the paper's textual pipeline) instead of
-// the in-memory fast path. --explore=relaxed is accepted for CLI parity
-// but always clamps back to level-sync (generation records the state
-// graph, which needs level barriers); the clamp notice is printed.
-// --mem-budget-mb is likewise accepted for parity but always gated off:
-// generation pins the whole state graph in memory, so the checker cannot
-// spill its seen-set; the gating notice is printed.
+// max_cases (0 = all) samples every k-th case. --via-dot routes
+// extraction through the DOT serialize-parse round trip (the paper's
+// textual pipeline) instead of the in-memory fast path. It also takes
+// the shared flags --workers, which drives both the graph-recording model
+// check and the per-leaf extraction fan-out (0 = one per hardware
+// thread; the generated file is identical at every worker count), and
+// --metrics-out; README.md "Shared flags" lists them all. An unknown
+// flag or a bad value exits 2.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
+#include "common/strings.h"
 #include "mbtcg/generator.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
+#include "obs/session.h"
+#include "tlax/checker.h"
 
 int main(int argc, char** argv) {
+  using xmodel::common::FlagResult;
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <output.cc> [max_cases] [--swap] [--descending] "
-                 "[--workers=N] [--via-dot] [--explore=level|relaxed] "
-                 "[--mem-budget-mb=N] [--metrics-out=FILE]\n",
+                 "[--via-dot] [--workers=N] [--metrics-out=FILE]\n",
                  argv[0]);
     return 2;
   }
   const char* out_path = argv[1];
   size_t max_cases = 0;
-  std::string metrics_out;
   xmodel::specs::ArrayOtConfig config;
   xmodel::mbtcg::GenerateOptions gen_options;
-  for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--swap") == 0) {
+  xmodel::tlax::CheckerOptions checker;
+  xmodel::obs::SessionOptions obs_options;
+  auto own_flag = [&](std::string_view arg, std::string* error) {
+    if (arg == "--swap") {
       config.include_swap = true;
-    } else if (std::strcmp(argv[i], "--descending") == 0) {
+    } else if (arg == "--descending") {
       config.merge_descending = true;
-    } else if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      gen_options.num_workers = std::atoi(argv[i] + 10);
-      if (gen_options.num_workers < 0) {
-        std::fprintf(stderr, "--workers must be >= 0\n");
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--via-dot") == 0) {
+    } else if (arg == "--via-dot") {
       gen_options.via_dot = true;
-    } else if (std::strncmp(argv[i], "--explore=", 10) == 0) {
-      if (!xmodel::tlax::ParseExplorationPolicy(argv[i] + 10,
-                                                &gen_options.exploration)) {
-        std::fprintf(stderr, "--explore must be 'level' or 'relaxed'\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--mem-budget-mb=", 16) == 0) {
-      if (!xmodel::tlax::ParseMemoryBudgetMb(argv[i] + 16,
-                                             &gen_options.memory_budget_mb)) {
-        std::fprintf(stderr, "--mem-budget-mb must be a whole number of "
-                     "megabytes below 2^44\n");
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      metrics_out = argv[i] + 14;
+    } else if (!arg.empty() && arg[0] != '-') {
+      return xmodel::common::ParseIntegerFlag(
+          "max_cases", arg, size_t{0}, std::numeric_limits<size_t>::max(),
+          &max_cases, error);
     } else {
-      max_cases = static_cast<size_t>(std::strtoull(argv[i], nullptr, 10));
+      return FlagResult::kUnknown;
     }
+    return FlagResult::kParsed;
+  };
+  if (!xmodel::common::ParseFlags(
+          argc - 1, argv + 1, "mbtcg_gen",
+          {own_flag,
+           xmodel::tlax::CheckerFlags(xmodel::tlax::kWorkersFlag, &checker),
+           xmodel::obs::SessionFlags(xmodel::obs::kMetricsOutFlag,
+                                     &obs_options)})) {
+    return 2;
   }
+  gen_options.num_workers = checker.num_workers;
+  xmodel::obs::Session session(obs_options);
 
   std::vector<xmodel::mbtcg::TestCase> cases;
   xmodel::mbtcg::GenerationReport report =
@@ -82,12 +78,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "generation failed: %s\n",
                  report.status.ToString().c_str());
     return 1;
-  }
-  if (!report.policy_notice.empty()) {
-    std::fprintf(stderr, "mbtcg_gen: %s\n", report.policy_notice.c_str());
-  }
-  if (!report.spill_notice.empty()) {
-    std::fprintf(stderr, "mbtcg_gen: %s\n", report.spill_notice.c_str());
   }
 
   // Deterministic sampling: take every k-th case when limited, so the
@@ -117,18 +107,14 @@ int main(int argc, char** argv) {
                gen_options.via_dot ? ", via DOT" : "", report.num_cases,
                selected.size(), out_path);
 
-  if (!metrics_out.empty()) {
-    auto& registry = xmodel::obs::MetricsRegistry::Global();
-    registry.GetCounter("mbtcg.states.explored")
-        .Increment(report.spec_states);
-    registry.GetCounter("mbtcg.cases.generated").Increment(report.num_cases);
-    registry.GetCounter("mbtcg.tests.emitted").Increment(selected.size());
-    xmodel::common::Status status =
-        xmodel::obs::WriteMetricsJson(registry.Snapshot(), metrics_out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "metrics-out: %s\n", status.ToString().c_str());
-      return 1;
-    }
+  auto& registry = xmodel::obs::MetricsRegistry::Global();
+  registry.GetCounter("mbtcg.states.explored").Increment(report.spec_states);
+  registry.GetCounter("mbtcg.cases.generated").Increment(report.num_cases);
+  registry.GetCounter("mbtcg.tests.emitted").Increment(selected.size());
+  xmodel::common::Status status = session.Finish();
+  if (!status.ok()) {
+    std::fprintf(stderr, "mbtcg_gen: %s\n", status.ToString().c_str());
+    return 1;
   }
   return 0;
 }

@@ -8,8 +8,8 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/strings.h"
 #include "obs/export.h"
@@ -313,17 +313,15 @@ HttpResponse ObsServer::Progress(const HttpRequest&) {
 }
 
 HttpResponse ObsServer::Events(const HttpRequest& request) {
-  const std::string_view n_text = request.QueryOr("n", "100");
-  char* end = nullptr;
-  const std::string n_str(n_text);
-  const unsigned long long n = std::strtoull(n_str.c_str(), &end, 10);
-  if (n_str.empty() || end == nullptr || *end != '\0') {
+  size_t n = 0;
+  if (!common::ParseInteger(request.QueryOr("n", "100"), size_t{0},
+                            std::numeric_limits<size_t>::max(), &n)) {
     return HttpResponse{400, "text/plain; charset=utf-8",
                         "malformed n= query parameter\n"};
   }
   return HttpResponse{
       200, "application/x-ndjson",
-      EventLog::ToJsonl(options_.events->Tail(static_cast<size_t>(n)))};
+      EventLog::ToJsonl(options_.events->Tail(n))};
 }
 
 }  // namespace xmodel::obs

@@ -119,7 +119,6 @@ class ObsServer {
   common::Status Start(int port);
   void Stop();
   int port() const { return http_.port(); }
-  HttpServer& http() { return http_; }
 
   bool quit_requested() const {
     return quit_.load(std::memory_order_acquire);

@@ -1,6 +1,5 @@
 #include "tlax/checker.h"
 
-#include <cstring>
 #include <utility>
 
 #include "obs/eventlog.h"
@@ -12,30 +11,51 @@ const char* ExplorationPolicyName(ExplorationPolicy policy) {
   return policy == ExplorationPolicy::kRelaxed ? "relaxed" : "level";
 }
 
-bool ParseExplorationPolicy(const std::string& text,
-                            ExplorationPolicy* out) {
-  if (text == "level") {
-    *out = ExplorationPolicy::kLevelSync;
-    return true;
-  }
-  if (text == "relaxed") {
-    *out = ExplorationPolicy::kRelaxed;
-    return true;
-  }
-  return false;
-}
-
-bool ParseMemoryBudgetMb(const std::string& text, uint64_t* out) {
-  constexpr uint64_t kMaxMb = (uint64_t{1} << 44) - 1;
-  if (text.empty()) return false;
-  uint64_t mb = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    mb = mb * 10 + static_cast<uint64_t>(c - '0');
-    if (mb > kMaxMb) return false;
-  }
-  *out = mb;
-  return true;
+common::FlagParser CheckerFlags(unsigned accepted, CheckerOptions* options) {
+  return [accepted, options](std::string_view arg, std::string* error) {
+    using common::FlagResult;
+    std::string_view value;
+    auto is = [&](unsigned bit, std::string_view name) {
+      return (accepted & bit) != 0 && common::MatchFlag(arg, name, &value);
+    };
+    if (is(kWorkersFlag, "--workers")) {
+      return common::ParseIntegerFlag("--workers", value, 0, 4096,
+                                      &options->num_workers, error);
+    }
+    if (is(kExploreFlag, "--explore")) {
+      if (value == "level" || value == "relaxed") {
+        options->exploration = value == "level" ? ExplorationPolicy::kLevelSync
+                                                : ExplorationPolicy::kRelaxed;
+        return FlagResult::kParsed;
+      }
+      *error = common::StrCat("--explore must be 'level' or 'relaxed', got '",
+                              value, "'");
+      return FlagResult::kBad;
+    }
+    if (is(kMemBudgetFlag, "--mem-budget-mb")) {
+      return common::ParseIntegerFlag("--mem-budget-mb", value, uint64_t{0},
+                                      kMaxMemoryBudgetMb,
+                                      &options->memory_budget_mb, error);
+    }
+    if (is(kSpillDirFlag, "--spill-dir")) {
+      return common::ParsePathFlag("--spill-dir", value, &options->spill_dir,
+                                   error);
+    }
+    if (is(kCheckpointDirFlag, "--checkpoint-dir")) {
+      return common::ParsePathFlag("--checkpoint-dir", value,
+                                   &options->checkpoint_dir, error);
+    }
+    if (is(kCheckpointEveryFlag, "--checkpoint-every-s")) {
+      return common::ParseIntegerFlag("--checkpoint-every-s", value,
+                                      int64_t{0}, int64_t{7 * 24 * 3600},
+                                      &options->checkpoint_every_s, error);
+    }
+    if ((accepted & kResumeFlag) == 0 || arg != "--resume") {
+      return FlagResult::kUnknown;
+    }
+    options->resume = true;
+    return FlagResult::kParsed;
+  };
 }
 
 CheckResult ModelChecker::Check(const Spec& spec) const {

@@ -10,6 +10,7 @@
 
 #include "common/clock.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "obs/progress.h"
 #include "tlax/independence.h"
 #include "tlax/spec.h"
@@ -49,13 +50,9 @@ enum class ExplorationPolicy {
 
 /// "level" / "relaxed" — the names the --explore CLI flags use.
 const char* ExplorationPolicyName(ExplorationPolicy policy);
-/// Parses an --explore value; returns false (leaving `out` untouched) on
-/// anything but "level" or "relaxed".
-bool ParseExplorationPolicy(const std::string& text, ExplorationPolicy* out);
-/// Parses a --mem-budget-mb value: decimal digits only, at most 2^44 - 1
-/// so the byte count (`mb << 20`) fits in 64 bits. Returns false (leaving
-/// `out` untouched) on anything else.
-bool ParseMemoryBudgetMb(const std::string& text, uint64_t* out);
+/// Largest CheckerOptions::memory_budget_mb whose byte count (`mb << 20`)
+/// still fits in 64 bits — the upper bound of --mem-budget-mb.
+inline constexpr uint64_t kMaxMemoryBudgetMb = (uint64_t{1} << 44) - 1;
 
 struct CheckerOptions {
   /// Exploration order policy; see ExplorationPolicy. kLevelSync keeps
@@ -138,8 +135,7 @@ struct CheckerOptions {
   /// state beside its fingerprint and compare on every table hit,
   /// counting genuine 64-bit collisions in
   /// CheckResult::fingerprint_collisions. Costs the memory the
-  /// fingerprint table otherwise saves — a debug mode, also switchable
-  /// via the XMODEL_FP_AUDIT environment variable (any value but "0").
+  /// fingerprint table otherwise saves — a debug mode.
   bool fp_audit = false;
   /// Out-of-core checking (the TLC disk-tiered fingerprint set): when
   /// nonzero, the hot fingerprint table is bounded to roughly this many
@@ -173,16 +169,26 @@ struct CheckerOptions {
   /// Frontier entries kept in memory before overflowing to segment
   /// files. 0 = derive from memory_budget_mb (unbounded when no budget).
   uint64_t frontier_inmem_entries = 0;
-  /// Spill-run Bloom filter bits per spilled fingerprint
-  /// (`--spill-bloom-bits`). More bits = fewer false-positive disk
-  /// probes at more RAM per spilled record. 0 = tier default (10).
-  /// Valid range when nonzero: [1, 64].
-  uint64_t spill_bloom_bits = 0;
-  /// Fingerprints per spill-run block (`--spill-block-size`), the
-  /// probe/merge IO granularity. 0 = tier default (256). Valid range
-  /// when nonzero: [16, 65536].
-  uint64_t spill_block_entries = 0;
 };
+
+/// The model-checker flags the CLIs share. Each binary accepts a subset,
+/// passed to CheckerFlags as a mask of these bits.
+enum CheckerFlag : unsigned {
+  kWorkersFlag = 1u << 0,          // --workers=N: num_workers, [0, 4096]
+  kExploreFlag = 1u << 1,          // --explore=level|relaxed
+  kMemBudgetFlag = 1u << 2,        // --mem-budget-mb=N: [0, 2^44 - 1]
+  kSpillDirFlag = 1u << 3,         // --spill-dir=DIR
+  kCheckpointDirFlag = 1u << 4,    // --checkpoint-dir=DIR
+  kCheckpointEveryFlag = 1u << 5,  // --checkpoint-every-s=N: [0, 604800]
+  kResumeFlag = 1u << 6,           // --resume
+  kAllCheckerFlags = (1u << 7) - 1,
+};
+
+/// The shared checker-flag parser for common::ParseFlags: stores the
+/// value of a flag in `accepted` in `*options`. Any other argument is
+/// kUnknown; a bad value is kBad with `*options` untouched and the error
+/// naming the flag.
+common::FlagParser CheckerFlags(unsigned accepted, CheckerOptions* options);
 
 /// A step in a counterexample trace: the action that was taken to reach
 /// `state` ("Initial predicate" for the first step, as TLC prints).
@@ -215,7 +221,7 @@ struct CheckResult {
   /// (records / buckets summed across shards).
   double fingerprint_load = 0;
   /// Genuine 64-bit fingerprint collisions observed. Only counted under
-  /// CheckerOptions::fp_audit / XMODEL_FP_AUDIT; always 0 otherwise.
+  /// CheckerOptions::fp_audit; always 0 otherwise.
   uint64_t fingerprint_collisions = 0;
   /// Exploration workers the run actually used (after resolving
   /// num_workers == 0 to the hardware thread count).

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "common/fileio.h"
@@ -22,11 +21,6 @@
 namespace xmodel::tlax::internal {
 
 namespace {
-
-bool FpAuditFromEnv() {
-  const char* v = std::getenv("XMODEL_FP_AUDIT");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
 
 // Out-of-core gating (see CheckerOptions::memory_budget_mb): any of the
 // three knobs requests spilling; fp_audit / sleep-set POR / record_graph
@@ -73,7 +67,7 @@ EngineBase::EngineBase(const CheckerOptions& options, const Spec& spec,
                                       : common::MonotonicClock::Real()),
       events_(options.event_log != nullptr ? options.event_log
                                            : &obs::EventLog::Global()),
-      fp_audit_(options.fp_audit || FpAuditFromEnv()),
+      fp_audit_(options.fp_audit),
       workers_(common::ResolveWorkerCount(options.num_workers)),
       policy_(policy),
       relaxed_(policy == ExplorationPolicy::kRelaxed),
@@ -94,9 +88,7 @@ EngineBase::EngineBase(const CheckerOptions& options, const Spec& spec,
       frontier_inmem_cap_(ResolveFrontierCap(options, spill_enabled_)),
       fpset_(FpOptions(fp_audit_, use_sleep_sets_, relaxed_, all_actions_,
                        spill_dir_, options.memory_budget_mb << 20,
-                       checkpointing_,
-                       static_cast<size_t>(options.spill_block_entries),
-                       options.spill_bloom_bits)),
+                       checkpointing_)),
       pool_(workers_),
       scratch_(static_cast<size_t>(workers_)) {}
 

@@ -219,9 +219,7 @@ class EngineBase {
                                            uint64_t all_actions,
                                            const std::string& spill_dir,
                                            uint64_t memory_budget_bytes,
-                                           bool checkpointing,
-                                           size_t spill_block_entries,
-                                           uint64_t spill_bloom_bits) {
+                                           bool checkpointing) {
     FingerprintSet::Options o;
     o.audit = audit;  // Implies keep_states inside the table.
     o.track_por = por;
@@ -231,8 +229,6 @@ class EngineBase {
     o.memory_budget_bytes = memory_budget_bytes;
     o.spill_durable = checkpointing;
     o.spill_defer_deletes = checkpointing;
-    o.spill_block_entries = spill_block_entries;
-    o.spill_bloom_bits = spill_bloom_bits;
     return o;
   }
 

@@ -38,12 +38,6 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
   if (!options_.spill_dir.empty()) {
     SpillTier::Options spill;
     spill.dir = options_.spill_dir;
-    if (options_.spill_block_entries > 0) {
-      spill.block_entries = options_.spill_block_entries;
-    }
-    if (options_.spill_bloom_bits > 0) {
-      spill.bloom_bits_per_key = options_.spill_bloom_bits;
-    }
     spill.durable = options_.spill_durable;
     spill.defer_deletes = options_.spill_defer_deletes;
     tier_ = std::make_unique<SpillTier>(spill);

@@ -110,12 +110,6 @@ class FingerprintSet {
     /// explicit EvictAll, e.g. at checkpoints). The hot table gets the
     /// whole budget; spill runs are read through the OS page cache.
     uint64_t memory_budget_bytes = 0;
-    /// Spill run block size, fingerprints per block
-    /// (`--spill-block-size`). 0 keeps the tier default (256).
-    size_t spill_block_entries = 0;
-    /// Spill Bloom filter bits per key (`--spill-bloom-bits`). 0 keeps
-    /// the tier default (10).
-    uint64_t spill_bloom_bits = 0;
     /// fsync spill runs (checkpoint durability).
     bool spill_durable = false;
     /// Defer deletion of compacted-away runs until PurgeSpillRetired()

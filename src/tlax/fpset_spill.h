@@ -61,8 +61,8 @@ class SpillTier {
     std::string dir;
     /// Fingerprints per block (the probe/merge IO granularity).
     size_t block_entries = 256;
-    /// Bloom filter bits per key (`--spill-bloom-bits`). More bits =
-    /// fewer false-positive disk probes, more RAM per spilled record.
+    /// Bloom filter bits per key. More bits = fewer false-positive disk
+    /// probes, more RAM per spilled record.
     uint64_t bloom_bits_per_key = 10;
     /// Compact (on the background thread) when the run count reaches
     /// this. 0 disables compaction and the thread.

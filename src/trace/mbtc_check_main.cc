@@ -10,41 +10,27 @@
 //                                          and check the trace end to end
 //   mbtc_check --list-scenarios            print scenario names and exit
 //
-// Flags:
+// Flags it owns:
 //   --abstract           check against the abstract spec variant
 //   --no-stutter         disallow stuttering steps in the trace check
-//   --workers=N          trace-check expansion workers (0 = all cores);
-//                        results are identical across worker counts
-//   --metrics-out=FILE   write a metrics-registry snapshot as JSON
-//                        (crash-safe: temp file + atomic rename)
-//   --trace-out=FILE     record spans and write Chrome trace_event JSON
-//   --events-out=FILE    append structured events as JSONL (xmodel.events.v1)
-//   --serve=PORT         live observability plane on 127.0.0.1:PORT
-//                        (/metrics /healthz /progress /events; 0 picks an
-//                        ephemeral port, printed on startup)
-//   --serve-linger-ms=N  after the check finishes, keep serving for up to
-//                        N ms or until GET /quitquitquit — lets a scraper
-//                        collect the final state of a fast run
-//   --stall-timeout-ms=N watchdog stall threshold for /healthz (default
-//                        30000)
-//   --mem-budget-mb=N    approximate memory bound for the per-step
-//                        hidden-state search: tightens the per-step node
-//                        budget to ~N MB worth of states (the trace
-//                        checker keeps full states resident, so it caps
-//                        rather than spills; see --mem-budget-mb on
-//                        xmodel_lint for the spilling model checker)
+//
+// It also takes the shared checker flags --workers (trace-check expansion
+// workers, 0 = all cores; results are identical across worker counts)
+// and --mem-budget-mb (tightens the per-step hidden-state search to ~N MB
+// worth of states: the trace checker keeps full states resident, so it
+// caps rather than spills), and every shared observability flag
+// (--metrics-out, --trace-out, --events-out, --serve, --serve-linger-ms,
+// --stall-timeout-ms). README.md "Shared flags" lists them all. An
+// unknown flag or a bad value exits 2.
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "obs/eventlog.h"
-#include "obs/export.h"
-#include "obs/http.h"
-#include "obs/metrics.h"
+#include "common/strings.h"
+#include "obs/session.h"
 #include "obs/span.h"
-#include "obs/watchdog.h"
 #include "repl/scenarios.h"
 #include "specs/raft_mongo_spec.h"
 #include "tlax/checker.h"
@@ -58,111 +44,51 @@ using namespace xmodel;  // NOLINT — main binary only.
 struct Options {
   std::string log_directory;
   std::string scenario;
-  std::string metrics_out;
-  std::string trace_out;
-  std::string events_out;
   bool list_scenarios = false;
   bool abstract_variant = false;
   bool stutter = true;
-  int workers = 1;
-  uint64_t mem_budget_mb = 0;
-  int serve_port = -1;  // -1 = no HTTP server.
-  int64_t serve_linger_ms = 0;
-  int64_t stall_timeout_ms = 30'000;
+  tlax::CheckerOptions checker;
+  obs::SessionOptions obs;
 };
 
 void Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s <log_directory> [--abstract] [--no-stutter]\n"
-               "           [--workers=N] [--mem-budget-mb=N]\n"
-               "           [--metrics-out=FILE] [--trace-out=FILE]\n"
-               "           [--events-out=FILE] [--serve=PORT] "
-               "[--serve-linger-ms=N]\n"
-               "           [--stall-timeout-ms=N]\n"
-               "       %s --scenario=NAME [flags]\n"
+               "usage: %s <log_directory>|--scenario=NAME [flags]\n"
                "       %s --list-scenarios\n",
-               argv0, argv0, argv0);
+               argv0, argv0);
 }
 
-bool ParseArgs(int argc, char** argv, Options* options) {
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg == "--abstract") {
-      options->abstract_variant = true;
-    } else if (arg == "--no-stutter") {
-      options->stutter = false;
-    } else if (arg == "--list-scenarios") {
-      options->list_scenarios = true;
-    } else if (arg.rfind("--scenario=", 0) == 0) {
-      options->scenario = arg.substr(11);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      options->metrics_out = arg.substr(14);
-    } else if (arg.rfind("--trace-out=", 0) == 0) {
-      options->trace_out = arg.substr(12);
-    } else if (arg.rfind("--events-out=", 0) == 0) {
-      options->events_out = arg.substr(13);
-    } else if (arg.rfind("--serve=", 0) == 0) {
-      options->serve_port = std::atoi(arg.c_str() + 8);
-      if (options->serve_port < 0 || options->serve_port > 65535) {
-        std::fprintf(stderr, "--serve must be a port in [0, 65535]\n");
-        return false;
-      }
-    } else if (arg.rfind("--serve-linger-ms=", 0) == 0) {
-      options->serve_linger_ms = std::atoll(arg.c_str() + 18);
-    } else if (arg.rfind("--stall-timeout-ms=", 0) == 0) {
-      options->stall_timeout_ms = std::atoll(arg.c_str() + 19);
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      options->workers = std::atoi(arg.c_str() + 10);
-      if (options->workers < 0) {
-        std::fprintf(stderr, "--workers must be >= 0\n");
-        return false;
-      }
-    } else if (arg.rfind("--mem-budget-mb=", 0) == 0) {
-      if (!tlax::ParseMemoryBudgetMb(arg.substr(16),
-                                     &options->mem_budget_mb)) {
-        std::fprintf(stderr, "--mem-budget-mb must be a whole number of "
-                     "megabytes below 2^44\n");
-        return false;
-      }
-    } else if (!arg.empty() && arg[0] != '-' &&
-               options->log_directory.empty()) {
-      options->log_directory = arg;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return false;
-    }
+common::FlagResult ParseMbtcFlag(std::string_view arg, Options* options) {
+  std::string_view value;
+  if (arg == "--abstract") {
+    options->abstract_variant = true;
+  } else if (arg == "--no-stutter") {
+    options->stutter = false;
+  } else if (arg == "--list-scenarios") {
+    options->list_scenarios = true;
+  } else if (common::MatchFlag(arg, "--scenario", &value)) {
+    options->scenario = std::string(value);
+  } else if (!arg.empty() && arg[0] != '-' &&
+             options->log_directory.empty()) {
+    options->log_directory = std::string(arg);
+  } else {
+    return common::FlagResult::kUnknown;
   }
-  return true;
-}
-
-/// Writes the requested observability outputs; returns false (with a
-/// message) when a file cannot be written.
-bool WriteObsOutputs(const Options& options) {
-  bool ok = true;
-  if (!options.metrics_out.empty()) {
-    common::Status status = obs::WriteMetricsJson(
-        obs::MetricsRegistry::Global().Snapshot(), options.metrics_out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "metrics-out: %s\n", status.ToString().c_str());
-      ok = false;
-    }
-  }
-  if (!options.trace_out.empty()) {
-    common::Status status =
-        obs::SpanTracer::Global().WriteChromeJson(options.trace_out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "trace-out: %s\n", status.ToString().c_str());
-      ok = false;
-    }
-  }
-  return ok;
+  return common::FlagResult::kParsed;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options options;
-  if (!ParseArgs(argc, argv, &options)) {
+  if (!common::ParseFlags(
+          argc, argv, "mbtc_check",
+          {[&](std::string_view arg, std::string*) {
+             return ParseMbtcFlag(arg, &options);
+           },
+           tlax::CheckerFlags(tlax::kWorkersFlag | tlax::kMemBudgetFlag,
+                              &options.checker),
+           obs::SessionFlags(obs::kAllSessionFlags, &options.obs)})) {
     Usage(argv[0]);
     return 2;
   }
@@ -176,31 +102,14 @@ int main(int argc, char** argv) {
     Usage(argv[0]);
     return 2;
   }
-  if (!options.trace_out.empty()) obs::SpanTracer::Global().Enable();
-  if (!options.events_out.empty()) {
-    common::Status status =
-        obs::EventLog::Global().OpenJsonlSink(options.events_out);
-    if (!status.ok()) {
-      std::fprintf(stderr, "events-out: %s\n", status.ToString().c_str());
-      return 2;
-    }
-  }
-
   // Live observability plane: stand up the HTTP endpoints before any real
   // work so a scraper can watch the whole run, and arm the watchdog that
   // the pipeline heartbeats at each phase boundary.
-  obs::Watchdog watchdog(options.stall_timeout_ms);
-  obs::ObsServer::Options serve_options;
-  serve_options.watchdog = &watchdog;
-  obs::ObsServer server(serve_options);
-  if (options.serve_port >= 0) {
-    common::Status status = server.Start(options.serve_port);
-    if (!status.ok()) {
-      std::fprintf(stderr, "serve: %s\n", status.ToString().c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "serving observability on http://127.0.0.1:%d/\n",
-                 server.port());
+  obs::Session session(options.obs);
+  common::Status started = session.Start();
+  if (!started.ok()) {
+    std::fprintf(stderr, "mbtc_check: %s\n", started.ToString().c_str());
+    return 2;
   }
 
   // Resolve the log files: from disk, or by running a library scenario
@@ -230,7 +139,7 @@ int main(int argc, char** argv) {
     if (!run_status.ok()) {
       std::fprintf(stderr, "scenario %s failed: %s\n", found->name.c_str(),
                    run_status.ToString().c_str());
-      WriteObsOutputs(options);
+      (void)session.Finish();
       return 2;
     }
     num_nodes = rs.num_nodes();
@@ -256,13 +165,14 @@ int main(int argc, char** argv) {
 
   trace::MbtcPipelineOptions pipeline_options;
   pipeline_options.checker.allow_stuttering = options.stutter;
-  pipeline_options.checker.num_workers = options.workers;
-  pipeline_options.checker.memory_budget_mb = options.mem_budget_mb;
+  pipeline_options.checker.num_workers = options.checker.num_workers;
+  pipeline_options.checker.memory_budget_mb =
+      options.checker.memory_budget_mb;
   // The checker heartbeats per drained expansion batch (on top of the
   // pipeline's per-phase beats), so /healthz stays live inside a long
   // trace-check phase.
-  pipeline_options.checker.watchdog = &watchdog;
-  pipeline_options.watchdog = &watchdog;
+  pipeline_options.checker.watchdog = session.watchdog();
+  pipeline_options.watchdog = session.watchdog();
   trace::MbtcPipeline pipeline(&spec, pipeline_options);
   trace::MbtcReport report = pipeline.Run(files);
 
@@ -283,15 +193,10 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  if (!WriteObsOutputs(options) && exit_code == 0) exit_code = 2;
-  if (options.serve_port >= 0) {
-    // Keep the endpoints up so a scraper can read the finished run's
-    // final metrics/events; /quitquitquit releases the linger early.
-    if (options.serve_linger_ms > 0) {
-      server.WaitForQuit(options.serve_linger_ms);
-    }
-    server.Stop();
+  common::Status finished = session.Finish();
+  if (!finished.ok()) {
+    std::fprintf(stderr, "mbtc_check: %s\n", finished.ToString().c_str());
+    if (exit_code == 0) exit_code = 2;
   }
-  obs::EventLog::Global().CloseJsonlSink();
   return exit_code;
 }

@@ -91,25 +91,6 @@ void ExpectSpillInvisible(ExplorationPolicy policy) {
       EXPECT_EQ(result.frontier_peak, base.frontier_peak);
       EXPECT_GT(result.frontier_segments, 0u);
     }
-
-    // The run-format knobs (Bloom bits per key, block size) change disk
-    // layout and probe costs only — never counts.
-    CheckerOptions knobs = tight;
-    knobs.spill_bloom_bits = 4;
-    knobs.spill_block_entries = 32;
-    knobs.spill_dir =
-        FreshDir(common::StrCat("knobs_", ExplorationPolicyName(policy), "_w",
-                                workers));
-    CheckResult tuned = ModelChecker(knobs).Check(spec);
-    ASSERT_TRUE(tuned.status.ok()) << tuned.status.ToString();
-    EXPECT_TRUE(tuned.spill_enabled);
-    EXPECT_EQ(tuned.distinct_states, base.distinct_states);
-    EXPECT_EQ(tuned.generated_states, base.generated_states);
-    EXPECT_EQ(tuned.fingerprint_collisions, base.fingerprint_collisions);
-    EXPECT_FALSE(tuned.violation.has_value());
-    if (policy == ExplorationPolicy::kLevelSync) {
-      EXPECT_EQ(tuned.diameter, base.diameter);
-    }
   }
 }
 

@@ -240,39 +240,5 @@ TEST(RelaxedPolicyTest, ResourceExhaustionStillAborts) {
   }
 }
 
-TEST(RelaxedPolicyTest, ParsePolicyNames) {
-  ExplorationPolicy policy = ExplorationPolicy::kLevelSync;
-  EXPECT_TRUE(ParseExplorationPolicy("relaxed", &policy));
-  EXPECT_EQ(policy, ExplorationPolicy::kRelaxed);
-  EXPECT_TRUE(ParseExplorationPolicy("level", &policy));
-  EXPECT_EQ(policy, ExplorationPolicy::kLevelSync);
-  policy = ExplorationPolicy::kRelaxed;
-  EXPECT_FALSE(ParseExplorationPolicy("bogus", &policy));
-  EXPECT_EQ(policy, ExplorationPolicy::kRelaxed) << "failed parse must not "
-                                                    "touch the output";
-  EXPECT_STREQ(ExplorationPolicyName(ExplorationPolicy::kRelaxed),
-               "relaxed");
-  EXPECT_STREQ(ExplorationPolicyName(ExplorationPolicy::kLevelSync),
-               "level");
-}
-
-TEST(CheckerFlagsTest, ParseMemoryBudgetMb) {
-  uint64_t mb = 0;
-  EXPECT_TRUE(ParseMemoryBudgetMb("0", &mb));
-  EXPECT_EQ(mb, 0u);
-  EXPECT_TRUE(ParseMemoryBudgetMb("64", &mb));
-  EXPECT_EQ(mb, 64u);
-  // The largest budget whose byte count (mb << 20) still fits in 64 bits.
-  EXPECT_TRUE(ParseMemoryBudgetMb("17592186044415", &mb));
-  EXPECT_EQ(mb, (uint64_t{1} << 44) - 1);
-  mb = 7;
-  for (const char* bad :
-       {"", "abc", "12abc", "-1", "+1", " 1", "1 ", "0x10", "1.5",
-        "17592186044416", "99999999999999999999999"}) {
-    EXPECT_FALSE(ParseMemoryBudgetMb(bad, &mb)) << "'" << bad << "'";
-    EXPECT_EQ(mb, 7u) << "failed parse must not touch the output";
-  }
-}
-
 }  // namespace
 }  // namespace xmodel::tlax
