@@ -79,13 +79,15 @@ bool LogContainsPoint(const State& s, int n, const Point& p) {
          log.at(p.index - 1).int_value() == p.term;
 }
 
-// All majority subsets of {0..n-1} that contain `member`, as bitmasks.
-std::vector<uint32_t> MajoritiesContaining(int num_nodes, int member) {
-  std::vector<uint32_t> out;
+// Per node, the majority subsets of {0..n-1} that contain it, as bitmasks.
+std::vector<std::vector<uint32_t>> MajoritiesByMember(int num_nodes) {
+  std::vector<std::vector<uint32_t>> out(num_nodes);
   const int majority = num_nodes / 2 + 1;
   for (uint32_t mask = 0; mask < (1u << num_nodes); ++mask) {
-    if (!(mask & (1u << member))) continue;
-    if (__builtin_popcount(mask) >= majority) out.push_back(mask);
+    if (__builtin_popcount(mask) < majority) continue;
+    for (int n = 0; n < num_nodes; ++n) {
+      if (mask & (1u << n)) out[n].push_back(mask);
+    }
   }
   return out;
 }
@@ -194,42 +196,34 @@ std::vector<tlax::DomainDecl> RaftMongoSpec::DeclaredDomains() const {
 
 tlax::State RaftMongoSpec::Canonicalize(const tlax::State& state) const {
   if (!config_.use_symmetry) return state;
-  // Node ids are interchangeable: pick the lexicographically least state
-  // over all permutations of the node indices. Every variable is a
-  // per-node tuple with no node ids inside values, so permuting the tuples
-  // permutes the whole state.
-  std::vector<int> perm(config_.num_nodes);
-  for (int i = 0; i < config_.num_nodes; ++i) perm[i] = i;
-
-  const State* best = &state;
-  State best_storage = state;
-  bool have_best_storage = false;
-  while (std::next_permutation(perm.begin(), perm.end())) {
-    std::vector<Value> vars;
-    vars.reserve(state.num_vars());
-    for (size_t v = 0; v < state.num_vars(); ++v) {
-      std::vector<Value> entries;
-      entries.reserve(config_.num_nodes);
-      for (int i = 0; i < config_.num_nodes; ++i) {
-        entries.push_back(state.var(v).at(perm[i]));
-      }
-      vars.push_back(Value::Seq(std::move(entries)));
+  // Node ids are interchangeable and no value holds one, so the
+  // representative is the least relabeling under the var-by-var order: the
+  // one with the node columns sorted. Swapping two adjacent out-of-order
+  // columns makes the state strictly smaller, and columns with equal keys
+  // are identical, so ties need no search.
+  const int num_nodes = config_.num_nodes;
+  auto column_less = [&state](int a, int b) {
+    for (const Value& tuple : state.vars()) {
+      const int cmp = Value::Compare(tuple.at(a), tuple.at(b));
+      if (cmp != 0) return cmp < 0;
     }
-    State permuted(std::move(vars));
-    // Compare var-by-var for a total order.
-    bool less = false, greater = false;
-    for (size_t v = 0; v < state.num_vars() && !less && !greater; ++v) {
-      int cmp = Value::Compare(permuted.var(v), best->var(v));
-      if (cmp < 0) less = true;
-      if (cmp > 0) greater = true;
-    }
-    if (less) {
-      best_storage = std::move(permuted);
-      best = &best_storage;
-      have_best_storage = true;
-    }
+    return false;
+  };
+  bool sorted = true;
+  for (int i = 1; i < num_nodes && sorted; ++i) sorted = !column_less(i, i - 1);
+  if (sorted) return state;  // Already canonical: build nothing.
+  std::vector<int> order(num_nodes);
+  for (int i = 0; i < num_nodes; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), column_less);
+  std::vector<Value> vars;
+  vars.reserve(state.num_vars());
+  for (const Value& tuple : state.vars()) {
+    std::vector<Value> entries;
+    entries.reserve(num_nodes);
+    for (int node : order) entries.push_back(tuple.at(node));
+    vars.push_back(Value::Seq(std::move(entries)));
   }
-  return have_best_storage ? best_storage : state;
+  return State(std::move(vars));
 }
 
 void RaftMongoSpec::BuildActions() {
@@ -303,7 +297,8 @@ void RaftMongoSpec::BuildActions() {
   // (the spec's at-most-one-leader simplification).
   actions_.push_back(Action{
       "BecomePrimaryByMagic",
-      [num_nodes, abstract](const State& s, std::vector<State>* out) {
+      [num_nodes, abstract, majorities = MajoritiesByMember(num_nodes)](
+          const State& s, std::vector<State>* out) {
         for (int n = 0; n < num_nodes; ++n) {
           // The candidate runs in its current term plus one. A voter must
           // never have voted in (or learned) that term, and its log must
@@ -318,7 +313,7 @@ void RaftMongoSpec::BuildActions() {
           // A candidate that already voted in a newer term than its own
           // cannot run until gossip catches its term up.
           if (VotedTermOf(s, n) >= new_term) continue;
-          for (uint32_t mask : MajoritiesContaining(num_nodes, n)) {
+          for (uint32_t mask : majorities[n]) {
             bool eligible = true;
             for (int q = 0; q < num_nodes; ++q) {
               if (!(mask & (1u << q)) || q == n) continue;
@@ -332,6 +327,9 @@ void RaftMongoSpec::BuildActions() {
             if (!eligible) continue;
 
             std::vector<Value> roles, terms, voted;
+            roles.reserve(num_nodes);
+            terms.reserve(num_nodes);
+            voted.reserve(num_nodes);
             for (int q = 0; q < num_nodes; ++q) {
               roles.push_back(Value::Str(q == n ? "Leader" : "Follower"));
               if (abstract) {

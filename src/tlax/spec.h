@@ -78,9 +78,14 @@ class Spec {
   /// shrink the coverage space — paper §3): returns the canonical
   /// representative of the state's symmetry orbit. The checker deduplicates
   /// canonical states, exploring one representative per orbit. The default
-  /// is the identity (no symmetry). Note TLC's caveat applies here too:
-  /// counterexample traces run over representatives, so consecutive steps
-  /// may differ by a symmetry permutation.
+  /// is the identity (no symmetry). It runs once per generated successor,
+  /// so it should be a per-state sort, not a search: for interchangeable
+  /// nodes, sorting the node columns gives the least relabeling, because
+  /// swapping two adjacent out-of-order columns makes the state strictly
+  /// smaller and equal columns are identical (RaftMongoSpec::Canonicalize).
+  /// Note TLC's caveat applies here too: counterexample traces run over
+  /// representatives, so consecutive steps may differ by a symmetry
+  /// permutation.
   virtual State Canonicalize(const State& state) const { return state; }
 
   /// Optional declared per-variable domain sizes (see DomainDecl) for the

@@ -110,9 +110,19 @@ struct InternShard {
 
 constexpr size_t kInternShards = 64;  // Power of two.
 
+// One thread's intern hit count. Hits are the hot path (most lookups end
+// in the thread cache), so each thread counts into its own block instead
+// of bouncing one shared cache line between checker workers. A block is
+// linked into the table once and never freed, so GetInternStats still
+// counts the hits of threads that have exited.
+struct alignas(64) HitCounter {
+  std::atomic<uint64_t> hits{0};
+  HitCounter* next = nullptr;
+};
+
 struct InternTable {
   InternShard shards[kInternShards];
-  std::atomic<uint64_t> hits{0};
+  std::atomic<HitCounter*> hit_counters{nullptr};
   std::atomic<uint64_t> misses{0};
   std::atomic<uint64_t> live{0};
   std::atomic<uint64_t> bytes{0};
@@ -130,6 +140,25 @@ InternTable& Table() {
 // stale slot is never a dangling pointer — at worst a miss.
 constexpr size_t kThreadCacheSlots = 4096;  // Power of two.
 thread_local const ValueRep* t_intern_cache[kThreadCacheSlots];
+thread_local HitCounter* t_hit_counter = nullptr;
+
+// Counts one hit in the calling thread's block, linking the block on the
+// thread's first hit. Only the owner writes a block, so a plain
+// load-and-store suffices; readers see every count once the thread is
+// joined or, while it runs, a recent one.
+void CountHit(InternTable& table) {
+  HitCounter* counter = t_hit_counter;
+  if (counter == nullptr) {
+    counter = t_hit_counter = new HitCounter();  // Never freed.
+    counter->next = table.hit_counters.load(std::memory_order_relaxed);
+    while (!table.hit_counters.compare_exchange_weak(
+        counter->next, counter, std::memory_order_release,
+        std::memory_order_relaxed)) {
+    }
+  }
+  counter->hits.store(counter->hits.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
+}
 
 }  // namespace
 
@@ -158,7 +187,7 @@ const ValueRep* InternImpl(const ValueRep& probe, Materialize materialize) {
   const ValueRep* cached = t_intern_cache[slot];
   if (cached != nullptr && cached->hash == probe.hash &&
       RepEquals(*cached, probe)) {
-    table.hits.fetch_add(1, std::memory_order_relaxed);
+    CountHit(table);
     return cached;
   }
   InternShard& shard =
@@ -183,7 +212,7 @@ const ValueRep* InternImpl(const ValueRep& probe, Materialize materialize) {
       return fresh;
     }
   }
-  table.hits.fetch_add(1, std::memory_order_relaxed);
+  CountHit(table);
   t_intern_cache[slot] = canonical;
   return canonical;
 }
@@ -212,7 +241,11 @@ const ValueRep* Value::InternCopy(const ValueRep& probe) {
 Value::InternStats Value::GetInternStats() {
   const InternTable& table = Table();
   InternStats stats;
-  stats.hits = table.hits.load(std::memory_order_relaxed);
+  for (const HitCounter* counter =
+           table.hit_counters.load(std::memory_order_acquire);
+       counter != nullptr; counter = counter->next) {
+    stats.hits += counter->hits.load(std::memory_order_relaxed);
+  }
   stats.misses = table.misses.load(std::memory_order_relaxed);
   stats.live = table.live.load(std::memory_order_relaxed);
   stats.bytes = table.bytes.load(std::memory_order_relaxed);

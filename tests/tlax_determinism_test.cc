@@ -85,6 +85,21 @@ TEST(DeterminismTest, RaftMongoAbstractWithSymmetry) {
   ExpectWorkerInvariant(specs::RaftMongoSpec(config));
 }
 
+TEST(DeterminismTest, RaftMongoDetailedWithSymmetry) {
+  specs::RaftMongoConfig config;
+  config.variant = specs::RaftMongoVariant::kDetailed;
+  config.num_nodes = 3;
+  config.max_term = 2;
+  config.max_oplog_len = 2;
+  config.use_symmetry = true;
+  const specs::RaftMongoSpec spec(config);
+  ExpectWorkerInvariant(spec);
+  // One representative per orbit of the 113,664 unreduced states.
+  const CheckResult result = ModelChecker().Check(spec);
+  EXPECT_EQ(result.distinct_states, 19'473u);
+  EXPECT_EQ(result.generated_states, 91'877u);
+}
+
 TEST(DeterminismTest, LockingSpec) {
   specs::LockingConfig config;
   config.num_contexts = 2;

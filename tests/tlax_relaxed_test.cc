@@ -127,6 +127,23 @@ TEST(RelaxedPolicyTest, RaftMongoAbstractWithSymmetry) {
   ExpectRelaxedMatchesLevel(specs::RaftMongoSpec(config));
 }
 
+TEST(RelaxedPolicyTest, RaftMongoDetailedWithSymmetry) {
+  specs::RaftMongoConfig config;
+  config.variant = specs::RaftMongoVariant::kDetailed;
+  config.num_nodes = 3;
+  config.max_term = 2;
+  config.max_oplog_len = 2;
+  config.use_symmetry = true;
+  const specs::RaftMongoSpec spec(config);
+  ExpectRelaxedMatchesLevel(spec);
+  CheckerOptions options;
+  options.exploration = ExplorationPolicy::kRelaxed;
+  options.num_workers = 4;
+  const CheckResult result = ModelChecker(options).Check(spec);
+  EXPECT_EQ(result.distinct_states, 19'473u);
+  EXPECT_EQ(result.generated_states, 91'877u);
+}
+
 TEST(RelaxedPolicyTest, LockingWithDeadlockCheck) {
   specs::LockingConfig config;
   config.num_contexts = 2;

@@ -264,6 +264,10 @@ TEST(ValueInternTest, MultiThreadInternHammer) {
   // under the TSan CI job.
   constexpr int kThreads = 8;
   constexpr int kIters = 400;
+  // Intern requests per iteration: the shared string, seq and record, and
+  // the private string and seq (the ints are inline).
+  constexpr uint64_t kInternsPerIter = 5;
+  const Value::InternStats before = Value::GetInternStats();
   std::vector<const void*> first_rep(kThreads, nullptr);
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -294,6 +298,10 @@ TEST(ValueInternTest, MultiThreadInternHammer) {
   const Value::InternStats stats = Value::GetInternStats();
   EXPECT_GE(stats.live, 1u);
   EXPECT_LE(stats.live, stats.misses);
+  // Every request counts exactly once, hit or miss, including the hits of
+  // threads that have since exited.
+  EXPECT_EQ((stats.hits + stats.misses) - (before.hits + before.misses),
+            kInternsPerIter * kThreads * kIters);
 }
 
 }  // namespace

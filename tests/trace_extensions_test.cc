@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <unordered_set>
+#include <vector>
 
 #include "repl/rollback_fuzzer.h"
 #include "repl/scenarios.h"
@@ -300,6 +303,105 @@ TEST(SymmetryTest, CanonicalFormIsPermutationInvariant) {
   EXPECT_EQ(spec.Canonicalize(a), spec.Canonicalize(b));
   // Canonicalization is idempotent.
   EXPECT_EQ(spec.Canonicalize(spec.Canonicalize(a)), spec.Canonicalize(a));
+}
+
+// `state` with node i's column taken from node perm[i].
+tlax::State Relabel(const tlax::State& state, const std::vector<int>& perm) {
+  std::vector<tlax::Value> vars;
+  for (const tlax::Value& tuple : state.vars()) {
+    std::vector<tlax::Value> entries;
+    for (int node : perm) entries.push_back(tuple.at(node));
+    vars.push_back(tlax::Value::Seq(std::move(entries)));
+  }
+  return tlax::State(std::move(vars));
+}
+
+// The reference canonical form: the least state over all n! relabelings
+// of the node indices, compared variable by variable.
+tlax::State LeastPermutation(const tlax::State& state, int num_nodes) {
+  std::vector<int> perm(num_nodes);
+  for (int i = 0; i < num_nodes; ++i) perm[i] = i;
+  tlax::State best = state;
+  while (std::next_permutation(perm.begin(), perm.end())) {
+    const tlax::State permuted = Relabel(state, perm);
+    for (size_t v = 0; v < state.num_vars(); ++v) {
+      const int cmp = tlax::Value::Compare(permuted.var(v), best.var(v));
+      if (cmp < 0) best = permuted;
+      if (cmp != 0) break;
+    }
+  }
+  return best;
+}
+
+// Every state of `spec` reachable under its constraint, by a plain BFS
+// that expands only states within the constraint (as the checker does).
+std::vector<tlax::State> ReachableStates(const tlax::Spec& spec) {
+  std::unordered_set<tlax::State, tlax::StateHash> seen;
+  std::vector<tlax::State> order;
+  for (const tlax::State& init : spec.InitialStates()) {
+    if (seen.insert(init).second) order.push_back(init);
+  }
+  for (size_t next = 0; next < order.size(); ++next) {
+    if (!spec.WithinConstraint(order[next])) continue;
+    for (tlax::State& succ : spec.Successors(order[next])) {
+      if (seen.insert(succ).second) order.push_back(std::move(succ));
+    }
+  }
+  return order;
+}
+
+// Canonicalize sorts the node columns instead of searching every
+// permutation; the sorted arrangement must be exactly the least one.
+TEST(SymmetryTest, CanonicalizeMatchesPermutationSearch) {
+  struct Bounds {
+    int num_nodes;
+    int64_t max_term;
+    int64_t max_oplog;
+    size_t reachable;  // The unreduced Detailed check's distinct count.
+  };
+  for (const Bounds& bounds :
+       {Bounds{3, 2, 2, 113'664}, Bounds{4, 1, 2, 128'827}}) {
+    SCOPED_TRACE(testing::Message() << bounds.num_nodes << " nodes");
+    RaftMongoConfig config;
+    config.variant = RaftMongoVariant::kDetailed;
+    config.num_nodes = bounds.num_nodes;
+    config.max_term = bounds.max_term;
+    config.max_oplog_len = bounds.max_oplog;
+    const std::vector<tlax::State> states =
+        ReachableStates(RaftMongoSpec(config));
+    EXPECT_EQ(states.size(), bounds.reachable);
+    config.use_symmetry = true;
+    const RaftMongoSpec symmetric(config);
+    size_t mismatches = 0;
+    for (const tlax::State& state : states) {
+      const tlax::State expected = LeastPermutation(state, bounds.num_nodes);
+      const tlax::State actual = symmetric.Canonicalize(state);
+      if (actual != expected ||
+          actual.fingerprint() != expected.fingerprint()) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "of " << states.size() << " states";
+  }
+
+  // Every relabeling of one 4-node state, with a tie between two columns.
+  RaftMongoConfig config;
+  config.num_nodes = 4;
+  config.use_symmetry = true;
+  const RaftMongoSpec spec(config);
+  const tlax::State base = RaftMongoSpec::MakeState(
+      {"Leader", "Follower", "Follower", "Follower"}, {2, 1, 2, 1},
+      {{1, 1}, {0, 0}, {1, 1}, {0, 0}}, {{1, 2}, {1}, {1, 2}, {1}});
+  const tlax::State canonical = LeastPermutation(base, 4);
+  std::vector<int> perm = {0, 1, 2, 3};
+  int relabelings = 0;
+  do {
+    const tlax::State actual = spec.Canonicalize(Relabel(base, perm));
+    EXPECT_EQ(actual, canonical) << "relabeling " << relabelings;
+    EXPECT_EQ(actual.fingerprint(), canonical.fingerprint());
+    ++relabelings;
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  EXPECT_EQ(relabelings, 24);
 }
 
 TEST(ViewCoverageTest, ViewCollapsesQualitativelySameStates) {
