@@ -218,7 +218,7 @@ struct CheckResult {
   /// Action expansions skipped by sleep-set POR (0 without a matrix).
   uint64_t por_slept_actions = 0;
   /// Final aggregate load factor of the sharded fingerprint table
-  /// (records / buckets summed across shards).
+  /// (records per slot summed across shards; at most 7/8).
   double fingerprint_load = 0;
   /// Genuine 64-bit fingerprint collisions observed. Only counted under
   /// CheckerOptions::fp_audit; always 0 otherwise.

@@ -1,6 +1,8 @@
 #include "tlax/fpset.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdint>
 #include <utility>
 
 namespace xmodel::tlax {
@@ -18,11 +20,6 @@ int Log2(int pow2) {
   return bits;
 }
 
-// Estimated resident bytes per hot record: unordered_map node (key,
-// Record, next pointer, cached hash) plus amortized bucket array. What
-// EvictIfOverBudget compares against the memory budget.
-constexpr size_t kHotRecordBytes = 96;
-
 }  // namespace
 
 FingerprintSet::FingerprintSet() : FingerprintSet(Options()) {}
@@ -31,8 +28,11 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
   if (options_.audit) options_.keep_states = true;
   int shards = RoundUpPow2(options_.num_shards < 1 ? 1 : options_.num_shards);
   shards_ = std::vector<Shard>(static_cast<size_t>(shards));
-  // Index by the top bits: the low bits feed each shard's own bucket
-  // hashing, so reusing them for shard selection would correlate the two.
+  for (Shard& shard : shards_) {
+    shard.table.Init(options_.track_por, &table_bytes_);
+  }
+  // Index by the top bits: the low bits pick each shard's home slot, so
+  // reusing them for shard selection would correlate the two.
   shard_shift_ = 64 - Log2(shards);
   if (shards == 1) shard_shift_ = 0;  // (fp >> 0) & 0 == 0 either way.
   if (!options_.spill_dir.empty()) {
@@ -49,8 +49,9 @@ FpInsert FingerprintSet::Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
                                 uint64_t sleep_mask, const State* state) {
   Shard& shard = ShardFor(fp);
   std::lock_guard<std::mutex> lock(shard.mu);
+  internal::FpTable& table = shard.table;
   FpInsert out;
-  if (tier_ != nullptr && shard.records.find(fp) == shard.records.end()) {
+  if (tier_ != nullptr && table.Find(fp) == internal::FpTable::kNone) {
     // Disk probe under the shard lock: the evictor only erases a
     // fingerprint from this shard after its run is sealed (and never
     // holds the run-list lock exclusively while waiting on a shard), so
@@ -65,35 +66,48 @@ FpInsert FingerprintSet::Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
       return out;
     }
   }
-  auto [it, fresh] = shard.records.try_emplace(fp);
-  Record& rec = it->second;
-  if (fresh) {
-    if (tier_ != nullptr) hot_count_.fetch_add(1, std::memory_order_relaxed);
-    rec.pred_fp = pred_fp;
-    rec.order_key = order_key;
-    rec.depth = depth;
-    rec.action = action;
-    rec.sleep = sleep_mask;
-    rec.pending = sleep_mask;
-    rec.queued = true;
-    if (options_.keep_states && state != nullptr) {
-      shard.states.emplace(fp, *state);
-    }
-    size_.fetch_add(1, std::memory_order_relaxed);
-    out.inserted = true;
-    out.depth = depth;
-    return out;
+  bool fresh = false;
+  const size_t index = table.FindOrInsert(fp, &fresh);
+  if (!fresh) {
+    return MergeRevisit(shard, index, fp, pred_fp, action, depth, order_key,
+                        sleep_mask, state);
   }
-  return MergeRevisit(shard, rec, fp, pred_fp, action, depth, order_key,
-                      sleep_mask, state);
+  if (tier_ != nullptr) hot_count_.fetch_add(1, std::memory_order_relaxed);
+  InitRecord(table, index, pred_fp, action, depth, order_key, sleep_mask);
+  if (options_.keep_states && state != nullptr) {
+    shard.states.emplace(fp, *state);
+  }
+  size_.fetch_add(1, std::memory_order_relaxed);
+  out.inserted = true;
+  out.depth = depth;
+  return out;
+}
+
+void FingerprintSet::InitRecord(internal::FpTable& table, size_t index,
+                                uint64_t pred_fp, uint16_t action,
+                                int64_t depth, uint64_t order_key,
+                                uint64_t sleep_mask) const {
+  // Slots store depth as int32; BFS depths never come near that bound.
+  assert(depth >= INT32_MIN && depth <= INT32_MAX);
+  internal::FpSlot& rec = table.slot(index);
+  rec.pred_fp = pred_fp;
+  rec.order_key = order_key;
+  rec.depth = static_cast<int32_t>(depth);
+  rec.action = action;
+  rec.set(internal::FpSlot::kQueued, true);
+  if (options_.track_por) {
+    table.por(index).sleep = sleep_mask;
+    table.por(index).pending = sleep_mask;
+  }
 }
 
 // Shared revisit path of Insert/InsertOrDefer; shard.mu must be held.
-FpInsert FingerprintSet::MergeRevisit(Shard& shard, Record& rec, uint64_t fp,
+FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index, uint64_t fp,
                                       uint64_t pred_fp, uint16_t action,
                                       int64_t depth, uint64_t order_key,
                                       uint64_t sleep_mask,
                                       const State* state) {
+  internal::FpSlot& rec = shard.table.slot(index);
   FpInsert out;
   out.depth = rec.depth;
   if (options_.audit && state != nullptr) {
@@ -104,17 +118,18 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, Record& rec, uint64_t fp,
     }
   }
   if (options_.track_por) {
+    internal::FpPorMasks& por = shard.table.por(index);
     if (options_.immediate_por_settle) {
       // Barrier-free merge for the relaxed policy: settle the shrink now
       // and decide the wake under the same shard lock. AcquireExpand and
       // other revisits serialize on that lock, so a shrink either lands
       // before an expansion reads the mask or uncovers work afterwards
       // and wakes the record — no uncovered action is ever lost.
-      rec.pending &= sleep_mask;
-      rec.sleep = rec.pending;
-      if (!rec.queued &&
-          (options_.por_all_actions & ~rec.sleep & ~rec.done) != 0) {
-        rec.queued = true;
+      por.pending &= sleep_mask;
+      por.sleep = por.pending;
+      if (!rec.has(internal::FpSlot::kQueued) &&
+          (options_.por_all_actions & ~por.sleep & ~por.done) != 0) {
+        rec.set(internal::FpSlot::kQueued, true);
         out.wake = true;
       }
     } else {
@@ -123,8 +138,8 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, Record& rec, uint64_t fp,
       // at the next level barrier, after every worker has drained — the
       // intersection is commutative, so the settled result is independent
       // of the order revisits arrived in.
-      rec.pending &= sleep_mask;
-      out.sleep_shrunk = rec.pending != rec.sleep;
+      por.pending &= sleep_mask;
+      out.sleep_shrunk = por.pending != por.sleep;
     }
   }
   if (options_.min_merge_pred && depth == rec.depth &&
@@ -148,25 +163,20 @@ FpInsert FingerprintSet::InsertOrDefer(uint64_t fp, uint64_t pred_fp,
   }
   Shard& shard = ShardFor(fp);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, fresh] = shard.records.try_emplace(fp);
-  Record& rec = it->second;
+  bool fresh = false;
+  const size_t index = shard.table.FindOrInsert(fp, &fresh);
   if (!fresh) {
     // Hot (possibly still provisional) record: classic revisit merge. A
     // merge into a provisional record that later turns out to be on
     // disk is simply discarded with it — exactly what the inline-probe
     // path would have done (disk-resident edges are settled and win).
-    return MergeRevisit(shard, rec, fp, pred_fp, action, depth, order_key,
+    return MergeRevisit(shard, index, fp, pred_fp, action, depth, order_key,
                         sleep_mask, state);
   }
   hot_count_.fetch_add(1, std::memory_order_relaxed);
-  rec.pred_fp = pred_fp;
-  rec.order_key = order_key;
-  rec.depth = depth;
-  rec.action = action;
-  rec.sleep = sleep_mask;
-  rec.pending = sleep_mask;
-  rec.queued = true;
-  rec.provisional = true;
+  InitRecord(shard.table, index, pred_fp, action, depth, order_key,
+             sleep_mask);
+  shard.table.slot(index).set(internal::FpSlot::kProvisional, true);
   FpInsert out;
   out.pending = true;
   out.depth = depth;
@@ -188,16 +198,18 @@ void FingerprintSet::ResolvePending(const std::vector<uint64_t>& fps,
     const bool found = hits[si].found;
     Shard& shard = ShardFor(fps[i]);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.records.find(fps[i]);
-    if (it == shard.records.end() || !it->second.provisional) continue;
+    const size_t index = shard.table.Find(fps[i]);
+    if (index == internal::FpTable::kNone) continue;
+    internal::FpSlot& rec = shard.table.slot(index);
+    if (!rec.has(internal::FpSlot::kProvisional)) continue;
     if (found) {
       // Already explored and evicted: drop the provisional record — the
       // disk copy is the settled one.
-      shard.records.erase(it);
+      shard.table.EraseAt(index);
       hot_count_.fetch_sub(1, std::memory_order_relaxed);
       (*on_disk)[i] = 1;
     } else {
-      it->second.provisional = false;
+      rec.set(internal::FpSlot::kProvisional, false);
       size_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -205,36 +217,40 @@ void FingerprintSet::ResolvePending(const std::vector<uint64_t>& fps,
 
 FingerprintSet::ExpandGrant FingerprintSet::AcquireExpand(
     uint64_t fp, uint64_t all_actions) {
+  assert(options_.track_por);
   Shard& shard = ShardFor(fp);
   std::lock_guard<std::mutex> lock(shard.mu);
   ExpandGrant grant;
-  auto it = shard.records.find(fp);
-  if (it == shard.records.end()) return grant;
-  Record& rec = it->second;
-  rec.queued = false;
-  grant.sleep = rec.sleep;
-  grant.explored_before = rec.done;
-  grant.to_expand = all_actions & ~rec.sleep & ~rec.done;
-  rec.done |= grant.to_expand;
+  const size_t index = shard.table.Find(fp);
+  if (index == internal::FpTable::kNone) return grant;
+  internal::FpPorMasks& por = shard.table.por(index);
+  shard.table.slot(index).set(internal::FpSlot::kQueued, false);
+  grant.sleep = por.sleep;
+  grant.explored_before = por.done;
+  grant.to_expand = all_actions & ~por.sleep & ~por.done;
+  por.done |= grant.to_expand;
   return grant;
 }
 
 FingerprintSet::PorSettle FingerprintSet::SettlePor(uint64_t fp,
                                                     uint64_t all_actions) {
+  assert(options_.track_por);
   Shard& shard = ShardFor(fp);
   std::lock_guard<std::mutex> lock(shard.mu);
   PorSettle settle;
-  auto it = shard.records.find(fp);
-  if (it == shard.records.end()) return settle;
-  Record& rec = it->second;
-  rec.sleep = rec.pending;
+  const size_t index = shard.table.Find(fp);
+  if (index == internal::FpTable::kNone) return settle;
+  internal::FpSlot& rec = shard.table.slot(index);
+  internal::FpPorMasks& por = shard.table.por(index);
+  por.sleep = por.pending;
   settle.depth = rec.depth;
   settle.order_key = rec.order_key;
   // Wake only when the shrink uncovered work: an action neither settled
   // asleep nor already expanded. Already-queued states pick the new mask
   // up at their scheduled expansion.
-  if (!rec.queued && (all_actions & ~rec.sleep & ~rec.done) != 0) {
-    rec.queued = true;
+  if (!rec.has(internal::FpSlot::kQueued) &&
+      (all_actions & ~por.sleep & ~por.done) != 0) {
+    rec.set(internal::FpSlot::kQueued, true);
     settle.wake = true;
   }
   return settle;
@@ -244,10 +260,10 @@ std::optional<FingerprintSet::Edge> FingerprintSet::GetEdge(uint64_t fp) const {
   {
     const Shard& shard = ShardFor(fp);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.records.find(fp);
-    if (it != shard.records.end()) {
-      return Edge{it->second.pred_fp, it->second.order_key,
-                  it->second.action, it->second.depth};
+    const size_t index = shard.table.Find(fp);
+    if (index != internal::FpTable::kNone) {
+      const internal::FpSlot& rec = shard.table.slot(index);
+      return Edge{rec.pred_fp, rec.order_key, rec.action, rec.depth};
     }
   }
   if (tier_ != nullptr) {
@@ -271,8 +287,7 @@ common::Status FingerprintSet::EvictIfOverBudget() {
   if (tier_ == nullptr || options_.memory_budget_bytes == 0) {
     return common::Status::OK();
   }
-  if (hot_count_.load(std::memory_order_relaxed) * kHotRecordBytes <=
-      options_.memory_budget_bytes) {
+  if (table_bytes() <= options_.memory_budget_bytes) {
     return common::Status::OK();
   }
   return EvictAll();
@@ -287,35 +302,55 @@ common::Status FingerprintSet::EvictAll() {
   // min-merge the hot copy after this snapshot; the engines only evict
   // once those fields are settled (level barrier / batch boundary), so
   // the sealed edge is the settled one.
-  std::vector<SpillTier::Entry> entries;
-  std::vector<std::vector<uint64_t>> captured(shards_.size());
+  using Entry = SpillTier::Entry;
+  std::vector<Entry> entries;
+  entries.reserve(hot_count());
+  // Shard si's records are entries[bounds[si], bounds[si + 1]).
+  std::vector<size_t> bounds(shards_.size() + 1, 0);
   for (size_t si = 0; si < shards_.size(); ++si) {
     Shard& shard = shards_[si];
     std::lock_guard<std::mutex> lock(shard.mu);
-    captured[si].reserve(shard.records.size());
-    for (const auto& [fp, rec] : shard.records) {
+    shard.table.ForEach([&entries](const internal::FpSlot& rec) {
       // A provisional record has no disk verdict yet — sealing it could
       // duplicate a fingerprint across runs. Its owner resolves it at
       // the batch boundary; it stays hot until then.
-      if (rec.provisional) continue;
+      if (rec.has(internal::FpSlot::kProvisional)) return;
       entries.emplace_back(
-          fp, SpillTier::EdgeData{rec.pred_fp, rec.order_key, rec.depth,
-                                  rec.action});
-      captured[si].push_back(fp);
-    }
+          rec.fp, SpillTier::EdgeData{rec.pred_fp, rec.order_key, rec.depth,
+                                      rec.action});
+    });
+    bounds[si + 1] = entries.size();
   }
   if (entries.empty()) return common::Status::OK();
-  std::sort(entries.begin(), entries.end(),
-            [](const SpillTier::Entry& a, const SpillTier::Entry& b) {
-              return a.first < b.first;
-            });
+  // Shard si holds exactly the fingerprints whose top bits are si, so
+  // sorting each shard's slice sorts the whole run.
+  const auto by_fp = [](const Entry& a, const Entry& b) {
+    return a.first < b.first;
+  };
+  for (size_t si = 0; si < shards_.size(); ++si) {
+    std::sort(entries.begin() + bounds[si], entries.begin() + bounds[si + 1],
+              by_fp);
+  }
   common::Status status = tier_->SealRun(entries);
   if (!status.ok()) return status;
   for (size_t si = 0; si < shards_.size(); ++si) {
-    if (captured[si].empty()) continue;
+    const auto first = entries.begin() + bounds[si];
+    const auto last = entries.begin() + bounds[si + 1];
+    if (first == last) continue;
     Shard& shard = shards_[si];
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (uint64_t fp : captured[si]) shard.records.erase(fp);
+    // Captured records stay put until here (only this evictor erases
+    // non-provisional ones), so equal counts mean nothing else is left.
+    if (shard.table.size() == static_cast<size_t>(last - first)) {
+      shard.table.Clear();
+    } else {
+      shard.table.EraseIf([first, last](const internal::FpSlot& rec) {
+        const auto it = std::lower_bound(
+            first, last, rec.fp,
+            [](const Entry& e, uint64_t fp) { return e.first < fp; });
+        return it != last && it->first == rec.fp;
+      });
+    }
   }
   hot_count_.fetch_sub(entries.size(), std::memory_order_relaxed);
   // SealRun woke the background merge if the run count calls for one;
@@ -374,13 +409,13 @@ std::vector<SpillTier::RunInfo> FingerprintSet::spill_run_infos() const {
 
 double FingerprintSet::load_factor() const {
   size_t records = 0;
-  size_t buckets = 0;
+  size_t slots = 0;
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    records += shard.records.size();
-    buckets += shard.records.bucket_count();
+    records += shard.table.size();
+    slots += shard.table.capacity();
   }
-  return buckets == 0 ? 0.0 : static_cast<double>(records) / buckets;
+  return slots == 0 ? 0.0 : static_cast<double>(records) / slots;
 }
 
 }  // namespace xmodel::tlax

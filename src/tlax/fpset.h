@@ -12,6 +12,7 @@
 
 #include "common/hash.h"
 #include "common/status.h"
+#include "tlax/fp_table.h"
 #include "tlax/fpset_spill.h"
 #include "tlax/state.h"
 
@@ -59,7 +60,9 @@ struct FpInsert {
 /// The model checker's seen-state table: a striped (sharded) hash table
 /// keyed by 64-bit fingerprint, storing compact predecessor records
 /// `{pred_fp, action}` instead of full states — the TLC fingerprint-set
-/// design. Counterexample traces are reconstructed by replaying actions
+/// design. Each shard is a flat open-addressing table of 32-byte slots
+/// (internal::FpTable); POR masks live in a parallel array only under
+/// Options::track_por. Counterexample traces are reconstructed by replaying actions
 /// along the predecessor chain from an initial state, so dropping the
 /// states costs nothing but that replay.
 ///
@@ -105,8 +108,8 @@ class FingerprintSet {
     /// spilling entirely. Incompatible with keep_states/audit/track_por
     /// (those need mutable or full-state records; the engine gates this).
     std::string spill_dir;
-    /// Estimated hot-table bytes that trigger eviction via
-    /// EvictIfOverBudget. 0 means no budget (evictions only happen on
+    /// Allocated hot-table bytes (see table_bytes()) that trigger eviction
+    /// via EvictIfOverBudget. 0 means no budget (evictions only happen on
     /// explicit EvictAll, e.g. at checkpoints). The hot table gets the
     /// whole budget; spill runs are read through the OS page cache.
     uint64_t memory_budget_bytes = 0;
@@ -162,7 +165,7 @@ class FingerprintSet {
   /// POR expansion handshake: atomically clears the record's queued flag,
   /// returns its current sleep mask and previously-expanded mask, and
   /// marks the newly grantable actions (`all_actions & ~sleep & ~done`)
-  /// as done.
+  /// as done. Requires Options::track_por.
   struct ExpandGrant {
     uint64_t sleep = 0;
     uint64_t explored_before = 0;
@@ -177,7 +180,7 @@ class FingerprintSet {
   /// flag when waking; `depth` and `order_key` are the record's settled
   /// values for building the wake entry. Call once per wake-candidate
   /// fingerprint at each barrier; the per-record result is independent of
-  /// call order.
+  /// call order. Requires Options::track_por.
   struct PorSettle {
     bool wake = false;
     int64_t depth = 0;
@@ -206,9 +209,14 @@ class FingerprintSet {
   uint64_t collisions() const {
     return collisions_.load(std::memory_order_relaxed);
   }
-  /// Aggregate load factor across shards (total records / total buckets):
-  /// what CheckResult::fingerprint_load now reports.
+  /// Aggregate load factor across shards (records per slot, at most 7/8):
+  /// what CheckResult::fingerprint_load reports.
   double load_factor() const;
+  /// Bytes allocated by every shard's slot array (and POR array): what
+  /// EvictIfOverBudget compares against Options::memory_budget_bytes.
+  size_t table_bytes() const {
+    return table_bytes_.load(std::memory_order_relaxed);
+  }
   size_t num_shards() const { return shards_.size(); }
   bool keep_states() const { return options_.keep_states; }
 
@@ -219,14 +227,15 @@ class FingerprintSet {
     return hot_count_.load(std::memory_order_relaxed);
   }
 
-  /// Evicts the whole hot table as one sealed run when its estimated
-  /// footprint exceeds Options::memory_budget_bytes; no-op otherwise.
+  /// Evicts the whole hot table as one sealed run when table_bytes()
+  /// exceeds Options::memory_budget_bytes; no-op otherwise.
   /// Thread-compatible with concurrent Insert/GetEdge: a fingerprint is
   /// visible in the hot table or on disk at every instant. Concurrent
   /// callers serialize on an internal mutex.
   common::Status EvictIfOverBudget();
   /// Unconditionally evicts the hot table (checkpoint preparation: a
   /// manifest names only sealed runs, so everything must be on disk).
+  /// Each shard it empties shrinks back to its floor capacity.
   common::Status EvictAll();
 
   /// Resume path: adopts previously sealed run files (validated; corrupt
@@ -256,24 +265,9 @@ class FingerprintSet {
   std::vector<SpillTier::RunInfo> spill_run_infos() const;
 
  private:
-  struct Record {
-    uint64_t pred_fp = 0;
-    uint64_t order_key = 0;
-    int64_t depth = 0;
-    uint64_t sleep = 0;    // POR: settled mask expansion reads.
-    uint64_t pending = 0;  // POR: sleep ∩ this level's revisit masks.
-    uint64_t done = 0;     // POR: actions already expanded here.
-    uint16_t action = kFpInitialAction;
-    bool queued = false;  // POR: on a frontier, awaiting expansion.
-    /// Spill batching: created by InsertOrDefer, awaiting a
-    /// ResolvePending disk verdict. Not counted in size(); skipped by
-    /// eviction (an unresolved record must never be sealed to disk).
-    bool provisional = false;
-  };
-
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, Record> records;
+    internal::FpTable table;
     std::unordered_map<uint64_t, State> states;  // keep_states only.
   };
 
@@ -284,12 +278,20 @@ class FingerprintSet {
     return shards_[(fp >> shard_shift_) & (shards_.size() - 1)];
   }
 
-  FpInsert MergeRevisit(Shard& shard, Record& rec, uint64_t fp,
+  // Fills the record just claimed at `index` (queued, with the given
+  // edge and sleep mask).
+  void InitRecord(internal::FpTable& table, size_t index, uint64_t pred_fp,
+                  uint16_t action, int64_t depth, uint64_t order_key,
+                  uint64_t sleep_mask) const;
+  FpInsert MergeRevisit(Shard& shard, size_t index, uint64_t fp,
                         uint64_t pred_fp, uint16_t action, int64_t depth,
                         uint64_t order_key, uint64_t sleep_mask,
                         const State* state);
 
   Options options_;
+  // Allocated bytes of every shard's table; declared before shards_ so it
+  // outlives them.
+  std::atomic<size_t> table_bytes_{0};
   std::vector<Shard> shards_;
   int shard_shift_ = 0;
   std::atomic<size_t> size_{0};

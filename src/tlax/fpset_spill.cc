@@ -387,6 +387,14 @@ common::Status SpillTier::WriteRun(RunBuilder* builder,
 
 common::Status SpillTier::SealRun(const std::vector<Entry>& entries) {
   if (entries.empty()) return common::Status::OK();
+  // Probes binary-search the run, so an out-of-order or repeated
+  // fingerprint would make lookups silently miss: refuse to write it.
+  for (size_t i = 1; i < entries.size(); ++i) {
+    if (entries[i - 1].first >= entries[i].first) {
+      return common::Status::Internal(common::StrCat(
+          "SealRun: fingerprints not strictly ascending at entry ", i));
+    }
+  }
   if (!dir_ready_.load(std::memory_order_acquire)) {
     common::Status status = common::EnsureDir(options_.dir);
     if (!status.ok()) {

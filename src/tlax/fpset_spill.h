@@ -122,7 +122,8 @@ class SpillTier {
 
   /// Seals `entries` (sorted by fingerprint, strictly increasing,
   /// disjoint from every live run) as a new run file and registers it
-  /// for probes. Empty input is a no-op. Also wakes the compaction
+  /// for probes. Empty input is a no-op; input that is not strictly
+  /// ascending is a kInternal error and writes nothing. Also wakes the compaction
   /// thread when the run count has reached the threshold.
   common::Status SealRun(const std::vector<Entry>& entries);
 

@@ -1,15 +1,22 @@
 // Unit tests for the sharded fingerprint table backing the parallel
-// checker: insert/merge semantics, the POR expansion handshake, the
-// collision audit, and a multi-threaded insert hammer that the TSan CI
-// job runs to certify the locking.
+// checker: the flat per-shard table against a reference map, insert/merge
+// semantics, the POR expansion handshake, the collision audit, the
+// allocated-bytes memory budget, and a multi-threaded insert hammer that
+// the TSan CI job runs to certify the locking.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/strings.h"
+#include "tlax/fp_table.h"
 #include "tlax/fpset.h"
 #include "tlax/state.h"
 #include "tlax/value.h"
@@ -159,6 +166,205 @@ TEST(FpsetTest, ShardCountRoundsUpToPowerOfTwo) {
   EXPECT_EQ(one.size(), 1u);
 }
 
+using internal::FpPorMasks;
+using internal::FpSlot;
+using internal::FpTable;
+
+// Mostly random keys, plus one in eight drawn from a few fixed low-bit
+// patterns (with 64 possible high parts): those share home slots at
+// every capacity up to 2^20, and the all-ones patterns home on the last
+// slots, so their clusters wrap around to index 0.
+uint64_t ClusteredKey(common::Rng& rng) {
+  static constexpr uint64_t kLowPatterns[] = {0, 1, 2, 0xFFFFF, 0xFFFFE};
+  if (rng.Below(8) != 0) return rng.Next();
+  return (rng.Below(64) << 20) |
+         kLowPatterns[rng.Below(std::size(kLowPatterns))];
+}
+
+// Whether some record sits at a lower index than its home slot, i.e. its
+// probe wrapped around the end of the array.
+bool HasWrappedRecord(const FpTable& table) {
+  for (size_t i = 0; i < table.capacity(); ++i) {
+    const FpSlot& s = table.slot(i);
+    if (s.occupied() && i < (s.fp & (table.capacity() - 1))) return true;
+  }
+  return false;
+}
+
+TEST(FpsetTest, TableMatchesReferenceMap) {
+  std::atomic<size_t> allocated{0};
+  FpTable table;
+  table.Init(/*track_por=*/false, &allocated);
+  std::unordered_map<uint64_t, uint64_t> ref;  // fp -> pred_fp payload.
+  common::Rng rng(20260917);
+  bool saw_wrap = false;
+
+  const auto check_all = [&table, &ref] {
+    for (const auto& [fp, payload] : ref) {
+      const size_t i = table.Find(fp);
+      ASSERT_NE(i, FpTable::kNone) << "fp " << fp;
+      EXPECT_EQ(table.slot(i).pred_fp, payload) << "fp " << fp;
+    }
+  };
+
+  // Fingerprint 0 is an ordinary key: absent, inserted, erased, back.
+  EXPECT_EQ(table.Find(0), FpTable::kNone);
+  bool inserted = false;
+  table.FindOrInsert(0, &inserted);
+  EXPECT_TRUE(inserted);
+  table.EraseAt(table.Find(0));
+  EXPECT_EQ(table.Find(0), FpTable::kNone);
+  // It stays live through the growth below, homed on slot 0 beside the
+  // low-pattern-0 keys.
+  table.slot(table.FindOrInsert(0, &inserted)).pred_fp = 77;
+  EXPECT_TRUE(inserted);
+  ref[0] = 77;
+
+  std::vector<uint64_t> drawn;  // Erase targets that are likely live.
+  constexpr int kOps = 40'000;
+  for (int op = 0; op < kOps; ++op) {
+    const uint64_t roll = rng.Below(10);
+    uint64_t fp = ClusteredKey(rng);
+    if (roll >= 6 && !drawn.empty() && rng.Below(2) == 0) {
+      fp = drawn[rng.Below(drawn.size())];
+    }
+    if (roll < 6) {
+      const size_t i = table.FindOrInsert(fp, &inserted);
+      EXPECT_EQ(inserted, ref.count(fp) == 0) << "fp " << fp;
+      if (inserted) {
+        table.slot(i).pred_fp = fp ^ 0x5555;
+        ref[fp] = fp ^ 0x5555;
+        drawn.push_back(fp);
+      }
+    } else if (roll < 8) {
+      const size_t i = table.Find(fp);
+      ASSERT_EQ(i != FpTable::kNone, ref.count(fp) == 1) << "fp " << fp;
+      if (i != FpTable::kNone) table.EraseAt(i);
+      ref.erase(fp);
+    } else {
+      const size_t i = table.Find(fp);
+      ASSERT_EQ(i != FpTable::kNone, ref.count(fp) == 1) << "fp " << fp;
+      if (i != FpTable::kNone) {
+        EXPECT_EQ(table.slot(i).pred_fp, ref[fp]);
+      }
+    }
+    ASSERT_EQ(table.size(), ref.size());
+    ASSERT_LE(table.size() * 8, table.capacity() * 7) << "load above 7/8";
+    if (op % 512 == 0) {
+      saw_wrap = saw_wrap || HasWrappedRecord(table);
+      check_all();
+    }
+  }
+  check_all();
+  EXPECT_GE(table.capacity(), FpTable::kMinCapacity << 8)
+      << "the run must grow the table across 8 or more doublings";
+  EXPECT_TRUE(saw_wrap) << "some probe cluster must wrap past the end";
+  EXPECT_EQ(allocated.load(), table.bytes());
+
+  // Erase everything through the reference order, then the table is
+  // empty but keeps its capacity until Clear shrinks it to the floor.
+  for (const auto& [fp, payload] : ref) table.EraseAt(table.Find(fp));
+  EXPECT_EQ(table.size(), 0u);
+  table.Clear();
+  EXPECT_EQ(table.capacity(), FpTable::kMinCapacity);
+  EXPECT_EQ(allocated.load(), FpTable::kMinCapacity * sizeof(FpSlot));
+}
+
+TEST(FpsetTest, PorMasksFollowSlots) {
+  std::atomic<size_t> allocated{0};
+  FpTable table;
+  table.Init(/*track_por=*/true, &allocated);
+  EXPECT_EQ(table.bytes(), FpTable::kMinCapacity *
+                               (sizeof(FpSlot) + sizeof(FpPorMasks)));
+  common::Rng rng(7);
+  std::unordered_map<uint64_t, bool> live;
+  const auto masks_of = [](uint64_t fp) {
+    return FpPorMasks{fp * 3, fp * 5, fp * 7};
+  };
+  // Grow from the floor through several doublings.
+  while (live.size() < 3'000) {
+    const uint64_t fp = ClusteredKey(rng);
+    bool inserted = false;
+    const size_t i = table.FindOrInsert(fp, &inserted);
+    if (inserted) table.por(i) = masks_of(fp);
+    live[fp] = true;
+  }
+  ASSERT_GE(table.capacity(), FpTable::kMinCapacity << 7);
+  // Backward-shift erases of every other key move cluster members back.
+  size_t n = 0;
+  for (auto& [fp, keep] : live) {
+    if (n++ % 2 == 0) continue;
+    keep = false;
+    table.EraseAt(table.Find(fp));
+  }
+  for (const auto& [fp, keep] : live) {
+    const size_t i = table.Find(fp);
+    if (!keep) {
+      EXPECT_EQ(i, FpTable::kNone);
+      continue;
+    }
+    ASSERT_NE(i, FpTable::kNone);
+    EXPECT_EQ(table.por(i).sleep, fp * 3) << "fp " << fp;
+    EXPECT_EQ(table.por(i).pending, fp * 5) << "fp " << fp;
+    EXPECT_EQ(table.por(i).done, fp * 7) << "fp " << fp;
+  }
+  // A rebuild that drops nothing keeps every mask with its slot.
+  table.EraseIf([](const FpSlot&) { return false; });
+  for (const auto& [fp, keep] : live) {
+    if (!keep) continue;
+    const size_t i = table.Find(fp);
+    ASSERT_NE(i, FpTable::kNone);
+    EXPECT_EQ(table.por(i).done, fp * 7) << "fp " << fp;
+  }
+  EXPECT_EQ(allocated.load(), table.bytes());
+}
+
+TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
+  FingerprintSet::Options options;
+  options.num_shards = 2;
+  options.spill_dir = common::StrCat(::testing::TempDir(),
+                                     "/fpset_alloc_budget");
+  options.memory_budget_bytes = 8 * 1024;
+  FingerprintSet set(options);
+  const size_t floor = 2 * FpTable::kMinCapacity * sizeof(FpSlot);
+  EXPECT_EQ(set.table_bytes(), floor);
+
+  uint64_t evictions = 0;
+  for (uint64_t k = 1; evictions < 3; ++k) {
+    ASSERT_TRUE(set.Insert(common::Mix64(k), 0, kFpInitialAction, 0, k, 0,
+                           nullptr)
+                    .inserted);
+    const size_t before = set.table_bytes();
+    ASSERT_TRUE(set.EvictIfOverBudget().ok());
+    if (before > options.memory_budget_bytes) {
+      ++evictions;
+      EXPECT_EQ(set.spill_stats().generations, evictions);
+      EXPECT_EQ(set.hot_count(), 0u);
+      EXPECT_EQ(set.table_bytes(), floor) << "evicted shards shrink back";
+    } else {
+      EXPECT_EQ(set.spill_stats().generations, evictions)
+          << "no eviction at or under the budget";
+      EXPECT_EQ(set.table_bytes(), before);
+    }
+  }
+  // EvictAll returns a grown table to the floor, even under the budget.
+  for (uint64_t k = 1; set.table_bytes() == floor; ++k) {
+    set.Insert(k << 40, 0, kFpInitialAction, 0, k, 0, nullptr);
+  }
+  ASSERT_LE(set.table_bytes(), options.memory_budget_bytes);
+  ASSERT_TRUE(set.EvictAll().ok());
+  EXPECT_EQ(set.table_bytes(), floor);
+  EXPECT_EQ(set.hot_count(), 0u);
+  EXPECT_TRUE(set.spill_status().ok());
+
+  // Under POR the parallel mask array is part of the count.
+  FingerprintSet::Options por;
+  por.num_shards = 2;
+  por.track_por = true;
+  EXPECT_EQ(FingerprintSet(por).table_bytes(),
+            2 * FpTable::kMinCapacity * (sizeof(FpSlot) + sizeof(FpPorMasks)));
+}
+
 // Concurrent insert hammer: T threads race to insert an overlapping key
 // range; exactly one inserter may win each key, the final size must be
 // exact, and every record must carry one of the racing predecessors.
@@ -201,6 +407,7 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
         << "pred_fp and action must come from the same racing insert";
   }
   EXPECT_GT(set.load_factor(), 0.0);
+  EXPECT_LE(set.load_factor(), 0.875);
 }
 
 }  // namespace

@@ -42,11 +42,12 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-// CounterSpec(250) has 251*251 = 63001 distinct states across 501 BFS
-// levels — enough that a 1 MB hot-table budget forces five eviction
-// generations, and a 64-entry in-memory frontier cap forces level
-// spooling on the wide middle levels.
-constexpr int64_t kWideLimit = 250;
+// CounterSpec(360) has 361*361 = 130321 distinct states across 721 BFS
+// levels — enough that a 1 MB hot-table budget (32-byte slots filled to
+// at most 7/8, so roughly 25K records per generation) forces five
+// eviction generations, and a 64-entry in-memory frontier cap forces
+// level spooling on the wide middle levels.
+constexpr int64_t kWideLimit = 360;
 
 void ExpectSpillInvisible(ExplorationPolicy policy) {
   const specs::CounterSpec spec(kWideLimit);
@@ -160,7 +161,7 @@ TEST(OutOfCoreTest, RelaxedViolationVerdictIdenticalUnderSpill) {
 // merges runs mid-run — concurrent with exploration — and counts still
 // match the unlimited run exactly.
 TEST(OutOfCoreTest, MidRunBackgroundCompactionStaysExact) {
-  const specs::CounterSpec spec(/*limit=*/350);
+  const specs::CounterSpec spec(/*limit=*/500);
   for (ExplorationPolicy policy :
        {ExplorationPolicy::kLevelSync, ExplorationPolicy::kRelaxed}) {
     SCOPED_TRACE(ExplorationPolicyName(policy));

@@ -372,6 +372,33 @@ TEST(SpillTierTest, BloomBitsAndBlockSizeOptionsRoundTrip) {
   }
 }
 
+// Probes binary-search a run, so SealRun must refuse input whose
+// fingerprints are out of order or repeated rather than write a run
+// whose lookups would silently miss.
+TEST(SpillTierTest, SealRunRejectsUnsortedOrDuplicateInput) {
+  SpillTier::Options options;
+  options.dir = TestDir("unsorted");
+  SpillTier tier(options);
+
+  std::vector<SpillTier::Entry> unsorted = MakeEntries(10, 20, 1);
+  std::swap(unsorted[5], unsorted[6]);
+  common::Status status = tier.SealRun(unsorted);
+  EXPECT_EQ(status.code(), common::StatusCode::kInternal) << status.ToString();
+
+  std::vector<SpillTier::Entry> duplicate = MakeEntries(10, 20, 1);
+  duplicate[8] = duplicate[7];
+  status = tier.SealRun(duplicate);
+  EXPECT_EQ(status.code(), common::StatusCode::kInternal) << status.ToString();
+
+  EXPECT_EQ(tier.stats().generations, 0u) << "nothing was sealed";
+  EXPECT_EQ(tier.stats().runs, 0u);
+  SpillTier::EdgeData edge;
+  EXPECT_FALSE(tier.FindOnDisk(10, &edge));
+  EXPECT_TRUE(tier.status().ok()) << "a caller bug is not a sticky IO error";
+  ASSERT_TRUE(tier.SealRun(MakeEntries(10, 20, 1)).ok());
+  EXPECT_TRUE(tier.FindOnDisk(15, &edge));
+}
+
 TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
   FingerprintSet::Options options;
   options.spill_dir = TestDir("fpset_evict");
@@ -465,7 +492,10 @@ TEST(FpsetSpillTest, InsertOrDeferResolvesAgainstDiskInOneBatch) {
 TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
   FingerprintSet::Options options;
   options.spill_dir = TestDir("fpset_budget");
-  // ~96 bytes per record: a 4 KB budget forces eviction every ~42 inserts.
+  // One shard of 32-byte slots holds 112 records in 4 KB (128 slots at
+  // 7/8 load); the 113th doubles it past a 4 KB budget and forces an
+  // eviction.
+  options.num_shards = 1;
   options.memory_budget_bytes = 4 * 1024;
   FingerprintSet set(options);
 
@@ -481,7 +511,7 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
                                       "multiple spill generations";
   EXPECT_GE(stats.compactions, 1u);
   EXPECT_EQ(set.size(), 2'000u);
-  EXPECT_LE(set.hot_count() * 96, options.memory_budget_bytes + 96 * 64);
+  EXPECT_LE(set.table_bytes(), options.memory_budget_bytes);
   for (uint64_t fp = 1; fp <= 2'000; ++fp) {
     EXPECT_FALSE(set.Insert(fp, 0, 0, 0, 0, 0, nullptr).inserted);
   }

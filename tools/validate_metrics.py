@@ -13,8 +13,9 @@ Checks every file argument and exits nonzero on the first problem:
   SpanTracer::WriteChromeJson): every event needs name/ph/ts/dur/pid/tid,
   with ph == "X" and non-negative ts/dur.
 - Checker-family sanity (any snapshot containing checker.* metrics):
-  `checker.fingerprint.load` must be a finite non-negative gauge (the
-  sharded fingerprint table's aggregate records/buckets ratio) and
+  `checker.fingerprint.load` must be a finite gauge in [0, 0.875] (the
+  sharded fingerprint table's records per slot, which growth keeps at or
+  below 7/8) and
   `checker.workers.used` at least 1; `checker.worker<N>.expansions`
   per-worker counters must carry a well-formed worker index.
 - Value-family sanity (any snapshot containing value.intern.* metrics):
@@ -86,6 +87,9 @@ import json
 import re
 import sys
 
+# FingerprintSet doubles a shard's slot array before its load passes 7/8.
+MAX_FINGERPRINT_LOAD = 0.875
+
 
 def fail(path, message):
     print(f"validate_metrics: {path}: {message}", file=sys.stderr)
@@ -138,9 +142,9 @@ def validate_checker_family(path, metrics):
                 "checker.fingerprint.load must be a gauge")
         value = load.get("value")
         require(isinstance(value, (int, float)) and math.isfinite(value)
-                and value >= 0, path,
-                f"checker.fingerprint.load must be finite and >= 0, "
-                f"got {value!r}")
+                and 0 <= value <= MAX_FINGERPRINT_LOAD, path,
+                f"checker.fingerprint.load must be finite and in "
+                f"[0, {MAX_FINGERPRINT_LOAD}], got {value!r}")
     workers = metrics.get("checker.workers.used")
     if workers is not None:
         require(workers.get("kind") == "gauge", path,
