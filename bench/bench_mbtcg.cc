@@ -4,13 +4,11 @@
 // test cases", all of which passed, proving the TLA+ spec, the C++
 // implementation, and the Golang implementation agree.
 //
-// This bench runs the whole pipeline and times each stage, three ways:
+// This bench runs the whole pipeline and times each stage, two ways:
 //   1. a --workers scaling sweep (1/2/4) of the end-to-end generation,
 //      asserting every sweep point produces the identical case list;
-//   2. the --via-dot fidelity path at 1 worker, against the in-memory
-//      fast path (the serialize-parse round trip it replaces by default);
-//   3. an extraction micro-benchmark: repeated ExtractTestCases over the
-//      recorded graph, in-memory vs DOT-parsed.
+//   2. an extraction micro-benchmark: repeated ExtractTestCases over the
+//      recorded graph.
 // Then it executes the cases against BOTH merge implementations.
 
 #include <cstdio>
@@ -88,33 +86,10 @@ int main(int argc, char** argv) {
   bench.AddResult("speedup_w4",
                   w4_seconds > 0 ? baseline_seconds / w4_seconds : 0);
 
-  // --- In-memory vs the --via-dot round trip (1 worker) --------------------
-  {
-    mbtcg::GenerateOptions options;
-    options.via_dot = true;
-    std::vector<mbtcg::TestCase> dot_cases;
-    int64_t t0 = NowNs();
-    mbtcg::GenerationReport generation =
-        mbtcg::GenerateTestCases(config, &dot_cases, options);
-    const double seconds = Seconds(t0);
-    if (!generation.status.ok()) {
-      return bench.Fail(generation.status.ToString());
-    }
-    if (!SameCases(cases, dot_cases)) {
-      return bench.Fail("--via-dot case list diverged from in-memory path");
-    }
-    std::printf("generation --via-dot:     %.2f s (DOT dump %.1f MB; "
-                "in-memory path: %.2f s)\n\n",
-                seconds, static_cast<double>(generation.dot_bytes) / 1e6,
-                baseline_seconds);
-    bench.AddResult("via_dot_seconds", seconds);
-    bench.AddResult("dot_bytes", static_cast<double>(generation.dot_bytes));
-  }
-
   // --- Extraction micro-benchmark ------------------------------------------
   // Isolates the ExtractTestCases stage (pre-decoded labels, per-leaf
   // fan-out) from the model check: repeated extraction over one recorded
-  // graph, through both graph representations.
+  // graph.
   {
     specs::ArrayOtSpec spec(config);
     tlax::CheckerOptions checker_options;
@@ -122,9 +97,6 @@ int main(int argc, char** argv) {
     tlax::CheckResult checked =
         tlax::ModelChecker(checker_options).Check(spec);
     if (!checked.status.ok()) return bench.Fail(checked.status.ToString());
-    const std::string dot = checked.graph->ToDot(spec.variables());
-    auto parsed = mbtcg::ParseDot(dot);
-    if (!parsed.ok()) return bench.Fail(parsed.status().ToString());
 
     const int reps = bench.quick() ? 3 : 10;
     int64_t t0 = NowNs();
@@ -134,18 +106,10 @@ int main(int argc, char** argv) {
                                                config.num_clients);
       if (!extracted.ok()) return bench.Fail(extracted.status().ToString());
     }
-    const double inmem = Seconds(t0) / reps;
-    t0 = NowNs();
-    for (int r = 0; r < reps; ++r) {
-      auto extracted = mbtcg::ExtractTestCases(*parsed, config.num_clients);
-      if (!extracted.ok()) return bench.Fail(extracted.status().ToString());
-    }
-    const double from_dot = Seconds(t0) / reps;
-    std::printf("extraction (in-memory):   %.4f s/pass over %d pass(es)\n",
-                inmem, reps);
-    std::printf("extraction (DOT graph):   %.4f s/pass\n\n", from_dot);
-    bench.AddResult("extract_inmem_seconds", inmem);
-    bench.AddResult("extract_dot_seconds", from_dot);
+    const double per_pass = Seconds(t0) / reps;
+    std::printf("extraction:               %.4f s/pass over %d pass(es)\n\n",
+                per_pass, reps);
+    bench.AddResult("extract_seconds", per_pass);
   }
 
   // --- Execute against both implementations --------------------------------

@@ -1,6 +1,6 @@
 // Model-based test-case generation, end to end (§5.2): explore the
-// array_ot specification, dump the state graph as DOT, parse it back,
-// extract one test case per fully-merged leaf, write a compilable gtest
+// array_ot specification recording its state graph, extract one test
+// case per fully-merged leaf straight from that in-memory graph, write a compilable gtest
 // file to disk, and run every case in-process against both the C++ and
 // the "Golang" merge-rule implementations.
 //
@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("explored %llu spec states; %zu test cases extracted from "
-              "the %0.1f MB DOT dump\n",
+              "the recorded state graph\n",
               static_cast<unsigned long long>(report.spec_states),
-              cases.size(), static_cast<double>(report.dot_bytes) / 1e6);
+              cases.size());
 
   // Write the generated gtest source (all 4,913 tests).
   std::string path = out_dir + "/generated_transform_test.cc";

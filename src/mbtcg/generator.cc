@@ -41,21 +41,9 @@ GenerationReport GenerateTestCases(const specs::ArrayOtConfig& config,
 
   common::MonotonicClock* clock = common::MonotonicClock::Real();
   const int64_t extract_start_ns = clock->NowNanos();
-  common::Result<std::vector<TestCase>> extracted = [&] {
-    if (options.via_dot) {
-      // TLC's `-dump dot` stage, then the parse-it-back stage.
-      std::string dot = checked.graph->ToDot(spec.variables());
-      report.dot_bytes = dot.size();
-      common::Result<DotGraph> graph = ParseDot(dot);
-      if (!graph.ok()) {
-        return common::Result<std::vector<TestCase>>(graph.status());
-      }
-      return ExtractTestCases(*graph, config.num_clients,
-                              options.num_workers);
-    }
-    return ExtractTestCases(*checked.graph, spec.variables(),
-                            config.num_clients, options.num_workers);
-  }();
+  common::Result<std::vector<TestCase>> extracted =
+      ExtractTestCases(*checked.graph, spec.variables(), config.num_clients,
+                       options.num_workers);
   report.extract_seconds =
       static_cast<double>(clock->NowNanos() - extract_start_ns) * 1e-9;
   if (!extracted.ok()) {

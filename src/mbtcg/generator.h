@@ -17,12 +17,6 @@ struct GenerateOptions {
   /// fan-out (0 = one per hardware thread). Output is identical at every
   /// worker count.
   int num_workers = 1;
-  /// Route the recorded graph through the DOT serialize-parse round trip
-  /// (the paper's textual pipeline, TLC's `-dump dot`) instead of handing
-  /// the in-memory graph straight to extraction. The two paths produce
-  /// identical cases in identical order; via_dot exists as the fidelity
-  /// mode and costs a full text round trip per run.
-  bool via_dot = false;
 };
 
 /// Statistics from one end-to-end MBTCG run.
@@ -30,13 +24,10 @@ struct GenerationReport {
   common::Status status;
   uint64_t spec_states = 0;
   double model_check_seconds = 0;
-  /// Size of the DOT dump; 0 on the in-memory (default) path.
-  size_t dot_bytes = 0;
   size_t num_cases = 0;
   /// Initial nodes of the recorded graph (extraction roots).
   size_t roots = 0;
-  /// Wall time of the extraction stage (DOT round trip included when
-  /// via_dot is set).
+  /// Wall time of the extraction stage.
   double extract_seconds = 0;
   /// Exploration workers the model-check stage actually used (after
   /// resolving num_workers == 0 to the hardware thread count).
@@ -45,8 +36,9 @@ struct GenerationReport {
 
 /// The paper's §5.2 pipeline, end to end: model-check the array_ot spec
 /// recording the state graph, then extract one test case per fully-merged
-/// leaf state — by default straight from the in-memory graph, or through
-/// the DOT dump-and-parse round trip under GenerateOptions::via_dot.
+/// leaf state straight from the in-memory graph. The paper parsed TLC's DOT
+/// dump back because TLC ran as a separate process; here checker and
+/// extractor share one, so the graph is handed over directly.
 GenerationReport GenerateTestCases(const specs::ArrayOtConfig& config,
                                    std::vector<TestCase>* cases,
                                    const GenerateOptions& options = {});

@@ -4,12 +4,11 @@
 // regenerate the full 4,913-case file.
 //
 // Usage: mbtcg_gen <output.cc> [max_cases] [--swap] [--descending]
-//                  [--via-dot] [--workers=N] [--metrics-out=FILE]
+//                  [--workers=N] [--metrics-out=FILE]
 //
-// max_cases (0 = all) samples every k-th case. --via-dot routes
-// extraction through the DOT serialize-parse round trip (the paper's
-// textual pipeline) instead of the in-memory fast path. It also takes
-// the shared flags --workers, which drives both the graph-recording model
+// max_cases (0 = all) samples every k-th case. Cases are extracted
+// straight from the checker's in-memory state graph. It also takes the
+// shared flags --workers, which drives both the graph-recording model
 // check and the per-leaf extraction fan-out (0 = one per hardware
 // thread; the generated file is identical at every worker count), and
 // --metrics-out; README.md "Shared flags" lists them all. An unknown
@@ -34,7 +33,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: %s <output.cc> [max_cases] [--swap] [--descending] "
-                 "[--via-dot] [--workers=N] [--metrics-out=FILE]\n",
+                 "[--workers=N] [--metrics-out=FILE]\n",
                  argv[0]);
     return 2;
   }
@@ -49,8 +48,6 @@ int main(int argc, char** argv) {
       config.include_swap = true;
     } else if (arg == "--descending") {
       config.merge_descending = true;
-    } else if (arg == "--via-dot") {
-      gen_options.via_dot = true;
     } else if (!arg.empty() && arg[0] != '-') {
       return xmodel::common::ParseIntegerFlag(
           "max_cases", arg, size_t{0}, std::numeric_limits<size_t>::max(),
@@ -100,12 +97,11 @@ int main(int argc, char** argv) {
   }
   out << xmodel::mbtcg::GenerateCppTestFile(selected);
   std::fprintf(stderr,
-               "mbtcg_gen: explored %llu states (%d worker%s%s), generated "
+               "mbtcg_gen: explored %llu states (%d worker%s), generated "
                "%zu cases, emitted %zu tests to %s\n",
                static_cast<unsigned long long>(report.spec_states),
                report.workers_used, report.workers_used == 1 ? "" : "s",
-               gen_options.via_dot ? ", via DOT" : "", report.num_cases,
-               selected.size(), out_path);
+               report.num_cases, selected.size(), out_path);
 
   auto& registry = xmodel::obs::MetricsRegistry::Global();
   registry.GetCounter("mbtcg.states.explored").Increment(report.spec_states);

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstddef>
-#include <unordered_map>
 #include <utility>
 
 #include "common/hash.h"
@@ -74,127 +74,74 @@ uint64_t FingerprintCase(const TestCase& c) {
   return h;
 }
 
-// The extraction engine's representation-neutral view of a state graph:
-// dense node indices 0..n-1, adjacency with action labels pre-resolved to
-// ranks in the sorted unique label table (one decode pass over the edges,
-// instead of re-touching label strings inside every path walk), and the
-// initial nodes in declaration order. Building the action table from
-// *labels* — not raw action indices — is what keeps the in-memory and
-// DOT round-trip pipelines byte-compatible: the rank of a label is the
-// same whichever representation carried it.
+// The extraction engine's view of the recorded graph: adjacency with
+// action labels pre-resolved to ranks in the sorted unique label table (one
+// decode pass over the edges, instead of re-touching label strings inside
+// every path walk), and the initial nodes in declaration order.
 struct DecodedGraph {
-  std::vector<uint32_t> ids;  // dense index -> original node id (ascending).
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>>
-      adj;                      // dense from -> [(dense to, action rank)].
-  std::vector<uint32_t> roots;  // dense, in declared initial order.
-  std::vector<std::string> actions;  // rank -> label (sorted unique).
+      adj;                      // from -> [(to, action rank)].
+  std::vector<uint32_t> roots;  // In declared initial order.
 };
 
-// Representation adapter: read one named variable of one node.
-class VarView {
+// Reads the variables extraction needs from recorded states. Their indices
+// are resolved once from the spec's variable names; a variable the spec
+// does not declare, or a state too short to hold it, reads as null.
+class StateVarView {
  public:
-  virtual ~VarView() = default;
-  // Null when the node carries no such variable.
-  virtual const Value* Var(uint32_t dense, const std::string& name) const = 0;
-};
+  enum Var { kErr, kClientLog, kAppliedOps, kServerState, kNumVars };
 
-class DotVarView : public VarView {
- public:
-  DotVarView(const DotGraph& graph, const DecodedGraph& decoded)
-      : graph_(graph), decoded_(decoded) {}
-  const Value* Var(uint32_t dense, const std::string& name) const override {
-    const DotGraph::Node& node = graph_.nodes.at(decoded_.ids[dense]);
-    auto it = node.vars.find(name);
-    return it == node.vars.end() ? nullptr : &it->second;
-  }
-
- private:
-  const DotGraph& graph_;
-  const DecodedGraph& decoded_;
-};
-
-class StateVarView : public VarView {
- public:
   StateVarView(const tlax::StateGraph& graph,
                const std::vector<std::string>& variables)
       : graph_(graph) {
-    for (size_t i = 0; i < variables.size(); ++i) index_[variables[i]] = i;
+    static constexpr const char* kNames[kNumVars] = {
+        "err", "clientLog", "appliedOps", "serverState"};
+    for (int v = 0; v < kNumVars; ++v) {
+      auto it = std::find(variables.begin(), variables.end(), kNames[v]);
+      index_[v] = it == variables.end()
+                      ? SIZE_MAX
+                      : static_cast<size_t>(it - variables.begin());
+    }
   }
-  const Value* Var(uint32_t dense, const std::string& name) const override {
-    auto it = index_.find(name);
-    if (it == index_.end()) return nullptr;
-    const tlax::State& s = graph_.state(dense);
-    return it->second < s.num_vars() ? &s.var(it->second) : nullptr;
+
+  const Value* Get(uint32_t node, Var var) const {
+    const tlax::State& s = graph_.state(node);
+    return index_[var] < s.num_vars() ? &s.var(index_[var]) : nullptr;
   }
 
  private:
   const tlax::StateGraph& graph_;
-  std::unordered_map<std::string, size_t> index_;
+  size_t index_[kNumVars];
 };
 
-void RankLabels(std::vector<std::string>* labels) {
-  // Sort-dedup in place; callers rank via binary search.
-  std::sort(labels->begin(), labels->end());
-  labels->erase(std::unique(labels->begin(), labels->end()), labels->end());
-}
-
-uint32_t RankOf(const std::vector<std::string>& table,
-                const std::string& label) {
-  return static_cast<uint32_t>(
-      std::lower_bound(table.begin(), table.end(), label) - table.begin());
-}
-
-Result<DecodedGraph> DecodeDot(const DotGraph& graph) {
-  DecodedGraph d;
-  std::unordered_map<uint32_t, uint32_t> dense;
-  dense.reserve(graph.nodes.size());
-  for (const auto& [id, node] : graph.nodes) {  // std::map: ascending ids.
-    dense.emplace(id, static_cast<uint32_t>(d.ids.size()));
-    d.ids.push_back(id);
-  }
-  for (const DotGraph::Edge& e : graph.edges) d.actions.push_back(e.action);
-  RankLabels(&d.actions);
-  d.adj.resize(d.ids.size());
-  for (const DotGraph::Edge& e : graph.edges) {
-    auto from = dense.find(e.from);
-    auto to = dense.find(e.to);
-    if (from == dense.end() || to == dense.end()) {
-      return Status::Corruption(
-          StrCat("edge ", e.from, " -> ", e.to, " names an unlabeled node"));
-    }
-    d.adj[from->second].emplace_back(to->second, RankOf(d.actions, e.action));
-  }
-  for (uint32_t id : graph.initial) {
-    auto it = dense.find(id);
-    if (it == dense.end()) {
-      return Status::Corruption("initial node has no label");
-    }
-    d.roots.push_back(it->second);
-  }
-  return d;
-}
-
 std::string ActionLabel(const std::vector<std::string>& names, uint16_t a) {
-  // Mirror of StateGraph::ToDot's labeling, including its fallback.
   return a < names.size() ? names[a] : StrCat("action", a);
 }
 
+// Ranks actions by their label in the sorted unique label table: that rank
+// is the path key that orders the emitted cases.
 DecodedGraph DecodeStateGraph(const tlax::StateGraph& graph) {
-  DecodedGraph d;
   const size_t n = graph.num_states();
-  d.ids.resize(n);
-  for (uint32_t i = 0; i < n; ++i) d.ids[i] = i;
   const std::vector<std::string>& names = graph.action_names();
+  std::vector<std::string> labels;
   for (uint32_t from = 0; from < n; ++from) {
     for (const tlax::StateGraph::Edge& e : graph.out_edges(from)) {
-      d.actions.push_back(ActionLabel(names, e.action));
+      labels.push_back(ActionLabel(names, e.action));
     }
   }
-  RankLabels(&d.actions);
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  auto rank_of = [&labels](const std::string& label) {
+    return static_cast<uint32_t>(
+        std::lower_bound(labels.begin(), labels.end(), label) -
+        labels.begin());
+  };
+
+  DecodedGraph d;
   d.adj.resize(n);
   for (uint32_t from = 0; from < n; ++from) {
     for (const tlax::StateGraph::Edge& e : graph.out_edges(from)) {
-      d.adj[from].emplace_back(e.to, RankOf(d.actions, ActionLabel(names, e.action)));
+      d.adj[from].emplace_back(e.to, rank_of(ActionLabel(names, e.action)));
     }
   }
   for (uint32_t id : graph.initial_states()) d.roots.push_back(id);
@@ -205,18 +152,19 @@ DecodedGraph DecodeStateGraph(const tlax::StateGraph& graph) {
 // `path` is the action-rank sequence of the BFS-shortest path from the
 // root — with the decoded adjacency fixed, it is a pure function of the
 // graph, so sorting items by (root, path, leaf id) gives an output order
-// independent of both worker count and representation.
+// independent of worker count.
 struct WorkItem {
   size_t root_ordinal = 0;
   std::vector<uint32_t> path;
-  uint32_t leaf = 0;  // dense
+  uint32_t leaf = 0;
 };
 
 std::vector<WorkItem> EnumerateLeaves(const DecodedGraph& d) {
   constexpr uint32_t kNone = UINT32_MAX;
-  std::vector<uint32_t> parent(d.ids.size(), kNone);
-  std::vector<uint32_t> via(d.ids.size(), 0);
-  std::vector<char> visited(d.ids.size(), 0);
+  const size_t n = d.adj.size();
+  std::vector<uint32_t> parent(n, kNone);
+  std::vector<uint32_t> via(n, 0);
+  std::vector<char> visited(n, 0);
   std::vector<WorkItem> items;
   std::vector<uint32_t> queue;
   for (size_t r = 0; r < d.roots.size(); ++r) {
@@ -246,37 +194,37 @@ std::vector<WorkItem> EnumerateLeaves(const DecodedGraph& d) {
     }
   }
   std::sort(items.begin(), items.end(),
-            [&d](const WorkItem& a, const WorkItem& b) {
+            [](const WorkItem& a, const WorkItem& b) {
               if (a.root_ordinal != b.root_ordinal) {
                 return a.root_ordinal < b.root_ordinal;
               }
               if (a.path != b.path) return a.path < b.path;
-              return d.ids[a.leaf] < d.ids[b.leaf];
+              return a.leaf < b.leaf;
             });
   return items;
 }
 
 // Extracts the case for one leaf; sets *skip when the leaf is poisoned
 // (err = TRUE: a non-terminating merge produces no test case).
-Status ExtractOne(const VarView& view, uint32_t leaf,
+Status ExtractOne(const StateVarView& view, uint32_t leaf,
                   const ot::Array& initial, int num_clients, TestCase* out,
                   bool* skip) {
-  const Value* err = view.Var(leaf, "err");
+  const Value* err = view.Get(leaf, StateVarView::kErr);
   if (err == nullptr) return Status::Corruption("leaf lacks variable err");
   if (err->is_bool() && err->bool_value()) {
     *skip = true;
     return Status::OK();
   }
 
-  const Value* client_log = view.Var(leaf, "clientLog");
+  const Value* client_log = view.Get(leaf, StateVarView::kClientLog);
   if (client_log == nullptr) {
     return Status::Corruption("leaf lacks variable clientLog");
   }
-  const Value* applied = view.Var(leaf, "appliedOps");
+  const Value* applied = view.Get(leaf, StateVarView::kAppliedOps);
   if (applied == nullptr) {
     return Status::Corruption("leaf lacks variable appliedOps");
   }
-  const Value* server_state = view.Var(leaf, "serverState");
+  const Value* server_state = view.Get(leaf, StateVarView::kServerState);
   if (server_state == nullptr) {
     return Status::Corruption("leaf lacks variable serverState");
   }
@@ -313,16 +261,21 @@ Status ExtractOne(const VarView& view, uint32_t leaf,
   return Status::OK();
 }
 
-Result<std::vector<TestCase>> ExtractCore(const VarView& view,
-                                          const DecodedGraph& decoded,
-                                          int num_clients, int num_workers) {
+}  // namespace
+
+Result<std::vector<TestCase>> ExtractTestCases(
+    const tlax::StateGraph& graph, const std::vector<std::string>& variables,
+    int num_clients, int num_workers) {
+  const DecodedGraph decoded = DecodeStateGraph(graph);
+  const StateVarView view(graph, variables);
   if (decoded.roots.empty()) {
     return Status::Corruption("graph has no initial node");
   }
   // Each root's initial array is parsed once, serially, up front.
   std::vector<ot::Array> initials(decoded.roots.size());
   for (size_t r = 0; r < decoded.roots.size(); ++r) {
-    const Value* server_state = view.Var(decoded.roots[r], "serverState");
+    const Value* server_state =
+        view.Get(decoded.roots[r], StateVarView::kServerState);
     if (server_state == nullptr) {
       return Status::Corruption("initial node lacks serverState");
     }
@@ -366,25 +319,6 @@ Result<std::vector<TestCase>> ExtractCore(const VarView& view,
     if (filled[i]) cases.push_back(std::move(slots[i]));
   }
   return cases;
-}
-
-}  // namespace
-
-Result<std::vector<TestCase>> ExtractTestCases(const DotGraph& graph,
-                                               int num_clients,
-                                               int num_workers) {
-  Result<DecodedGraph> decoded = DecodeDot(graph);
-  if (!decoded.ok()) return decoded.status();
-  DotVarView view(graph, *decoded);
-  return ExtractCore(view, *decoded, num_clients, num_workers);
-}
-
-Result<std::vector<TestCase>> ExtractTestCases(
-    const tlax::StateGraph& graph, const std::vector<std::string>& variables,
-    int num_clients, int num_workers) {
-  DecodedGraph decoded = DecodeStateGraph(graph);
-  StateVarView view(graph, variables);
-  return ExtractCore(view, decoded, num_clients, num_workers);
 }
 
 }  // namespace xmodel::mbtcg

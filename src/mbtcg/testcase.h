@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "mbtcg/dot_parser.h"
 #include "ot/operation.h"
 #include "tlax/state_graph.h"
 
@@ -30,25 +29,15 @@ struct TestCase {
 };
 
 /// Extracts one test case per terminal (fully-merged) node of the explored
-/// array_ot state graph.
-///
-/// Both overloads run the same engine over a pre-decoded view of the graph
-/// (dense node ids, action labels resolved to ranks in the sorted unique
-/// label table in one pass over the edges), so the in-memory and DOT
-/// round-trip pipelines produce identical cases in identical order:
-/// cases are sorted by (root, path key, leaf id) where the path key is the
-/// action-rank sequence of the leaf's BFS-shortest path from the first
-/// initial node that reaches it. Extraction over the terminal leaves is
-/// fanned out over `num_workers` threads (0 = hardware concurrency); the
-/// output is worker-count invariant.
-
-/// DOT round-trip form, fed by ParseDot (the paper's textual pipeline).
-common::Result<std::vector<TestCase>> ExtractTestCases(const DotGraph& graph,
-                                                       int num_clients,
-                                                       int num_workers = 1);
-
-/// In-memory form, fed directly by the checker's recorded graph.
+/// array_ot state graph, read straight from the checker's recorded graph.
 /// `variables` names the state variables by index (Spec::variables()).
+///
+/// Action labels are resolved once to ranks in the sorted unique label
+/// table, and cases are sorted by (root, path key, leaf id), where the path
+/// key is the action-rank sequence of the leaf's BFS-shortest path from the
+/// first initial node that reaches it. Extraction over the terminal leaves
+/// is fanned out over `num_workers` threads (0 = hardware concurrency); the
+/// output is worker-count invariant.
 common::Result<std::vector<TestCase>> ExtractTestCases(
     const tlax::StateGraph& graph, const std::vector<std::string>& variables,
     int num_clients, int num_workers = 1);

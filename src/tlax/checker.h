@@ -99,7 +99,8 @@ struct CheckerOptions {
   std::shared_ptr<const ActionIndependence> independence;
   /// Interval-driven progress telemetry (TLC's periodic status lines).
   /// Off by default: when null, the checker's only mid-run clock reads are
-  /// the per-level profiler stamps (see profile_workers). When set,
+  /// the worker idle-time profiler's stamps (see
+  /// CheckResult::worker_busy_ms). When set,
   /// Report() is called roughly every progress_interval_ms (polled every
   /// few thousand expansions, so lines can lag on very slow specs) and
   /// once at the end with final_report set.
@@ -108,21 +109,6 @@ struct CheckerOptions {
   /// Wall-time source for seconds/progress pacing; null = the process
   /// steady clock. Tests inject a FakeMonotonicClock for determinism.
   common::MonotonicClock* clock = nullptr;
-  /// Publish end-of-run counters/gauges (checker.* family) to
-  /// obs::MetricsRegistry::Global(). Cheap: a handful of atomic adds per
-  /// Check() call, nothing per state.
-  bool publish_metrics = true;
-  /// Worker idle-time profiler: two clock stamps per worker per level
-  /// (drain start/end) charge each worker's wall time to expansion work
-  /// vs. waiting at the level barrier, plus one stamp pair around the
-  /// serial barrier settle. Purely observational — it never touches
-  /// exploration order, so results stay bit-identical across worker
-  /// counts — and cheap enough to leave on (two steady-clock reads per
-  /// worker per BFS level). Fills CheckResult::worker_busy_ms /
-  /// worker_barrier_wait_ms / barrier_idle_fraction and, under
-  /// publish_metrics, the checker.worker<N>.{busy_ms,barrier_wait_ms}
-  /// gauges and the checker.barrier.idle_fraction aggregate.
-  bool profile_workers = true;
   /// Liveness watchdog: when set, the checker heartbeats it at every
   /// level barrier, so /healthz can detect a wedged run (a level that
   /// never completes) from outside. Null = no heartbeats.
@@ -229,10 +215,16 @@ struct CheckResult {
   /// BFS levels fully drained (the diameter plus the final empty-frontier
   /// level check; 0 when an initial state already violates).
   uint64_t levels_completed = 0;
-  /// Worker idle-time profile (see CheckerOptions::profile_workers; empty
-  /// when profiling is off). busy is the in-level expansion span; wait is
-  /// the gap between a worker finishing its share of a level and the
-  /// slowest worker finishing (fork-join imbalance), summed over levels.
+  /// Worker idle-time profile, always collected: two clock stamps per
+  /// worker per level (drain start/end) charge each worker's wall time to
+  /// expansion work vs. waiting at the level barrier, plus one stamp pair
+  /// around the serial barrier settle. Purely observational — it never
+  /// touches exploration order, so results stay bit-identical across
+  /// worker counts. busy is the in-level expansion span; wait is the gap
+  /// between a worker finishing its share of a level and the slowest
+  /// worker finishing (fork-join imbalance), summed over levels. Also
+  /// published as the checker.worker<N>.{busy_ms,barrier_wait_ms} gauges
+  /// and the checker.barrier.idle_fraction aggregate.
   std::vector<double> worker_busy_ms;
   std::vector<double> worker_barrier_wait_ms;
   /// Serial time spent inside level barriers (merge + settle), total.
@@ -319,6 +311,10 @@ class ModelChecker {
  public:
   explicit ModelChecker(CheckerOptions options = {}) : options_(options) {}
 
+  /// Explores `spec`. Every run also publishes its counters and gauges
+  /// (the checker.* family) to obs::MetricsRegistry::Global(): at each
+  /// level barrier or relaxed batch, and the remainder at the end, so the
+  /// totals reconcile exactly with the CheckResult.
   CheckResult Check(const Spec& spec) const;
 
  private:

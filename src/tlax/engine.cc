@@ -250,7 +250,7 @@ common::Status EngineBase::ResumeCommon(CheckpointManifest* manifest) {
 
 void EngineBase::FlushSpillMetrics(uint64_t frontier_segments_total) {
   frontier_segments_total_ = frontier_segments_total;
-  if (!spill_enabled_ || !options_.publish_metrics) return;
+  if (!spill_enabled_) return;
   const SpillTier::Stats stats = fpset_.spill_stats();
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("checker.spill.bytes")
@@ -288,31 +288,47 @@ void EngineBase::CleanupSpillDir() {
 }
 
 bool EngineBase::SeedInitial(std::vector<LevelEntry>* level) {
+  struct Seed {
+    State state;
+    uint64_t fp;
+    uint64_t key;
+  };
+  std::vector<Seed> seeds;
+  std::vector<uint64_t> fps;
   uint64_t ordinal = 0;
   for (State& raw_init : spec_.InitialStates()) {
     ++result_.generated_states;
     State init = spec_.Canonicalize(raw_init);
     const uint64_t fp = Fingerprint(init);
     const uint64_t key = ordinal++;
-    FpInsert ins =
-        fpset_.Insert(fp, 0, kFpInitialAction, 0, key, 0, &init);
-    if (!ins.inserted) continue;
-    initial_by_fp_.emplace(fp, init);
-    const bool constrained = spec_.WithinConstraint(init);
+    FpInsert ins = fpset_.Insert(fp, 0, kFpInitialAction, 0, key, 0, &init);
+    if (!ins.inserted && !ins.pending) continue;
+    fps.push_back(fp);
+    seeds.push_back(Seed{std::move(init), fp, key});
+  }
+  // With a spill tier every new seed is pending; one batch settles them.
+  std::vector<uint8_t> on_disk;
+  fpset_.ResolvePending(fps, &on_disk);
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    if (on_disk[i] != 0) continue;
+    Seed& seed = seeds[i];
+    initial_by_fp_.emplace(seed.fp, seed.state);
+    const bool constrained = spec_.WithinConstraint(seed.state);
     uint32_t gid = StateGraph::kNoId;
     if (result_.graph) {
-      gid = result_.graph->RegisterSeed(fp, init, constrained);
+      gid = result_.graph->RegisterSeed(seed.fp, seed.state, constrained);
     }
     if (!constrained) continue;
     for (const Invariant& inv : invariants_) {
-      if (!inv.predicate(init)) {
+      if (!inv.predicate(seed.state)) {
         result_.violation = Violation{
             inv.name,
-            {TraceStep{"Initial predicate", init}}};
+            {TraceStep{"Initial predicate", seed.state}}};
         return false;
       }
     }
-    level->push_back(LevelEntry{std::move(init), fp, 0, key, gid});
+    level->push_back(
+        LevelEntry{std::move(seed.state), seed.fp, 0, seed.key, gid});
   }
   return true;
 }
@@ -325,6 +341,24 @@ void EngineBase::CheckInvariants(const State& state, uint64_t fp,
       return;
     }
   }
+}
+
+bool EngineBase::AdmitNew(State&& state, uint64_t fp, int64_t depth,
+                          uint64_t key, Scratch& s) {
+  if (fpset_.size() > options_.max_distinct_states) {
+    abort_max_.store(true, std::memory_order_relaxed);
+    return false;
+  }
+  const bool constrained = spec_.WithinConstraint(state);
+  if (result_.graph) result_.graph->RecordNode(fp, state, constrained);
+  // Invariants are checked on every distinct state, including states
+  // outside the constraint (TLC checks invariants before applying
+  // CONSTRAINT to decide on expansion).
+  CheckInvariants(state, fp, key, s);
+  if (constrained) {
+    s.next.push_back(LevelEntry{std::move(state), fp, depth, key});
+  }
+  return true;
 }
 
 void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
@@ -367,37 +401,20 @@ void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
       State succ = spec_.Canonicalize(successors[si]);
       const uint64_t fp = Fingerprint(succ);
       const uint64_t key = EventKey(pos, ai, si - before);
-      if (spill_enabled_) {
-        // Out-of-core fast path: a hot-table miss defers its disk probe —
-        // the successor parks in s.pending until ResolvePendingProbes
-        // settles the whole batch with one sorted sweep. POR / graph /
-        // audit never coexist with spilling (see spill_enabled_ gating),
-        // so the branches below have nothing to do for this successor.
-        FpInsert ins = fpset_.InsertOrDefer(
-            fp, entry.fp, ai, entry.depth + 1, key, succ_sleep, &succ);
-        if (ins.pending) {
-          s.pending.push_back(
-              PendingSuccessor{std::move(succ), fp, key, entry.depth + 1});
-        }
-        continue;
-      }
       FpInsert ins = fpset_.Insert(fp, entry.fp, ai, entry.depth + 1, key,
                                    succ_sleep, &succ);
-      bool enqueue = false;
+      if (ins.pending) {
+        // Out-of-core: the hot-table miss deferred its disk probe — the
+        // successor parks in s.pending until ResolvePendingProbes settles
+        // the whole batch with one sorted sweep. POR / graph / audit never
+        // coexist with spilling (see spill_enabled_ gating), so the
+        // branches below have nothing to do for this successor.
+        s.pending.push_back(
+            PendingSuccessor{std::move(succ), fp, key, entry.depth + 1});
+        continue;
+      }
       if (ins.inserted) {
-        if (fpset_.size() > options_.max_distinct_states) {
-          abort_max_.store(true, std::memory_order_relaxed);
-          return;
-        }
-        const bool constrained = spec_.WithinConstraint(succ);
-        if (result_.graph) {
-          result_.graph->RecordNode(fp, succ, constrained);
-        }
-        // Invariants are checked on every distinct state, including
-        // states outside the constraint (TLC checks invariants before
-        // applying CONSTRAINT to decide on expansion).
-        CheckInvariants(succ, fp, key, s);
-        enqueue = constrained;
+        if (!AdmitNew(std::move(succ), fp, entry.depth + 1, key, s)) return;
       } else if (use_sleep_sets_ && relaxed_ && ins.wake) {
         // Barrier-free POR: the insert settled a shrink that uncovered
         // unexpanded work and claimed the queued flag — this worker owns
@@ -415,10 +432,6 @@ void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
       }
       if (result_.graph && entry.gid != StateGraph::kNoId) {
         result_.graph->RecordEdge(worker, entry.gid, fp, ai);
-      }
-      if (enqueue) {
-        s.next.push_back(
-            LevelEntry{std::move(succ), fp, entry.depth + 1, key});
       }
     }
   }
@@ -452,17 +465,7 @@ void EngineBase::ResolvePendingProbes(Scratch& s) {
   for (size_t i = 0; i < s.pending.size(); ++i) {
     if (s.pending_on_disk[i] != 0) continue;  // Revisit of a spilled state.
     PendingSuccessor& p = s.pending[i];
-    if (fpset_.size() > options_.max_distinct_states) {
-      abort_max_.store(true, std::memory_order_relaxed);
-      break;
-    }
-    const bool constrained = spec_.WithinConstraint(p.state);
-    // Invariants are checked on every distinct state, constrained or not,
-    // exactly as on the inline insert path.
-    CheckInvariants(p.state, p.fp, p.key, s);
-    if (constrained) {
-      s.next.push_back(LevelEntry{std::move(p.state), p.fp, p.depth, p.key});
-    }
+    if (!AdmitNew(std::move(p.state), p.fp, p.depth, p.key, s)) break;
   }
   s.pending.clear();
 }
@@ -574,48 +577,45 @@ CheckResult EngineBase::Finish(common::Status status) {
           scratch_[static_cast<size_t>(w)].steals);
     }
   }
-  if (options_.profile_workers) {
-    result_.worker_busy_ms.reserve(static_cast<size_t>(workers_));
-    double busy_ms_total = 0;
-    if (!relaxed_) {
-      double wait_ms_total = 0;
-      result_.worker_barrier_wait_ms.reserve(static_cast<size_t>(workers_));
-      for (int w = 0; w < workers_; ++w) {
-        const Scratch& s = scratch_[static_cast<size_t>(w)];
-        const double busy_ms = static_cast<double>(s.busy_ns) * 1e-6;
-        const double wait_ms = static_cast<double>(s.barrier_wait_ns) * 1e-6;
-        result_.worker_busy_ms.push_back(busy_ms);
-        result_.worker_barrier_wait_ms.push_back(wait_ms);
-        busy_ms_total += busy_ms;
-        wait_ms_total += wait_ms;
-      }
-      result_.barrier_settle_ms = static_cast<double>(settle_ns_) * 1e-6;
-      // Serial settle work stalls all W workers at once, so it contributes
-      // W-fold to the fleet's idle wall time.
-      const double idle_ms =
-          wait_ms_total + result_.barrier_settle_ms * workers_;
-      const double total_ms = busy_ms_total + idle_ms;
-      result_.barrier_idle_fraction = total_ms > 0 ? idle_ms / total_ms : 0;
-      result_.idle_fraction = result_.barrier_idle_fraction;
-    } else {
-      // No barriers: idle time is steal probing plus starvation spinning.
-      double idle_ms_total = 0;
-      result_.worker_steal_ms.reserve(static_cast<size_t>(workers_));
-      result_.worker_starve_ms.reserve(static_cast<size_t>(workers_));
-      for (int w = 0; w < workers_; ++w) {
-        const Scratch& s = scratch_[static_cast<size_t>(w)];
-        const double busy_ms = static_cast<double>(s.busy_ns) * 1e-6;
-        const double steal_ms = static_cast<double>(s.steal_ns) * 1e-6;
-        const double starve_ms = static_cast<double>(s.starve_ns) * 1e-6;
-        result_.worker_busy_ms.push_back(busy_ms);
-        result_.worker_steal_ms.push_back(steal_ms);
-        result_.worker_starve_ms.push_back(starve_ms);
-        busy_ms_total += busy_ms;
-        idle_ms_total += steal_ms + starve_ms;
-      }
-      const double total_ms = busy_ms_total + idle_ms_total;
-      result_.idle_fraction = total_ms > 0 ? idle_ms_total / total_ms : 0;
+  result_.worker_busy_ms.reserve(static_cast<size_t>(workers_));
+  double busy_ms_total = 0;
+  if (!relaxed_) {
+    double wait_ms_total = 0;
+    result_.worker_barrier_wait_ms.reserve(static_cast<size_t>(workers_));
+    for (int w = 0; w < workers_; ++w) {
+      const Scratch& s = scratch_[static_cast<size_t>(w)];
+      const double busy_ms = static_cast<double>(s.busy_ns) * 1e-6;
+      const double wait_ms = static_cast<double>(s.barrier_wait_ns) * 1e-6;
+      result_.worker_busy_ms.push_back(busy_ms);
+      result_.worker_barrier_wait_ms.push_back(wait_ms);
+      busy_ms_total += busy_ms;
+      wait_ms_total += wait_ms;
     }
+    result_.barrier_settle_ms = static_cast<double>(settle_ns_) * 1e-6;
+    // Serial settle work stalls all W workers at once, so it contributes
+    // W-fold to the fleet's idle wall time.
+    const double idle_ms = wait_ms_total + result_.barrier_settle_ms * workers_;
+    const double total_ms = busy_ms_total + idle_ms;
+    result_.barrier_idle_fraction = total_ms > 0 ? idle_ms / total_ms : 0;
+    result_.idle_fraction = result_.barrier_idle_fraction;
+  } else {
+    // No barriers: idle time is steal probing plus starvation spinning.
+    double idle_ms_total = 0;
+    result_.worker_steal_ms.reserve(static_cast<size_t>(workers_));
+    result_.worker_starve_ms.reserve(static_cast<size_t>(workers_));
+    for (int w = 0; w < workers_; ++w) {
+      const Scratch& s = scratch_[static_cast<size_t>(w)];
+      const double busy_ms = static_cast<double>(s.busy_ns) * 1e-6;
+      const double steal_ms = static_cast<double>(s.steal_ns) * 1e-6;
+      const double starve_ms = static_cast<double>(s.starve_ns) * 1e-6;
+      result_.worker_busy_ms.push_back(busy_ms);
+      result_.worker_steal_ms.push_back(steal_ms);
+      result_.worker_starve_ms.push_back(starve_ms);
+      busy_ms_total += busy_ms;
+      idle_ms_total += steal_ms + starve_ms;
+    }
+    const double total_ms = busy_ms_total + idle_ms_total;
+    result_.idle_fraction = total_ms > 0 ? idle_ms_total / total_ms : 0;
   }
   if (report_progress_) {
     obs::CheckerProgress p;
@@ -633,109 +633,98 @@ CheckResult EngineBase::Finish(common::Status status) {
     p.final_report = true;
     options_.progress_reporter->Report(p);
   }
-  if (options_.publish_metrics) {
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("checker.runs.completed").Increment();
-    // The mid-run live flush already published most of these; add only
-    // the remainder so the run totals match exactly.
-    registry.GetCounter("checker.states.generated")
-        .Increment(result_.generated_states -
-                   published_generated_.load(std::memory_order_relaxed));
-    registry.GetCounter("checker.states.distinct")
-        .Increment(result_.distinct_states -
-                   published_distinct_.load(std::memory_order_relaxed));
-    registry.GetCounter("checker.por.actions_slept")
-        .Increment(result_.por_slept_actions -
-                   published_slept_.load(std::memory_order_relaxed));
-    registry.GetCounter("checker.fingerprint.collisions")
-        .Increment(result_.fingerprint_collisions);
-    if (result_.violation.has_value()) {
-      registry.GetCounter("checker.violations.found").Increment();
-    }
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.GetCounter("checker.runs.completed").Increment();
+  // The mid-run live flush already published most of these; add only
+  // the remainder so the run totals match exactly.
+  registry.GetCounter("checker.states.generated")
+      .Increment(result_.generated_states -
+                 published_generated_.load(std::memory_order_relaxed));
+  registry.GetCounter("checker.states.distinct")
+      .Increment(result_.distinct_states -
+                 published_distinct_.load(std::memory_order_relaxed));
+  registry.GetCounter("checker.por.actions_slept")
+      .Increment(result_.por_slept_actions -
+                 published_slept_.load(std::memory_order_relaxed));
+  registry.GetCounter("checker.fingerprint.collisions")
+      .Increment(result_.fingerprint_collisions);
+  if (result_.violation.has_value()) {
+    registry.GetCounter("checker.violations.found").Increment();
+  }
+  for (int w = 0; w < workers_; ++w) {
+    registry
+        .GetCounter(common::StrCat("checker.worker", w, ".expansions"))
+        .Increment(scratch_[static_cast<size_t>(w)].expanded);
+  }
+  registry.GetGauge("checker.policy").Set(relaxed_ ? 1 : 0);
+  if (relaxed_) {
     for (int w = 0; w < workers_; ++w) {
+      registry.GetCounter(common::StrCat("checker.worker", w, ".steals"))
+          .Increment(scratch_[static_cast<size_t>(w)].steals);
+    }
+  }
+  for (int w = 0; w < workers_; ++w) {
+    registry.GetGauge(common::StrCat("checker.worker", w, ".busy_ms"))
+        .Set(result_.worker_busy_ms[static_cast<size_t>(w)]);
+    if (!relaxed_) {
       registry
-          .GetCounter(common::StrCat("checker.worker", w, ".expansions"))
-          .Increment(scratch_[static_cast<size_t>(w)].expanded);
+          .GetGauge(common::StrCat("checker.worker", w, ".barrier_wait_ms"))
+          .Set(result_.worker_barrier_wait_ms[static_cast<size_t>(w)]);
+    } else {
+      registry.GetGauge(common::StrCat("checker.worker", w, ".steal_ms"))
+          .Set(result_.worker_steal_ms[static_cast<size_t>(w)]);
+      registry.GetGauge(common::StrCat("checker.worker", w, ".starve_ms"))
+          .Set(result_.worker_starve_ms[static_cast<size_t>(w)]);
     }
-    registry.GetGauge("checker.policy").Set(relaxed_ ? 1 : 0);
-    if (relaxed_) {
-      for (int w = 0; w < workers_; ++w) {
-        registry.GetCounter(common::StrCat("checker.worker", w, ".steals"))
-            .Increment(scratch_[static_cast<size_t>(w)].steals);
-      }
-    }
-    if (options_.profile_workers) {
-      for (int w = 0; w < workers_; ++w) {
-        registry
-            .GetGauge(common::StrCat("checker.worker", w, ".busy_ms"))
-            .Set(result_.worker_busy_ms[static_cast<size_t>(w)]);
-        if (!relaxed_) {
-          registry
-              .GetGauge(
-                  common::StrCat("checker.worker", w, ".barrier_wait_ms"))
-              .Set(result_.worker_barrier_wait_ms[static_cast<size_t>(w)]);
-        } else {
-          registry
-              .GetGauge(common::StrCat("checker.worker", w, ".steal_ms"))
-              .Set(result_.worker_steal_ms[static_cast<size_t>(w)]);
-          registry
-              .GetGauge(common::StrCat("checker.worker", w, ".starve_ms"))
-              .Set(result_.worker_starve_ms[static_cast<size_t>(w)]);
-        }
-      }
-      if (!relaxed_) {
-        registry.GetGauge("checker.barrier.settle_ms")
-            .Set(result_.barrier_settle_ms);
-        registry.GetGauge("checker.barrier.idle_fraction")
-            .Set(result_.barrier_idle_fraction);
-      }
-      registry.GetGauge("checker.idle_fraction").Set(result_.idle_fraction);
-    }
-    registry.GetGauge("checker.workers.used")
-        .Set(static_cast<double>(workers_));
-    registry.GetGauge("checker.frontier.peak")
-        .Set(static_cast<double>(result_.frontier_peak));
-    registry.GetGauge("checker.fingerprint.load")
-        .Set(result_.fingerprint_load);
-    registry.GetGauge("checker.run.seconds").Set(result_.seconds);
-    registry.GetGauge("checker.run.states_per_sec")
-        .Set(result_.seconds > 0
-                 ? static_cast<double>(result_.generated_states) /
-                       result_.seconds
-                 : 0);
-    if (result_.graph) {
-      registry.GetGauge("checker.graph.nodes")
-          .Set(static_cast<double>(result_.graph->num_states()));
-      registry.GetGauge("checker.graph.edges")
-          .Set(static_cast<double>(result_.graph->num_edges()));
-      registry.GetGauge("checker.graph.dup_edges")
-          .Set(static_cast<double>(result_.graph->num_duplicate_edges()));
-    }
-    // Value-interning telemetry: table totals plus how many NEW composite
-    // reps this run allocated per distinct state — the per-state allocator
-    // pressure the interned value layer is meant to shrink.
-    const Value::InternStats intern = Value::GetInternStats();
-    registry.GetGauge("value.intern.hits")
-        .Set(static_cast<double>(intern.hits));
-    registry.GetGauge("value.intern.misses")
-        .Set(static_cast<double>(intern.misses));
-    registry.GetGauge("value.intern.live")
-        .Set(static_cast<double>(intern.live));
-    registry.GetGauge("value.intern.bytes")
-        .Set(static_cast<double>(intern.bytes));
-    registry.GetGauge("checker.alloc.values_per_state")
-        .Set(result_.distinct_states > 0
-                 ? static_cast<double>(intern.misses -
-                                       intern_at_start_.misses) /
-                       static_cast<double>(result_.distinct_states)
-                 : 0);
-    // Final spill/checkpoint flush: publishes whatever the mid-run
-    // flushes have not (counters reconcile through published_*).
-    FlushSpillMetrics(frontier_segments_total_);
-    if (spill_enabled_) {
-      registry.GetGauge("checker.spill.generations")
-          .Set(static_cast<double>(result_.spill_generations));
-    }
+  }
+  if (!relaxed_) {
+    registry.GetGauge("checker.barrier.settle_ms")
+        .Set(result_.barrier_settle_ms);
+    registry.GetGauge("checker.barrier.idle_fraction")
+        .Set(result_.barrier_idle_fraction);
+  }
+  registry.GetGauge("checker.idle_fraction").Set(result_.idle_fraction);
+  registry.GetGauge("checker.workers.used").Set(static_cast<double>(workers_));
+  registry.GetGauge("checker.frontier.peak")
+      .Set(static_cast<double>(result_.frontier_peak));
+  registry.GetGauge("checker.fingerprint.load")
+      .Set(result_.fingerprint_load);
+  registry.GetGauge("checker.run.seconds").Set(result_.seconds);
+  registry.GetGauge("checker.run.states_per_sec")
+      .Set(result_.seconds > 0
+               ? static_cast<double>(result_.generated_states) /
+                     result_.seconds
+               : 0);
+  if (result_.graph) {
+    registry.GetGauge("checker.graph.nodes")
+        .Set(static_cast<double>(result_.graph->num_states()));
+    registry.GetGauge("checker.graph.edges")
+        .Set(static_cast<double>(result_.graph->num_edges()));
+    registry.GetGauge("checker.graph.dup_edges")
+        .Set(static_cast<double>(result_.graph->num_duplicate_edges()));
+  }
+  // Value-interning telemetry: table totals plus how many NEW composite
+  // reps this run allocated per distinct state — the per-state allocator
+  // pressure the interned value layer is meant to shrink.
+  const Value::InternStats intern = Value::GetInternStats();
+  registry.GetGauge("value.intern.hits").Set(static_cast<double>(intern.hits));
+  registry.GetGauge("value.intern.misses")
+      .Set(static_cast<double>(intern.misses));
+  registry.GetGauge("value.intern.live").Set(static_cast<double>(intern.live));
+  registry.GetGauge("value.intern.bytes")
+      .Set(static_cast<double>(intern.bytes));
+  registry.GetGauge("checker.alloc.values_per_state")
+      .Set(result_.distinct_states > 0
+               ? static_cast<double>(intern.misses -
+                                     intern_at_start_.misses) /
+                     static_cast<double>(result_.distinct_states)
+               : 0);
+  // Final spill/checkpoint flush: publishes whatever the mid-run
+  // flushes have not (counters reconcile through published_*).
+  FlushSpillMetrics(frontier_segments_total_);
+  if (spill_enabled_) {
+    registry.GetGauge("checker.spill.generations")
+        .Set(static_cast<double>(result_.spill_generations));
   }
   if (events_->enabled()) {
     if (result_.fingerprint_collisions > 0) {

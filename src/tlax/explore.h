@@ -146,7 +146,7 @@ class EngineBase {
     uint64_t slept = 0;
     uint64_t expanded = 0;
     int64_t diameter = 0;
-    // Worker idle-time profile (options.profile_workers). Level-sync:
+    // Worker idle-time profile (CheckResult::worker_busy_ms). Level-sync:
     // wall time spent inside DrainLevel vs. waiting at the fork-join
     // barrier for the slowest worker, plus the stamp the wait is
     // computed from. Relaxed: busy covers expansion work, steal covers
@@ -172,13 +172,19 @@ class EngineBase {
 
   void ProcessEntry(const LevelEntry& entry, size_t pos, Scratch& s,
                     int worker);
+  // Admits a state the fingerprint set just reported new: enforces the
+  // max-distinct cap, records the graph node, checks invariants, and
+  // enqueues it into s.next when it is within the constraint. Returns
+  // false when the cap aborted the run. The one admission path of both
+  // the inline insert and the batched spill probe.
+  bool AdmitNew(State&& state, uint64_t fp, int64_t depth, uint64_t key,
+                Scratch& s);
   void CheckInvariants(const State& state, uint64_t fp, uint64_t key,
                        Scratch& s);
 
   // Spill path: settles s.pending with one sorted FindBatch sweep —
-  // fingerprints found on disk are dropped (revisit), the rest become
-  // distinct states (max-distinct check, constraint, invariants,
-  // enqueue into s.next). No-op when s.pending is empty.
+  // fingerprints found on disk are dropped (revisit), the rest go through
+  // AdmitNew. No-op when s.pending is empty.
   void ResolvePendingProbes(Scratch& s);
 
   // Rebuilds the counterexample behavior ending at `end_state` by walking
@@ -221,7 +227,7 @@ class EngineBase {
                                            uint64_t memory_budget_bytes,
                                            bool checkpointing) {
     FingerprintSet::Options o;
-    o.audit = audit;  // Implies keep_states inside the table.
+    o.audit = audit;  // Keeps a full state beside each record.
     o.track_por = por;
     o.immediate_por_settle = por && relaxed;
     o.por_all_actions = all_actions;
@@ -416,8 +422,8 @@ class RelaxedEngine : public EngineBase {
   // to zero while undiscovered work exists). Zero means done.
   std::atomic<uint64_t> pending_{0};
   std::atomic<uint64_t> frontier_peak_{0};
-  // Cached global counters for the per-batch live flush (null when
-  // publish_metrics is off).
+  // Cached global counters for the per-batch live flush (set by Run()
+  // before the workers start).
   obs::Counter* live_generated_ = nullptr;
   obs::Counter* live_distinct_ = nullptr;
   obs::Counter* live_slept_ = nullptr;

@@ -24,8 +24,7 @@ void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry>& level,
   Scratch& s = scratch_[static_cast<size_t>(worker)];
   const bool poll = report_progress_ && worker == 0;
   const bool flush = report_progress_;
-  const int64_t drain_start_ns =
-      options_.profile_workers ? clock_->NowNanos() : 0;
+  const int64_t drain_start_ns = clock_->NowNanos();
   uint32_t heartbeat_countdown = kHeartbeatBatchEntries;
   for (;;) {
     if (abort_max_.load(std::memory_order_relaxed)) break;
@@ -64,10 +63,8 @@ void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry>& level,
                             std::memory_order_relaxed);
     }
   }
-  if (options_.profile_workers) {
-    s.drain_end_ns = clock_->NowNanos();
-    s.busy_ns += s.drain_end_ns - drain_start_ns;
-  }
+  s.drain_end_ns = clock_->NowNanos();
+  s.busy_ns += s.drain_end_ns - drain_start_ns;
 }
 
 CheckResult LevelSyncEngine::Run() {
@@ -113,12 +110,9 @@ CheckResult LevelSyncEngine::Run() {
     return Finish(common::Status::OK());
   }
 
-  obs::Histogram* level_hist = nullptr;
-  if (options_.publish_metrics) {
-    level_hist = &obs::MetricsRegistry::Global().GetHistogram(
-        "checker.frontier.level_size",
-        {1, 10, 100, 1'000, 10'000, 100'000, 1'000'000});
-  }
+  obs::Histogram& level_hist = obs::MetricsRegistry::Global().GetHistogram(
+      "checker.frontier.level_size",
+      {1, 10, 100, 1'000, 10'000, 100'000, 1'000'000});
 
   while (true) {
     const size_t level_size =
@@ -127,9 +121,7 @@ CheckResult LevelSyncEngine::Run() {
     if (level_size > result_.frontier_peak) {
       result_.frontier_peak = level_size;
     }
-    if (level_hist != nullptr) {
-      level_hist->Observe(static_cast<double>(level_size));
-    }
+    level_hist.Observe(static_cast<double>(level_size));
     abort_max_.store(false, std::memory_order_relaxed);
 
     // Drain the level chunk by chunk: the in-memory head first, then
@@ -153,16 +145,14 @@ CheckResult LevelSyncEngine::Run() {
       });
       base += level.size();
       level.clear();
-      if (options_.profile_workers) {
-        // Fork-join imbalance: each worker waited from its own drain end
-        // until the slowest worker released the pool.
-        pool_end_ns = clock_->NowNanos();
-        for (Scratch& s : scratch_) {
-          if (s.drain_end_ns > 0 && pool_end_ns > s.drain_end_ns) {
-            s.barrier_wait_ns += pool_end_ns - s.drain_end_ns;
-          }
-          s.drain_end_ns = 0;
+      // Fork-join imbalance: each worker waited from its own drain end
+      // until the slowest worker released the pool.
+      pool_end_ns = clock_->NowNanos();
+      for (Scratch& s : scratch_) {
+        if (s.drain_end_ns > 0 && pool_end_ns > s.drain_end_ns) {
+          s.barrier_wait_ns += pool_end_ns - s.drain_end_ns;
         }
+        s.drain_end_ns = 0;
       }
       if (abort_max_.load(std::memory_order_relaxed)) break;
     }
@@ -193,25 +183,23 @@ CheckResult LevelSyncEngine::Run() {
     // up to date (so a /metrics scrape advances mid-run), and a debug
     // event. None of this touches exploration state.
     if (options_.watchdog != nullptr) options_.watchdog->Heartbeat();
-    if (options_.publish_metrics) {
-      auto& registry = obs::MetricsRegistry::Global();
-      registry.GetCounter("checker.levels.completed").Increment();
-      registry.GetCounter("checker.states.generated")
-          .Increment(result_.generated_states -
-                     published_generated_.load(std::memory_order_relaxed));
-      published_generated_.store(result_.generated_states,
-                                 std::memory_order_relaxed);
-      const uint64_t distinct = fpset_.size();
-      registry.GetCounter("checker.states.distinct")
-          .Increment(distinct -
-                     published_distinct_.load(std::memory_order_relaxed));
-      published_distinct_.store(distinct, std::memory_order_relaxed);
-      registry.GetCounter("checker.por.actions_slept")
-          .Increment(result_.por_slept_actions -
-                     published_slept_.load(std::memory_order_relaxed));
-      published_slept_.store(result_.por_slept_actions,
-                             std::memory_order_relaxed);
-    }
+    auto& registry = obs::MetricsRegistry::Global();
+    registry.GetCounter("checker.levels.completed").Increment();
+    registry.GetCounter("checker.states.generated")
+        .Increment(result_.generated_states -
+                   published_generated_.load(std::memory_order_relaxed));
+    published_generated_.store(result_.generated_states,
+                               std::memory_order_relaxed);
+    const uint64_t distinct = fpset_.size();
+    registry.GetCounter("checker.states.distinct")
+        .Increment(distinct -
+                   published_distinct_.load(std::memory_order_relaxed));
+    published_distinct_.store(distinct, std::memory_order_relaxed);
+    registry.GetCounter("checker.por.actions_slept")
+        .Increment(result_.por_slept_actions -
+                   published_slept_.load(std::memory_order_relaxed));
+    published_slept_.store(result_.por_slept_actions,
+                           std::memory_order_relaxed);
     if (events_->enabled()) {
       events_->Emit(
           obs::EventSeverity::kDebug, "checker", "level.completed",
@@ -374,9 +362,7 @@ CheckResult LevelSyncEngine::Run() {
     }
     level = std::move(next);
     next_count_.store(0, std::memory_order_relaxed);
-    if (options_.profile_workers) {
-      settle_ns_ += clock_->NowNanos() - pool_end_ns;
-    }
+    settle_ns_ += clock_->NowNanos() - pool_end_ns;
   }
   return Finish(common::Status::OK());
 }

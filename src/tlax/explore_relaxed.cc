@@ -274,13 +274,11 @@ void RelaxedEngine::DoCheckpointLocked() {
 
 void RelaxedEngine::WorkerLoop(int worker) {
   Scratch& s = scratch_[static_cast<size_t>(worker)];
-  const bool prof = options_.profile_workers;
-  int64_t last_stamp = prof ? clock_->NowNanos() : 0;
+  int64_t last_stamp = clock_->NowNanos();
   // Charges the wall time since the last stamp to one of the worker's
   // three modes (busy / steal / starve); stamps happen only at mode
   // transitions, not per entry.
   auto charge = [&](int64_t Scratch::* field) {
-    if (!prof) return;
     const int64_t now = clock_->NowNanos();
     s.*field += now - last_stamp;
     last_stamp = now;
@@ -357,30 +355,25 @@ void RelaxedEngine::WorkerLoop(int worker) {
     const uint64_t gen_delta = s.generated - flushed_generated;
     if (gen_delta != 0) {
       generated_level_.fetch_add(gen_delta, std::memory_order_relaxed);
-      if (live_generated_ != nullptr) {
-        live_generated_->Increment(gen_delta);
-        published_generated_.fetch_add(gen_delta,
-                                       std::memory_order_relaxed);
-      }
+      live_generated_->Increment(gen_delta);
+      published_generated_.fetch_add(gen_delta, std::memory_order_relaxed);
       flushed_generated = s.generated;
     }
-    if (live_slept_ != nullptr && s.slept != flushed_slept) {
+    if (s.slept != flushed_slept) {
       live_slept_->Increment(s.slept - flushed_slept);
       published_slept_.fetch_add(s.slept - flushed_slept,
                                  std::memory_order_relaxed);
       flushed_slept = s.slept;
     }
     if (worker == 0) {
-      if (live_distinct_ != nullptr) {
-        // fpset_.size() is monotone and only worker 0 publishes it, so
-        // the counter advances without racing another flusher.
-        const uint64_t distinct = fpset_.size();
-        const uint64_t already =
-            published_distinct_.load(std::memory_order_relaxed);
-        if (distinct > already) {
-          live_distinct_->Increment(distinct - already);
-          published_distinct_.store(distinct, std::memory_order_relaxed);
-        }
+      // fpset_.size() is monotone and only worker 0 publishes it, so the
+      // counter advances without racing another flusher.
+      const uint64_t distinct = fpset_.size();
+      const uint64_t already =
+          published_distinct_.load(std::memory_order_relaxed);
+      if (distinct > already) {
+        live_distinct_->Increment(distinct - already);
+        published_distinct_.store(distinct, std::memory_order_relaxed);
       }
       if (report_progress_) {
         const int64_t now_ns = clock_->NowNanos();
@@ -521,12 +514,10 @@ CheckResult RelaxedEngine::Run() {
     frontier_peak_.store(seeds.size(), std::memory_order_relaxed);
   }
 
-  if (options_.publish_metrics) {
-    auto& registry = obs::MetricsRegistry::Global();
-    live_generated_ = &registry.GetCounter("checker.states.generated");
-    live_distinct_ = &registry.GetCounter("checker.states.distinct");
-    live_slept_ = &registry.GetCounter("checker.por.actions_slept");
-  }
+  auto& registry = obs::MetricsRegistry::Global();
+  live_generated_ = &registry.GetCounter("checker.states.generated");
+  live_distinct_ = &registry.GetCounter("checker.states.distinct");
+  live_slept_ = &registry.GetCounter("checker.por.actions_slept");
 
   pool_.Run([this](int worker) { WorkerLoop(worker); });
 

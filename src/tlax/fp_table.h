@@ -17,8 +17,8 @@ struct FpSlot {
   static constexpr uint8_t kOccupied = 1;
   /// POR: on a frontier, awaiting expansion.
   static constexpr uint8_t kQueued = 2;
-  /// Spill batching: created by InsertOrDefer, awaiting a ResolvePending
-  /// disk verdict. Not counted in size(); skipped by eviction (an
+  /// Spill batching: created by an Insert miss with a spill tier, awaiting
+  /// a ResolvePending disk verdict. Not counted in size(); skipped by eviction (an
   /// unresolved record must never be sealed to disk).
   static constexpr uint8_t kProvisional = 4;
 

@@ -25,7 +25,6 @@ int Log2(int pow2) {
 FingerprintSet::FingerprintSet() : FingerprintSet(Options()) {}
 
 FingerprintSet::FingerprintSet(Options options) : options_(options) {
-  if (options_.audit) options_.keep_states = true;
   int shards = RoundUpPow2(options_.num_shards < 1 ? 1 : options_.num_shards);
   shards_ = std::vector<Shard>(static_cast<size_t>(shards));
   for (Shard& shard : shards_) {
@@ -49,37 +48,30 @@ FpInsert FingerprintSet::Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
                                 uint64_t sleep_mask, const State* state) {
   Shard& shard = ShardFor(fp);
   std::lock_guard<std::mutex> lock(shard.mu);
-  internal::FpTable& table = shard.table;
-  FpInsert out;
-  if (tier_ != nullptr && table.Find(fp) == internal::FpTable::kNone) {
-    // Disk probe under the shard lock: the evictor only erases a
-    // fingerprint from this shard after its run is sealed (and never
-    // holds the run-list lock exclusively while waiting on a shard), so
-    // a fingerprint is in the hot table or on disk at every instant and
-    // a miss here really means "new". Bloom filters keep the common
-    // negative at memory speed. Disk-resident records are settled by
-    // construction (eviction happens at barriers / batch boundaries), so
-    // a disk hit needs no min-merge or POR handling.
-    SpillTier::EdgeData disk_edge;
-    if (tier_->FindOnDisk(fp, &disk_edge)) {
-      out.depth = disk_edge.depth;
-      return out;
-    }
-  }
   bool fresh = false;
-  const size_t index = table.FindOrInsert(fp, &fresh);
+  const size_t index = shard.table.FindOrInsert(fp, &fresh);
   if (!fresh) {
+    // Hot (possibly still provisional) record: revisit merge. A merge into
+    // a provisional record that later turns out to be on disk is simply
+    // discarded with it (disk-resident edges are settled and win).
     return MergeRevisit(shard, index, fp, pred_fp, action, depth, order_key,
                         sleep_mask, state);
   }
-  if (tier_ != nullptr) hot_count_.fetch_add(1, std::memory_order_relaxed);
-  InitRecord(table, index, pred_fp, action, depth, order_key, sleep_mask);
-  if (options_.keep_states && state != nullptr) {
-    shard.states.emplace(fp, *state);
+  InitRecord(shard.table, index, pred_fp, action, depth, order_key,
+             sleep_mask);
+  if (options_.audit && state != nullptr) shard.states.emplace(fp, *state);
+  FpInsert out;
+  out.depth = depth;
+  if (tier_ != nullptr) {
+    // The disk probe is deferred to ResolvePending; the provisional record
+    // keeps concurrent inserts of the same fingerprint from probing twice.
+    hot_count_.fetch_add(1, std::memory_order_relaxed);
+    shard.table.slot(index).set(internal::FpSlot::kProvisional, true);
+    out.pending = true;
+    return out;
   }
   size_.fetch_add(1, std::memory_order_relaxed);
   out.inserted = true;
-  out.depth = depth;
   return out;
 }
 
@@ -101,7 +93,7 @@ void FingerprintSet::InitRecord(internal::FpTable& table, size_t index,
   }
 }
 
-// Shared revisit path of Insert/InsertOrDefer; shard.mu must be held.
+// Revisit path of Insert; shard.mu must be held.
 FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index, uint64_t fp,
                                       uint64_t pred_fp, uint16_t action,
                                       int64_t depth, uint64_t order_key,
@@ -142,44 +134,13 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index, uint64_t fp,
       out.sleep_shrunk = por.pending != por.sleep;
     }
   }
-  if (options_.min_merge_pred && depth == rec.depth &&
-      order_key < rec.order_key) {
+  if (depth == rec.depth && order_key < rec.order_key) {
     // Same BFS level, earlier discovery order: adopt this edge so the
     // reconstructed trace matches what a serial scan would record.
     rec.pred_fp = pred_fp;
     rec.order_key = order_key;
     rec.action = action;
   }
-  return out;
-}
-
-FpInsert FingerprintSet::InsertOrDefer(uint64_t fp, uint64_t pred_fp,
-                                       uint16_t action, int64_t depth,
-                                       uint64_t order_key,
-                                       uint64_t sleep_mask,
-                                       const State* state) {
-  if (tier_ == nullptr) {
-    return Insert(fp, pred_fp, action, depth, order_key, sleep_mask, state);
-  }
-  Shard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  bool fresh = false;
-  const size_t index = shard.table.FindOrInsert(fp, &fresh);
-  if (!fresh) {
-    // Hot (possibly still provisional) record: classic revisit merge. A
-    // merge into a provisional record that later turns out to be on
-    // disk is simply discarded with it — exactly what the inline-probe
-    // path would have done (disk-resident edges are settled and win).
-    return MergeRevisit(shard, index, fp, pred_fp, action, depth, order_key,
-                        sleep_mask, state);
-  }
-  hot_count_.fetch_add(1, std::memory_order_relaxed);
-  InitRecord(shard.table, index, pred_fp, action, depth, order_key,
-             sleep_mask);
-  shard.table.slot(index).set(internal::FpSlot::kProvisional, true);
-  FpInsert out;
-  out.pending = true;
-  out.depth = depth;
   return out;
 }
 
@@ -297,8 +258,8 @@ common::Status FingerprintSet::EvictAll() {
   if (tier_ == nullptr) return common::Status::OK();
   std::lock_guard<std::mutex> evict_lock(evict_mu_);
   // Copy out, seal, then erase — never erase before the run is
-  // registered, so concurrent Insert probes always see the fingerprint
-  // somewhere. Late same-level revisits of a captured record can still
+  // registered, so concurrent ResolvePending and GetEdge probes always see
+  // the fingerprint somewhere. Late same-level revisits of a captured record can still
   // min-merge the hot copy after this snapshot; the engines only evict
   // once those fields are settled (level barrier / batch boundary), so
   // the sealed edge is the settled one.

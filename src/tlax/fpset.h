@@ -48,8 +48,8 @@ struct FpInsert {
   /// not currently queued, and marked it queued. The caller owns the
   /// re-enqueue (at `depth`); there is no later settle step to do it.
   bool wake = false;
-  /// InsertOrDefer only: the fingerprint missed the hot table and a
-  /// provisional record was created instead of probing disk inline. The
+  /// Spill tier only: the fingerprint missed the hot table and a
+  /// provisional record was created; its disk probe is deferred. The
   /// caller must pass the fingerprint to ResolvePending before treating
   /// it as new — `inserted` is false until then.
   bool pending = false;
@@ -75,21 +75,13 @@ class FingerprintSet {
     /// Lock stripes; rounded up to a power of two. Many more stripes than
     /// workers keeps contention negligible.
     int num_shards = 64;
-    /// Keep a full State copy beside each record. Required for sleep-set
-    /// POR (re-expansion of revisited states) and for audit mode; costs
-    /// roughly the memory the fingerprint table otherwise saves.
-    bool keep_states = false;
-    /// Collision audit: compare the stored state on every fingerprint hit
-    /// and count mismatches (genuine 64-bit collisions). Implies
-    /// keep_states.
+    /// Collision audit: keep a full State copy beside each record, compare
+    /// it on every fingerprint hit and count mismatches (genuine 64-bit
+    /// collisions). Costs roughly the memory the fingerprint table
+    /// otherwise saves.
     bool audit = false;
     /// Maintain per-state sleep/done masks for sleep-set POR.
     bool track_por = false;
-    /// Resolve same-depth predecessor races toward the smallest discovery
-    /// order key, making counterexample traces bit-identical across
-    /// worker counts (POR included — wake re-expansions merge under the
-    /// same rule).
-    bool min_merge_pred = true;
     /// Barrier-free POR for the relaxed exploration policy: Insert folds
     /// a revisit's sleep-mask shrink into the settled mask immediately
     /// (under the shard lock) instead of parking it in the pending mask,
@@ -105,7 +97,7 @@ class FingerprintSet {
     /// for its uncovered-work test inside Insert.
     uint64_t por_all_actions = 0;
     /// Out-of-core tier: directory for sealed spill runs. Empty disables
-    /// spilling entirely. Incompatible with keep_states/audit/track_por
+    /// spilling entirely. Incompatible with audit/track_por
     /// (those need mutable or full-state records; the engine gates this).
     std::string spill_dir;
     /// Allocated hot-table bytes (see table_bytes()) that trigger eviction
@@ -126,39 +118,36 @@ class FingerprintSet {
   /// Records `fp` if unseen (predecessor `pred_fp` via `action`, at
   /// `depth`, discovered at `order_key`); otherwise merges: audits for
   /// collisions, min-merges the predecessor for same-depth candidates
-  /// with a smaller order key, and intersects the POR sleep mask into the
-  /// record's PENDING mask (reporting sleep_shrunk when pending drops
-  /// below the settled mask). The settled mask that expansion reads is
-  /// only updated by SettlePor at a level barrier, so mid-level revisits
-  /// never race with AcquireExpand — that two-phase split is what makes
-  /// every POR counter and trace worker-count-invariant.
-  /// `state` must be non-null when keep_states is set.
+  /// with a smaller order key — so counterexample traces are
+  /// bit-identical across worker counts — and intersects the POR sleep
+  /// mask into the record's PENDING mask (reporting sleep_shrunk when
+  /// pending drops below the settled mask). The settled mask that
+  /// expansion reads is only updated by SettlePor at a level barrier, so
+  /// mid-level revisits never race with AcquireExpand — that two-phase
+  /// split is what makes every POR counter and trace
+  /// worker-count-invariant. `state` must be non-null under audit.
+  ///
+  /// With a spill tier, a hot-table miss does not probe disk: it records
+  /// a provisional entry and reports FpInsert::pending. The caller
+  /// accumulates pending fingerprints over an expansion batch and settles
+  /// them with one ResolvePending call, so each decoded run block is
+  /// visited once per batch instead of once per key. The "hot table or
+  /// on disk at every instant" invariant holds throughout: the
+  /// provisional record keeps concurrent inserts of the same fingerprint
+  /// from double-probing, and eviction skips provisional records.
   FpInsert Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
                   int64_t depth, uint64_t order_key, uint64_t sleep_mask,
                   const State* state);
 
-  /// Batched-probe variant of Insert for the spill path: instead of
-  /// probing the disk tier inline on a hot-table miss, it records a
-  /// provisional entry and reports FpInsert::pending. The caller
-  /// accumulates pending fingerprints over an expansion batch and
-  /// settles them with one ResolvePending call — each decoded run block
-  /// is then visited once per batch instead of once per key. Behaves
-  /// exactly like Insert when spilling is off. The "hot table or on
-  /// disk at every instant" invariant holds throughout: the provisional
-  /// record keeps concurrent inserts of the same fingerprint from
-  /// double-probing, and eviction skips provisional records.
-  FpInsert InsertOrDefer(uint64_t fp, uint64_t pred_fp, uint16_t action,
-                         int64_t depth, uint64_t order_key,
-                         uint64_t sleep_mask, const State* state);
-
-  /// Settles a batch of provisional records created by InsertOrDefer.
+  /// Settles a batch of provisional records created by Insert.
   /// `fps` are this caller's pending fingerprints in discovery order
   /// (unique by construction — only the insert that created the
   /// provisional record reports pending). On return, on_disk[i] != 0
   /// means fps[i] was already on disk: the provisional record has been
   /// discarded and the fingerprint is NOT a new state. on_disk[i] == 0
   /// means genuinely new: the record is now settled and counted in
-  /// size(). Probes all spill runs with one merged batched sweep.
+  /// size(). Probes all spill runs with one merged batched sweep; without
+  /// a spill tier every entry is 0.
   void ResolvePending(const std::vector<uint64_t>& fps,
                       std::vector<uint8_t>* on_disk);
 
@@ -200,7 +189,7 @@ class FingerprintSet {
   };
   std::optional<Edge> GetEdge(uint64_t fp) const;
 
-  /// keep_states mode: a copy of the full state stored for `fp`.
+  /// Audit mode: a copy of the full state stored for `fp`.
   std::optional<State> FindState(uint64_t fp) const;
 
   /// Number of distinct fingerprints inserted.
@@ -218,7 +207,6 @@ class FingerprintSet {
     return table_bytes_.load(std::memory_order_relaxed);
   }
   size_t num_shards() const { return shards_.size(); }
-  bool keep_states() const { return options_.keep_states; }
 
   /// Whether the out-of-core tier is active (Options::spill_dir set).
   bool has_spill() const { return tier_ != nullptr; }
@@ -268,7 +256,7 @@ class FingerprintSet {
   struct Shard {
     mutable std::mutex mu;
     internal::FpTable table;
-    std::unordered_map<uint64_t, State> states;  // keep_states only.
+    std::unordered_map<uint64_t, State> states;  // Audit only.
   };
 
   Shard& ShardFor(uint64_t fp) {

@@ -135,8 +135,8 @@ class StateGraph {
 
   /// Serializes the graph in GraphViz DOT format. Each node is labeled with
   /// the state's variables in TLA syntax (one `var = value` line per
-  /// variable, as TLC does), and each edge with its action name. This is the
-  /// wire format the MBTCG generator parses back (`--via-dot` mode).
+  /// variable, as TLC does), and each edge with its action name: the
+  /// state-graph export, like TLC's `-dump dot`.
   std::string ToDot(const std::vector<std::string>& variable_names) const;
 
  private:

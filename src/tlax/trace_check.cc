@@ -42,10 +42,8 @@ constexpr uint64_t kLiveFlushEntries = 1024;
 // `already_published` is the portion of states_explored the fold already
 // flushed live; only the remainder is added here so the counter
 // reconciles exactly with the final total.
-void PublishTraceMetrics(const TraceCheckOptions& options,
-                         const TraceCheckResult& result,
+void PublishTraceMetrics(const TraceCheckResult& result,
                          uint64_t already_published) {
-  if (!options.publish_metrics) return;
   auto& registry = obs::MetricsRegistry::Global();
   registry.GetCounter("checker.trace.runs.completed").Increment();
   registry.GetCounter("checker.trace.steps.checked")
@@ -107,9 +105,8 @@ struct AdvanceContext {
   obs::Histogram* level_hist = nullptr;
   /// Heartbeaten once per drained expansion batch and at every fold flush.
   obs::Watchdog* watchdog = nullptr;
-  /// Live flush of checker.trace.states.explored (null when metrics are
-  /// off) and the explored tally as of the last flush. The serial fold
-  /// is the only writer of both.
+  /// Live flush of checker.trace.states.explored and the explored tally
+  /// as of the last flush. The serial fold is the only writer of both.
   obs::Counter* live_explored = nullptr;
   uint64_t* flushed_explored = nullptr;
 };
@@ -173,9 +170,7 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
   for (int depth = 1;
        depth <= options.max_hidden_steps && !layer.empty() && budget > 0;
        ++depth) {
-    if (ctx.level_hist != nullptr) {
-      ctx.level_hist->Observe(static_cast<double>(layer.size()));
-    }
+    ctx.level_hist->Observe(static_cast<double>(layer.size()));
     // Stage: expand every layer state, in parallel.
     std::vector<std::vector<StagedExpansion>> staged(layer.size());
     std::atomic<size_t> cursor{0};
@@ -219,10 +214,8 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
           next_layer.push_back(std::move(e.succ));
         }
         if (*states_explored - *ctx.flushed_explored >= kLiveFlushEntries) {
-          if (ctx.live_explored != nullptr) {
-            ctx.live_explored->Increment(*states_explored -
-                                         *ctx.flushed_explored);
-          }
+          ctx.live_explored->Increment(*states_explored -
+                                       *ctx.flushed_explored);
           *ctx.flushed_explored = *states_explored;
           if (ctx.watchdog != nullptr) ctx.watchdog->Heartbeat();
         }
@@ -244,25 +237,42 @@ AdvanceContext MakeContext(const TraceCheckOptions& options,
   ctx.worker_expansions = worker_expansions;
   ctx.watchdog = options.watchdog;
   ctx.flushed_explored = flushed_explored;
-  if (options.publish_metrics) {
-    ctx.level_hist = &LevelSizeHistogram();
-    ctx.live_explored = &obs::MetricsRegistry::Global().GetCounter(
-        "checker.trace.states.explored");
-  }
+  ctx.level_hist = &LevelSizeHistogram();
+  ctx.live_explored = &obs::MetricsRegistry::Global().GetCounter(
+      "checker.trace.states.explored");
   return ctx;
 }
 
-}  // namespace
-
-TraceCheckResult TraceChecker::CheckParsed(const Spec& spec,
-                                           const std::vector<TraceState>& trace,
-                                           uint64_t* states_explored,
-                                           uint64_t* published_explored) const {
-  common::WorkerPool pool(common::ResolveWorkerCount(options_.num_workers));
+// The step loop of both modes: match the initial states against trace
+// state 0, then advance the frontier one observed step at a time. With
+// `module_text` set (Pressler mode) the module is re-parsed before every
+// step and the step reads its target from that fresh parse, the way each
+// TLC evaluation step re-evaluates the in-module trace tuple: n steps
+// cost n whole-module parses, the O(n^2) behavior E4 measures. Publishes
+// the run's metrics.
+TraceCheckResult CheckSteps(const TraceCheckOptions& options,
+                            const Spec& spec,
+                            const std::vector<TraceState>& trace,
+                            const std::string* module_text,
+                            const Timer& timer) {
+  common::WorkerPool pool(common::ResolveWorkerCount(options.num_workers));
   std::vector<uint64_t> worker_expansions(
       static_cast<size_t>(pool.num_workers()), 0);
+  uint64_t explored = 0;
+  uint64_t published = 0;  // Live-flushed portion of `explored`.
   const AdvanceContext ctx =
-      MakeContext(options_, &pool, &worker_expansions, published_explored);
+      MakeContext(options, &pool, &worker_expansions, &published);
+
+  const std::vector<TraceState>* current = &trace;
+  std::vector<TraceState> reparsed;
+  auto reparse = [&]() -> Status {
+    if (module_text == nullptr) return Status::OK();
+    auto parsed = ParseTraceModule(*module_text, spec.variables().size());
+    if (!parsed.ok()) return parsed.status();
+    reparsed = std::move(*parsed);
+    current = &reparsed;
+    return Status::OK();
+  };
 
   TraceCheckResult result = [&]() -> TraceCheckResult {
     TraceCheckResult result;
@@ -271,10 +281,12 @@ TraceCheckResult TraceChecker::CheckParsed(const Spec& spec,
       return result;
     }
 
+    result.status = reparse();
+    if (!result.ok()) return result;
     Frontier frontier;
     for (State& init : spec.InitialStates()) {
-      ++*states_explored;
-      if (trace[0].Matches(init.vars())) frontier.Add(std::move(init));
+      ++explored;
+      if ((*current)[0].Matches(init.vars())) frontier.Add(std::move(init));
     }
     if (frontier.empty()) {
       result.status = Status::FailedPrecondition(
@@ -285,8 +297,10 @@ TraceCheckResult TraceChecker::CheckParsed(const Spec& spec,
     result.step_actions.push_back({"Init"});
 
     for (size_t i = 1; i < trace.size(); ++i) {
+      result.status = reparse();
+      if (!result.ok()) return result;
       std::vector<std::string> explaining = AdvanceFrontier(
-          spec, trace[i], options_, ctx, &frontier, states_explored);
+          spec, (*current)[i], options, ctx, &frontier, &explored);
       if (frontier.empty()) {
         result.status = Status::FailedPrecondition(
             StrCat("no action of spec '", spec.name(),
@@ -300,120 +314,38 @@ TraceCheckResult TraceChecker::CheckParsed(const Spec& spec,
     result.status = Status::OK();
     return result;
   }();
-  if (options_.publish_metrics) PublishWorkerExpansions(worker_expansions);
+  result.states_explored = explored;
+  result.seconds = timer.Seconds();
+  PublishTraceMetrics(result, published);
+  PublishWorkerExpansions(worker_expansions);
   return result;
 }
 
+}  // namespace
+
 TraceCheckResult TraceChecker::Check(const Spec& spec,
                                      const std::vector<TraceState>& trace) const {
-  Timer timer(options_.clock);
-  uint64_t explored = 0;
-  uint64_t published = 0;
-  TraceCheckResult result;
   if (options_.mode == TraceCheckMode::kPresslerReparse) {
-    // Emulate by serializing once and delegating to CheckModule, which
-    // performs the per-step re-parse (and publishes the run's metrics).
-    std::string module = TraceModuleText("Trace", spec.variables(), trace);
-    result = CheckModule(spec, module);
-    return result;
+    // Serialize once; CheckModule re-parses the text before every step.
+    return CheckModule(spec, TraceModuleText("Trace", spec.variables(), trace));
   }
-  result = CheckParsed(spec, trace, &explored, &published);
-  result.states_explored = explored;
-  result.seconds = timer.Seconds();
-  PublishTraceMetrics(options_, result, published);
-  return result;
+  return CheckSteps(options_, spec, trace, nullptr, Timer(options_.clock));
 }
 
 TraceCheckResult TraceChecker::CheckModule(const Spec& spec,
                                            const std::string& module_text) const {
-  std::vector<uint64_t> worker_expansions;  // Pressler path only.
-  uint64_t published = 0;  // Live-flushed portion of states_explored.
-  TraceCheckResult outer = [&]() -> TraceCheckResult {
-  Timer timer(options_.clock);
-  uint64_t explored = 0;
-  TraceCheckResult result;
-  const size_t num_vars = spec.variables().size();
-
-  if (options_.mode == TraceCheckMode::kNative) {
-    auto parsed = ParseTraceModule(module_text, num_vars);
-    if (!parsed.ok()) {
-      result.status = parsed.status();
-      return result;
-    }
-    result = CheckParsed(spec, *parsed, &explored, &published);
-    result.states_explored = explored;
+  const Timer timer(options_.clock);
+  auto parsed = ParseTraceModule(module_text, spec.variables().size());
+  if (!parsed.ok()) {
+    TraceCheckResult result;
+    result.status = parsed.status();
     result.seconds = timer.Seconds();
+    PublishTraceMetrics(result, 0);
     return result;
   }
-
-  // Pressler-style: the frontier advances one trace step per iteration, and
-  // every iteration re-parses the entire module text, the way each TLC
-  // evaluation step re-evaluates the in-module trace tuple.
-  size_t num_steps = 0;
-  {
-    auto parsed = ParseTraceModule(module_text, num_vars);
-    if (!parsed.ok()) {
-      result.status = parsed.status();
-      return result;
-    }
-    num_steps = parsed->size();
-  }
-  if (num_steps == 0) {
-    result.status = Status::OK();
-    result.seconds = timer.Seconds();
-    return result;
-  }
-
-  common::WorkerPool pool(common::ResolveWorkerCount(options_.num_workers));
-  worker_expansions.assign(static_cast<size_t>(pool.num_workers()), 0);
-  const AdvanceContext ctx =
-      MakeContext(options_, &pool, &worker_expansions, &published);
-
-  Frontier frontier;
-  for (size_t i = 0; i < num_steps; ++i) {
-    auto parsed = ParseTraceModule(module_text, num_vars);  // Re-parse.
-    if (!parsed.ok()) {
-      result.status = parsed.status();
-      return result;
-    }
-    const std::vector<TraceState>& trace = *parsed;
-    if (i == 0) {
-      for (State& init : spec.InitialStates()) {
-        ++explored;
-        if (trace[0].Matches(init.vars())) frontier.Add(std::move(init));
-      }
-      if (frontier.empty()) {
-        result.status = Status::FailedPrecondition(
-            "trace state 0 matches no initial state of the specification");
-        result.failed_step = 0;
-        result.states_explored = explored;
-        result.seconds = timer.Seconds();
-        return result;
-      }
-      result.step_actions.push_back({"Init"});
-      continue;
-    }
-    std::vector<std::string> explaining = AdvanceFrontier(
-        spec, trace[i], options_, ctx, &frontier, &explored);
-    if (frontier.empty()) {
-      result.status = Status::FailedPrecondition(
-          StrCat("no action of spec '", spec.name(), "' explains trace step ",
-                 i));
-      result.failed_step = i;
-      result.states_explored = explored;
-      result.seconds = timer.Seconds();
-      return result;
-    }
-    result.step_actions.push_back(std::move(explaining));
-  }
-  result.status = Status::OK();
-  result.states_explored = explored;
-  result.seconds = timer.Seconds();
-  return result;
-  }();
-  PublishTraceMetrics(options_, outer, published);
-  if (options_.publish_metrics) PublishWorkerExpansions(worker_expansions);
-  return outer;
+  const bool reparse = options_.mode == TraceCheckMode::kPresslerReparse;
+  return CheckSteps(options_, spec, *parsed, reparse ? &module_text : nullptr,
+                    timer);
 }
 
 }  // namespace xmodel::tlax

@@ -65,12 +65,6 @@ struct TraceCheckOptions {
   obs::Watchdog* watchdog = nullptr;
   /// Wall-time source for `seconds`; null = the process steady clock.
   common::MonotonicClock* clock = nullptr;
-  /// Publish checker.trace.* counters to the global registry: at the end
-  /// of the run, plus a live flush of checker.trace.states.explored from
-  /// the fold every 1024 explored states, so a mid-run /metrics scrape
-  /// sees the counter advance. The total always reconciles exactly with
-  /// TraceCheckResult::states_explored.
-  bool publish_metrics = true;
 };
 
 struct TraceCheckResult {
@@ -98,6 +92,12 @@ struct TraceCheckResult {
 /// quantified, implementing Pressler's refinement-style handling of
 /// unlogged state (§4.2.3). The trace is accepted iff some viable state
 /// exists at the final position.
+///
+/// Every check publishes the checker.trace.* counters to the global
+/// registry: at the end of the run, plus a live flush of
+/// checker.trace.states.explored from the fold every 1024 explored states,
+/// so a mid-run /metrics scrape sees the counter advance. The total always
+/// reconciles exactly with TraceCheckResult::states_explored.
 class TraceChecker {
  public:
   explicit TraceChecker(TraceCheckOptions options = {}) : options_(options) {}
@@ -107,16 +107,12 @@ class TraceChecker {
                          const std::vector<TraceState>& trace) const;
 
   /// Checks a serialized Trace module (see TraceModuleText). In
-  /// kPresslerReparse mode the module text is re-parsed once per trace step.
+  /// kPresslerReparse mode the module text is re-parsed once per trace
+  /// step; both modes share one step loop and give identical results.
   TraceCheckResult CheckModule(const Spec& spec,
                                const std::string& module_text) const;
 
  private:
-  TraceCheckResult CheckParsed(const Spec& spec,
-                               const std::vector<TraceState>& trace,
-                               uint64_t* states_explored,
-                               uint64_t* published_explored) const;
-
   TraceCheckOptions options_;
 };
 

@@ -16,28 +16,22 @@ namespace {
 /// check (trace check against the spec).
 class PhaseTimer {
  public:
-  PhaseTimer(common::MonotonicClock* clock, const char* histogram_name,
-             bool enabled)
-      : clock_(clock), enabled_(enabled), start_ns_(clock->NowNanos()) {
-    if (enabled_) {
-      histogram_ = &obs::MetricsRegistry::Global().GetHistogram(
-          histogram_name, obs::DefaultLatencyBucketsMs());
-    }
-  }
+  PhaseTimer(common::MonotonicClock* clock, const char* histogram_name)
+      : clock_(clock),
+        start_ns_(clock->NowNanos()),
+        histogram_(obs::MetricsRegistry::Global().GetHistogram(
+            histogram_name, obs::DefaultLatencyBucketsMs())) {}
   ~PhaseTimer() {
-    if (enabled_ && histogram_ != nullptr) {
-      histogram_->Observe(
-          static_cast<double>(clock_->NowNanos() - start_ns_) * 1e-6);
-    }
+    histogram_.Observe(
+        static_cast<double>(clock_->NowNanos() - start_ns_) * 1e-6);
   }
   PhaseTimer(const PhaseTimer&) = delete;
   PhaseTimer& operator=(const PhaseTimer&) = delete;
 
  private:
   common::MonotonicClock* clock_;
-  bool enabled_;
   int64_t start_ns_;
-  obs::Histogram* histogram_ = nullptr;
+  obs::Histogram& histogram_;
 };
 
 }  // namespace
@@ -58,7 +52,6 @@ MbtcReport MbtcPipeline::Run(
   common::MonotonicClock* clock = options_.clock != nullptr
                                       ? options_.clock
                                       : common::MonotonicClock::Real();
-  const bool publish = options_.publish_metrics;
   auto& registry = obs::MetricsRegistry::Global();
   const int64_t run_start_ns = clock->NowNanos();
 
@@ -77,7 +70,7 @@ MbtcReport MbtcPipeline::Run(
   };
 
   auto fail = [&](MbtcReport&& r) {
-    if (publish) registry.GetCounter("mbtc.runs.failed").Increment();
+    registry.GetCounter("mbtc.runs.failed").Increment();
     if (events.enabled()) {
       events.Emit(obs::EventSeverity::kWarn, "mbtc", "run.failed",
                   {{"status", r.status.ToString()}});
@@ -89,7 +82,7 @@ MbtcReport MbtcPipeline::Run(
   {
     XMODEL_SPAN("mbtc.parse");
     enter_phase("parse");
-    PhaseTimer timer(clock, "mbtc.phase.parse.ms", publish);
+    PhaseTimer timer(clock, "mbtc.phase.parse.ms");
     auto merged = MergeLogs(log_files);
     if (!merged.ok()) {
       report.status = merged.status();
@@ -110,7 +103,7 @@ MbtcReport MbtcPipeline::Run(
   {
     XMODEL_SPAN("mbtc.map");
     enter_phase("map");
-    PhaseTimer timer(clock, "mbtc.phase.map.ms", publish);
+    PhaseTimer timer(clock, "mbtc.phase.map.ms");
     trace = ToTraceStates(processed.states);
     if (options_.emit_trace_module) {
       report.trace_module =
@@ -121,7 +114,7 @@ MbtcReport MbtcPipeline::Run(
   {
     XMODEL_SPAN("mbtc.check");
     enter_phase("check");
-    PhaseTimer timer(clock, "mbtc.phase.check.ms", publish);
+    PhaseTimer timer(clock, "mbtc.phase.check.ms");
     tlax::TraceChecker checker(options_.checker);
     report.check = checker.Check(*spec_, trace);
   }
@@ -140,20 +133,18 @@ MbtcReport MbtcPipeline::Run(
                  {"states", common::StrCat(report.num_states)},
                  {"passed", report.passed() ? "true" : "false"}});
   }
-  if (publish) {
-    registry.GetCounter("mbtc.runs.completed").Increment();
-    registry.GetCounter("mbtc.events.ingested").Increment(report.num_events);
-    registry.GetCounter("mbtc.states.mapped").Increment(report.num_states);
-    if (!report.check.ok()) {
-      registry.GetCounter("mbtc.mismatches.found").Increment();
-    }
-    const double seconds =
-        static_cast<double>(clock->NowNanos() - run_start_ns) * 1e-9;
-    registry.GetGauge("mbtc.run.seconds").Set(seconds);
-    if (seconds > 0) {
-      registry.GetGauge("mbtc.run.events_per_sec")
-          .Set(static_cast<double>(report.num_events) / seconds);
-    }
+  registry.GetCounter("mbtc.runs.completed").Increment();
+  registry.GetCounter("mbtc.events.ingested").Increment(report.num_events);
+  registry.GetCounter("mbtc.states.mapped").Increment(report.num_states);
+  if (!report.check.ok()) {
+    registry.GetCounter("mbtc.mismatches.found").Increment();
+  }
+  const double seconds =
+      static_cast<double>(clock->NowNanos() - run_start_ns) * 1e-9;
+  registry.GetGauge("mbtc.run.seconds").Set(seconds);
+  if (seconds > 0) {
+    registry.GetGauge("mbtc.run.events_per_sec")
+        .Set(static_cast<double>(report.num_events) / seconds);
   }
   return report;
 }

@@ -33,9 +33,6 @@ struct MbtcPipelineOptions {
   tlax::TraceCheckOptions checker;
   /// Keep the generated Trace module text in the report.
   bool emit_trace_module = true;
-  /// Publish mbtc.* metrics (phase latency histograms, event counters,
-  /// throughput) to the global registry after each Run.
-  bool publish_metrics = true;
   /// Wall clock for phase timing; null means the real steady clock.
   common::MonotonicClock* clock = nullptr;
   /// Liveness watchdog: heartbeaten at every phase boundary (parse, map,
@@ -46,7 +43,9 @@ struct MbtcPipelineOptions {
 
 /// The paper's Figure 1 data pipeline: per-node log files → merged,
 /// timestamp-ordered events → post-processed replica-set state sequence →
-/// generated Trace module → trace check against RaftMongo.
+/// generated Trace module → trace check against RaftMongo. Each Run
+/// publishes the mbtc.* metrics (phase latency histograms, event counters,
+/// throughput) to the global registry.
 class MbtcPipeline {
  public:
   MbtcPipeline(const specs::RaftMongoSpec* spec, MbtcPipelineOptions options)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/hash.h"
 #include "fuzz/transform_fuzzer.h"
 #include "ot/fixture.h"
 #include "ot/handwritten_cases.h"
@@ -66,33 +67,6 @@ TEST(ArrayOtSpecTest, TranscriptionErrorCaught) {
   ASSERT_TRUE(result.violation.has_value());
 }
 
-TEST(DotParserTest, RoundTripsSpecGraph) {
-  ArrayOtConfig config;
-  config.initial_array_len = 1;  // Tiny config for a fast test.
-  config.num_clients = 2;
-  ArrayOtSpec spec(config);
-  tlax::CheckerOptions options;
-  options.record_graph = true;
-  auto checked = tlax::ModelChecker(options).Check(spec);
-  ASSERT_TRUE(checked.status.ok());
-
-  std::string dot = checked.graph->ToDot(spec.variables());
-  auto graph = ParseDot(dot);
-  ASSERT_TRUE(graph.ok()) << graph.status().ToString();
-  EXPECT_EQ(graph->nodes.size(), checked.graph->num_states());
-  EXPECT_EQ(graph->edges.size(), checked.graph->num_edges());
-  ASSERT_EQ(graph->initial.size(), 1u);
-  // Node labels parse back into the spec's variables.
-  const DotGraph::Node& root = graph->nodes.at(graph->initial.front());
-  EXPECT_EQ(root.vars.count("serverState"), 1u);
-  EXPECT_EQ(root.vars.count("err"), 1u);
-}
-
-TEST(DotParserTest, RejectsGarbage) {
-  EXPECT_FALSE(ParseDot("").ok());
-  EXPECT_FALSE(ParseDot("digraph G {\n  what is this\n}").ok());
-}
-
 TEST(GeneratorTest, ProducesExactly4913Cases) {
   // The paper's headline number: "the Golang program generated 4,913 C++
   // test cases" for 3 clients, one op each, 3-element initial array.
@@ -101,9 +75,6 @@ TEST(GeneratorTest, ProducesExactly4913Cases) {
   ASSERT_TRUE(report.status.ok()) << report.status.ToString();
   EXPECT_EQ(cases.size(), 4913u);
   EXPECT_EQ(report.num_cases, 4913u);
-  // The default path hands the in-memory graph straight to extraction: no
-  // DOT dump is produced.
-  EXPECT_EQ(report.dot_bytes, 0u);
   EXPECT_EQ(report.roots, 1u);
 
   // Every case is well-formed.
@@ -117,35 +88,6 @@ TEST(GeneratorTest, ProducesExactly4913Cases) {
   for (const TestCase& c : cases) ids.push_back(c.case_id);
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
-}
-
-TEST(GeneratorTest, ViaDotMatchesInMemoryExactly) {
-  // The DOT round trip is the fidelity mode: it must produce the same
-  // cases in the same order as the in-memory fast path, byte for byte.
-  std::vector<TestCase> in_memory;
-  GenerationReport mem_report =
-      GenerateTestCases(ArrayOtConfig{}, &in_memory);
-  ASSERT_TRUE(mem_report.status.ok()) << mem_report.status.ToString();
-  EXPECT_EQ(mem_report.dot_bytes, 0u);
-
-  GenerateOptions via_dot;
-  via_dot.via_dot = true;
-  std::vector<TestCase> round_tripped;
-  GenerationReport dot_report =
-      GenerateTestCases(ArrayOtConfig{}, &round_tripped, via_dot);
-  ASSERT_TRUE(dot_report.status.ok()) << dot_report.status.ToString();
-  EXPECT_GT(dot_report.dot_bytes, 0u);
-
-  ASSERT_EQ(round_tripped.size(), in_memory.size());
-  for (size_t i = 0; i < in_memory.size(); ++i) {
-    EXPECT_EQ(round_tripped[i].case_id, in_memory[i].case_id)
-        << "case order diverged at index " << i;
-    EXPECT_EQ(round_tripped[i].initial, in_memory[i].initial);
-    EXPECT_EQ(round_tripped[i].final_array, in_memory[i].final_array);
-  }
-  // Same generated file, byte for byte.
-  EXPECT_EQ(GenerateCppTestFile(round_tripped, 50),
-            GenerateCppTestFile(in_memory, 50));
 }
 
 TEST(GeneratorTest, ParallelGenerationIsWorkerInvariant) {
@@ -166,6 +108,58 @@ TEST(GeneratorTest, ParallelGenerationIsWorkerInvariant) {
     for (size_t i = 0; i < base.size(); ++i) {
       ASSERT_EQ(cases[i].case_id, base[i].case_id)
           << "workers=" << workers << ", case order diverged at " << i;
+    }
+  }
+}
+
+// Order-dependent digest of a case list: each case's id, the transformed
+// operations every client applied, and the final array.
+uint64_t CaseListDigest(const std::vector<TestCase>& cases) {
+  uint64_t h = common::HashString("case-list");
+  for (const TestCase& c : cases) {
+    h = common::HashCombine(h, c.case_id);
+    for (const ot::OpList& ops : c.applied_ops) {
+      h = common::HashCombine(h, ops.size());
+      for (const ot::Operation& op : ops) {
+        h = common::HashCombine(h, common::HashString(op.ToString()));
+      }
+    }
+    h = common::HashCombine(h, common::HashString(ot::ToString(c.final_array)));
+  }
+  return h;
+}
+
+TEST(GeneratorTest, CaseListIsPinned) {
+  // The emitted suite is a pure function of the spec config: these
+  // digests pin the ordered case list (ids, applied operations and final
+  // arrays) at every worker count, so a change to exploration or
+  // extraction that reorders or alters a case fails here.
+  struct Pinned {
+    const char* name;
+    bool include_swap;
+    bool merge_descending;
+    size_t cases;
+    uint64_t digest;
+  };
+  const Pinned kPinned[] = {
+      {"default", false, false, 4913u, 0xa1c736e52fde1889ULL},
+      {"include_swap", true, false, 8000u, 0x1cb7140cefc3d000ULL},
+      {"merge_descending", false, true, 4913u, 0x54f684b956686c2cULL},
+  };
+  for (const Pinned& p : kPinned) {
+    ArrayOtConfig config;
+    config.include_swap = p.include_swap;
+    config.merge_descending = p.merge_descending;
+    for (int workers : {1, 4}) {
+      GenerateOptions options;
+      options.num_workers = workers;
+      std::vector<TestCase> cases;
+      GenerationReport report = GenerateTestCases(config, &cases, options);
+      ASSERT_TRUE(report.status.ok()) << report.status.ToString();
+      EXPECT_EQ(cases.size(), p.cases) << p.name << ", workers=" << workers;
+      EXPECT_EQ(CaseListDigest(cases), p.digest)
+          << p.name << ", workers=" << workers << std::hex << ": 0x"
+          << CaseListDigest(cases);
     }
   }
 }

@@ -79,7 +79,6 @@ TEST(ProgressReporterTest, CheckerEmitsDeterministicProgress) {
   options.progress_reporter = &reporter;
   options.progress_interval_ms = 0;  // Report at every poll.
   options.clock = &clock;
-  options.publish_metrics = false;
   tlax::CheckResult result = tlax::ModelChecker(options).Check(spec);
   ASSERT_TRUE(result.status.ok());
 
@@ -131,24 +130,6 @@ TEST(ProgressReporterTest, CheckerPublishesRegistryMetrics) {
             static_cast<double>(result.generated_states));
   EXPECT_EQ(snap.Find("checker.states.distinct")->value,
             static_cast<double>(result.distinct_states));
-  registry.Reset();
-}
-
-TEST(ProgressReporterTest, PublishMetricsCanBeDisabled) {
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.Reset();
-
-  specs::CounterSpec spec(5);
-  tlax::CheckerOptions options;
-  options.publish_metrics = false;
-  tlax::ModelChecker(options).Check(spec);
-
-  const obs::MetricSnapshot* runs =
-      registry.Snapshot().Find("checker.runs.completed");
-  // Either never registered, or untouched by this run.
-  if (runs != nullptr) {
-    EXPECT_EQ(runs->value, 0.0);
-  }
   registry.Reset();
 }
 

@@ -89,7 +89,6 @@ TEST(FpsetTest, AuditCountsGenuineCollisions) {
   FingerprintSet::Options options;
   options.audit = true;
   FingerprintSet set(options);
-  EXPECT_TRUE(set.keep_states());
 
   State a = MakeState(1, 2);
   State b = MakeState(3, 4);
@@ -329,11 +328,19 @@ TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
   const size_t floor = 2 * FpTable::kMinCapacity * sizeof(FpSlot);
   EXPECT_EQ(set.table_bytes(), floor);
 
+  // With a spill tier a miss defers its disk probe; settle each insert at
+  // once so the record is no longer provisional and can be evicted.
+  auto insert_new = [&set](uint64_t fp, uint64_t key) {
+    if (!set.Insert(fp, 0, kFpInitialAction, 0, key, 0, nullptr).pending) {
+      return false;
+    }
+    std::vector<uint8_t> on_disk;
+    set.ResolvePending({fp}, &on_disk);
+    return on_disk[0] == 0;
+  };
   uint64_t evictions = 0;
   for (uint64_t k = 1; evictions < 3; ++k) {
-    ASSERT_TRUE(set.Insert(common::Mix64(k), 0, kFpInitialAction, 0, k, 0,
-                           nullptr)
-                    .inserted);
+    ASSERT_TRUE(insert_new(common::Mix64(k), k));
     const size_t before = set.table_bytes();
     ASSERT_TRUE(set.EvictIfOverBudget().ok());
     if (before > options.memory_budget_bytes) {
@@ -349,7 +356,7 @@ TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
   }
   // EvictAll returns a grown table to the floor, even under the budget.
   for (uint64_t k = 1; set.table_bytes() == floor; ++k) {
-    set.Insert(k << 40, 0, kFpInitialAction, 0, k, 0, nullptr);
+    ASSERT_TRUE(insert_new(k << 40, k));
   }
   ASSERT_LE(set.table_bytes(), options.memory_budget_bytes);
   ASSERT_TRUE(set.EvictAll().ok());

@@ -399,6 +399,20 @@ TEST(SpillTierTest, SealRunRejectsUnsortedOrDuplicateInput) {
   EXPECT_TRUE(tier.FindOnDisk(15, &edge));
 }
 
+// Insert followed at once by a one-key ResolvePending, the smallest batch
+// the engine settles: true when `fp` is a new state. With a spill tier a
+// hot-table miss always comes back pending, never inserted.
+bool InsertAndResolve(FingerprintSet& set, uint64_t fp, uint64_t pred_fp,
+                      uint16_t action, int64_t depth, uint64_t order_key) {
+  const FpInsert r =
+      set.Insert(fp, pred_fp, action, depth, order_key, 0, nullptr);
+  EXPECT_FALSE(r.inserted) << "a miss with a spill tier defers its probe";
+  if (!r.pending) return false;  // Hot revisit.
+  std::vector<uint8_t> on_disk;
+  set.ResolvePending({fp}, &on_disk);
+  return on_disk[0] == 0;
+}
+
 TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
   FingerprintSet::Options options;
   options.spill_dir = TestDir("fpset_evict");
@@ -406,10 +420,9 @@ TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
   ASSERT_TRUE(set.has_spill());
 
   for (uint64_t fp = 1; fp <= 500; ++fp) {
-    FpInsert r = set.Insert(fp, /*pred_fp=*/fp / 2, /*action=*/2,
-                            /*depth=*/static_cast<int64_t>(fp % 13),
-                            /*order_key=*/fp, 0, nullptr);
-    ASSERT_TRUE(r.inserted);
+    ASSERT_TRUE(InsertAndResolve(set, fp, /*pred_fp=*/fp / 2, /*action=*/2,
+                                 /*depth=*/static_cast<int64_t>(fp % 13),
+                                 /*order_key=*/fp));
   }
   EXPECT_EQ(set.size(), 500u);
   EXPECT_EQ(set.hot_count(), 500u);
@@ -419,11 +432,13 @@ TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
 
   // Every evicted fingerprint is a revisit with its original depth…
   for (uint64_t fp = 1; fp <= 500; ++fp) {
-    FpInsert r = set.Insert(fp, 999, 5, 7, 999'999, 0, nullptr);
-    EXPECT_FALSE(r.inserted) << "fp " << fp;
-    EXPECT_EQ(r.depth, static_cast<int64_t>(fp % 13));
+    EXPECT_FALSE(InsertAndResolve(set, fp, 999, 5, 7, 999'999)) << "fp " << fp;
+    auto edge = set.GetEdge(fp);
+    ASSERT_TRUE(edge.has_value()) << "fp " << fp;
+    EXPECT_EQ(edge->depth, static_cast<int64_t>(fp % 13));
   }
   EXPECT_EQ(set.size(), 500u);
+  EXPECT_EQ(set.hot_count(), 0u) << "disk hits drop their provisional record";
   // …its discovery edge still resolves (trace rebuild path)…
   auto edge = set.GetEdge(123);
   ASSERT_TRUE(edge.has_value());
@@ -431,20 +446,19 @@ TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
   EXPECT_EQ(edge->action, 2);
   EXPECT_EQ(edge->order_key, 123u);
   // …and genuinely new fingerprints still insert into the hot table.
-  EXPECT_TRUE(set.Insert(9'999, 1, 1, 3, 1, 0, nullptr).inserted);
+  EXPECT_TRUE(InsertAndResolve(set, 9'999, 1, 1, 3, 1));
   EXPECT_EQ(set.size(), 501u);
   EXPECT_EQ(set.hot_count(), 1u);
   EXPECT_TRUE(set.spill_status().ok());
 }
 
-TEST(FpsetSpillTest, InsertOrDeferResolvesAgainstDiskInOneBatch) {
+TEST(FpsetSpillTest, DeferredInsertsResolveAgainstDiskInOneBatch) {
   FingerprintSet::Options options;
   options.spill_dir = TestDir("fpset_defer");
   FingerprintSet set(options);
   for (uint64_t fp = 1; fp <= 100; ++fp) {
-    ASSERT_TRUE(set.Insert(fp, fp / 2, 1, static_cast<int64_t>(fp % 5),
-                           fp, 0, nullptr)
-                    .inserted);
+    ASSERT_TRUE(
+        InsertAndResolve(set, fp, fp / 2, 1, static_cast<int64_t>(fp % 5), fp));
   }
   ASSERT_TRUE(set.EvictAll().ok());
   ASSERT_EQ(set.size(), 100u);
@@ -453,16 +467,16 @@ TEST(FpsetSpillTest, InsertOrDeferResolvesAgainstDiskInOneBatch) {
   // within the batch merges into its provisional record (not pending
   // twice).
   std::vector<uint64_t> pending;
-  FpInsert r = set.InsertOrDefer(50, 7, 3, 9, 50, 0, nullptr);
+  FpInsert r = set.Insert(50, 7, 3, 9, 50, 0, nullptr);
   EXPECT_TRUE(r.pending);
   pending.push_back(50);
-  r = set.InsertOrDefer(1'000, 8, 2, 4, 60, 0, nullptr);
+  r = set.Insert(1'000, 8, 2, 4, 60, 0, nullptr);
   EXPECT_TRUE(r.pending);
   pending.push_back(1'000);
-  r = set.InsertOrDefer(1'000, 9, 2, 4, 61, 0, nullptr);
+  r = set.Insert(1'000, 9, 2, 4, 61, 0, nullptr);
   EXPECT_FALSE(r.pending) << "hot revisit merges, not a second probe";
   EXPECT_FALSE(r.inserted);
-  r = set.InsertOrDefer(1'001, 8, 2, 4, 62, 0, nullptr);
+  r = set.Insert(1'001, 8, 2, 4, 62, 0, nullptr);
   EXPECT_TRUE(r.pending);
   pending.push_back(1'001);
 
@@ -483,8 +497,8 @@ TEST(FpsetSpillTest, InsertOrDeferResolvesAgainstDiskInOneBatch) {
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->pred_fp, 8u);
   // Re-inserting any of them is a plain revisit now.
-  EXPECT_FALSE(set.Insert(50, 0, 0, 0, 0, 0, nullptr).inserted);
-  EXPECT_FALSE(set.Insert(1'000, 0, 0, 0, 0, 0, nullptr).inserted);
+  EXPECT_FALSE(InsertAndResolve(set, 50, 0, 0, 0, 0));
+  EXPECT_FALSE(InsertAndResolve(set, 1'000, 0, 0, 0, 0));
   EXPECT_EQ(set.size(), 102u);
   EXPECT_TRUE(set.spill_status().ok());
 }
@@ -500,7 +514,7 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
   FingerprintSet set(options);
 
   for (uint64_t fp = 1; fp <= 2'000; ++fp) {
-    set.Insert(fp, fp / 2, 1, 0, fp, 0, nullptr);
+    InsertAndResolve(set, fp, fp / 2, 1, 0, fp);
     ASSERT_TRUE(set.EvictIfOverBudget().ok());
   }
   // Compaction runs in the background; stopping it serves any pending
@@ -513,7 +527,7 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
   EXPECT_EQ(set.size(), 2'000u);
   EXPECT_LE(set.table_bytes(), options.memory_budget_bytes);
   for (uint64_t fp = 1; fp <= 2'000; ++fp) {
-    EXPECT_FALSE(set.Insert(fp, 0, 0, 0, 0, 0, nullptr).inserted);
+    EXPECT_FALSE(InsertAndResolve(set, fp, 0, 0, 0, 0));
   }
   EXPECT_EQ(set.size(), 2'000u);
 }
@@ -535,7 +549,7 @@ TEST(FpsetSpillTest, ConcurrentInsertsDuringEvictionsStayExact) {
     threads.emplace_back([&set, &inserted, t] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
         const uint64_t fp = 1 + (i * kThreads + t) % (kThreads * kPerThread / 2);
-        if (set.Insert(fp, fp, 1, 0, fp, 0, nullptr).inserted) {
+        if (InsertAndResolve(set, fp, fp, 1, 0, fp)) {
           inserted.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -158,6 +158,17 @@ TEST(TraceCheckTest, PresslerModeAgreesWithNative) {
   TraceCheckResult failed = TraceChecker(pressler).Check(spec, bad);
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(failed.failed_step, 2u);
+
+  // Both modes run one step loop: every result field agrees.
+  for (const std::vector<TraceState>* trace : {&good, &bad}) {
+    TraceCheckResult native = TraceChecker().Check(spec, *trace);
+    TraceCheckResult reparsed = TraceChecker(pressler).Check(spec, *trace);
+    EXPECT_EQ(reparsed.status.code(), native.status.code());
+    EXPECT_EQ(reparsed.status.message(), native.status.message());
+    EXPECT_EQ(reparsed.failed_step, native.failed_step);
+    EXPECT_EQ(reparsed.step_actions, native.step_actions);
+    EXPECT_EQ(reparsed.states_explored, native.states_explored);
+  }
 }
 
 // The fold flushes checker.trace.states.explored live every 1024 explored
