@@ -44,6 +44,10 @@ std::string ToPrometheusText(const RegistrySnapshot& snapshot) {
   std::string out;
   for (const MetricSnapshot& m : snapshot.metrics) {
     const std::string name = PromName(m.name);
+    if (const MetricDef* def = FindMetricDef(m.name)) {
+      out += "# HELP " + name + " " + std::string(def->help) + " [" +
+             std::string(def->unit) + "]\n";
+    }
     out += "# TYPE " + name + " " + MetricKindName(m.kind) + "\n";
     switch (m.kind) {
       case MetricKind::kCounter:

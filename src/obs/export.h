@@ -9,7 +9,8 @@
 
 namespace xmodel::obs {
 
-/// Prometheus-style text exposition: one `# TYPE` line per metric, bucket
+/// Prometheus-style text exposition: per metric a `# HELP` line (the
+/// declared help text and `[unit]`) and a `# TYPE` line, then bucket
 /// series with cumulative counts and `le` labels, `_sum`/`_count` series.
 /// Dots in metric names become underscores, per Prometheus naming rules.
 std::string ToPrometheusText(const RegistrySnapshot& snapshot);

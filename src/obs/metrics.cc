@@ -2,8 +2,77 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace xmodel::obs {
+
+namespace {
+
+#define XMODEL_BUCKETS(id, ...) constexpr double id[] = {__VA_ARGS__};
+#define XMODEL_METRIC(...)
+#include "obs/metric_defs.inc"
+#undef XMODEL_BUCKETS
+#undef XMODEL_METRIC
+
+constexpr MetricDef kMetricDefs[] = {
+#define XMODEL_BUCKETS(...)
+#define XMODEL_METRIC(name, kind, unit, min, max, group, needs, buckets, \
+                      help)                                             \
+  {name, MetricKind::kind, unit, buckets, help},
+#include "obs/metric_defs.inc"
+#undef XMODEL_BUCKETS
+#undef XMODEL_METRIC
+};
+
+bool IsIdentifierChar(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+         (c >= '0' && c <= '9') || c == '_';
+}
+
+bool MatchesMetricPattern(std::string_view pattern, std::string_view name) {
+  size_t i = 0;
+  for (size_t p = 0; p < pattern.size();) {
+    if (pattern[p] != '<') {
+      if (i == name.size() || name[i] != pattern[p]) return false;
+      ++i;
+      ++p;
+      continue;
+    }
+    const size_t close = pattern.find('>', p);
+    if (close == std::string_view::npos) return false;
+    const bool digits = pattern.substr(p, close - p + 1) == "<N>";
+    const size_t start = i;
+    while (i < name.size() && (digits ? name[i] >= '0' && name[i] <= '9'
+                                      : IsIdentifierChar(name[i]))) {
+      ++i;
+    }
+    if (i == start) return false;
+    p = close + 1;
+  }
+  return i == name.size();
+}
+
+// The row declaring `name` as `kind`; aborts naming the metric otherwise.
+// Runs only when a registry first creates `name`.
+const MetricDef& DeclaredOrDie(std::string_view name, MetricKind kind) {
+  const MetricDef* def = FindMetricDef(name);
+  if (def == nullptr) {
+    std::fprintf(stderr,
+                 "metrics: '%.*s' is not declared in obs/metric_defs.inc\n",
+                 static_cast<int>(name.size()), name.data());
+    std::abort();
+  }
+  if (def->kind != kind) {
+    std::fprintf(stderr, "metrics: '%.*s' is declared as a %s, not a %s\n",
+                 static_cast<int>(name.size()), name.data(),
+                 MetricKindName(def->kind), MetricKindName(kind));
+    std::abort();
+  }
+  return *def;
+}
+
+}  // namespace
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)) {
@@ -64,6 +133,15 @@ bool RegistrySnapshot::HasFamily(std::string_view prefix) const {
   return false;
 }
 
+std::span<const MetricDef> MetricDefs() { return kMetricDefs; }
+
+const MetricDef* FindMetricDef(std::string_view name) {
+  for (const MetricDef& def : kMetricDefs) {
+    if (MatchesMetricPattern(def.name, name)) return &def;
+  }
+  return nullptr;
+}
+
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* registry = new MetricsRegistry();  // Never dies.
   return *registry;
@@ -73,6 +151,7 @@ Counter& MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
+    DeclaredOrDie(name, MetricKind::kCounter);
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
   }
@@ -83,19 +162,21 @@ Gauge& MetricsRegistry::GetGauge(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) {
+    DeclaredOrDie(name, MetricKind::kGauge);
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
   }
   return *it->second;
 }
 
-Histogram& MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::vector<double> upper_bounds) {
+Histogram& MetricsRegistry::GetHistogram(std::string_view name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
+    const MetricDef& def = DeclaredOrDie(name, MetricKind::kHistogram);
     it = histograms_
              .emplace(std::string(name),
-                      std::make_unique<Histogram>(std::move(upper_bounds)))
+                      std::make_unique<Histogram>(std::vector<double>(
+                          def.buckets.begin(), def.buckets.end())))
              .first;
   }
   return *it->second;
@@ -147,11 +228,6 @@ void MetricsRegistry::Reset() {
 size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return counters_.size() + gauges_.size() + histograms_.size();
-}
-
-std::vector<double> DefaultLatencyBucketsMs() {
-  return {0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30, 100, 300,
-          1'000, 3'000, 10'000, 30'000};
 }
 
 }  // namespace xmodel::obs

@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,10 +19,11 @@ namespace xmodel::obs {
 // relaxed atomics — cheap enough for per-event instrumentation in the
 // checker, the repl simulation, and the MBTC pipeline.
 //
-// Naming scheme: `subsystem.noun.verb` (e.g. `checker.states.generated`,
-// `repl.heartbeats.sent`, `mbtc.events.ingested`). Per-entity expansions
-// insert the entity into the noun (`repl.node2.events.logged`). See
-// DESIGN.md "Observability".
+// Every metric is declared once, in obs/metric_defs.inc: name (the
+// `subsystem.noun.verb` scheme, e.g. `checker.states.generated`, with
+// per-entity patterns such as `repl.node<N>.events.logged`), kind, unit,
+// range, group, histogram edges and help text. The registry aborts on a
+// name that no row declares. See DESIGN.md "Observability".
 
 /// Monotonically increasing event count.
 class Counter {
@@ -75,6 +77,24 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 
 const char* MetricKindName(MetricKind kind);
 
+/// The fields of one obs/metric_defs.inc row that the C++ side uses; the
+/// range, group and needs columns are read by tools/validate_metrics.py.
+struct MetricDef {
+  std::string_view name;  // Exact name, or a pattern with <N>/<word>.
+  MetricKind kind;
+  std::string_view unit;
+  std::span<const double> buckets;  // Histogram edges; empty otherwise.
+  std::string_view help;
+};
+
+/// Every declared metric, in file order.
+std::span<const MetricDef> MetricDefs();
+
+/// The row declaring `name`, where a row's `<N>` matches one or more
+/// digits and any other `<word>` one or more of [A-Za-z0-9_]; nullptr when
+/// no row declares it.
+const MetricDef* FindMetricDef(std::string_view name);
+
 /// One metric's value frozen at snapshot time.
 struct MetricSnapshot {
   std::string name;
@@ -100,6 +120,8 @@ struct RegistrySnapshot {
 /// returned references are stable for the registry's lifetime, so callers
 /// cache them. Reset() zeroes values but keeps registrations, preserving
 /// cached handles — the snapshot/reset cycle benches and tests rely on.
+/// The first Get* of a name looks it up in MetricDefs() and aborts, naming
+/// the metric, when no row declares it with that kind.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -111,10 +133,8 @@ class MetricsRegistry {
 
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
-  /// Registers (or fetches) a histogram. The bounds of the first
-  /// registration win; later calls with different bounds get the original.
-  Histogram& GetHistogram(std::string_view name,
-                          std::vector<double> upper_bounds);
+  /// Registers (or fetches) a histogram with its declared bucket edges.
+  Histogram& GetHistogram(std::string_view name);
 
   RegistrySnapshot Snapshot() const;
   /// Zeroes every instrument; handles stay valid.
@@ -127,10 +147,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
-
-/// Default latency bucket edges in milliseconds, a log-ish ladder from
-/// 0.01 ms to 30 s shared by the per-phase pipeline histograms.
-std::vector<double> DefaultLatencyBucketsMs();
 
 }  // namespace xmodel::obs
 

@@ -223,17 +223,11 @@ struct CheckResult {
   /// worker counts. busy is the in-level expansion span; wait is the gap
   /// between a worker finishing its share of a level and the slowest
   /// worker finishing (fork-join imbalance), summed over levels. Also
-  /// published as the checker.worker<N>.{busy_ms,barrier_wait_ms} gauges
-  /// and the checker.barrier.idle_fraction aggregate.
+  /// published as the checker.worker<N>.{busy_ms,barrier_wait_ms} gauges.
   std::vector<double> worker_busy_ms;
   std::vector<double> worker_barrier_wait_ms;
   /// Serial time spent inside level barriers (merge + settle), total.
   double barrier_settle_ms = 0;
-  /// Fraction of worker wall time not spent expanding:
-  ///   (sum(wait) + workers*settle) /
-  ///   (sum(busy) + sum(wait) + workers*settle)
-  /// 0 when profiling is off or the run did no level work.
-  double barrier_idle_fraction = 0;
   /// The exploration policy the run actually executed — may differ from
   /// CheckerOptions::exploration when a relaxed request was clamped back
   /// to level-sync (see policy_notice).
@@ -248,9 +242,11 @@ struct CheckResult {
   /// distinct_states, generated_states (modulo POR) and the violation
   /// verdict remain exact and worker-count-invariant under both policies.
   bool order_fields_approximate = false;
-  /// Policy-neutral idle share of worker wall time: equals
-  /// barrier_idle_fraction under level-sync; under relaxed it is
-  /// (steal + starve) / (busy + steal + starve). 0 when profiling is off.
+  /// Share of worker wall time not spent expanding. Under level-sync it is
+  ///   (sum(wait) + workers*settle) /
+  ///   (sum(busy) + sum(wait) + workers*settle);
+  /// under relaxed it is (steal + starve) / (busy + steal + starve). 0
+  /// when the run did no work. Also the checker.idle_fraction gauge.
   double idle_fraction = 0;
   /// Relaxed mode only: successful steals per worker (empty under
   /// level-sync). Also published as checker.worker<N>.steals counters.

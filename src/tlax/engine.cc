@@ -266,9 +266,6 @@ void EngineBase::FlushSpillMetrics(uint64_t frontier_segments_total) {
   registry.GetCounter("checker.spill.compact.count")
       .Increment(stats.compactions - published_compactions_);
   published_compactions_ = stats.compactions;
-  registry.GetGauge("checker.spill.compact.ms").Set(stats.merge_ms);
-  registry.GetGauge("checker.spill.compact.backlog")
-      .Set(static_cast<double>(stats.compact_backlog));
   if (checkpointing_) {
     registry.GetCounter("checker.checkpoint.writes")
         .Increment(checkpoints_written_ - published_checkpoints_);
@@ -596,8 +593,7 @@ CheckResult EngineBase::Finish(common::Status status) {
     // W-fold to the fleet's idle wall time.
     const double idle_ms = wait_ms_total + result_.barrier_settle_ms * workers_;
     const double total_ms = busy_ms_total + idle_ms;
-    result_.barrier_idle_fraction = total_ms > 0 ? idle_ms / total_ms : 0;
-    result_.idle_fraction = result_.barrier_idle_fraction;
+    result_.idle_fraction = total_ms > 0 ? idle_ms / total_ms : 0;
   } else {
     // No barriers: idle time is steal probing plus starvation spinning.
     double idle_ms_total = 0;
@@ -680,8 +676,6 @@ CheckResult EngineBase::Finish(common::Status status) {
   if (!relaxed_) {
     registry.GetGauge("checker.barrier.settle_ms")
         .Set(result_.barrier_settle_ms);
-    registry.GetGauge("checker.barrier.idle_fraction")
-        .Set(result_.barrier_idle_fraction);
   }
   registry.GetGauge("checker.idle_fraction").Set(result_.idle_fraction);
   registry.GetGauge("checker.workers.used").Set(static_cast<double>(workers_));

@@ -111,8 +111,7 @@ CheckResult LevelSyncEngine::Run() {
   }
 
   obs::Histogram& level_hist = obs::MetricsRegistry::Global().GetHistogram(
-      "checker.frontier.level_size",
-      {1, 10, 100, 1'000, 10'000, 100'000, 1'000'000});
+      "checker.frontier.level_size");
 
   while (true) {
     const size_t level_size =

@@ -823,7 +823,6 @@ SpillTier::Stats SpillTier::stats() const {
       s.live_bytes += run->bytes;
     }
   }
-  s.compact_backlog = s.runs > 0 ? s.runs - 1 : 0;
   s.generations = generations_.load(std::memory_order_relaxed);
   s.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   s.compactions = compactions_.load(std::memory_order_relaxed);

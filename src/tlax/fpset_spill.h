@@ -106,7 +106,6 @@ class SpillTier {
     uint64_t live_bytes = 0;        // Bytes of live run files.
     uint64_t bytes_written = 0;     // Cumulative bytes written (monotone).
     uint64_t compactions = 0;
-    uint64_t compact_backlog = 0;   // Extra live runs a probe must consult.
     uint64_t probes = 0;            // Disk-path probes (past the filters).
     double probe_ms = 0;
     double merge_ms = 0;

@@ -67,12 +67,9 @@ void PublishWorkerExpansions(const std::vector<uint64_t>& expansions) {
   }
 }
 
-// Bounds must match the model checker's registration of the same
-// histogram (first registration wins).
 obs::Histogram& LevelSizeHistogram() {
   return obs::MetricsRegistry::Global().GetHistogram(
-      "checker.frontier.level_size",
-      {1, 10, 100, 1'000, 10'000, 100'000, 1'000'000});
+      "checker.frontier.level_size");
 }
 
 // A deduplicated frontier of spec states viable at one trace position.

@@ -20,7 +20,7 @@ class PhaseTimer {
       : clock_(clock),
         start_ns_(clock->NowNanos()),
         histogram_(obs::MetricsRegistry::Global().GetHistogram(
-            histogram_name, obs::DefaultLatencyBucketsMs())) {}
+            histogram_name)) {}
   ~PhaseTimer() {
     histogram_.Observe(
         static_cast<double>(clock_->NowNanos() - start_ns_) * 1e-6);

@@ -175,7 +175,7 @@ TEST(HttpServerTest, MalformedRequestsGet400WithoutCrashing) {
 
 TEST(ObsServerTest, IndexMetricsProgressAndEventsEndpoints) {
   MetricsRegistry registry;
-  registry.GetCounter("test.requests.seen").Increment(7);
+  registry.GetCounter("checker.trace.steps.checked").Increment(7);
   FakeMonotonicClock clock;
   EventLog events(/*capacity=*/16, &clock);
   events.Emit(EventSeverity::kInfo, "test", "endpoint.probe",
@@ -196,7 +196,7 @@ TEST(ObsServerTest, IndexMetricsProgressAndEventsEndpoints) {
   std::string metrics = Get(server.port(), "/metrics");
   EXPECT_EQ(StatusOf(metrics), 200);
   EXPECT_NE(metrics.find("text/plain; version=0.0.4"), std::string::npos);
-  EXPECT_DOUBLE_EQ(PromValue(BodyOf(metrics), "test_requests_seen"), 7);
+  EXPECT_DOUBLE_EQ(PromValue(BodyOf(metrics), "checker_trace_steps_checked"), 7);
 
   std::string progress_response = Get(server.port(), "/progress");
   EXPECT_EQ(StatusOf(progress_response), 200);
@@ -342,12 +342,12 @@ TEST(ObsServerTest, LiveScrapeShowsAdvancingCheckerCounters) {
   // fraction.
   ASSERT_EQ(result.worker_busy_ms.size(), 2u);
   EXPECT_GT(result.worker_busy_ms[0] + result.worker_busy_ms[1], 0);
-  EXPECT_GE(result.barrier_idle_fraction, 0);
-  EXPECT_LE(result.barrier_idle_fraction, 1);
+  EXPECT_GE(result.idle_fraction, 0);
+  EXPECT_LE(result.idle_fraction, 1);
   EXPECT_GE(PromValue(final_body, "checker_worker0_busy_ms"), 0);
   EXPECT_GE(PromValue(final_body, "checker_worker1_busy_ms"), 0);
-  EXPECT_GE(PromValue(final_body, "checker_barrier_idle_fraction"), 0);
-  EXPECT_LE(PromValue(final_body, "checker_barrier_idle_fraction"), 1);
+  EXPECT_GE(PromValue(final_body, "checker_idle_fraction"), 0);
+  EXPECT_LE(PromValue(final_body, "checker_idle_fraction"), 1);
 
   // obs.http.* accounting saw this conversation.
   EXPECT_GT(PromValue(final_body, "obs_http_requests"), 0);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,8 +68,8 @@ TEST(HistogramTest, ResetZeroesEverything) {
 
 TEST(MetricsRegistryTest, HandlesAreStableAndShared) {
   MetricsRegistry registry;
-  Counter& a = registry.GetCounter("test.events.seen");
-  Counter& b = registry.GetCounter("test.events.seen");
+  Counter& a = registry.GetCounter("checker.runs.completed");
+  Counter& b = registry.GetCounter("checker.runs.completed");
   EXPECT_EQ(&a, &b);
   a.Increment(3);
   EXPECT_EQ(b.value(), 3u);
@@ -75,29 +78,29 @@ TEST(MetricsRegistryTest, HandlesAreStableAndShared) {
 
 TEST(MetricsRegistryTest, SnapshotIsSortedAndComplete) {
   MetricsRegistry registry;
-  registry.GetCounter("z.last").Increment(1);
-  registry.GetGauge("a.first").Set(7);
-  registry.GetHistogram("m.middle", {1.0}).Observe(0.5);
+  registry.GetCounter("repl.writes.applied").Increment(1);
+  registry.GetGauge("checker.frontier.peak").Set(7);
+  registry.GetHistogram("mbtc.phase.map.ms").Observe(0.5);
 
   RegistrySnapshot snap = registry.Snapshot();
   ASSERT_EQ(snap.metrics.size(), 3u);
-  EXPECT_EQ(snap.metrics[0].name, "a.first");
-  EXPECT_EQ(snap.metrics[1].name, "m.middle");
-  EXPECT_EQ(snap.metrics[2].name, "z.last");
+  EXPECT_EQ(snap.metrics[0].name, "checker.frontier.peak");
+  EXPECT_EQ(snap.metrics[1].name, "mbtc.phase.map.ms");
+  EXPECT_EQ(snap.metrics[2].name, "repl.writes.applied");
 
-  const MetricSnapshot* gauge = snap.Find("a.first");
+  const MetricSnapshot* gauge = snap.Find("checker.frontier.peak");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->kind, MetricKind::kGauge);
   EXPECT_DOUBLE_EQ(gauge->value, 7.0);
   EXPECT_EQ(snap.Find("missing"), nullptr);
-  EXPECT_TRUE(snap.HasFamily("m."));
-  EXPECT_FALSE(snap.HasFamily("q."));
+  EXPECT_TRUE(snap.HasFamily("mbtc."));
+  EXPECT_FALSE(snap.HasFamily("obs."));
 }
 
 TEST(MetricsRegistryTest, ResetKeepsRegistrationsAndHandles) {
   MetricsRegistry registry;
-  Counter& counter = registry.GetCounter("test.runs");
-  Histogram& histogram = registry.GetHistogram("test.latency", {1.0, 2.0});
+  Counter& counter = registry.GetCounter("checker.runs.completed");
+  Histogram& histogram = registry.GetHistogram("mbtc.phase.check.ms");
   counter.Increment(5);
   histogram.Observe(1.5);
 
@@ -109,20 +112,12 @@ TEST(MetricsRegistryTest, ResetKeepsRegistrationsAndHandles) {
   // Cached handles keep working after Reset — the snapshot/reset cycle the
   // benches rely on.
   counter.Increment();
-  EXPECT_EQ(registry.Snapshot().Find("test.runs")->value, 1.0);
-}
-
-TEST(MetricsRegistryTest, HistogramFirstBoundsWin) {
-  MetricsRegistry registry;
-  Histogram& first = registry.GetHistogram("h", {1.0, 2.0});
-  Histogram& second = registry.GetHistogram("h", {9.0});
-  EXPECT_EQ(&first, &second);
-  EXPECT_EQ(second.upper_bounds().size(), 2u);
+  EXPECT_EQ(registry.Snapshot().Find("checker.runs.completed")->value, 1.0);
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsAreLossless) {
   MetricsRegistry registry;
-  Counter& counter = registry.GetCounter("test.concurrent");
+  Counter& counter = registry.GetCounter("checker.states.generated");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 10'000;
   std::vector<std::thread> threads;
@@ -136,10 +131,111 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAreLossless) {
             static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
+TEST(MetricsRegistryTest, HistogramsTakeTheirDeclaredEdges) {
+  MetricsRegistry registry;
+  const MetricDef* def = FindMetricDef("checker.frontier.level_size");
+  ASSERT_NE(def, nullptr);
+  const std::vector<double>& edges =
+      registry.GetHistogram("checker.frontier.level_size").upper_bounds();
+  EXPECT_TRUE(std::equal(edges.begin(), edges.end(), def->buckets.begin(),
+                         def->buckets.end()));
+}
+
+// The TSan job runs this binary, and only the threadsafe style re-executes
+// the test binary instead of forking a process that may hold locks.
+class MetricsRegistryDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  }
+};
+
+TEST_F(MetricsRegistryDeathTest, UndeclaredNameAborts) {
+  MetricsRegistry registry;
+  EXPECT_DEATH(registry.GetCounter("checker.states.invented"),
+               "'checker.states.invented' is not declared");
+  EXPECT_DEATH(registry.GetGauge("checker.workerX.busy_ms"),
+               "'checker.workerX.busy_ms' is not declared");
+}
+
+TEST_F(MetricsRegistryDeathTest, DeclaredNameOfAnotherKindAborts) {
+  MetricsRegistry registry;
+  EXPECT_DEATH(registry.GetGauge("checker.states.generated"),
+               "'checker.states.generated' is declared as a counter, not a "
+               "gauge");
+  EXPECT_DEATH(registry.GetCounter("mbtc.phase.map.ms"),
+               "'mbtc.phase.map.ms' is declared as a histogram, not a "
+               "counter");
+}
+
+// A concrete name for a row: every placeholder filled with a sample value.
+std::string SampleName(std::string_view pattern) {
+  std::string out;
+  for (size_t p = 0; p < pattern.size(); ++p) {
+    if (pattern[p] != '<') {
+      out += pattern[p];
+      continue;
+    }
+    const size_t close = pattern.find('>', p);
+    out += pattern.substr(p, close - p + 1) == "<N>" ? "7" : "x_1";
+    p = close;
+  }
+  return out;
+}
+
+std::string Flattened(std::string_view name) {
+  std::string out(name);
+  for (char& c : out) {
+    if (c == '.') c = '_';
+  }
+  return out;
+}
+
+TEST(MetricDefsTest, PatternsAreWellFormed) {
+  for (const MetricDef& def : MetricDefs()) {
+    for (size_t p = def.name.find('<'); p != std::string_view::npos;
+         p = def.name.find('<', p + 1)) {
+      const size_t close = def.name.find('>', p);
+      ASSERT_NE(close, std::string_view::npos) << def.name;
+      EXPECT_GT(close, p + 1) << def.name;
+      // Identifier placeholders stop at a dot, so one must follow.
+      EXPECT_TRUE(close + 1 == def.name.size() || def.name[close + 1] == '.')
+          << def.name;
+    }
+    const std::string sample = SampleName(def.name);
+    EXPECT_EQ(FindMetricDef(sample), &def) << sample;
+  }
+  EXPECT_NE(FindMetricDef("checker.worker12.busy_ms"), nullptr);
+  EXPECT_EQ(FindMetricDef("checker.worker.busy_ms"), nullptr);
+  EXPECT_EQ(FindMetricDef("checker.worker1x.busy_ms"), nullptr);
+  EXPECT_NE(FindMetricDef("analysis.domain.array_ot.exhaustive"), nullptr);
+  EXPECT_EQ(FindMetricDef("analysis.domain.a.b.exhaustive"), nullptr);
+}
+
+TEST(MetricDefsTest, RowsStayDistinctAfterPrometheusFlattening) {
+  std::set<std::string> flattened;
+  for (const MetricDef& def : MetricDefs()) {
+    EXPECT_TRUE(flattened.insert(Flattened(def.name)).second) << def.name;
+  }
+}
+
+TEST(MetricDefsTest, RowsAreComplete) {
+  for (const MetricDef& def : MetricDefs()) {
+    EXPECT_FALSE(def.unit.empty()) << def.name;
+    EXPECT_FALSE(def.help.empty()) << def.name;
+    EXPECT_EQ(def.kind == MetricKind::kHistogram, !def.buckets.empty())
+        << def.name;
+    EXPECT_TRUE(std::is_sorted(def.buckets.begin(), def.buckets.end()) &&
+                std::adjacent_find(def.buckets.begin(), def.buckets.end()) ==
+                    def.buckets.end())
+        << def.name << ": histogram edges must strictly ascend";
+  }
+}
+
 TEST(ExportTest, PrometheusTextHasCumulativeBuckets) {
   MetricsRegistry registry;
   registry.GetCounter("checker.states.generated").Increment(10);
-  Histogram& h = registry.GetHistogram("mbtc.phase.check.ms", {1.0, 10.0});
+  Histogram& h = registry.GetHistogram("mbtc.phase.check.ms");
   h.Observe(0.5);
   h.Observe(5.0);
   h.Observe(50.0);
@@ -159,11 +255,32 @@ TEST(ExportTest, PrometheusTextHasCumulativeBuckets) {
   EXPECT_NE(text.find("mbtc_phase_check_ms_count 3"), std::string::npos);
 }
 
+TEST(ExportTest, PrometheusTextWritesHelpBeforeType) {
+  MetricsRegistry registry;
+  registry.GetCounter("checker.states.generated").Increment(10);
+  registry.GetHistogram("mbtc.phase.check.ms").Observe(1);
+
+  const std::string text = ToPrometheusText(registry.Snapshot());
+  for (const char* name :
+       {"checker.states.generated", "mbtc.phase.check.ms"}) {
+    const MetricDef* def = FindMetricDef(name);
+    ASSERT_NE(def, nullptr);
+    const std::string help = "# HELP " + Flattened(name) + " " +
+                             std::string(def->help) + " [" +
+                             std::string(def->unit) + "]\n";
+    const size_t help_at = text.find(help);
+    ASSERT_NE(help_at, std::string::npos) << help;
+    EXPECT_EQ(text.find("# TYPE " + Flattened(name) + " "),
+              help_at + help.size())
+        << name;
+  }
+}
+
 TEST(ExportTest, JsonSnapshotRoundTrips) {
   MetricsRegistry registry;
   registry.GetCounter("repl.writes.applied").Increment(4);
   registry.GetGauge("repl.sim.wall_ratio").Set(123.5);
-  registry.GetHistogram("mbtc.phase.parse.ms", {1.0}).Observe(0.25);
+  registry.GetHistogram("mbtc.phase.parse.ms").Observe(0.005);
 
   common::Json doc = ToJson(registry.Snapshot());
   auto parsed = common::Json::Parse(doc.Dump());
@@ -183,15 +300,25 @@ TEST(ExportTest, JsonSnapshotRoundTrips) {
   const common::Json* histogram = metrics->Find("mbtc.phase.parse.ms");
   ASSERT_NE(histogram, nullptr);
   EXPECT_EQ(histogram->Find("count")->int_value(), 1);
-  ASSERT_EQ(histogram->Find("buckets")->array().size(), 2u);
+  ASSERT_EQ(histogram->Find("buckets")->array().size(),
+            FindMetricDef("mbtc.phase.parse.ms")->buckets.size() + 1);
   EXPECT_EQ(histogram->Find("buckets")->array()[0].int_value(), 1);
 }
 
+// The per-phase pipeline histograms share one latency ladder, 0.01 ms to
+// 30 s.
 TEST(ExportTest, DefaultLatencyBucketsAreAscending) {
-  std::vector<double> buckets = DefaultLatencyBucketsMs();
+  const MetricDef* parse = FindMetricDef("mbtc.phase.parse.ms");
+  ASSERT_NE(parse, nullptr);
+  const std::span<const double> buckets = parse->buckets;
   ASSERT_GE(buckets.size(), 2u);
+  EXPECT_DOUBLE_EQ(buckets.front(), 0.01);
+  EXPECT_DOUBLE_EQ(buckets.back(), 30'000);
   for (size_t i = 1; i < buckets.size(); ++i) {
     EXPECT_LT(buckets[i - 1], buckets[i]);
+  }
+  for (const char* name : {"mbtc.phase.map.ms", "mbtc.phase.check.ms"}) {
+    EXPECT_EQ(FindMetricDef(name)->buckets.data(), buckets.data()) << name;
   }
 }
 

@@ -1,94 +1,33 @@
 #!/usr/bin/env python3
-"""Validate xmodel observability artifacts.
+"""Validate xmodel observability artifacts against the declared metrics.
 
-Checks every file argument and exits nonzero on the first problem:
+    tools/validate_metrics.py FILE [FILE...]
 
-- Metrics snapshots (schema "xmodel.metrics.v1"): the `metrics` object must
-  hold counter/gauge entries with a numeric `value`, and histogram entries
-  whose bucket counts line up with their edges and total `count`.
-- Bench reports (same schema plus a `bench` member, as written by
-  bench/bench_util.h): additionally require `quick`, `exit_code`,
-  `wall_seconds`, and a `results` object.
-- Chrome trace files (a `traceEvents` member, as written by
-  SpanTracer::WriteChromeJson): every event needs name/ph/ts/dur/pid/tid,
-  with ph == "X" and non-negative ts/dur.
-- Checker-family sanity (any snapshot containing checker.* metrics):
-  `checker.fingerprint.load` must be a finite gauge in [0, 0.875] (the
-  sharded fingerprint table's records per slot, which growth keeps at or
-  below 7/8) and
-  `checker.workers.used` at least 1; `checker.worker<N>.expansions`
-  per-worker counters must carry a well-formed worker index.
-- Value-family sanity (any snapshot containing value.intern.* metrics):
-  the intern-table gauges `value.intern.{hits,misses,live,bytes}` must all
-  be present together, finite, and non-negative, with `live` never
-  exceeding `misses` (every live rep was a miss once); when present,
-  `checker.alloc.values_per_state` must be a finite non-negative gauge.
-- Graph-family sanity (any snapshot containing checker.graph.* metrics):
-  the recorded-graph gauges `checker.graph.{nodes,edges,dup_edges}` must
-  all be present together, finite, and non-negative, with `dup_edges`
-  never exceeding `edges` (a duplicate edge is still an edge).
-- MBTCG-family sanity (any snapshot containing mbtcg.extract.* metrics):
-  the extraction gauges `mbtcg.extract.{roots,cases,seconds}` must all be
-  present together, finite, and non-negative.
-- Worker-profile sanity (any snapshot containing the idle-time profiler's
-  checker.worker<N>.{busy_ms,barrier_wait_ms,steal_ms,starve_ms} gauges):
-  each worker index must be well-formed, every gauge finite and
-  non-negative, and every profiled worker must carry busy_ms. A worker
-  without barrier_wait_ms is only legal for a relaxed run — checker.policy
-  must be present as 1 and the worker must carry the steal_ms/starve_ms
-  pair instead. `checker.barrier.settle_ms` must be a finite non-negative
-  gauge and `checker.barrier.idle_fraction` / `checker.idle_fraction`
-  finite gauges in [0, 1].
-- Exploration-policy sanity (any snapshot containing checker.policy or
-  checker.worker<N>.steals): `checker.policy` must be a gauge valued 0
-  (level) or 1 (relaxed); steal counters must carry well-formed, dense
-  worker indexes and be finite and non-negative; a nonzero steal count
-  requires checker.policy == 1 (level-sync never steals — a zero-valued
-  steals family with policy 0 is legal, it is a relaxed registration left
-  behind by a registry reset).
-- Obs-HTTP sanity (any snapshot containing obs.http.* metrics): the
-  `obs.http.{requests,bytes}` counters are published together and
-  non-negative.
-- Prometheus scrape bodies (non-JSON files, e.g. a saved `curl /metrics`):
-  every sample line must parse as `name value`, every name must carry a
-  preceding `# TYPE` declaration (histogram samples may use the
-  `_bucket`/`_sum`/`_count` suffixes and a `{le="..."}` label), and the
-  same per-family sanity checks run on the flattened counter/gauge values.
-- Spill-family sanity (any snapshot containing checker.spill.* metrics):
-  the out-of-core tier's core family `checker.spill.{bytes,
-  frontier_segments,runs,probe_ms,merge_ms}` is flushed in one call, so
-  the five must appear together — `bytes`/`frontier_segments` as
-  counters, the rest as gauges, all finite and non-negative.
-  The compaction family `checker.spill.compact.{count,ms,backlog}`
-  (count counter, ms/backlog gauges) is all-or-nothing and requires the
-  core family — the same flush publishes both. `checker.spill.generations`
-  (end-of-run only) and the checkpoint pair `checker.checkpoint.{writes,
-  ms}` additionally require the core family: checkpointing implies
-  spilling. When one invocation validates several Prometheus scrape
-  bodies of the SAME serving process (pass them in scrape order, as the
-  obs-live CI job does), the monotone spill counters
-  `checker_spill_bytes` / `checker_spill_frontier_segments` /
-  `checker_spill_compact_count` / `checker_checkpoint_writes` must
-  never move backwards between scrapes.
-- Domain-family sanity (any snapshot containing analysis.domain.* metrics):
-  per spec, the gauges `analysis.domain.<spec>.{state_bound,
-  observed_distinct, unbounded_vars, exhaustive}` must appear together,
-  finite and non-negative, with `exhaustive` boolean; `unbounded_vars > 0`
-  forces `state_bound == 0` (the "unbounded" encoding), and an exhaustive
-  probe with no unbounded variables must report a budget that is >= 1 and
-  covers the observed distinct count.
-
-Usage: tools/validate_metrics.py FILE [FILE...]
+Each FILE is a metrics snapshot or bench report (JSON, schema
+xmodel.metrics.v1), a Chrome trace (`traceEvents`), or a saved `/metrics`
+scrape body. Metric rules come from src/obs/metric_defs.inc. Scrape bodies
+of one process, given in scrape order, must never move a counter backwards.
+Exits 1 naming the first problem, 0 when every file passes.
 """
 
-import math
-
 import json
+import math
+import os
 import re
 import sys
 
-# FingerprintSet doubles a shard's slot array before its load passes 7/8.
-MAX_FINGERPRINT_LOAD = 0.875
+TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                     "src", "obs", "metric_defs.inc")
+KINDS = {"kCounter": "counter", "kGauge": "gauge", "kHistogram": "histogram"}
+_ROW = re.compile(r'^XMODEL_METRIC\(\s*"([^"]*)",\s*(\w+),\s*"([^"]*)",'
+                  r'\s*([\w.]+),\s*([\w.]+),\s*"([^"]*)",\s*"([^"]*)",'
+                  r'\s*(\{\}|\w+),\s*"([^"]*)"\)$', re.M)
+_BUCKETS = re.compile(r"^XMODEL_BUCKETS\((\w+),([^)]*)\)$", re.M)
+_PROM_COMMENT = re.compile(r"^# (HELP|TYPE) ([A-Za-z_:][A-Za-z0-9_:]*) (.*)$")
+_PROM_SAMPLE = re.compile(
+    r'^([A-Za-z_:][A-Za-z0-9_:]*)(\{le="([^"]*)"\})?\s+(\S+)$')
+# Counter values seen in earlier scrape bodies: name -> (value, path).
+_SCRAPED = {}
 
 
 def fail(path, message):
@@ -101,417 +40,200 @@ def require(cond, path, message):
         fail(path, message)
 
 
-def validate_metric(path, name, entry):
-    require(isinstance(entry, dict), path, f"metric {name!r} is not an object")
-    kind = entry.get("kind")
-    if kind in ("counter", "gauge"):
-        require(isinstance(entry.get("value"), (int, float)), path,
-                f"metric {name!r} has no numeric 'value'")
-        if kind == "counter":
-            require(entry["value"] >= 0, path,
-                    f"counter {name!r} is negative: {entry['value']}")
-    elif kind == "histogram":
-        count = entry.get("count")
-        buckets = entry.get("buckets")
-        le = entry.get("le")
-        require(isinstance(count, int) and count >= 0, path,
-                f"histogram {name!r} has no non-negative 'count'")
-        require(isinstance(entry.get("sum"), (int, float)), path,
-                f"histogram {name!r} has no numeric 'sum'")
-        require(isinstance(buckets, list) and isinstance(le, list), path,
-                f"histogram {name!r} needs 'buckets' and 'le' arrays")
-        require(len(buckets) == len(le) + 1, path,
-                f"histogram {name!r}: {len(buckets)} buckets for "
-                f"{len(le)} edges (want edges + 1 for +Inf)")
-        require(le == sorted(le), path,
-                f"histogram {name!r}: 'le' edges are not ascending")
-        require(all(isinstance(b, int) and b >= 0 for b in buckets), path,
-                f"histogram {name!r}: bucket counts must be non-negative ints")
-        require(sum(buckets) == count, path,
-                f"histogram {name!r}: buckets sum to {sum(buckets)}, "
-                f"count says {count}")
-    else:
-        fail(path, f"metric {name!r} has unknown kind {kind!r}")
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def validate_checker_family(path, metrics):
-    """Cross-metric sanity for the parallel checker's checker.* family."""
-    load = metrics.get("checker.fingerprint.load")
-    if load is not None:
-        require(load.get("kind") == "gauge", path,
-                "checker.fingerprint.load must be a gauge")
-        value = load.get("value")
-        require(isinstance(value, (int, float)) and math.isfinite(value)
-                and 0 <= value <= MAX_FINGERPRINT_LOAD, path,
-                f"checker.fingerprint.load must be finite and in "
-                f"[0, {MAX_FINGERPRINT_LOAD}], got {value!r}")
-    workers = metrics.get("checker.workers.used")
-    if workers is not None:
-        require(workers.get("kind") == "gauge", path,
-                "checker.workers.used must be a gauge")
-        require(workers.get("value", 0) >= 1, path,
-                f"checker.workers.used must be >= 1, "
-                f"got {workers.get('value')!r}")
+def pattern_regex(pattern, dot):
+    """`<N>` matches digits and other `<word>`s identifiers; `dot` is how a
+    literal dot is spelled (`\\.` in snapshots, `_` in scrapes)."""
+    out = ""
+    for i, part in enumerate(re.split(r"<(\w+)>", pattern)):
+        if i % 2:
+            word = "[0-9]+" if part == "N" else "[A-Za-z0-9_]+"
+            out += f"(?P<{part}>{word})"
+        else:
+            out += re.escape(part).replace(r"\.", dot)
+    return re.compile(out + "$")
+
+
+def expand(pattern, bind):
+    return re.sub(r"<(\w+)>", lambda m: bind[m.group(1)], pattern)
+
+
+class Row:
+    """One XMODEL_METRIC row of the declaration table."""
+
+    def __init__(self, fields, buckets):
+        (self.name, kind, self.unit, lo, hi, self.group, self.needs, edges,
+         self.help) = fields
+        self.kind = KINDS[kind]
+        self.lo, self.hi = (math.inf if v == "kInf" else float(v)
+                            for v in (lo, hi))
+        self.buckets = buckets.get(edges, [])
+        self.dotted = pattern_regex(self.name, r"\.")
+        self.flat = pattern_regex(self.name, "_")
+
+
+def load_table():
+    with open(TABLE, encoding="utf-8") as f:
+        text = f.read()
+    buckets = {name: [float(edge) for edge in edges.split(",")]
+               for name, edges in _BUCKETS.findall(text)}
+    rows = [Row(fields, buckets) for fields in _ROW.findall(text)]
+    require(len(rows) == len(re.findall(r"^XMODEL_METRIC\(", text, re.M)),
+            TABLE, "a XMODEL_METRIC row has an argument this parser cannot "
+            "read")
+    return rows
+
+
+def check_histogram(path, name, entry, row):
+    count, buckets, le = (entry.get(key) for key in ("count", "buckets", "le"))
+    require(isinstance(count, int) and count >= 0, path,
+            f"histogram {name!r} has no non-negative 'count'")
+    require(is_number(entry.get("sum")), path,
+            f"histogram {name!r} has no numeric 'sum'")
+    require(isinstance(buckets, list) and isinstance(le, list), path,
+            f"histogram {name!r} needs 'buckets' and 'le' arrays")
+    require(le == sorted(le) and len(set(le)) == len(le), path,
+            f"histogram {name!r}: 'le' edges are not ascending")
+    require(le == row.buckets, path,
+            f"histogram {name!r}: edges {le} are not the declared "
+            f"{row.buckets}")
+    require(len(buckets) == len(le) + 1, path,
+            f"histogram {name!r}: {len(buckets)} buckets for {len(le)} edges "
+            f"(want edges + 1 for +Inf)")
+    require(all(isinstance(b, int) and b >= 0 for b in buckets), path,
+            f"histogram {name!r}: bucket counts must be non-negative ints")
+    require(sum(buckets) == count, path,
+            f"histogram {name!r}: buckets sum to {sum(buckets)}, count says "
+            f"{count}")
+
+
+def check_metrics(path, metrics, rows, helps=None):
+    """The generic pass, driven only by the table. `helps` (flattened name
+    -> `# HELP` text) marks a scrape, whose names are flattened."""
+    resolved = {}
     for name, entry in metrics.items():
-        if name.startswith("checker.worker") and \
-                name.endswith(".expansions"):
-            index = name[len("checker.worker"):-len(".expansions")]
-            require(index.isdigit(), path,
-                    f"per-worker counter {name!r} has a malformed "
-                    f"worker index {index!r}")
-            require(entry.get("kind") == "counter", path,
-                    f"{name!r} must be a counter")
-
-
-def validate_value_family(path, metrics):
-    """Cross-metric sanity for the interned value layer's value.* family."""
-    intern_names = [f"value.intern.{leaf}"
-                    for leaf in ("hits", "misses", "live", "bytes")]
-    present = [name for name in intern_names if name in metrics]
-    if present:
-        missing = [name for name in intern_names if name not in metrics]
-        require(not missing, path,
-                f"intern gauges are published together; missing {missing}")
-        for name in intern_names:
-            entry = metrics[name]
-            require(entry.get("kind") == "gauge", path,
-                    f"{name!r} must be a gauge")
+        matches = [(r, m) for r in rows if (m := (
+            r.flat if helps is not None else r.dotted).match(name))]
+        require(matches, path, f"metric {name!r} is not declared in "
+                f"src/obs/metric_defs.inc")
+        require(len(matches) == 1, path, f"metric {name!r} matches "
+                f"{len(matches)} declared rows")
+        row, bind = matches[0][0], matches[0][1].groupdict()
+        dotted = expand(row.name, bind)
+        require(isinstance(entry, dict), path,
+                f"metric {dotted!r} is not an object")
+        kind = entry.get("kind")
+        require(kind in KINDS.values(), path,
+                f"metric {dotted!r} has unknown kind {kind!r}")
+        require(kind == row.kind, path,
+                f"{dotted!r} is a {kind}; it is declared as a {row.kind}")
+        if helps is not None and name in helps:
+            want = f"{row.help} [{row.unit}]"
+            require(helps[name] == want, path,
+                    f"# HELP of {name!r} is {helps[name]!r}, want {want!r}")
+        if kind == "histogram":
+            check_histogram(path, dotted, entry, row)
+        else:
             value = entry.get("value")
-            require(isinstance(value, (int, float)) and math.isfinite(value)
-                    and value >= 0, path,
-                    f"{name!r} must be finite and >= 0, got {value!r}")
-        require(metrics["value.intern.live"]["value"] <=
-                metrics["value.intern.misses"]["value"], path,
-                "value.intern.live exceeds value.intern.misses — every "
-                "live rep must have been interned by a miss")
-    per_state = metrics.get("checker.alloc.values_per_state")
-    if per_state is not None:
-        require(per_state.get("kind") == "gauge", path,
-                "checker.alloc.values_per_state must be a gauge")
-        value = per_state.get("value")
-        require(isinstance(value, (int, float)) and math.isfinite(value)
-                and value >= 0, path,
-                f"checker.alloc.values_per_state must be finite and >= 0, "
-                f"got {value!r}")
+            require(is_number(value), path,
+                    f"metric {dotted!r} has no numeric 'value'")
+            require(math.isfinite(value) and row.lo <= value <= row.hi, path,
+                    f"{dotted!r} = {value!r} is outside its declared range "
+                    f"[{row.lo:g}, {row.hi:g}]")
+            require(row.unit != "bool" or value in (0, 1), path,
+                    f"{dotted!r} must be 0 or 1, got {value!r}")
+        resolved[dotted] = (entry, row, bind)
+    groups = {n: r.group for n, (_, r, _) in resolved.items()}
+    for dotted, (_, row, bind) in resolved.items():
+        if row.group:
+            missing = [expand(r.name, bind) for r in rows
+                       if r.group == row.group
+                       and expand(r.name, bind) not in resolved]
+            require(not missing, path,
+                    f"{dotted!r} is published without the rest of group "
+                    f"{expand(row.group, bind)}: missing {missing}")
+        require(not row.needs or row.needs in resolved
+                or row.needs in groups.values(), path,
+                f"{dotted!r} needs {row.needs}, which is absent")
+    return resolved
 
 
-def _policy_value(metrics):
-    """checker.policy's value, or None when the gauge is absent."""
-    policy = metrics.get("checker.policy")
-    return policy.get("value") if policy is not None else None
+def check_relations(path, resolved):
+    """The rules that tie two metrics together."""
+    def value(name):
+        return resolved[name][0]["value"] if name in resolved else None
 
-
-def validate_worker_profile_family(path, metrics):
-    """Cross-metric sanity for the worker idle-time profiler's gauges."""
-    leaves = (".busy_ms", ".barrier_wait_ms", ".steal_ms", ".starve_ms")
-    profiled = {}
-    for name, entry in metrics.items():
-        if not name.startswith("checker.worker"):
+    for small, big in (("value.intern.live", "value.intern.misses"),
+                       ("checker.graph.dup_edges", "checker.graph.edges")):
+        if small in resolved and big in resolved:
+            require(value(small) <= value(big), path,
+                    f"{small} ({value(small)}) exceeds {big} ({value(big)})")
+    policy = value("checker.policy")
+    profiled, steals = {}, {}
+    for entry, row, bind in resolved.values():
+        if row.name.startswith("checker.worker<N>."):
+            leaf, index = row.name.rpartition(".")[2], int(bind["N"])
+            if leaf == "steals":
+                steals[index] = entry["value"]
+            elif leaf != "expansions":
+                profiled.setdefault(index, set()).add(leaf)
+    for index, leaves in sorted(profiled.items()):
+        worker = f"checker.worker{index}"
+        require("busy_ms" in leaves, path,
+                f"{worker} publishes {sorted(leaves)} without busy_ms; every "
+                f"profiled worker is timed")
+        require("barrier_wait_ms" in leaves or (
+            policy == 1 and "steal_ms" in leaves), path,
+                f"{worker} has no barrier_wait_ms, which only a relaxed run "
+                f"(checker.policy 1, with steal_ms/starve_ms) may omit")
+    for indexes, what in ((profiled, "worker profile"), (steals, "steals")):
+        require(sorted(indexes) == list(range(len(indexes))), path,
+                f"checker.worker<N> {what} indexes are not dense from 0: "
+                f"{sorted(indexes)}")
+    require(not any(steals.values()) or policy == 1, path,
+            f"nonzero checker.worker<N>.steals with checker.policy "
+            f"{policy!r}; level-sync never steals")
+    for name, (_, row, bind) in resolved.items():
+        if row.name != "analysis.domain.<spec>.state_bound":
             continue
-        for leaf in leaves:
-            if name.endswith(leaf):
-                index = name[len("checker.worker"):-len(leaf)]
-                require(index.isdigit(), path,
-                        f"per-worker gauge {name!r} has a malformed "
-                        f"worker index {index!r}")
-                require(entry.get("kind") == "gauge", path,
-                        f"{name!r} must be a gauge")
-                value = entry.get("value")
-                require(isinstance(value, (int, float))
-                        and math.isfinite(value) and value >= 0, path,
-                        f"{name!r} must be finite and >= 0, got {value!r}")
-                profiled.setdefault(int(index), set()).add(leaf)
-    for index, worker_leaves in sorted(profiled.items()):
-        require(".busy_ms" in worker_leaves, path,
-                f"worker {index} publishes {sorted(worker_leaves)} without "
-                f"busy_ms; every profiled worker is timed")
-        require((".steal_ms" in worker_leaves) ==
-                (".starve_ms" in worker_leaves), path,
-                f"worker {index} publishes only one of steal_ms/starve_ms; "
-                f"the relaxed profile publishes them together")
-        if ".barrier_wait_ms" not in worker_leaves:
-            # Only a relaxed run profiles without barriers, and it must
-            # say so via checker.policy and the steal/starve pair.
-            require(_policy_value(metrics) == 1, path,
-                    f"worker {index} has busy_ms but no barrier_wait_ms "
-                    f"and checker.policy is not 1 — only a relaxed run "
-                    f"may omit the barrier profile")
-            require(".steal_ms" in worker_leaves, path,
-                    f"worker {index} omits barrier_wait_ms (relaxed) but "
-                    f"publishes no steal_ms/starve_ms pair")
-    if profiled:
-        require(sorted(profiled) == list(range(len(profiled))), path,
-                f"worker profile indexes are not dense from 0: "
-                f"{sorted(profiled)}")
-    settle = metrics.get("checker.barrier.settle_ms")
-    if settle is not None:
-        value = settle.get("value")
-        require(settle.get("kind") == "gauge" and
-                isinstance(value, (int, float)) and math.isfinite(value)
-                and value >= 0, path,
-                f"checker.barrier.settle_ms must be a finite non-negative "
-                f"gauge, got {value!r}")
-    for name in ("checker.barrier.idle_fraction", "checker.idle_fraction"):
-        idle = metrics.get(name)
-        if idle is not None:
-            require(idle.get("kind") == "gauge", path,
-                    f"{name} must be a gauge")
-            value = idle.get("value")
-            require(isinstance(value, (int, float)) and math.isfinite(value)
-                    and 0 <= value <= 1, path,
-                    f"{name} must be finite in [0, 1], got {value!r}")
-
-
-def validate_policy_family(path, metrics):
-    """Exploration-policy sanity: checker.policy + the steal counters."""
-    policy_value = _policy_value(metrics)
-    if "checker.policy" in metrics:
-        require(metrics["checker.policy"].get("kind") == "gauge", path,
-                "checker.policy must be a gauge")
-        require(policy_value in (0, 1), path,
-                f"checker.policy must be 0 (level) or 1 (relaxed), "
-                f"got {policy_value!r}")
-    steals = {}
-    for name, entry in metrics.items():
-        if name.startswith("checker.worker") and name.endswith(".steals"):
-            index = name[len("checker.worker"):-len(".steals")]
-            require(index.isdigit(), path,
-                    f"steal counter {name!r} has a malformed worker "
-                    f"index {index!r}")
-            require(entry.get("kind") == "counter", path,
-                    f"{name!r} must be a counter")
-            value = entry.get("value")
-            require(isinstance(value, (int, float)) and math.isfinite(value)
-                    and value >= 0, path,
-                    f"{name!r} must be finite and >= 0, got {value!r}")
-            steals[int(index)] = value
-    if steals:
-        require(sorted(steals) == list(range(len(steals))), path,
-                f"steal counter indexes are not dense from 0: "
-                f"{sorted(steals)}")
-        require("checker.policy" in metrics, path,
-                "checker.worker<N>.steals without checker.policy — the "
-                "relaxed engine publishes both")
-        if any(value > 0 for value in steals.values()):
-            require(policy_value == 1, path,
-                    f"nonzero steal counts with checker.policy == "
-                    f"{policy_value!r} — level-sync never steals")
-
-
-def validate_obs_http_family(path, metrics):
-    """Cross-metric sanity for the HTTP scrape endpoint's obs.http.*."""
-    names = ["obs.http.requests", "obs.http.bytes"]
-    present = [name for name in names if name in metrics]
-    if not present:
-        return
-    missing = [name for name in names if name not in metrics]
-    require(not missing, path,
-            f"obs.http.* counters are published together; missing {missing}")
-    for name in names:
-        entry = metrics[name]
-        require(entry.get("kind") == "counter", path,
-                f"{name!r} must be a counter")
-        value = entry.get("value")
-        require(isinstance(value, (int, float)) and math.isfinite(value)
-                and value >= 0, path,
-                f"{name!r} must be finite and >= 0, got {value!r}")
-
-
-def require_gauge_family(path, metrics, names):
-    """Asserts `names` appear all-or-nothing as finite non-negative gauges."""
-    present = [name for name in names if name in metrics]
-    if not present:
-        return False
-    missing = [name for name in names if name not in metrics]
-    require(not missing, path,
-            f"{present[0].rsplit('.', 1)[0]}.* gauges are published "
-            f"together; missing {missing}")
-    for name in names:
-        entry = metrics[name]
-        require(entry.get("kind") == "gauge", path, f"{name!r} must be a gauge")
-        value = entry.get("value")
-        require(isinstance(value, (int, float)) and math.isfinite(value)
-                and value >= 0, path,
-                f"{name!r} must be finite and >= 0, got {value!r}")
-    return True
-
-
-def validate_graph_family(path, metrics):
-    """Cross-metric sanity for the state graph's checker.graph.* family."""
-    names = [f"checker.graph.{leaf}"
-             for leaf in ("nodes", "edges", "dup_edges")]
-    if require_gauge_family(path, metrics, names):
-        require(metrics["checker.graph.dup_edges"]["value"] <=
-                metrics["checker.graph.edges"]["value"], path,
-                "checker.graph.dup_edges exceeds checker.graph.edges — a "
-                "duplicate edge is still an edge")
-
-
-def validate_mbtcg_family(path, metrics):
-    """Cross-metric sanity for test-case extraction's mbtcg.extract.*."""
-    names = [f"mbtcg.extract.{leaf}"
-             for leaf in ("roots", "cases", "seconds")]
-    require_gauge_family(path, metrics, names)
-
-
-_SPILL_CORE = {
-    "checker.spill.bytes": "counter",
-    "checker.spill.frontier_segments": "counter",
-    "checker.spill.runs": "gauge",
-    "checker.spill.probe_ms": "gauge",
-    "checker.spill.merge_ms": "gauge",
-}
-
-# Published by the same flush as the core family, but validated as its
-# own all-or-nothing group so older snapshots (pre background
-# compaction) stay valid.
-_SPILL_COMPACT = {
-    "checker.spill.compact.count": "counter",
-    "checker.spill.compact.ms": "gauge",
-    "checker.spill.compact.backlog": "gauge",
-}
-
-
-def validate_spill_family(path, metrics):
-    """Cross-metric sanity for the out-of-core checker.spill.* family.
-
-    FlushSpillMetrics publishes the five core metrics in one call, so
-    they are all-or-nothing; checker.spill.generations only lands in the
-    final end-of-run flush, and the checker.checkpoint.* pair only when a
-    checkpoint directory was configured — both imply the core family.
-    """
-    present = [name for name in _SPILL_CORE if name in metrics]
-    core = bool(present)
-    if core:
-        missing = [name for name in _SPILL_CORE if name not in metrics]
-        require(not missing, path,
-                f"checker.spill.* core metrics are flushed together; "
-                f"missing {missing}")
-        for name, kind in _SPILL_CORE.items():
-            entry = metrics[name]
-            require(entry.get("kind") == kind, path,
-                    f"{name!r} must be a {kind}")
-            value = entry.get("value")
-            require(isinstance(value, (int, float)) and math.isfinite(value)
-                    and value >= 0, path,
-                    f"{name!r} must be finite and >= 0, got {value!r}")
-    if any(name in metrics for name in _SPILL_COMPACT):
-        missing = [name for name in _SPILL_COMPACT if name not in metrics]
-        require(not missing, path,
-                f"checker.spill.compact.* metrics are published together; "
-                f"missing {missing}")
-        require(core, path,
-                "checker.spill.compact.* without the core checker.spill.* "
-                "family — the same flush publishes both")
-        for name, kind in _SPILL_COMPACT.items():
-            entry = metrics[name]
-            require(entry.get("kind") == kind, path,
-                    f"{name!r} must be a {kind}")
-            value = entry.get("value")
-            require(isinstance(value, (int, float)) and math.isfinite(value)
-                    and value >= 0, path,
-                    f"{name!r} must be finite and >= 0, got {value!r}")
-    generations = metrics.get("checker.spill.generations")
-    if generations is not None:
-        require(core, path,
-                "checker.spill.generations without the core checker.spill.* "
-                "family — the final flush publishes both")
-        require(generations.get("kind") == "gauge", path,
-                "checker.spill.generations must be a gauge")
-        value = generations.get("value")
-        require(isinstance(value, (int, float)) and math.isfinite(value)
-                and value >= 0, path,
-                f"checker.spill.generations must be finite and >= 0, "
-                f"got {value!r}")
-    ckpt_kinds = {"checker.checkpoint.writes": "counter",
-                  "checker.checkpoint.ms": "gauge"}
-    ckpt_present = [name for name in ckpt_kinds if name in metrics]
-    if ckpt_present:
-        missing = [name for name in ckpt_kinds if name not in metrics]
-        require(not missing, path,
-                f"checker.checkpoint.* metrics are published together; "
-                f"missing {missing}")
-        require(core, path,
-                "checker.checkpoint.* without the core checker.spill.* "
-                "family — checkpointing implies spilling")
-        for name, kind in ckpt_kinds.items():
-            entry = metrics[name]
-            require(entry.get("kind") == kind, path,
-                    f"{name!r} must be a {kind}")
-            value = entry.get("value")
-            require(isinstance(value, (int, float)) and math.isfinite(value)
-                    and value >= 0, path,
-                    f"{name!r} must be finite and >= 0, got {value!r}")
-
-
-def validate_domain_family(path, metrics):
-    """Cross-metric sanity for the abstract-domain analysis.domain.*."""
-    leaves = ("state_bound", "observed_distinct", "unbounded_vars",
-              "exhaustive")
-    specs = set()
-    for name in metrics:
-        if not name.startswith("analysis.domain."):
-            continue
-        rest = name[len("analysis.domain."):]
-        spec, _, leaf = rest.rpartition(".")
-        require(spec and leaf in leaves, path,
-                f"unknown analysis.domain gauge {name!r}")
-        specs.add(spec)
-    for spec in sorted(specs):
-        names = [f"analysis.domain.{spec}.{leaf}" for leaf in leaves]
-        require_gauge_family(path, metrics, names)
-        bound = metrics[names[0]]["value"]
-        observed = metrics[names[1]]["value"]
-        unbounded = metrics[names[2]]["value"]
-        exhaustive = metrics[names[3]]["value"]
-        require(exhaustive in (0, 1), path,
-                f"{names[3]!r} must be 0 or 1, got {exhaustive!r}")
+        spec = name.rpartition(".")[0]
+        bound, observed, unbounded, exhaustive = (
+            value(f"{spec}.{leaf}") for leaf in
+            ("state_bound", "observed_distinct", "unbounded_vars",
+             "exhaustive"))
         if unbounded > 0:
             require(bound == 0, path,
                     f"{spec}: {unbounded} unbounded variable(s) but "
-                    f"state_bound is {bound}, want the 0 'unbounded' "
-                    f"encoding")
+                    f"state_bound is {bound}, want the 0 'unbounded' encoding")
         elif exhaustive == 1:
             require(bound >= 1, path,
                     f"{spec}: exhaustive probe with no unbounded variables "
-                    f"must report a budget >= 1, got {bound}")
+                    f"must report a state_bound >= 1, got {bound}")
             require(bound >= observed, path,
-                    f"{spec}: static budget {bound} is below the observed "
-                    f"distinct count {observed} — the bound is unsound")
+                    f"{spec}: state_bound {bound} is below observed_distinct "
+                    f"{observed}; the bound is unsound")
 
 
-def validate_metrics_doc(path, doc):
+def validate_metrics_doc(path, doc, rows):
     require(doc.get("schema") == "xmodel.metrics.v1", path,
             f"unexpected schema {doc.get('schema')!r}")
     metrics = doc.get("metrics")
     require(isinstance(metrics, dict), path, "'metrics' is not an object")
-    for name, entry in metrics.items():
-        validate_metric(path, name, entry)
-    validate_families(path, metrics)
+    check_relations(path, check_metrics(path, metrics, rows))
     return len(metrics)
 
 
-def validate_families(path, metrics):
-    """Runs every cross-metric family check over a name -> entry dict."""
-    validate_checker_family(path, metrics)
-    validate_worker_profile_family(path, metrics)
-    validate_policy_family(path, metrics)
-    validate_obs_http_family(path, metrics)
-    validate_value_family(path, metrics)
-    validate_graph_family(path, metrics)
-    validate_mbtcg_family(path, metrics)
-    validate_spill_family(path, metrics)
-    validate_domain_family(path, metrics)
-
-
-def validate_bench_doc(path, doc):
-    n = validate_metrics_doc(path, doc)
+def validate_bench_doc(path, doc, rows):
+    n = validate_metrics_doc(path, doc, rows)
     require(isinstance(doc.get("bench"), str) and doc["bench"], path,
             "'bench' must be a non-empty string")
     require(isinstance(doc.get("quick"), bool), path, "'quick' must be a bool")
     require(isinstance(doc.get("exit_code"), int), path,
             "'exit_code' must be an int")
-    require(isinstance(doc.get("wall_seconds"), (int, float)), path,
+    require(is_number(doc.get("wall_seconds")), path,
             "'wall_seconds' must be numeric")
     require(isinstance(doc.get("results"), dict), path,
             "'results' must be an object")
@@ -532,197 +254,91 @@ def validate_trace_doc(path, doc):
     return f"trace: {len(events)} spans"
 
 
-# Monotone spill counters remembered across the Prometheus scrape bodies
-# of one invocation: name -> (value, path of the scrape that set it).
-# Callers pass same-process scrapes in scrape order (the obs-live job's
-# usage), so a backwards step means a counter regressed live.
-_SCRAPE_MONOTONE_STATE = {}
-_SCRAPE_MONOTONE_NAMES = ("checker_spill_bytes",
-                          "checker_spill_frontier_segments",
-                          "checker_spill_compact_count",
-                          "checker_checkpoint_writes")
-
-
-_PROM_SAMPLE = re.compile(
-    r'^([A-Za-z_:][A-Za-z0-9_:]*)(\{le="[^"]*"\})?\s+(\S+)$')
-_PROM_TYPE = re.compile(r"^# TYPE ([A-Za-z_:][A-Za-z0-9_:]*) "
-                        r"(counter|gauge|histogram)$")
-
-
-def validate_prometheus_text(path, text):
-    """Validates a /metrics scrape body (Prometheus text exposition).
-
-    Structure first — every sample must follow a `# TYPE` declaration and
-    parse as `name value` (histograms via the `_bucket`/`_sum`/`_count`
-    suffixes, `le`-labelled buckets only) — then the same targeted family
-    sanity as the JSON path, on the underscore-flattened names.
-    """
-    declared = {}
-    samples = {}
+def parse_scrape(path, text):
+    """Reduces a Prometheus text body to the snapshot shape: flattened name
+    -> entry (histograms with `le` edges and non-cumulative `buckets`),
+    plus the `# HELP` texts."""
+    types, helps, samples = {}, {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
+        where = f"line {lineno}"
         if line.startswith("#"):
-            m = _PROM_TYPE.match(line)
-            require(m, path,
-                    f"line {lineno}: malformed comment {line!r} (the "
-                    f"exporter only writes '# TYPE name kind' lines)")
-            declared[m.group(1)] = m.group(2)
+            m = _PROM_COMMENT.match(line)
+            require(m and (m.group(1) == "HELP" or m.group(3) in
+                           ("counter", "gauge", "histogram")), path,
+                    f"{where}: malformed comment {line!r} (the exporter "
+                    f"writes '# HELP name text' and '# TYPE name kind')")
+            word, name, rest = m.groups()
+            require(word == "TYPE" or name not in types, path,
+                    f"{where}: # HELP for {name!r} follows its # TYPE")
+            (types if word == "TYPE" else helps)[name] = rest
             continue
         m = _PROM_SAMPLE.match(line)
-        require(m, path, f"line {lineno}: malformed sample {line!r}")
-        name, label, raw = m.groups()
+        require(m, path, f"{where}: malformed sample {line!r}")
+        name, label, le, raw = m.groups()
         try:
-            value = float(raw)
+            value, edge = float(raw), float(le or 0)
         except ValueError:
-            fail(path, f"line {lineno}: sample {name!r} has a non-numeric "
-                 f"value {raw!r}")
-        base = name
-        if name not in declared:
-            for suffix in ("_bucket", "_sum", "_count"):
-                stem = name[:-len(suffix)] if name.endswith(suffix) else None
-                if stem and declared.get(stem) == "histogram":
-                    base = stem
-                    break
-            else:
-                fail(path, f"line {lineno}: sample {name!r} has no "
-                     f"preceding # TYPE declaration")
-        require(label is None or name.endswith("_bucket"), path,
-                f"line {lineno}: only _bucket samples carry an le label")
-        if declared[base] == "counter":
-            require(math.isfinite(value) and value >= 0, path,
-                    f"line {lineno}: counter {name!r} must be finite and "
-                    f">= 0, got {raw}")
-        if name in declared:
-            samples[name] = value
-    for name in declared:
-        require(name in samples or declared[name] == "histogram", path,
-                f"{name!r} is TYPE-declared but has no sample")
-
-    def sample(name):
-        return samples.get(name)
-
-    for name in ("checker_barrier_idle_fraction", "checker_idle_fraction"):
-        idle = sample(name)
-        if idle is not None:
-            require(math.isfinite(idle) and 0 <= idle <= 1, path,
-                    f"{name} must be finite in [0, 1], got {idle!r}")
-    policy = sample("checker_policy")
-    if policy is not None:
-        require(policy in (0, 1), path,
-                f"checker_policy must be 0 (level) or 1 (relaxed), "
-                f"got {policy!r}")
-    settle = sample("checker_barrier_settle_ms")
-    if settle is not None:
-        require(math.isfinite(settle) and settle >= 0, path,
-                f"checker_barrier_settle_ms must be finite and >= 0, "
-                f"got {settle!r}")
-    workers_used = sample("checker_workers_used")
-    if workers_used is not None:
-        require(workers_used >= 1, path,
-                f"checker_workers_used must be >= 1, got {workers_used!r}")
-    http = [name for name in ("obs_http_requests", "obs_http_bytes")
-            if name in samples]
-    if http:
-        require(len(http) == 2, path,
-                f"obs_http_* counters are published together; found "
-                f"only {http}")
-    profiled = {}
-    steals = {}
-    for name, value in samples.items():
-        m = re.match(r"^checker_worker(\d+)_"
-                     r"(busy_ms|barrier_wait_ms|steal_ms|starve_ms|steals)$",
-                     name)
-        if m is None:
-            continue
-        require(math.isfinite(value) and value >= 0, path,
-                f"{name!r} must be finite and >= 0, got {value!r}")
-        if m.group(2) == "steals":
-            steals[int(m.group(1))] = value
+            fail(path, f"{where}: sample {name!r} has a non-numeric value "
+                 f"or le label")
+        base = name if name in types else next(
+            (name[:-len(s)] for s in ("_bucket", "_sum", "_count")
+             if name.endswith(s) and types.get(name[:-len(s)]) == "histogram"),
+            None)
+        require(base, path,
+                f"{where}: sample {name!r} has no preceding # TYPE")
+        suffix = name[len(base):]
+        require((label is None) == (suffix != "_bucket"), path,
+                f"{where}: {name!r}: only _bucket samples carry an le label")
+        series = samples.setdefault(base, {"buckets": []})
+        if suffix == "_bucket":
+            series["buckets"].append((edge, value))
         else:
-            profiled.setdefault(int(m.group(1)), set()).add(m.group(2))
-    for index, leaves in sorted(profiled.items()):
-        require("busy_ms" in leaves, path,
-                f"worker {index} publishes {sorted(leaves)} without "
-                f"busy_ms; every profiled worker is timed")
-        require(("steal_ms" in leaves) == ("starve_ms" in leaves), path,
-                f"worker {index} publishes only one of steal_ms/starve_ms")
-        if "barrier_wait_ms" not in leaves:
-            require(policy == 1, path,
-                    f"worker {index} has busy_ms but no barrier_wait_ms "
-                    f"and checker_policy is not 1 — only a relaxed run "
-                    f"may omit the barrier profile")
-            require("steal_ms" in leaves, path,
-                    f"worker {index} omits barrier_wait_ms (relaxed) but "
-                    f"publishes no steal_ms/starve_ms pair")
-    if profiled:
-        require(sorted(profiled) == list(range(len(profiled))), path,
-                f"worker profile indexes are not dense from 0: "
-                f"{sorted(profiled)}")
-    if steals:
-        require(sorted(steals) == list(range(len(steals))), path,
-                f"steal counter indexes are not dense from 0: "
-                f"{sorted(steals)}")
-        require(policy is not None, path,
-                "checker_worker<N>_steals without checker_policy — the "
-                "relaxed engine publishes both")
-        if any(value > 0 for value in steals.values()):
-            require(policy == 1, path,
-                    f"nonzero steal counts with checker_policy == "
-                    f"{policy!r} — level-sync never steals")
-    spill_core = ("checker_spill_bytes", "checker_spill_frontier_segments",
-                  "checker_spill_runs", "checker_spill_probe_ms",
-                  "checker_spill_merge_ms")
-    spill_present = [name for name in spill_core if name in samples]
-    if spill_present:
-        missing = [name for name in spill_core if name not in samples]
-        require(not missing, path,
-                f"checker_spill_* core metrics are flushed together; "
-                f"missing {missing}")
-        for name in spill_core:
-            require(math.isfinite(samples[name]) and samples[name] >= 0,
-                    path, f"{name!r} must be finite and >= 0, "
-                    f"got {samples[name]!r}")
-    compact = ("checker_spill_compact_count", "checker_spill_compact_ms",
-               "checker_spill_compact_backlog")
-    if any(name in samples for name in compact):
-        missing = [name for name in compact if name not in samples]
-        require(not missing, path,
-                f"checker_spill_compact_* metrics are published together; "
-                f"missing {missing}")
-        require(bool(spill_present), path,
-                "checker_spill_compact_* without the core checker_spill_* "
-                "family")
-        for name in compact:
-            require(math.isfinite(samples[name]) and samples[name] >= 0,
-                    path, f"{name!r} must be finite and >= 0, "
-                    f"got {samples[name]!r}")
-    for name in ("checker_spill_generations", "checker_checkpoint_writes",
-                 "checker_checkpoint_ms"):
-        if name in samples:
-            require(bool(spill_present), path,
-                    f"{name!r} without the core checker_spill_* family")
-            require(math.isfinite(samples[name]) and samples[name] >= 0,
-                    path, f"{name!r} must be finite and >= 0, "
-                    f"got {samples[name]!r}")
-    require(("checker_checkpoint_writes" in samples) ==
-            ("checker_checkpoint_ms" in samples), path,
-            "checker_checkpoint_* metrics are published together")
-    for name in _SCRAPE_MONOTONE_NAMES:
-        if name not in samples:
+            series[suffix or "value"] = value
+    metrics = {}
+    for name, kind in types.items():
+        series = samples.get(name, {})
+        if kind != "histogram":
+            require("value" in series, path,
+                    f"{name!r} is TYPE-declared but has no sample")
+            metrics[name] = {"kind": kind, "value": series["value"]}
             continue
-        previous = _SCRAPE_MONOTONE_STATE.get(name)
-        if previous is not None:
-            prev_value, prev_path = previous
-            require(samples[name] >= prev_value, path,
-                    f"monotone counter {name!r} moved backwards across "
-                    f"scrapes: {prev_value} ({prev_path}) -> "
-                    f"{samples[name]}")
-        _SCRAPE_MONOTONE_STATE[name] = (samples[name], path)
-    return f"prometheus: {len(declared)} metrics"
+        cumulative = [count for _, count in series.get("buckets", [])]
+        require(cumulative and series["buckets"][-1][0] == math.inf and
+                "_count" in series and "_sum" in series, path,
+                f"histogram {name!r} needs an le=\"+Inf\" bucket, _sum and "
+                f"_count")
+        require(cumulative == sorted(cumulative), path,
+                f"histogram {name!r}: cumulative buckets decrease")
+        require(cumulative[-1] == series["_count"], path,
+                f"histogram {name!r}: +Inf bucket {cumulative[-1]:g} != "
+                f"_count {series['_count']:g}")
+        as_int = [int(c) if c.is_integer() else c
+                  for c in [series["_count"]] + cumulative]
+        metrics[name] = {
+            "kind": kind, "count": as_int[0], "sum": series["_sum"],
+            "le": [edge for edge, _ in series["buckets"][:-1]],
+            "buckets": [b - a for a, b in zip([0] + as_int[1:], as_int[1:])]}
+    return metrics, helps
 
 
-def validate_file(path):
+def validate_scrape(path, text, rows):
+    metrics, helps = parse_scrape(path, text)
+    resolved = check_metrics(path, metrics, rows, helps)
+    check_relations(path, resolved)
+    for name, (entry, row, _) in resolved.items():
+        if row.kind == "counter":
+            before = _SCRAPED.get(name)
+            require(before is None or entry["value"] >= before[0], path,
+                    f"counter {name!r} moved backwards across scrapes: "
+                    f"{before and before[0]} ({before and before[1]}) -> "
+                    f"{entry['value']}")
+            _SCRAPED[name] = (entry["value"], path)
+    return f"prometheus: {len(metrics)} metrics"
+
+
+def validate_file(path, rows):
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -731,21 +347,18 @@ def validate_file(path):
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
-        # Not JSON: a saved /metrics scrape body is the other artifact
-        # shape CI captures ("# TYPE name kind" declarations give it away).
-        if "# TYPE " in text:
-            summary = validate_prometheus_text(path, text)
-            print(f"validate_metrics: {path}: OK ({summary})")
-            return
-        fail(path, f"invalid JSON: {e}")
+        # Not JSON: a saved /metrics body ("# TYPE name kind" gives it away).
+        require("# TYPE " in text, path, f"invalid JSON: {e}")
+        summary = validate_scrape(path, text, rows)
+        print(f"validate_metrics: {path}: OK ({summary})")
+        return
     require(isinstance(doc, dict), path, "top level is not an object")
-
     if "traceEvents" in doc:
         summary = validate_trace_doc(path, doc)
     elif "bench" in doc:
-        summary = validate_bench_doc(path, doc)
+        summary = validate_bench_doc(path, doc, rows)
     elif doc.get("schema") == "xmodel.metrics.v1":
-        summary = f"{validate_metrics_doc(path, doc)} metrics"
+        summary = f"{validate_metrics_doc(path, doc, rows)} metrics"
     else:
         fail(path, "not a metrics snapshot, bench report, or trace file")
     print(f"validate_metrics: {path}: OK ({summary})")
@@ -755,8 +368,9 @@ def main(argv):
     if len(argv) < 2:
         print(__doc__, file=sys.stderr)
         return 2
+    rows = load_table()
     for path in argv[1:]:
-        validate_file(path)
+        validate_file(path, rows)
     return 0
 
 
