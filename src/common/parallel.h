@@ -1,6 +1,8 @@
 #ifndef XMODEL_COMMON_PARALLEL_H_
 #define XMODEL_COMMON_PARALLEL_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <condition_variable>
@@ -102,6 +104,34 @@ class WorkerPool {
   int remaining_ = 0;
   bool shutdown_ = false;
 };
+
+/// Runs task(0) .. task(n - 1), each exactly once, and returns when all
+/// have finished. With a pool the indices are handed out by an atomic
+/// cursor, so at most pool->num_workers() tasks are in flight at once;
+/// with a null pool (the caller is itself a pool task, or has no pool)
+/// they run inline in index order. Code that splits its work into tasks
+/// calls this in both situations, so there is one implementation whether
+/// or not the tasks run concurrently. Same reentrancy rule as Run.
+inline void ParallelFor(WorkerPool* pool, size_t n,
+                        const std::function<void(size_t)>& task) {
+  if (pool == nullptr || pool->num_workers() == 1 || n <= 1) {
+    for (size_t i = 0; i < n; ++i) task(i);
+    return;
+  }
+  std::atomic<size_t> cursor{0};
+  pool->Run([&](int) {
+    for (size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+      task(i);
+    }
+  });
+}
+
+/// How many ways ParallelFor on `pool` can split work: the worker count,
+/// or 1 inline.
+inline size_t ParallelWidth(const WorkerPool* pool) {
+  return pool == nullptr ? 1 : static_cast<size_t>(pool->num_workers());
+}
 
 }  // namespace xmodel::common
 

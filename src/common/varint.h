@@ -69,9 +69,11 @@ inline bool GetVarintSigned(std::string_view data, size_t* pos, int64_t* v) {
 /// Little-endian fixed-width u64, for fields that are incompressible
 /// (fingerprints used as block restart points, checksums).
 inline void PutFixed64(uint64_t v, std::string* out) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  out->append(bytes, sizeof(bytes));
 }
 
 inline bool GetFixed64(std::string_view data, size_t* pos, uint64_t* v) {

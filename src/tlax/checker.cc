@@ -64,7 +64,7 @@ CheckResult ModelChecker::Check(const Spec& spec) const {
   // with the reason surfaced in CheckResult::policy_notice (and as a
   // warn event) rather than silently changing semantics:
   //   - record_graph: node ids are assigned from the settled discovery
-  //     order at level barriers (StateGraph::SettleLevel); without
+  //     order at level barriers (StateGraph::SetNode); without
   //     barriers the recorded graph would not be reproducible.
   //   - max_depth: a depth bound prunes by BFS level; relaxed
   //     first-discovery depths exceed BFS depths, which would make even

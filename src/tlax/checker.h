@@ -218,7 +218,7 @@ struct CheckResult {
   /// Worker idle-time profile, always collected: two clock stamps per
   /// worker per level (drain start/end) charge each worker's wall time to
   /// expansion work vs. waiting at the level barrier, plus one stamp pair
-  /// around the serial barrier settle. Purely observational — it never
+  /// around each level barrier. Purely observational — it never
   /// touches exploration order, so results stay bit-identical across
   /// worker counts. busy is the in-level expansion span; wait is the gap
   /// between a worker finishing its share of a level and the slowest
@@ -226,7 +226,8 @@ struct CheckResult {
   /// published as the checker.worker<N>.{busy_ms,barrier_wait_ms} gauges.
   std::vector<double> worker_busy_ms;
   std::vector<double> worker_barrier_wait_ms;
-  /// Serial time spent inside level barriers (merge + settle), total.
+  /// Wall time spent inside level barriers, total: from each level's
+  /// drain end to the next level's start.
   double barrier_settle_ms = 0;
   /// The exploration policy the run actually executed — may differ from
   /// CheckerOptions::exploration when a relaxed request was clamped back

@@ -346,13 +346,13 @@ bool EngineBase::AdmitNew(State&& state, uint64_t fp, int64_t depth,
     abort_max_.store(true, std::memory_order_relaxed);
     return false;
   }
-  const bool constrained = spec_.WithinConstraint(state);
-  if (result_.graph) result_.graph->RecordNode(fp, state, constrained);
   // Invariants are checked on every distinct state, including states
   // outside the constraint (TLC checks invariants before applying
   // CONSTRAINT to decide on expansion).
   CheckInvariants(state, fp, key, s);
-  if (constrained) {
+  // With record_graph, s.next is also the level's new graph nodes: the
+  // barrier numbers exactly these states, in settled order.
+  if (spec_.WithinConstraint(state)) {
     s.next.push_back(LevelEntry{std::move(state), fp, depth, key});
   }
   return true;
@@ -589,8 +589,8 @@ CheckResult EngineBase::Finish(common::Status status) {
       wait_ms_total += wait_ms;
     }
     result_.barrier_settle_ms = static_cast<double>(settle_ns_) * 1e-6;
-    // Serial settle work stalls all W workers at once, so it contributes
-    // W-fold to the fleet's idle wall time.
+    // The barrier holds all W workers from expansion at once, so its wall
+    // time contributes W-fold to the fleet's idle wall time.
     const double idle_ms = wait_ms_total + result_.barrier_settle_ms * workers_;
     const double total_ms = busy_ms_total + idle_ms;
     result_.idle_fraction = total_ms > 0 ? idle_ms / total_ms : 0;
@@ -676,6 +676,14 @@ CheckResult EngineBase::Finish(common::Status status) {
   if (!relaxed_) {
     registry.GetGauge("checker.barrier.settle_ms")
         .Set(result_.barrier_settle_ms);
+    registry.GetGauge("checker.barrier.assemble_ms")
+        .Set(static_cast<double>(assemble_ns_) * 1e-6);
+    registry.GetGauge("checker.barrier.graph_ms")
+        .Set(static_cast<double>(graph_ns_) * 1e-6);
+    registry.GetGauge("checker.barrier.evict_ms")
+        .Set(static_cast<double>(evict_ns_) * 1e-6);
+    registry.GetGauge("checker.barrier.spool_ms")
+        .Set(static_cast<double>(spool_ns_) * 1e-6);
   }
   registry.GetGauge("checker.idle_fraction").Set(result_.idle_fraction);
   registry.GetGauge("checker.workers.used").Set(static_cast<double>(workers_));

@@ -102,6 +102,25 @@ struct CandidateViolation {
   State state;
 };
 
+// A level, or the in-memory part of one: `order` lists its entries in
+// settled order, pointing into `storage`, which the level owns.
+struct Level {
+  std::vector<std::vector<LevelEntry>> storage;
+  std::vector<LevelEntry*> order;
+
+  // A level of `entries`, in their given order.
+  static Level Of(std::vector<LevelEntry> entries);
+  size_t size() const { return order.size(); }
+};
+
+// Orders the entries of `runs` (in any order within and across runs) by
+// (key, fp), the settled order of a level: the result points at them in
+// the order a sort of their concatenation would leave them. Each run's
+// sort is one task on `pool`, and so is each worker's equal share of the
+// merge.
+std::vector<LevelEntry*> MergeSettledRuns(
+    std::vector<std::vector<LevelEntry>>& runs, common::WorkerPool* pool);
+
 // Discovery-order key of successor `ordinal` of action `ai` at the
 // parent in level position `parent_pos` — the order a serial scan visits
 // these events. A parent's deadlock event sorts after all its successor
@@ -128,8 +147,9 @@ class EngineBase {
   // Per-worker accumulators. Level-sync merges and clears them at each
   // level barrier; relaxed merges them once after the frontier drains
   // (expanded spans the whole run under both — it feeds worker-balance
-  // counters).
-  struct Scratch {
+  // counters). Cache-line aligned: workers write their own Scratch on
+  // every expansion, and adjacent ones must not share a line.
+  struct alignas(64) Scratch {
     std::vector<LevelEntry> next;
     std::vector<CandidateViolation> candidates;
     std::vector<State> successors;
@@ -173,10 +193,10 @@ class EngineBase {
   void ProcessEntry(const LevelEntry& entry, size_t pos, Scratch& s,
                     int worker);
   // Admits a state the fingerprint set just reported new: enforces the
-  // max-distinct cap, records the graph node, checks invariants, and
-  // enqueues it into s.next when it is within the constraint. Returns
-  // false when the cap aborted the run. The one admission path of both
-  // the inline insert and the batched spill probe.
+  // max-distinct cap, checks invariants, and enqueues it into s.next
+  // when it is within the constraint. Returns false when the cap aborted
+  // the run. The one admission path of both the inline insert and the
+  // batched spill probe.
   bool AdmitNew(State&& state, uint64_t fp, int64_t depth, uint64_t key,
                 Scratch& s);
   void CheckInvariants(const State& state, uint64_t fp, uint64_t key,
@@ -288,7 +308,15 @@ class EngineBase {
 
   CheckResult result_;
   int64_t start_ns_ = 0;
-  int64_t settle_ns_ = 0;  // Serial barrier work, run total (level-sync).
+  // Level-sync barrier wall time, run total: from the end of each drain
+  // to the start of the next level (checker.barrier.settle_ms), and its
+  // steps (checker.barrier.<step>_ms): building the sorted next level,
+  // numbering its graph nodes, eviction, and frontier spooling.
+  int64_t settle_ns_ = 0;
+  int64_t assemble_ns_ = 0;
+  int64_t graph_ns_ = 0;
+  int64_t evict_ns_ = 0;
+  int64_t spool_ns_ = 0;
   Value::InternStats intern_at_start_;
   // Live-metric flushing: the portion of this run's tallies already
   // published to the global counters mid-run (at level barriers, or per
@@ -334,8 +362,9 @@ class EngineBase {
 // pre-split behavior bit-for-bit). Workers pull parent entries from the
 // current level via an atomic cursor, push discoveries into worker-local
 // buffers, and barrier; the barrier merges tallies, settles the next
-// level's order (POR SettlePor, graph SettleLevel), and handles
-// violations/limits.
+// level's order (POR SettlePor, graph node ids), and handles
+// violations/limits. Every barrier step runs on the worker pool, which
+// is otherwise idle there.
 class LevelSyncEngine : public EngineBase {
  public:
   LevelSyncEngine(const CheckerOptions& options, const Spec& spec)
@@ -344,12 +373,18 @@ class LevelSyncEngine : public EngineBase {
   CheckResult Run();
 
  private:
-  // Drains one in-memory chunk of the current level. `base` is the
-  // chunk's global position within the level, so EventKey/DeadlockKey
+  // Drains one in-memory batch of the current level. `base` is the
+  // batch's global position within the level, so EventKey/DeadlockKey
   // stay level-global — and with them every downstream key — whether or
   // not the level was partially spooled to disk.
-  void DrainLevel(const std::vector<LevelEntry>& level, size_t base,
+  void DrainLevel(const std::vector<LevelEntry*>& order, size_t base,
                   int worker);
+  // Barrier: the next level in settled order — every worker's run,
+  // merged. The runs become the level's storage.
+  Level AssembleNext();
+  // Barrier (record_graph): numbers `next` as the level's new graph nodes,
+  // stamps their ids on the entries, and resolves the level's edges.
+  void SettleGraph(Level& next);
 };
 
 // The relaxed work-stealing policy: every worker owns a deque of frontier

@@ -2,14 +2,17 @@
 // workers pull parent entries from the current level via an atomic
 // cursor, push discoveries into worker-local buffers, and barrier; the
 // barrier merges tallies, settles the next level's order, and handles
-// violations/limits. Bit-identical results across worker counts — see
-// DESIGN.md "Parallel checking".
+// violations/limits, running its steps on the otherwise idle pool.
+// Bit-identical results across worker counts — see DESIGN.md "Parallel
+// checking".
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "obs/eventlog.h"
 #include "obs/metrics.h"
@@ -19,7 +22,7 @@
 
 namespace xmodel::tlax::internal {
 
-void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry>& level,
+void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry*>& order,
                                  size_t base, int worker) {
   Scratch& s = scratch_[static_cast<size_t>(worker)];
   const bool poll = report_progress_ && worker == 0;
@@ -29,11 +32,11 @@ void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry>& level,
   for (;;) {
     if (abort_max_.load(std::memory_order_relaxed)) break;
     const size_t pos = next_index_.fetch_add(1, std::memory_order_relaxed);
-    if (pos >= level.size()) break;
-    if (poll) PollProgress(level.size(), pos);
+    if (pos >= order.size()) break;
+    if (poll) PollProgress(order.size(), pos);
     const uint64_t gen_before = s.generated;
     const size_t next_before = s.next.size();
-    ProcessEntry(level[pos], base + pos, s, worker);
+    ProcessEntry(*order[pos], base + pos, s, worker);
     if (spill_enabled_ && s.pending.size() >= kSpillProbeBatch) {
       // Deferred disk probes settle in sorted batches (one merged sweep
       // per run instead of one probe per key). Still inside this entry's
@@ -67,6 +70,179 @@ void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry>& level,
   s.busy_ns += s.drain_end_ns - drain_start_ns;
 }
 
+namespace {
+
+// A next-level entry's settled sort key and its index in its run: the
+// per-run sorts move these instead of whole entries.
+struct RunRef {
+  uint64_t key = 0;
+  uint64_t fp = 0;
+  size_t index = 0;
+};
+
+// The settled order of a level: discovery key, then fingerprint. Keys are
+// unique within one level's events, but a POR wake keeps the key of the
+// level it was first discovered in, which can collide numerically with a
+// fresh key — the fingerprint breaks the tie so the order stays a pure
+// function of the state graph.
+bool RefBefore(const RunRef& a, const RunRef& b) {
+  return a.key != b.key ? a.key < b.key : a.fp < b.fp;
+}
+
+// Positions in the sorted ref runs that split their union at `rank`: the
+// cuts sum to `rank`, and the refs before the cuts all precede the rest in
+// the merge's order, where equal refs go lower run first. In that order
+// every ref has its own rank, so the ref of rank `rank` is found by a
+// binary search within whichever run holds it (k^2 log^2 n comparisons for
+// k runs); when `rank` is the total, every run ends.
+std::vector<size_t> CutAtRank(const std::vector<std::vector<RunRef>>& refs,
+                              size_t rank) {
+  std::vector<size_t> cut(refs.size());
+  // Where ref j of run i splits run r.
+  const auto split = [&refs](size_t i, size_t j, size_t r) -> size_t {
+    if (r == i) return j;
+    const std::vector<RunRef>& run = refs[r];
+    const RunRef& x = refs[i][j];
+    return static_cast<size_t>(
+        (r < i ? std::upper_bound(run.begin(), run.end(), x, RefBefore)
+               : std::lower_bound(run.begin(), run.end(), x, RefBefore)) -
+        run.begin());
+  };
+  for (size_t i = 0; i < refs.size(); ++i) {
+    size_t lo = 0;
+    size_t hi = refs[i].size();
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      size_t before = 0;
+      for (size_t r = 0; r < refs.size(); ++r) before += split(i, mid, r);
+      if (before == rank) {
+        for (size_t r = 0; r < refs.size(); ++r) cut[r] = split(i, mid, r);
+        return cut;
+      }
+      if (before < rank) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+  }
+  for (size_t r = 0; r < refs.size(); ++r) cut[r] = refs[r].size();
+  return cut;
+}
+
+}  // namespace
+
+Level Level::Of(std::vector<LevelEntry> entries) {
+  Level level;
+  level.storage.push_back(std::move(entries));
+  for (LevelEntry& e : level.storage.back()) level.order.push_back(&e);
+  return level;
+}
+
+std::vector<LevelEntry*> MergeSettledRuns(
+    std::vector<std::vector<LevelEntry>>& runs, common::WorkerPool* pool) {
+  // Sort each run's refs on its own task (task-local until done: adjacent
+  // vector headers share cache lines).
+  std::vector<std::vector<RunRef>> refs(runs.size());
+  common::ParallelFor(pool, runs.size(), [&](size_t r) {
+    std::vector<RunRef> sorted;
+    sorted.reserve(runs[r].size());
+    for (size_t i = 0; i < runs[r].size(); ++i) {
+      sorted.push_back(RunRef{runs[r][i].key, runs[r][i].fp, i});
+    }
+    std::sort(sorted.begin(), sorted.end(), RefBefore);
+    refs[r] = std::move(sorted);
+  });
+  // One task per pool worker merges an equal share of the output: a
+  // k-way merge of the runs' slices between the cuts at its first and
+  // last rank. One run per worker is few enough that a linear scan of the
+  // run heads beats a heap.
+  size_t total = 0;
+  for (const std::vector<LevelEntry>& run : runs) total += run.size();
+  std::vector<LevelEntry*> order(total);
+  const size_t parts = common::ParallelWidth(pool);
+  common::ParallelFor(pool, parts, [&](size_t p) {
+    const size_t begin = p * total / parts;
+    const size_t end = (p + 1) * total / parts;
+    std::vector<size_t> head = CutAtRank(refs, begin);
+    const std::vector<size_t> stop = CutAtRank(refs, end);
+    for (size_t out = begin; out < end; ++out) {
+      size_t best = runs.size();
+      for (size_t r = 0; r < runs.size(); ++r) {
+        if (head[r] == stop[r]) continue;
+        if (best == runs.size() ||
+            RefBefore(refs[r][head[r]], refs[best][head[best]])) {
+          best = r;
+        }
+      }
+      order[out] = &runs[best][refs[best][head[best]++].index];
+    }
+  });
+  return order;
+}
+
+Level LevelSyncEngine::AssembleNext() {
+  // Every worker has drained, so the records are settled up to POR, and
+  // each worker readies its own run.
+  if (use_sleep_sets_) {
+    // Settle the sleep-mask shrinks. The per-record pending mask is an
+    // intersection, so it is independent of worker interleaving;
+    // SettlePor folds it into the settled mask and reports whether
+    // uncovered actions require a re-expansion. A state several workers
+    // report is settled by each, but only the first call can wake it.
+    // Woken states rejoin the frontier at their original depth.
+    pool_.Run([this](int worker) {
+      Scratch& s = scratch_[static_cast<size_t>(worker)];
+      for (auto& [fp, state] : s.wake_candidates) {
+        FingerprintSet::PorSettle settle =
+            fpset_.SettlePor(fp, all_actions_);
+        if (settle.wake) {
+          s.next.push_back(LevelEntry{std::move(state), fp, settle.depth,
+                                      settle.order_key});
+        }
+      }
+      s.wake_candidates.clear();
+    });
+  }
+  if (workers_ > 1) {
+    // Two workers can race to discover the same state; whoever wins the
+    // insert owns the enqueue, but the record's min-merged key is the
+    // serial discovery order. Re-key from the settled records — now
+    // read-only, so without shard locks — so the level order is
+    // worker-count-invariant.
+    pool_.Run([this](int worker) {
+      for (LevelEntry& e : scratch_[static_cast<size_t>(worker)].next) {
+        if (std::optional<uint64_t> key = fpset_.QuiescentOrderKey(e.fp)) {
+          e.key = *key;
+        }
+      }
+    });
+  }
+  Level next;
+  for (Scratch& s : scratch_) next.storage.push_back(std::move(s.next));
+  for (Scratch& s : scratch_) s.next.clear();
+  next.order = MergeSettledRuns(next.storage, &pool_);
+  return next;
+}
+
+void LevelSyncEngine::SettleGraph(Level& next) {
+  // With record_graph the next level is exactly this level's constrained
+  // new states (no POR wakes, no spilling), in settled order — the order
+  // a serial scan numbers them in.
+  StateGraph& graph = *result_.graph;
+  const uint32_t first = graph.AddNodes(next.size());
+  const size_t parts = common::ParallelWidth(&pool_);
+  common::ParallelFor(&pool_, parts, [&](size_t p) {
+    const size_t end = (p + 1) * next.size() / parts;
+    for (size_t i = p * next.size() / parts; i < end; ++i) {
+      LevelEntry& e = *next.order[i];
+      e.gid = first + static_cast<uint32_t>(i);
+      graph.SetNode(e.gid, e.fp, e.state);
+    }
+  });
+  pool_.Run([&graph](int worker) { graph.ResolveEdges(worker); });
+}
+
 CheckResult LevelSyncEngine::Run() {
   StartRun();
 
@@ -88,7 +264,8 @@ CheckResult LevelSyncEngine::Run() {
     spool = std::make_unique<FrontierSpool>(std::move(spool_options));
   }
 
-  std::vector<LevelEntry> level;
+  // The in-memory part of the current level.
+  Level level;
   if (options_.resume) {
     if (!checkpointing_) {
       return Finish(common::Status::InvalidArgument(
@@ -106,8 +283,10 @@ CheckResult LevelSyncEngine::Run() {
     uint64_t adopted = 0;
     status = spool->AdoptSegments(segments, &adopted);
     if (!status.ok()) return Finish(status);
-  } else if (!SeedInitial(&level)) {
-    return Finish(common::Status::OK());
+  } else {
+    std::vector<LevelEntry> seeds;
+    if (!SeedInitial(&seeds)) return Finish(common::Status::OK());
+    level = Level::Of(std::move(seeds));
   }
 
   obs::Histogram& level_hist = obs::MetricsRegistry::Global().GetHistogram(
@@ -123,27 +302,28 @@ CheckResult LevelSyncEngine::Run() {
     level_hist.Observe(static_cast<double>(level_size));
     abort_max_.store(false, std::memory_order_relaxed);
 
-    // Drain the level chunk by chunk: the in-memory head first, then
-    // each spooled segment batch. `base` keeps entry positions — and so
+    // Drain the level batch by batch: the in-memory head first, then
+    // each spooled segment. `base` keeps entry positions — and so
     // EventKey/DeadlockKey — level-global, exactly as if the whole level
-    // were one vector. Without spilling there is exactly one chunk and
-    // this is the pre-spill loop verbatim.
+    // were one vector. Without spilling there is exactly one batch.
     size_t base = 0;
     int64_t pool_end_ns = 0;
     while (true) {
-      if (level.empty()) {
+      if (level.size() == 0) {
         if (spool == nullptr || spool->empty()) break;
-        common::Status status = spool->PopBatch(&level);
+        std::vector<LevelEntry> batch;
+        common::Status status = spool->PopBatch(&batch);
         if (!status.ok()) return Finish(status);
-        if (level.empty()) break;
+        if (batch.empty()) break;
+        level = Level::Of(std::move(batch));
       }
       next_index_.store(0, std::memory_order_relaxed);
-      const size_t chunk_base = base;
-      pool_.Run([this, &level, chunk_base](int worker) {
-        DrainLevel(level, chunk_base, worker);
+      const size_t batch_base = base;
+      pool_.Run([this, &level, batch_base](int worker) {
+        DrainLevel(level.order, batch_base, worker);
       });
       base += level.size();
-      level.clear();
+      level = Level();
       // Fork-join imbalance: each worker waited from its own drain end
       // until the slowest worker released the pool.
       pool_end_ns = clock_->NowNanos();
@@ -156,10 +336,14 @@ CheckResult LevelSyncEngine::Run() {
       if (abort_max_.load(std::memory_order_relaxed)) break;
     }
 
-    // Barrier: merge worker tallies, settle violations/limits, and build
-    // the next level in deterministic discovery order.
+    // Barrier: merge worker tallies, build the next level in
+    // deterministic discovery order, settle violations/limits. Every
+    // return from here on counts the barrier into settle_ns_.
+    const auto end_barrier = [this, pool_end_ns](common::Status status) {
+      settle_ns_ += clock_->NowNanos() - pool_end_ns;
+      return Finish(std::move(status));
+    };
     std::vector<CandidateViolation> candidates;
-    size_t next_total = 0;
     uint64_t level_generated = 0;
     for (Scratch& s : scratch_) {
       level_generated += s.generated;
@@ -172,7 +356,6 @@ CheckResult LevelSyncEngine::Run() {
         candidates.push_back(std::move(c));
       }
       s.candidates.clear();
-      next_total += s.next.size();
     }
     generated_level_.store(0, std::memory_order_relaxed);
     ++result_.levels_completed;
@@ -211,19 +394,24 @@ CheckResult LevelSyncEngine::Run() {
       // A disk-tier IO/corruption error makes membership answers
       // unreliable; stop cleanly instead of diverging.
       common::Status spill_status = fpset_.spill_status();
-      if (!spill_status.ok()) return Finish(spill_status);
+      if (!spill_status.ok()) return end_barrier(spill_status);
     }
 
+    int64_t step_ns = clock_->NowNanos();
+    const auto step_done = [this, &step_ns](int64_t* total_ns) {
+      const int64_t now_ns = clock_->NowNanos();
+      *total_ns += now_ns - step_ns;
+      step_ns = now_ns;
+    };
+    Level next = AssembleNext();
+    step_done(&assemble_ns_);
     if (result_.graph) {
-      // Settle this level's graph discoveries before any early return:
-      // a violating level must still land in the graph (identically under
+      // Number this level's graph discoveries before any early return: a
+      // violating level must still land in the graph (identically under
       // every worker count) so liveness and MBTCG runs over violating
-      // configs stay deterministic. The seen-set's min-merged order key is
-      // the key a serial scan would have discovered the state with.
-      result_.graph->SettleLevel([this](uint64_t fp) {
-        std::optional<FingerprintSet::Edge> edge = fpset_.GetEdge(fp);
-        return edge.has_value() ? edge->order_key : ~uint64_t{0};
-      });
+      // configs stay deterministic.
+      SettleGraph(next);
+      step_done(&graph_ns_);
     }
 
     if (!candidates.empty()) {
@@ -250,70 +438,21 @@ CheckResult LevelSyncEngine::Run() {
           });
       result_.violation =
           Violation{best.kind, BuildTrace(best.fp, best.state)};
-      return Finish(common::Status::OK());
+      return end_barrier(common::Status::OK());
     }
     if (abort_max_.load(std::memory_order_relaxed)) {
-      return Finish(common::Status::ResourceExhausted(
+      return end_barrier(common::Status::ResourceExhausted(
           common::StrCat("exceeded max distinct states (",
                          options_.max_distinct_states, ")")));
     }
 
-    std::vector<LevelEntry> next;
-    next.reserve(next_total);
-    for (Scratch& s : scratch_) {
-      for (LevelEntry& e : s.next) next.push_back(std::move(e));
-      s.next.clear();
-    }
-    if (use_sleep_sets_) {
-      // Settle this level's sleep-mask shrinks. The per-record pending
-      // mask is an intersection, so it is independent of worker
-      // interleaving; SettlePor folds it into the settled mask and
-      // reports whether uncovered actions require a re-expansion. Woken
-      // states rejoin the frontier at their original depth.
-      std::unordered_map<uint64_t, State> wakes;
-      for (Scratch& s : scratch_) {
-        for (auto& [fp, state] : s.wake_candidates) {
-          wakes.try_emplace(fp, std::move(state));
-        }
-        s.wake_candidates.clear();
-      }
-      for (auto& [fp, state] : wakes) {
-        FingerprintSet::PorSettle settle = fpset_.SettlePor(fp, all_actions_);
-        if (settle.wake) {
-          next.push_back(LevelEntry{std::move(state), fp, settle.depth,
-                                    settle.order_key});
-        }
-      }
-    }
-    if (workers_ > 1) {
-      // Two workers can race to discover the same state; whoever wins the
-      // insert owns the enqueue, but the record's min-merged key is the
-      // serial discovery order. Re-key from the settled records so batch
-      // order is worker-count-invariant.
-      for (LevelEntry& e : next) {
-        if (std::optional<FingerprintSet::Edge> edge = fpset_.GetEdge(e.fp)) {
-          e.key = edge->order_key;
-        }
-      }
-    }
-    // Keys are unique within one level's events, but a POR wake keeps the
-    // key of the level it was first discovered in, which can collide
-    // numerically with a fresh key — break ties by fingerprint so the
-    // batch order stays a pure function of the state graph.
-    std::sort(next.begin(), next.end(),
-              [](const LevelEntry& a, const LevelEntry& b) {
-                return a.key != b.key ? a.key < b.key : a.fp < b.fp;
-              });
-    if (result_.graph) {
-      // Node ids were assigned at SettleLevel; stamp them onto the
-      // entries so each expansion can record edges without a map lookup.
-      for (LevelEntry& e : next) e.gid = result_.graph->IdOf(e.fp);
-    }
     if (spill_enabled_) {
       // Budget eviction first (the level's inserts grew the hot table),
       // then a due checkpoint (evicts the remainder so the manifest names
       // only sealed runs and segments), else plain frontier overflow.
-      common::Status status = fpset_.EvictIfOverBudget();
+      step_ns = clock_->NowNanos();
+      common::Status status = fpset_.EvictIfOverBudget(&pool_);
+      step_done(&evict_ns_);
       if (status.ok() && checkpointing_ &&
           CheckpointDue(clock_->NowNanos())) {
         const int64_t ckpt_start_ns = clock_->NowNanos();
@@ -322,9 +461,12 @@ CheckResult LevelSyncEngine::Run() {
         // names exactly the sealed runs and PurgeSpillRetired cannot
         // delete a file the previous manifest still references.
         fpset_.PauseSpillCompaction();
-        status = fpset_.EvictAll();
-        if (status.ok()) status = spool->Append(std::move(next));
+        step_ns = clock_->NowNanos();
+        status = fpset_.EvictAll(&pool_);
+        step_done(&evict_ns_);
+        if (status.ok()) status = spool->Append(next.order, &pool_);
         if (status.ok()) status = spool->Seal();
+        step_done(&spool_ns_);
         if (status.ok()) {
           CheckpointManifest manifest = MakeManifest(
               result_.generated_states, result_.por_slept_actions,
@@ -343,20 +485,20 @@ CheckResult LevelSyncEngine::Run() {
           checkpoint_ms_ +=
               static_cast<double>(ckpt_end_ns - ckpt_start_ns) * 1e-6;
           CheckpointWritten(ckpt_end_ns);
-          next.clear();  // Everything rides the spool now.
+          next = Level();  // Everything rides the spool now.
         }
         fpset_.ResumeSpillCompaction();
-      } else if (status.ok() && next.size() > frontier_inmem_cap_) {
-        // Keep the head chunk hot, spool the (later-ordered) remainder.
-        std::vector<LevelEntry> overflow(
-            std::make_move_iterator(
-                next.begin() +
-                static_cast<std::ptrdiff_t>(frontier_inmem_cap_)),
-            std::make_move_iterator(next.end()));
-        next.resize(frontier_inmem_cap_);
-        status = spool->Append(std::move(overflow));
+      } else if (status.ok()) {
+        // Keep the head hot, spool the (later-ordered) rest.
+        if (next.size() > frontier_inmem_cap_) {
+          status = spool->Append(std::span<LevelEntry* const>(next.order)
+                                     .subspan(frontier_inmem_cap_),
+                                 &pool_);
+          next.order.resize(frontier_inmem_cap_);
+          step_done(&spool_ns_);
+        }
       }
-      if (!status.ok()) return Finish(status);
+      if (!status.ok()) return end_barrier(status);
       FlushSpillMetrics(spool->segments_written());
     }
     level = std::move(next);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <utility>
 
 namespace xmodel::tlax {
@@ -236,6 +237,17 @@ std::optional<FingerprintSet::Edge> FingerprintSet::GetEdge(uint64_t fp) const {
   return std::nullopt;
 }
 
+std::optional<uint64_t> FingerprintSet::QuiescentOrderKey(uint64_t fp) const {
+  const Shard& shard = ShardFor(fp);
+  const size_t index = shard.table.Find(fp);
+  if (index != internal::FpTable::kNone) {
+    return shard.table.slot(index).order_key;
+  }
+  std::optional<Edge> edge = GetEdge(fp);  // Evicted: the disk tier.
+  if (!edge.has_value()) return std::nullopt;
+  return edge->order_key;
+}
+
 std::optional<State> FingerprintSet::FindState(uint64_t fp) const {
   const Shard& shard = ShardFor(fp);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -244,17 +256,17 @@ std::optional<State> FingerprintSet::FindState(uint64_t fp) const {
   return it->second;
 }
 
-common::Status FingerprintSet::EvictIfOverBudget() {
+common::Status FingerprintSet::EvictIfOverBudget(common::WorkerPool* pool) {
   if (tier_ == nullptr || options_.memory_budget_bytes == 0) {
     return common::Status::OK();
   }
   if (table_bytes() <= options_.memory_budget_bytes) {
     return common::Status::OK();
   }
-  return EvictAll();
+  return EvictAll(pool);
 }
 
-common::Status FingerprintSet::EvictAll() {
+common::Status FingerprintSet::EvictAll(common::WorkerPool* pool) {
   if (tier_ == nullptr) return common::Status::OK();
   std::lock_guard<std::mutex> evict_lock(evict_mu_);
   // Copy out, seal, then erase — never erase before the run is
@@ -263,57 +275,58 @@ common::Status FingerprintSet::EvictAll() {
   // min-merge the hot copy after this snapshot; the engines only evict
   // once those fields are settled (level barrier / batch boundary), so
   // the sealed edge is the settled one.
+  //
+  // Collect, sort and erase are one task per shard: shard si holds
+  // exactly the fingerprints whose top bits are si, so the shards' sorted
+  // slices in shard order are the whole sorted run.
   using Entry = SpillTier::Entry;
-  std::vector<Entry> entries;
-  entries.reserve(hot_count());
-  // Shard si's records are entries[bounds[si], bounds[si + 1]).
-  std::vector<size_t> bounds(shards_.size() + 1, 0);
-  for (size_t si = 0; si < shards_.size(); ++si) {
+  std::vector<std::vector<Entry>> slices(shards_.size());
+  common::ParallelFor(pool, shards_.size(), [&](size_t si) {
+    // Fill a task-local vector and move it in once: adjacent slice
+    // headers share cache lines.
+    std::vector<Entry> slice;
     Shard& shard = shards_[si];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.table.ForEach([&entries](const internal::FpSlot& rec) {
-      // A provisional record has no disk verdict yet — sealing it could
-      // duplicate a fingerprint across runs. Its owner resolves it at
-      // the batch boundary; it stays hot until then.
-      if (rec.has(internal::FpSlot::kProvisional)) return;
-      entries.emplace_back(
-          rec.fp, SpillTier::EdgeData{rec.pred_fp, rec.order_key, rec.depth,
-                                      rec.action});
-    });
-    bounds[si + 1] = entries.size();
-  }
-  if (entries.empty()) return common::Status::OK();
-  // Shard si holds exactly the fingerprints whose top bits are si, so
-  // sorting each shard's slice sorts the whole run.
-  const auto by_fp = [](const Entry& a, const Entry& b) {
-    return a.first < b.first;
-  };
-  for (size_t si = 0; si < shards_.size(); ++si) {
-    std::sort(entries.begin() + bounds[si], entries.begin() + bounds[si + 1],
-              by_fp);
-  }
-  common::Status status = tier_->SealRun(entries);
-  if (!status.ok()) return status;
-  for (size_t si = 0; si < shards_.size(); ++si) {
-    const auto first = entries.begin() + bounds[si];
-    const auto last = entries.begin() + bounds[si + 1];
-    if (first == last) continue;
-    Shard& shard = shards_[si];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Captured records stay put until here (only this evictor erases
-    // non-provisional ones), so equal counts mean nothing else is left.
-    if (shard.table.size() == static_cast<size_t>(last - first)) {
-      shard.table.Clear();
-    } else {
-      shard.table.EraseIf([first, last](const internal::FpSlot& rec) {
-        const auto it = std::lower_bound(
-            first, last, rec.fp,
-            [](const Entry& e, uint64_t fp) { return e.first < fp; });
-        return it != last && it->first == rec.fp;
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      slice.reserve(shard.table.size());
+      shard.table.ForEach([&slice](const internal::FpSlot& rec) {
+        // A provisional record has no disk verdict yet — sealing it could
+        // duplicate a fingerprint across runs. Its owner resolves it at
+        // the batch boundary; it stays hot until then.
+        if (rec.has(internal::FpSlot::kProvisional)) return;
+        slice.emplace_back(rec.fp,
+                           SpillTier::EdgeData{rec.pred_fp, rec.order_key,
+                                               rec.depth, rec.action});
       });
     }
-  }
-  hot_count_.fetch_sub(entries.size(), std::memory_order_relaxed);
+    std::sort(slice.begin(), slice.end(),
+              [](const Entry& a, const Entry& b) { return a.first < b.first; });
+    slices[si] = std::move(slice);
+  });
+  std::vector<std::span<const Entry>> spans(slices.begin(), slices.end());
+  common::Status status = tier_->SealRun(spans, pool);
+  if (!status.ok()) return status;
+  common::ParallelFor(pool, shards_.size(), [&](size_t si) {
+    const std::vector<Entry>& slice = slices[si];
+    if (slice.empty()) return;
+    Shard& shard = shards_[si];
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      // Captured records stay put until here (only this evictor erases
+      // non-provisional ones), so equal counts mean nothing else is left.
+      if (shard.table.size() == slice.size()) {
+        shard.table.Clear();
+      } else {
+        shard.table.EraseIf([&slice](const internal::FpSlot& rec) {
+          const auto it = std::lower_bound(
+              slice.begin(), slice.end(), rec.fp,
+              [](const Entry& e, uint64_t fp) { return e.first < fp; });
+          return it != slice.end() && it->first == rec.fp;
+        });
+      }
+    }
+    hot_count_.fetch_sub(slice.size(), std::memory_order_relaxed);
+  });
   // SealRun woke the background merge if the run count calls for one;
   // its errors surface through the sticky status the engines poll.
   return tier_->status();

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "tlax/fp_table.h"
 #include "tlax/fpset_spill.h"
@@ -188,6 +189,11 @@ class FingerprintSet {
     int64_t depth = 0;
   };
   std::optional<Edge> GetEdge(uint64_t fp) const;
+  /// GetEdge(fp)->order_key, read from the hot table without its shard
+  /// lock: valid only while no thread writes the table — a level
+  /// barrier, where every worker re-keys its next-level entries at once
+  /// and the shard locks would only bounce between them.
+  std::optional<uint64_t> QuiescentOrderKey(uint64_t fp) const;
 
   /// Audit mode: a copy of the full state stored for `fp`.
   std::optional<State> FindState(uint64_t fp) const;
@@ -219,12 +225,15 @@ class FingerprintSet {
   /// exceeds Options::memory_budget_bytes; no-op otherwise.
   /// Thread-compatible with concurrent Insert/GetEdge: a fingerprint is
   /// visible in the hot table or on disk at every instant. Concurrent
-  /// callers serialize on an internal mutex.
-  common::Status EvictIfOverBudget();
+  /// callers serialize on an internal mutex. The per-shard collect, sort
+  /// and erase and the run encode run on `pool` (inline when null — a
+  /// caller that is itself a pool task passes null); the sealed run is
+  /// the same either way.
+  common::Status EvictIfOverBudget(common::WorkerPool* pool = nullptr);
   /// Unconditionally evicts the hot table (checkpoint preparation: a
   /// manifest names only sealed runs, so everything must be on disk).
   /// Each shard it empties shrinks back to its floor capacity.
-  common::Status EvictAll();
+  common::Status EvictAll(common::WorkerPool* pool = nullptr);
 
   /// Resume path: adopts previously sealed run files (validated; corrupt
   /// files are a clean kCorruption error) and resets size() to their

@@ -195,21 +195,54 @@ common::Status DecodeBlockPayload(std::string_view payload,
 }  // namespace
 
 // Accumulates sorted entries into the on-disk run representation, the
-// shared backend of SealRun and compaction.
+// shared backend of SealRun and compaction. `expected_count` is the whole
+// run's entry count: it sizes the Bloom filter and is written to the
+// header. A `part` builder encodes one block-aligned range of a run with
+// no header, for Append into the whole-run builder.
 class SpillTier::RunBuilder {
  public:
   RunBuilder(size_t block_entries, uint64_t bloom_bits_per_key,
-             uint64_t expected_count)
+             uint64_t expected_count, bool part = false)
       : block_entries_(block_entries),
         bloom_(BloomWords(expected_count, bloom_bits_per_key), 0) {
+    if (part) return;
     contents_.append(kMagic, sizeof(kMagic));
     common::PutFixed64(expected_count, &contents_);
+  }
+
+  // Reserves room for `entries` more entries' bytes (an estimate: a
+  // fingerprint, a predecessor and short varints each).
+  void Reserve(size_t entries) {
+    contents_.reserve(contents_.size() + entries * 32 +
+                      (entries / block_entries_ + 1) * 24);
+  }
+
+  // Appends `part`'s blocks after this builder's: the bytes concatenate,
+  // the Bloom words OR together, the checksums XOR and the block index
+  // shifts by this builder's length — exactly the state Add would have
+  // reached on the part's entries. This builder must sit on a block
+  // boundary (its earlier parts were full blocks).
+  void Append(RunBuilder&& part) {
+    if (!part.pending_.empty()) part.FlushBlock();
+    const uint64_t base = contents_.size();
+    contents_.append(part.contents_);
+    std::string().swap(part.contents_);
+    for (size_t i = 0; i < bloom_.size(); ++i) bloom_[i] |= part.bloom_[i];
+    checksum_ ^= part.checksum_;
+    count_ += part.count_;
+    block_first_fp_.insert(block_first_fp_.end(),
+                           part.block_first_fp_.begin(),
+                           part.block_first_fp_.end());
+    for (uint64_t offset : part.block_offset_) {
+      block_offset_.push_back(base + offset);
+    }
+    block_len_.insert(block_len_.end(), part.block_len_.begin(),
+                      part.block_len_.end());
   }
 
   void Add(uint64_t fp, const SpillTier::EdgeData& edge) {
     pending_.emplace_back(fp, edge);
     BloomAdd(&bloom_, fp);
-    checksum_ ^= EntryChecksum(fp, edge);
     ++count_;
     if (pending_.size() >= block_entries_) FlushBlock();
   }
@@ -230,25 +263,34 @@ class SpillTier::RunBuilder {
 
  private:
   void FlushBlock() {
-    std::string payload;
-    common::PutFixed64(pending_.size(), &payload);
+    // The payload goes straight into contents_ behind its length, which
+    // is patched in once the payload is written.
+    const size_t length_at = contents_.size();
+    common::PutFixed64(0, &contents_);
+    const size_t payload_at = contents_.size();
+    common::PutFixed64(pending_.size(), &contents_);
     for (const SpillTier::Entry& e : pending_) {
-      common::PutFixed64(e.first, &payload);
+      common::PutFixed64(e.first, &contents_);
     }
     uint64_t block_sum = 0;
     for (const SpillTier::Entry& e : pending_) {
-      common::PutFixed64(e.second.pred_fp, &payload);
-      common::PutVarint64(e.second.order_key, &payload);
-      common::PutVarint64(e.second.action, &payload);
-      common::PutVarintSigned(e.second.depth, &payload);
+      common::PutFixed64(e.second.pred_fp, &contents_);
+      common::PutVarint64(e.second.order_key, &contents_);
+      common::PutVarint64(e.second.action, &contents_);
+      common::PutVarintSigned(e.second.depth, &contents_);
       block_sum ^= EntryChecksum(e.first, e.second);
     }
-    common::PutFixed64(block_sum, &payload);
+    common::PutFixed64(block_sum, &contents_);
+    // The run checksum is the XOR of every entry's, so it folds in the
+    // block's whole.
+    checksum_ ^= block_sum;
+    const size_t payload_len = contents_.size() - payload_at;
+    std::string length;
+    common::PutFixed64(payload_len, &length);
+    contents_.replace(length_at, length.size(), length);
     block_first_fp_.push_back(pending_[0].first);
-    common::PutFixed64(payload.size(), &contents_);
-    block_offset_.push_back(contents_.size());
-    block_len_.push_back(static_cast<uint32_t>(payload.size()));
-    contents_.append(payload);
+    block_offset_.push_back(payload_at);
+    block_len_.push_back(static_cast<uint32_t>(payload_len));
     pending_.clear();
   }
 
@@ -386,15 +428,49 @@ common::Status SpillTier::WriteRun(RunBuilder* builder,
 }
 
 common::Status SpillTier::SealRun(const std::vector<Entry>& entries) {
-  if (entries.empty()) return common::Status::OK();
+  return SealRun({std::span<const Entry>(entries)}, nullptr);
+}
+
+common::Status SpillTier::SealRun(
+    const std::vector<std::span<const Entry>>& slices,
+    common::WorkerPool* pool) {
   // Probes binary-search the run, so an out-of-order or repeated
   // fingerprint would make lookups silently miss: refuse to write it.
-  for (size_t i = 1; i < entries.size(); ++i) {
-    if (entries[i - 1].first >= entries[i].first) {
-      return common::Status::Internal(common::StrCat(
-          "SealRun: fingerprints not strictly ascending at entry ", i));
+  size_t total = 0;
+  uint64_t prev = 0;
+  for (std::span<const Entry> slice : slices) {
+    for (const Entry& e : slice) {
+      if (total > 0 && prev >= e.first) {
+        return common::Status::Internal(common::StrCat(
+            "SealRun: fingerprints not strictly ascending at entry ", total));
+      }
+      prev = e.first;
+      ++total;
     }
   }
+  if (total == 0) return common::Status::OK();
+  // Encode block-aligned ranges, one per pool worker, each into its own
+  // builder (task-local, so no two tasks write one cache line); appending
+  // the parts in order yields the bytes of a one-range encode.
+  const size_t block = options_.block_entries;
+  const size_t blocks = (total + block - 1) / block;
+  const size_t parts = std::min(blocks, common::ParallelWidth(pool));
+  const size_t part_entries = (blocks + parts - 1) / parts * block;
+  std::vector<std::unique_ptr<RunBuilder>> built(parts);
+  common::ParallelFor(pool, parts, [&](size_t p) {
+    auto part = std::make_unique<RunBuilder>(
+        block, options_.bloom_bits_per_key, total, /*part=*/true);
+    // Walk the slices from the part's first entry.
+    size_t slice = 0;
+    size_t offset = std::min(total, p * part_entries);
+    size_t left = std::min(total - offset, part_entries);
+    part->Reserve(left);
+    for (; left > 0; ++offset, --left) {
+      while (offset >= slices[slice].size()) offset -= slices[slice++].size();
+      part->Add(slices[slice][offset].first, slices[slice][offset].second);
+    }
+    built[p] = std::move(part);
+  });
   if (!dir_ready_.load(std::memory_order_acquire)) {
     common::Status status = common::EnsureDir(options_.dir);
     if (!status.ok()) {
@@ -403,9 +479,12 @@ common::Status SpillTier::SealRun(const std::vector<Entry>& entries) {
     }
     dir_ready_.store(true, std::memory_order_release);
   }
-  RunBuilder builder(options_.block_entries, options_.bloom_bits_per_key,
-                     entries.size());
-  for (const Entry& e : entries) builder.Add(e.first, e.second);
+  RunBuilder builder(block, options_.bloom_bits_per_key, total);
+  builder.Reserve(total);
+  for (std::unique_ptr<RunBuilder>& part : built) {
+    builder.Append(std::move(*part));
+    part.reset();
+  }
   std::shared_ptr<Run> run;
   common::Status status = WriteRun(&builder, &run);
   if (!status.ok()) return status;

@@ -7,11 +7,13 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/status.h"
 
 namespace xmodel::tlax {
@@ -125,6 +127,11 @@ class SpillTier {
   /// ascending is a kInternal error and writes nothing. Also wakes the compaction
   /// thread when the run count has reached the threshold.
   common::Status SealRun(const std::vector<Entry>& entries);
+  /// SealRun of the concatenation of `slices`, without building it. The
+  /// blocks are encoded in one range per `pool` worker (inline when
+  /// null); the file bytes depend on neither the split nor the slicing.
+  common::Status SealRun(const std::vector<std::span<const Entry>>& slices,
+                         common::WorkerPool* pool);
 
   /// Membership + edge probe across every live run. False means the
   /// fingerprint is definitely absent from disk (or an IO error was

@@ -1,7 +1,9 @@
 #include "tlax/frontier_spill.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/fileio.h"
@@ -33,38 +35,55 @@ FrontierSpool::~FrontierSpool() {
   if (prefetch_.valid()) prefetch_.get();
 }
 
-common::Status FrontierSpool::WriteSegment() {
-  if (tail_.empty()) return common::Status::OK();
+common::Status FrontierSpool::WriteSegment(
+    std::span<LevelEntry* const> entries, const std::string& file) const {
   std::string contents(kSegMagic, sizeof(kSegMagic));
-  common::PutFixed64(tail_.size(), &contents);
-  for (const LevelEntry& e : tail_) {
-    EncodeState(e.state, &contents);
-    common::PutFixed64(e.fp, &contents);
-    common::PutVarintSigned(e.depth, &contents);
-    common::PutFixed64(e.key, &contents);
+  common::PutFixed64(entries.size(), &contents);
+  for (const LevelEntry* e : entries) {
+    EncodeState(e->state, &contents);
+    common::PutFixed64(e->fp, &contents);
+    common::PutVarintSigned(e->depth, &contents);
+    common::PutFixed64(e->key, &contents);
   }
   common::PutFixed64(common::HashString(contents), &contents);
+  common::WriteFileOptions write_options;
+  write_options.durable = options_.durable;
+  return common::WriteFileAtomic(options_.dir + "/" + file, contents,
+                                 write_options);
+}
 
+common::Status FrontierSpool::SealSegments(
+    std::span<LevelEntry* const> stream, size_t segment_size,
+    common::WorkerPool* pool) {
+  const size_t segments = stream.size() / segment_size;
+  if (segments == 0) return common::Status::OK();
   if (!dir_ready_) {
     common::Status status = common::EnsureDir(options_.dir);
     if (!status.ok()) return status;
     dir_ready_ = true;
   }
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), "-%06llu.seg",
-                static_cast<unsigned long long>(next_segment_++));
-  Segment seg;
-  seg.file = options_.prefix + suffix;
-  seg.count = tail_.size();
-  common::WriteFileOptions write_options;
-  write_options.durable = options_.durable;
-  common::Status status = common::WriteFileAtomic(
-      options_.dir + "/" + seg.file, contents, write_options);
-  if (!status.ok()) return status;
-  spooled_ += seg.count;
-  segments_written_.fetch_add(1, std::memory_order_relaxed);
-  segments_.push_back(std::move(seg));
-  tail_.clear();
+  std::vector<std::string> files(segments);
+  for (std::string& file : files) {
+    char suffix[32];
+    std::snprintf(suffix, sizeof(suffix), "-%06llu.seg",
+                  static_cast<unsigned long long>(next_segment_++));
+    file = options_.prefix + suffix;
+  }
+  // One task per segment: each encodes into its own buffer, writes its
+  // file and drops the buffer, so at most one encoded segment per pool
+  // worker is alive at a time.
+  std::vector<common::Status> statuses(segments);
+  common::ParallelFor(pool, segments, [&](size_t i) {
+    statuses[i] = WriteSegment(
+        stream.subspan(i * segment_size, segment_size), files[i]);
+  });
+  // Register in FIFO order, stopping at the first failure.
+  for (size_t i = 0; i < segments; ++i) {
+    if (!statuses[i].ok()) return statuses[i];
+    spooled_ += segment_size;
+    segments_written_.fetch_add(1, std::memory_order_relaxed);
+    segments_.push_back(Segment{std::move(files[i]), segment_size});
+  }
   return common::Status::OK();
 }
 
@@ -108,16 +127,35 @@ common::Status FrontierSpool::ReadSegment(const std::string& file,
   return common::Status::OK();
 }
 
-common::Status FrontierSpool::Append(std::vector<LevelEntry>&& entries) {
-  for (LevelEntry& e : entries) {
-    tail_.push_back(std::move(e));
-    if (tail_.size() >= options_.segment_entries) {
-      common::Status status = WriteSegment();
-      if (!status.ok()) return status;
-    }
+common::Status FrontierSpool::Append(std::span<LevelEntry* const> entries,
+                                     common::WorkerPool* pool) {
+  // The stream to seal: the tail, then `entries`.
+  std::vector<LevelEntry*> stream;
+  stream.reserve(tail_.size() + entries.size());
+  for (LevelEntry& e : tail_) stream.push_back(&e);
+  stream.insert(stream.end(), entries.begin(), entries.end());
+  const size_t segment = options_.segment_entries;
+  common::Status status = SealSegments(stream, segment, pool);
+  if (!status.ok()) return status;
+  // The entries past the last whole segment become the tail. The tail
+  // never holds a whole segment, so a sealed one consumed all of it and
+  // the rest lies in `entries`; otherwise `entries` joins the tail.
+  const size_t sealed = stream.size() / segment * segment;
+  const size_t kept = std::max(sealed, tail_.size());
+  if (sealed > 0) tail_.clear();
+  for (size_t i = kept; i < stream.size(); ++i) {
+    tail_.push_back(std::move(*stream[i]));
   }
-  entries.clear();
   return common::Status::OK();
+}
+
+common::Status FrontierSpool::Append(std::vector<LevelEntry>&& entries) {
+  std::vector<LevelEntry*> pointers;
+  pointers.reserve(entries.size());
+  for (LevelEntry& e : entries) pointers.push_back(&e);
+  common::Status status = Append(pointers, nullptr);
+  entries.clear();
+  return status;
 }
 
 void FrontierSpool::StartPrefetch() {
@@ -165,7 +203,14 @@ common::Status FrontierSpool::PopBatch(std::vector<LevelEntry>* out) {
   return common::Status::OK();
 }
 
-common::Status FrontierSpool::Seal() { return WriteSegment(); }
+common::Status FrontierSpool::Seal() {
+  if (tail_.empty()) return common::Status::OK();
+  std::vector<LevelEntry*> stream;
+  for (LevelEntry& e : tail_) stream.push_back(&e);
+  common::Status status = SealSegments(stream, stream.size(), nullptr);
+  if (status.ok()) tail_.clear();
+  return status;
+}
 
 std::vector<std::string> FrontierSpool::live_segment_files() const {
   std::vector<std::string> files;

@@ -5,10 +5,12 @@
 #include <cstdint>
 #include <deque>
 #include <future>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/status.h"
 #include "tlax/explore.h"
 
@@ -53,7 +55,15 @@ class FrontierSpool {
   explicit FrontierSpool(Options options);
   ~FrontierSpool();
 
-  /// Moves `entries` onto the spool tail, sealing full segments.
+  /// Spools the entries `entries` points at, in order, after the tail,
+  /// sealing full segments; the entries left past the last one are moved
+  /// into the tail, the sealed ones are left as they are. Each segment is
+  /// encoded and written by one task on `pool` (inline when null — a
+  /// caller that is itself a pool task passes null); segment bytes and
+  /// boundaries do not depend on the pool.
+  common::Status Append(std::span<LevelEntry* const> entries,
+                        common::WorkerPool* pool);
+  /// Append of every entry of `entries`, inline; leaves it empty.
   common::Status Append(std::vector<LevelEntry>&& entries);
 
   /// Pops the oldest batch in FIFO order: the front segment file
@@ -97,7 +107,13 @@ class FrontierSpool {
     uint64_t count = 0;
   };
 
-  common::Status WriteSegment();
+  /// Encodes `entries` and writes them as segment `file`.
+  common::Status WriteSegment(std::span<LevelEntry* const> entries,
+                              const std::string& file) const;
+  /// Seals every whole `segment_size` run of `stream` as a segment file
+  /// (one task each on `pool`), in order.
+  common::Status SealSegments(std::span<LevelEntry* const> stream,
+                              size_t segment_size, common::WorkerPool* pool);
   common::Status ReadSegment(const std::string& file,
                              std::vector<LevelEntry>* out) const;
   void Retire(const std::string& file);

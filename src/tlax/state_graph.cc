@@ -12,8 +12,8 @@ namespace xmodel::tlax {
 namespace {
 
 // Mirror of FingerprintSet's striping: many more stripes than workers keeps
-// RecordNode contention negligible, and using the fingerprint's *top* bits
-// decorrelates shard selection from the unordered_map's low-bit bucketing.
+// SetNode contention negligible, and using the fingerprint's *top* bits
+// decorrelates shard selection from each shard's low-bit probing.
 constexpr int kIndexShards = 64;
 constexpr int kIndexShardBits = 6;
 
@@ -30,21 +30,15 @@ void StateGraph::BeginRecording(int num_workers) {
 
 uint32_t StateGraph::RegisterSeed(uint64_t fp, const State& state,
                                   bool constrained) {
-  const uint32_t id = constrained ? AddState(state) : kNoId;
+  if (!constrained) return kNoId;
+  const uint32_t id = AddState(state);
   {
     IndexShard& shard = ShardFor(fp);
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.ids.emplace(fp, id);
+    shard.Insert(fp, id);
   }
-  if (constrained) initial_.push_back(id);
+  initial_.push_back(id);
   return id;
-}
-
-void StateGraph::RecordNode(uint64_t fp, const State& state,
-                            bool constrained) {
-  IndexShard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.pending.push_back(PendingNode{fp, 0, state, constrained});
 }
 
 void StateGraph::RecordEdge(int worker, uint32_t from_id, uint64_t to_fp,
@@ -54,56 +48,70 @@ void StateGraph::RecordEdge(int worker, uint32_t from_id, uint64_t to_fp,
       PendingEdge{to_fp, from_id, action});
 }
 
-void StateGraph::SettleLevel(const std::function<uint64_t(uint64_t)>& key_of) {
-  // 1. Drain the pending nodes and stamp each with its settled discovery
-  // key. The seen-set min-merges same-level rediscoveries toward the
-  // smallest event key, so by the barrier key_of(fp) is the key of the
-  // event a serial scan would have discovered fp with — sorting on it
-  // reproduces the serial id order exactly.
-  std::vector<PendingNode> level;
-  for (IndexShard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (PendingNode& node : shard.pending) {
-      node.key = key_of(node.fp);
-      level.push_back(std::move(node));
-    }
-    shard.pending.clear();
-  }
-  std::sort(level.begin(), level.end(),
-            [](const PendingNode& a, const PendingNode& b) {
-              return a.key < b.key;
-            });
+uint32_t StateGraph::AddNodes(size_t n) {
+  const size_t first = states_.size();
+  states_.resize(first + n);
+  edges_.resize(first + n);
+  return static_cast<uint32_t>(first);
+}
 
-  // 2. Assign ids in settled order; unconstrained states are remembered as
-  // kNoId so edges to them resolve to "drop", now and in later levels.
-  for (PendingNode& node : level) {
-    const uint32_t id = node.constrained ? AddState(std::move(node.state))
-                                         : kNoId;
-    IndexShard& shard = ShardFor(node.fp);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.ids.emplace(node.fp, id);
-  }
+void StateGraph::SetNode(uint32_t id, uint64_t fp, const State& state) {
+  states_[id] = state;
+  IndexShard& shard = ShardFor(fp);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  shard.Insert(fp, id);
+}
 
-  // 3. Resolve and append the level's edges. A node's out-edges live in
-  // exactly one worker's buffer (its single expansion), already in action/
-  // successor order, so appending buffers in worker order preserves the
-  // only ordering DOT output observes: the per-source edge list.
-  for (std::vector<PendingEdge>& buffer : worker_edges_) {
-    for (const PendingEdge& edge : buffer) {
-      if (edge.from_id == kNoId) continue;
-      const uint32_t to = IdOf(edge.to_fp);
-      if (to == kNoId) continue;
-      edges_[edge.from_id].push_back(Edge{to, edge.action});
-    }
-    buffer.clear();
+void StateGraph::ResolveEdges(int worker) {
+  // A node's out-edges live in exactly one worker's buffer (its single
+  // expansion), already in action/successor order, so each worker's
+  // buffer appends to its own source nodes' lists: resolving buffers in
+  // parallel preserves the only ordering DOT output observes, the
+  // per-source edge list.
+  std::vector<PendingEdge>& buffer =
+      worker_edges_[static_cast<size_t>(worker)];
+  for (const PendingEdge& edge : buffer) {
+    if (edge.from_id == kNoId) continue;
+    const uint32_t to = IdOf(edge.to_fp);
+    if (to == kNoId) continue;
+    edges_[edge.from_id].push_back(Edge{to, edge.action});
   }
+  buffer.clear();
 }
 
 uint32_t StateGraph::IdOf(uint64_t fp) const {
   const IndexShard& shard = ShardFor(fp);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.ids.find(fp);
-  return it == shard.ids.end() ? kNoId : it->second;
+  return shard.Find(fp);
+}
+
+void StateGraph::IndexShard::Insert(uint64_t fp, uint32_t id) {
+  if ((size + 1) * 2 > slots.size()) {
+    std::vector<std::pair<uint64_t, uint32_t>> old(
+        std::max<size_t>(16, slots.size() * 2), {0, kNoId});
+    old.swap(slots);
+    size = 0;
+    for (const auto& [old_fp, old_id] : old) {
+      if (old_id != kNoId) Insert(old_fp, old_id);
+    }
+  }
+  const size_t mask = slots.size() - 1;
+  size_t i = fp & mask;
+  while (slots[i].second != kNoId) {
+    if (slots[i].first == fp) return;
+    i = (i + 1) & mask;
+  }
+  slots[i] = {fp, id};
+  ++size;
+}
+
+uint32_t StateGraph::IndexShard::Find(uint64_t fp) const {
+  if (slots.empty()) return kNoId;
+  const size_t mask = slots.size() - 1;
+  for (size_t i = fp & mask; slots[i].second != kNoId; i = (i + 1) & mask) {
+    if (slots[i].first == fp) return slots[i].second;
+  }
+  return kNoId;
 }
 
 std::string StateGraph::ToDot(

@@ -2,10 +2,9 @@
 #define XMODEL_TLAX_STATE_GRAPH_H_
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "tlax/state.h"
@@ -24,29 +23,28 @@ namespace xmodel::tlax {
 /// classic append-only API.
 ///
 /// **Concurrent recording** (the parallel checker): the graph doubles as a
-/// sharded concurrent store keyed by 64-bit state fingerprint, so N workers
-/// can record discoveries while the level drains and still produce a graph
-/// that is *byte-identical* to the single-worker one:
+/// sharded fingerprint → id index, so N workers can record edges while the
+/// level drains and still produce a graph that is *byte-identical* to the
+/// single-worker one:
 ///
-///  - `RecordNode(fp, state, constrained)` — called by whichever worker wins
-///    the fingerprint-table insert; buffers the node in a mutex-striped
-///    pending map (shard = top fingerprint bits, same scheme as the
-///    checker's FingerprintSet).
 ///  - `RecordEdge(worker, from_id, to_fp, action)` — appends to a
 ///    worker-local edge buffer, completely lock-free. A node's out-edges are
 ///    produced by exactly one ProcessEntry call on exactly one worker, so
 ///    per-source edge order (the only order DOT output observes) is already
 ///    deterministic; buffers can merge in any worker order.
-///  - `SettleLevel(key_of)` — at the level barrier: drains the pending
-///    nodes, sorts them by their *settled* discovery key (the
-///    fingerprint table's min-merged order key — the key of the event a
-///    serial scan would have discovered the state with), assigns node ids
-///    in that order, then resolves buffered edges fingerprint→id and
-///    appends them. Node ids, edge lists, and therefore `ToDot` become a
-///    pure function of the state graph, independent of worker count.
+///  - `AddNodes(n)` then `SetNode(id, fp, state)` — at the level barrier,
+///    the checker numbers the level's constrained new states in the
+///    settled order of its next level (the fingerprint table's min-merged
+///    order key — the key of the event a serial scan would have discovered
+///    the state with). SetNode calls for distinct ids may run in parallel.
+///  - `ResolveEdges(worker)` — after every SetNode of the level, resolves
+///    one worker's buffered edges fingerprint→id and appends them; one call
+///    per worker, in parallel. Node ids, edge lists, and therefore `ToDot`
+///    become a pure function of the state graph, independent of worker
+///    count.
 ///
-/// States outside the spec constraint are remembered with `kNoId` so later
-/// duplicate edges to them are dropped, matching the serial checker.
+/// States outside the spec constraint get no id (IdOf answers `kNoId`), so
+/// edges to them are dropped, matching the serial checker.
 class StateGraph {
  public:
   /// Id sentinel for fingerprints that carry no graph node (states outside
@@ -86,22 +84,24 @@ class StateGraph {
   /// unconstrained seeds.
   uint32_t RegisterSeed(uint64_t fp, const State& state, bool constrained);
 
-  /// Buffers a newly discovered state for id assignment at the next
-  /// SettleLevel. Call exactly once per fingerprint, from the worker that
-  /// won the seen-set insert. Thread-safe (one shard mutex).
-  void RecordNode(uint64_t fp, const State& state, bool constrained);
-
   /// Buffers one edge event in `worker`'s local buffer (lock-free).
   /// `from_id` is the settled id of the expanding node; the target is
   /// named by fingerprint because its id may not exist until the barrier.
   void RecordEdge(int worker, uint32_t from_id, uint64_t to_fp,
                   uint16_t action);
 
-  /// Level barrier: assigns ids to every pending node in ascending
-  /// `key_of(fp)` order (pass the seen-set's settled min-merged discovery
-  /// key), then resolves and appends every buffered edge. Edges whose
-  /// endpoint resolves to kNoId are dropped. Single-threaded by contract.
-  void SettleLevel(const std::function<uint64_t(uint64_t)>& key_of);
+  /// Level barrier, serial: appends `n` empty nodes for this level's
+  /// constrained new states and returns the first new id.
+  uint32_t AddNodes(size_t n);
+
+  /// Level barrier: fills node `id` (from the last AddNodes) with `state`
+  /// and indexes `fp` → `id`. Calls for distinct ids may run in parallel.
+  void SetNode(uint32_t id, uint64_t fp, const State& state);
+
+  /// Level barrier, after the level's SetNode calls: resolves `worker`'s
+  /// buffered edges and appends them. Edges whose endpoint has no id are
+  /// dropped. Calls for distinct workers may run in parallel.
+  void ResolveEdges(int worker);
 
   /// The settled node id recorded for `fp`; kNoId when the fingerprint is
   /// unknown or its state was outside the constraint.
@@ -140,21 +140,23 @@ class StateGraph {
   std::string ToDot(const std::vector<std::string>& variable_names) const;
 
  private:
-  struct PendingNode {
-    uint64_t fp = 0;
-    uint64_t key = 0;  // Filled from key_of at settle time.
-    State state;
-    bool constrained = false;
-  };
   struct PendingEdge {
     uint64_t to_fp = 0;
     uint32_t from_id = 0;
     uint16_t action = 0;
   };
+  // One shard of the settled fingerprint → id index: a flat table probed
+  // linearly from the fingerprint's low bits (the shard is chosen by its
+  // top bits), at most half full. An empty slot holds kNoId.
   struct IndexShard {
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, uint32_t> ids;  // Settled fingerprint → id.
-    std::vector<PendingNode> pending;            // Level-scoped.
+    std::vector<std::pair<uint64_t, uint32_t>> slots;
+    size_t size = 0;
+
+    // Records fp → id unless fp already has an id. Call under mu.
+    void Insert(uint64_t fp, uint32_t id);
+    // fp's id, or kNoId. Call under mu.
+    uint32_t Find(uint64_t fp) const;
   };
 
   IndexShard& ShardFor(uint64_t fp) {

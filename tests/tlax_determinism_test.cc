@@ -8,18 +8,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "analysis/domain.h"
 #include "analysis/footprint.h"
 #include "analysis/independence.h"
+#include "common/parallel.h"
 #include "specs/array_ot_spec.h"
 #include "specs/locking_spec.h"
 #include "specs/raft_mongo_spec.h"
 #include "specs/toy_specs.h"
 #include "tlax/checker.h"
+#include "tlax/explore.h"
 #include "tlax/spec.h"
 #include "tlax/value.h"
 
@@ -62,6 +66,53 @@ void ExpectWorkerInvariant(const Spec& spec, CheckerOptions options = {}) {
                   base.violation->trace[i].state)
             << "trace step " << i;
       }
+    }
+  }
+}
+
+// The level barrier builds the next level by sorting each worker's run and
+// merging them in parallel; the result must be exactly a sort of the
+// concatenation. Keys collide across runs (a POR wake keeps the key of the
+// level it was first discovered in) and, rarely, a (key, fingerprint) pair
+// repeats; runs may be empty.
+TEST(DeterminismTest, MergedLevelEqualsSortOfConcatenation) {
+  using internal::LevelEntry;
+  std::mt19937_64 rng(20261017);
+  for (int round = 0; round < 40; ++round) {
+    const size_t num_runs = 1 + rng() % 5;
+    std::vector<std::vector<LevelEntry>> runs(num_runs);
+    std::vector<LevelEntry> all;
+    for (std::vector<LevelEntry>& run : runs) {
+      const size_t size = rng() % 4 == 0 ? 0 : rng() % 300;
+      for (size_t i = 0; i < size; ++i) {
+        LevelEntry e;
+        e.key = rng() % 64;  // Small key space: many cross-run collisions.
+        e.fp = rng() % 8 == 0 ? e.key : rng();
+        e.depth = static_cast<int64_t>(i);
+        run.push_back(e);
+        all.push_back(e);
+      }
+    }
+    std::sort(all.begin(), all.end(),
+              [](const LevelEntry& a, const LevelEntry& b) {
+                return a.key != b.key ? a.key < b.key : a.fp < b.fp;
+              });
+    for (int workers : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << "round " << round << ", " << workers << " workers");
+      common::WorkerPool pool(workers);
+      const std::vector<LevelEntry*> order =
+          internal::MergeSettledRuns(runs, workers == 1 ? nullptr : &pool);
+      ASSERT_EQ(order.size(), all.size());
+      for (size_t i = 0; i < order.size(); ++i) {
+        ASSERT_EQ(order[i]->key, all[i].key) << "position " << i;
+        ASSERT_EQ(order[i]->fp, all[i].fp) << "position " << i;
+      }
+      std::vector<const LevelEntry*> distinct(order.begin(), order.end());
+      std::sort(distinct.begin(), distinct.end());
+      EXPECT_EQ(std::unique(distinct.begin(), distinct.end()),
+                distinct.end())
+          << "every entry appears exactly once";
     }
   }
 }

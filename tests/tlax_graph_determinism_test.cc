@@ -130,63 +130,88 @@ TEST(GraphDeterminismTest, LivenessResultsAreWorkerInvariant) {
 }
 
 // Drives the concurrent recording API directly from racing threads — the
-// pattern the checker uses, minus the checker: N workers register
-// interleaved nodes and cross-edges, then a single settle assigns ids.
+// pattern the checker uses, minus the checker: N workers record
+// interleaved cross-edges, then the barrier numbers the level's nodes and
+// resolves the edges, each step split across racing threads again.
 // Primarily a TSan target; the assertions also pin the settled shape.
 TEST(GraphDeterminismTest, ConcurrentRecorderHammer) {
   constexpr int kWorkers = 4;
   constexpr uint64_t kNodesPerWorker = 1000;
+  const uint64_t total = kWorkers * kNodesPerWorker;
 
+  // One root per worker: a node is expanded by exactly one worker, so
+  // each worker's edges leave its own root (ids 0..kWorkers-1).
   StateGraph graph;
   graph.BeginRecording(kWorkers);
-  const State seed(std::vector<Value>{Value::Int(0)});
-  const uint32_t root = graph.RegisterSeed(1, seed, /*constrained=*/true);
-  ASSERT_EQ(root, 0u);
-
-  std::vector<std::thread> threads;
+  constexpr uint64_t kRootFp = 1'000'000;
   for (int w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([w, root, &graph] {
-      for (uint64_t i = 0; i < kNodesPerWorker; ++i) {
-        // Distinct fingerprints per worker; every 10th state is outside
-        // the constraint so kNoId resolution is exercised under load.
-        const uint64_t fp = 2 + static_cast<uint64_t>(w) * kNodesPerWorker + i;
-        const bool constrained = fp % 10 != 0;
-        graph.RecordNode(fp, State(std::vector<Value>{Value::Int(
-                                 static_cast<int64_t>(fp))}),
-                         constrained);
-        graph.RecordEdge(w, root, fp, /*action=*/0);
-        // Duplicate edge to a fingerprint some other worker registers
-        // (or nobody does — dropped either way without crashing).
-        graph.RecordEdge(w, root, fp + 1, /*action=*/1);
-      }
-    });
+    const State root(std::vector<Value>{Value::Int(-1 - w)});
+    ASSERT_EQ(graph.RegisterSeed(kRootFp + w, root, /*constrained=*/true),
+              static_cast<uint32_t>(w));
   }
-  for (std::thread& t : threads) t.join();
-  graph.SettleLevel([](uint64_t fp) { return fp; });
+  const auto run_workers = [](const auto& body) {
+    std::vector<std::thread> threads;
+    for (int w = 0; w < kWorkers; ++w) threads.emplace_back(body, w);
+    for (std::thread& t : threads) t.join();
+  };
 
-  const uint64_t total = kWorkers * kNodesPerWorker;
-  uint64_t constrained = 0;
+  run_workers([&graph](int w) {
+    const uint32_t root = static_cast<uint32_t>(w);
+    for (uint64_t i = 0; i < kNodesPerWorker; ++i) {
+      const uint64_t fp = 2 + static_cast<uint64_t>(w) * kNodesPerWorker + i;
+      graph.RecordEdge(w, root, fp, /*action=*/0);
+      // Duplicate edge to a fingerprint some other worker discovers (or
+      // nobody does — dropped either way without crashing).
+      graph.RecordEdge(w, root, fp + 1, /*action=*/1);
+    }
+  });
+  // The level's next frontier in settled (here: fingerprint) order; every
+  // 10th state is outside the constraint, so it never reaches the
+  // frontier and edges to it must resolve to kNoId.
+  std::vector<uint64_t> next;
   for (uint64_t fp = 2; fp < 2 + total; ++fp) {
-    if (fp % 10 != 0) ++constrained;
+    if (fp % 10 != 0) next.push_back(fp);
   }
-  // Root + every constrained recorded node got an id, in fingerprint
-  // (= settle key) order.
-  EXPECT_EQ(graph.num_states(), constrained + 1);
-  EXPECT_EQ(graph.IdOf(1), 0u);
-  // Settled ids are dense and ascending in key order.
-  uint32_t expect_id = 1;
+  const uint32_t first = graph.AddNodes(next.size());
+  ASSERT_EQ(first, static_cast<uint32_t>(kWorkers));
+  run_workers([&](int w) {
+    for (size_t i = static_cast<size_t>(w); i < next.size(); i += kWorkers) {
+      graph.SetNode(first + static_cast<uint32_t>(i), next[i],
+                    State(std::vector<Value>{
+                        Value::Int(static_cast<int64_t>(next[i]))}));
+    }
+  });
+  run_workers([&graph](int w) { graph.ResolveEdges(w); });
+
+  // The roots + every constrained node got an id, dense and ascending in
+  // settled order.
+  EXPECT_EQ(graph.num_states(), next.size() + kWorkers);
+  EXPECT_EQ(graph.IdOf(kRootFp), 0u);
+  uint32_t expect_id = first;
   for (uint64_t fp = 2; fp < 2 + total; ++fp) {
     if (fp % 10 != 0) {
       EXPECT_EQ(graph.IdOf(fp), expect_id) << "fp=" << fp;
+      EXPECT_EQ(graph.state(expect_id),
+                State(std::vector<Value>{
+                    Value::Int(static_cast<int64_t>(fp))}));
       ++expect_id;
     } else {
       EXPECT_EQ(graph.IdOf(fp), StateGraph::kNoId) << "fp=" << fp;
     }
   }
-  // Every surviving edge leaves the root; edges to unconstrained or
-  // never-registered fingerprints were dropped.
-  EXPECT_EQ(graph.out_edges(0).size(), graph.num_edges());
-  EXPECT_GT(graph.num_edges(), constrained);
+  // Every surviving edge leaves a root, in its worker's recording order;
+  // edges to unconstrained or never-numbered fingerprints were dropped.
+  size_t root_edges = 0;
+  for (int w = 0; w < kWorkers; ++w) {
+    const std::vector<StateGraph::Edge>& out =
+        graph.out_edges(static_cast<uint32_t>(w));
+    root_edges += out.size();
+    for (size_t e = 1; e < out.size(); ++e) {
+      EXPECT_LE(out[e - 1].to, out[e].to) << "worker " << w;
+    }
+  }
+  EXPECT_EQ(root_edges, graph.num_edges());
+  EXPECT_GT(graph.num_edges(), next.size());
 }
 
 }  // namespace

@@ -9,12 +9,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/fileio.h"
+#include "common/parallel.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "tlax/fpset.h"
@@ -399,6 +401,45 @@ TEST(SpillTierTest, SealRunRejectsUnsortedOrDuplicateInput) {
   EXPECT_TRUE(tier.FindOnDisk(15, &edge));
 }
 
+// The run file is the same bytes whether its blocks are encoded by one
+// task or split across pool workers, and whether the input arrives as one
+// vector or as slices (EvictAll passes one per shard) that cut blocks.
+TEST(SpillTierTest, SealRunBytesMatchAcrossTaskCounts) {
+  const std::vector<SpillTier::Entry> entries = MakeEntries(5, 3000, 7);
+  const auto sealed_bytes = [&entries](const char* name, size_t workers,
+                                       std::vector<size_t> cuts) {
+    SpillTier::Options options;
+    options.dir = TestDir(name);
+    options.block_entries = 64;
+    SpillTier tier(options);
+    cuts.push_back(entries.size());
+    std::vector<std::span<const SpillTier::Entry>> slices;
+    size_t begin = 0;
+    for (size_t end : cuts) {
+      slices.emplace_back(entries.data() + begin, end - begin);
+      begin = end;
+    }
+    common::WorkerPool pool(static_cast<int>(workers));
+    EXPECT_TRUE(tier.SealRun(slices, workers == 1 ? nullptr : &pool).ok());
+    const std::vector<SpillTier::RunInfo> runs = tier.run_infos();
+    EXPECT_EQ(runs.size(), 1u);
+    std::string bytes;
+    EXPECT_TRUE(
+        common::ReadFileToString(options.dir + "/" + runs[0].file, &bytes)
+            .ok());
+    SpillTier::EdgeData edge;
+    EXPECT_TRUE(tier.FindOnDisk(entries[1234].first, &edge));
+    EXPECT_EQ(edge.order_key, entries[1234].second.order_key);
+    return bytes;
+  };
+  const std::string serial = sealed_bytes("seal_serial", 1, {});
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(sealed_bytes("seal_four", 4, {}), serial);
+  EXPECT_EQ(sealed_bytes("seal_three_sliced", 3, {0, 1, 100, 100, 2999}),
+            serial);
+  EXPECT_EQ(sealed_bytes("seal_one_sliced", 1, {640, 1000}), serial);
+}
+
 // Insert followed at once by a one-key ResolvePending, the smallest batch
 // the engine settles: true when `fp` is a new state. With a spill tier a
 // hot-table miss always comes back pending, never inserted.
@@ -620,6 +661,51 @@ TEST(FrontierSpoolTest, FifoRoundTripAcrossSegmentsAndTail) {
   std::vector<std::string> files;
   ASSERT_TRUE(common::ListDirFiles(options.dir, &files).ok());
   EXPECT_TRUE(files.empty());
+}
+
+// Segment files are the same bytes, under the same names, whether each
+// segment is encoded inline or by a pool task, and however the appends
+// split the stream.
+TEST(FrontierSpoolTest, SegmentBytesMatchAcrossTaskCounts) {
+  const auto segment_files = [](const char* name, int workers,
+                                std::vector<size_t> cuts) {
+    internal::FrontierSpool::Options options;
+    options.dir = TestDir(name);
+    options.segment_entries = 16;
+    internal::FrontierSpool spool(options);
+    std::vector<LevelEntry> in;
+    for (int64_t i = 0; i < 100; ++i) in.push_back(MakeLevelEntry(i));
+    common::WorkerPool pool(workers);
+    if (workers == 1) {
+      EXPECT_TRUE(spool.Append(std::move(in)).ok());
+    } else {
+      std::vector<LevelEntry*> pointers;
+      for (LevelEntry& e : in) pointers.push_back(&e);
+      cuts.push_back(pointers.size());
+      size_t begin = 0;
+      for (size_t end : cuts) {
+        EXPECT_TRUE(spool
+                        .Append(std::span<LevelEntry* const>(pointers).subspan(
+                                    begin, end - begin),
+                                &pool)
+                        .ok());
+        begin = end;
+      }
+    }
+    EXPECT_TRUE(spool.Seal().ok());
+    std::vector<std::pair<std::string, std::string>> files;
+    for (const std::string& file : spool.live_segment_files()) {
+      std::string bytes;
+      EXPECT_TRUE(
+          common::ReadFileToString(options.dir + "/" + file, &bytes).ok());
+      files.emplace_back(file, std::move(bytes));
+    }
+    return files;
+  };
+  const auto serial = segment_files("spool_serial", 1, {});
+  ASSERT_EQ(serial.size(), 7u) << "6 x 16 sealed, then the 4-entry tail";
+  EXPECT_EQ(segment_files("spool_four", 4, {}), serial);
+  EXPECT_EQ(segment_files("spool_four_split", 4, {5, 40, 40, 77}), serial);
 }
 
 TEST(FrontierSpoolTest, SealAdoptResumeAndCorruption) {

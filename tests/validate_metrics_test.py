@@ -33,6 +33,10 @@ def base():
         "checker.policy": g(0), "checker.workers.used": g(2),
         "checker.fingerprint.load": g(0.5), "checker.idle_fraction": g(0.25),
         "checker.barrier.settle_ms": g(1.5),
+        "checker.barrier.assemble_ms": g(0.5),
+        "checker.barrier.graph_ms": g(0.25),
+        "checker.barrier.evict_ms": g(0.5),
+        "checker.barrier.spool_ms": g(0.25),
         "checker.alloc.values_per_state": g(0.75),
         "checker.frontier.level_size": {
             "kind": "histogram", "count": 5, "sum": 42.0,
@@ -288,6 +292,12 @@ FAMILY = [
      "[0, 2]", False, False),
     ("settle sign", [setv("checker.barrier.settle_ms", -1)],
      "checker.barrier.settle_ms", False, False),
+    ("barrier step sign", [setv("checker.barrier.evict_ms", -1)],
+     "checker.barrier.evict_ms", True, True),
+    ("barrier step group", [drop("checker.barrier.spool_ms")],
+     "checker.barrier.spool_ms", True, True),
+    ("barrier steps need settle", [drop("checker.barrier.settle_ms")],
+     "checker.barrier.settle_ms", True, True),
     ("idle fraction bound", [setv("checker.idle_fraction", 1.5)],
      "checker.idle_fraction", False, False),
     ("policy range", [setv("checker.policy", 2)], "checker.policy",
