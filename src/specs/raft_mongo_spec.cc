@@ -247,6 +247,7 @@ void RaftMongoSpec::BuildActions() {
   // extends n's (the Server's pull-based replication; any batch size).
   actions_.push_back(Action{
       "AppendOplog", [num_nodes](const State& s, std::vector<State>* out) {
+        std::vector<Value> pulled;
         for (int n = 0; n < num_nodes; ++n) {
           const Value& mine = OplogOf(s, n);
           for (int m = 0; m < num_nodes; ++m) {
@@ -257,11 +258,16 @@ void RaftMongoSpec::BuildActions() {
                 static_cast<int64_t>(mine.size())) {
               continue;  // Divergent: rollback handles it.
             }
-            // Pull any number of consecutive entries.
-            for (size_t new_len = mine.size() + 1; new_len <= theirs.size();
-                 ++new_len) {
-              out->push_back(WithNodeValue(
-                  s, kOplog, n, theirs.SubSeq(1, new_len)));
+            // Pull any number of consecutive entries: every prefix of
+            // theirs longer than mine, shortest first. One walk down the
+            // prefix links makes each O(1), where SubSeq would copy and
+            // hash the entries once per batch size.
+            pulled.assign(1, theirs);
+            while (pulled.back().size() > mine.size() + 1) {
+              pulled.push_back(pulled.back().Prefix());
+            }
+            for (auto it = pulled.rbegin(); it != pulled.rend(); ++it) {
+              out->push_back(WithNodeValue(s, kOplog, n, *it));
             }
           }
         }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <unordered_set>
 #include <utility>
 
@@ -50,7 +51,7 @@ void PublishTraceMetrics(const TraceCheckResult& result,
       .Increment(result.step_actions.size());
   registry.GetCounter("checker.trace.states.explored")
       .Increment(result.states_explored - already_published);
-  if (!result.ok()) {
+  if (result.status.code() == common::StatusCode::kFailedPrecondition) {
     registry.GetCounter("checker.trace.violations.found").Increment();
   }
   registry.GetGauge("checker.trace.run.seconds").Set(result.seconds);
@@ -116,9 +117,29 @@ struct StagedExpansion {
   State succ;
 };
 
+// Spec states one step's search may explore: max_search_states_per_step,
+// tightened by memory_budget_mb.
+uint64_t StepBudget(const TraceCheckOptions& options) {
+  uint64_t budget = options.max_search_states_per_step;
+  if (options.memory_budget_mb > 0) {
+    const uint64_t derived =
+        std::max<uint64_t>(1000, (options.memory_budget_mb << 20) / 256);
+    budget = std::min(budget, derived);
+  }
+  return budget;
+}
+
+// What one step's search found.
+struct Advance {
+  /// Action names whose final step explained the match, in fold order.
+  std::vector<std::string> explaining;
+  /// The search budget ran out before the search was complete, so the new
+  /// frontier may lack states that some spec behavior reaches.
+  bool truncated = false;
+};
+
 // Advances `frontier` from trace position i-1 to position i (matching
 // `target`), searching up to `options.max_hidden_steps` spec actions deep.
-// Returns the action names whose final step explained the match.
 //
 // Parallelism: workers expand layer states concurrently (action.next and
 // Matches are the hot path), staging (action, matched, successor) per
@@ -127,13 +148,12 @@ struct StagedExpansion {
 // sweep would, so results are bit-identical across worker counts. The
 // fold ignores staged work past the budget cut-off, trading some wasted
 // expansion on exhausted layers for determinism.
-std::vector<std::string> AdvanceFrontier(const Spec& spec,
-                                         const TraceState& target,
-                                         const TraceCheckOptions& options,
-                                         const AdvanceContext& ctx,
-                                         Frontier* frontier,
-                                         uint64_t* states_explored) {
-  std::vector<std::string> explaining;
+Advance AdvanceFrontier(const Spec& spec, const TraceState& target,
+                        const TraceCheckOptions& options,
+                        const AdvanceContext& ctx, Frontier* frontier,
+                        uint64_t* states_explored) {
+  Advance advance;
+  std::vector<std::string>& explaining = advance.explaining;
   auto note_action = [&explaining](const std::string& name) {
     if (std::find(explaining.begin(), explaining.end(), name) ==
         explaining.end()) {
@@ -156,12 +176,7 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
   Frontier visited;  // Dedup across layers.
   std::vector<State> layer = frontier->states();
   for (const State& s : layer) visited.Add(s);
-  uint64_t budget = options.max_search_states_per_step;
-  if (options.memory_budget_mb > 0) {
-    const uint64_t derived =
-        std::max<uint64_t>(1000, (options.memory_budget_mb << 20) / 256);
-    budget = std::min(budget, derived);
-  }
+  uint64_t budget = StepBudget(options);
 
   const std::vector<Action>& actions = spec.actions();
   for (int depth = 1;
@@ -171,7 +186,7 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
     // Stage: expand every layer state, in parallel.
     std::vector<std::vector<StagedExpansion>> staged(layer.size());
     std::atomic<size_t> cursor{0};
-    ctx.pool->Run([&](int worker) {
+    auto stage = [&](int worker) {
       std::vector<State> successors;
       uint64_t expanded = 0;
       for (;;) {
@@ -192,23 +207,34 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
       if (ctx.worker_expansions != nullptr) {
         (*ctx.worker_expansions)[static_cast<size_t>(worker)] += expanded;
       }
-    });
+    };
+    // A one-state layer (most steps of a fully logged trace) runs inline
+    // as worker 0 instead of waking the pool, as ParallelFor does for n <= 1.
+    if (layer.size() == 1) {
+      stage(0);
+    } else {
+      ctx.pool->Run(stage);
+    }
 
     if (ctx.watchdog != nullptr) ctx.watchdog->Heartbeat();
 
     // Fold: serial replay of the classic bookkeeping over the staged
-    // expansions, in source-state order.
+    // expansions, in source-state order, until the budget runs out.
     std::vector<State> next_layer;
-    for (size_t i = 0; i < layer.size(); ++i) {
-      for (StagedExpansion& e : staged[i]) {
+    size_t folded = 0;
+    for (; folded < layer.size() && budget > 0; ++folded) {
+      for (StagedExpansion& e : staged[folded]) {
         ++*states_explored;
         if (budget > 0) --budget;
         if (e.matched) {
           if (next.Add(e.succ)) note_action(actions[e.action].name);
         }
-        if (depth < options.max_hidden_steps && budget > 0 &&
-            visited.Add(e.succ)) {
-          next_layer.push_back(std::move(e.succ));
+        if (depth < options.max_hidden_steps && visited.Add(e.succ)) {
+          if (budget > 0) {
+            next_layer.push_back(std::move(e.succ));
+          } else {
+            advance.truncated = true;  // New, but never expanded.
+          }
         }
         if (*states_explored - *ctx.flushed_explored >= kLiveFlushEntries) {
           ctx.live_explored->Increment(*states_explored -
@@ -217,12 +243,19 @@ std::vector<std::string> AdvanceFrontier(const Spec& spec,
           if (ctx.watchdog != nullptr) ctx.watchdog->Heartbeat();
         }
       }
-      if (budget == 0) break;
+    }
+    // Out of budget with work left: staged expansions the fold dropped
+    // (their matches included), or a next layer that is never expanded.
+    if (budget == 0 &&
+        (!next_layer.empty() ||
+         std::any_of(staged.begin() + static_cast<std::ptrdiff_t>(folded),
+                     staged.end(), [](const auto& e) { return !e.empty(); }))) {
+      advance.truncated = true;
     }
     layer = std::move(next_layer);
   }
   *frontier = std::move(next);
-  return explaining;
+  return advance;
 }
 
 AdvanceContext MakeContext(const TraceCheckOptions& options,
@@ -293,20 +326,32 @@ TraceCheckResult CheckSteps(const TraceCheckOptions& options,
     }
     result.step_actions.push_back({"Init"});
 
+    // The first step whose search ran out of budget: from there on the
+    // frontier may be incomplete, so an empty one proves nothing.
+    size_t first_truncated = 0;
     for (size_t i = 1; i < trace.size(); ++i) {
       result.status = reparse();
       if (!result.ok()) return result;
-      std::vector<std::string> explaining = AdvanceFrontier(
-          spec, (*current)[i], options, ctx, &frontier, &explored);
+      Advance advance = AdvanceFrontier(spec, (*current)[i], options, ctx,
+                                        &frontier, &explored);
+      if (advance.truncated && first_truncated == 0) first_truncated = i;
       if (frontier.empty()) {
-        result.status = Status::FailedPrecondition(
-            StrCat("no action of spec '", spec.name(),
-                   "' explains trace step ", i, " (checked ", i, " of ",
-                   trace.size() - 1, " steps)"));
         result.failed_step = i;
+        if (first_truncated != 0) {
+          result.status = Status::ResourceExhausted(StrCat(
+              "trace step ", i, " is unexplained, but the search of step ",
+              first_truncated, " stopped at its budget of ",
+              StepBudget(options), " states; raise "
+              "max_search_states_per_step (or memory_budget_mb)"));
+        } else {
+          result.status = Status::FailedPrecondition(
+              StrCat("no action of spec '", spec.name(),
+                     "' explains trace step ", i, " (checked ", i, " of ",
+                     trace.size() - 1, " steps)"));
+        }
         return result;
       }
-      result.step_actions.push_back(std::move(explaining));
+      result.step_actions.push_back(std::move(advance.explaining));
     }
     result.status = Status::OK();
     return result;

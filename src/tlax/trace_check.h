@@ -42,7 +42,9 @@ struct TraceCheckOptions {
   /// Intermediate hidden states are existentially quantified.
   int max_hidden_steps = 1;
   /// Node budget per observed step for the hidden-step search, to bound
-  /// the blow-up when max_hidden_steps is large.
+  /// the blow-up when max_hidden_steps is large. A search cut short by it
+  /// may miss states, so a trace that then fails to match is reported as
+  /// ResourceExhausted, not as a violation.
   uint64_t max_search_states_per_step = 200'000;
   /// Approximate memory bound for the per-step search, in megabytes.
   /// The trace checker keeps full states resident (the viable set is
@@ -69,10 +71,12 @@ struct TraceCheckOptions {
 
 struct TraceCheckResult {
   /// OK when the trace is a permitted behavior; FailedPrecondition with
-  /// `failed_step` set when it is not; other codes for infrastructure
-  /// errors (e.g. unparsable module).
+  /// `failed_step` set when it is not; ResourceExhausted with
+  /// `failed_step` set when no state matched after an earlier step's search
+  /// ran out of budget (the verdict is unknown); other codes for
+  /// infrastructure errors (e.g. unparsable module).
   common::Status status;
-  /// 0-based index of the first trace state no spec behavior can explain.
+  /// 0-based index of the first trace state the search did not explain.
   size_t failed_step = 0;
   /// Names of actions that can explain each accepted step (step 0 maps to
   /// the initial predicate and is reported as "Init").

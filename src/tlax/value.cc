@@ -353,6 +353,16 @@ ValueRep& StageProbe(Value::Kind kind) {
   return probe;
 }
 
+// Records `prefix` as the link of `rep` unless it already has one. Every
+// writer stores the same canonical rep, so the first store wins and later
+// calls only load: a rep's cache line is written at most once, not on
+// every intern hit. Release pairs with the acquire load in Value::Prefix.
+void LinkPrefix(const ValueRep& rep, const ValueRep* prefix) {
+  if (rep.prefix.rep.load(std::memory_order_relaxed) == nullptr) {
+    rep.prefix.rep.store(prefix, std::memory_order_release);
+  }
+}
+
 }  // namespace
 
 Value Value::WithField(std::string_view name, Value v) const {
@@ -380,7 +390,9 @@ Value Value::Append(Value v) const {
   probe.elems.assign(elems.begin(), elems.end());
   probe.elems.push_back(std::move(v));
   probe.hash = ComputeHash(probe);
-  return Value(InternCopy(probe));
+  const ValueRep* appended = InternCopy(probe);
+  LinkPrefix(*appended, store_.ptr.rep);
+  return Value(appended);
 }
 
 Value Value::Concat(const Value& other) const {
@@ -404,6 +416,17 @@ Value Value::SubSeq(size_t from1, size_t to1) const {
   probe.elems.assign(elems.begin() + (from1 - 1), elems.begin() + to1);
   probe.hash = ComputeHash(probe);
   return Value(InternCopy(probe));
+}
+
+Value Value::Prefix() const {
+  assert(is_seq() && size() > 0);
+  const ValueRep* prefix =
+      store_.ptr.rep->prefix.rep.load(std::memory_order_acquire);
+  if (prefix == nullptr) {
+    prefix = SubSeq(1, size() - 1).store_.ptr.rep;
+    LinkPrefix(*store_.ptr.rep, prefix);
+  }
+  return Value(prefix);
 }
 
 Value Value::WithIndex1(size_t i, Value v) const {

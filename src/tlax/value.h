@@ -18,6 +18,19 @@ class Value;
 
 namespace internal {
 
+struct ValueRep;
+
+/// A sequence rep's link to the canonical rep of its prefix minus the last
+/// element (see Value::Prefix). Set at most once, then read-only. A copy
+/// starts unset: only the rep in the intern table is ever linked, never
+/// the probe it was copied or moved from.
+struct PrefixLink {
+  PrefixLink() = default;
+  PrefixLink(const PrefixLink&) {}
+  PrefixLink& operator=(const PrefixLink&) = delete;
+  std::atomic<const ValueRep*> rep{nullptr};
+};
+
 /// Heap representation of a composite value (sequence, set, record, or a
 /// string longer than the inline limit). Every ValueRep is owned by the
 /// process-wide intern table and lives until process exit: structurally
@@ -30,6 +43,7 @@ struct ValueRep {
   std::string s;                    // kString (inline limit exceeded).
   std::vector<Value> elems;         // kSeq / kSet.
   std::vector<std::pair<std::string, Value>> fields;  // kRecord.
+  mutable PrefixLink prefix;        // kSeq.
 };
 
 /// TEST-ONLY: while any instance is alive, composite hashing collapses to
@@ -196,6 +210,11 @@ class Value {
   /// TLA+ SubSeq(seq, from, to) with 1-based inclusive bounds; empty when
   /// from > to.
   Value SubSeq(size_t from1, size_t to1) const;
+  /// A non-empty sequence minus its last element: the same value, and the
+  /// same interned rep, as SubSeq(1, size() - 1). O(1) once the rep is
+  /// linked to its prefix: Append links its result for free, and a rep
+  /// without a link computes the prefix once with SubSeq and keeps it.
+  Value Prefix() const;
   /// Sequence with 1-based index `i` replaced by `v`.
   Value WithIndex1(size_t i, Value v) const;
   /// Set with `v` inserted: splices at the lower-bound position (no

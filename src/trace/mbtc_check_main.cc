@@ -20,8 +20,11 @@
 // worth of states: the trace checker keeps full states resident, so it
 // caps rather than spills), and every shared observability flag
 // (--metrics-out, --trace-out, --events-out, --serve, --serve-linger-ms,
-// --stall-timeout-ms). README.md "Shared flags" lists them all. An
-// unknown flag or a bad value exits 2.
+// --stall-timeout-ms). README.md "Shared flags" lists them all.
+//
+// Exits 0 when the trace passes, 1 on a violation, and 2 on an unknown flag,
+// a bad value, a pipeline error, or a check that could not decide (a step's
+// search ran out of budget before the trace stopped matching).
 
 #include <cstdio>
 #include <string>
@@ -185,6 +188,14 @@ int main(int argc, char** argv) {
     std::printf("PASS: %llu events form a behavior of %s\n",
                 static_cast<unsigned long long>(report.num_events),
                 spec.name().c_str());
+  } else if (report.check.status.code() !=
+             common::StatusCode::kFailedPrecondition) {
+    // Not a verdict: e.g. the search ran out of budget (ResourceExhausted).
+    std::fprintf(stderr, "trace check incomplete at step %zu of %llu: %s\n",
+                 report.check.failed_step,
+                 static_cast<unsigned long long>(report.num_events),
+                 report.check.status.ToString().c_str());
+    exit_code = 2;
   } else {
     std::printf("VIOLATION at step %zu of %llu: %s\n",
                 report.check.failed_step,

@@ -103,6 +103,55 @@ TEST(RaftMongoSpecTest, MakeStateRoundTrip) {
   EXPECT_EQ(s.var(RaftMongoSpec::kOplog).at(0).size(), 2u);
 }
 
+// AppendOplog walks prefix links instead of calling SubSeq once per batch
+// size; its successors, values and order must be exactly those of the
+// SubSeq formulation: for each (puller n, source m), every strictly longer
+// prefix of m's log, shortest first.
+TEST(RaftMongoSpecTest, AppendOplogSuccessorsMatchSubSeq) {
+  RaftMongoSpec spec(SmallConfig(RaftMongoVariant::kDetailed));
+  const tlax::Action* append = nullptr;
+  for (const tlax::Action& action : spec.actions()) {
+    if (action.name == "AppendOplog") append = &action;
+  }
+  ASSERT_NE(append, nullptr);
+  // Node 1 lags node 0 by 5 entries, node 2 by 3; node 1's log is a
+  // prefix of node 2's too.
+  const State s = RaftMongoSpec::MakeState(
+      {"Leader", "Follower", "Follower"}, {4, 4, 3},
+      {{0, 0}, {0, 0}, {0, 0}},
+      {{1, 2, 2, 3, 3, 3, 4}, {1, 2}, {1, 2, 2, 3}});
+
+  std::vector<State> expected;
+  for (int n = 0; n < 3; ++n) {
+    const Value& mine = s.var(RaftMongoSpec::kOplog).at(n);
+    for (int m = 0; m < 3; ++m) {
+      const Value& theirs = s.var(RaftMongoSpec::kOplog).at(m);
+      if (m == n || theirs.size() <= mine.size() ||
+          theirs.SubSeq(1, mine.size()) != mine) {
+        continue;
+      }
+      for (size_t len = mine.size() + 1; len <= theirs.size(); ++len) {
+        expected.push_back(s.With(
+            RaftMongoSpec::kOplog,
+            s.var(RaftMongoSpec::kOplog).WithIndex1(n + 1,
+                                                    theirs.SubSeq(1, len))));
+      }
+    }
+  }
+  ASSERT_EQ(expected.size(), 10u);  // 5 + 2 for node 1, 3 for node 2.
+
+  // Twice: first with links filled lazily, then with every link set.
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<State> out;
+    append->next(s, &out);
+    ASSERT_EQ(out.size(), expected.size()) << "pass " << pass;
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_TRUE(out[i] == expected[i]) << "pass " << pass << " #" << i;
+      EXPECT_EQ(out[i].fingerprint(), expected[i].fingerprint());
+    }
+  }
+}
+
 TEST(RaftMongoSpecTest, InvariantRejectsMinorityCommit) {
   RaftMongoSpec spec(SmallConfig(RaftMongoVariant::kDetailed));
   // Node 0's commit point names an entry only it holds.

@@ -194,6 +194,49 @@ TEST(TraceCheckTest, LiveExploredCounterReconcilesWithResult) {
   }
 }
 
+// A search cut short by max_search_states_per_step proves nothing: an
+// unmatched step after it is ResourceExhausted, not a violation, and the
+// trace-violation counter does not move.
+TEST(TraceCheckTest, BudgetCutSearchIsNotAViolation) {
+  CounterSpec spec(/*limit=*/5);
+  // (2, 2) is four hidden actions from (0, 0); a 5-state budget runs out
+  // in the second layer, dropping states that lead there.
+  const std::vector<TraceState> trace = {Full(0, 0), Full(2, 2)};
+  obs::Counter& violations = obs::MetricsRegistry::Global().GetCounter(
+      "checker.trace.violations.found");
+  for (int workers : {1, 4}) {
+    TraceCheckOptions options;
+    options.max_hidden_steps = 4;
+    options.max_search_states_per_step = 5;
+    options.num_workers = workers;
+    const uint64_t before = violations.value();
+    TraceCheckResult result = TraceChecker(options).Check(spec, trace);
+    EXPECT_EQ(result.status.code(), common::StatusCode::kResourceExhausted)
+        << result.status.ToString();
+    EXPECT_EQ(result.failed_step, 1u);
+    EXPECT_NE(result.status.message().find("budget of 5 states"),
+              std::string::npos)
+        << result.status.message();
+    EXPECT_EQ(violations.value(), before) << "workers=" << workers;
+
+    options.max_search_states_per_step = 1000;
+    result = TraceChecker(options).Check(spec, trace);
+    EXPECT_TRUE(result.ok()) << result.status.ToString();
+  }
+
+  // A search that spends its last budget state on its last expansion is
+  // complete, so its empty frontier is still a violation: without
+  // stuttering, (0, 0) -> (0, 0) has no one-action explanation, and the
+  // one layer has exactly two successors.
+  TraceCheckOptions options;
+  options.max_search_states_per_step = 2;
+  TraceCheckResult result =
+      TraceChecker(options).Check(spec, {Full(0, 0), Full(0, 0)});
+  EXPECT_EQ(result.status.code(), common::StatusCode::kFailedPrecondition)
+      << result.status.ToString();
+  EXPECT_EQ(result.failed_step, 1u);
+}
+
 TEST(TraceCheckTest, CheckModuleNative) {
   CounterSpec spec(/*limit=*/4);
   std::vector<TraceState> trace = {Full(0, 0), Full(1, 0)};

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "tlax/state.h"
+#include "tlax/tla_text.h"
 #include "tlax/value.h"
 
 namespace xmodel::tlax {
@@ -302,6 +303,112 @@ TEST(ValueInternTest, MultiThreadInternHammer) {
   // threads that have since exited.
   EXPECT_EQ((stats.hits + stats.misses) - (before.hits + before.misses),
             kInternsPerIter * kThreads * kIters);
+}
+
+// Prefix() is the same rep as SubSeq(1, n - 1) whichever way the sequence
+// was built, and once linked it answers without an intern lookup.
+TEST(ValueInternTest, PrefixLinkMatchesSubSeq) {
+  auto check = [](const Value& seq, const char* how) {
+    SCOPED_TRACE(how);
+    ASSERT_TRUE(seq.is_seq());
+    ASSERT_GT(seq.size(), 0u);
+    const Value prefix = seq.Prefix();
+    EXPECT_EQ(prefix.interned_rep(),
+              seq.SubSeq(1, seq.size() - 1).interned_rep());
+    const Value::InternStats before = Value::GetInternStats();
+    EXPECT_EQ(seq.Prefix().interned_rep(), prefix.interned_rep());
+    const Value::InternStats after = Value::GetInternStats();
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_EQ(after.hits, before.hits);  // Read from the link.
+  };
+  // Distinctive contents: each case starts from reps no other test linked.
+  check(Value::Seq({Value::Int(1), Value::Str("prefix-link-seq"),
+                    Value::Int(3)}),
+        "Seq");
+  check(Value::Seq({Value::Str("prefix-link-one")}), "one element");
+  EXPECT_EQ(Value::Seq({Value::Str("prefix-link-one")}).Prefix(),
+            Value::EmptySeq());
+
+  // Append with an intern miss links the fresh rep to its operand.
+  const Value base = Value::Seq({Value::Str("prefix-link-miss")});
+  const Value missed = base.Append(Value::Int(2));
+  check(missed, "Append miss");
+  EXPECT_EQ(missed.Prefix().interned_rep(), base.interned_rep());
+
+  // Append with an intern hit links a rep Seq built with no link, so its
+  // first Prefix() already makes no lookup.
+  const Value built =
+      Value::Seq({Value::Str("prefix-link-hit"), Value::Int(1)});
+  const Value hit_base = Value::Seq({Value::Str("prefix-link-hit")});
+  const Value hit = hit_base.Append(Value::Int(1));
+  ASSERT_EQ(hit.interned_rep(), built.interned_rep());
+  const Value::InternStats before_hit = Value::GetInternStats();
+  EXPECT_EQ(built.Prefix().interned_rep(), hit_base.interned_rep());
+  const Value::InternStats after_hit = Value::GetInternStats();
+  EXPECT_EQ(after_hit.misses, before_hit.misses);
+  EXPECT_EQ(after_hit.hits, before_hit.hits);
+  check(hit, "Append hit");
+
+  check(Value::Seq({Value::Str("prefix-link-subseq"), Value::Int(1),
+                    Value::Int(2), Value::Int(3)})
+            .SubSeq(1, 3),
+        "SubSeq");
+  auto parsed = ParseTlaValue(R"(<<"prefix-link-parsed", 1, <<2>>, {3}>>)");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  check(*parsed, "ParseTlaValue");
+
+  // A walk down an Append-built chain meets every shorter SubSeq.
+  Value chain = Value::Seq({Value::Str("prefix-link-chain")});
+  for (int i = 0; i < 6; ++i) chain = chain.Append(Value::Int(i));
+  const Value full = chain;
+  for (size_t n = full.size(); n > 1; --n) {
+    chain = chain.Prefix();
+    EXPECT_EQ(chain.interned_rep(), full.SubSeq(1, n - 1).interned_rep());
+  }
+}
+
+TEST(ValueInternTest, PrefixLinkHammer) {
+  // Threads race to link the same reps: Append links its result on an
+  // intern hit or miss, and Prefix() fills the missing links of reps Seq
+  // built. Every link must name the canonical prefix. Runs under the TSan
+  // CI job.
+  constexpr int kThreads = 4;
+  constexpr int kLen = 48;
+  constexpr int kRounds = 20;
+  std::vector<Value> unlinked;  // unlinked[k] has k + 1 elements.
+  std::vector<Value> elems = {Value::Str("prefix-hammer-seq")};
+  for (int k = 0; k < kLen; ++k) {
+    unlinked.push_back(Value::Seq(elems));
+    elems.push_back(Value::Int(k));
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<const void*> last(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &unlinked, &mismatches, &last] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (int i = 0; i < kLen; ++i) {
+          const size_t k = static_cast<size_t>((i * (t + 1) + round) % kLen);
+          const Value expected =
+              k == 0 ? Value::EmptySeq() : unlinked[k - 1];
+          if (unlinked[k].Prefix() != expected) mismatches.fetch_add(1);
+        }
+        Value seq = Value::Seq({Value::Str("prefix-hammer-append")});
+        for (int i = 0; i < kLen; ++i) {
+          const Value longer = seq.Append(Value::Int(i % 5));
+          if (longer.Prefix().interned_rep() != seq.interned_rep()) {
+            mismatches.fetch_add(1);
+          }
+          seq = longer;
+        }
+        last[static_cast<size_t>(t)] = seq.interned_rep();
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(last[t], last[0]);
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/hash.h"
 #include "obs/metrics.h"
 #include "repl/rollback_fuzzer.h"
 #include "repl/scenarios.h"
@@ -389,6 +392,42 @@ TEST(MbtcPipelineTest, FuzzerTraceChecksWhenBugAvoided) {
       << "step " << report.check.failed_step << " of " << report.num_events
       << " — " << report.check.status.ToString();
   EXPECT_GT(report.num_events, 50u);
+}
+
+// Pins the trace check of one fuzzer trace: how many spec states the
+// search explores and which actions explain each step (digested in step
+// order). Any change to action successors, their order, or the search
+// moves one of these figures. Identical at 1 and 4 expansion workers.
+TEST(MbtcPipelineTest, FuzzerTraceSearchIsPinned) {
+  repl::RollbackFuzzerOptions options;
+  options.seed = 1;
+  options.num_steps = 1000;
+  options.sync_all_before_writes = true;
+  options.avoid_unclean_restarts = true;
+  options.avoid_two_leaders = true;
+  repl::ReplicaSet rs(options.config);
+  TraceLogger logger(&rs.clock());
+  rs.AttachTraceSink(&logger);
+  repl::RollbackFuzzer(options).Run(&rs);
+
+  RaftMongoSpec spec = UnboundedSpec(options.config.num_nodes);
+  for (int workers : {1, 4}) {
+    MbtcPipelineOptions popts;
+    popts.checker.allow_stuttering = true;
+    popts.checker.num_workers = workers;
+    MbtcReport report =
+        MbtcPipeline(&spec, popts).Run(logger.LogFiles(rs.num_nodes()));
+    ASSERT_TRUE(report.passed()) << report.check.status.ToString();
+    std::string actions;
+    for (const std::vector<std::string>& step : report.check.step_actions) {
+      for (const std::string& name : step) actions += name + "|";
+      actions += ";";
+    }
+    EXPECT_EQ(report.check.states_explored, 30606u) << "workers " << workers;
+    EXPECT_EQ(report.check.step_actions.size(), 357u) << "workers " << workers;
+    EXPECT_EQ(common::HashString(actions), 11304585133480058267u)
+        << "workers " << workers;
+  }
 }
 
 TEST(RollbackFuzzerTest, DeterministicPerSeed) {
