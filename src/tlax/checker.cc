@@ -59,39 +59,29 @@ common::FlagParser CheckerFlags(unsigned accepted, CheckerOptions* options) {
 }
 
 CheckResult ModelChecker::Check(const Spec& spec) const {
-  // Resolve the exploration policy. Two option combinations require the
-  // level-synchronous facade and clamp a relaxed request back to it,
+  // Resolve the exploration policy. record_graph requires the
+  // level-synchronous facade and clamps a relaxed request back to it,
   // with the reason surfaced in CheckResult::policy_notice (and as a
-  // warn event) rather than silently changing semantics:
-  //   - record_graph: node ids are assigned from the settled discovery
-  //     order at level barriers (StateGraph::SetNode); without
-  //     barriers the recorded graph would not be reproducible.
-  //   - max_depth: a depth bound prunes by BFS level; relaxed
-  //     first-discovery depths exceed BFS depths, which would make even
-  //     the distinct-state count schedule-dependent.
+  // warn event) rather than silently changing semantics: node ids are
+  // assigned from the settled discovery order at level barriers
+  // (StateGraph::SetNode); without barriers the recorded graph would not
+  // be reproducible.
   CheckerOptions options = options_;
   std::string notice;
-  if (options.exploration == ExplorationPolicy::kRelaxed) {
-    if (options.record_graph) {
-      notice =
-          "record_graph needs level-barrier graph settling; "
-          "falling back to level-sync exploration";
-    } else if (options.max_depth >= 0) {
-      notice =
-          "max_depth bounds are defined by BFS levels; "
-          "falling back to level-sync exploration";
-    }
-    if (!notice.empty()) {
-      options.exploration = ExplorationPolicy::kLevelSync;
-      obs::EventLog* events = options.event_log != nullptr
-                                  ? options.event_log
-                                  : &obs::EventLog::Global();
-      if (events->enabled()) {
-        events->Emit(obs::EventSeverity::kWarn, "checker", "policy.clamped",
-                     {{"requested", "relaxed"},
-                      {"used", "level"},
-                      {"reason", notice}});
-      }
+  if (options.exploration == ExplorationPolicy::kRelaxed &&
+      options.record_graph) {
+    notice =
+        "record_graph needs level-barrier graph settling; "
+        "falling back to level-sync exploration";
+    options.exploration = ExplorationPolicy::kLevelSync;
+    obs::EventLog* events = options.event_log != nullptr
+                                ? options.event_log
+                                : &obs::EventLog::Global();
+    if (events->enabled()) {
+      events->Emit(obs::EventSeverity::kWarn, "checker", "policy.clamped",
+                   {{"requested", "relaxed"},
+                    {"used", "level"},
+                    {"reason", notice}});
     }
   }
 

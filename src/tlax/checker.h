@@ -43,8 +43,8 @@ enum class ExplorationPolicy {
   /// barrier. Maximum throughput; diameter/frontier_peak/traces are
   /// approximate and violating runs drain the entire reachable space so
   /// distinct/generated stay worker-count-invariant. Incompatible with
-  /// record_graph and max_depth (the checker falls back to kLevelSync
-  /// with CheckResult::policy_notice set).
+  /// record_graph (the checker falls back to kLevelSync with
+  /// CheckResult::policy_notice set).
   kRelaxed = 1,
 };
 
@@ -75,8 +75,6 @@ struct CheckerOptions {
   bool record_graph = false;
   /// Abort with ResourceExhausted after this many distinct states.
   uint64_t max_distinct_states = 100'000'000;
-  /// Stop expanding beyond this BFS depth (-1 = unlimited).
-  int64_t max_depth = -1;
   /// Report a violation when a state within the constraint has no successor.
   bool check_deadlock = false;
   /// Optional action-commutativity matrix (from analysis::ComputeIndependence)
@@ -234,8 +232,8 @@ struct CheckResult {
   /// to level-sync (see policy_notice).
   ExplorationPolicy policy_used = ExplorationPolicy::kLevelSync;
   /// Human-readable note set when the requested policy was clamped
-  /// (relaxed + record_graph or relaxed + max_depth fall back to
-  /// level-sync). Empty when the request was honored.
+  /// (relaxed + record_graph falls back to level-sync). Empty when the
+  /// request was honored.
   std::string policy_notice;
   /// True iff the run executed under kRelaxed: diameter, frontier_peak,
   /// por_slept_actions and the violation trace are then order-dependent

@@ -361,7 +361,6 @@ bool EngineBase::AdmitNew(State&& state, uint64_t fp, int64_t depth,
 void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
                               Scratch& s, int worker) {
   if (entry.depth > s.diameter) s.diameter = entry.depth;
-  if (options_.max_depth >= 0 && entry.depth >= options_.max_depth) return;
 
   uint64_t cur_sleep = 0;
   uint64_t explored_before = 0;
@@ -553,8 +552,6 @@ CheckResult EngineBase::Finish(common::Status status) {
   result_.seconds = static_cast<double>(end_ns - start_ns_) * 1e-9;
 
   if (spill_enabled_) {
-    // Join any in-flight background merge so the stats below are final.
-    fpset_.StopSpillBackground();
     const SpillTier::Stats spill = fpset_.spill_stats();
     result_.spill_runs = spill.runs;
     result_.spill_generations = spill.generations;

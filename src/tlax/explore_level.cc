@@ -456,11 +456,6 @@ CheckResult LevelSyncEngine::Run() {
       if (status.ok() && checkpointing_ &&
           CheckpointDue(clock_->NowNanos())) {
         const int64_t ckpt_start_ns = clock_->NowNanos();
-        // Quiesce background compaction for the whole manifest section:
-        // with no merge in flight the run list is stable, so the manifest
-        // names exactly the sealed runs and PurgeSpillRetired cannot
-        // delete a file the previous manifest still references.
-        fpset_.PauseSpillCompaction();
         step_ns = clock_->NowNanos();
         status = fpset_.EvictAll(&pool_);
         step_done(&evict_ns_);
@@ -487,7 +482,6 @@ CheckResult LevelSyncEngine::Run() {
           CheckpointWritten(ckpt_end_ns);
           next = Level();  // Everything rides the spool now.
         }
-        fpset_.ResumeSpillCompaction();
       } else if (status.ok()) {
         // Keep the head hot, spool the (later-ordered) rest.
         if (next.size() > frontier_inmem_cap_) {

@@ -200,11 +200,6 @@ void RelaxedEngine::DoCheckpointLocked() {
     return;
   }
   const int64_t ckpt_start_ns = clock_->NowNanos();
-  // Quiesce background compaction for the whole manifest section: with
-  // no merge in flight the run list is stable, so the manifest names
-  // exactly the sealed runs and PurgeSpillRetired cannot delete a file
-  // the previous manifest still references.
-  fpset_.PauseSpillCompaction();
   common::Status status = common::Status::OK();
   // Drain every deque into its worker's spool and seal, so the manifest
   // names only sealed segment files; with no batch in flight, the spool
@@ -254,7 +249,6 @@ void RelaxedEngine::DoCheckpointLocked() {
                                      /*durable=*/true);
   }
   if (!status.ok()) {
-    fpset_.ResumeSpillCompaction();
     RecordIoError(status);
     return;
   }
@@ -269,7 +263,6 @@ void RelaxedEngine::DoCheckpointLocked() {
       static_cast<double>(ckpt_end_ns - ckpt_start_ns) * 1e-6;
   CheckpointWritten(ckpt_end_ns);
   FlushSpillMetrics(segments);
-  fpset_.ResumeSpillCompaction();
 }
 
 void RelaxedEngine::WorkerLoop(int worker) {

@@ -327,9 +327,9 @@ common::Status FingerprintSet::EvictAll(common::WorkerPool* pool) {
     }
     hot_count_.fetch_sub(slice.size(), std::memory_order_relaxed);
   });
-  // SealRun woke the background merge if the run count calls for one;
-  // its errors surface through the sticky status the engines poll.
-  return tier_->status();
+  // Merge only once the sealed records are erased, so the hot table and
+  // the merged run are never resident together.
+  return tier_->CompactIfNeeded();
 }
 
 common::Status FingerprintSet::AdoptSpillRuns(
@@ -354,18 +354,6 @@ common::Status FingerprintSet::DropSpillOrphans() const {
 
 void FingerprintSet::PurgeSpillRetired() {
   if (tier_ != nullptr) tier_->PurgeRetired();
-}
-
-void FingerprintSet::PauseSpillCompaction() {
-  if (tier_ != nullptr) tier_->PauseCompaction();
-}
-
-void FingerprintSet::ResumeSpillCompaction() {
-  if (tier_ != nullptr) tier_->ResumeCompaction();
-}
-
-void FingerprintSet::StopSpillBackground() {
-  if (tier_ != nullptr) tier_->StopBackground();
 }
 
 SpillTier::Stats FingerprintSet::spill_stats() const {

@@ -232,7 +232,8 @@ class FingerprintSet {
   common::Status EvictIfOverBudget(common::WorkerPool* pool = nullptr);
   /// Unconditionally evicts the hot table (checkpoint preparation: a
   /// manifest names only sealed runs, so everything must be on disk).
-  /// Each shard it empties shrinks back to its floor capacity.
+  /// Each shard it empties shrinks back to its floor capacity. Then runs
+  /// the tier's compaction, inline, if the run count calls for it.
   common::Status EvictAll(common::WorkerPool* pool = nullptr);
 
   /// Resume path: adopts previously sealed run files (validated; corrupt
@@ -243,17 +244,6 @@ class FingerprintSet {
   common::Status DropSpillOrphans() const;
   /// Deletes compaction-retired run files (after a manifest write).
   void PurgeSpillRetired();
-
-  /// Quiesces/resumes the background compaction thread (no-ops without
-  /// spilling). Checkpointing brackets manifest construction + retired-file
-  /// purge with this pair so a manifest never names a half-merged run
-  /// set whose inputs a purge then deletes.
-  void PauseSpillCompaction();
-  void ResumeSpillCompaction();
-  /// Serves any pending compaction request, then joins the background
-  /// compaction thread; call before tearing down the spill directory or
-  /// reading final spill stats. Idempotent, no-op without spilling.
-  void StopSpillBackground();
 
   /// Stats / sticky IO error / live runs of the disk tier (zero/OK/empty
   /// when spilling is off).

@@ -354,12 +354,7 @@ struct SpillTier::Run {
 SpillTier::SpillTier(Options options) : options_(std::move(options)) {
   if (options_.block_entries == 0) options_.block_entries = 256;
   if (options_.bloom_bits_per_key == 0) options_.bloom_bits_per_key = 10;
-  if (options_.compact_min_runs > 0) {
-    compact_thread_ = std::thread([this] { CompactLoop(); });
-  }
 }
-
-SpillTier::~SpillTier() { StopBackground(); }
 
 void SpillTier::RecordError(const common::Status& status) const {
   std::lock_guard<std::mutex> lock(status_mu_);
@@ -489,17 +484,8 @@ common::Status SpillTier::SealRun(
   common::Status status = WriteRun(&builder, &run);
   if (!status.ok()) return status;
   generations_.fetch_add(1, std::memory_order_relaxed);
-  size_t live = 0;
-  {
-    std::unique_lock<std::shared_mutex> lock(runs_mu_);
-    runs_.push_back(std::move(run));
-    live = runs_.size();
-  }
-  if (options_.compact_min_runs > 0 && live >= options_.compact_min_runs) {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    compact_requested_ = true;
-    compact_cv_.notify_all();
-  }
+  std::unique_lock<std::shared_mutex> lock(runs_mu_);
+  runs_.push_back(std::move(run));
   return common::Status::OK();
 }
 
@@ -587,17 +573,10 @@ void SpillTier::FindBatch(const std::vector<uint64_t>& sorted_fps,
 }
 
 common::Status SpillTier::CompactIfNeeded() {
-  // Serialize merges (background thread vs. direct calls in tests).
-  std::lock_guard<std::mutex> exec_lock(compact_exec_mu_);
-  std::vector<std::shared_ptr<Run>> snapshot;
-  {
-    std::shared_lock<std::shared_mutex> lock(runs_mu_);
-    if (options_.compact_min_runs == 0 ||
-        runs_.size() < options_.compact_min_runs) {
-      return common::Status::OK();
-    }
-    snapshot = runs_;
-  }
+  // The caller serializes this with SealRun and AdoptRuns, so only this
+  // thread changes runs_ until the swap below: read it without the lock.
+  if (runs_.size() < kCompactMinRuns) return common::Status::OK();
+  std::vector<std::shared_ptr<Run>> inputs = runs_;
   const int64_t start_ns = common::MonotonicClock::Real()->NowNanos();
 
   // Streaming k-way merge: one decoded block per run in memory at a
@@ -610,7 +589,7 @@ common::Status SpillTier::CompactIfNeeded() {
   };
   std::vector<Cursor> cursors;
   uint64_t total = 0;
-  for (const std::shared_ptr<Run>& run : snapshot) {
+  for (const std::shared_ptr<Run>& run : inputs) {
     total += run->count;
     cursors.emplace_back();
     cursors.back().run = run.get();
@@ -666,29 +645,15 @@ common::Status SpillTier::CompactIfNeeded() {
   if (!status.ok()) return status;
   compactions_.fetch_add(1, std::memory_order_relaxed);
   {
-    // Swap: drop exactly the merged-away inputs. Runs sealed after the
-    // snapshot was taken (concurrent eviction) stay live. In-flight
-    // probes hold the shared lock, so the retiring runs stay readable
-    // via their shared_ptr references until this exclusive section.
+    // In-flight probes hold the shared lock, so the inputs stay readable
+    // until this exclusive section swaps the merged run in for all of
+    // them.
     std::unique_lock<std::shared_mutex> lock(runs_mu_);
-    std::vector<std::shared_ptr<Run>> next;
-    next.reserve(runs_.size() + 1 - snapshot.size());
-    next.push_back(merged);
-    for (const std::shared_ptr<Run>& run : runs_) {
-      bool retired = false;
-      for (const std::shared_ptr<Run>& old : snapshot) {
-        if (run == old) {
-          retired = true;
-          break;
-        }
-      }
-      if (!retired) next.push_back(run);
-    }
-    runs_ = std::move(next);
+    runs_.assign(1, std::move(merged));
   }
   // The input runs are no longer reachable by probes; their files go now,
   // or at the next PurgeRetired() when a manifest may still name them.
-  for (const std::shared_ptr<Run>& run : snapshot) {
+  for (const std::shared_ptr<Run>& run : inputs) {
     if (options_.defer_deletes) {
       std::lock_guard<std::mutex> lock(retired_mu_);
       retired_.push_back(run->path);
@@ -699,47 +664,6 @@ common::Status SpillTier::CompactIfNeeded() {
   merge_ns_.fetch_add(common::MonotonicClock::Real()->NowNanos() - start_ns,
                       std::memory_order_relaxed);
   return common::Status::OK();
-}
-
-void SpillTier::CompactLoop() {
-  std::unique_lock<std::mutex> lock(compact_mu_);
-  for (;;) {
-    compact_cv_.wait(lock, [this] {
-      return compact_stop_ ||
-             (compact_requested_ && compact_pause_depth_ == 0);
-    });
-    // A stop still serves a pending, unpaused request first, so
-    // StopBackground never leaves a requested merge behind.
-    if (!compact_requested_ || compact_pause_depth_ > 0) return;
-    compact_requested_ = false;
-    compact_busy_ = true;
-    lock.unlock();
-    CompactIfNeeded();  // Errors land in status_.
-    lock.lock();
-    compact_busy_ = false;
-    compact_cv_.notify_all();
-  }
-}
-
-void SpillTier::PauseCompaction() {
-  std::unique_lock<std::mutex> lock(compact_mu_);
-  ++compact_pause_depth_;
-  compact_cv_.wait(lock, [this] { return !compact_busy_; });
-}
-
-void SpillTier::ResumeCompaction() {
-  std::lock_guard<std::mutex> lock(compact_mu_);
-  --compact_pause_depth_;
-  compact_cv_.notify_all();
-}
-
-void SpillTier::StopBackground() {
-  {
-    std::lock_guard<std::mutex> lock(compact_mu_);
-    compact_stop_ = true;
-    compact_cv_.notify_all();
-  }
-  if (compact_thread_.joinable()) compact_thread_.join();
 }
 
 common::Status SpillTier::OpenRun(const std::string& file,

@@ -2,14 +2,12 @@
 #define XMODEL_TLAX_FPSET_SPILL_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -44,20 +42,21 @@ namespace xmodel::tlax {
 /// Edge lookups (trace rebuild) decode the one mapped block that holds
 /// the fingerprint, re-verifying its checksum. The map is the only read
 /// path: a run that cannot be mapped is an error from SealRun, AdoptRuns
-/// or compaction. Compaction runs on a dedicated background thread
-/// concurrent with probes — retiring runs stay readable through
-/// shared_ptr references until the merged run is swapped in, and
-/// Pause/ResumeCompaction quiesce the thread around checkpoint manifests
-/// so a manifest never names a half-merged run.
+/// or compaction. Compaction runs inline, in the thread that calls
+/// CompactIfNeeded, concurrent with probes — retiring runs stay readable
+/// through shared_ptr references until the merged run is swapped in.
 ///
 /// Thread safety: probes take a shared lock on the run list; sealing and
-/// compaction take it exclusively only for the list swap. SealRun /
-/// AdoptRuns are still caller-serialized (FingerprintSet's eviction
-/// mutex); CompactIfNeeded may run concurrently with them on the
-/// background thread. All file writes go through common::WriteFileAtomic,
-/// so a crash never leaves a half-written run visible.
+/// compaction take it exclusively only for the list swap. SealRun,
+/// AdoptRuns and CompactIfNeeded are caller-serialized (FingerprintSet's
+/// eviction mutex), so no run list change can overlap a merge. All file
+/// writes go through common::WriteFileAtomic, so a crash never leaves a
+/// half-written run visible.
 class SpillTier {
  public:
+  /// CompactIfNeeded merges once the live run count reaches this.
+  static constexpr size_t kCompactMinRuns = 8;
+
   struct Options {
     /// Directory sealed runs live in. Created on demand.
     std::string dir;
@@ -66,9 +65,6 @@ class SpillTier {
     /// Bloom filter bits per key. More bits = fewer false-positive disk
     /// probes, more RAM per spilled record.
     uint64_t bloom_bits_per_key = 10;
-    /// Compact (on the background thread) when the run count reaches
-    /// this. 0 disables compaction and the thread.
-    size_t compact_min_runs = 8;
     /// fsync run files and the directory (checkpoint durability).
     bool durable = false;
     /// Keep compacted-away run files on disk until PurgeRetired().
@@ -114,7 +110,6 @@ class SpillTier {
   };
 
   explicit SpillTier(Options options);
-  ~SpillTier();
 
   SpillTier(const SpillTier&) = delete;
   SpillTier& operator=(const SpillTier&) = delete;
@@ -124,8 +119,7 @@ class SpillTier {
   /// Seals `entries` (sorted by fingerprint, strictly increasing,
   /// disjoint from every live run) as a new run file and registers it
   /// for probes. Empty input is a no-op; input that is not strictly
-  /// ascending is a kInternal error and writes nothing. Also wakes the compaction
-  /// thread when the run count has reached the threshold.
+  /// ascending is a kInternal error and writes nothing.
   common::Status SealRun(const std::vector<Entry>& entries);
   /// SealRun of the concatenation of `slices`, without building it. The
   /// blocks are encoded in one range per `pool` worker (inline when
@@ -147,25 +141,11 @@ class SpillTier {
                  std::vector<BatchHit>* out) const;
 
   /// K-way merges all live runs into one when the run count has reached
-  /// Options::compact_min_runs. The background thread calls this; a
-  /// direct call (tests) serializes with it. Safe to call concurrently
-  /// with probes and SealRun (runs sealed after the merge snapshot
-  /// survive).
+  /// kCompactMinRuns; a no-op below it. Runs in the calling thread and
+  /// returns once the merged run has replaced its inputs. Safe to call
+  /// concurrently with probes; the caller serializes it with SealRun and
+  /// AdoptRuns.
   common::Status CompactIfNeeded();
-
-  /// Quiesce/resume the background compaction thread. While paused, no
-  /// merge is in flight and none starts, so run_infos() is stable —
-  /// checkpointing brackets manifest construction + PurgeRetired with
-  /// this so a manifest never names a half-merged or about-to-retire
-  /// run set that a purge then deletes. Nestable; pairs must balance.
-  void PauseCompaction();
-  void ResumeCompaction();
-
-  /// Serves a pending compaction request (unless paused), then joins the
-  /// background thread (idempotent). Afterwards the stats are final and
-  /// every merge a SealRun asked for has run. Called by the destructor;
-  /// engines call it before tearing down the spill dir.
-  void StopBackground();
 
   /// Resume path: opens and validates previously sealed run files (names
   /// within dir, in manifest order). A truncated or garbled file is a
@@ -201,7 +181,6 @@ class SpillTier {
   void RecordError(const common::Status& status) const;
   std::string NextRunFile();
   common::Status FindInRun(const Run& run, uint64_t fp, EdgeData* edge) const;
-  void CompactLoop();
 
   Options options_;
   mutable std::shared_mutex runs_mu_;
@@ -211,18 +190,6 @@ class SpillTier {
 
   std::mutex retired_mu_;
   std::vector<std::string> retired_;  // Paths awaiting PurgeRetired().
-
-  // Background compaction coordination. compact_busy_ is true from the
-  // moment the thread picks up a request until the merged run is swapped
-  // in; PauseCompaction waits it out.
-  std::mutex compact_mu_;
-  std::mutex compact_exec_mu_;  // Serializes the merge itself.
-  std::condition_variable compact_cv_;
-  std::thread compact_thread_;
-  bool compact_requested_ = false;
-  bool compact_busy_ = false;
-  bool compact_stop_ = false;
-  int compact_pause_depth_ = 0;
 
   mutable std::mutex status_mu_;
   mutable common::Status status_;

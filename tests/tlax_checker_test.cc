@@ -58,17 +58,6 @@ TEST(CheckerTest, MaxStatesAborts) {
   EXPECT_EQ(result.status.code(), common::StatusCode::kResourceExhausted);
 }
 
-TEST(CheckerTest, MaxDepthLimitsExploration) {
-  CounterSpec spec(/*limit=*/10);
-  CheckerOptions options;
-  options.max_depth = 2;
-  ModelChecker checker(options);
-  CheckResult result = checker.Check(spec);
-  ASSERT_TRUE(result.status.ok());
-  // Depth 0: (0,0); depth 1: (1,0),(0,1); depth 2: (2,0),(1,1),(0,2).
-  EXPECT_EQ(result.distinct_states, 6u);
-}
-
 TEST(CheckerTest, RecordsGraph) {
   CounterSpec spec(/*limit=*/2);
   CheckerOptions options;

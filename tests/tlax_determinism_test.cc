@@ -287,13 +287,6 @@ TEST(DeterminismTest, ResourceExhaustionIsWorkerInvariant) {
   }
 }
 
-TEST(DeterminismTest, MaxDepthIsWorkerInvariant) {
-  specs::CounterSpec spec(/*limit=*/20);
-  CheckerOptions options;
-  options.max_depth = 5;
-  ExpectWorkerInvariant(spec, options);
-}
-
 TEST(DeterminismTest, ZeroMeansHardwareConcurrency) {
   CheckerOptions options;
   options.num_workers = 0;

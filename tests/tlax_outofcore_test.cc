@@ -157,10 +157,10 @@ TEST(OutOfCoreTest, RelaxedViolationVerdictIdenticalUnderSpill) {
 }
 
 // A state space wide enough that the tight budget seals well past the
-// compaction threshold, so the background compaction thread provably
-// merges runs mid-run — concurrent with exploration — and counts still
-// match the unlimited run exactly.
-TEST(OutOfCoreTest, MidRunBackgroundCompactionStaysExact) {
+// compaction threshold, so eviction provably merges runs mid-run — under
+// relaxed, while the other worker keeps probing — and counts still match
+// the unlimited run exactly.
+TEST(OutOfCoreTest, MidRunCompactionStaysExact) {
   const specs::CounterSpec spec(/*limit=*/500);
   for (ExplorationPolicy policy :
        {ExplorationPolicy::kLevelSync, ExplorationPolicy::kRelaxed}) {

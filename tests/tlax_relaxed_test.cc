@@ -225,25 +225,6 @@ TEST(RelaxedPolicyTest, RecordGraphClampsToLevelWithNotice) {
   EXPECT_EQ(result.graph->num_states(), result.distinct_states);
 }
 
-TEST(RelaxedPolicyTest, MaxDepthClampsToLevelWithNotice) {
-  specs::CounterSpec spec(/*limit=*/20);
-  CheckerOptions level_options;
-  level_options.max_depth = 5;
-  CheckResult level = ModelChecker(level_options).Check(spec);
-
-  CheckerOptions options = level_options;
-  options.exploration = ExplorationPolicy::kRelaxed;
-  options.num_workers = 2;
-  CheckResult result = ModelChecker(options).Check(spec);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(result.policy_used, ExplorationPolicy::kLevelSync);
-  EXPECT_FALSE(result.policy_notice.empty());
-  // Clamped means clamped: the run is the deterministic level-sync one.
-  EXPECT_EQ(result.distinct_states, level.distinct_states);
-  EXPECT_EQ(result.generated_states, level.generated_states);
-  EXPECT_EQ(result.diameter, level.diameter);
-}
-
 TEST(RelaxedPolicyTest, ResourceExhaustionStillAborts) {
   specs::CounterSpec spec(/*limit=*/100);
   for (int workers : {1, 4}) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -96,29 +97,31 @@ TEST(SpillTierTest, CompactionMergesRunsAndKeepsEveryRecord) {
   SpillTier::Options options;
   options.dir = TestDir("compact");
   options.block_entries = 8;
-  options.compact_min_runs = 4;
   SpillTier tier(options);
 
-  // Four disjoint runs with interleaved fingerprint ranges.
-  for (uint64_t r = 0; r < 4; ++r) {
-    ASSERT_TRUE(tier.SealRun(MakeEntries(100 + r, 50, 4)).ok());
+  // kCompactMinRuns disjoint runs with interleaved fingerprint ranges.
+  constexpr uint64_t kRuns = SpillTier::kCompactMinRuns;
+  for (uint64_t r = 0; r < kRuns; ++r) {
+    ASSERT_TRUE(tier.SealRun(MakeEntries(100 + r, 50, kRuns)).ok());
+    if (r + 1 < kRuns) {
+      ASSERT_TRUE(tier.CompactIfNeeded().ok());
+      EXPECT_EQ(tier.stats().compactions, 0u) << "below the threshold";
+    }
   }
-  // The fourth seal woke the background merge; a direct call serializes
-  // with it, so exactly one merge has run either way.
   ASSERT_TRUE(tier.CompactIfNeeded().ok());
 
   SpillTier::Stats stats = tier.stats();
   EXPECT_EQ(stats.runs, 1u);
   EXPECT_EQ(stats.compactions, 1u);
-  EXPECT_EQ(stats.spilled_records, 200u);
-  for (uint64_t r = 0; r < 4; ++r) {
-    for (const SpillTier::Entry& e : MakeEntries(100 + r, 50, 4)) {
+  EXPECT_EQ(stats.spilled_records, kRuns * 50);
+  for (uint64_t r = 0; r < kRuns; ++r) {
+    for (const SpillTier::Entry& e : MakeEntries(100 + r, 50, kRuns)) {
       SpillTier::EdgeData edge;
       ASSERT_TRUE(tier.FindOnDisk(e.first, &edge)) << "fp " << e.first;
       EXPECT_EQ(edge.pred_fp, e.second.pred_fp);
     }
   }
-  // The four input files were replaced by the single merged one.
+  // The input files were replaced by the single merged one.
   std::vector<std::string> files;
   ASSERT_TRUE(common::ListDirFiles(options.dir, &files).ok());
   size_t run_files = 0;
@@ -131,16 +134,17 @@ TEST(SpillTierTest, CompactionMergesRunsAndKeepsEveryRecord) {
 TEST(SpillTierTest, DeferredDeletesSurviveUntilPurge) {
   SpillTier::Options options;
   options.dir = TestDir("defer");
-  options.compact_min_runs = 2;
   options.defer_deletes = true;
   SpillTier tier(options);
-  ASSERT_TRUE(tier.SealRun(MakeEntries(10, 20, 2)).ok());
-  ASSERT_TRUE(tier.SealRun(MakeEntries(11, 20, 2)).ok());
+  constexpr uint64_t kRuns = SpillTier::kCompactMinRuns;
+  for (uint64_t r = 0; r < kRuns; ++r) {
+    ASSERT_TRUE(tier.SealRun(MakeEntries(10 + r, 20, kRuns)).ok());
+  }
   ASSERT_TRUE(tier.CompactIfNeeded().ok());
 
   std::vector<std::string> files;
   ASSERT_TRUE(common::ListDirFiles(options.dir, &files).ok());
-  EXPECT_EQ(files.size(), 3u) << "inputs retired but not yet deleted";
+  EXPECT_EQ(files.size(), kRuns + 1) << "inputs retired but not yet deleted";
   tier.PurgeRetired();
   files.clear();
   ASSERT_TRUE(common::ListDirFiles(options.dir, &files).ok());
@@ -291,19 +295,20 @@ TEST(SpillTierTest, GarbledMappedBlockFailsEdgeDecode) {
       << tier.status().ToString();
 }
 
-TEST(SpillTierTest, BackgroundCompactionRacesProbesSafely) {
+TEST(SpillTierTest, CompactionRacesProbesSafely) {
   SpillTier::Options options;
-  options.dir = TestDir("bg_compact");
+  options.dir = TestDir("race_compact");
   options.block_entries = 16;
-  options.compact_min_runs = 2;
   SpillTier tier(options);
 
-  constexpr uint64_t kRuns = 12;
+  // Two merges: the first of kCompactMinRuns fresh runs, the second of
+  // that merged run and kCompactMinRuns - 1 fresh ones.
+  constexpr uint64_t kRuns = 2 * SpillTier::kCompactMinRuns - 1;
   constexpr uint64_t kPerRun = 200;
   std::atomic<uint64_t> sealed_runs{0};
   std::atomic<bool> stop{false};
-  // Probe continuously (point and batched) while runs seal and the
-  // background thread merges them out from underneath.
+  // Probe continuously (point and batched) while this thread seals runs
+  // and merges them out from underneath the probers.
   std::vector<std::thread> probers;
   for (int t = 0; t < 2; ++t) {
     probers.emplace_back([&tier, &sealed_runs, &stop, t] {
@@ -329,16 +334,14 @@ TEST(SpillTierTest, BackgroundCompactionRacesProbesSafely) {
     // Run r holds [1000*(r+1), 1000*(r+1) + kPerRun): disjoint ranges.
     ASSERT_TRUE(tier.SealRun(MakeEntries(1'000 * (r + 1), kPerRun, 1)).ok());
     sealed_runs.store(r + 1, std::memory_order_release);
+    ASSERT_TRUE(tier.CompactIfNeeded().ok());
   }
-  // Let probes overlap the final merges, then wind down.
-  tier.PauseCompaction();
-  tier.ResumeCompaction();
   stop.store(true, std::memory_order_release);
   for (std::thread& t : probers) t.join();
-  tier.StopBackground();
 
   EXPECT_TRUE(tier.status().ok()) << tier.status().ToString();
-  EXPECT_GE(tier.stats().compactions, 1u);
+  EXPECT_EQ(tier.stats().compactions, 2u);
+  EXPECT_EQ(tier.stats().runs, 1u);
   EXPECT_EQ(tier.stats().spilled_records, kRuns * kPerRun);
   for (uint64_t r = 0; r < kRuns; ++r) {
     for (const SpillTier::Entry& e : MakeEntries(1'000 * (r + 1), kPerRun, 1)) {
@@ -438,6 +441,50 @@ TEST(SpillTierTest, SealRunBytesMatchAcrossTaskCounts) {
   EXPECT_EQ(sealed_bytes("seal_three_sliced", 3, {0, 1, 100, 100, 2999}),
             serial);
   EXPECT_EQ(sealed_bytes("seal_one_sliced", 1, {640, 1000}), serial);
+}
+
+// A compaction writes the same file as one SealRun of the sorted union
+// of its inputs, and its stats are final when CompactIfNeeded returns.
+TEST(SpillTierTest, CompactedRunBytesMatchOneSeal) {
+  constexpr uint64_t kRuns = SpillTier::kCompactMinRuns;
+  const auto run_bytes = [](const SpillTier& tier, const std::string& dir) {
+    const std::vector<SpillTier::RunInfo> runs = tier.run_infos();
+    EXPECT_EQ(runs.size(), 1u);
+    std::string bytes;
+    if (runs.size() != 1) return bytes;
+    EXPECT_TRUE(
+        common::ReadFileToString(dir + "/" + runs[0].file, &bytes).ok());
+    return bytes;
+  };
+  SpillTier::Options options;
+  options.dir = TestDir("compact_bytes");
+  options.block_entries = 64;
+  SpillTier tier(options);
+  // Run r holds 5 + r, 5 + r + kRuns, ...: disjoint and interleaved.
+  std::vector<SpillTier::Entry> all;
+  for (uint64_t r = 0; r < kRuns; ++r) {
+    const std::vector<SpillTier::Entry> run = MakeEntries(5 + r, 300, kRuns);
+    ASSERT_TRUE(tier.SealRun(run).ok());
+    all.insert(all.end(), run.begin(), run.end());
+  }
+  ASSERT_TRUE(tier.CompactIfNeeded().ok());
+  const SpillTier::Stats stats = tier.stats();
+  EXPECT_EQ(stats.runs, 1u);
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(stats.generations, kRuns);
+  EXPECT_EQ(stats.spilled_records, all.size());
+  const std::string merged = run_bytes(tier, options.dir);
+  ASSERT_FALSE(merged.empty());
+
+  std::sort(all.begin(), all.end(),
+            [](const SpillTier::Entry& a, const SpillTier::Entry& b) {
+              return a.first < b.first;
+            });
+  SpillTier::Options fresh_options = options;
+  fresh_options.dir = TestDir("compact_bytes_one_seal");
+  SpillTier fresh(fresh_options);
+  ASSERT_TRUE(fresh.SealRun(all).ok());
+  EXPECT_EQ(run_bytes(fresh, fresh_options.dir), merged);
 }
 
 // Insert followed at once by a one-key ResolvePending, the smallest batch
@@ -558,9 +605,6 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
     InsertAndResolve(set, fp, fp / 2, 1, 0, fp);
     ASSERT_TRUE(set.EvictIfOverBudget().ok());
   }
-  // Compaction runs in the background; stopping it serves any pending
-  // request, so the count below is final.
-  set.StopSpillBackground();
   SpillTier::Stats stats = set.spill_stats();
   EXPECT_GE(stats.generations, 4u) << "the tight budget must force "
                                       "multiple spill generations";
