@@ -73,7 +73,9 @@ struct CheckerOptions {
   int num_workers = 1;
   /// Record the full state graph (needed for DOT export / MBTCG / liveness).
   bool record_graph = false;
-  /// Abort with ResourceExhausted after this many distinct states.
+  /// Abort with ResourceExhausted after this many distinct states. The
+  /// cap is tested per insert batch, so an aborted run's partial counts
+  /// can pass it by up to one batch (256 successors) per worker.
   uint64_t max_distinct_states = 100'000'000;
   /// Report a violation when a state within the constraint has no successor.
   bool check_deadlock = false;

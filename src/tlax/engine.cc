@@ -394,41 +394,15 @@ void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
     actions_[ai].next(entry.state, &successors);
     for (size_t si = before; si < successors.size(); ++si) {
       ++s.generated;
-      State succ = spec_.Canonicalize(successors[si]);
-      const uint64_t fp = Fingerprint(succ);
-      const uint64_t key = EventKey(pos, ai, si - before);
-      FpInsert ins = fpset_.Insert(fp, entry.fp, ai, entry.depth + 1, key,
-                                   succ_sleep, &succ);
-      if (ins.pending) {
-        // Out-of-core: the hot-table miss deferred its disk probe — the
-        // successor parks in s.pending until ResolvePendingProbes settles
-        // the whole batch with one sorted sweep. POR / graph / audit never
-        // coexist with spilling (see spill_enabled_ gating), so the
-        // branches below have nothing to do for this successor.
-        s.pending.push_back(
-            PendingSuccessor{std::move(succ), fp, key, entry.depth + 1});
-        continue;
-      }
-      if (ins.inserted) {
-        if (!AdmitNew(std::move(succ), fp, entry.depth + 1, key, s)) return;
-      } else if (use_sleep_sets_ && relaxed_ && ins.wake) {
-        // Barrier-free POR: the insert settled a shrink that uncovered
-        // unexpanded work and claimed the queued flag — this worker owns
-        // the re-enqueue. The woken state rejoins the frontier at its
-        // first-discovery depth.
-        s.next.push_back(LevelEntry{std::move(succ), fp, ins.depth, 0});
-      } else if (use_sleep_sets_ && !relaxed_ && ins.sleep_shrunk) {
-        // The revisit shrank the record's pending sleep mask. Whether
-        // that warrants a re-expansion is decided once per level at the
-        // barrier (SettlePor), not here — a mid-level decision would
-        // depend on how workers interleaved. Only constrained states
-        // ever clear their queued flag, so no constraint recheck is
-        // needed if the settle wakes it.
-        s.wake_candidates.try_emplace(fp, succ);
-      }
+      s.staged_states.push_back(spec_.Canonicalize(successors[si]));
+      const uint64_t fp = Fingerprint(s.staged_states.back());
+      s.staged_items.push_back(FpInsertItem{
+          fp, entry.fp, EventKey(pos, ai, si - before), succ_sleep,
+          entry.depth + 1, ai, nullptr});
       if (result_.graph && entry.gid != StateGraph::kNoId) {
         result_.graph->RecordEdge(worker, entry.gid, fp, ai);
       }
+      if (s.staged_items.size() == kInsertBatch && !FlushStaged(s)) return;
     }
   }
 
@@ -451,19 +425,55 @@ void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
   }
 }
 
-void EngineBase::ResolvePendingProbes(Scratch& s) {
-  if (s.pending.empty()) return;
-  std::vector<uint64_t>& fps = s.pending_fps;
-  fps.clear();
-  fps.reserve(s.pending.size());
-  for (const PendingSuccessor& p : s.pending) fps.push_back(p.fp);
-  fpset_.ResolvePending(fps, &s.pending_on_disk);
-  for (size_t i = 0; i < s.pending.size(); ++i) {
-    if (s.pending_on_disk[i] != 0) continue;  // Revisit of a spilled state.
-    PendingSuccessor& p = s.pending[i];
-    if (!AdmitNew(std::move(p.state), p.fp, p.depth, p.key, s)) break;
+bool EngineBase::FlushStaged(Scratch& s) {
+  const size_t n = s.staged_items.size();
+  if (n == 0) return true;
+  for (size_t i = 0; i < n; ++i) s.staged_items[i].state = &s.staged_states[i];
+  s.staged_results.resize(n);
+  fpset_.InsertBatch(s.staged_items, s.staged_results);
+  // Out-of-core: a hot-table miss deferred its disk probe; one sorted
+  // sweep settles the whole batch. POR / graph / audit never coexist with
+  // spilling (see spill_enabled_ gating), so a pending result is either a
+  // new state or a revisit of a spilled one.
+  s.pending_fps.clear();
+  for (size_t i = 0; i < n; ++i) {
+    if (s.staged_results[i].pending) {
+      s.pending_fps.push_back(s.staged_items[i].fp);
+    }
   }
-  s.pending.clear();
+  if (!s.pending_fps.empty()) {
+    fpset_.ResolvePending(s.pending_fps, &s.pending_on_disk);
+  }
+  size_t pending = 0;
+  bool admitted = true;
+  for (size_t i = 0; i < n && admitted; ++i) {
+    const FpInsert& ins = s.staged_results[i];
+    const FpInsertItem& item = s.staged_items[i];
+    State& state = s.staged_states[i];
+    const bool is_new =
+        ins.pending ? s.pending_on_disk[pending++] == 0 : ins.inserted;
+    if (is_new) {
+      admitted =
+          AdmitNew(std::move(state), item.fp, item.depth, item.order_key, s);
+    } else if (use_sleep_sets_ && relaxed_ && ins.wake) {
+      // Barrier-free POR: the insert settled a shrink that uncovered
+      // unexpanded work and claimed the queued flag — this worker owns
+      // the re-enqueue. The woken state rejoins the frontier at its
+      // first-discovery depth.
+      s.next.push_back(LevelEntry{std::move(state), item.fp, ins.depth, 0});
+    } else if (use_sleep_sets_ && !relaxed_ && ins.sleep_shrunk) {
+      // The revisit shrank the record's pending sleep mask. Whether
+      // that warrants a re-expansion is decided once per level at the
+      // barrier (SettlePor), not here — a mid-level decision would
+      // depend on how workers interleaved. Only constrained states
+      // ever clear their queued flag, so no constraint recheck is
+      // needed if the settle wakes it.
+      s.wake_candidates.try_emplace(item.fp, std::move(state));
+    }
+  }
+  s.staged_states.clear();
+  s.staged_items.clear();
+  return admitted;
 }
 
 std::vector<TraceStep> EngineBase::BuildTrace(uint64_t end_fp,

@@ -60,10 +60,12 @@ constexpr uint32_t kHeartbeatBatchEntries = 1024;
 // the cadence of its live-counter flush / heartbeat / progress poll.
 constexpr size_t kRelaxedBatchEntries = 64;
 
-// Spill path: deferred disk probes accumulated per worker before a
-// batched (sorted, merged-sweep) resolution. Roughly a run block's worth
-// of keys, so a resolution decodes each touched block about once.
-constexpr size_t kSpillProbeBatch = 256;
+// Successors a worker stages before FlushStaged inserts them with one
+// FingerprintSet::InsertBatch (one lock per touched shard) and settles
+// the spill tier's misses with one sorted ResolvePending sweep. Roughly
+// a run block's worth of keys, so that sweep decodes each touched block
+// about once.
+constexpr size_t kInsertBatch = 256;
 
 // One unit of frontier work. The level batches own the full states (the
 // fingerprint table does not keep them); `key` is the discovery-order key
@@ -78,17 +80,6 @@ struct LevelEntry {
   // record_graph: the settled graph id of this state, filled when the
   // level is built (seeds at registration, later levels at the barrier).
   uint32_t gid = StateGraph::kNoId;
-};
-
-// A successor whose fingerprint-table insert came back `pending`: the
-// hot table has never seen it, so only the disk tier can say whether it
-// is new. Batched per worker and settled by ResolvePendingProbes with
-// one sorted FindBatch sweep instead of a per-key disk probe.
-struct PendingSuccessor {
-  State state;
-  uint64_t fp = 0;
-  uint64_t key = 0;
-  int64_t depth = 0;
 };
 
 // A violation observed while the frontier drains. Level-sync always
@@ -155,11 +146,13 @@ class EngineBase {
     std::vector<State> successors;
     // POR: states whose pending sleep mask shrank this level, with their
     // full state for a potential wake re-enqueue. Settled at the barrier.
-    // (Level-sync only; relaxed settles wakes inside Insert.)
+    // (Level-sync only; relaxed settles wakes inside InsertBatch.)
     std::unordered_map<uint64_t, State> wake_candidates;
-    // Spill path: successors awaiting their batched disk probe, and the
-    // reusable fp scratch for the sorted sweep (spill_enabled_ only).
-    std::vector<PendingSuccessor> pending;
+    // Successors awaiting FlushStaged, in discovery order: staged_items[i]
+    // inserts staged_states[i]. The rest is reusable flush scratch.
+    std::vector<State> staged_states;
+    std::vector<FpInsertItem> staged_items;
+    std::vector<FpInsert> staged_results;
     std::vector<uint64_t> pending_fps;
     std::vector<uint8_t> pending_on_disk;
     uint64_t generated = 0;
@@ -190,22 +183,27 @@ class EngineBase {
   // state already violates (result_.violation is set).
   bool SeedInitial(std::vector<LevelEntry>* level);
 
+  // Expands `entry`: stages each successor in s, flushing whenever
+  // kInsertBatch are staged (so the staging buffers never grow past
+  // that), and records graph edges and deadlock candidates. Stops early
+  // when a flush hits the max-distinct cap.
   void ProcessEntry(const LevelEntry& entry, size_t pos, Scratch& s,
                     int worker);
-  // Admits a state the fingerprint set just reported new: enforces the
+  // Admits a state the fingerprint set reported new: enforces the
   // max-distinct cap, checks invariants, and enqueues it into s.next
   // when it is within the constraint. Returns false when the cap aborted
-  // the run. The one admission path of both the inline insert and the
-  // batched spill probe.
+  // the run.
   bool AdmitNew(State&& state, uint64_t fp, int64_t depth, uint64_t key,
                 Scratch& s);
   void CheckInvariants(const State& state, uint64_t fp, uint64_t key,
                        Scratch& s);
 
-  // Spill path: settles s.pending with one sorted FindBatch sweep —
-  // fingerprints found on disk are dropped (revisit), the rest go through
-  // AdmitNew. No-op when s.pending is empty.
-  void ResolvePendingProbes(Scratch& s);
+  // Inserts the staged successors with one InsertBatch, settles the spill
+  // tier's misses with one ResolvePending, then applies the results in
+  // staged order: new states go through AdmitNew, POR wakes into s.next
+  // (relaxed) or s.wake_candidates (level-sync). Returns false when the
+  // max-distinct cap aborted the run; the rest of the batch is dropped.
+  bool FlushStaged(Scratch& s);
 
   // Rebuilds the counterexample behavior ending at `end_state` by walking
   // the predecessor-fingerprint chain and replaying the recorded actions

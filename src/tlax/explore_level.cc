@@ -37,12 +37,6 @@ void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry*>& order,
     const uint64_t gen_before = s.generated;
     const size_t next_before = s.next.size();
     ProcessEntry(*order[pos], base + pos, s, worker);
-    if (spill_enabled_ && s.pending.size() >= kSpillProbeBatch) {
-      // Deferred disk probes settle in sorted batches (one merged sweep
-      // per run instead of one probe per key). Still inside this entry's
-      // flush window, so the live counters see the resolved states.
-      ResolvePendingProbes(s);
-    }
     if (flush) {
       generated_level_.fetch_add(s.generated - gen_before,
                                  std::memory_order_relaxed);
@@ -57,10 +51,10 @@ void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry*>& order,
       options_.watchdog->Heartbeat();
     }
   }
-  if (spill_enabled_ && !s.pending.empty()) {
-    // Tail batch: the level ran out of entries with probes still queued.
+  if (!s.staged_items.empty()) {
+    // Tail batch: the level ran out of entries with successors staged.
     const size_t next_before = s.next.size();
-    ResolvePendingProbes(s);
+    FlushStaged(s);
     if (flush) {
       next_count_.fetch_add(s.next.size() - next_before,
                             std::memory_order_relaxed);

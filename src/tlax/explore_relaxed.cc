@@ -50,6 +50,15 @@ bool CandidateLess(const CandidateViolation& a, const CandidateViolation& b) {
   return a.fp != b.fp ? a.fp < b.fp : a.kind < b.kind;
 }
 
+// Keeps only the CandidateLess-smallest of `candidates`.
+void KeepSmallestCandidate(std::vector<CandidateViolation>* candidates) {
+  if (candidates->size() <= 1) return;
+  CandidateViolation best =
+      *std::min_element(candidates->begin(), candidates->end(), CandidateLess);
+  candidates->clear();
+  candidates->push_back(std::move(best));
+}
+
 }  // namespace
 
 size_t RelaxedEngine::PopOwn(int worker, std::vector<LevelEntry>* batch) {
@@ -191,8 +200,8 @@ void RelaxedEngine::ExitWorker() {
 }
 
 void RelaxedEngine::DoCheckpointLocked() {
-  // The batch that raised an abort stops resolving its pending probes,
-  // so successors already counted in the seen-set never reach a deque:
+  // The flush that raised an abort drops the rest of its staged
+  // successors, which the seen-set already holds but no deque ever will:
   // deques plus spools are no longer a consistent cut. Keep the last
   // manifest, which was taken before the abort.
   if (abort_max_.load(std::memory_order_relaxed) ||
@@ -312,31 +321,14 @@ void RelaxedEngine::WorkerLoop(int worker) {
     for (const LevelEntry& entry : batch) {
       ProcessEntry(entry, 0, s, worker);
       if (!s.next.empty()) PushDiscoveries(worker, s);
-      // Spill path: this entry's unresolved children are parked in
-      // s.pending, so the parent cannot retire yet — the whole batch
-      // retires after ResolvePendingProbes below, keeping the invariant
-      // that children are counted into pending_ before parents leave it.
-      if (!spill_enabled_) {
-        pending_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      if (s.candidates.size() > 1) {
-        CandidateViolation best = *std::min_element(
-            s.candidates.begin(), s.candidates.end(), CandidateLess);
-        s.candidates.clear();
-        s.candidates.push_back(std::move(best));
-      }
     }
-    if (spill_enabled_ && !batch.empty()) {
-      ResolvePendingProbes(s);
-      if (!s.next.empty()) PushDiscoveries(worker, s);
-      pending_.fetch_sub(batch.size(), std::memory_order_acq_rel);
-      if (s.candidates.size() > 1) {
-        CandidateViolation best = *std::min_element(
-            s.candidates.begin(), s.candidates.end(), CandidateLess);
-        s.candidates.clear();
-        s.candidates.push_back(std::move(best));
-      }
-    }
+    FlushStaged(s);
+    if (!s.next.empty()) PushDiscoveries(worker, s);
+    KeepSmallestCandidate(&s.candidates);
+    // Children stay staged until the flush above, so the grab's parents
+    // retire only now: children are counted into pending_ before their
+    // parents leave it.
+    pending_.fetch_sub(batch.size(), std::memory_order_acq_rel);
     const uint64_t in_flight = pending_.load(std::memory_order_relaxed);
     if (in_flight > local_peak) local_peak = in_flight;
     charge(&Scratch::busy_ns);
@@ -488,13 +480,7 @@ CheckResult RelaxedEngine::Run() {
       scratch_[0].candidates.push_back(
           CandidateViolation{c.key, c.kind, c.fp, std::move(state)});
     }
-    if (scratch_[0].candidates.size() > 1) {
-      CandidateViolation best = *std::min_element(
-          scratch_[0].candidates.begin(), scratch_[0].candidates.end(),
-          CandidateLess);
-      scratch_[0].candidates.clear();
-      scratch_[0].candidates.push_back(std::move(best));
-    }
+    KeepSmallestCandidate(&scratch_[0].candidates);
     pending_.store(restored, std::memory_order_relaxed);
     frontier_peak_.store(0, std::memory_order_relaxed);
   } else {

@@ -93,6 +93,15 @@ class FpTable {
     }
   }
 
+  /// Starts loading the line of `fp`'s home slot (and its POR masks), for
+  /// writing: a batch issues this a few keys ahead of FindOrInsert so
+  /// that their cache misses overlap instead of running one by one.
+  void Prefetch(uint64_t fp) const {
+    const size_t i = fp & (slots_.size() - 1);
+    __builtin_prefetch(&slots_[i], 1);
+    if (track_por_) __builtin_prefetch(&por_[i], 1);
+  }
+
   /// Index of `fp`'s record; claims a zeroed, occupied slot for it (and
   /// sets *inserted) when absent, doubling the capacity first if the
   /// insert would push the load past 7/8.

@@ -35,6 +35,7 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
   // reusing them for shard selection would correlate the two.
   shard_shift_ = 64 - Log2(shards);
   if (shards == 1) shard_shift_ = 0;  // (fp >> 0) & 0 == 0 either way.
+  shard_mask_ = static_cast<size_t>(shards) - 1;
   if (!options_.spill_dir.empty()) {
     SpillTier::Options spill;
     spill.dir = options_.spill_dir;
@@ -47,65 +48,132 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
 FpInsert FingerprintSet::Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
                                 int64_t depth, uint64_t order_key,
                                 uint64_t sleep_mask, const State* state) {
-  Shard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  bool fresh = false;
-  const size_t index = shard.table.FindOrInsert(fp, &fresh);
-  if (!fresh) {
-    // Hot (possibly still provisional) record: revisit merge. A merge into
-    // a provisional record that later turns out to be on disk is simply
-    // discarded with it (disk-resident edges are settled and win).
-    return MergeRevisit(shard, index, fp, pred_fp, action, depth, order_key,
-                        sleep_mask, state);
-  }
-  InitRecord(shard.table, index, pred_fp, action, depth, order_key,
-             sleep_mask);
-  if (options_.audit && state != nullptr) shard.states.emplace(fp, *state);
+  const FpInsertItem item{fp, pred_fp, order_key, sleep_mask, depth, action,
+                          state};
   FpInsert out;
-  out.depth = depth;
-  if (tier_ != nullptr) {
-    // The disk probe is deferred to ResolvePending; the provisional record
-    // keeps concurrent inserts of the same fingerprint from probing twice.
-    hot_count_.fetch_add(1, std::memory_order_relaxed);
-    shard.table.slot(index).set(internal::FpSlot::kProvisional, true);
-    out.pending = true;
-    return out;
-  }
-  size_.fetch_add(1, std::memory_order_relaxed);
-  out.inserted = true;
+  InsertBatch({&item, 1}, {&out, 1});
   return out;
 }
 
-void FingerprintSet::InitRecord(internal::FpTable& table, size_t index,
-                                uint64_t pred_fp, uint16_t action,
-                                int64_t depth, uint64_t order_key,
-                                uint64_t sleep_mask) const {
-  // Slots store depth as int32; BFS depths never come near that bound.
-  assert(depth >= INT32_MIN && depth <= INT32_MAX);
-  internal::FpSlot& rec = table.slot(index);
-  rec.pred_fp = pred_fp;
-  rec.order_key = order_key;
-  rec.depth = static_cast<int32_t>(depth);
-  rec.action = action;
-  rec.set(internal::FpSlot::kQueued, true);
-  if (options_.track_por) {
-    table.por(index).sleep = sleep_mask;
-    table.por(index).pending = sleep_mask;
+void FingerprintSet::InsertBatch(std::span<const FpInsertItem> items,
+                                 std::span<FpInsert> out) {
+  assert(out.size() == items.size());
+  if (items.empty()) return;
+  size_t created = 0;
+  if (items.size() == 1) {
+    // A single insert (Insert itself): nothing to group.
+    const uint32_t only = 0;
+    Shard& shard = ShardFor(items[0].fp);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    created = InsertRun(shard, items, {&only, 1}, out);
+  } else {
+    // Stable counting sort of the item indices by shard: after the
+    // scatter, begin[si] is where shard si's run ends, and the run starts
+    // where the previous shard's ends.
+    thread_local std::vector<uint32_t> begin;
+    thread_local std::vector<uint32_t> order;
+    begin.assign(shards_.size(), 0);
+    for (const FpInsertItem& item : items) ++begin[ShardIndex(item.fp)];
+    uint32_t sum = 0;
+    for (uint32_t& b : begin) sum += std::exchange(b, sum);
+    order.resize(items.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      order[begin[ShardIndex(items[i].fp)]++] = static_cast<uint32_t>(i);
+    }
+    uint32_t run_start = 0;
+    for (size_t si = 0; si < shards_.size(); ++si) {
+      const uint32_t run_end = begin[si];
+      if (run_end == run_start) continue;
+      Shard& shard = shards_[si];
+      std::lock_guard<std::mutex> lock(shard.mu);
+      created += InsertRun(
+          shard, items,
+          std::span<const uint32_t>(order).subspan(run_start,
+                                                   run_end - run_start),
+          out);
+      run_start = run_end;
+    }
+  }
+  // One counter update per batch. With a spill tier a new record is
+  // provisional: hot, but not counted in size() until ResolvePending.
+  if (created > 0) {
+    (tier_ != nullptr ? hot_count_ : size_)
+        .fetch_add(created, std::memory_order_relaxed);
   }
 }
 
-// Revisit path of Insert; shard.mu must be held.
-FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index, uint64_t fp,
-                                      uint64_t pred_fp, uint16_t action,
-                                      int64_t depth, uint64_t order_key,
-                                      uint64_t sleep_mask,
-                                      const State* state) {
+size_t FingerprintSet::InsertRun(Shard& shard,
+                                 std::span<const FpInsertItem> items,
+                                 std::span<const uint32_t> run,
+                                 std::span<FpInsert> out) {
+  // Each lookup is usually a cache miss; prefetching a few items ahead
+  // keeps several in flight at once.
+  constexpr size_t kPrefetchAhead = 4;
+  for (size_t k = 0; k < run.size() && k < kPrefetchAhead; ++k) {
+    shard.table.Prefetch(items[run[k]].fp);
+  }
+  size_t created = 0;
+  for (size_t k = 0; k < run.size(); ++k) {
+    if (k + kPrefetchAhead < run.size()) {
+      shard.table.Prefetch(items[run[k + kPrefetchAhead]].fp);
+    }
+    const FpInsertItem& item = items[run[k]];
+    FpInsert& result = out[run[k]];
+    bool fresh = false;
+    const size_t index = shard.table.FindOrInsert(item.fp, &fresh);
+    if (!fresh) {
+      // Hot (possibly still provisional) record: revisit merge. A merge
+      // into a provisional record that later turns out to be on disk is
+      // simply discarded with it (disk-resident edges are settled and
+      // win).
+      result = MergeRevisit(shard, index, item);
+      continue;
+    }
+    InitRecord(shard.table, index, item);
+    if (options_.audit && item.state != nullptr) {
+      shard.states.emplace(item.fp, *item.state);
+    }
+    ++created;
+    result = FpInsert{};
+    result.depth = item.depth;
+    if (tier_ != nullptr) {
+      // The disk probe is deferred to ResolvePending; the provisional
+      // record keeps concurrent inserts of the same fingerprint from
+      // probing twice.
+      shard.table.slot(index).set(internal::FpSlot::kProvisional, true);
+      result.pending = true;
+    } else {
+      result.inserted = true;
+    }
+  }
+  return created;
+}
+
+void FingerprintSet::InitRecord(internal::FpTable& table, size_t index,
+                                const FpInsertItem& item) const {
+  // Slots store depth as int32; BFS depths never come near that bound.
+  assert(item.depth >= INT32_MIN && item.depth <= INT32_MAX);
+  internal::FpSlot& rec = table.slot(index);
+  rec.pred_fp = item.pred_fp;
+  rec.order_key = item.order_key;
+  rec.depth = static_cast<int32_t>(item.depth);
+  rec.action = item.action;
+  rec.set(internal::FpSlot::kQueued, true);
+  if (options_.track_por) {
+    table.por(index).sleep = item.sleep_mask;
+    table.por(index).pending = item.sleep_mask;
+  }
+}
+
+// Revisit path of InsertRun; shard.mu must be held.
+FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index,
+                                      const FpInsertItem& item) {
   internal::FpSlot& rec = shard.table.slot(index);
   FpInsert out;
   out.depth = rec.depth;
-  if (options_.audit && state != nullptr) {
-    auto st = shard.states.find(fp);
-    if (st != shard.states.end() && !(st->second == *state)) {
+  if (options_.audit && item.state != nullptr) {
+    auto st = shard.states.find(item.fp);
+    if (st != shard.states.end() && !(st->second == *item.state)) {
       collisions_.fetch_add(1, std::memory_order_relaxed);
       out.collision = true;
     }
@@ -118,7 +186,7 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index, uint64_t fp,
       // other revisits serialize on that lock, so a shrink either lands
       // before an expansion reads the mask or uncovers work afterwards
       // and wakes the record — no uncovered action is ever lost.
-      por.pending &= sleep_mask;
+      por.pending &= item.sleep_mask;
       por.sleep = por.pending;
       if (!rec.has(internal::FpSlot::kQueued) &&
           (options_.por_all_actions & ~por.sleep & ~por.done) != 0) {
@@ -131,16 +199,16 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index, uint64_t fp,
       // at the next level barrier, after every worker has drained — the
       // intersection is commutative, so the settled result is independent
       // of the order revisits arrived in.
-      por.pending &= sleep_mask;
+      por.pending &= item.sleep_mask;
       out.sleep_shrunk = por.pending != por.sleep;
     }
   }
-  if (depth == rec.depth && order_key < rec.order_key) {
+  if (item.depth == rec.depth && item.order_key < rec.order_key) {
     // Same BFS level, earlier discovery order: adopt this edge so the
     // reconstructed trace matches what a serial scan would record.
-    rec.pred_fp = pred_fp;
-    rec.order_key = order_key;
-    rec.action = action;
+    rec.pred_fp = item.pred_fp;
+    rec.order_key = item.order_key;
+    rec.action = item.action;
   }
   return out;
 }
@@ -153,6 +221,8 @@ void FingerprintSet::ResolvePending(const std::vector<uint64_t>& fps,
   std::sort(sorted.begin(), sorted.end());
   std::vector<SpillTier::BatchHit> hits;
   tier_->FindBatch(sorted, &hits);
+  size_t dropped = 0;
+  size_t settled = 0;
   for (size_t i = 0; i < fps.size(); ++i) {
     const size_t si = static_cast<size_t>(
         std::lower_bound(sorted.begin(), sorted.end(), fps[i]) -
@@ -168,13 +238,15 @@ void FingerprintSet::ResolvePending(const std::vector<uint64_t>& fps,
       // Already explored and evicted: drop the provisional record — the
       // disk copy is the settled one.
       shard.table.EraseAt(index);
-      hot_count_.fetch_sub(1, std::memory_order_relaxed);
+      ++dropped;
       (*on_disk)[i] = 1;
     } else {
       rec.set(internal::FpSlot::kProvisional, false);
-      size_.fetch_add(1, std::memory_order_relaxed);
+      ++settled;
     }
   }
+  hot_count_.fetch_sub(dropped, std::memory_order_relaxed);
+  size_.fetch_add(settled, std::memory_order_relaxed);
 }
 
 FingerprintSet::ExpandGrant FingerprintSet::AcquireExpand(

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +59,18 @@ struct FpInsert {
   int64_t depth = 0;
 };
 
+/// One insert of a FingerprintSet::InsertBatch call: Insert's arguments.
+struct FpInsertItem {
+  uint64_t fp = 0;
+  uint64_t pred_fp = 0;
+  uint64_t order_key = 0;
+  uint64_t sleep_mask = 0;
+  int64_t depth = 0;
+  uint16_t action = 0;
+  /// The state itself; read only under Options::audit.
+  const State* state = nullptr;
+};
+
 /// The model checker's seen-state table: a striped (sharded) hash table
 /// keyed by 64-bit fingerprint, storing compact predecessor records
 /// `{pred_fp, action}` instead of full states — the TLC fingerprint-set
@@ -67,9 +80,10 @@ struct FpInsert {
 /// along the predecessor chain from an initial state, so dropping the
 /// states costs nothing but that replay.
 ///
-/// Thread safety: every operation takes exactly one shard mutex; shards
-/// are selected by the fingerprint's top bits, so concurrent workers
-/// rarely collide. size() and collisions() are lock-free counters.
+/// Thread safety: every single-key operation takes exactly one shard
+/// mutex, and InsertBatch takes each shard it touches once; shards are
+/// selected by the fingerprint's top bits, so concurrent workers rarely
+/// collide. size() and collisions() are lock-free counters.
 class FingerprintSet {
  public:
   struct Options {
@@ -140,7 +154,19 @@ class FingerprintSet {
                   int64_t depth, uint64_t order_key, uint64_t sleep_mask,
                   const State* state);
 
-  /// Settles a batch of provisional records created by Insert.
+  /// Inserts `items` and stores in out[i] exactly what Insert(items[i])
+  /// would return had the items been inserted one at a time, in order;
+  /// `out` has one element per item. The batch is grouped by shard with
+  /// a stable counting sort, so each touched shard is locked once and
+  /// sees its items in their given order. Items in different shards have
+  /// different fingerprints and touch disjoint records, so the grouping
+  /// changes no result. Within a shard, each slot line is prefetched a
+  /// few items before its lookup.
+  void InsertBatch(std::span<const FpInsertItem> items,
+                   std::span<FpInsert> out);
+
+  /// Settles a batch of provisional records created by Insert or
+  /// InsertBatch.
   /// `fps` are this caller's pending fingerprints in discovery order
   /// (unique by construction — only the insert that created the
   /// provisional record reports pending). On return, on_disk[i] != 0
@@ -252,42 +278,50 @@ class FingerprintSet {
   std::vector<SpillTier::RunInfo> spill_run_infos() const;
 
  private:
-  struct Shard {
+  // Cache-line aligned: workers lock and probe different shards at once,
+  // and adjacent shards must not share a line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     internal::FpTable table;
     std::unordered_map<uint64_t, State> states;  // Audit only.
   };
 
-  Shard& ShardFor(uint64_t fp) {
-    return shards_[(fp >> shard_shift_) & (shards_.size() - 1)];
+  size_t ShardIndex(uint64_t fp) const {
+    return static_cast<size_t>(fp >> shard_shift_) & shard_mask_;
   }
-  const Shard& ShardFor(uint64_t fp) const {
-    return shards_[(fp >> shard_shift_) & (shards_.size() - 1)];
-  }
+  Shard& ShardFor(uint64_t fp) { return shards_[ShardIndex(fp)]; }
+  const Shard& ShardFor(uint64_t fp) const { return shards_[ShardIndex(fp)]; }
 
-  // Fills the record just claimed at `index` (queued, with the given
+  // Inserts items[run[0]], items[run[1]], ... in that order into `shard`,
+  // whose mutex the caller holds; fills out[] at the same indices and
+  // returns how many records it created.
+  size_t InsertRun(Shard& shard, std::span<const FpInsertItem> items,
+                   std::span<const uint32_t> run, std::span<FpInsert> out);
+
+  // Fills the record just claimed at `index` (queued, with the item's
   // edge and sleep mask).
-  void InitRecord(internal::FpTable& table, size_t index, uint64_t pred_fp,
-                  uint16_t action, int64_t depth, uint64_t order_key,
-                  uint64_t sleep_mask) const;
-  FpInsert MergeRevisit(Shard& shard, size_t index, uint64_t fp,
-                        uint64_t pred_fp, uint16_t action, int64_t depth,
-                        uint64_t order_key, uint64_t sleep_mask,
-                        const State* state);
+  void InitRecord(internal::FpTable& table, size_t index,
+                  const FpInsertItem& item) const;
+  FpInsert MergeRevisit(Shard& shard, size_t index, const FpInsertItem& item);
 
   Options options_;
-  // Allocated bytes of every shard's table; declared before shards_ so it
-  // outlives them.
-  std::atomic<size_t> table_bytes_{0};
+  // Read by every operation and written only by the constructor.
   std::vector<Shard> shards_;
   int shard_shift_ = 0;
-  std::atomic<size_t> size_{0};
-  std::atomic<uint64_t> collisions_{0};
-
+  size_t shard_mask_ = 0;
   // Out-of-core tier (null unless Options::spill_dir is set).
   std::unique_ptr<SpillTier> tier_;
   std::mutex evict_mu_;  // Serializes EvictAll/EvictIfOverBudget.
-  std::atomic<size_t> hot_count_{0};
+  std::atomic<uint64_t> collisions_{0};  // Audit only.
+
+  // Counters that inserts from every worker bump, each on a cache line of
+  // its own: sharing one with each other or with the read-mostly fields
+  // above would make every insert invalidate the line that every other
+  // operation reads.
+  alignas(64) std::atomic<size_t> size_{0};
+  alignas(64) std::atomic<size_t> hot_count_{0};
+  // Allocated bytes of every shard's table.
+  alignas(64) std::atomic<size_t> table_bytes_{0};
 };
 
 }  // namespace xmodel::tlax

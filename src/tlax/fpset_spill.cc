@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -322,14 +323,30 @@ struct SpillTier::Run {
     if (map != nullptr) ::munmap(const_cast<char*>(map), bytes);
   }
 
-  // Maps the file's `size` bytes. The descriptor is closed right away:
-  // the mapping alone keeps the pages reachable, even after compaction
-  // unlinks the file under an in-flight probe.
-  common::Status Map(uint64_t size) {
+  // Maps the whole file. The descriptor is closed right away: the
+  // mapping alone keeps the pages reachable, even after compaction
+  // unlinks the file under an in-flight probe. A file too short for a
+  // header and checksum is corrupt (mmap would refuse an empty one).
+  common::Status Map() {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
+      if (errno == ENOENT) {
+        return common::Status::NotFound(path + " does not exist");
+      }
       return common::Status::Internal("open " + path + ": " +
                                       std::strerror(errno));
+    }
+    struct stat st;
+    if (::fstat(fd, &st) != 0) {
+      const int stat_errno = errno;
+      ::close(fd);
+      return common::Status::Internal("fstat " + path + ": " +
+                                      std::strerror(stat_errno));
+    }
+    const uint64_t size = static_cast<uint64_t>(st.st_size);
+    if (size < kHeaderBytes + 8) {
+      ::close(fd);
+      return Corrupt(file, "missing or short header");
     }
     void* m = ::mmap(nullptr, static_cast<size_t>(size), PROT_READ,
                      MAP_SHARED, fd, 0);
@@ -407,7 +424,7 @@ common::Status SpillTier::WriteRun(RunBuilder* builder,
   write_options.durable = options_.durable;
   common::Status status =
       common::WriteFileAtomic(run->path, contents, write_options);
-  if (status.ok()) status = run->Map(contents.size());
+  if (status.ok()) status = run->Map();
   if (!status.ok()) {
     RecordError(status);
     return status;
@@ -671,11 +688,12 @@ common::Status SpillTier::OpenRun(const std::string& file,
   auto run = std::make_shared<Run>();
   run->file = file;
   run->path = options_.dir + "/" + file;
-  std::string contents;
-  common::Status status = common::ReadFileToString(run->path, &contents);
+  // Validate over the map itself: no heap copy of the run, and on
+  // success the map is the one probes read.
+  common::Status status = run->Map();
   if (!status.ok()) return status;
-  if (contents.size() < kHeaderBytes + 8 ||
-      std::memcmp(contents.data(), kMagic, sizeof(kMagic)) != 0) {
+  const std::string_view contents(run->map, run->bytes);
+  if (std::memcmp(contents.data(), kMagic, sizeof(kMagic)) != 0) {
     return Corrupt(file, "missing or short header");
   }
   size_t pos = sizeof(kMagic);
@@ -733,8 +751,6 @@ common::Status SpillTier::OpenRun(const std::string& file,
   if (ChecksumFinish(checksum, scanned) != declared_checksum) {
     return Corrupt(file, "checksum mismatch");
   }
-  status = run->Map(contents.size());
-  if (!status.ok()) return status;
   run->count = declared;
   *out = std::move(run);
   return common::Status::OK();

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "specs/toy_specs.h"
 #include "tlax/checker.h"
 #include "tlax/liveness.h"
-#include "tlax/simulate.h"
 
 namespace xmodel::tlax {
 namespace {
@@ -212,29 +210,6 @@ TEST(LivenessTest, SccOnCounterGraphIsAllSingletons) {
   // The counter graph is a DAG: every SCC is a singleton.
   EXPECT_EQ(num_components, result.graph->num_states());
   EXPECT_EQ(comp.size(), result.graph->num_states());
-}
-
-TEST(SimulateTest, FindsViolationEventually) {
-  CounterSpec spec(/*limit=*/5, /*violate_at=*/4);
-  common::Rng rng(42);
-  SimulateOptions options;
-  options.num_runs = 200;
-  options.max_depth = 20;
-  SimulateResult result = Simulate(spec, &rng, options);
-  ASSERT_TRUE(result.violation.has_value());
-  EXPECT_EQ(result.violation->kind, "Sum");
-  // The violating path's last state must sum to 4.
-  const State& last = result.violation->trace.back().state;
-  EXPECT_EQ(last.var(0).int_value() + last.var(1).int_value(), 4);
-}
-
-TEST(SimulateTest, CleanSpecPasses) {
-  CounterSpec spec(/*limit=*/5);
-  common::Rng rng(1);
-  SimulateResult result = Simulate(spec, &rng, {});
-  EXPECT_FALSE(result.violation.has_value());
-  EXPECT_EQ(result.runs, 100u);
-  EXPECT_GT(result.states_visited, 100u);
 }
 
 }  // namespace

@@ -1,14 +1,16 @@
 // Unit tests for the sharded fingerprint table backing the parallel
 // checker: the flat per-shard table against a reference map, insert/merge
 // semantics, the POR expansion handshake, the collision audit, the
-// allocated-bytes memory budget, and a multi-threaded insert hammer that
-// the TSan CI job runs to certify the locking.
+// allocated-bytes memory budget, batched inserts against one-at-a-time
+// ones, and multi-threaded insert hammers that the TSan CI job runs to
+// certify the locking.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -415,6 +417,228 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
   }
   EXPECT_GT(set.load_factor(), 0.0);
   EXPECT_LE(set.load_factor(), 0.875);
+}
+
+bool SameInsert(const FpInsert& a, const FpInsert& b) {
+  return a.inserted == b.inserted && a.collision == b.collision &&
+         a.sleep_shrunk == b.sleep_shrunk && a.wake == b.wake &&
+         a.pending == b.pending && a.depth == b.depth;
+}
+
+// InsertBatch against the same items inserted one at a time in order, in
+// every mode the engines use it in. Keys come from a small pool spread
+// over few shards, so a batch holds many items per shard, duplicates of
+// one fingerprint, and same-depth revisits with smaller and larger keys.
+// Between batches both sets see the same expansion handshakes, settles,
+// resolutions and evictions, so later batches revisit records in every
+// state those leave behind.
+TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
+  enum class Mode { kPlain, kAudit, kLevelPor, kImmediatePor, kSpill };
+  constexpr uint64_t kAllActions = 0b1111;
+  for (Mode mode : {Mode::kPlain, Mode::kAudit, Mode::kLevelPor,
+                    Mode::kImmediatePor, Mode::kSpill}) {
+    const int m = static_cast<int>(mode);
+    SCOPED_TRACE(testing::Message() << "mode " << m);
+    auto options_for = [&](const char* side) {
+      FingerprintSet::Options o;
+      o.num_shards = 4;
+      o.audit = mode == Mode::kAudit;
+      o.track_por = mode == Mode::kLevelPor || mode == Mode::kImmediatePor;
+      o.immediate_por_settle = mode == Mode::kImmediatePor;
+      o.por_all_actions = kAllActions;
+      if (mode == Mode::kSpill) {
+        o.spill_dir = common::StrCat(::testing::TempDir(), "/fpset_batch_",
+                                     side);
+      }
+      return o;
+    };
+    FingerprintSet one(options_for("one"));
+    FingerprintSet batched(options_for("batched"));
+    common::Rng rng(0xba7c4 + static_cast<uint64_t>(m));
+    std::vector<uint64_t> pool;
+    for (uint64_t k = 0; k < 300; ++k) pool.push_back(common::Mix64(k));
+    // Audit: a few states per fingerprint, so some revisits collide.
+    std::vector<State> states;
+    for (int64_t v = 0; v < 3; ++v) states.push_back(MakeState(v, v));
+
+    uint64_t revisits = 0;
+    uint64_t shrinks = 0;
+    uint64_t wakes = 0;
+    uint64_t disk_hits = 0;
+    for (int round = 0; round < 40; ++round) {
+      std::vector<FpInsertItem> items(1 + rng.Below(400));
+      for (FpInsertItem& item : items) {
+        item.fp = pool[rng.Below(pool.size())];
+        item.pred_fp = rng.Next();
+        item.order_key = rng.Below(1000);
+        item.sleep_mask = rng.Below(kAllActions + 1);
+        item.depth = 1 + static_cast<int64_t>(rng.Below(2));
+        item.action = static_cast<uint16_t>(rng.Below(4));
+        item.state = &states[rng.Below(states.size())];
+      }
+      std::vector<FpInsert> expected;
+      for (const FpInsertItem& item : items) {
+        expected.push_back(one.Insert(item.fp, item.pred_fp, item.action,
+                                      item.depth, item.order_key,
+                                      item.sleep_mask, item.state));
+      }
+      std::vector<FpInsert> got(items.size());
+      batched.InsertBatch(items, got);
+      std::vector<uint64_t> pending;
+      for (size_t i = 0; i < items.size(); ++i) {
+        ASSERT_TRUE(SameInsert(got[i], expected[i]))
+            << "round " << round << " item " << i << " fp " << items[i].fp;
+        if (expected[i].pending) pending.push_back(items[i].fp);
+        revisits += !expected[i].inserted && !expected[i].pending;
+        shrinks += expected[i].sleep_shrunk;
+        wakes += expected[i].wake;
+      }
+      ASSERT_EQ(batched.size(), one.size());
+      ASSERT_EQ(batched.collisions(), one.collisions());
+
+      if (mode == Mode::kSpill) {
+        std::vector<uint8_t> one_disk;
+        std::vector<uint8_t> batched_disk;
+        one.ResolvePending(pending, &one_disk);
+        batched.ResolvePending(pending, &batched_disk);
+        ASSERT_EQ(batched_disk, one_disk);
+        for (uint8_t hit : one_disk) disk_hits += hit;
+        if (round % 5 == 4) {
+          ASSERT_TRUE(one.EvictAll().ok());
+          ASSERT_TRUE(batched.EvictAll().ok());
+        }
+      }
+      if (mode == Mode::kLevelPor || mode == Mode::kImmediatePor) {
+        // Expand some records (clearing their queued flags) and, under
+        // level-sync, settle every fingerprint as a barrier would.
+        for (int k = 0; k < 50; ++k) {
+          const uint64_t fp = pool[rng.Below(pool.size())];
+          const FingerprintSet::ExpandGrant a =
+              one.AcquireExpand(fp, kAllActions);
+          const FingerprintSet::ExpandGrant b =
+              batched.AcquireExpand(fp, kAllActions);
+          ASSERT_EQ(b.sleep, a.sleep);
+          ASSERT_EQ(b.explored_before, a.explored_before);
+          ASSERT_EQ(b.to_expand, a.to_expand);
+        }
+        if (mode == Mode::kLevelPor) {
+          for (uint64_t fp : pool) {
+            const FingerprintSet::PorSettle a = one.SettlePor(fp, kAllActions);
+            const FingerprintSet::PorSettle b =
+                batched.SettlePor(fp, kAllActions);
+            ASSERT_EQ(b.wake, a.wake);
+            ASSERT_EQ(b.depth, a.depth);
+            ASSERT_EQ(b.order_key, a.order_key);
+          }
+        }
+      }
+    }
+    EXPECT_GT(one.size(), 0u);
+    for (uint64_t fp : pool) {
+      const std::optional<FingerprintSet::Edge> a = one.GetEdge(fp);
+      const std::optional<FingerprintSet::Edge> b = batched.GetEdge(fp);
+      ASSERT_EQ(b.has_value(), a.has_value()) << "fp " << fp;
+      if (!a.has_value()) continue;
+      EXPECT_EQ(b->pred_fp, a->pred_fp) << "fp " << fp;
+      EXPECT_EQ(b->order_key, a->order_key) << "fp " << fp;
+      EXPECT_EQ(b->action, a->action) << "fp " << fp;
+      EXPECT_EQ(b->depth, a->depth) << "fp " << fp;
+    }
+    // Every mode reached the results it can produce.
+    EXPECT_GT(revisits, 0u);
+    if (mode == Mode::kAudit) {
+      EXPECT_GT(one.collisions(), 0u);
+    }
+    if (mode == Mode::kLevelPor) {
+      EXPECT_GT(shrinks, 0u);
+    }
+    if (mode == Mode::kImmediatePor) {
+      EXPECT_GT(wakes, 0u);
+    }
+    if (mode == Mode::kSpill) {
+      EXPECT_GT(disk_hits, 0u);
+    }
+  }
+}
+
+// Concurrent batches: four threads flush overlapping batches, each with
+// in-batch duplicates, at one depth. Exactly one insert wins each
+// fingerprint, and every record ends with the edge of its smallest order
+// key whichever thread flushed it. Run under TSan in CI to certify the
+// per-shard locking of InsertBatch.
+TEST(FpsetTest, InsertBatchHammer) {
+  FingerprintSet::Options options;
+  options.num_shards = 8;
+  FingerprintSet set(options);
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeys = 8'000;
+  constexpr uint64_t kStride = kKeys / 2;  // Neighbors share half a range.
+  constexpr size_t kBatch = 256;
+  // Thread t inserts key k twice, with order keys order_key(k, t, 0 / 1).
+  auto order_key = [](uint64_t k, int t, int copy) {
+    return common::Mix64((k << 3) | (static_cast<uint64_t>(t) << 1) |
+                         static_cast<uint64_t>(copy));
+  };
+  std::atomic<uint64_t> wins{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<FpInsertItem> items;
+      std::vector<FpInsert> out;
+      uint64_t local_wins = 0;
+      const auto flush = [&] {
+        out.resize(items.size());
+        set.InsertBatch(items, out);
+        for (const FpInsert& r : out) {
+          if (r.inserted) ++local_wins;
+          EXPECT_EQ(r.depth, 1);
+        }
+        items.clear();
+      };
+      const uint64_t first = static_cast<uint64_t>(t) * kStride;
+      for (uint64_t k = first; k < first + kKeys; ++k) {
+        for (int copy = 0; copy < 2; ++copy) {
+          FpInsertItem item;
+          item.fp = common::Mix64(k + 1);
+          item.order_key = order_key(k, t, copy);
+          item.pred_fp = static_cast<uint64_t>(t * 2 + copy);
+          item.action = static_cast<uint16_t>(t * 2 + copy);
+          item.depth = 1;
+          items.push_back(item);
+        }
+        if (items.size() >= kBatch) flush();
+      }
+      flush();
+      wins.fetch_add(local_wins, std::memory_order_relaxed);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  const uint64_t distinct = (kThreads - 1) * kStride + kKeys;
+  EXPECT_EQ(set.size(), distinct);
+  EXPECT_EQ(wins.load(), distinct) << "exactly one insert wins each key";
+  for (uint64_t k = 0; k < distinct; ++k) {
+    // The min-merged edge: the smallest order key among every insert.
+    uint64_t best_key = UINT64_MAX;
+    uint64_t best_pred = 0;
+    for (int t = 0; t < kThreads; ++t) {
+      const uint64_t first = static_cast<uint64_t>(t) * kStride;
+      if (k < first || k >= first + kKeys) continue;
+      for (int copy = 0; copy < 2; ++copy) {
+        if (order_key(k, t, copy) < best_key) {
+          best_key = order_key(k, t, copy);
+          best_pred = static_cast<uint64_t>(t * 2 + copy);
+        }
+      }
+    }
+    const std::optional<FingerprintSet::Edge> edge =
+        set.GetEdge(common::Mix64(k + 1));
+    ASSERT_TRUE(edge.has_value()) << "key " << k;
+    EXPECT_EQ(edge->order_key, best_key) << "key " << k;
+    EXPECT_EQ(edge->pred_fp, best_pred) << "key " << k;
+    EXPECT_EQ(edge->action, static_cast<uint16_t>(best_pred)) << "key " << k;
+    EXPECT_EQ(edge->depth, 1) << "key " << k;
+  }
 }
 
 }  // namespace

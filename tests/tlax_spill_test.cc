@@ -220,6 +220,17 @@ TEST(SpillTierTest, CorruptRunIsARefusedAdoption) {
     EXPECT_EQ(status.code(), common::StatusCode::kCorruption)
         << status.ToString();
   }
+  // Zero-length and shorter-than-a-header files: corruption, not a
+  // failed map.
+  for (size_t len : {size_t{0}, size_t{10}}) {
+    ASSERT_TRUE(common::WriteFileAtomic(
+                    path, std::string_view(contents).substr(0, len))
+                    .ok());
+    SpillTier tier(options);
+    common::Status status = tier.AdoptRuns({file});
+    EXPECT_EQ(status.code(), common::StatusCode::kCorruption)
+        << "length " << len << ": " << status.ToString();
+  }
   // Bit flip in the middle (an entry payload), full length.
   std::string garbled = contents;
   garbled[garbled.size() / 2] ^= 0x40;
