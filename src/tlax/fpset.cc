@@ -58,7 +58,6 @@ FpInsert FingerprintSet::Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
 void FingerprintSet::InsertBatch(std::span<const FpInsertItem> items,
                                  std::span<FpInsert> out) {
   assert(out.size() == items.size());
-  if (items.empty()) return;
   size_t created = 0;
   if (items.size() == 1) {
     // A single insert (Insert itself): nothing to group.
