@@ -115,6 +115,7 @@ struct SpecSummary {
   uint64_t check_distinct = 0;
   uint64_t check_generated = 0;
   int64_t check_diameter = 0;
+  double check_collision_probability = 0;
   bool check_complete = false;
   int workers_used = 1;
   std::string exploration = "level";  // Policy the check actually used.
@@ -206,6 +207,7 @@ void LintOneSpec(const tlax::Spec& spec, const Options& options,
   summary.check_distinct = check.distinct_states;
   summary.check_generated = check.generated_states;
   summary.check_diameter = check.diameter;
+  summary.check_collision_probability = check.fingerprint_collision_probability;
   summary.check_complete = check.status.ok() && !check.violation.has_value();
   summary.workers_used = check.workers_used;
   summary.exploration = tlax::ExplorationPolicyName(check.policy_used);
@@ -351,6 +353,8 @@ int main(int argc, char** argv) {
       entry.Set("check_generated",
                 common::Json::Int(static_cast<int64_t>(s.check_generated)));
       entry.Set("check_diameter", common::Json::Int(s.check_diameter));
+      entry.Set("check_collision_probability",
+                common::Json::Double(s.check_collision_probability));
       entry.Set("check_complete", common::Json::Bool(s.check_complete));
       entry.Set("workers_used", common::Json::Int(s.workers_used));
       entry.Set("exploration", common::Json::Str(s.exploration));

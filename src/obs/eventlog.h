@@ -20,8 +20,8 @@ namespace xmodel::obs {
 
 /// Event severities, ascending. kDebug is the per-level-barrier firehose;
 /// kInfo marks lifecycle transitions (run started/completed, election won);
-/// kWarn marks spill-worthy anomalies (fingerprint collisions, budget
-/// overruns, watchdog stalls); kError marks verdicts (violation found,
+/// kWarn marks spill-worthy anomalies (budget overruns, aborted runs,
+/// watchdog stalls); kError marks verdicts (violation found,
 /// trace mismatch).
 enum class EventSeverity { kDebug = 0, kInfo, kWarn, kError };
 

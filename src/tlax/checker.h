@@ -114,25 +114,18 @@ struct CheckerOptions {
   /// never completes) from outside. Null = no heartbeats.
   obs::Watchdog* watchdog = nullptr;
   /// Structured event sink for lifecycle events (run started/completed,
-  /// per-level barriers at debug severity, violations, limit aborts,
-  /// fingerprint collisions). Null = the process-global obs::EventLog.
+  /// per-level barriers at debug severity, violations, limit aborts).
+  /// Null = the process-global obs::EventLog.
   obs::EventLog* event_log = nullptr;
-  /// Fingerprint-collision audit: keep a full copy of every distinct
-  /// state beside its fingerprint and compare on every table hit,
-  /// counting genuine 64-bit collisions in
-  /// CheckResult::fingerprint_collisions. Costs the memory the
-  /// fingerprint table otherwise saves — a debug mode.
-  bool fp_audit = false;
   /// Out-of-core checking (the TLC disk-tiered fingerprint set): when
   /// nonzero, the hot fingerprint table is bounded to roughly this many
   /// megabytes; crossing the budget evicts it as a sorted,
   /// delta-compressed run file with a Bloom filter, probed on inserts, so
   /// the checker handles state spaces far larger than RAM with
   /// bit-identical distinct/verdict results. 0 = unlimited (no spilling).
-  /// Spilling is incompatible with fp_audit, sleep-set POR, and
-  /// record_graph (those need full states or mutable records resident);
-  /// when one of them is active the budget is ignored and
-  /// CheckResult::spill_notice explains.
+  /// Spilling is incompatible with sleep-set POR and record_graph (they
+  /// need mutable records resident); when one of them is active the
+  /// budget is ignored and CheckResult::spill_notice explains.
   uint64_t memory_budget_mb = 0;
   /// Directory for spill runs and frontier segments. Empty = use
   /// checkpoint_dir when set, else a per-process temp directory removed
@@ -206,9 +199,10 @@ struct CheckResult {
   /// Final aggregate load factor of the sharded fingerprint table
   /// (records per slot summed across shards; at most 7/8).
   double fingerprint_load = 0;
-  /// Genuine 64-bit fingerprint collisions observed. Only counted under
-  /// CheckerOptions::fp_audit; always 0 otherwise.
-  uint64_t fingerprint_collisions = 0;
+  /// TLC's optimistic estimate of the chance that two distinct states
+  /// shared a 64-bit fingerprint, so that one was never explored:
+  /// distinct * max(generated - distinct, 0) / 2^64.
+  double fingerprint_collision_probability = 0;
   /// Exploration workers the run actually used (after resolving
   /// num_workers == 0 to the hardware thread count).
   int workers_used = 1;
@@ -278,7 +272,7 @@ struct CheckResult {
   /// True when this run restored state from a checkpoint manifest.
   bool resumed = false;
   /// Set when spilling/checkpointing was requested but gated off by an
-  /// incompatible option (fp_audit, sleep-set POR, record_graph).
+  /// incompatible option (sleep-set POR, record_graph).
   std::string spill_notice;
 
   bool ok() const { return status.ok() && !violation.has_value(); }

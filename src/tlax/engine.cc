@@ -23,8 +23,8 @@ namespace xmodel::tlax::internal {
 namespace {
 
 // Out-of-core gating (see CheckerOptions::memory_budget_mb): any of the
-// three knobs requests spilling; fp_audit / sleep-set POR / record_graph
-// veto it (they need mutable or full-state fingerprint records).
+// three knobs requests spilling; sleep-set POR / record_graph veto it
+// (they need mutable fingerprint records).
 bool SpillRequested(const CheckerOptions& o) {
   return o.memory_budget_mb > 0 || !o.checkpoint_dir.empty() ||
          !o.spill_dir.empty();
@@ -67,7 +67,6 @@ EngineBase::EngineBase(const CheckerOptions& options, const Spec& spec,
                                       : common::MonotonicClock::Real()),
       events_(options.event_log != nullptr ? options.event_log
                                            : &obs::EventLog::Global()),
-      fp_audit_(options.fp_audit),
       workers_(common::ResolveWorkerCount(options.num_workers)),
       policy_(policy),
       relaxed_(policy == ExplorationPolicy::kRelaxed),
@@ -79,16 +78,15 @@ EngineBase::EngineBase(const CheckerOptions& options, const Spec& spec,
       all_actions_(actions_.size() >= 64
                        ? ~uint64_t{0}
                        : (uint64_t{1} << actions_.size()) - 1),
-      spill_enabled_(SpillRequested(options) && !fp_audit_ &&
-                     !use_sleep_sets_ && !options.record_graph),
+      spill_enabled_(SpillRequested(options) && !use_sleep_sets_ &&
+                     !options.record_graph),
       checkpointing_(spill_enabled_ && !options.checkpoint_dir.empty()),
       spill_dir_(ResolveSpillDir(options, spill_enabled_)),
       spill_dir_is_temp_(spill_enabled_ && options.spill_dir.empty() &&
                          options.checkpoint_dir.empty()),
       frontier_inmem_cap_(ResolveFrontierCap(options, spill_enabled_)),
-      fpset_(FpOptions(fp_audit_, use_sleep_sets_, relaxed_, all_actions_,
-                       spill_dir_, options.memory_budget_mb << 20,
-                       checkpointing_)),
+      fpset_(FpOptions(use_sleep_sets_, relaxed_, all_actions_, spill_dir_,
+                       options.memory_budget_mb << 20, checkpointing_)),
       pool_(workers_),
       scratch_(static_cast<size_t>(workers_)) {}
 
@@ -116,7 +114,6 @@ void EngineBase::StartRun() {
       if (!blockers.empty()) blockers += " + ";
       blockers += what;
     };
-    if (fp_audit_) add("fp_audit");
     if (use_sleep_sets_) add("sleep-set POR");
     if (options_.record_graph) add("record_graph");
     result_.spill_notice = common::StrCat(
@@ -298,7 +295,7 @@ bool EngineBase::SeedInitial(std::vector<LevelEntry>* level) {
     State init = spec_.Canonicalize(raw_init);
     const uint64_t fp = Fingerprint(init);
     const uint64_t key = ordinal++;
-    FpInsert ins = fpset_.Insert(fp, 0, kFpInitialAction, 0, key, 0, &init);
+    FpInsert ins = fpset_.Insert(fp, 0, kFpInitialAction, 0, key, 0);
     if (!ins.inserted && !ins.pending) continue;
     fps.push_back(fp);
     seeds.push_back(Seed{std::move(init), fp, key});
@@ -398,7 +395,7 @@ void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
       const uint64_t fp = Fingerprint(s.staged_states.back());
       s.staged_items.push_back(FpInsertItem{
           fp, entry.fp, EventKey(pos, ai, si - before), succ_sleep,
-          entry.depth + 1, ai, nullptr});
+          entry.depth + 1, ai});
       if (result_.graph && entry.gid != StateGraph::kNoId) {
         result_.graph->RecordEdge(worker, entry.gid, fp, ai);
       }
@@ -428,11 +425,10 @@ void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
 bool EngineBase::FlushStaged(Scratch& s) {
   const size_t n = s.staged_items.size();
   if (n == 0) return true;
-  for (size_t i = 0; i < n; ++i) s.staged_items[i].state = &s.staged_states[i];
   s.staged_results.resize(n);
   fpset_.InsertBatch(s.staged_items, s.staged_results);
   // Out-of-core: a hot-table miss deferred its disk probe; one sorted
-  // sweep settles the whole batch. POR / graph / audit never coexist with
+  // sweep settles the whole batch. POR / graph never coexist with
   // spilling (see spill_enabled_ gating), so a pending result is either a
   // new state or a revisit of a spilled one.
   s.pending_fps.clear();
@@ -557,7 +553,17 @@ CheckResult EngineBase::Finish(common::Status status) {
   result_.status = std::move(status);
   result_.distinct_states = fpset_.size();
   result_.fingerprint_load = fpset_.load_factor();
-  result_.fingerprint_collisions = fpset_.collisions();
+  // TLC's optimistic estimate: each of the g - n revisits could have hit
+  // one of the n stored fingerprints by chance, with probability n / 2^64.
+  // Floored at no revisits: a relaxed POR run's generated tally is only
+  // approximate.
+  const double n = static_cast<double>(result_.distinct_states);
+  const double revisits =
+      result_.generated_states > result_.distinct_states
+          ? static_cast<double>(result_.generated_states -
+                                result_.distinct_states)
+          : 0.0;
+  result_.fingerprint_collision_probability = n * revisits / 0x1p64;
   const int64_t end_ns = clock_->NowNanos();
   result_.seconds = static_cast<double>(end_ns - start_ns_) * 1e-9;
 
@@ -649,8 +655,6 @@ CheckResult EngineBase::Finish(common::Status status) {
   registry.GetCounter("checker.por.actions_slept")
       .Increment(result_.por_slept_actions -
                  published_slept_.load(std::memory_order_relaxed));
-  registry.GetCounter("checker.fingerprint.collisions")
-      .Increment(result_.fingerprint_collisions);
   if (result_.violation.has_value()) {
     registry.GetCounter("checker.violations.found").Increment();
   }
@@ -698,6 +702,8 @@ CheckResult EngineBase::Finish(common::Status status) {
       .Set(static_cast<double>(result_.frontier_peak));
   registry.GetGauge("checker.fingerprint.load")
       .Set(result_.fingerprint_load);
+  registry.GetGauge("checker.fingerprint.collision_probability")
+      .Set(result_.fingerprint_collision_probability);
   registry.GetGauge("checker.run.seconds").Set(result_.seconds);
   registry.GetGauge("checker.run.states_per_sec")
       .Set(result_.seconds > 0
@@ -736,11 +742,6 @@ CheckResult EngineBase::Finish(common::Status status) {
         .Set(static_cast<double>(result_.spill_generations));
   }
   if (events_->enabled()) {
-    if (result_.fingerprint_collisions > 0) {
-      events_->Emit(
-          obs::EventSeverity::kWarn, "checker", "fingerprint.collisions",
-          {{"collisions", common::StrCat(result_.fingerprint_collisions)}});
-    }
     if (result_.violation.has_value()) {
       events_->Emit(
           obs::EventSeverity::kError, "checker", "violation.found",

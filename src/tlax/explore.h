@@ -238,14 +238,12 @@ class EngineBase {
   // user-provided). Called after the last stats read.
   void CleanupSpillDir();
 
-  static FingerprintSet::Options FpOptions(bool audit, bool por,
-                                           bool relaxed,
+  static FingerprintSet::Options FpOptions(bool por, bool relaxed,
                                            uint64_t all_actions,
                                            const std::string& spill_dir,
                                            uint64_t memory_budget_bytes,
                                            bool checkpointing) {
     FingerprintSet::Options o;
-    o.audit = audit;  // Keeps a full state beside each record.
     o.track_por = por;
     o.immediate_por_settle = por && relaxed;
     o.por_all_actions = all_actions;
@@ -262,7 +260,6 @@ class EngineBase {
   const std::vector<Invariant>& invariants_;
   common::MonotonicClock* const clock_;
   obs::EventLog* const events_;
-  const bool fp_audit_;
   const int workers_;
   const ExplorationPolicy policy_;
   const bool relaxed_;
@@ -289,8 +286,8 @@ class EngineBase {
   const bool use_sleep_sets_;
   const uint64_t all_actions_;
   // Out-of-core tier, resolved after gating (see CheckerOptions::
-  // memory_budget_mb): spilling runs only without fp_audit / POR /
-  // record_graph. checkpointing_ additionally requires checkpoint_dir.
+  // memory_budget_mb): spilling runs only without POR / record_graph.
+  // checkpointing_ additionally requires checkpoint_dir.
   const bool spill_enabled_;
   const bool checkpointing_;
   const std::string spill_dir_;  // Empty when spilling is off.

@@ -47,9 +47,8 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
 
 FpInsert FingerprintSet::Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
                                 int64_t depth, uint64_t order_key,
-                                uint64_t sleep_mask, const State* state) {
-  const FpInsertItem item{fp, pred_fp, order_key, sleep_mask, depth, action,
-                          state};
+                                uint64_t sleep_mask, std::nullptr_t) {
+  const FpInsertItem item{fp, pred_fp, order_key, sleep_mask, depth, action};
   FpInsert out;
   InsertBatch({&item, 1}, {&out, 1});
   return out;
@@ -129,9 +128,6 @@ size_t FingerprintSet::InsertRun(Shard& shard,
       continue;
     }
     InitRecord(shard.table, index, item);
-    if (options_.audit && item.state != nullptr) {
-      shard.states.emplace(item.fp, *item.state);
-    }
     ++created;
     result = FpInsert{};
     result.depth = item.depth;
@@ -170,13 +166,6 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index,
   internal::FpSlot& rec = shard.table.slot(index);
   FpInsert out;
   out.depth = rec.depth;
-  if (options_.audit && item.state != nullptr) {
-    auto st = shard.states.find(item.fp);
-    if (st != shard.states.end() && !(st->second == *item.state)) {
-      collisions_.fetch_add(1, std::memory_order_relaxed);
-      out.collision = true;
-    }
-  }
   if (options_.track_por) {
     internal::FpPorMasks& por = shard.table.por(index);
     if (options_.immediate_por_settle) {
@@ -317,14 +306,6 @@ std::optional<uint64_t> FingerprintSet::QuiescentOrderKey(uint64_t fp) const {
   std::optional<Edge> edge = GetEdge(fp);  // Evicted: the disk tier.
   if (!edge.has_value()) return std::nullopt;
   return edge->order_key;
-}
-
-std::optional<State> FingerprintSet::FindState(uint64_t fp) const {
-  const Shard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.states.find(fp);
-  if (it == shard.states.end()) return std::nullopt;
-  return it->second;
 }
 
 common::Status FingerprintSet::EvictIfOverBudget(common::WorkerPool* pool) {

@@ -2,13 +2,13 @@
 #define XMODEL_TLAX_FPSET_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.h"
@@ -37,9 +37,6 @@ inline constexpr uint16_t kFpInitialAction = UINT16_MAX;
 struct FpInsert {
   /// The fingerprint was new; a record was created.
   bool inserted = false;
-  /// Audit mode only: the fingerprint existed but the stored state
-  /// differs — a genuine 64-bit collision.
-  bool collision = false;
   /// POR mode only: this revisit left the record's pending sleep mask
   /// strictly below its settled one. The caller should report the
   /// fingerprint as a wake candidate; SettlePor decides at the level
@@ -67,8 +64,6 @@ struct FpInsertItem {
   uint64_t sleep_mask = 0;
   int64_t depth = 0;
   uint16_t action = 0;
-  /// The state itself; read only under Options::audit.
-  const State* state = nullptr;
 };
 
 /// The model checker's seen-state table: a striped (sharded) hash table
@@ -83,18 +78,13 @@ struct FpInsertItem {
 /// Thread safety: every single-key operation takes exactly one shard
 /// mutex, and InsertBatch takes each shard it touches once; shards are
 /// selected by the fingerprint's top bits, so concurrent workers rarely
-/// collide. size() and collisions() are lock-free counters.
+/// collide. size() is a lock-free counter.
 class FingerprintSet {
  public:
   struct Options {
     /// Lock stripes; rounded up to a power of two. Many more stripes than
     /// workers keeps contention negligible.
     int num_shards = 64;
-    /// Collision audit: keep a full State copy beside each record, compare
-    /// it on every fingerprint hit and count mismatches (genuine 64-bit
-    /// collisions). Costs roughly the memory the fingerprint table
-    /// otherwise saves.
-    bool audit = false;
     /// Maintain per-state sleep/done masks for sleep-set POR.
     bool track_por = false;
     /// Barrier-free POR for the relaxed exploration policy: Insert folds
@@ -112,8 +102,8 @@ class FingerprintSet {
     /// for its uncovered-work test inside Insert.
     uint64_t por_all_actions = 0;
     /// Out-of-core tier: directory for sealed spill runs. Empty disables
-    /// spilling entirely. Incompatible with audit/track_por
-    /// (those need mutable or full-state records; the engine gates this).
+    /// spilling entirely. Incompatible with track_por (it needs mutable
+    /// records; the engine gates this).
     std::string spill_dir;
     /// Allocated hot-table bytes (see table_bytes()) that trigger eviction
     /// via EvictIfOverBudget. 0 means no budget (evictions only happen on
@@ -131,16 +121,15 @@ class FingerprintSet {
   explicit FingerprintSet(Options options);
 
   /// Records `fp` if unseen (predecessor `pred_fp` via `action`, at
-  /// `depth`, discovered at `order_key`); otherwise merges: audits for
-  /// collisions, min-merges the predecessor for same-depth candidates
-  /// with a smaller order key — so counterexample traces are
-  /// bit-identical across worker counts — and intersects the POR sleep
-  /// mask into the record's PENDING mask (reporting sleep_shrunk when
-  /// pending drops below the settled mask). The settled mask that
-  /// expansion reads is only updated by SettlePor at a level barrier, so
-  /// mid-level revisits never race with AcquireExpand — that two-phase
-  /// split is what makes every POR counter and trace
-  /// worker-count-invariant. `state` must be non-null under audit.
+  /// `depth`, discovered at `order_key`); otherwise merges: min-merges
+  /// the predecessor for same-depth candidates with a smaller order key
+  /// — so counterexample traces are bit-identical across worker counts
+  /// — and intersects the POR sleep mask into the record's PENDING mask
+  /// (reporting sleep_shrunk when pending drops below the settled mask).
+  /// The settled mask that expansion reads is only updated by SettlePor
+  /// at a level barrier, so mid-level revisits never race with
+  /// AcquireExpand — that two-phase split is what makes every POR counter
+  /// and trace worker-count-invariant.
   ///
   /// With a spill tier, a hot-table miss does not probe disk: it records
   /// a provisional entry and reports FpInsert::pending. The caller
@@ -150,9 +139,12 @@ class FingerprintSet {
   /// on disk at every instant" invariant holds throughout: the
   /// provisional record keeps concurrent inserts of the same fingerprint
   /// from double-probing, and eviction skips provisional records.
+  ///
+  /// The trailing null argument carries nothing; it keeps seven-argument
+  /// callers (xbench/bench_xmodel.cc) compiling.
   FpInsert Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
                   int64_t depth, uint64_t order_key, uint64_t sleep_mask,
-                  const State* state);
+                  std::nullptr_t = nullptr);
 
   /// Inserts `items` and stores in out[i] exactly what Insert(items[i])
   /// would return had the items been inserted one at a time, in order;
@@ -221,15 +213,8 @@ class FingerprintSet {
   /// and the shard locks would only bounce between them.
   std::optional<uint64_t> QuiescentOrderKey(uint64_t fp) const;
 
-  /// Audit mode: a copy of the full state stored for `fp`.
-  std::optional<State> FindState(uint64_t fp) const;
-
   /// Number of distinct fingerprints inserted.
   size_t size() const { return size_.load(std::memory_order_relaxed); }
-  /// Audit mode: distinct-state pairs observed sharing a fingerprint.
-  uint64_t collisions() const {
-    return collisions_.load(std::memory_order_relaxed);
-  }
   /// Aggregate load factor across shards (records per slot, at most 7/8):
   /// what CheckResult::fingerprint_load reports.
   double load_factor() const;
@@ -283,7 +268,6 @@ class FingerprintSet {
   struct alignas(64) Shard {
     mutable std::mutex mu;
     internal::FpTable table;
-    std::unordered_map<uint64_t, State> states;  // Audit only.
   };
 
   size_t ShardIndex(uint64_t fp) const {
@@ -312,7 +296,6 @@ class FingerprintSet {
   // Out-of-core tier (null unless Options::spill_dir is set).
   std::unique_ptr<SpillTier> tier_;
   std::mutex evict_mu_;  // Serializes EvictAll/EvictIfOverBudget.
-  std::atomic<uint64_t> collisions_{0};  // Audit only.
 
   // Counters that inserts from every worker bump, each on a cache line of
   // its own: sharing one with each other or with the read-mostly fields

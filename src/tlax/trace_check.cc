@@ -117,18 +117,6 @@ struct StagedExpansion {
   State succ;
 };
 
-// Spec states one step's search may explore: max_search_states_per_step,
-// tightened by memory_budget_mb.
-uint64_t StepBudget(const TraceCheckOptions& options) {
-  uint64_t budget = options.max_search_states_per_step;
-  if (options.memory_budget_mb > 0) {
-    const uint64_t derived =
-        std::max<uint64_t>(1000, (options.memory_budget_mb << 20) / 256);
-    budget = std::min(budget, derived);
-  }
-  return budget;
-}
-
 // What one step's search found.
 struct Advance {
   /// Action names whose final step explained the match, in fold order.
@@ -176,7 +164,7 @@ Advance AdvanceFrontier(const Spec& spec, const TraceState& target,
   Frontier visited;  // Dedup across layers.
   std::vector<State> layer = frontier->states();
   for (const State& s : layer) visited.Add(s);
-  uint64_t budget = StepBudget(options);
+  uint64_t budget = options.max_search_states_per_step;
 
   const std::vector<Action>& actions = spec.actions();
   for (int depth = 1;
@@ -341,8 +329,8 @@ TraceCheckResult CheckSteps(const TraceCheckOptions& options,
           result.status = Status::ResourceExhausted(StrCat(
               "trace step ", i, " is unexplained, but the search of step ",
               first_truncated, " stopped at its budget of ",
-              StepBudget(options), " states; raise "
-              "max_search_states_per_step (or memory_budget_mb)"));
+              options.max_search_states_per_step,
+              " states; raise max_search_states_per_step"));
         } else {
           result.status = Status::FailedPrecondition(
               StrCat("no action of spec '", spec.name(),

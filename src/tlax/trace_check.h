@@ -46,14 +46,6 @@ struct TraceCheckOptions {
   /// may miss states, so a trace that then fails to match is reported as
   /// ResourceExhausted, not as a violation.
   uint64_t max_search_states_per_step = 200'000;
-  /// Approximate memory bound for the per-step search, in megabytes.
-  /// The trace checker keeps full states resident (the viable set is
-  /// consulted for every successor), so unlike the model checker's
-  /// disk-tiered seen-set (CheckerOptions::memory_budget_mb) this does
-  /// not spill: it tightens max_search_states_per_step to roughly
-  /// budget_bytes / 256 (a conservative per-state estimate), floor 1000.
-  /// 0 = no memory-derived cap.
-  uint64_t memory_budget_mb = 0;
   /// Expansion workers for the per-step search: 1 (default) is the classic
   /// serial sweep, 0 means one per hardware thread. Each search layer is
   /// staged then folded: workers only stage the expensive action

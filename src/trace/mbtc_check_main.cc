@@ -14,11 +14,9 @@
 //   --abstract           check against the abstract spec variant
 //   --no-stutter         disallow stuttering steps in the trace check
 //
-// It also takes the shared checker flags --workers (trace-check expansion
-// workers, 0 = all cores; results are identical across worker counts)
-// and --mem-budget-mb (tightens the per-step hidden-state search to ~N MB
-// worth of states: the trace checker keeps full states resident, so it
-// caps rather than spills), and every shared observability flag
+// It also takes the shared checker flag --workers (trace-check expansion
+// workers, 0 = all cores; results are identical across worker counts) and
+// every shared observability flag
 // (--metrics-out, --trace-out, --events-out, --serve, --serve-linger-ms,
 // --stall-timeout-ms). README.md "Shared flags" lists them all.
 //
@@ -89,8 +87,7 @@ int main(int argc, char** argv) {
           {[&](std::string_view arg, std::string*) {
              return ParseMbtcFlag(arg, &options);
            },
-           tlax::CheckerFlags(tlax::kWorkersFlag | tlax::kMemBudgetFlag,
-                              &options.checker),
+           tlax::CheckerFlags(tlax::kWorkersFlag, &options.checker),
            obs::SessionFlags(obs::kAllSessionFlags, &options.obs)})) {
     Usage(argv[0]);
     return 2;
@@ -169,8 +166,6 @@ int main(int argc, char** argv) {
   trace::MbtcPipelineOptions pipeline_options;
   pipeline_options.checker.allow_stuttering = options.stutter;
   pipeline_options.checker.num_workers = options.checker.num_workers;
-  pipeline_options.checker.memory_budget_mb =
-      options.checker.memory_budget_mb;
   // The checker heartbeats per drained expansion batch (on top of the
   // pipeline's per-phase beats), so /healthz stays live inside a long
   // trace-check phase.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "specs/toy_specs.h"
 #include "tlax/checker.h"
 #include "tlax/liveness.h"
@@ -45,6 +46,27 @@ TEST(CheckerTest, DieHardSolutionHasSevenStates) {
   EXPECT_EQ(result.violation->kind, "BigNot4");
   EXPECT_EQ(result.violation->trace.size(), 7u);
   EXPECT_EQ(result.violation->trace.back().state.var(1).int_value(), 4);
+}
+
+// TLC's optimistic estimate n * (g - n) / 2^64, in the result and on the
+// published gauge.
+TEST(CheckerTest, CollisionProbabilityIsTlcEstimate) {
+  const obs::Gauge& gauge = obs::MetricsRegistry::Global().GetGauge(
+      "checker.fingerprint.collision_probability");
+  // 25 states; 40 increments within the limit plus the initial state.
+  CheckResult result = ModelChecker().Check(CounterSpec(/*limit=*/4));
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_EQ(result.distinct_states, 25u);
+  ASSERT_EQ(result.generated_states, 41u);
+  EXPECT_EQ(result.fingerprint_collision_probability, 25.0 * 16.0 / 0x1p64);
+  EXPECT_EQ(gauge.value(), result.fingerprint_collision_probability);
+
+  // One state and no successor: g == n, nothing was revisited.
+  result = ModelChecker().Check(CounterSpec(/*limit=*/0));
+  ASSERT_TRUE(result.status.ok());
+  ASSERT_EQ(result.generated_states, result.distinct_states);
+  EXPECT_EQ(result.fingerprint_collision_probability, 0.0);
+  EXPECT_EQ(gauge.value(), 0.0);
 }
 
 TEST(CheckerTest, MaxStatesAborts) {

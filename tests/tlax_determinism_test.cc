@@ -51,7 +51,8 @@ void ExpectWorkerInvariant(const Spec& spec, CheckerOptions options = {}) {
     EXPECT_EQ(result.diameter, base.diameter);
     EXPECT_EQ(result.frontier_peak, base.frontier_peak);
     EXPECT_EQ(result.por_slept_actions, base.por_slept_actions);
-    EXPECT_EQ(result.fingerprint_collisions, base.fingerprint_collisions);
+    EXPECT_EQ(result.fingerprint_collision_probability,
+              base.fingerprint_collision_probability);
 
     ASSERT_EQ(result.violation.has_value(), base.violation.has_value());
     if (base.violation.has_value()) {
@@ -326,7 +327,8 @@ void ExpectInterningInvariant(const Spec& spec, CheckerOptions options = {},
   EXPECT_EQ(warm.diameter, cold.diameter);
   EXPECT_EQ(warm.frontier_peak, cold.frontier_peak);
   EXPECT_EQ(warm.por_slept_actions, cold.por_slept_actions);
-  EXPECT_EQ(warm.fingerprint_collisions, cold.fingerprint_collisions);
+  EXPECT_EQ(warm.fingerprint_collision_probability,
+            cold.fingerprint_collision_probability);
   ASSERT_EQ(warm.violation.has_value(), cold.violation.has_value());
   if (expect_violation) {
     ASSERT_TRUE(cold.violation.has_value());
@@ -398,21 +400,6 @@ TEST(InterningDeterminismTest, InternLiveRepHighWaterMark) {
       << "a repeated identical check interned new reps — values are not "
          "being deduplicated";
   EXPECT_EQ(second.distinct_states, first.distinct_states);
-}
-
-TEST(DeterminismTest, FpAuditReportsZeroCollisionsAcrossWorkers) {
-  specs::RaftMongoConfig config;
-  config.max_term = 2;
-  config.max_oplog_len = 2;
-  specs::RaftMongoSpec spec(config);
-  for (int workers : {1, 4}) {
-    CheckerOptions options;
-    options.num_workers = workers;
-    options.fp_audit = true;
-    CheckResult result = ModelChecker(options).Check(spec);
-    ASSERT_TRUE(result.status.ok());
-    EXPECT_EQ(result.fingerprint_collisions, 0u) << "workers=" << workers;
-  }
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // Unit tests for the sharded fingerprint table backing the parallel
 // checker: the flat per-shard table against a reference map, insert/merge
-// semantics, the POR expansion handshake, the collision audit, the
-// allocated-bytes memory budget, batched inserts against one-at-a-time
-// ones, and multi-threaded insert hammers that the TSan CI job runs to
-// certify the locking.
+// semantics, the POR expansion handshake, the allocated-bytes memory
+// budget, batched inserts against one-at-a-time ones, and multi-threaded
+// insert hammers that the TSan CI job runs to certify the locking.
 
 #include <gtest/gtest.h>
 
@@ -43,16 +42,14 @@ TEST(FingerprintTest, StableAndDiscriminating) {
 TEST(FpsetTest, InsertThenDuplicate) {
   FingerprintSet set;
   FpInsert first = set.Insert(/*fp=*/100, /*pred_fp=*/0, kFpInitialAction,
-                              /*depth=*/0, /*order_key=*/0, /*sleep_mask=*/0,
-                              nullptr);
+                              /*depth=*/0, /*order_key=*/0, /*sleep_mask=*/0);
   EXPECT_TRUE(first.inserted);
   EXPECT_EQ(first.depth, 0);
   EXPECT_EQ(set.size(), 1u);
 
   FpInsert dup = set.Insert(100, /*pred_fp=*/7, /*action=*/3, /*depth=*/5,
-                            /*order_key=*/99, 0, nullptr);
+                            /*order_key=*/99, 0);
   EXPECT_FALSE(dup.inserted);
-  EXPECT_FALSE(dup.collision);
   EXPECT_EQ(dup.depth, 0) << "existing record's depth is reported";
   EXPECT_EQ(set.size(), 1u);
 
@@ -65,14 +62,14 @@ TEST(FpsetTest, InsertThenDuplicate) {
 
 TEST(FpsetTest, MinMergeAdoptsSmallerSameDepthKey) {
   FingerprintSet set;
-  set.Insert(/*fp=*/1, 0, kFpInitialAction, 0, 0, 0, nullptr);
-  set.Insert(/*fp=*/2, 0, kFpInitialAction, 0, 1, 0, nullptr);
+  set.Insert(/*fp=*/1, 0, kFpInitialAction, 0, 0, 0);
+  set.Insert(/*fp=*/2, 0, kFpInitialAction, 0, 1, 0);
   // First discovery of fp 50 at depth 1 via pred 2, key 40.
   set.Insert(50, /*pred_fp=*/2, /*action=*/4, /*depth=*/1, /*order_key=*/40,
-             0, nullptr);
+             0);
   // A same-depth rediscovery with a SMALLER key wins the predecessor slot…
   set.Insert(50, /*pred_fp=*/1, /*action=*/2, /*depth=*/1, /*order_key=*/10,
-             0, nullptr);
+             0);
   auto edge = set.GetEdge(50);
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->pred_fp, 1u);
@@ -80,34 +77,11 @@ TEST(FpsetTest, MinMergeAdoptsSmallerSameDepthKey) {
   EXPECT_EQ(edge->order_key, 10u);
   // …and a larger key does not.
   set.Insert(50, /*pred_fp=*/2, /*action=*/9, /*depth=*/1, /*order_key=*/20,
-             0, nullptr);
+             0);
   edge = set.GetEdge(50);
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->pred_fp, 1u);
   EXPECT_EQ(edge->order_key, 10u);
-}
-
-TEST(FpsetTest, AuditCountsGenuineCollisions) {
-  FingerprintSet::Options options;
-  options.audit = true;
-  FingerprintSet set(options);
-
-  State a = MakeState(1, 2);
-  State b = MakeState(3, 4);
-  set.Insert(100, 0, kFpInitialAction, 0, 0, 0, &a);
-  // Same fingerprint, same state: a plain duplicate, not a collision.
-  FpInsert dup = set.Insert(100, 0, kFpInitialAction, 0, 1, 0, &a);
-  EXPECT_FALSE(dup.collision);
-  EXPECT_EQ(set.collisions(), 0u);
-  // Same fingerprint, different state: a genuine 64-bit collision.
-  FpInsert clash = set.Insert(100, 0, kFpInitialAction, 0, 2, 0, &b);
-  EXPECT_FALSE(clash.inserted);
-  EXPECT_TRUE(clash.collision);
-  EXPECT_EQ(set.collisions(), 1u);
-
-  auto stored = set.FindState(100);
-  ASSERT_TRUE(stored.has_value());
-  EXPECT_EQ(*stored, a) << "the first-inserted state stays authoritative";
 }
 
 TEST(FpsetTest, PorSleepIntersectSettleAndWake) {
@@ -117,7 +91,7 @@ TEST(FpsetTest, PorSleepIntersectSettleAndWake) {
   const uint64_t all = 0b1111;
 
   // Discovered with actions {1,3} slept (mask 0b1010).
-  set.Insert(7, 0, kFpInitialAction, 0, 0, /*sleep_mask=*/0b1010, nullptr);
+  set.Insert(7, 0, kFpInitialAction, 0, 0, /*sleep_mask=*/0b1010);
   FingerprintSet::ExpandGrant grant = set.AcquireExpand(7, all);
   EXPECT_EQ(grant.sleep, 0b1010u);
   EXPECT_EQ(grant.explored_before, 0u);
@@ -125,7 +99,7 @@ TEST(FpsetTest, PorSleepIntersectSettleAndWake) {
 
   // Re-discovery with a smaller sleep set {3}: the shrink is pending, not
   // settled — expansion still sees the old mask until the barrier.
-  FpInsert shrink = set.Insert(7, 9, 2, 1, 5, /*sleep_mask=*/0b1000, nullptr);
+  FpInsert shrink = set.Insert(7, 9, 2, 1, 5, /*sleep_mask=*/0b1000);
   EXPECT_FALSE(shrink.inserted);
   EXPECT_TRUE(shrink.sleep_shrunk);
 
@@ -139,12 +113,12 @@ TEST(FpsetTest, PorSleepIntersectSettleAndWake) {
   EXPECT_EQ(grant.to_expand, 0b0010u) << "only the newly freed action";
 
   // A further revisit with the same mask leaves pending == settled…
-  FpInsert quiet = set.Insert(7, 9, 2, 1, 6, /*sleep_mask=*/0b1000, nullptr);
+  FpInsert quiet = set.Insert(7, 9, 2, 1, 6, /*sleep_mask=*/0b1000);
   EXPECT_FALSE(quiet.sleep_shrunk);
   // …and settling an already-queued state applies the mask but does not
   // enqueue it a second time.
-  set.Insert(8, 0, kFpInitialAction, 0, 1, 0b0001, nullptr);
-  FpInsert requeue = set.Insert(8, 9, 1, 1, 7, /*sleep_mask=*/0, nullptr);
+  set.Insert(8, 0, kFpInitialAction, 0, 1, 0b0001);
+  FpInsert requeue = set.Insert(8, 9, 1, 1, 7, /*sleep_mask=*/0);
   EXPECT_TRUE(requeue.sleep_shrunk);
   settle = set.SettlePor(8, all);
   EXPECT_FALSE(settle.wake)
@@ -161,8 +135,8 @@ TEST(FpsetTest, ShardCountRoundsUpToPowerOfTwo) {
   // Single-shard degenerate case still works (shift-by-64 guard).
   options.num_shards = 1;
   FingerprintSet one(options);
-  set.Insert(0xFFFFFFFFFFFFFFFFull, 0, kFpInitialAction, 0, 0, 0, nullptr);
-  one.Insert(0xFFFFFFFFFFFFFFFFull, 0, kFpInitialAction, 0, 0, 0, nullptr);
+  set.Insert(0xFFFFFFFFFFFFFFFFull, 0, kFpInitialAction, 0, 0, 0);
+  one.Insert(0xFFFFFFFFFFFFFFFFull, 0, kFpInitialAction, 0, 0, 0);
   EXPECT_EQ(one.num_shards(), 1u);
   EXPECT_EQ(one.size(), 1u);
 }
@@ -333,7 +307,7 @@ TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
   // With a spill tier a miss defers its disk probe; settle each insert at
   // once so the record is no longer provisional and can be evicted.
   auto insert_new = [&set](uint64_t fp, uint64_t key) {
-    if (!set.Insert(fp, 0, kFpInitialAction, 0, key, 0, nullptr).pending) {
+    if (!set.Insert(fp, 0, kFpInitialAction, 0, key, 0).pending) {
       return false;
     }
     std::vector<uint8_t> on_disk;
@@ -396,7 +370,7 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
         uint64_t fp = common::Mix64(k + 1);
         FpInsert r = set.Insert(fp, /*pred_fp=*/static_cast<uint64_t>(t),
                                 /*action=*/static_cast<uint16_t>(t),
-                                /*depth=*/1, /*order_key=*/k, 0, nullptr);
+                                /*depth=*/1, /*order_key=*/k, 0);
         if (r.inserted) ++local_wins;
         EXPECT_EQ(r.depth, 1);
       }
@@ -407,7 +381,6 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
 
   EXPECT_EQ(set.size(), kKeys);
   EXPECT_EQ(wins.load(), kKeys) << "exactly one inserter wins each key";
-  EXPECT_EQ(set.collisions(), 0u);
   for (uint64_t k = 0; k < kKeys; ++k) {
     auto edge = set.GetEdge(common::Mix64(k + 1));
     ASSERT_TRUE(edge.has_value());
@@ -420,9 +393,8 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
 }
 
 bool SameInsert(const FpInsert& a, const FpInsert& b) {
-  return a.inserted == b.inserted && a.collision == b.collision &&
-         a.sleep_shrunk == b.sleep_shrunk && a.wake == b.wake &&
-         a.pending == b.pending && a.depth == b.depth;
+  return a.inserted == b.inserted && a.sleep_shrunk == b.sleep_shrunk &&
+         a.wake == b.wake && a.pending == b.pending && a.depth == b.depth;
 }
 
 // InsertBatch against the same items inserted one at a time in order, in
@@ -433,16 +405,15 @@ bool SameInsert(const FpInsert& a, const FpInsert& b) {
 // resolutions and evictions, so later batches revisit records in every
 // state those leave behind.
 TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
-  enum class Mode { kPlain, kAudit, kLevelPor, kImmediatePor, kSpill };
+  enum class Mode { kPlain, kLevelPor, kImmediatePor, kSpill };
   constexpr uint64_t kAllActions = 0b1111;
-  for (Mode mode : {Mode::kPlain, Mode::kAudit, Mode::kLevelPor,
-                    Mode::kImmediatePor, Mode::kSpill}) {
+  for (Mode mode : {Mode::kPlain, Mode::kLevelPor, Mode::kImmediatePor,
+                    Mode::kSpill}) {
     const int m = static_cast<int>(mode);
     SCOPED_TRACE(testing::Message() << "mode " << m);
     auto options_for = [&](const char* side) {
       FingerprintSet::Options o;
       o.num_shards = 4;
-      o.audit = mode == Mode::kAudit;
       o.track_por = mode == Mode::kLevelPor || mode == Mode::kImmediatePor;
       o.immediate_por_settle = mode == Mode::kImmediatePor;
       o.por_all_actions = kAllActions;
@@ -457,9 +428,6 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
     common::Rng rng(0xba7c4 + static_cast<uint64_t>(m));
     std::vector<uint64_t> pool;
     for (uint64_t k = 0; k < 300; ++k) pool.push_back(common::Mix64(k));
-    // Audit: a few states per fingerprint, so some revisits collide.
-    std::vector<State> states;
-    for (int64_t v = 0; v < 3; ++v) states.push_back(MakeState(v, v));
 
     uint64_t revisits = 0;
     uint64_t shrinks = 0;
@@ -474,13 +442,12 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
         item.sleep_mask = rng.Below(kAllActions + 1);
         item.depth = 1 + static_cast<int64_t>(rng.Below(2));
         item.action = static_cast<uint16_t>(rng.Below(4));
-        item.state = &states[rng.Below(states.size())];
       }
       std::vector<FpInsert> expected;
       for (const FpInsertItem& item : items) {
         expected.push_back(one.Insert(item.fp, item.pred_fp, item.action,
                                       item.depth, item.order_key,
-                                      item.sleep_mask, item.state));
+                                      item.sleep_mask));
       }
       std::vector<FpInsert> got(items.size());
       batched.InsertBatch(items, got);
@@ -494,7 +461,6 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
         wakes += expected[i].wake;
       }
       ASSERT_EQ(batched.size(), one.size());
-      ASSERT_EQ(batched.collisions(), one.collisions());
 
       if (mode == Mode::kSpill) {
         std::vector<uint8_t> one_disk;
@@ -546,9 +512,6 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
     }
     // Every mode reached the results it can produce.
     EXPECT_GT(revisits, 0u);
-    if (mode == Mode::kAudit) {
-      EXPECT_GT(one.collisions(), 0u);
-    }
     if (mode == Mode::kLevelPor) {
       EXPECT_GT(shrinks, 0u);
     }

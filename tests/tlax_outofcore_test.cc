@@ -82,7 +82,8 @@ void ExpectSpillInvisible(ExplorationPolicy policy) {
     // verdicts regardless of where the seen-set lives.
     EXPECT_EQ(result.distinct_states, base.distinct_states);
     EXPECT_EQ(result.generated_states, base.generated_states);
-    EXPECT_EQ(result.fingerprint_collisions, base.fingerprint_collisions);
+    EXPECT_EQ(result.fingerprint_collision_probability,
+              base.fingerprint_collision_probability);
     EXPECT_FALSE(result.violation.has_value());
     if (policy == ExplorationPolicy::kLevelSync) {
       // Level-sync additionally promises bit-identical order-dependent
@@ -183,7 +184,8 @@ TEST(OutOfCoreTest, MidRunCompactionStaysExact) {
         << "the budget must force enough generations to trip compaction";
     EXPECT_EQ(result.distinct_states, base.distinct_states);
     EXPECT_EQ(result.generated_states, base.generated_states);
-    EXPECT_EQ(result.fingerprint_collisions, base.fingerprint_collisions);
+    EXPECT_EQ(result.fingerprint_collision_probability,
+              base.fingerprint_collision_probability);
     EXPECT_FALSE(result.violation.has_value());
   }
 }
@@ -271,7 +273,8 @@ void ExpectResumeMatchesUninterrupted(ExplorationPolicy policy) {
   EXPECT_TRUE(result.resumed);
   EXPECT_EQ(result.distinct_states, reference.distinct_states);
   EXPECT_EQ(result.generated_states, reference.generated_states);
-  EXPECT_EQ(result.fingerprint_collisions, reference.fingerprint_collisions);
+  EXPECT_EQ(result.fingerprint_collision_probability,
+            reference.fingerprint_collision_probability);
   EXPECT_FALSE(result.violation.has_value());
   if (policy == ExplorationPolicy::kLevelSync) {
     EXPECT_EQ(result.diameter, reference.diameter);

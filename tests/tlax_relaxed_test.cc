@@ -68,6 +68,8 @@ void ExpectRelaxedMatchesLevel(const Spec& spec, CheckerOptions options = {},
       EXPECT_EQ(result.distinct_states, base.distinct_states);
       if (generated_exact) {
         EXPECT_EQ(result.generated_states, base.generated_states);
+        EXPECT_EQ(result.fingerprint_collision_probability,
+                  base.fingerprint_collision_probability);
       }
     } else {
       EXPECT_GE(result.distinct_states, base.distinct_states)
@@ -81,12 +83,13 @@ void ExpectRelaxedMatchesLevel(const Spec& spec, CheckerOptions options = {},
         if (generated_exact) {
           EXPECT_EQ(result.generated_states,
                     relaxed_base->generated_states);
+          EXPECT_EQ(result.fingerprint_collision_probability,
+                    relaxed_base->fingerprint_collision_probability);
         }
         ASSERT_TRUE(result.violation.has_value());
         EXPECT_EQ(result.violation->kind, relaxed_base->violation->kind);
       }
     }
-    EXPECT_EQ(result.fingerprint_collisions, base.fingerprint_collisions);
     EXPECT_GE(result.idle_fraction, 0.0);
     EXPECT_LE(result.idle_fraction, 1.0);
     // No barriers — the barrier profile must stay empty, the relaxed one

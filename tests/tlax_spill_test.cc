@@ -504,7 +504,7 @@ TEST(SpillTierTest, CompactedRunBytesMatchOneSeal) {
 bool InsertAndResolve(FingerprintSet& set, uint64_t fp, uint64_t pred_fp,
                       uint16_t action, int64_t depth, uint64_t order_key) {
   const FpInsert r =
-      set.Insert(fp, pred_fp, action, depth, order_key, 0, nullptr);
+      set.Insert(fp, pred_fp, action, depth, order_key, 0);
   EXPECT_FALSE(r.inserted) << "a miss with a spill tier defers its probe";
   if (!r.pending) return false;  // Hot revisit.
   std::vector<uint8_t> on_disk;
@@ -566,16 +566,16 @@ TEST(FpsetSpillTest, DeferredInsertsResolveAgainstDiskInOneBatch) {
   // within the batch merges into its provisional record (not pending
   // twice).
   std::vector<uint64_t> pending;
-  FpInsert r = set.Insert(50, 7, 3, 9, 50, 0, nullptr);
+  FpInsert r = set.Insert(50, 7, 3, 9, 50, 0);
   EXPECT_TRUE(r.pending);
   pending.push_back(50);
-  r = set.Insert(1'000, 8, 2, 4, 60, 0, nullptr);
+  r = set.Insert(1'000, 8, 2, 4, 60, 0);
   EXPECT_TRUE(r.pending);
   pending.push_back(1'000);
-  r = set.Insert(1'000, 9, 2, 4, 61, 0, nullptr);
+  r = set.Insert(1'000, 9, 2, 4, 61, 0);
   EXPECT_FALSE(r.pending) << "hot revisit merges, not a second probe";
   EXPECT_FALSE(r.inserted);
-  r = set.Insert(1'001, 8, 2, 4, 62, 0, nullptr);
+  r = set.Insert(1'001, 8, 2, 4, 62, 0);
   EXPECT_TRUE(r.pending);
   pending.push_back(1'001);
 

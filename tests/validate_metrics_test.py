@@ -32,6 +32,7 @@ def base():
         "checker.states.generated": c(100), "checker.states.distinct": c(40),
         "checker.policy": g(0), "checker.workers.used": g(2),
         "checker.fingerprint.load": g(0.5), "checker.idle_fraction": g(0.25),
+        "checker.fingerprint.collision_probability": g(1.3e-16),
         "checker.barrier.settle_ms": g(1.5),
         "checker.barrier.assemble_ms": g(0.5),
         "checker.barrier.graph_ms": g(0.25),
@@ -259,6 +260,9 @@ FAMILY = [
     ("fingerprint load kind", [setv("checker.fingerprint.load", "counter",
                                     "kind")],
      "checker.fingerprint.load", False, True),
+    ("collision probability sign",
+     [setv("checker.fingerprint.collision_probability", -1e-16)],
+     "checker.fingerprint.collision_probability", False, False),
     ("workers used", [setv("checker.workers.used", 0)],
      "checker.workers.used", False, False),
     ("worker index", [rename("checker.worker1.expansions",
