@@ -9,15 +9,12 @@
 // magnitude more states and a far super-proportional check time — is the
 // claim under reproduction.
 
-// A policy × worker sweep (see DESIGN.md "Parallel checking" and
-// "Exploration policies") rides along: the detailed spec re-checked under
-// both exploration policies at 1, 2, and 4 workers, asserting the
-// distinct-state count never moves in ANY cell — level-sync by
-// determinism, relaxed by its full-drain contract — while emitting
-// states/sec and idle_fraction per (policy, workers) so the artifact
-// shows what the work-stealing frontier buys over the barriers.
-// `--workers=N` additionally runs the E1 rows themselves on N workers,
-// and `--explore=relaxed` switches the E1 rows' policy.
+// A worker sweep (see DESIGN.md "Parallel checking") rides along: the
+// detailed spec re-checked at 1, 2, and 4 workers, asserting the
+// distinct-state count never moves, while emitting states/sec and
+// idle_fraction per worker count so the artifact shows what the level
+// barriers cost. `--workers=N` additionally runs the E1 rows themselves
+// on N workers.
 
 #include <cstdio>
 #include <memory>
@@ -45,8 +42,7 @@ struct Row {
   bool symmetry = false;
 };
 
-bool RunRow(const Row& row, int workers,
-            xmodel::tlax::ExplorationPolicy policy, double* abstract_states,
+bool RunRow(const Row& row, int workers, double* abstract_states,
             double* abstract_secs, xmodel::bench::Harness* bench) {
   RaftMongoConfig config;
   config.variant = row.variant;
@@ -57,7 +53,6 @@ bool RunRow(const Row& row, int workers,
   RaftMongoSpec spec(config);
   xmodel::tlax::CheckerOptions options;
   options.num_workers = workers;
-  options.exploration = policy;
   auto result = xmodel::tlax::ModelChecker(options).Check(spec);
   if (!result.status.ok()) {
     std::fprintf(stderr, "%s terms<=%lld oplog<=%lld aborted: %s\n",
@@ -99,14 +94,12 @@ bool RunRow(const Row& row, int workers,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --workers and --explore set the E1 rows' workers and policy;
-  // --mem-budget-mb sets the spill sweep's tight budget (default 1, so 0
+  // --workers sets the E1 rows' workers; --mem-budget-mb sets the spill sweep's tight budget (default 1, so 0
   // is rejected).
   xmodel::tlax::CheckerOptions flags;
   flags.memory_budget_mb = 1;
   const xmodel::common::FlagParser checker_flags = xmodel::tlax::CheckerFlags(
-      xmodel::tlax::kWorkersFlag | xmodel::tlax::kExploreFlag |
-          xmodel::tlax::kMemBudgetFlag,
+      xmodel::tlax::kWorkersFlag | xmodel::tlax::kMemBudgetFlag,
       &flags);
   xmodel::bench::Harness bench(
       "state_space", argc, argv,
@@ -118,12 +111,11 @@ int main(int argc, char** argv) {
       });
   const int workers = flags.num_workers;
   const unsigned long long mem_budget_mb = flags.memory_budget_mb;
-  const xmodel::tlax::ExplorationPolicy policy = flags.exploration;
 
   std::printf("E1: state-space cost of a trace-checkable specification\n");
   std::printf("(RaftMongo, 3 nodes; Abstract = pre-MBTC spec, Detailed = "
-              "rewritten for MBTC; %d worker(s), %s exploration)\n\n",
-              workers, xmodel::tlax::ExplorationPolicyName(policy));
+              "rewritten for MBTC; %d worker(s))\n\n",
+              workers);
 
   double abstract_states = 1, abstract_secs = 1;
 
@@ -144,20 +136,16 @@ int main(int argc, char** argv) {
                   row.label);
       continue;
     }
-    if (!RunRow(row, workers, policy, &abstract_states, &abstract_secs,
-                &bench)) {
+    if (!RunRow(row, workers, &abstract_states, &abstract_secs, &bench)) {
       return bench.Fail("model check aborted");
     }
   }
 
-  // Policy × worker sweep: the detailed spec, fixed bounds, both
-  // exploration policies at rising worker counts. The state set must be
-  // identical in every cell — level-sync is deterministic, and the
-  // relaxed full-drain contract pins distinct at any worker count — so a
-  // divergence anywhere in the grid fails the bench outright. What the
-  // grid is for: states/sec and idle_fraction per (policy, workers),
-  // showing how much of the barrier wait the work-stealing frontier
-  // converts into throughput.
+  // Worker sweep: the detailed spec, fixed bounds, at rising worker
+  // counts. Level-sync is deterministic, so the state set must be
+  // identical at every worker count and a divergence fails the bench
+  // outright. What the sweep is for: states/sec and idle_fraction per
+  // worker count, showing what the level barriers cost.
   {
     RaftMongoConfig config;
     config.variant = RaftMongoVariant::kDetailed;
@@ -166,7 +154,7 @@ int main(int argc, char** argv) {
     config.max_oplog_len = bench.quick() ? 2 : 3;
     RaftMongoSpec spec(config);
     unsigned hw = std::thread::hardware_concurrency();
-    std::printf("\npolicy x worker scaling (Detailed, terms<=2 oplog<=%lld, "
+    std::printf("\nworker scaling (Detailed, terms<=2 oplog<=%lld, "
                 "%u hardware thread(s)):\n",
                 static_cast<long long>(config.max_oplog_len), hw);
     if (hw < 2) {
@@ -178,48 +166,40 @@ int main(int argc, char** argv) {
         bench.quick() ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4};
     unsigned long long base_distinct = 0;
     double base_rate = 0;
-    for (auto sweep_policy : {xmodel::tlax::ExplorationPolicy::kLevelSync,
-                              xmodel::tlax::ExplorationPolicy::kRelaxed}) {
-      const char* pname = xmodel::tlax::ExplorationPolicyName(sweep_policy);
-      for (int w : sweep) {
-        xmodel::tlax::CheckerOptions options;
-        options.num_workers = w;
-        options.exploration = sweep_policy;
-        // Live plane: heartbeats + /progress while the sweep runs (no-ops
-        // unless --serve is up), and the idle-time profiler result below.
-        options.watchdog = bench.watchdog();
-        options.progress_reporter = bench.progress();
-        auto result = xmodel::tlax::ModelChecker(options).Check(spec);
-        if (!result.status.ok()) {
-          return bench.Fail("policy/worker-scaling check aborted");
-        }
-        double rate = result.seconds > 0
-                          ? static_cast<double>(result.generated_states) /
-                                result.seconds
-                          : 0;
-        if (base_distinct == 0) {
-          base_distinct = result.distinct_states;
-          base_rate = rate;
-        } else if (result.distinct_states != base_distinct) {
-          return bench.Fail(xmodel::common::StrCat(
-              "exploration sweep changed distinct_states: ", base_distinct,
-              " at level w1 vs ", result.distinct_states, " at ", pname,
-              " w", w));
-        }
-        double speedup = base_rate > 0 ? rate / base_rate : 0;
-        std::printf("  %-7s workers=%d  %12llu states  depth %2lld  "
-                    "%8.2f s  %10.0f states/sec  %.2fx  idle %.1f%%\n",
-                    pname, result.workers_used,
-                    static_cast<unsigned long long>(result.distinct_states),
-                    static_cast<long long>(result.diameter), result.seconds,
-                    rate, speedup, 100.0 * result.idle_fraction);
-        bench.AddResult(
-            xmodel::common::StrCat(pname, "_w", w, "_states_per_sec"),
-            rate);
-        bench.AddResult(
-            xmodel::common::StrCat(pname, "_w", w, "_idle_fraction"),
-            result.idle_fraction);
+    for (int w : sweep) {
+      xmodel::tlax::CheckerOptions options;
+      options.num_workers = w;
+      // Live plane: heartbeats + /progress while the sweep runs (no-ops
+      // unless --serve is up), and the idle-time profiler result below.
+      options.watchdog = bench.watchdog();
+      options.progress_reporter = bench.progress();
+      auto result = xmodel::tlax::ModelChecker(options).Check(spec);
+      if (!result.status.ok()) {
+        return bench.Fail("worker-scaling check aborted");
       }
+      double rate = result.seconds > 0
+                        ? static_cast<double>(result.generated_states) /
+                              result.seconds
+                        : 0;
+      if (base_distinct == 0) {
+        base_distinct = result.distinct_states;
+        base_rate = rate;
+      } else if (result.distinct_states != base_distinct) {
+        return bench.Fail(xmodel::common::StrCat(
+            "worker sweep changed distinct_states: ", base_distinct,
+            " at w1 vs ", result.distinct_states, " at w", w));
+      }
+      double speedup = base_rate > 0 ? rate / base_rate : 0;
+      std::printf("  workers=%d  %12llu states  depth %2lld  %8.2f s  "
+                  "%10.0f states/sec  %.2fx  idle %.1f%%\n",
+                  result.workers_used,
+                  static_cast<unsigned long long>(result.distinct_states),
+                  static_cast<long long>(result.diameter), result.seconds,
+                  rate, speedup, 100.0 * result.idle_fraction);
+      bench.AddResult(xmodel::common::StrCat("w", w, "_states_per_sec"),
+                      rate);
+      bench.AddResult(xmodel::common::StrCat("w", w, "_idle_fraction"),
+                      result.idle_fraction);
     }
   }
 

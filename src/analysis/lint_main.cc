@@ -16,16 +16,15 @@
 //   xmodel_lint --domain-samples=N  state budget for the abstract-domain
 //                                   probe (default 262144)
 //
-// It also takes every shared checker flag (--workers, --explore,
-// --mem-budget-mb, --spill-dir, --checkpoint-dir, --checkpoint-every-s,
-// --resume) for the bounded model-check pass, and the shared
-// observability flags --metrics-out, --events-out, --serve,
-// --serve-linger-ms and --stall-timeout-ms; README.md "Shared flags"
-// lists them all. Lint checks every registered spec in one invocation, so
-// --spill-dir and --checkpoint-dir get one subdirectory per spec. Under
-// --explore=relaxed or any out-of-core flag the pass skips graph
-// recording (it needs level barriers and pins every state), so SCC counts
-// read 0 there.
+// It also takes every shared checker flag (--workers, --mem-budget-mb,
+// --spill-dir, --checkpoint-dir, --checkpoint-every-s, --resume) for the
+// bounded model-check pass, and the shared observability flags
+// --metrics-out, --events-out, --serve, --serve-linger-ms and
+// --stall-timeout-ms; README.md "Shared flags" lists them all. Lint
+// checks every registered spec in one invocation, so --spill-dir and
+// --checkpoint-dir get one subdirectory per spec. Under any out-of-core
+// flag the pass skips graph recording (the graph pins every state), so
+// SCC counts read 0 there.
 //
 // Besides the static passes, each spec gets a bounded model check (capped
 // at --max-samples distinct states) so the lint run also smoke-tests the
@@ -118,7 +117,6 @@ struct SpecSummary {
   double check_collision_probability = 0;
   bool check_complete = false;
   int workers_used = 1;
-  std::string exploration = "level";  // Policy the check actually used.
   uint64_t check_sccs = 0;  // Liveness structure: SCC count of the graph.
   std::string check_violation;  // Violated invariant name, or empty.
   // Abstract-domain pass.
@@ -176,24 +174,18 @@ void LintOneSpec(const tlax::Spec& spec, const Options& options,
   // Bounded model check: smoke-test the dynamic semantics at the same
   // sampling budget the footprint probe uses. Violations are warnings
   // (lint is a static gate, not a verification run) and a budget overrun
-  // just marks the pass incomplete. Under the level policy the graph is
-  // recorded — at full --workers parallelism, now that recording no
-  // longer clamps the worker count — so the pass also surfaces the
-  // liveness structure (SCC count) of the explored fragment. Under
-  // --explore=relaxed recording is skipped (it needs level barriers and
-  // would clamp the policy back to level-sync) so the work-stealing
-  // frontier is what actually runs. Out-of-core requests also skip
-  // recording: spilling is incompatible with record_graph (the graph pins
-  // every state in memory, which is exactly what a memory budget says
-  // won't fit).
+  // just marks the pass incomplete. The graph is recorded at full
+  // --workers parallelism, so the pass also surfaces the liveness
+  // structure (SCC count) of the explored fragment. Out-of-core requests
+  // skip recording: spilling is incompatible with record_graph (the graph
+  // pins every state in memory, which is exactly what a memory budget
+  // says won't fit).
   tlax::CheckerOptions check_options = options.checker;
-  const bool relaxed =
-      check_options.exploration == tlax::ExplorationPolicy::kRelaxed;
   const bool out_of_core = check_options.memory_budget_mb > 0 ||
                            !check_options.spill_dir.empty() ||
                            !check_options.checkpoint_dir.empty();
   check_options.max_distinct_states = options.max_samples;
-  check_options.record_graph = !relaxed && !out_of_core;
+  check_options.record_graph = !out_of_core;
   // Manifests and run files are per-run, so each spec gets its own
   // subdirectory.
   for (std::string* dir :
@@ -210,7 +202,6 @@ void LintOneSpec(const tlax::Spec& spec, const Options& options,
   summary.check_collision_probability = check.fingerprint_collision_probability;
   summary.check_complete = check.status.ok() && !check.violation.has_value();
   summary.workers_used = check.workers_used;
-  summary.exploration = tlax::ExplorationPolicyName(check.policy_used);
   if (check.graph != nullptr && check.graph->num_states() > 0) {
     uint32_t num_sccs = 0;
     tlax::StronglyConnectedComponents(*check.graph, &num_sccs);
@@ -357,7 +348,6 @@ int main(int argc, char** argv) {
                 common::Json::Double(s.check_collision_probability));
       entry.Set("check_complete", common::Json::Bool(s.check_complete));
       entry.Set("workers_used", common::Json::Int(s.workers_used));
-      entry.Set("exploration", common::Json::Str(s.exploration));
       entry.Set("check_sccs",
                 common::Json::Int(static_cast<int64_t>(s.check_sccs)));
       entry.Set("check_violation", common::Json::Str(s.check_violation));
@@ -376,12 +366,12 @@ int main(int argc, char** argv) {
                   s.exhaustive ? " (exhaustive)" : "",
                   s.commuting_pairs, s.action_pairs);
       std::printf("     check %-17s %6llu distinct / %llu generated, "
-                  "diameter %lld, %llu scc(s), %d %s worker(s)%s%s%s\n",
+                  "diameter %lld, %llu scc(s), %d worker(s)%s%s%s\n",
                   "", static_cast<unsigned long long>(s.check_distinct),
                   static_cast<unsigned long long>(s.check_generated),
                   static_cast<long long>(s.check_diameter),
                   static_cast<unsigned long long>(s.check_sccs),
-                  s.workers_used, s.exploration.c_str(),
+                  s.workers_used,
                   s.check_complete ? " (complete)" : " (bounded)",
                   s.check_violation.empty() ? "" : ", violates ",
                   s.check_violation.c_str());

@@ -23,40 +23,20 @@ class Watchdog;
 
 namespace xmodel::tlax {
 
-/// How the checker orders exploration. The policy is a pure scheduling
-/// choice: both policies explore the same reachable state set over the
-/// same sharded fingerprint table, so `distinct_states`,
-/// `generated_states` (modulo POR) and the violation verdict are
-/// identical under either policy at any worker count. What differs is
-/// everything order-dependent — diameter, frontier peak, trace shape,
-/// POR sleep counts — which relaxed mode reports as approximate (see
-/// CheckResult::order_fields_approximate).
+/// Ignored: every run is level-synchronous; kept only so xbench
+/// compiles (xbench/bench_xmodel.cc sets CheckerOptions::exploration).
 enum class ExplorationPolicy {
-  /// Level-synchronous BFS (the default): workers drain one frontier
-  /// level and barrier, so every result field — counterexample traces
-  /// included — is bit-identical across worker counts, and
-  /// counterexamples are minimal. The barrier is also the scalability
-  /// ceiling: workers idle while the slowest one finishes each level.
   kLevelSync = 0,
-  /// Relaxed work-stealing frontier: per-worker deques, no level
-  /// barriers, POR sleep masks settle immediately instead of at a
-  /// barrier. Maximum throughput; diameter/frontier_peak/traces are
-  /// approximate and violating runs drain the entire reachable space so
-  /// distinct/generated stay worker-count-invariant. Incompatible with
-  /// record_graph (the checker falls back to kLevelSync with
-  /// CheckResult::policy_notice set).
   kRelaxed = 1,
 };
 
-/// "level" / "relaxed" — the names the --explore CLI flags use.
-const char* ExplorationPolicyName(ExplorationPolicy policy);
 /// Largest CheckerOptions::memory_budget_mb whose byte count (`mb << 20`)
 /// still fits in 64 bits — the upper bound of --mem-budget-mb.
 inline constexpr uint64_t kMaxMemoryBudgetMb = (uint64_t{1} << 44) - 1;
 
 struct CheckerOptions {
-  /// Exploration order policy; see ExplorationPolicy. kLevelSync keeps
-  /// the deterministic level-synchronous semantics bit-for-bit.
+  /// Ignored: every run is level-synchronous; kept only so xbench
+  /// compiles.
   ExplorationPolicy exploration = ExplorationPolicy::kLevelSync;
   /// Exploration workers: 1 (default) runs the classic single-threaded
   /// BFS (no threads are spawned), 0 means one worker per hardware
@@ -137,13 +117,13 @@ struct CheckerOptions {
   /// `resume`) with identical final results. Implies spilling (with or
   /// without a memory budget) and durable (fsync'd) writes.
   std::string checkpoint_dir;
-  /// Seconds between checkpoints. 0 = checkpoint at every level barrier
-  /// (level-sync) or stop-the-world boundary (relaxed).
+  /// Seconds between checkpoints, each taken at a level barrier. 0 =
+  /// checkpoint at every level barrier.
   int64_t checkpoint_every_s = 0;
   /// Resume from checkpoint_dir's manifest instead of seeding from the
-  /// spec. Missing manifest is a clean error; a corrupt run or segment
-  /// file is kCorruption. The relaxed policy requires the same
-  /// num_workers the checkpoint was written with.
+  /// spec, at any num_workers. Missing manifest is a clean error; a
+  /// corrupt or unknown-schema manifest, run or segment file is
+  /// kCorruption.
   bool resume = false;
   /// Frontier entries kept in memory before overflowing to segment
   /// files. 0 = derive from memory_budget_mb (unbounded when no budget).
@@ -154,13 +134,12 @@ struct CheckerOptions {
 /// passed to CheckerFlags as a mask of these bits.
 enum CheckerFlag : unsigned {
   kWorkersFlag = 1u << 0,          // --workers=N: num_workers, [0, 4096]
-  kExploreFlag = 1u << 1,          // --explore=level|relaxed
-  kMemBudgetFlag = 1u << 2,        // --mem-budget-mb=N: [0, 2^44 - 1]
-  kSpillDirFlag = 1u << 3,         // --spill-dir=DIR
-  kCheckpointDirFlag = 1u << 4,    // --checkpoint-dir=DIR
-  kCheckpointEveryFlag = 1u << 5,  // --checkpoint-every-s=N: [0, 604800]
-  kResumeFlag = 1u << 6,           // --resume
-  kAllCheckerFlags = (1u << 7) - 1,
+  kMemBudgetFlag = 1u << 1,        // --mem-budget-mb=N: [0, 2^44 - 1]
+  kSpillDirFlag = 1u << 2,         // --spill-dir=DIR
+  kCheckpointDirFlag = 1u << 3,    // --checkpoint-dir=DIR
+  kCheckpointEveryFlag = 1u << 4,  // --checkpoint-every-s=N: [0, 604800]
+  kResumeFlag = 1u << 5,           // --resume
+  kAllCheckerFlags = (1u << 6) - 1,
 };
 
 /// The shared checker-flag parser for common::ParseFlags: stores the
@@ -223,35 +202,11 @@ struct CheckResult {
   /// Wall time spent inside level barriers, total: from each level's
   /// drain end to the next level's start.
   double barrier_settle_ms = 0;
-  /// The exploration policy the run actually executed — may differ from
-  /// CheckerOptions::exploration when a relaxed request was clamped back
-  /// to level-sync (see policy_notice).
-  ExplorationPolicy policy_used = ExplorationPolicy::kLevelSync;
-  /// Human-readable note set when the requested policy was clamped
-  /// (relaxed + record_graph falls back to level-sync). Empty when the
-  /// request was honored.
-  std::string policy_notice;
-  /// True iff the run executed under kRelaxed: diameter, frontier_peak,
-  /// por_slept_actions and the violation trace are then order-dependent
-  /// approximations (first-discovery depths, non-minimal traces).
-  /// distinct_states, generated_states (modulo POR) and the violation
-  /// verdict remain exact and worker-count-invariant under both policies.
-  bool order_fields_approximate = false;
-  /// Share of worker wall time not spent expanding. Under level-sync it is
+  /// Share of worker wall time not spent expanding:
   ///   (sum(wait) + workers*settle) /
   ///   (sum(busy) + sum(wait) + workers*settle);
-  /// under relaxed it is (steal + starve) / (busy + steal + starve). 0
-  /// when the run did no work. Also the checker.idle_fraction gauge.
+  /// 0 when the run did no work. Also the checker.idle_fraction gauge.
   double idle_fraction = 0;
-  /// Relaxed mode only: successful steals per worker (empty under
-  /// level-sync). Also published as checker.worker<N>.steals counters.
-  std::vector<uint64_t> worker_steals;
-  /// Relaxed-mode worker profile (empty under level-sync or with
-  /// profiling off): time spent probing other workers' deques and time
-  /// spent spinning with a globally empty frontier. Replaces
-  /// worker_barrier_wait_ms, which has no meaning without barriers.
-  std::vector<double> worker_steal_ms;
-  std::vector<double> worker_starve_ms;
   std::optional<Violation> violation;
   /// Present when options.record_graph was set.
   std::shared_ptr<StateGraph> graph;
@@ -286,26 +241,23 @@ struct CheckResult {
 /// shortest counterexample behavior. BFS order guarantees minimal
 /// counterexamples, like TLC's default mode.
 ///
-/// Exploration order is pluggable (CheckerOptions::exploration). The
-/// default level-synchronous policy runs on CheckerOptions::num_workers
-/// threads over a shared sharded fingerprint table (see tlax/fpset.h):
-/// the seen-set stores 64-bit fingerprints plus compact predecessor
-/// records instead of full states, and traces are rebuilt by replaying
-/// actions along the predecessor chain. When a level contains a
-/// violation the whole level is still drained and the candidate with the
-/// smallest discovery-order key wins, so results are bit-identical
-/// across worker counts. The relaxed policy trades those order
-/// guarantees for barrier-free work-stealing throughput while keeping
-/// distinct/generated counts and verdicts invariant. See DESIGN.md
-/// "Parallel checking" and "Exploration policies".
+/// Exploration is level-synchronous and runs on
+/// CheckerOptions::num_workers threads over a shared sharded fingerprint
+/// table (see tlax/fpset.h): the seen-set stores 64-bit fingerprints plus
+/// compact predecessor records instead of full states, and traces are
+/// rebuilt by replaying actions along the predecessor chain. When a level
+/// contains a violation the whole level is still drained and the
+/// candidate with the smallest discovery-order key wins, so results are
+/// bit-identical across worker counts. See DESIGN.md "Parallel checking"
+/// and "One exploration order".
 class ModelChecker {
  public:
   explicit ModelChecker(CheckerOptions options = {}) : options_(options) {}
 
   /// Explores `spec`. Every run also publishes its counters and gauges
   /// (the checker.* family) to obs::MetricsRegistry::Global(): at each
-  /// level barrier or relaxed batch, and the remainder at the end, so the
-  /// totals reconcile exactly with the CheckResult.
+  /// level barrier, and the remainder at the end, so the totals reconcile
+  /// exactly with the CheckResult.
   CheckResult Check(const Spec& spec) const;
 
  private:

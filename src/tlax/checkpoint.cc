@@ -40,9 +40,8 @@ bool HexDecode(const std::string& hex, std::string* raw) {
   return true;
 }
 
-common::Status Corrupt(const char* what) {
-  return common::Status::Corruption(std::string("checkpoint manifest: ") +
-                                    what);
+common::Status Corrupt(const std::string& what) {
+  return common::Status::Corruption("checkpoint manifest: " + what);
 }
 
 // 64-bit counters ride in JSON ints; values here (state counts, byte
@@ -82,8 +81,6 @@ common::Status WriteCheckpointManifest(const std::string& dir,
 
   common::Json doc = common::Json::MakeObject();
   doc.Set("schema", common::Json::Str(CheckpointManifest::kSchema));
-  doc.Set("policy", common::Json::Str(manifest.policy));
-  doc.Set("workers", common::Json::Int(manifest.workers));
   doc.Set("generated", U64(manifest.generated));
   doc.Set("distinct", U64(manifest.distinct));
   doc.Set("diameter", common::Json::Int(manifest.diameter));
@@ -102,15 +99,11 @@ common::Status WriteCheckpointManifest(const std::string& dir,
   }
   doc.Set("runs", std::move(runs));
 
-  common::Json frontiers = common::Json::MakeArray();
-  for (const std::vector<std::string>& worker : manifest.frontiers) {
-    common::Json files = common::Json::MakeArray();
-    for (const std::string& file : worker) {
-      files.Append(common::Json::Str(file));
-    }
-    frontiers.Append(std::move(files));
+  common::Json frontier = common::Json::MakeArray();
+  for (const std::string& file : manifest.frontier) {
+    frontier.Append(common::Json::Str(file));
   }
-  doc.Set("frontiers", std::move(frontiers));
+  doc.Set("frontier", std::move(frontier));
   doc.Set("frontier_total", U64(manifest.frontier_total));
 
   common::Json initials = common::Json::MakeArray();
@@ -118,17 +111,6 @@ common::Status WriteCheckpointManifest(const std::string& dir,
     initials.Append(common::Json::Str(HexEncode(blob)));
   }
   doc.Set("initial_states", std::move(initials));
-
-  common::Json candidates = common::Json::MakeArray();
-  for (const CheckpointManifest::Candidate& c : manifest.candidates) {
-    common::Json cand = common::Json::MakeObject();
-    cand.Set("kind", common::Json::Str(c.kind));
-    cand.Set("fp", U64(c.fp));
-    cand.Set("key", U64(c.key));
-    cand.Set("state", common::Json::Str(HexEncode(c.state)));
-    candidates.Append(std::move(cand));
-  }
-  doc.Set("candidates", std::move(candidates));
 
   common::WriteFileOptions write_options;
   write_options.durable = durable;
@@ -146,15 +128,13 @@ common::Status ReadCheckpointManifest(const std::string& dir,
   if (!parsed.ok()) return Corrupt("not valid JSON");
   const common::Json& doc = parsed.value();
   std::string schema;
-  if (!GetStr(doc, "schema", &schema) ||
-      schema != CheckpointManifest::kSchema) {
-    return Corrupt("missing or unknown schema");
+  if (!GetStr(doc, "schema", &schema)) return Corrupt("missing schema");
+  if (schema != CheckpointManifest::kSchema) {
+    return Corrupt("schema '" + schema + "' is not " +
+                   CheckpointManifest::kSchema);
   }
   *manifest = CheckpointManifest();
-  int64_t workers = 0;
-  if (!GetStr(doc, "policy", &manifest->policy) ||
-      !GetI64(doc, "workers", &workers) || workers < 1 ||
-      !GetU64(doc, "generated", &manifest->generated) ||
+  if (!GetU64(doc, "generated", &manifest->generated) ||
       !GetU64(doc, "distinct", &manifest->distinct) ||
       !GetI64(doc, "diameter", &manifest->diameter) ||
       !GetU64(doc, "levels_completed", &manifest->levels_completed) ||
@@ -164,7 +144,6 @@ common::Status ReadCheckpointManifest(const std::string& dir,
       !GetU64(doc, "frontier_total", &manifest->frontier_total)) {
     return Corrupt("missing or malformed counter fields");
   }
-  manifest->workers = static_cast<int>(workers);
 
   const common::Json* runs = doc.Find("runs");
   if (runs == nullptr || !runs->is_array()) return Corrupt("missing runs");
@@ -178,18 +157,13 @@ common::Status ReadCheckpointManifest(const std::string& dir,
     manifest->runs.push_back(std::move(info));
   }
 
-  const common::Json* frontiers = doc.Find("frontiers");
-  if (frontiers == nullptr || !frontiers->is_array()) {
-    return Corrupt("missing frontiers");
+  const common::Json* frontier = doc.Find("frontier");
+  if (frontier == nullptr || !frontier->is_array()) {
+    return Corrupt("missing frontier");
   }
-  for (const common::Json& worker : frontiers->array()) {
-    if (!worker.is_array()) return Corrupt("malformed frontier list");
-    std::vector<std::string> files;
-    for (const common::Json& file : worker.array()) {
-      if (!file.is_string()) return Corrupt("malformed frontier file");
-      files.push_back(file.string_value());
-    }
-    manifest->frontiers.push_back(std::move(files));
+  for (const common::Json& file : frontier->array()) {
+    if (!file.is_string()) return Corrupt("malformed frontier file");
+    manifest->frontier.push_back(file.string_value());
   }
 
   const common::Json* initials = doc.Find("initial_states");
@@ -202,21 +176,6 @@ common::Status ReadCheckpointManifest(const std::string& dir,
       return Corrupt("malformed initial state blob");
     }
     manifest->initial_states.push_back(std::move(raw));
-  }
-
-  const common::Json* candidates = doc.Find("candidates");
-  if (candidates == nullptr || !candidates->is_array()) {
-    return Corrupt("missing candidates");
-  }
-  for (const common::Json& cand : candidates->array()) {
-    CheckpointManifest::Candidate c;
-    std::string hex;
-    if (!cand.is_object() || !GetStr(cand, "kind", &c.kind) ||
-        !GetU64(cand, "fp", &c.fp) || !GetU64(cand, "key", &c.key) ||
-        !GetStr(cand, "state", &hex) || !HexDecode(hex, &c.state)) {
-      return Corrupt("malformed candidate entry");
-    }
-    manifest->candidates.push_back(std::move(c));
   }
   return common::Status::OK();
 }

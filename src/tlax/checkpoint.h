@@ -12,17 +12,12 @@ namespace xmodel::tlax {
 
 /// Everything a killed run needs to resume with identical results: the
 /// sealed fingerprint runs (the whole seen-set — the hot table is
-/// evicted before a checkpoint), the sealed frontier segments (per
-/// worker for the relaxed policy; the level-sync policy uses one list),
-/// the monotone counters, the initial states (trace replay roots), and
-/// any per-worker violation candidates the relaxed policy had already
-/// banked. Serialized as `<dir>/MANIFEST.json`, written atomically and
-/// durably, so the manifest on disk is always the last complete one.
+/// evicted before a checkpoint), the sealed frontier segments, the
+/// monotone counters and the initial states (trace replay roots).
+/// Serialized as `<dir>/MANIFEST.json`, written atomically and durably,
+/// so the manifest on disk is always the last complete one.
 struct CheckpointManifest {
-  static constexpr const char* kSchema = "xmodel.checkpoint.v1";
-
-  std::string policy;  // Exploration policy name ("level-sync"/"relaxed").
-  int workers = 1;
+  static constexpr const char* kSchema = "xmodel.checkpoint.v2";
 
   // Monotone run counters at the checkpoint barrier.
   uint64_t generated = 0;
@@ -36,23 +31,13 @@ struct CheckpointManifest {
   // Fingerprint-set disk tier: every sealed run, in generation order.
   std::vector<SpillTier::RunInfo> runs;
 
-  // Frontier segments per worker, FIFO order (level-sync: one list —
-  // the remainder of the current level plus the sealed next level).
-  std::vector<std::vector<std::string>> frontiers;
+  // Frontier segments in FIFO order: the sealed next level.
+  std::vector<std::string> frontier;
   uint64_t frontier_total = 0;
 
   // Raw EncodeState blobs (hex in the JSON) of the initial states, for
   // trace reconstruction after resume.
   std::vector<std::string> initial_states;
-
-  // Relaxed policy: violation candidates already banked per worker.
-  struct Candidate {
-    std::string kind;
-    uint64_t fp = 0;
-    uint64_t key = 0;
-    std::string state;  // Raw EncodeState blob.
-  };
-  std::vector<Candidate> candidates;
 };
 
 /// Writes `<dir>/MANIFEST.json` atomically (temp + rename, fsync'd when
@@ -62,7 +47,8 @@ common::Status WriteCheckpointManifest(const std::string& dir,
                                        bool durable);
 
 /// Reads and validates `<dir>/MANIFEST.json`. Missing file is a clean
-/// kNotFound; a garbled or wrong-schema file is kCorruption.
+/// kNotFound; a garbled or wrong-schema file is kCorruption (naming the
+/// schema found and the one expected).
 common::Status ReadCheckpointManifest(const std::string& dir,
                                       CheckpointManifest* manifest);
 

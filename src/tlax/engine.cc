@@ -1,7 +1,7 @@
-// Policy-neutral core of the exploration engine (see tlax/explore.h):
+// The exploration engine's per-state work (see tlax/explore.h):
 // construction, seeding, expansion, invariant checks, trace rebuild,
-// progress snapshots, and end-of-run publication. The per-policy Run()
-// loops live in explore_level.cc / explore_relaxed.cc.
+// checkpoint manifests, progress snapshots, and end-of-run publication.
+// The level loop and its barrier live in explore_level.cc.
 
 #include <unistd.h>
 
@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
 #include "tlax/explore.h"
+#include "tlax/frontier_spill.h"
 #include "tlax/state_codec.h"
 
 namespace xmodel::tlax::internal {
@@ -57,8 +58,7 @@ size_t ResolveFrontierCap(const CheckerOptions& o, bool enabled) {
 
 }  // namespace
 
-EngineBase::EngineBase(const CheckerOptions& options, const Spec& spec,
-                       ExplorationPolicy policy)
+Engine::Engine(const CheckerOptions& options, const Spec& spec)
     : options_(options),
       spec_(spec),
       actions_(spec.actions()),
@@ -68,8 +68,6 @@ EngineBase::EngineBase(const CheckerOptions& options, const Spec& spec,
       events_(options.event_log != nullptr ? options.event_log
                                            : &obs::EventLog::Global()),
       workers_(common::ResolveWorkerCount(options.num_workers)),
-      policy_(policy),
-      relaxed_(policy == ExplorationPolicy::kRelaxed),
       use_sleep_sets_(options.independence != nullptr &&
                       !options.record_graph &&
                       options.independence->num_actions() ==
@@ -85,17 +83,15 @@ EngineBase::EngineBase(const CheckerOptions& options, const Spec& spec,
       spill_dir_is_temp_(spill_enabled_ && options.spill_dir.empty() &&
                          options.checkpoint_dir.empty()),
       frontier_inmem_cap_(ResolveFrontierCap(options, spill_enabled_)),
-      fpset_(FpOptions(use_sleep_sets_, relaxed_, all_actions_, spill_dir_,
+      fpset_(FpOptions(use_sleep_sets_, spill_dir_,
                        options.memory_budget_mb << 20, checkpointing_)),
       pool_(workers_),
       scratch_(static_cast<size_t>(workers_)) {}
 
-void EngineBase::StartRun() {
+void Engine::StartRun() {
   start_ns_ = clock_->NowNanos();
   intern_at_start_ = Value::GetInternStats();
   result_.workers_used = workers_;
-  result_.policy_used = policy_;
-  result_.order_fields_approximate = relaxed_;
   report_progress_ = options_.progress_reporter != nullptr;
   interval_ns_ = options_.progress_interval_ms * 1'000'000;
   last_report_ns_ = start_ns_;
@@ -151,12 +147,12 @@ void EngineBase::StartRun() {
   }
 }
 
-bool EngineBase::CheckpointDue(int64_t now_ns) const {
+bool Engine::CheckpointDue(int64_t now_ns) const {
   if (!checkpointing_) return false;
   return options_.checkpoint_every_s <= 0 || now_ns >= next_checkpoint_ns_;
 }
 
-void EngineBase::CheckpointWritten(int64_t now_ns) {
+void Engine::CheckpointWritten(int64_t now_ns) {
   ++checkpoints_written_;
   if (options_.checkpoint_every_s > 0) {
     next_checkpoint_ns_ =
@@ -169,20 +165,18 @@ void EngineBase::CheckpointWritten(int64_t now_ns) {
   }
 }
 
-CheckpointManifest EngineBase::MakeManifest(uint64_t generated,
-                                            uint64_t slept,
-                                            int64_t diameter) {
+CheckpointManifest Engine::MakeManifest(const FrontierSpool& spool) {
   CheckpointManifest m;
-  m.policy = ExplorationPolicyName(policy_);
-  m.workers = workers_;
-  m.generated = generated;
+  m.generated = result_.generated_states;
   m.distinct = fpset_.size();
-  m.diameter = diameter;
+  m.diameter = result_.diameter;
   m.levels_completed = result_.levels_completed;
   m.frontier_peak = result_.frontier_peak;
-  m.slept = slept;
+  m.slept = result_.por_slept_actions;
   m.checkpoints = checkpoints_written_ + 1;
   m.runs = fpset_.spill_run_infos();
+  m.frontier = spool.live_segment_files();
+  m.frontier_total = spool.size();
   // Initial states sorted by fingerprint so the manifest bytes are
   // stable across identical runs.
   std::vector<const std::pair<const uint64_t, State>*> initials;
@@ -198,9 +192,10 @@ CheckpointManifest EngineBase::MakeManifest(uint64_t generated,
   return m;
 }
 
-common::Status EngineBase::ResumeCommon(CheckpointManifest* manifest) {
+common::Status Engine::Resume(FrontierSpool* spool) {
+  CheckpointManifest manifest;
   common::Status status =
-      ReadCheckpointManifest(options_.checkpoint_dir, manifest);
+      ReadCheckpointManifest(options_.checkpoint_dir, &manifest);
   if (!status.ok()) {
     if (status.code() == common::StatusCode::kNotFound) {
       return common::Status::NotFound(common::StrCat(
@@ -208,44 +203,42 @@ common::Status EngineBase::ResumeCommon(CheckpointManifest* manifest) {
     }
     return status;
   }
-  if (manifest->policy != ExplorationPolicyName(policy_)) {
-    return common::Status::InvalidArgument(common::StrCat(
-        "--resume: checkpoint was written by policy '", manifest->policy,
-        "', this run uses '", ExplorationPolicyName(policy_), "'"));
-  }
   std::vector<std::string> files;
-  files.reserve(manifest->runs.size());
-  for (const SpillTier::RunInfo& info : manifest->runs) {
+  files.reserve(manifest.runs.size());
+  for (const SpillTier::RunInfo& info : manifest.runs) {
     files.push_back(info.file);
   }
   status = fpset_.AdoptSpillRuns(files);
   if (!status.ok()) return status;
-  for (const std::string& blob : manifest->initial_states) {
+  for (const std::string& blob : manifest.initial_states) {
     State init;
     size_t pos = 0;
     status = DecodeState(blob, &pos, &init);
     if (!status.ok()) return status;
     initial_by_fp_.emplace(Fingerprint(init), std::move(init));
   }
-  result_.generated_states = manifest->generated;
-  result_.diameter = manifest->diameter;
-  result_.levels_completed = manifest->levels_completed;
-  result_.frontier_peak = manifest->frontier_peak;
-  result_.por_slept_actions = manifest->slept;
-  checkpoints_written_ = manifest->checkpoints;
+  uint64_t adopted = 0;
+  status = spool->AdoptSegments(manifest.frontier, &adopted);
+  if (!status.ok()) return status;
+  result_.generated_states = manifest.generated;
+  result_.diameter = manifest.diameter;
+  result_.levels_completed = manifest.levels_completed;
+  result_.frontier_peak = manifest.frontier_peak;
+  result_.por_slept_actions = manifest.slept;
+  checkpoints_written_ = manifest.checkpoints;
   // The global checkpoint counter counts writes by THIS process.
   published_checkpoints_ = checkpoints_written_;
   result_.resumed = true;
   if (events_->enabled()) {
     events_->Emit(obs::EventSeverity::kInfo, "checker", "run.resumed",
-                  {{"checkpoint", common::StrCat(manifest->checkpoints)},
-                   {"distinct", common::StrCat(manifest->distinct)},
-                   {"frontier", common::StrCat(manifest->frontier_total)}});
+                  {{"checkpoint", common::StrCat(manifest.checkpoints)},
+                   {"distinct", common::StrCat(manifest.distinct)},
+                   {"frontier", common::StrCat(manifest.frontier_total)}});
   }
   return fpset_.DropSpillOrphans();
 }
 
-void EngineBase::FlushSpillMetrics(uint64_t frontier_segments_total) {
+void Engine::FlushSpillMetrics(uint64_t frontier_segments_total) {
   frontier_segments_total_ = frontier_segments_total;
   if (!spill_enabled_) return;
   const SpillTier::Stats stats = fpset_.spill_stats();
@@ -271,7 +264,7 @@ void EngineBase::FlushSpillMetrics(uint64_t frontier_segments_total) {
   }
 }
 
-void EngineBase::CleanupSpillDir() {
+void Engine::CleanupSpillDir() {
   if (!spill_dir_is_temp_) return;
   std::vector<std::string> files;
   if (!common::ListDirFiles(spill_dir_, &files).ok()) return;
@@ -281,7 +274,7 @@ void EngineBase::CleanupSpillDir() {
   ::rmdir(spill_dir_.c_str());
 }
 
-bool EngineBase::SeedInitial(std::vector<LevelEntry>* level) {
+bool Engine::SeedInitial(std::vector<LevelEntry>* level) {
   struct Seed {
     State state;
     uint64_t fp;
@@ -327,7 +320,7 @@ bool EngineBase::SeedInitial(std::vector<LevelEntry>* level) {
   return true;
 }
 
-void EngineBase::CheckInvariants(const State& state, uint64_t fp,
+void Engine::CheckInvariants(const State& state, uint64_t fp,
                                  uint64_t key, Scratch& s) {
   for (const Invariant& inv : invariants_) {
     if (!inv.predicate(state)) {
@@ -337,7 +330,7 @@ void EngineBase::CheckInvariants(const State& state, uint64_t fp,
   }
 }
 
-bool EngineBase::AdmitNew(State&& state, uint64_t fp, int64_t depth,
+bool Engine::AdmitNew(State&& state, uint64_t fp, int64_t depth,
                           uint64_t key, Scratch& s) {
   if (fpset_.size() > options_.max_distinct_states) {
     abort_max_.store(true, std::memory_order_relaxed);
@@ -355,7 +348,7 @@ bool EngineBase::AdmitNew(State&& state, uint64_t fp, int64_t depth,
   return true;
 }
 
-void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
+void Engine::ProcessEntry(const LevelEntry& entry, size_t pos,
                               Scratch& s, int worker) {
   if (entry.depth > s.diameter) s.diameter = entry.depth;
 
@@ -422,7 +415,7 @@ void EngineBase::ProcessEntry(const LevelEntry& entry, size_t pos,
   }
 }
 
-bool EngineBase::FlushStaged(Scratch& s) {
+bool Engine::FlushStaged(Scratch& s) {
   const size_t n = s.staged_items.size();
   if (n == 0) return true;
   s.staged_results.resize(n);
@@ -451,13 +444,7 @@ bool EngineBase::FlushStaged(Scratch& s) {
     if (is_new) {
       admitted =
           AdmitNew(std::move(state), item.fp, item.depth, item.order_key, s);
-    } else if (use_sleep_sets_ && relaxed_ && ins.wake) {
-      // Barrier-free POR: the insert settled a shrink that uncovered
-      // unexpanded work and claimed the queued flag — this worker owns
-      // the re-enqueue. The woken state rejoins the frontier at its
-      // first-discovery depth.
-      s.next.push_back(LevelEntry{std::move(state), item.fp, ins.depth, 0});
-    } else if (use_sleep_sets_ && !relaxed_ && ins.sleep_shrunk) {
+    } else if (use_sleep_sets_ && ins.sleep_shrunk) {
       // The revisit shrank the record's pending sleep mask. Whether
       // that warrants a re-expansion is decided once per level at the
       // barrier (SettlePor), not here — a mid-level decision would
@@ -472,7 +459,7 @@ bool EngineBase::FlushStaged(Scratch& s) {
   return admitted;
 }
 
-std::vector<TraceStep> EngineBase::BuildTrace(uint64_t end_fp,
+std::vector<TraceStep> Engine::BuildTrace(uint64_t end_fp,
                                               const State& end_state) {
   // Walk the discovery chain back to an initial state, then replay it
   // forward: run the recorded action, canonicalize each successor, and
@@ -518,7 +505,7 @@ std::vector<TraceStep> EngineBase::BuildTrace(uint64_t end_fp,
   return trace;
 }
 
-obs::CheckerProgress EngineBase::LiveSnapshot(int64_t now_ns,
+obs::CheckerProgress Engine::LiveSnapshot(int64_t now_ns,
                                               uint64_t frontier_estimate) {
   obs::CheckerProgress p;
   p.generated_states = result_.generated_states +
@@ -536,7 +523,7 @@ obs::CheckerProgress EngineBase::LiveSnapshot(int64_t now_ns,
   return p;
 }
 
-void EngineBase::PollProgress(size_t level_size, size_t pos) {
+void Engine::PollProgress(size_t level_size, size_t pos) {
   if (--poll_countdown_ != 0) return;
   poll_countdown_ = kProgressPollExpansions;
   const int64_t now_ns = clock_->NowNanos();
@@ -549,20 +536,16 @@ void EngineBase::PollProgress(size_t level_size, size_t pos) {
   last_report_generated_ = p.generated_states;
 }
 
-CheckResult EngineBase::Finish(common::Status status) {
+CheckResult Engine::Finish(common::Status status) {
   result_.status = std::move(status);
   result_.distinct_states = fpset_.size();
   result_.fingerprint_load = fpset_.load_factor();
   // TLC's optimistic estimate: each of the g - n revisits could have hit
   // one of the n stored fingerprints by chance, with probability n / 2^64.
-  // Floored at no revisits: a relaxed POR run's generated tally is only
-  // approximate.
+  // Every distinct state was generated at least once, so g >= n.
   const double n = static_cast<double>(result_.distinct_states);
   const double revisits =
-      result_.generated_states > result_.distinct_states
-          ? static_cast<double>(result_.generated_states -
-                                result_.distinct_states)
-          : 0.0;
+      static_cast<double>(result_.generated_states) - n;
   result_.fingerprint_collision_probability = n * revisits / 0x1p64;
   const int64_t end_ns = clock_->NowNanos();
   result_.seconds = static_cast<double>(end_ns - start_ns_) * 1e-9;
@@ -580,52 +563,25 @@ CheckResult EngineBase::Finish(common::Status status) {
     result_.checkpoints_written = checkpoints_written_;
   }
 
-  if (relaxed_) {
-    result_.worker_steals.reserve(static_cast<size_t>(workers_));
-    for (int w = 0; w < workers_; ++w) {
-      result_.worker_steals.push_back(
-          scratch_[static_cast<size_t>(w)].steals);
-    }
-  }
   result_.worker_busy_ms.reserve(static_cast<size_t>(workers_));
+  result_.worker_barrier_wait_ms.reserve(static_cast<size_t>(workers_));
   double busy_ms_total = 0;
-  if (!relaxed_) {
-    double wait_ms_total = 0;
-    result_.worker_barrier_wait_ms.reserve(static_cast<size_t>(workers_));
-    for (int w = 0; w < workers_; ++w) {
-      const Scratch& s = scratch_[static_cast<size_t>(w)];
-      const double busy_ms = static_cast<double>(s.busy_ns) * 1e-6;
-      const double wait_ms = static_cast<double>(s.barrier_wait_ns) * 1e-6;
-      result_.worker_busy_ms.push_back(busy_ms);
-      result_.worker_barrier_wait_ms.push_back(wait_ms);
-      busy_ms_total += busy_ms;
-      wait_ms_total += wait_ms;
-    }
-    result_.barrier_settle_ms = static_cast<double>(settle_ns_) * 1e-6;
-    // The barrier holds all W workers from expansion at once, so its wall
-    // time contributes W-fold to the fleet's idle wall time.
-    const double idle_ms = wait_ms_total + result_.barrier_settle_ms * workers_;
-    const double total_ms = busy_ms_total + idle_ms;
-    result_.idle_fraction = total_ms > 0 ? idle_ms / total_ms : 0;
-  } else {
-    // No barriers: idle time is steal probing plus starvation spinning.
-    double idle_ms_total = 0;
-    result_.worker_steal_ms.reserve(static_cast<size_t>(workers_));
-    result_.worker_starve_ms.reserve(static_cast<size_t>(workers_));
-    for (int w = 0; w < workers_; ++w) {
-      const Scratch& s = scratch_[static_cast<size_t>(w)];
-      const double busy_ms = static_cast<double>(s.busy_ns) * 1e-6;
-      const double steal_ms = static_cast<double>(s.steal_ns) * 1e-6;
-      const double starve_ms = static_cast<double>(s.starve_ns) * 1e-6;
-      result_.worker_busy_ms.push_back(busy_ms);
-      result_.worker_steal_ms.push_back(steal_ms);
-      result_.worker_starve_ms.push_back(starve_ms);
-      busy_ms_total += busy_ms;
-      idle_ms_total += steal_ms + starve_ms;
-    }
-    const double total_ms = busy_ms_total + idle_ms_total;
-    result_.idle_fraction = total_ms > 0 ? idle_ms_total / total_ms : 0;
+  double wait_ms_total = 0;
+  for (int w = 0; w < workers_; ++w) {
+    const Scratch& s = scratch_[static_cast<size_t>(w)];
+    const double busy_ms = static_cast<double>(s.busy_ns) * 1e-6;
+    const double wait_ms = static_cast<double>(s.barrier_wait_ns) * 1e-6;
+    result_.worker_busy_ms.push_back(busy_ms);
+    result_.worker_barrier_wait_ms.push_back(wait_ms);
+    busy_ms_total += busy_ms;
+    wait_ms_total += wait_ms;
   }
+  result_.barrier_settle_ms = static_cast<double>(settle_ns_) * 1e-6;
+  // The barrier holds all W workers from expansion at once, so its wall
+  // time contributes W-fold to the fleet's idle wall time.
+  const double idle_ms = wait_ms_total + result_.barrier_settle_ms * workers_;
+  const double total_ms = busy_ms_total + idle_ms;
+  result_.idle_fraction = total_ms > 0 ? idle_ms / total_ms : 0;
   if (report_progress_) {
     obs::CheckerProgress p;
     p.generated_states = result_.generated_states;
@@ -663,39 +619,23 @@ CheckResult EngineBase::Finish(common::Status status) {
         .GetCounter(common::StrCat("checker.worker", w, ".expansions"))
         .Increment(scratch_[static_cast<size_t>(w)].expanded);
   }
-  registry.GetGauge("checker.policy").Set(relaxed_ ? 1 : 0);
-  if (relaxed_) {
-    for (int w = 0; w < workers_; ++w) {
-      registry.GetCounter(common::StrCat("checker.worker", w, ".steals"))
-          .Increment(scratch_[static_cast<size_t>(w)].steals);
-    }
-  }
   for (int w = 0; w < workers_; ++w) {
     registry.GetGauge(common::StrCat("checker.worker", w, ".busy_ms"))
         .Set(result_.worker_busy_ms[static_cast<size_t>(w)]);
-    if (!relaxed_) {
-      registry
-          .GetGauge(common::StrCat("checker.worker", w, ".barrier_wait_ms"))
-          .Set(result_.worker_barrier_wait_ms[static_cast<size_t>(w)]);
-    } else {
-      registry.GetGauge(common::StrCat("checker.worker", w, ".steal_ms"))
-          .Set(result_.worker_steal_ms[static_cast<size_t>(w)]);
-      registry.GetGauge(common::StrCat("checker.worker", w, ".starve_ms"))
-          .Set(result_.worker_starve_ms[static_cast<size_t>(w)]);
-    }
+    registry
+        .GetGauge(common::StrCat("checker.worker", w, ".barrier_wait_ms"))
+        .Set(result_.worker_barrier_wait_ms[static_cast<size_t>(w)]);
   }
-  if (!relaxed_) {
-    registry.GetGauge("checker.barrier.settle_ms")
-        .Set(result_.barrier_settle_ms);
-    registry.GetGauge("checker.barrier.assemble_ms")
-        .Set(static_cast<double>(assemble_ns_) * 1e-6);
-    registry.GetGauge("checker.barrier.graph_ms")
-        .Set(static_cast<double>(graph_ns_) * 1e-6);
-    registry.GetGauge("checker.barrier.evict_ms")
-        .Set(static_cast<double>(evict_ns_) * 1e-6);
-    registry.GetGauge("checker.barrier.spool_ms")
-        .Set(static_cast<double>(spool_ns_) * 1e-6);
-  }
+  registry.GetGauge("checker.barrier.settle_ms")
+      .Set(result_.barrier_settle_ms);
+  registry.GetGauge("checker.barrier.assemble_ms")
+      .Set(static_cast<double>(assemble_ns_) * 1e-6);
+  registry.GetGauge("checker.barrier.graph_ms")
+      .Set(static_cast<double>(graph_ns_) * 1e-6);
+  registry.GetGauge("checker.barrier.evict_ms")
+      .Set(static_cast<double>(evict_ns_) * 1e-6);
+  registry.GetGauge("checker.barrier.spool_ms")
+      .Set(static_cast<double>(spool_ns_) * 1e-6);
   registry.GetGauge("checker.idle_fraction").Set(result_.idle_fraction);
   registry.GetGauge("checker.workers.used").Set(static_cast<double>(workers_));
   registry.GetGauge("checker.frontier.peak")

@@ -1,29 +1,22 @@
 #ifndef XMODEL_TLAX_EXPLORE_H_
 #define XMODEL_TLAX_EXPLORE_H_
 
-// Internal exploration-policy seam behind ModelChecker::Check — not part
-// of the public checker API. EngineBase owns everything policy-neutral
-// (seeding, expansion, invariant checks, trace rebuild, progress, result
-// publication); each ExplorationPolicy is a subclass that owns only the
-// scheduling of frontier work:
+// The exploration engine behind ModelChecker::Check — not part of the
+// public checker API. One Engine per Check() call runs a
+// level-synchronous BFS: workers drain one frontier level and barrier,
+// so every result field is bit-identical across worker counts.
 //
-//   LevelSyncEngine (explore_level.cc)  — level-synchronous BFS, the
-//     deterministic default. Bit-identical to the pre-split checker.
-//   RelaxedEngine   (explore_relaxed.cc) — per-worker deques with work
-//     stealing, no barriers; order-dependent fields are approximate.
+//   engine.cc        — construction, seeding, expansion, invariant
+//                      checks, trace rebuild, checkpoint manifests,
+//                      progress and result publication.
+//   explore_level.cc — the level loop and its barrier.
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include <condition_variable>
 
 #include "common/clock.h"
 #include "common/parallel.h"
@@ -36,7 +29,6 @@
 #include "tlax/state_graph.h"
 
 namespace xmodel::obs {
-class Counter;
 class EventLog;
 }  // namespace xmodel::obs
 
@@ -50,15 +42,11 @@ class FrontierSpool;  // tlax/frontier_spill.h (includes this header).
 // land within ~a second of their nominal interval on realistic specs.
 constexpr uint32_t kProgressPollExpansions = 1024;
 
-// Expansion batch between watchdog heartbeats, in both policies: a level
-// (or the whole relaxed frontier) can take arbitrarily long, so
-// heartbeating only at its boundary reads as a stall under a tight
-// --stall-timeout-ms even though workers are making steady progress.
+// Expansion batch between watchdog heartbeats: a level can take
+// arbitrarily long, so heartbeating only at its barrier reads as a stall
+// under a tight --stall-timeout-ms even though workers are making steady
+// progress.
 constexpr uint32_t kHeartbeatBatchEntries = 1024;
-
-// Relaxed policy: entries a worker takes from its deque per grab, and
-// the cadence of its live-counter flush / heartbeat / progress poll.
-constexpr size_t kRelaxedBatchEntries = 64;
 
 // Successors a worker stages before FlushStaged inserts them with one
 // FingerprintSet::InsertBatch (one lock per touched shard) and settles
@@ -70,8 +58,7 @@ constexpr size_t kInsertBatch = 256;
 // One unit of frontier work. The level batches own the full states (the
 // fingerprint table does not keep them); `key` is the discovery-order key
 // that makes batch order — and therefore every downstream key — a pure
-// function of the state graph, independent of worker count. The relaxed
-// policy never reads `key` or `gid` — it has no settled order.
+// function of the state graph, independent of worker count.
 struct LevelEntry {
   State state;
   uint64_t fp = 0;
@@ -82,10 +69,9 @@ struct LevelEntry {
   uint32_t gid = StateGraph::kNoId;
 };
 
-// A violation observed while the frontier drains. Level-sync always
-// completes the violating level before choosing a winner (smallest key);
-// relaxed drains the whole reachable space and picks the smallest
-// (fingerprint, kind) — both rules are scheduling-independent.
+// A violation observed while the frontier drains. The violating level is
+// always completed before a winner is chosen (the smallest key), so the
+// choice is scheduling-independent.
 struct CandidateViolation {
   uint64_t key = 0;
   std::string kind;
@@ -127,26 +113,29 @@ inline uint64_t DeadlockKey(size_t parent_pos) {
   return (static_cast<uint64_t>(parent_pos) << 32) | 0xFFFFFFFFull;
 }
 
-// Policy-neutral core of the exploration engine. One engine per Check()
-// call; the policy subclass provides Run().
-class EngineBase {
+// The level-synchronous exploration engine. Workers pull parent entries
+// from the current level via an atomic cursor, push discoveries into
+// worker-local buffers, and barrier; the barrier merges tallies, settles
+// the next level's order (POR SettlePor, graph node ids), and handles
+// violations/limits. Every barrier step runs on the worker pool, which is
+// otherwise idle there.
+class Engine {
  public:
-  EngineBase(const CheckerOptions& options, const Spec& spec,
-             ExplorationPolicy policy);
+  Engine(const CheckerOptions& options, const Spec& spec);
 
- protected:
-  // Per-worker accumulators. Level-sync merges and clears them at each
-  // level barrier; relaxed merges them once after the frontier drains
-  // (expanded spans the whole run under both — it feeds worker-balance
-  // counters). Cache-line aligned: workers write their own Scratch on
-  // every expansion, and adjacent ones must not share a line.
+  CheckResult Run();
+
+ private:
+  // Per-worker accumulators, merged and cleared at each level barrier
+  // (expanded spans the whole run — it feeds worker-balance counters).
+  // Cache-line aligned: workers write their own Scratch on every
+  // expansion, and adjacent ones must not share a line.
   struct alignas(64) Scratch {
     std::vector<LevelEntry> next;
     std::vector<CandidateViolation> candidates;
     std::vector<State> successors;
     // POR: states whose pending sleep mask shrank this level, with their
     // full state for a potential wake re-enqueue. Settled at the barrier.
-    // (Level-sync only; relaxed settles wakes inside InsertBatch.)
     std::unordered_map<uint64_t, State> wake_candidates;
     // Successors awaiting FlushStaged, in discovery order: staged_items[i]
     // inserts staged_states[i]. The rest is reusable flush scratch.
@@ -159,23 +148,16 @@ class EngineBase {
     uint64_t slept = 0;
     uint64_t expanded = 0;
     int64_t diameter = 0;
-    // Worker idle-time profile (CheckResult::worker_busy_ms). Level-sync:
-    // wall time spent inside DrainLevel vs. waiting at the fork-join
-    // barrier for the slowest worker, plus the stamp the wait is
-    // computed from. Relaxed: busy covers expansion work, steal covers
-    // probing other deques, starve covers spinning on a globally empty
-    // frontier (barrier_wait/drain_end stay 0).
+    // Worker idle-time profile (CheckResult::worker_busy_ms): wall time
+    // spent inside DrainLevel vs. waiting at the fork-join barrier for the
+    // slowest worker, plus the stamp the wait is computed from.
     int64_t busy_ns = 0;
     int64_t barrier_wait_ns = 0;
     int64_t drain_end_ns = 0;
-    int64_t steal_ns = 0;
-    int64_t starve_ns = 0;
-    uint64_t steals = 0;
   };
 
-  // Common Run() preamble: stamps the start, resolves progress plumbing,
-  // emits run.started, builds the POR commuting masks and the graph
-  // recorder. Identical under both policies.
+  // Run() preamble: stamps the start, resolves progress plumbing, emits
+  // run.started, builds the POR commuting masks and the graph recorder.
   void StartRun();
 
   // Serial: canonicalizes and inserts the spec's initial states, checking
@@ -183,6 +165,12 @@ class EngineBase {
   // state already violates (result_.violation is set).
   bool SeedInitial(std::vector<LevelEntry>* level);
 
+  // Drains one in-memory batch of the current level. `base` is the
+  // batch's global position within the level, so EventKey/DeadlockKey
+  // stay level-global — and with them every downstream key — whether or
+  // not the level was partially spooled to disk.
+  void DrainLevel(const std::vector<LevelEntry*>& order, size_t base,
+                  int worker);
   // Expands `entry`: stages each successor in s, flushing whenever
   // kInsertBatch are staged (so the staging buffers never grow past
   // that), and records graph edges and deadlock candidates. Stops early
@@ -200,10 +188,17 @@ class EngineBase {
 
   // Inserts the staged successors with one InsertBatch, settles the spill
   // tier's misses with one ResolvePending, then applies the results in
-  // staged order: new states go through AdmitNew, POR wakes into s.next
-  // (relaxed) or s.wake_candidates (level-sync). Returns false when the
-  // max-distinct cap aborted the run; the rest of the batch is dropped.
+  // staged order: new states go through AdmitNew, POR shrinks into
+  // s.wake_candidates. Returns false when the max-distinct cap aborted
+  // the run; the rest of the batch is dropped.
   bool FlushStaged(Scratch& s);
+
+  // Barrier: the next level in settled order — every worker's run,
+  // merged. The runs become the level's storage.
+  Level AssembleNext();
+  // Barrier (record_graph): numbers `next` as the level's new graph nodes,
+  // stamps their ids on the entries, and resolves the level's edges.
+  void SettleGraph(Level& next);
 
   // Rebuilds the counterexample behavior ending at `end_state` by walking
   // the predecessor-fingerprint chain and replaying the recorded actions
@@ -217,36 +212,31 @@ class EngineBase {
 
   // --- Out-of-core support (spill_enabled_ only) ---
 
-  // Whether a checkpoint is due at this safe point (barrier / boundary).
+  // Whether a checkpoint is due at this level barrier.
   bool CheckpointDue(int64_t now_ns) const;
   // Stamps the next checkpoint deadline after a successful write.
   void CheckpointWritten(int64_t now_ns);
-  // Fills the policy-neutral manifest fields (policy name, counters,
-  // sealed runs, initial states). The caller adds frontiers/candidates.
-  // `generated`/`slept`/`diameter` are the caller's merged live values.
-  CheckpointManifest MakeManifest(uint64_t generated, uint64_t slept,
-                                  int64_t diameter);
-  // Policy-neutral half of --resume: reads + validates the manifest,
-  // adopts the sealed runs, restores counters and the initial states.
-  // The caller adopts the frontiers/candidates from `manifest`.
-  common::Status ResumeCommon(CheckpointManifest* manifest);
+  // The manifest of a checkpoint at this barrier: the run counters, the
+  // sealed runs, the initial states and `spool`'s sealed segments.
+  CheckpointManifest MakeManifest(const FrontierSpool& spool);
+  // --resume: reads and validates the manifest, adopts the sealed runs
+  // and frontier segments (into `spool`), and restores the counters and
+  // the initial states.
+  common::Status Resume(FrontierSpool* spool);
   // Live flush of the checker.spill.* metric family (monotone counters
-  // reconciled via published_*; gauges overwritten). Serialized by the
-  // caller (barrier thread / relaxed worker 0).
+  // reconciled via published_*; gauges overwritten). Called from the
+  // barrier and from Finish.
   void FlushSpillMetrics(uint64_t frontier_segments_total);
   // Removes the per-process temp spill dir (no-op when the dir was
   // user-provided). Called after the last stats read.
   void CleanupSpillDir();
 
-  static FingerprintSet::Options FpOptions(bool por, bool relaxed,
-                                           uint64_t all_actions,
+  static FingerprintSet::Options FpOptions(bool por,
                                            const std::string& spill_dir,
                                            uint64_t memory_budget_bytes,
                                            bool checkpointing) {
     FingerprintSet::Options o;
     o.track_por = por;
-    o.immediate_por_settle = por && relaxed;
-    o.por_all_actions = all_actions;
     o.spill_dir = spill_dir;  // Empty when spilling is off or gated off.
     o.memory_budget_bytes = memory_budget_bytes;
     o.spill_durable = checkpointing;
@@ -261,8 +251,6 @@ class EngineBase {
   common::MonotonicClock* const clock_;
   obs::EventLog* const events_;
   const int workers_;
-  const ExplorationPolicy policy_;
-  const bool relaxed_;
   // Sleep-set partial-order reduction (Godefroid): when expanding a
   // state, actions in its sleep set are skipped; a successor reached via
   // action a sleeps every action that commutes with a and was either
@@ -271,16 +259,12 @@ class EngineBase {
   // re-expands ONLY the newly woken actions (the per-record `done` mask
   // remembers what already ran), so every reachable state is eventually
   // explored with every non-redundant action — the reduction removes
-  // redundant interleavings, not reachable states. Under level-sync,
-  // shrinks are two-phase: mid-level revisits only narrow a pending
-  // mask, and the level barrier settles it and re-enqueues woken states
-  // (fpset.h SettlePor), so every counter and trace is
-  // worker-count-invariant under POR too. Under relaxed there is no
-  // barrier: Insert settles shrinks immediately and the discovering
-  // worker re-enqueues the wake (fpset.h immediate_por_settle) — the
-  // explored state set stays exact, slept/generated tallies become
-  // approximate. Soundness requires the independence relation to respect
-  // the state constraint (see analysis::ComputeIndependence /
+  // redundant interleavings, not reachable states. Shrinks are
+  // two-phase: mid-level revisits only narrow a pending mask, and the
+  // level barrier settles it and re-enqueues woken states (fpset.h
+  // SettlePor), so every counter and trace is worker-count-invariant
+  // under POR too. Soundness requires the independence relation to
+  // respect the state constraint (see analysis::ComputeIndependence /
   // RefineIndependence). Disabled under record_graph: the recorded graph
   // must carry every edge for MBTCG/liveness.
   const bool use_sleep_sets_;
@@ -303,9 +287,9 @@ class EngineBase {
 
   CheckResult result_;
   int64_t start_ns_ = 0;
-  // Level-sync barrier wall time, run total: from the end of each drain
-  // to the start of the next level (checker.barrier.settle_ms), and its
-  // steps (checker.barrier.<step>_ms): building the sorted next level,
+  // Barrier wall time, run total: from the end of each drain to the start
+  // of the next level (checker.barrier.settle_ms), and its steps
+  // (checker.barrier.<step>_ms): building the sorted next level,
   // numbering its graph nodes, eviction, and frontier spooling.
   int64_t settle_ns_ = 0;
   int64_t assemble_ns_ = 0;
@@ -314,16 +298,15 @@ class EngineBase {
   int64_t spool_ns_ = 0;
   Value::InternStats intern_at_start_;
   // Live-metric flushing: the portion of this run's tallies already
-  // published to the global counters mid-run (at level barriers, or per
-  // relaxed batch), so /metrics advances mid-run and Finish adds only
-  // the remainder (totals stay identical to publishing once at the
-  // end). Atomics because relaxed workers flush concurrently; level-sync
-  // only ever touches them from the barrier.
+  // published to the global counters at level barriers, so /metrics
+  // advances mid-run and Finish adds only the remainder (totals stay
+  // identical to publishing once at the end). Only the barrier and
+  // Finish touch them.
   std::atomic<uint64_t> published_generated_{0};
   std::atomic<uint64_t> published_distinct_{0};
   std::atomic<uint64_t> published_slept_{0};
   // Spill-metric reconciliation + end-of-run totals (single-writer: the
-  // barrier thread or relaxed worker 0 / the post-join serial code).
+  // barrier, then Finish).
   uint64_t published_spill_bytes_ = 0;
   uint64_t published_frontier_segments_ = 0;
   uint64_t published_checkpoints_ = 0;
@@ -333,13 +316,9 @@ class EngineBase {
   double checkpoint_ms_ = 0;
   int64_t next_checkpoint_ns_ = 0;
 
-  // Level-scoped shared state (level-sync); abort flags are shared by
-  // both policies. abort_io_: the spill tier recorded a sticky IO or
-  // corruption error — stop instead of diverging (spill_status() carries
-  // the status for Finish).
+  // Level-scoped shared state.
   std::atomic<size_t> next_index_{0};  // Parent-entry work cursor.
   std::atomic<bool> abort_max_{false};
-  std::atomic<bool> abort_io_{false};
 
   // Progress plumbing. Only worker 0 reads the clock and reports; the
   // other workers flush per-parent deltas into the two relaxed atomics so
@@ -351,112 +330,6 @@ class EngineBase {
   uint32_t poll_countdown_ = kProgressPollExpansions;
   std::atomic<uint64_t> generated_level_{0};
   std::atomic<uint64_t> next_count_{0};
-};
-
-// The deterministic level-synchronous policy (the default, and the
-// pre-split behavior bit-for-bit). Workers pull parent entries from the
-// current level via an atomic cursor, push discoveries into worker-local
-// buffers, and barrier; the barrier merges tallies, settles the next
-// level's order (POR SettlePor, graph node ids), and handles
-// violations/limits. Every barrier step runs on the worker pool, which
-// is otherwise idle there.
-class LevelSyncEngine : public EngineBase {
- public:
-  LevelSyncEngine(const CheckerOptions& options, const Spec& spec)
-      : EngineBase(options, spec, ExplorationPolicy::kLevelSync) {}
-
-  CheckResult Run();
-
- private:
-  // Drains one in-memory batch of the current level. `base` is the
-  // batch's global position within the level, so EventKey/DeadlockKey
-  // stay level-global — and with them every downstream key — whether or
-  // not the level was partially spooled to disk.
-  void DrainLevel(const std::vector<LevelEntry*>& order, size_t base,
-                  int worker);
-  // Barrier: the next level in settled order — every worker's run,
-  // merged. The runs become the level's storage.
-  Level AssembleNext();
-  // Barrier (record_graph): numbers `next` as the level's new graph nodes,
-  // stamps their ids on the entries, and resolves the level's edges.
-  void SettleGraph(Level& next);
-};
-
-// The relaxed work-stealing policy: every worker owns a deque of frontier
-// entries; it drains its own from the front, steals half from a victim's
-// back when empty, and spins (starves) when the whole frontier is in
-// flight. No barriers — termination is a global in-flight counter
-// reaching zero. Violating runs drain the entire reachable space so the
-// candidate set (and with it distinct/generated and the verdict) is
-// schedule-independent; the reported trace/diameter/frontier peak are
-// approximate.
-class RelaxedEngine : public EngineBase {
- public:
-  // Ctor and dtor are out-of-line: spools_ holds a type that is only
-  // forward-declared here (frontier_spill.h includes this header).
-  RelaxedEngine(const CheckerOptions& options, const Spec& spec);
-  ~RelaxedEngine();
-
-  CheckResult Run();
-
- private:
-  struct WorkerDeque {
-    std::mutex mu;
-    std::deque<LevelEntry> entries;
-  };
-
-  void WorkerLoop(int worker);
-  // Moves up to kRelaxedBatchEntries from this worker's own deque (front)
-  // into `batch`, reloading the deque from the worker's spill spool when
-  // it runs dry; returns how many.
-  size_t PopOwn(int worker, std::vector<LevelEntry>* batch);
-  // One round-robin pass over the other workers' deques, taking up to
-  // half a victim's entries (from the back). Returns how many.
-  size_t Steal(int worker, std::vector<LevelEntry>* batch);
-  // Appends s.next to the worker's own deque (overflowing to the
-  // worker's spool past the in-memory cap), counting the new entries
-  // into pending_ BEFORE the caller retires the parent entry.
-  void PushDiscoveries(int worker, Scratch& s);
-
-  // Checkpoint rendezvous (checkpointing_ only): worker 0 raises the
-  // flag at a due batch boundary; every worker parks here between
-  // batches (in-flight work fully retired). The last one to park —
-  // or the last active worker when others have exited — performs the
-  // checkpoint with exclusive ownership of all deques and spools, then
-  // releases the fleet. Exiting workers participate via ExitWorker so
-  // the rendezvous can always complete.
-  void MaybeParkForCheckpoint();
-  void ExitWorker();
-  void DoCheckpointLocked();
-  // Records the first frontier-spool / checkpoint IO error and raises
-  // abort_io_ so every worker unwinds (spool entries stay counted in
-  // pending_, so waiting on the counter alone would livelock).
-  void RecordIoError(const common::Status& status);
-
-  std::vector<std::unique_ptr<WorkerDeque>> deques_;
-  // Per-worker frontier spools (spill_enabled_ only; null otherwise).
-  std::vector<std::unique_ptr<FrontierSpool>> spools_;
-  size_t per_worker_cap_ = 0;  // Deque entries before spooling.
-
-  std::mutex ckpt_mu_;
-  std::condition_variable ckpt_cv_;
-  bool ckpt_requested_ = false;
-  int ckpt_parked_ = 0;
-  int active_workers_ = 0;
-  uint64_t ckpt_generation_ = 0;
-
-  std::mutex io_mu_;
-  common::Status io_status_;  // First spool/checkpoint error (abort_io_).
-  // Frontier entries enqueued but not yet retired (a parent is retired
-  // only after its discoveries are enqueued, so the counter can never dip
-  // to zero while undiscovered work exists). Zero means done.
-  std::atomic<uint64_t> pending_{0};
-  std::atomic<uint64_t> frontier_peak_{0};
-  // Cached global counters for the per-batch live flush (set by Run()
-  // before the workers start).
-  obs::Counter* live_generated_ = nullptr;
-  obs::Counter* live_distinct_ = nullptr;
-  obs::Counter* live_slept_ = nullptr;
 };
 
 }  // namespace xmodel::tlax::internal

@@ -1,10 +1,9 @@
-// The deterministic level-synchronous exploration policy (the default):
-// workers pull parent entries from the current level via an atomic
-// cursor, push discoveries into worker-local buffers, and barrier; the
-// barrier merges tallies, settles the next level's order, and handles
-// violations/limits, running its steps on the otherwise idle pool.
-// Bit-identical results across worker counts — see DESIGN.md "Parallel
-// checking".
+// The exploration engine's level loop: workers pull parent entries from
+// the current level via an atomic cursor, push discoveries into
+// worker-local buffers, and barrier; the barrier merges tallies, settles
+// the next level's order, and handles violations/limits, running its
+// steps on the otherwise idle pool. Bit-identical results across worker
+// counts — see DESIGN.md "Parallel checking".
 
 #include <algorithm>
 #include <memory>
@@ -22,7 +21,7 @@
 
 namespace xmodel::tlax::internal {
 
-void LevelSyncEngine::DrainLevel(const std::vector<LevelEntry*>& order,
+void Engine::DrainLevel(const std::vector<LevelEntry*>& order,
                                  size_t base, int worker) {
   Scratch& s = scratch_[static_cast<size_t>(worker)];
   const bool poll = report_progress_ && worker == 0;
@@ -175,7 +174,7 @@ std::vector<LevelEntry*> MergeSettledRuns(
   return order;
 }
 
-Level LevelSyncEngine::AssembleNext() {
+Level Engine::AssembleNext() {
   // Every worker has drained, so the records are settled up to POR, and
   // each worker readies its own run.
   if (use_sleep_sets_) {
@@ -219,7 +218,7 @@ Level LevelSyncEngine::AssembleNext() {
   return next;
 }
 
-void LevelSyncEngine::SettleGraph(Level& next) {
+void Engine::SettleGraph(Level& next) {
   // With record_graph the next level is exactly this level's constrained
   // new states (no POR wakes, no spilling), in settled order — the order
   // a serial scan numbers them in.
@@ -237,7 +236,7 @@ void LevelSyncEngine::SettleGraph(Level& next) {
   pool_.Run([&graph](int worker) { graph.ResolveEdges(worker); });
 }
 
-CheckResult LevelSyncEngine::Run() {
+CheckResult Engine::Run() {
   StartRun();
 
   // Frontier overflow spool: the settled next level beyond the in-memory
@@ -267,15 +266,7 @@ CheckResult LevelSyncEngine::Run() {
               ? "--resume requires --checkpoint-dir"
               : common::StrCat("--resume: ", result_.spill_notice)));
     }
-    CheckpointManifest manifest;
-    common::Status status = ResumeCommon(&manifest);
-    if (!status.ok()) return Finish(status);
-    std::vector<std::string> segments;
-    for (const std::vector<std::string>& files : manifest.frontiers) {
-      segments.insert(segments.end(), files.begin(), files.end());
-    }
-    uint64_t adopted = 0;
-    status = spool->AdoptSegments(segments, &adopted);
+    common::Status status = Resume(spool.get());
     if (!status.ok()) return Finish(status);
   } else {
     std::vector<LevelEntry> seeds;
@@ -457,13 +448,9 @@ CheckResult LevelSyncEngine::Run() {
         if (status.ok()) status = spool->Seal();
         step_done(&spool_ns_);
         if (status.ok()) {
-          CheckpointManifest manifest = MakeManifest(
-              result_.generated_states, result_.por_slept_actions,
-              result_.diameter);
-          manifest.frontiers.push_back(spool->live_segment_files());
-          manifest.frontier_total = spool->size();
           status = WriteCheckpointManifest(options_.checkpoint_dir,
-                                           manifest, /*durable=*/true);
+                                           MakeManifest(*spool),
+                                           /*durable=*/true);
         }
         if (status.ok()) {
           // The new manifest no longer references compacted-away runs or

@@ -168,28 +168,13 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index,
   out.depth = rec.depth;
   if (options_.track_por) {
     internal::FpPorMasks& por = shard.table.por(index);
-    if (options_.immediate_por_settle) {
-      // Barrier-free merge for the relaxed policy: settle the shrink now
-      // and decide the wake under the same shard lock. AcquireExpand and
-      // other revisits serialize on that lock, so a shrink either lands
-      // before an expansion reads the mask or uncovers work afterwards
-      // and wakes the record — no uncovered action is ever lost.
-      por.pending &= item.sleep_mask;
-      por.sleep = por.pending;
-      if (!rec.has(internal::FpSlot::kQueued) &&
-          (options_.por_all_actions & ~por.sleep & ~por.done) != 0) {
-        rec.set(internal::FpSlot::kQueued, true);
-        out.wake = true;
-      }
-    } else {
-      // Sleep-set intersect-merge (Godefroid), deferred: the shrink lands
-      // in the pending mask only. SettlePor folds it into the settled mask
-      // at the next level barrier, after every worker has drained — the
-      // intersection is commutative, so the settled result is independent
-      // of the order revisits arrived in.
-      por.pending &= item.sleep_mask;
-      out.sleep_shrunk = por.pending != por.sleep;
-    }
+    // Sleep-set intersect-merge (Godefroid), deferred: the shrink lands
+    // in the pending mask only. SettlePor folds it into the settled mask
+    // at the next level barrier, after every worker has drained — the
+    // intersection is commutative, so the settled result is independent
+    // of the order revisits arrived in.
+    por.pending &= item.sleep_mask;
+    out.sleep_shrunk = por.pending != por.sleep;
   }
   if (item.depth == rec.depth && item.order_key < rec.order_key) {
     // Same BFS level, earlier discovery order: adopt this edge so the
@@ -324,9 +309,9 @@ common::Status FingerprintSet::EvictAll(common::WorkerPool* pool) {
   // Copy out, seal, then erase — never erase before the run is
   // registered, so concurrent ResolvePending and GetEdge probes always see
   // the fingerprint somewhere. Late same-level revisits of a captured record can still
-  // min-merge the hot copy after this snapshot; the engines only evict
-  // once those fields are settled (level barrier / batch boundary), so
-  // the sealed edge is the settled one.
+  // min-merge the hot copy after this snapshot; the engine only evicts
+  // once those fields are settled (at a level barrier), so the sealed
+  // edge is the settled one.
   //
   // Collect, sort and erase are one task per shard: shard si holds
   // exactly the fingerprints whose top bits are si, so the shards' sorted

@@ -42,11 +42,6 @@ struct FpInsert {
   /// fingerprint as a wake candidate; SettlePor decides at the level
   /// barrier whether re-expansion is actually needed.
   bool sleep_shrunk = false;
-  /// Barrier-free POR mode (Options::immediate_por_settle) only: this
-  /// revisit settled a shrink that uncovered unexpanded work on a record
-  /// not currently queued, and marked it queued. The caller owns the
-  /// re-enqueue (at `depth`); there is no later settle step to do it.
-  bool wake = false;
   /// Spill tier only: the fingerprint missed the hot table and a
   /// provisional record was created; its disk probe is deferred. The
   /// caller must pass the fingerprint to ResolvePending before treating
@@ -87,20 +82,6 @@ class FingerprintSet {
     int num_shards = 64;
     /// Maintain per-state sleep/done masks for sleep-set POR.
     bool track_por = false;
-    /// Barrier-free POR for the relaxed exploration policy: Insert folds
-    /// a revisit's sleep-mask shrink into the settled mask immediately
-    /// (under the shard lock) instead of parking it in the pending mask,
-    /// and reports the re-enqueue decision in FpInsert::wake — there is
-    /// no level barrier at which SettlePor could run. The cumulative
-    /// settled mask still converges to the intersection of every arrival
-    /// mask, so the set of distinct states explored stays
-    /// schedule-independent; only WHEN each wake happens (and therefore
-    /// per-arrival sleep masks and slept/generated tallies) is
-    /// approximate. Requires track_por; por_all_actions must be set.
-    bool immediate_por_settle = false;
-    /// The full action mask (bit per action) immediate_por_settle uses
-    /// for its uncovered-work test inside Insert.
-    uint64_t por_all_actions = 0;
     /// Out-of-core tier: directory for sealed spill runs. Empty disables
     /// spilling entirely. Incompatible with track_por (it needs mutable
     /// records; the engine gates this).

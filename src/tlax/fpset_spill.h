@@ -43,11 +43,13 @@ namespace xmodel::tlax {
 /// the fingerprint, re-verifying its checksum. The map is the only read
 /// path: a run that cannot be mapped is an error from SealRun, AdoptRuns
 /// or compaction. Compaction runs inline, in the thread that calls
-/// CompactIfNeeded, concurrent with probes — retiring runs stay readable
-/// through shared_ptr references until the merged run is swapped in.
+/// CompactIfNeeded. The checker only evicts (and so compacts) at a level
+/// barrier, where no worker probes, but the tier does not rely on that:
+/// probes may run concurrently, and retiring runs stay readable through
+/// shared_ptr references until the merged run is swapped in.
 ///
-/// Thread safety: probes take a shared lock on the run list; sealing and
-/// compaction take it exclusively only for the list swap. SealRun,
+/// Thread safety: probes take a shared lock on the run list (runs_mu_);
+/// sealing and compaction take it exclusively only for the list swap. SealRun,
 /// AdoptRuns and CompactIfNeeded are caller-serialized (FingerprintSet's
 /// eviction mutex), so no run list change can overlap a merge. All file
 /// writes go through common::WriteFileAtomic, so a crash never leaves a

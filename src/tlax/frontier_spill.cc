@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <span>
+#include <string_view>
 #include <utility>
 
 #include "common/fileio.h"
@@ -20,6 +21,9 @@ namespace {
 // a trailing fixed64 FNV-1a checksum over every preceding byte — the
 // serialized states included, so any flipped bit is caught on resume.
 constexpr char kSegMagic[8] = {'X', 'F', 'R', 'S', 'E', 'G', '1', '\0'};
+
+// Segment files are named "seg-NNNNNN.seg", numbered in append order.
+constexpr std::string_view kSegPrefix = "seg";
 
 common::Status Corrupt(const std::string& file, const char* what) {
   return common::Status::Corruption("frontier segment " + file + ": " + what);
@@ -67,7 +71,7 @@ common::Status FrontierSpool::SealSegments(
     char suffix[32];
     std::snprintf(suffix, sizeof(suffix), "-%06llu.seg",
                   static_cast<unsigned long long>(next_segment_++));
-    file = options_.prefix + suffix;
+    file = std::string(kSegPrefix) + suffix;
   }
   // One task per segment: each encodes into its own buffer, writes its
   // file and drops the buffer, so at most one encoded segment per pool
@@ -149,15 +153,6 @@ common::Status FrontierSpool::Append(std::span<LevelEntry* const> entries,
   return common::Status::OK();
 }
 
-common::Status FrontierSpool::Append(std::vector<LevelEntry>&& entries) {
-  std::vector<LevelEntry*> pointers;
-  pointers.reserve(entries.size());
-  for (LevelEntry& e : entries) pointers.push_back(&e);
-  common::Status status = Append(pointers, nullptr);
-  entries.clear();
-  return status;
-}
-
 void FrontierSpool::StartPrefetch() {
   if (segments_.empty() || prefetch_.valid()) return;
   prefetch_file_ = segments_.front().file;
@@ -234,10 +229,11 @@ common::Status FrontierSpool::AdoptSegments(
     spooled_ += seg.count;
     *entries += seg.count;
     segments_.push_back(std::move(seg));
-    // Keep numbering clear of adopted files ("<prefix>-NNNNNN.seg").
+    // Keep numbering clear of adopted files.
     unsigned long long n = 0;
-    const std::string tail = file.substr(options_.prefix.size());
-    if (std::sscanf(tail.c_str(), "-%6llu.seg", &n) == 1 &&
+    if (file.starts_with(kSegPrefix) &&
+        std::sscanf(file.c_str() + kSegPrefix.size(), "-%6llu.seg", &n) ==
+            1 &&
         n + 1 > next_segment_) {
       next_segment_ = n + 1;
     }

@@ -19,20 +19,17 @@ namespace xmodel::tlax::internal {
 /// Disk overflow for a frontier queue: a bounded in-memory tail plus a
 /// FIFO of sealed segment files, each one batch of serialized
 /// LevelEntry records (full state bytes + fingerprint + depth + key).
-/// The level-sync engine keeps one spool per run (the portion of the
-/// current BFS level beyond the in-memory head chunk); the relaxed
-/// engine keeps one per worker deque. Entries come back in exactly the
-/// order they were appended, so level-sync replay preserves the settled
-/// sort order and results stay bit-identical with or without spill.
+/// The engine keeps one spool per run (the portion of the current BFS
+/// level beyond the in-memory head chunk). Entries come back in exactly
+/// the order they were appended, so replay preserves the settled sort
+/// order and results stay bit-identical with or without spill.
 ///
-/// Not internally synchronized: each spool has a single owner (the
-/// barrier thread, or one relaxed worker; the checkpointer touches all
-/// spools only while every worker is parked). Two narrow exceptions:
-/// segments_written() is an atomic read any thread may make (the live
-/// metrics flusher polls other workers' spools), and PopBatch keeps a
-/// one-segment async read-ahead in flight — the prefetch thread only
-/// reads a sealed, immutable segment file that stays live (never
-/// retired) until the owner pops it.
+/// Not internally synchronized: the spool has a single owner (the
+/// barrier thread). Two narrow exceptions: segments_written() is an
+/// atomic read any thread may make, and PopBatch keeps a one-segment
+/// async read-ahead in flight — the prefetch thread only reads a sealed,
+/// immutable segment file that stays live (never retired) until the
+/// owner pops it.
 ///
 /// Segment files are written atomically (temp + rename) and carry a
 /// count and fingerprint checksum, so a truncated or garbled file on
@@ -44,8 +41,6 @@ class FrontierSpool {
  public:
   struct Options {
     std::string dir;
-    /// Distinguishes spools sharing a dir (e.g. per-worker: "seg-w3").
-    std::string prefix = "seg";
     /// Entries per sealed segment (the replay IO granularity).
     size_t segment_entries = 4096;
     bool durable = false;
@@ -63,8 +58,6 @@ class FrontierSpool {
   /// boundaries do not depend on the pool.
   common::Status Append(std::span<LevelEntry* const> entries,
                         common::WorkerPool* pool);
-  /// Append of every entry of `entries`, inline; leaves it empty.
-  common::Status Append(std::vector<LevelEntry>&& entries);
 
   /// Pops the oldest batch in FIFO order: the front segment file
   /// (decoded and consumed), else the in-memory tail. Empty `out` with

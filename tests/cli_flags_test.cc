@@ -35,7 +35,6 @@ using Fields = std::map<std::string, std::string>;
 // Every field a shared flag can set, keyed by its flag.
 Fields CheckerFields(const tlax::CheckerOptions& o) {
   return {{"--workers", StrCat(o.num_workers)},
-          {"--explore", tlax::ExplorationPolicyName(o.exploration)},
           {"--mem-budget-mb", StrCat(o.memory_budget_mb)},
           {"--spill-dir", o.spill_dir},
           {"--checkpoint-dir", o.checkpoint_dir},
@@ -63,12 +62,9 @@ const std::vector<Row>& CheckerRows() {
       {"--workers=4x", FlagResult::kBad, ""},
       {"--workers=4097", FlagResult::kBad, ""},
       {"--workers=99999999999999999999", FlagResult::kBad, ""},
-      {"--explore=relaxed", FlagResult::kParsed, "relaxed"},
-      {"--explore=level", FlagResult::kParsed, "level"},
-      {"--explore=", FlagResult::kBad, ""},
-      {"--explore=bogus", FlagResult::kBad, ""},
-      {"--explore=-1", FlagResult::kBad, ""},
-      {"--explore=levelx", FlagResult::kBad, ""},
+      // Every run is level-synchronous; no parser owns --explore.
+      {"--explore=relaxed", FlagResult::kUnknown, ""},
+      {"--explore=level", FlagResult::kUnknown, ""},
       {"--mem-budget-mb=0", FlagResult::kParsed, "0"},
       {"--mem-budget-mb=64", FlagResult::kParsed, "64"},
       // The largest budget whose byte count (mb << 20) fits in 64 bits.
@@ -156,7 +152,6 @@ std::string FlagName(std::string_view arg) {
 tlax::CheckerOptions NonDefaultChecker() {
   tlax::CheckerOptions o;
   o.num_workers = 3;
-  o.exploration = tlax::ExplorationPolicy::kRelaxed;
   o.memory_budget_mb = 7;
   o.spill_dir = "old_spill";
   o.checkpoint_dir = "old_ckpt";
@@ -236,23 +231,15 @@ TEST(CheckerFlagsTest, ParseMemoryBudgetMb) {
   ExpectCheckerRows("--mem-budget-mb");
 }
 
-TEST(RelaxedPolicyTest, ParsePolicyNames) {
-  ExpectCheckerRows("--explore");
-  EXPECT_STREQ(tlax::ExplorationPolicyName(tlax::ExplorationPolicy::kRelaxed),
-               "relaxed");
-  EXPECT_STREQ(
-      tlax::ExplorationPolicyName(tlax::ExplorationPolicy::kLevelSync),
-      "level");
-}
-
 TEST(SharedFlagsTest, FlagsOutsideTheMaskAreNotConsumed) {
-  // mbtc_check's checker subset: --explore is someone else's flag there.
+  // mbtc_check's checker subset: --checkpoint-dir is someone else's flag
+  // there.
   tlax::CheckerOptions checker;
   const common::FlagParser mbtc =
       tlax::CheckerFlags(tlax::kWorkersFlag | tlax::kMemBudgetFlag, &checker);
   std::string error;
-  EXPECT_EQ(mbtc("--explore=relaxed", &error), FlagResult::kUnknown);
-  EXPECT_EQ(checker.exploration, tlax::ExplorationPolicy::kLevelSync);
+  EXPECT_EQ(mbtc("--checkpoint-dir=ckpt", &error), FlagResult::kUnknown);
+  EXPECT_TRUE(checker.checkpoint_dir.empty());
   EXPECT_EQ(mbtc("--workers=2", &error), FlagResult::kParsed);
   EXPECT_EQ(checker.num_workers, 2);
 

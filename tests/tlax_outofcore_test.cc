@@ -2,8 +2,7 @@
 // spill, and checkpoint/resume must be invisible to results. A run
 // under a tight memory budget — forcing several spill generations and
 // frontier segments — must produce bit-identical counts and verdicts to
-// an unlimited in-memory run, at every worker count and under both
-// exploration policies. A run killed mid-flight (here: an injected
+// an unlimited in-memory run, at every worker count. A run killed mid-flight (here: an injected
 // max_distinct_states abort) must resume from its last checkpoint and
 // finish with the same final counts as an uninterrupted run. Corrupted
 // checkpoint artifacts must fail resume with a clean kCorruption, never
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "common/fileio.h"
+#include "common/json.h"
 #include "common/status.h"
 #include "common/strings.h"
 #include "specs/toy_specs.h"
@@ -49,14 +49,11 @@ std::string FreshDir(const std::string& name) {
 // level spooling on the wide middle levels.
 constexpr int64_t kWideLimit = 360;
 
-void ExpectSpillInvisible(ExplorationPolicy policy) {
+TEST(OutOfCoreTest, LevelSyncTightBudgetMatchesUnlimited) {
   const specs::CounterSpec spec(kWideLimit);
   for (int workers : {1, 2, 4}) {
-    SCOPED_TRACE(testing::Message()
-                 << ExplorationPolicyName(policy) << " with " << workers
-                 << " workers");
+    SCOPED_TRACE(testing::Message() << workers << " workers");
     CheckerOptions options;
-    options.exploration = policy;
     options.num_workers = workers;
     CheckResult base = ModelChecker(options).Check(spec);
     ASSERT_TRUE(base.status.ok()) << base.status.ToString();
@@ -65,9 +62,7 @@ void ExpectSpillInvisible(ExplorationPolicy policy) {
     CheckerOptions tight = options;
     tight.memory_budget_mb = 1;
     tight.frontier_inmem_entries = 64;
-    tight.spill_dir =
-        FreshDir(common::StrCat("tight_", ExplorationPolicyName(policy), "_w",
-                                workers));
+    tight.spill_dir = FreshDir(common::StrCat("tight_level_w", workers));
     CheckResult result = ModelChecker(tight).Check(spec);
     ASSERT_TRUE(result.status.ok()) << result.status.ToString();
     EXPECT_TRUE(result.spill_enabled);
@@ -78,30 +73,18 @@ void ExpectSpillInvisible(ExplorationPolicy policy) {
     EXPECT_GT(result.spill_bytes, 0u);
     EXPECT_GT(result.spill_records, 0u);
 
-    // Both policies promise exact distinct/generated counts and
-    // verdicts regardless of where the seen-set lives.
+    // Every field is identical regardless of where the seen-set lives;
+    // the frontier spool must also have been exercised (wide middle
+    // levels far exceed the 64-entry cap).
     EXPECT_EQ(result.distinct_states, base.distinct_states);
     EXPECT_EQ(result.generated_states, base.generated_states);
     EXPECT_EQ(result.fingerprint_collision_probability,
               base.fingerprint_collision_probability);
     EXPECT_FALSE(result.violation.has_value());
-    if (policy == ExplorationPolicy::kLevelSync) {
-      // Level-sync additionally promises bit-identical order-dependent
-      // fields; the frontier spool must also have been exercised (wide
-      // middle levels far exceed the 64-entry cap).
-      EXPECT_EQ(result.diameter, base.diameter);
-      EXPECT_EQ(result.frontier_peak, base.frontier_peak);
-      EXPECT_GT(result.frontier_segments, 0u);
-    }
+    EXPECT_EQ(result.diameter, base.diameter);
+    EXPECT_EQ(result.frontier_peak, base.frontier_peak);
+    EXPECT_GT(result.frontier_segments, 0u);
   }
-}
-
-TEST(OutOfCoreTest, LevelSyncTightBudgetMatchesUnlimited) {
-  ExpectSpillInvisible(ExplorationPolicy::kLevelSync);
-}
-
-TEST(OutOfCoreTest, RelaxedTightBudgetMatchesUnlimited) {
-  ExpectSpillInvisible(ExplorationPolicy::kRelaxed);
 }
 
 // Counterexample traces are rebuilt by walking predecessor records, and
@@ -134,60 +117,30 @@ TEST(OutOfCoreTest, LevelSyncViolationTraceIdenticalUnderSpill) {
   }
 }
 
-TEST(OutOfCoreTest, RelaxedViolationVerdictIdenticalUnderSpill) {
-  const specs::CounterSpec spec(kWideLimit, /*violate_at=*/300);
+// A state space wide enough that the tight budget seals well past the
+// compaction threshold, so eviction provably merges runs mid-run, and
+// counts still match the unlimited run exactly.
+TEST(OutOfCoreTest, MidRunCompactionStaysExact) {
+  const specs::CounterSpec spec(/*limit=*/500);
   CheckerOptions options;
-  options.exploration = ExplorationPolicy::kRelaxed;
   options.num_workers = 2;
   CheckResult base = ModelChecker(options).Check(spec);
   ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  ASSERT_TRUE(base.violation.has_value());
 
   CheckerOptions tight = options;
   tight.memory_budget_mb = 1;
   tight.frontier_inmem_entries = 64;
-  tight.spill_dir = FreshDir("trace_relaxed");
+  tight.spill_dir = FreshDir("compact_level");
   CheckResult result = ModelChecker(tight).Check(spec);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
   EXPECT_TRUE(result.spill_enabled);
-  ASSERT_TRUE(result.violation.has_value());
-  EXPECT_EQ(result.violation->kind, base.violation->kind);
-  // Relaxed violating runs drain the whole reachable space, so distinct
-  // stays invariant even on violations.
+  EXPECT_GE(result.spill_compactions, 1u)
+      << "the budget must force enough generations to trip compaction";
   EXPECT_EQ(result.distinct_states, base.distinct_states);
-}
-
-// A state space wide enough that the tight budget seals well past the
-// compaction threshold, so eviction provably merges runs mid-run — under
-// relaxed, while the other worker keeps probing — and counts still match
-// the unlimited run exactly.
-TEST(OutOfCoreTest, MidRunCompactionStaysExact) {
-  const specs::CounterSpec spec(/*limit=*/500);
-  for (ExplorationPolicy policy :
-       {ExplorationPolicy::kLevelSync, ExplorationPolicy::kRelaxed}) {
-    SCOPED_TRACE(ExplorationPolicyName(policy));
-    CheckerOptions options;
-    options.exploration = policy;
-    options.num_workers = 2;
-    CheckResult base = ModelChecker(options).Check(spec);
-    ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-
-    CheckerOptions tight = options;
-    tight.memory_budget_mb = 1;
-    tight.frontier_inmem_entries = 64;
-    tight.spill_dir = FreshDir(
-        common::StrCat("compact_", ExplorationPolicyName(policy)));
-    CheckResult result = ModelChecker(tight).Check(spec);
-    ASSERT_TRUE(result.status.ok()) << result.status.ToString();
-    EXPECT_TRUE(result.spill_enabled);
-    EXPECT_GE(result.spill_compactions, 1u)
-        << "the budget must force enough generations to trip compaction";
-    EXPECT_EQ(result.distinct_states, base.distinct_states);
-    EXPECT_EQ(result.generated_states, base.generated_states);
-    EXPECT_EQ(result.fingerprint_collision_probability,
-              base.fingerprint_collision_probability);
-    EXPECT_FALSE(result.violation.has_value());
-  }
+  EXPECT_EQ(result.generated_states, base.generated_states);
+  EXPECT_EQ(result.fingerprint_collision_probability,
+            base.fingerprint_collision_probability);
+  EXPECT_FALSE(result.violation.has_value());
 }
 
 // Spilling silently steps aside for modes that need full in-memory
@@ -220,53 +173,39 @@ TEST(OutOfCoreTest, SpillGatedOffUnderRecordGraph) {
 constexpr int64_t kResumeLimit = 60;
 constexpr uint64_t kAbortAfter = 1500;
 
-CheckerOptions CheckpointOptions(ExplorationPolicy policy, int workers,
-                                 const std::string& dir) {
+CheckerOptions CheckpointOptions(int workers, const std::string& dir) {
   CheckerOptions options;
-  options.exploration = policy;
   options.num_workers = workers;
   options.checkpoint_dir = dir;
   options.checkpoint_every_s = 0;
   return options;
 }
 
-// Runs the injected-abort phase. Level-sync checkpoints at every level
+// Runs the injected-abort phase. The run checkpoints at every level
 // barrier, so at least one checkpoint always lands before the abort.
-// Relaxed checkpoints at a worker rendezvous, and under heavy scheduler
-// load the abort can occasionally win the race to the first rendezvous
-// (exiting workers cancel the pending request) — retry with a fresh
-// directory until a checkpoint lands.
-CheckResult RunInterrupted(const Spec& spec, ExplorationPolicy policy,
-                           int workers, const std::string& dir_name,
-                           std::string* dir) {
-  CheckResult partial;
-  for (int attempt = 0; attempt < 10; ++attempt) {
-    *dir = FreshDir(dir_name);
-    CheckerOptions interrupted = CheckpointOptions(policy, workers, *dir);
-    interrupted.max_distinct_states = kAbortAfter;
-    partial = ModelChecker(interrupted).Check(spec);
-    EXPECT_EQ(partial.status.code(), common::StatusCode::kResourceExhausted)
-        << partial.status.ToString();
-    if (partial.checkpoints_written >= 1) break;
-  }
+CheckResult RunInterrupted(const Spec& spec, int workers,
+                           const std::string& dir_name, std::string* dir) {
+  *dir = FreshDir(dir_name);
+  CheckerOptions interrupted = CheckpointOptions(workers, *dir);
+  interrupted.max_distinct_states = kAbortAfter;
+  CheckResult partial = ModelChecker(interrupted).Check(spec);
+  EXPECT_EQ(partial.status.code(), common::StatusCode::kResourceExhausted)
+      << partial.status.ToString();
   return partial;
 }
 
-void ExpectResumeMatchesUninterrupted(ExplorationPolicy policy) {
+TEST(CheckpointTest, LevelSyncResumeMatchesUninterrupted) {
   const specs::CounterSpec spec(kResumeLimit);
   CheckerOptions plain;
-  plain.exploration = policy;
   plain.num_workers = 2;
   CheckResult reference = ModelChecker(plain).Check(spec);
   ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
 
   std::string dir;
-  CheckResult partial = RunInterrupted(
-      spec, policy, 2, common::StrCat("resume_", ExplorationPolicyName(policy)),
-      &dir);
+  CheckResult partial = RunInterrupted(spec, 2, "resume_level", &dir);
   ASSERT_GE(partial.checkpoints_written, 1u);
 
-  CheckerOptions resume = CheckpointOptions(policy, 2, dir);
+  CheckerOptions resume = CheckpointOptions(2, dir);
   resume.resume = true;
   CheckResult result = ModelChecker(resume).Check(spec);
   ASSERT_TRUE(result.status.ok()) << result.status.ToString();
@@ -276,17 +215,7 @@ void ExpectResumeMatchesUninterrupted(ExplorationPolicy policy) {
   EXPECT_EQ(result.fingerprint_collision_probability,
             reference.fingerprint_collision_probability);
   EXPECT_FALSE(result.violation.has_value());
-  if (policy == ExplorationPolicy::kLevelSync) {
-    EXPECT_EQ(result.diameter, reference.diameter);
-  }
-}
-
-TEST(CheckpointTest, LevelSyncResumeMatchesUninterrupted) {
-  ExpectResumeMatchesUninterrupted(ExplorationPolicy::kLevelSync);
-}
-
-TEST(CheckpointTest, RelaxedResumeMatchesUninterrupted) {
-  ExpectResumeMatchesUninterrupted(ExplorationPolicy::kRelaxed);
+  EXPECT_EQ(result.diameter, reference.diameter);
 }
 
 TEST(CheckpointTest, ResumeRequiresCheckpointDir) {
@@ -298,9 +227,7 @@ TEST(CheckpointTest, ResumeRequiresCheckpointDir) {
 }
 
 TEST(CheckpointTest, MissingManifestIsCleanError) {
-  CheckerOptions options =
-      CheckpointOptions(ExplorationPolicy::kLevelSync, 1,
-                        FreshDir("missing_manifest"));
+  CheckerOptions options = CheckpointOptions(1, FreshDir("missing_manifest"));
   options.resume = true;
   CheckResult result = ModelChecker(options).Check(specs::CounterSpec(4));
   EXPECT_FALSE(result.status.ok());
@@ -309,35 +236,58 @@ TEST(CheckpointTest, MissingManifestIsCleanError) {
       << result.status.ToString();
 }
 
-TEST(CheckpointTest, RelaxedResumeRequiresSameWorkerCount) {
+// A manifest of the older per-worker layout (schema v1: a policy name,
+// one frontier list per worker, banked violation candidates) is refused
+// by its schema before any run or segment file is adopted, even when
+// every file it names is present and intact.
+TEST(CheckpointTest, ResumeRejectsV1Manifest) {
   const specs::CounterSpec spec(kResumeLimit);
   std::string dir;
-  CheckResult partial = RunInterrupted(spec, ExplorationPolicy::kRelaxed, 2,
-                                       "resume_workers", &dir);
+  CheckResult partial = RunInterrupted(spec, 2, "resume_v1", &dir);
   ASSERT_GE(partial.checkpoints_written, 1u);
 
-  CheckerOptions resume = CheckpointOptions(ExplorationPolicy::kRelaxed, 4, dir);
+  const std::string path = dir + "/MANIFEST.json";
+  std::string contents;
+  ASSERT_TRUE(common::ReadFileToString(path, &contents).ok());
+  common::Result<common::Json> parsed = common::Json::Parse(contents);
+  ASSERT_TRUE(parsed.ok());
+  const common::Json* frontier = parsed.value().Find("frontier");
+  ASSERT_NE(frontier, nullptr);
+  ASSERT_TRUE(frontier->is_array());
+  // The segments, split between two workers' lists.
+  common::Json lists = common::Json::MakeArray();
+  common::Json first = common::Json::MakeArray();
+  common::Json second = common::Json::MakeArray();
+  const size_t half = frontier->array().size() / 2;
+  for (size_t i = 0; i < frontier->array().size(); ++i) {
+    (i < half ? first : second).Append(frontier->array()[i]);
+  }
+  lists.Append(std::move(first));
+  lists.Append(std::move(second));
+  common::Json v1 = common::Json::MakeObject();
+  for (const auto& [key, value] : parsed.value().members()) {
+    if (key == "frontier") continue;
+    v1.Set(key, key == "schema" ? common::Json::Str("xmodel.checkpoint.v1")
+                                : value);
+  }
+  v1.Set("policy", common::Json::Str("relaxed"));
+  v1.Set("workers", common::Json::Int(2));
+  v1.Set("frontiers", std::move(lists));
+  v1.Set("candidates", common::Json::MakeArray());
+  ASSERT_TRUE(common::WriteFileAtomic(path, v1.Dump()).ok());
+
+  CheckerOptions resume = CheckpointOptions(2, dir);
   resume.resume = true;
   CheckResult result = ModelChecker(resume).Check(spec);
-  EXPECT_EQ(result.status.code(), common::StatusCode::kInvalidArgument)
+  EXPECT_EQ(result.status.code(), common::StatusCode::kCorruption)
       << result.status.ToString();
-  EXPECT_NE(result.status.message().find("workers"), std::string::npos);
-}
-
-// A checkpoint whose policy doesn't match the resuming run's policy is
-// rejected rather than misinterpreted.
-TEST(CheckpointTest, ResumeRejectsPolicyMismatch) {
-  const specs::CounterSpec spec(kResumeLimit);
-  std::string dir;
-  CheckResult partial = RunInterrupted(spec, ExplorationPolicy::kLevelSync, 2,
-                                       "resume_policy", &dir);
-  ASSERT_GE(partial.checkpoints_written, 1u);
-
-  CheckerOptions resume = CheckpointOptions(ExplorationPolicy::kRelaxed, 2, dir);
-  resume.resume = true;
-  CheckResult result = ModelChecker(resume).Check(spec);
-  EXPECT_EQ(result.status.code(), common::StatusCode::kInvalidArgument)
+  EXPECT_NE(result.status.message().find("xmodel.checkpoint.v1"),
+            std::string::npos)
       << result.status.ToString();
+  EXPECT_FALSE(result.resumed);
+  EXPECT_EQ(result.distinct_states, 0u);
+  EXPECT_EQ(result.generated_states, 0u);
+  EXPECT_FALSE(result.violation.has_value());
 }
 
 // Crash-safety satellite: a flipped byte anywhere in a sealed run file
@@ -346,8 +296,7 @@ TEST(CheckpointTest, ResumeRejectsPolicyMismatch) {
 TEST(CheckpointTest, CorruptedRunFailsResumeCleanly) {
   const specs::CounterSpec spec(kResumeLimit);
   std::string dir;
-  CheckResult partial = RunInterrupted(spec, ExplorationPolicy::kLevelSync, 1,
-                                       "resume_corrupt", &dir);
+  CheckResult partial = RunInterrupted(spec, 1, "resume_corrupt", &dir);
   ASSERT_GE(partial.checkpoints_written, 1u);
 
   std::vector<std::string> files;
@@ -365,8 +314,7 @@ TEST(CheckpointTest, CorruptedRunFailsResumeCleanly) {
   }
   ASSERT_GT(corrupted, 0) << "checkpoint left no spill runs to corrupt";
 
-  CheckerOptions resume =
-      CheckpointOptions(ExplorationPolicy::kLevelSync, 1, dir);
+  CheckerOptions resume = CheckpointOptions(1, dir);
   resume.resume = true;
   CheckResult result = ModelChecker(resume).Check(spec);
   EXPECT_EQ(result.status.code(), common::StatusCode::kCorruption)

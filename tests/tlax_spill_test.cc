@@ -683,6 +683,14 @@ LevelEntry MakeLevelEntry(int64_t i) {
   return e;
 }
 
+// Spools every entry of `entries`, inline.
+common::Status AppendAll(internal::FrontierSpool& spool,
+                         std::vector<LevelEntry>& entries) {
+  std::vector<LevelEntry*> pointers;
+  for (LevelEntry& e : entries) pointers.push_back(&e);
+  return spool.Append(pointers, nullptr);
+}
+
 TEST(FrontierSpoolTest, FifoRoundTripAcrossSegmentsAndTail) {
   internal::FrontierSpool::Options options;
   options.dir = TestDir("spool");
@@ -691,7 +699,7 @@ TEST(FrontierSpoolTest, FifoRoundTripAcrossSegmentsAndTail) {
 
   std::vector<LevelEntry> in;
   for (int64_t i = 0; i < 50; ++i) in.push_back(MakeLevelEntry(i));
-  ASSERT_TRUE(spool.Append(std::move(in)).ok());
+  ASSERT_TRUE(AppendAll(spool, in).ok());
   EXPECT_EQ(spool.size(), 50u);
   EXPECT_EQ(spool.segments_written(), 3u) << "16+16+16 sealed, 2 in tail";
 
@@ -732,7 +740,7 @@ TEST(FrontierSpoolTest, SegmentBytesMatchAcrossTaskCounts) {
     for (int64_t i = 0; i < 100; ++i) in.push_back(MakeLevelEntry(i));
     common::WorkerPool pool(workers);
     if (workers == 1) {
-      EXPECT_TRUE(spool.Append(std::move(in)).ok());
+      EXPECT_TRUE(AppendAll(spool, in).ok());
     } else {
       std::vector<LevelEntry*> pointers;
       for (LevelEntry& e : in) pointers.push_back(&e);
@@ -773,7 +781,7 @@ TEST(FrontierSpoolTest, SealAdoptResumeAndCorruption) {
     internal::FrontierSpool spool(options);
     std::vector<LevelEntry> in;
     for (int64_t i = 0; i < 20; ++i) in.push_back(MakeLevelEntry(i));
-    ASSERT_TRUE(spool.Append(std::move(in)).ok());
+    ASSERT_TRUE(AppendAll(spool, in).ok());
     ASSERT_TRUE(spool.Seal().ok());
     manifest = spool.live_segment_files();
   }
@@ -809,7 +817,7 @@ TEST(FrontierSpoolTest, SealAdoptResumeAndCorruption) {
     internal::FrontierSpool writer(options);
     std::vector<LevelEntry> in;
     for (int64_t i = 0; i < 8; ++i) in.push_back(MakeLevelEntry(i));
-    ASSERT_TRUE(writer.Append(std::move(in)).ok());
+    ASSERT_TRUE(AppendAll(writer, in).ok());
     ASSERT_TRUE(writer.Seal().ok());
     manifest = writer.live_segment_files();
   }

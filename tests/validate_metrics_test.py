@@ -30,7 +30,7 @@ def base():
         return {"kind": "gauge", "value": v}
     m = {
         "checker.states.generated": c(100), "checker.states.distinct": c(40),
-        "checker.policy": g(0), "checker.workers.used": g(2),
+        "checker.workers.used": g(2),
         "checker.fingerprint.load": g(0.5), "checker.idle_fraction": g(0.25),
         "checker.fingerprint.collision_probability": g(1.3e-16),
         "checker.barrier.settle_ms": g(1.5),
@@ -58,7 +58,6 @@ def base():
     }
     for w in (0, 1):
         m[f"checker.worker{w}.expansions"] = c(20)
-        m[f"checker.worker{w}.steals"] = c(0)
         m[f"checker.worker{w}.busy_ms"] = g(10 - w)
         m[f"checker.worker{w}.barrier_wait_ms"] = g(1 + w)
     for spec, leaves in (("Counter", (8, 5, 0, 1)), ("Queue", (0, 7, 1, 0))):
@@ -208,24 +207,30 @@ ROWS = [
     ("trace ph", trace([{**GOOD_EVENT, "ph": "B"}]), "ph", False),
     ("trace ts", trace([{**GOOD_EVENT, "ts": -1}]), "negative ts", False),
     # Prometheus grammar.
-    ("scrape comment", text("# TYPE checker_policy", "# EOF\n# TYPE "
-                            "checker_policy"), "malformed comment", False),
-    ("scrape sample", text("checker_policy 0\n", "checker_policy\n"),
+    ("scrape comment", text("# TYPE checker_workers_used", "# EOF\n# TYPE "
+                            "checker_workers_used"), "malformed comment",
+     False),
+    ("scrape sample", text("checker_workers_used 2\n",
+                           "checker_workers_used\n"),
      "malformed sample", False),
-    ("scrape value", text("checker_policy 0\n", "checker_policy zero\n"),
-     "checker_policy", False),
-    ("scrape TYPE first", text("# TYPE checker_policy gauge\n", ""),
-     "checker_policy", False),
-    ("scrape le label", text("checker_policy 0\n",
-                             'checker_policy{le="1"} 0\n'), "le label", False),
-    ("scrape TYPE without sample", text("checker_policy 0\n", ""),
-     "checker_policy", False),
-    ("scrape HELP text", text("# TYPE checker_policy", "# HELP checker_policy "
-                              "made up\n# TYPE checker_policy"),
-     "checker_policy", True),
-    ("scrape HELP after TYPE", text("checker_policy 0\n", "# HELP "
-                                    "checker_policy x\nchecker_policy 0\n"),
-     "checker_policy", True),
+    ("scrape value", text("checker_workers_used 2\n",
+                          "checker_workers_used two\n"),
+     "checker_workers_used", False),
+    ("scrape TYPE first", text("# TYPE checker_workers_used gauge\n", ""),
+     "checker_workers_used", False),
+    ("scrape le label", text("checker_workers_used 2\n",
+                             'checker_workers_used{le="1"} 2\n'),
+     "le label", False),
+    ("scrape TYPE without sample", text("checker_workers_used 2\n", ""),
+     "checker_workers_used", False),
+    ("scrape HELP text", text("# TYPE checker_workers_used",
+                              "# HELP checker_workers_used made up\n"
+                              "# TYPE checker_workers_used"),
+     "checker_workers_used", True),
+    ("scrape HELP after TYPE", text("checker_workers_used 2\n", "# HELP "
+                                    "checker_workers_used x\n"
+                                    "checker_workers_used 2\n"),
+     "checker_workers_used", True),
     ("scrape cumulative buckets", text(
         'checker_frontier_level_size_bucket{le="10"} 4',
         'checker_frontier_level_size_bucket{le="10"} 1'),
@@ -236,9 +241,10 @@ ROWS = [
     ("scrape +Inf bucket", text(
         'checker_frontier_level_size_bucket{le="+Inf"} 5\n', ""),
      "checker_frontier_level_size", True),
-    ("scrape undeclared metric", text("# TYPE checker_policy", "# TYPE "
-                                      "made_up_total counter\nmade_up_total "
-                                      "1\n# TYPE checker_policy"),
+    ("scrape undeclared metric", text("# TYPE checker_workers_used",
+                                      "# TYPE made_up_total counter\n"
+                                      "made_up_total 1\n"
+                                      "# TYPE checker_workers_used"),
      "made_up_total", True),
     ("spill counter monotone", lambda: [
         as_prom(base()), as_prom(edited([setv("checker.spill.bytes", 10)]))],
@@ -280,15 +286,8 @@ FAMILY = [
      "checker.worker1.busy_ms", False, False),
     ("profile busy_ms", [drop("checker.worker1.busy_ms")], "busy_ms",
      False, False),
-    ("profile steal/starve pair",
-     [add("checker.worker1.steal_ms", "gauge", 1)],
-     "starve_ms", False, False),
     ("profile barrier_wait_ms", [drop("checker.worker1.barrier_wait_ms")],
      "barrier_wait_ms", False, False),
-    ("relaxed profile pair", [setv("checker.policy", 1),
-                              drop("checker.worker0.barrier_wait_ms",
-                                   "checker.worker1.barrier_wait_ms")],
-     "steal_ms", False, False),
     ("profile dense", [rename("checker.worker1.busy_ms",
                               "checker.worker2.busy_ms"),
                        rename("checker.worker1.barrier_wait_ms",
@@ -304,19 +303,6 @@ FAMILY = [
      "checker.barrier.settle_ms", True, True),
     ("idle fraction bound", [setv("checker.idle_fraction", 1.5)],
      "checker.idle_fraction", False, False),
-    ("policy range", [setv("checker.policy", 2)], "checker.policy",
-     False, False),
-    ("policy boolean", [setv("checker.policy", 0.5)], "checker.policy",
-     False, False),
-    ("steals sign", [setv("checker.worker0.steals", -1)],
-     "checker.worker0.steals", False, False),
-    ("steals dense", [rename("checker.worker1.steals",
-                             "checker.worker2.steals")], "[0, 2]",
-     False, False),
-    ("steals need policy", [drop("checker.policy")], "checker.policy",
-     False, False),
-    ("level-sync never steals", [setv("checker.worker0.steals", 3)], "steal",
-     False, False),
     ("http group", [drop("obs.http.bytes")], "obs.http", False, False),
     ("http sign", [setv("obs.http.requests", -1)], "obs.http.requests",
      False, False),
@@ -355,6 +341,9 @@ FAMILY = [
     ("domain exhaustive boolean", [setv("analysis.domain.Counter.exhaustive",
                                         2)],
      "analysis.domain.Counter.exhaustive", False, True),
+    ("bool unit is 0 or 1", [setv("analysis.domain.Counter.exhaustive",
+                                  0.5)],
+     "analysis.domain.Counter.exhaustive", False, False),
     ("domain unbounded encoding", [setv("analysis.domain.Queue.state_bound",
                                         5)],
      ("Queue", "unbounded"), False, True),

@@ -171,31 +171,19 @@ def check_relations(path, resolved):
         if small in resolved and big in resolved:
             require(value(small) <= value(big), path,
                     f"{small} ({value(small)}) exceeds {big} ({value(big)})")
-    policy = value("checker.policy")
-    profiled, steals = {}, {}
+    profiled = {}
     for entry, row, bind in resolved.values():
-        if row.name.startswith("checker.worker<N>."):
-            leaf, index = row.name.rpartition(".")[2], int(bind["N"])
-            if leaf == "steals":
-                steals[index] = entry["value"]
-            elif leaf != "expansions":
-                profiled.setdefault(index, set()).add(leaf)
+        if (row.name.startswith("checker.worker<N>.")
+                and not row.name.endswith(".expansions")):
+            profiled.setdefault(int(bind["N"]), set()).add(
+                row.name.rpartition(".")[2])
     for index, leaves in sorted(profiled.items()):
-        worker = f"checker.worker{index}"
-        require("busy_ms" in leaves, path,
-                f"{worker} publishes {sorted(leaves)} without busy_ms; every "
-                f"profiled worker is timed")
-        require("barrier_wait_ms" in leaves or (
-            policy == 1 and "steal_ms" in leaves), path,
-                f"{worker} has no barrier_wait_ms, which only a relaxed run "
-                f"(checker.policy 1, with steal_ms/starve_ms) may omit")
-    for indexes, what in ((profiled, "worker profile"), (steals, "steals")):
-        require(sorted(indexes) == list(range(len(indexes))), path,
-                f"checker.worker<N> {what} indexes are not dense from 0: "
-                f"{sorted(indexes)}")
-    require(not any(steals.values()) or policy == 1, path,
-            f"nonzero checker.worker<N>.steals with checker.policy "
-            f"{policy!r}; level-sync never steals")
+        require(leaves == {"busy_ms", "barrier_wait_ms"}, path,
+                f"checker.worker{index} publishes {sorted(leaves)}; every "
+                f"profiled worker has busy_ms and barrier_wait_ms")
+    require(sorted(profiled) == list(range(len(profiled))), path,
+            f"checker.worker<N> worker profile indexes are not dense from "
+            f"0: {sorted(profiled)}")
     for name, (_, row, bind) in resolved.items():
         if row.name != "analysis.domain.<spec>.state_bound":
             continue
