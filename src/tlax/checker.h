@@ -54,8 +54,9 @@ struct CheckerOptions {
   /// Record the full state graph (needed for DOT export / MBTCG / liveness).
   bool record_graph = false;
   /// Abort with ResourceExhausted after this many distinct states. The
-  /// cap is tested per insert batch, so an aborted run's partial counts
-  /// can pass it by up to one batch (256 successors) per worker.
+  /// cap is tested at the level barrier: a cut run finishes the level that
+  /// crossed it, so its counts can pass the cap by up to that level's new
+  /// states, and are the same at every worker count.
   uint64_t max_distinct_states = 100'000'000;
   /// Report a violation when a state within the constraint has no successor.
   bool check_deadlock = false;

@@ -330,12 +330,8 @@ void Engine::CheckInvariants(const State& state, uint64_t fp,
   }
 }
 
-bool Engine::AdmitNew(State&& state, uint64_t fp, int64_t depth,
+void Engine::AdmitNew(State&& state, uint64_t fp, int64_t depth,
                           uint64_t key, Scratch& s) {
-  if (fpset_.size() > options_.max_distinct_states) {
-    abort_max_.store(true, std::memory_order_relaxed);
-    return false;
-  }
   // Invariants are checked on every distinct state, including states
   // outside the constraint (TLC checks invariants before applying
   // CONSTRAINT to decide on expansion).
@@ -345,7 +341,6 @@ bool Engine::AdmitNew(State&& state, uint64_t fp, int64_t depth,
   if (spec_.WithinConstraint(state)) {
     s.next.push_back(LevelEntry{std::move(state), fp, depth, key});
   }
-  return true;
 }
 
 void Engine::ProcessEntry(const LevelEntry& entry, size_t pos,
@@ -392,7 +387,7 @@ void Engine::ProcessEntry(const LevelEntry& entry, size_t pos,
       if (result_.graph && entry.gid != StateGraph::kNoId) {
         result_.graph->RecordEdge(worker, entry.gid, fp, ai);
       }
-      if (s.staged_items.size() == kInsertBatch && !FlushStaged(s)) return;
+      if (s.staged_items.size() == kInsertBatch) FlushStaged(s);
     }
   }
 
@@ -415,9 +410,9 @@ void Engine::ProcessEntry(const LevelEntry& entry, size_t pos,
   }
 }
 
-bool Engine::FlushStaged(Scratch& s) {
+void Engine::FlushStaged(Scratch& s) {
   const size_t n = s.staged_items.size();
-  if (n == 0) return true;
+  if (n == 0) return;
   s.staged_results.resize(n);
   fpset_.InsertBatch(s.staged_items, s.staged_results);
   // Out-of-core: a hot-table miss deferred its disk probe; one sorted
@@ -434,16 +429,14 @@ bool Engine::FlushStaged(Scratch& s) {
     fpset_.ResolvePending(s.pending_fps, &s.pending_on_disk);
   }
   size_t pending = 0;
-  bool admitted = true;
-  for (size_t i = 0; i < n && admitted; ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const FpInsert& ins = s.staged_results[i];
     const FpInsertItem& item = s.staged_items[i];
     State& state = s.staged_states[i];
     const bool is_new =
         ins.pending ? s.pending_on_disk[pending++] == 0 : ins.inserted;
     if (is_new) {
-      admitted =
-          AdmitNew(std::move(state), item.fp, item.depth, item.order_key, s);
+      AdmitNew(std::move(state), item.fp, item.depth, item.order_key, s);
     } else if (use_sleep_sets_ && ins.sleep_shrunk) {
       // The revisit shrank the record's pending sleep mask. Whether
       // that warrants a re-expansion is decided once per level at the
@@ -456,7 +449,6 @@ bool Engine::FlushStaged(Scratch& s) {
   }
   s.staged_states.clear();
   s.staged_items.clear();
-  return admitted;
 }
 
 std::vector<TraceStep> Engine::BuildTrace(uint64_t end_fp,

@@ -173,15 +173,12 @@ class Engine {
                   int worker);
   // Expands `entry`: stages each successor in s, flushing whenever
   // kInsertBatch are staged (so the staging buffers never grow past
-  // that), and records graph edges and deadlock candidates. Stops early
-  // when a flush hits the max-distinct cap.
+  // that), and records graph edges and deadlock candidates.
   void ProcessEntry(const LevelEntry& entry, size_t pos, Scratch& s,
                     int worker);
-  // Admits a state the fingerprint set reported new: enforces the
-  // max-distinct cap, checks invariants, and enqueues it into s.next
-  // when it is within the constraint. Returns false when the cap aborted
-  // the run.
-  bool AdmitNew(State&& state, uint64_t fp, int64_t depth, uint64_t key,
+  // Admits a state the fingerprint set reported new: checks invariants,
+  // and enqueues it into s.next when it is within the constraint.
+  void AdmitNew(State&& state, uint64_t fp, int64_t depth, uint64_t key,
                 Scratch& s);
   void CheckInvariants(const State& state, uint64_t fp, uint64_t key,
                        Scratch& s);
@@ -189,9 +186,8 @@ class Engine {
   // Inserts the staged successors with one InsertBatch, settles the spill
   // tier's misses with one ResolvePending, then applies the results in
   // staged order: new states go through AdmitNew, POR shrinks into
-  // s.wake_candidates. Returns false when the max-distinct cap aborted
-  // the run; the rest of the batch is dropped.
-  bool FlushStaged(Scratch& s);
+  // s.wake_candidates.
+  void FlushStaged(Scratch& s);
 
   // Barrier: the next level in settled order — every worker's run,
   // merged. The runs become the level's storage.
@@ -240,7 +236,6 @@ class Engine {
     o.spill_dir = spill_dir;  // Empty when spilling is off or gated off.
     o.memory_budget_bytes = memory_budget_bytes;
     o.spill_durable = checkpointing;
-    o.spill_defer_deletes = checkpointing;
     return o;
   }
 
@@ -318,7 +313,6 @@ class Engine {
 
   // Level-scoped shared state.
   std::atomic<size_t> next_index_{0};  // Parent-entry work cursor.
-  std::atomic<bool> abort_max_{false};
 
   // Progress plumbing. Only worker 0 reads the clock and reports; the
   // other workers flush per-parent deltas into the two relaxed atomics so

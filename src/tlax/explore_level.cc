@@ -29,7 +29,6 @@ void Engine::DrainLevel(const std::vector<LevelEntry*>& order,
   const int64_t drain_start_ns = clock_->NowNanos();
   uint32_t heartbeat_countdown = kHeartbeatBatchEntries;
   for (;;) {
-    if (abort_max_.load(std::memory_order_relaxed)) break;
     const size_t pos = next_index_.fetch_add(1, std::memory_order_relaxed);
     if (pos >= order.size()) break;
     if (poll) PollProgress(order.size(), pos);
@@ -248,7 +247,6 @@ CheckResult Engine::Run() {
     FrontierSpool::Options spool_options;
     spool_options.dir = spill_dir_;
     spool_options.durable = checkpointing_;
-    spool_options.defer_deletes = checkpointing_;
     // Segment granularity tracks the in-memory cap: the drain loop pops
     // one segment at a time back into memory, so segments larger than
     // the cap would defeat it.
@@ -285,7 +283,6 @@ CheckResult Engine::Run() {
       result_.frontier_peak = level_size;
     }
     level_hist.Observe(static_cast<double>(level_size));
-    abort_max_.store(false, std::memory_order_relaxed);
 
     // Drain the level batch by batch: the in-memory head first, then
     // each spooled segment. `base` keeps entry positions — and so
@@ -318,7 +315,6 @@ CheckResult Engine::Run() {
         }
         s.drain_end_ns = 0;
       }
-      if (abort_max_.load(std::memory_order_relaxed)) break;
     }
 
     // Barrier: merge worker tallies, build the next level in
@@ -425,7 +421,9 @@ CheckResult Engine::Run() {
           Violation{best.kind, BuildTrace(best.fp, best.state)};
       return end_barrier(common::Status::OK());
     }
-    if (abort_max_.load(std::memory_order_relaxed)) {
+    // The cap is tested here, once the level is complete, so a cut run's
+    // counts are the same at every worker count.
+    if (fpset_.size() > options_.max_distinct_states) {
       return end_barrier(common::Status::ResourceExhausted(
           common::StrCat("exceeded max distinct states (",
                          options_.max_distinct_states, ")")));

@@ -40,7 +40,6 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
     SpillTier::Options spill;
     spill.dir = options_.spill_dir;
     spill.durable = options_.spill_durable;
-    spill.defer_deletes = options_.spill_defer_deletes;
     tier_ = std::make_unique<SpillTier>(spill);
   }
 }

@@ -91,11 +91,9 @@ class FingerprintSet {
     /// explicit EvictAll, e.g. at checkpoints). The hot table gets the
     /// whole budget; spill runs are read through the OS page cache.
     uint64_t memory_budget_bytes = 0;
-    /// fsync spill runs (checkpoint durability).
+    /// Checkpoint durability: fsync spill runs, and keep compacted-away
+    /// runs until PurgeSpillRetired() (a manifest may still name them).
     bool spill_durable = false;
-    /// Defer deletion of compacted-away runs until PurgeSpillRetired()
-    /// (checkpoint manifests may still reference them).
-    bool spill_defer_deletes = false;
   };
 
   FingerprintSet();  // Default options.

@@ -671,7 +671,7 @@ common::Status SpillTier::CompactIfNeeded() {
   // The input runs are no longer reachable by probes; their files go now,
   // or at the next PurgeRetired() when a manifest may still name them.
   for (const std::shared_ptr<Run>& run : inputs) {
-    if (options_.defer_deletes) {
+    if (options_.durable) {
       std::lock_guard<std::mutex> lock(retired_mu_);
       retired_.push_back(run->path);
     } else {

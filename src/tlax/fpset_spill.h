@@ -67,13 +67,11 @@ class SpillTier {
     /// Bloom filter bits per key. More bits = fewer false-positive disk
     /// probes, more RAM per spilled record.
     uint64_t bloom_bits_per_key = 10;
-    /// fsync run files and the directory (checkpoint durability).
+    /// Checkpoint durability: fsync run files and the directory, and keep
+    /// compacted-away run files on disk until PurgeRetired(). The last
+    /// published manifest may still name a run that compaction just
+    /// replaced, so the file must survive until the next manifest lands.
     bool durable = false;
-    /// Keep compacted-away run files on disk until PurgeRetired().
-    /// Checkpointing needs this: the last published manifest may still
-    /// name a run that compaction just replaced, so the file must
-    /// survive until the next manifest lands.
-    bool defer_deletes = false;
   };
 
   /// The discovery edge spilled beside each fingerprint — exactly what
@@ -159,7 +157,7 @@ class SpillTier {
   common::Status DropOrphans() const;
 
   /// Deletes run files retired by compaction since the last purge
-  /// (defer_deletes mode; no-op otherwise). Call after each manifest
+  /// (durable mode; no-op otherwise). Call after each manifest
   /// write, once no manifest references them.
   void PurgeRetired();
 

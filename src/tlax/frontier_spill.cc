@@ -242,7 +242,7 @@ common::Status FrontierSpool::AdoptSegments(
 }
 
 void FrontierSpool::Retire(const std::string& file) {
-  if (options_.defer_deletes) {
+  if (options_.durable) {
     consumed_.push_back(file);
   } else {
     common::RemoveFileIfExists(options_.dir + "/" + file);

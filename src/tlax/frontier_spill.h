@@ -34,7 +34,7 @@ namespace xmodel::tlax::internal {
 /// Segment files are written atomically (temp + rename) and carry a
 /// count and fingerprint checksum, so a truncated or garbled file on
 /// resume is a clean kCorruption error. Consumed files are deleted
-/// immediately unless Options::defer_deletes — checkpointing defers so a
+/// immediately unless Options::durable — checkpointing defers so a
 /// manifest never points at a file removed before the next manifest
 /// lands (PurgeConsumed runs after each manifest write).
 class FrontierSpool {
@@ -43,8 +43,9 @@ class FrontierSpool {
     std::string dir;
     /// Entries per sealed segment (the replay IO granularity).
     size_t segment_entries = 4096;
+    /// Checkpoint durability: fsync segment files, and keep consumed ones
+    /// until PurgeConsumed().
     bool durable = false;
-    bool defer_deletes = false;
   };
 
   explicit FrontierSpool(Options options);
@@ -91,7 +92,7 @@ class FrontierSpool {
                                uint64_t* entries);
 
   /// Deletes segment files consumed since the last purge
-  /// (defer_deletes mode; no-op otherwise).
+  /// (durable mode; no-op otherwise).
   void PurgeConsumed();
 
  private:

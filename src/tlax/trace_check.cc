@@ -1,13 +1,11 @@
 #include "tlax/trace_check.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <unordered_set>
 #include <utility>
 
 #include "common/clock.h"
-#include "common/parallel.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/watchdog.h"
@@ -33,14 +31,14 @@ class Timer {
   int64_t start_ns_;
 };
 
-// The fold flushes checker.trace.states.explored to the live registry (and
-// heartbeats the watchdog) once per this many newly explored states, so a
-// mid-run /metrics scrape watches the counter advance instead of seeing 0
-// until the run ends.
+// The search flushes checker.trace.states.explored to the live registry
+// (and heartbeats the watchdog) once per this many newly explored states,
+// so a mid-run /metrics scrape watches the counter advance instead of
+// seeing 0 until the run ends.
 constexpr uint64_t kLiveFlushEntries = 1024;
 
 // End-of-run telemetry for one trace check (the checker.trace.* family).
-// `already_published` is the portion of states_explored the fold already
+// `already_published` is the portion of states_explored the search already
 // flushed live; only the remainder is added here so the counter
 // reconciles exactly with the final total.
 void PublishTraceMetrics(const TraceCheckResult& result,
@@ -55,22 +53,6 @@ void PublishTraceMetrics(const TraceCheckResult& result,
     registry.GetCounter("checker.trace.violations.found").Increment();
   }
   registry.GetGauge("checker.trace.run.seconds").Set(result.seconds);
-}
-
-// Per-worker staged-expansion tallies, published as the same
-// checker.workerN.expansions family the model checker uses so
-// `mbtc_check --metrics-out` shows worker balance.
-void PublishWorkerExpansions(const std::vector<uint64_t>& expansions) {
-  auto& registry = obs::MetricsRegistry::Global();
-  for (size_t w = 0; w < expansions.size(); ++w) {
-    registry.GetCounter(StrCat("checker.worker", w, ".expansions"))
-        .Increment(expansions[w]);
-  }
-}
-
-obs::Histogram& LevelSizeHistogram() {
-  return obs::MetricsRegistry::Global().GetHistogram(
-      "checker.frontier.level_size");
 }
 
 // A deduplicated frontier of spec states viable at one trace position.
@@ -93,53 +75,44 @@ class Frontier {
   std::unordered_set<uint64_t> fingerprints_;
 };
 
-// Shared plumbing for one trace check: the expansion worker pool plus the
-// telemetry sinks the per-step search feeds (worker-balance counters and
-// the shared BFS-level-size histogram, same family the model checker
-// publishes).
-struct AdvanceContext {
-  common::WorkerPool* pool = nullptr;
-  std::vector<uint64_t>* worker_expansions = nullptr;
-  obs::Histogram* level_hist = nullptr;
-  /// Heartbeaten once per drained expansion batch and at every fold flush.
-  obs::Watchdog* watchdog = nullptr;
-  /// Live flush of checker.trace.states.explored and the explored tally
-  /// as of the last flush. The serial fold is the only writer of both.
-  obs::Counter* live_explored = nullptr;
-  uint64_t* flushed_explored = nullptr;
-};
-
-// One staged successor: produced in parallel, consumed by the serial fold
-// that replays the classic single-threaded bookkeeping order.
-struct StagedExpansion {
-  uint16_t action = 0;
-  bool matched = false;
-  State succ;
-};
-
 // What one step's search found.
 struct Advance {
-  /// Action names whose final step explained the match, in fold order.
+  /// Action names whose final step explained the match, in search order.
   std::vector<std::string> explaining;
   /// The search budget ran out before the search was complete, so the new
   /// frontier may lack states that some spec behavior reaches.
   bool truncated = false;
 };
 
+// Whether some action is enabled in `state`. Runs the actions in order
+// only until the first successor appears; `scratch` is reused storage.
+bool HasSuccessor(const std::vector<Action>& actions, const State& state,
+                  std::vector<State>* scratch) {
+  for (const Action& action : actions) {
+    scratch->clear();
+    action.next(state, scratch);
+    if (!scratch->empty()) return true;
+  }
+  return false;
+}
+
 // Advances `frontier` from trace position i-1 to position i (matching
 // `target`), searching up to `options.max_hidden_steps` spec actions deep.
 //
-// Parallelism: workers expand layer states concurrently (action.next and
-// Matches are the hot path), staging (action, matched, successor) per
-// source state; a serial fold then replays exploration counting, the
-// search budget, dedup, and explaining-action order exactly as the serial
-// sweep would, so results are bit-identical across worker counts. The
-// fold ignores staged work past the budget cut-off, trading some wasted
-// expansion on exhausted layers for determinism.
+// One serial sweep per layer: each layer state is expanded in order, and
+// each successor is counted, matched, deduplicated and pushed to the next
+// layer as its action produces it. `*flushed_explored` is the part of
+// `*states_explored` already flushed to the live counter.
 Advance AdvanceFrontier(const Spec& spec, const TraceState& target,
-                        const TraceCheckOptions& options,
-                        const AdvanceContext& ctx, Frontier* frontier,
-                        uint64_t* states_explored) {
+                        const TraceCheckOptions& options, Frontier* frontier,
+                        uint64_t* states_explored,
+                        uint64_t* flushed_explored) {
+  static obs::Histogram& level_hist =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "checker.frontier.level_size");
+  static obs::Counter& live_explored =
+      obs::MetricsRegistry::Global().GetCounter(
+          "checker.trace.states.explored");
   Advance advance;
   std::vector<std::string>& explaining = advance.explaining;
   auto note_action = [&explaining](const std::string& name) {
@@ -167,98 +140,56 @@ Advance AdvanceFrontier(const Spec& spec, const TraceState& target,
   uint64_t budget = options.max_search_states_per_step;
 
   const std::vector<Action>& actions = spec.actions();
+  std::vector<State> successors;
   for (int depth = 1;
        depth <= options.max_hidden_steps && !layer.empty() && budget > 0;
        ++depth) {
-    ctx.level_hist->Observe(static_cast<double>(layer.size()));
-    // Stage: expand every layer state, in parallel.
-    std::vector<std::vector<StagedExpansion>> staged(layer.size());
-    std::atomic<size_t> cursor{0};
-    auto stage = [&](int worker) {
-      std::vector<State> successors;
-      uint64_t expanded = 0;
-      for (;;) {
-        const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= layer.size()) break;
-        std::vector<StagedExpansion>& out = staged[i];
-        for (uint16_t ai = 0; ai < actions.size(); ++ai) {
-          successors.clear();
-          actions[ai].next(layer[i], &successors);
-          for (State& succ : successors) {
-            ++expanded;
-            out.push_back(StagedExpansion{ai, target.Matches(succ.vars()),
-                                          std::move(succ)});
-          }
-        }
-        if (ctx.watchdog != nullptr) ctx.watchdog->Heartbeat();
-      }
-      if (ctx.worker_expansions != nullptr) {
-        (*ctx.worker_expansions)[static_cast<size_t>(worker)] += expanded;
-      }
-    };
-    // A one-state layer (most steps of a fully logged trace) runs inline
-    // as worker 0 instead of waking the pool, as ParallelFor does for n <= 1.
-    if (layer.size() == 1) {
-      stage(0);
-    } else {
-      ctx.pool->Run(stage);
-    }
-
-    if (ctx.watchdog != nullptr) ctx.watchdog->Heartbeat();
-
-    // Fold: serial replay of the classic bookkeeping over the staged
-    // expansions, in source-state order, until the budget runs out.
+    level_hist.Observe(static_cast<double>(layer.size()));
+    if (options.watchdog != nullptr) options.watchdog->Heartbeat();
     std::vector<State> next_layer;
-    size_t folded = 0;
-    for (; folded < layer.size() && budget > 0; ++folded) {
-      for (StagedExpansion& e : staged[folded]) {
-        ++*states_explored;
-        if (budget > 0) --budget;
-        if (e.matched) {
-          if (next.Add(e.succ)) note_action(actions[e.action].name);
-        }
-        if (depth < options.max_hidden_steps && visited.Add(e.succ)) {
-          if (budget > 0) {
-            next_layer.push_back(std::move(e.succ));
-          } else {
-            advance.truncated = true;  // New, but never expanded.
+    // Once the budget reaches 0, the layer stops after the state it is
+    // expanding.
+    size_t expanded = 0;
+    for (; expanded < layer.size() && budget > 0; ++expanded) {
+      for (const Action& action : actions) {
+        successors.clear();
+        action.next(layer[expanded], &successors);
+        for (State& succ : successors) {
+          ++*states_explored;
+          if (budget > 0) --budget;
+          if (target.Matches(succ.vars())) {
+            if (next.Add(succ)) note_action(action.name);
           }
-        }
-        if (*states_explored - *ctx.flushed_explored >= kLiveFlushEntries) {
-          ctx.live_explored->Increment(*states_explored -
-                                       *ctx.flushed_explored);
-          *ctx.flushed_explored = *states_explored;
-          if (ctx.watchdog != nullptr) ctx.watchdog->Heartbeat();
+          if (depth < options.max_hidden_steps && visited.Add(succ)) {
+            if (budget > 0) {
+              next_layer.push_back(std::move(succ));
+            } else {
+              advance.truncated = true;  // New, but never expanded.
+            }
+          }
+          if (*states_explored - *flushed_explored >= kLiveFlushEntries) {
+            live_explored.Increment(*states_explored - *flushed_explored);
+            *flushed_explored = *states_explored;
+            if (options.watchdog != nullptr) options.watchdog->Heartbeat();
+          }
         }
       }
     }
-    // Out of budget with work left: staged expansions the fold dropped
-    // (their matches included), or a next layer that is never expanded.
-    if (budget == 0 &&
-        (!next_layer.empty() ||
-         std::any_of(staged.begin() + static_cast<std::ptrdiff_t>(folded),
-                     staged.end(), [](const auto& e) { return !e.empty(); }))) {
-      advance.truncated = true;
+    // Out of budget with work left: a next layer that is never expanded,
+    // or an unexpanded state of this layer with a successor (its matches
+    // included). The probe is not exploration, so it counts nothing.
+    if (budget == 0 && !advance.truncated) {
+      advance.truncated =
+          !next_layer.empty() ||
+          std::any_of(layer.begin() + static_cast<std::ptrdiff_t>(expanded),
+                      layer.end(), [&](const State& s) {
+                        return HasSuccessor(actions, s, &successors);
+                      });
     }
     layer = std::move(next_layer);
   }
   *frontier = std::move(next);
   return advance;
-}
-
-AdvanceContext MakeContext(const TraceCheckOptions& options,
-                           common::WorkerPool* pool,
-                           std::vector<uint64_t>* worker_expansions,
-                           uint64_t* flushed_explored) {
-  AdvanceContext ctx;
-  ctx.pool = pool;
-  ctx.worker_expansions = worker_expansions;
-  ctx.watchdog = options.watchdog;
-  ctx.flushed_explored = flushed_explored;
-  ctx.level_hist = &LevelSizeHistogram();
-  ctx.live_explored = &obs::MetricsRegistry::Global().GetCounter(
-      "checker.trace.states.explored");
-  return ctx;
 }
 
 // The step loop of both modes: match the initial states against trace
@@ -273,13 +204,8 @@ TraceCheckResult CheckSteps(const TraceCheckOptions& options,
                             const std::vector<TraceState>& trace,
                             const std::string* module_text,
                             const Timer& timer) {
-  common::WorkerPool pool(common::ResolveWorkerCount(options.num_workers));
-  std::vector<uint64_t> worker_expansions(
-      static_cast<size_t>(pool.num_workers()), 0);
   uint64_t explored = 0;
   uint64_t published = 0;  // Live-flushed portion of `explored`.
-  const AdvanceContext ctx =
-      MakeContext(options, &pool, &worker_expansions, &published);
 
   const std::vector<TraceState>* current = &trace;
   std::vector<TraceState> reparsed;
@@ -320,8 +246,8 @@ TraceCheckResult CheckSteps(const TraceCheckOptions& options,
     for (size_t i = 1; i < trace.size(); ++i) {
       result.status = reparse();
       if (!result.ok()) return result;
-      Advance advance = AdvanceFrontier(spec, (*current)[i], options, ctx,
-                                        &frontier, &explored);
+      Advance advance = AdvanceFrontier(spec, (*current)[i], options,
+                                        &frontier, &explored, &published);
       if (advance.truncated && first_truncated == 0) first_truncated = i;
       if (frontier.empty()) {
         result.failed_step = i;
@@ -347,7 +273,6 @@ TraceCheckResult CheckSteps(const TraceCheckOptions& options,
   result.states_explored = explored;
   result.seconds = timer.Seconds();
   PublishTraceMetrics(result, published);
-  PublishWorkerExpansions(worker_expansions);
   return result;
 }
 

@@ -46,16 +46,11 @@ struct TraceCheckOptions {
   /// may miss states, so a trace that then fails to match is reported as
   /// ResourceExhausted, not as a violation.
   uint64_t max_search_states_per_step = 200'000;
-  /// Expansion workers for the per-step search: 1 (default) is the classic
-  /// serial sweep, 0 means one per hardware thread. Each search layer is
-  /// staged then folded: workers only stage the expensive action
-  /// expansions; matches, dedup, budget accounting, and explaining-action
-  /// order are folded serially afterwards, so every result field is
-  /// identical across worker counts.
+  /// Ignored: the per-step search is serial; kept only so xbench compiles.
   int num_workers = 1;
-  /// Optional stall watchdog: heartbeats once per drained expansion batch
-  /// and every 1024 folded successors, so a wedged action expansion trips
-  /// the stall detector even mid-step. Not owned.
+  /// Optional stall watchdog: heartbeats once per search layer and at
+  /// every live flush (each 1024 explored states), so a wedged action
+  /// expansion trips the stall detector even mid-step. Not owned.
   obs::Watchdog* watchdog = nullptr;
   /// Wall-time source for `seconds`; null = the process steady clock.
   common::MonotonicClock* clock = nullptr;
@@ -91,7 +86,7 @@ struct TraceCheckResult {
 ///
 /// Every check publishes the checker.trace.* counters to the global
 /// registry: at the end of the run, plus a live flush of
-/// checker.trace.states.explored from the fold every 1024 explored states,
+/// checker.trace.states.explored from the search every 1024 explored states,
 /// so a mid-run /metrics scrape sees the counter advance. The total always
 /// reconciles exactly with TraceCheckResult::states_explored.
 class TraceChecker {

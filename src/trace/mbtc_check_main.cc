@@ -14,11 +14,10 @@
 //   --abstract           check against the abstract spec variant
 //   --no-stutter         disallow stuttering steps in the trace check
 //
-// It also takes the shared checker flag --workers (trace-check expansion
-// workers, 0 = all cores; results are identical across worker counts) and
-// every shared observability flag
-// (--metrics-out, --trace-out, --events-out, --serve, --serve-linger-ms,
-// --stall-timeout-ms). README.md "Shared flags" lists them all.
+// It also takes every shared observability flag (--metrics-out,
+// --trace-out, --events-out, --serve, --serve-linger-ms,
+// --stall-timeout-ms). README.md "Shared flags" lists them all. The
+// per-step search is serial, so it takes no --workers.
 //
 // Exits 0 when the trace passes, 1 on a violation, and 2 on an unknown flag,
 // a bad value, a pipeline error, or a check that could not decide (a step's
@@ -34,7 +33,6 @@
 #include "obs/span.h"
 #include "repl/scenarios.h"
 #include "specs/raft_mongo_spec.h"
-#include "tlax/checker.h"
 #include "trace/mbtc_pipeline.h"
 #include "trace/trace_logger.h"
 
@@ -48,7 +46,6 @@ struct Options {
   bool list_scenarios = false;
   bool abstract_variant = false;
   bool stutter = true;
-  tlax::CheckerOptions checker;
   obs::SessionOptions obs;
 };
 
@@ -87,7 +84,6 @@ int main(int argc, char** argv) {
           {[&](std::string_view arg, std::string*) {
              return ParseMbtcFlag(arg, &options);
            },
-           tlax::CheckerFlags(tlax::kWorkersFlag, &options.checker),
            obs::SessionFlags(obs::kAllSessionFlags, &options.obs)})) {
     Usage(argv[0]);
     return 2;
@@ -165,9 +161,8 @@ int main(int argc, char** argv) {
 
   trace::MbtcPipelineOptions pipeline_options;
   pipeline_options.checker.allow_stuttering = options.stutter;
-  pipeline_options.checker.num_workers = options.checker.num_workers;
-  // The checker heartbeats per drained expansion batch (on top of the
-  // pipeline's per-phase beats), so /healthz stays live inside a long
+  // The checker heartbeats per search layer and per live flush (on top of
+  // the pipeline's per-phase beats), so /healthz stays live inside a long
   // trace-check phase.
   pipeline_options.checker.watchdog = session.watchdog();
   pipeline_options.watchdog = session.watchdog();

@@ -232,15 +232,15 @@ TEST(CheckerFlagsTest, ParseMemoryBudgetMb) {
 }
 
 TEST(SharedFlagsTest, FlagsOutsideTheMaskAreNotConsumed) {
-  // mbtc_check's checker subset: --checkpoint-dir is someone else's flag
-  // there.
+  // bench_state_space's checker subset: --checkpoint-dir is someone
+  // else's flag there.
   tlax::CheckerOptions checker;
-  const common::FlagParser mbtc =
+  const common::FlagParser bench =
       tlax::CheckerFlags(tlax::kWorkersFlag | tlax::kMemBudgetFlag, &checker);
   std::string error;
-  EXPECT_EQ(mbtc("--checkpoint-dir=ckpt", &error), FlagResult::kUnknown);
+  EXPECT_EQ(bench("--checkpoint-dir=ckpt", &error), FlagResult::kUnknown);
   EXPECT_TRUE(checker.checkpoint_dir.empty());
-  EXPECT_EQ(mbtc("--workers=2", &error), FlagResult::kParsed);
+  EXPECT_EQ(bench("--workers=2", &error), FlagResult::kParsed);
   EXPECT_EQ(checker.num_workers, 2);
 
   // xmodel_lint takes no --trace-out.

@@ -276,15 +276,31 @@ TEST(PorDeterminismTest, RefinedSleepsAtLeastAsMuchAsFootprintOnly) {
   EXPECT_GT(refined.por_slept_actions, base.por_slept_actions);
 }
 
+// The cap is tested at the level barrier, so a cut run finishes the level
+// that crossed it and reports the same counts at every worker count. On
+// the E1 bounds (terms <= 3, oplog <= 2) the level that crosses 20,000
+// states spans many insert batches, so a cap tested mid-level stopped the
+// workers at schedule-dependent points.
 TEST(DeterminismTest, ResourceExhaustionIsWorkerInvariant) {
-  specs::CounterSpec spec(/*limit=*/100);
-  for (int workers : {1, 2, 4}) {
-    CheckerOptions options;
+  specs::RaftMongoConfig config;
+  config.variant = specs::RaftMongoVariant::kDetailed;
+  config.num_nodes = 3;
+  config.max_term = 3;
+  config.max_oplog_len = 2;
+  const specs::RaftMongoSpec spec(config);
+  CheckerOptions options;
+  options.max_distinct_states = 20'000;
+  options.num_workers = 1;
+  CheckResult base = ModelChecker(options).Check(spec);
+  EXPECT_EQ(base.status.code(), common::StatusCode::kResourceExhausted);
+  for (int workers : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << "workers=" << workers);
     options.num_workers = workers;
-    options.max_distinct_states = 50;
     CheckResult result = ModelChecker(options).Check(spec);
-    EXPECT_EQ(result.status.code(), common::StatusCode::kResourceExhausted)
-        << "workers=" << workers;
+    EXPECT_EQ(result.status.code(), common::StatusCode::kResourceExhausted);
+    EXPECT_EQ(result.distinct_states, base.distinct_states);
+    EXPECT_EQ(result.generated_states, base.generated_states);
+    EXPECT_EQ(result.diameter, base.diameter);
   }
 }
 

@@ -134,7 +134,7 @@ TEST(SpillTierTest, CompactionMergesRunsAndKeepsEveryRecord) {
 TEST(SpillTierTest, DeferredDeletesSurviveUntilPurge) {
   SpillTier::Options options;
   options.dir = TestDir("defer");
-  options.defer_deletes = true;
+  options.durable = true;
   SpillTier tier(options);
   constexpr uint64_t kRuns = SpillTier::kCompactMinRuns;
   for (uint64_t r = 0; r < kRuns; ++r) {
@@ -775,7 +775,7 @@ TEST(FrontierSpoolTest, SealAdoptResumeAndCorruption) {
   internal::FrontierSpool::Options options;
   options.dir = TestDir("spool_resume");
   options.segment_entries = 8;
-  options.defer_deletes = true;
+  options.durable = true;
   std::vector<std::string> manifest;
   {
     internal::FrontierSpool spool(options);
@@ -803,7 +803,7 @@ TEST(FrontierSpoolTest, SealAdoptResumeAndCorruption) {
     }
   }
   EXPECT_EQ(next, 20);
-  // defer_deletes: consumed files persist until the purge.
+  // durable: consumed files persist until the purge.
   std::vector<std::string> files;
   ASSERT_TRUE(common::ListDirFiles(options.dir, &files).ok());
   EXPECT_EQ(files.size(), 3u);

@@ -171,9 +171,9 @@ TEST(TraceCheckTest, PresslerModeAgreesWithNative) {
   }
 }
 
-// The fold flushes checker.trace.states.explored live every 1024 explored
-// states; the live flushes plus the end-of-run remainder must add up to
-// exactly states_explored, at any worker count.
+// The search flushes checker.trace.states.explored live every 1024
+// explored states; the live flushes plus the end-of-run remainder must add
+// up to exactly states_explored.
 TEST(TraceCheckTest, LiveExploredCounterReconcilesWithResult) {
   CounterSpec spec(/*limit=*/40);
   // One observed step hiding 60 actions: the search sweeps the (x, y)
@@ -181,17 +181,13 @@ TEST(TraceCheckTest, LiveExploredCounterReconcilesWithResult) {
   const std::vector<TraceState> trace = {Full(0, 0), Full(30, 30)};
   obs::Counter& explored = obs::MetricsRegistry::Global().GetCounter(
       "checker.trace.states.explored");
-  for (int workers : {1, 4}) {
-    TraceCheckOptions options;
-    options.max_hidden_steps = 60;
-    options.num_workers = workers;
-    const uint64_t before = explored.value();
-    TraceCheckResult result = TraceChecker(options).Check(spec, trace);
-    ASSERT_TRUE(result.ok()) << result.status.ToString();
-    EXPECT_GT(result.states_explored, 1024u);
-    EXPECT_EQ(explored.value() - before, result.states_explored)
-        << "workers=" << workers;
-  }
+  TraceCheckOptions options;
+  options.max_hidden_steps = 60;
+  const uint64_t before = explored.value();
+  TraceCheckResult result = TraceChecker(options).Check(spec, trace);
+  ASSERT_TRUE(result.ok()) << result.status.ToString();
+  EXPECT_GT(result.states_explored, 1024u);
+  EXPECT_EQ(explored.value() - before, result.states_explored);
 }
 
 // A search cut short by max_search_states_per_step proves nothing: an
@@ -204,34 +200,47 @@ TEST(TraceCheckTest, BudgetCutSearchIsNotAViolation) {
   const std::vector<TraceState> trace = {Full(0, 0), Full(2, 2)};
   obs::Counter& violations = obs::MetricsRegistry::Global().GetCounter(
       "checker.trace.violations.found");
-  for (int workers : {1, 4}) {
-    TraceCheckOptions options;
-    options.max_hidden_steps = 4;
-    options.max_search_states_per_step = 5;
-    options.num_workers = workers;
-    const uint64_t before = violations.value();
-    TraceCheckResult result = TraceChecker(options).Check(spec, trace);
-    EXPECT_EQ(result.status.code(), common::StatusCode::kResourceExhausted)
-        << result.status.ToString();
-    EXPECT_EQ(result.failed_step, 1u);
-    EXPECT_NE(result.status.message().find("budget of 5 states"),
-              std::string::npos)
-        << result.status.message();
-    EXPECT_EQ(violations.value(), before) << "workers=" << workers;
+  TraceCheckOptions options;
+  options.max_hidden_steps = 4;
+  options.max_search_states_per_step = 5;
+  const uint64_t before = violations.value();
+  TraceCheckResult result = TraceChecker(options).Check(spec, trace);
+  EXPECT_EQ(result.status.code(), common::StatusCode::kResourceExhausted)
+      << result.status.ToString();
+  EXPECT_EQ(result.failed_step, 1u);
+  EXPECT_NE(result.status.message().find("budget of 5 states"),
+            std::string::npos)
+      << result.status.message();
+  EXPECT_EQ(violations.value(), before);
 
-    options.max_search_states_per_step = 1000;
-    result = TraceChecker(options).Check(spec, trace);
-    EXPECT_TRUE(result.ok()) << result.status.ToString();
-  }
+  options.max_search_states_per_step = 1000;
+  result = TraceChecker(options).Check(spec, trace);
+  EXPECT_TRUE(result.ok()) << result.status.ToString();
+
+  // A cut in the last layer that leaves layer states unexpanded: the budget
+  // of 3 runs out while the first of the two second-layer states is
+  // expanded, and the other still has successors, so the search is
+  // incomplete. Only the init state and the four expanded successors count
+  // as explored.
+  options.max_hidden_steps = 2;
+  options.max_search_states_per_step = 3;
+  result = TraceChecker(options).Check(spec, trace);
+  EXPECT_EQ(result.status.code(), common::StatusCode::kResourceExhausted)
+      << result.status.ToString();
+  EXPECT_EQ(result.states_explored, 5u);
+  // Uncut, (2, 2) is out of reach in two actions: a violation.
+  options.max_search_states_per_step = 1000;
+  result = TraceChecker(options).Check(spec, trace);
+  EXPECT_EQ(result.status.code(), common::StatusCode::kFailedPrecondition)
+      << result.status.ToString();
 
   // A search that spends its last budget state on its last expansion is
   // complete, so its empty frontier is still a violation: without
   // stuttering, (0, 0) -> (0, 0) has no one-action explanation, and the
   // one layer has exactly two successors.
-  TraceCheckOptions options;
+  options = TraceCheckOptions();
   options.max_search_states_per_step = 2;
-  TraceCheckResult result =
-      TraceChecker(options).Check(spec, {Full(0, 0), Full(0, 0)});
+  result = TraceChecker(options).Check(spec, {Full(0, 0), Full(0, 0)});
   EXPECT_EQ(result.status.code(), common::StatusCode::kFailedPrecondition)
       << result.status.ToString();
   EXPECT_EQ(result.failed_step, 1u);

@@ -397,7 +397,7 @@ TEST(MbtcPipelineTest, FuzzerTraceChecksWhenBugAvoided) {
 // Pins the trace check of one fuzzer trace: how many spec states the
 // search explores and which actions explain each step (digested in step
 // order). Any change to action successors, their order, or the search
-// moves one of these figures. Identical at 1 and 4 expansion workers.
+// moves one of these figures.
 TEST(MbtcPipelineTest, FuzzerTraceSearchIsPinned) {
   repl::RollbackFuzzerOptions options;
   options.seed = 1;
@@ -411,23 +411,19 @@ TEST(MbtcPipelineTest, FuzzerTraceSearchIsPinned) {
   repl::RollbackFuzzer(options).Run(&rs);
 
   RaftMongoSpec spec = UnboundedSpec(options.config.num_nodes);
-  for (int workers : {1, 4}) {
-    MbtcPipelineOptions popts;
-    popts.checker.allow_stuttering = true;
-    popts.checker.num_workers = workers;
-    MbtcReport report =
-        MbtcPipeline(&spec, popts).Run(logger.LogFiles(rs.num_nodes()));
-    ASSERT_TRUE(report.passed()) << report.check.status.ToString();
-    std::string actions;
-    for (const std::vector<std::string>& step : report.check.step_actions) {
-      for (const std::string& name : step) actions += name + "|";
-      actions += ";";
-    }
-    EXPECT_EQ(report.check.states_explored, 30606u) << "workers " << workers;
-    EXPECT_EQ(report.check.step_actions.size(), 357u) << "workers " << workers;
-    EXPECT_EQ(common::HashString(actions), 11304585133480058267u)
-        << "workers " << workers;
+  MbtcPipelineOptions popts;
+  popts.checker.allow_stuttering = true;
+  MbtcReport report =
+      MbtcPipeline(&spec, popts).Run(logger.LogFiles(rs.num_nodes()));
+  ASSERT_TRUE(report.passed()) << report.check.status.ToString();
+  std::string actions;
+  for (const std::vector<std::string>& step : report.check.step_actions) {
+    for (const std::string& name : step) actions += name + "|";
+    actions += ";";
   }
+  EXPECT_EQ(report.check.states_explored, 30606u);
+  EXPECT_EQ(report.check.step_actions.size(), 357u);
+  EXPECT_EQ(common::HashString(actions), 11304585133480058267u);
 }
 
 TEST(RollbackFuzzerTest, DeterministicPerSeed) {

@@ -377,8 +377,8 @@ def names(err, named):
 def serve_and_scrape(mbtc_check, directory):
     """Two /metrics bodies from a live mbtc_check, in scrape order."""
     proc = subprocess.Popen(
-        [mbtc_check, "--scenario=elect_and_write/n3_w1_b1", "--workers=2",
-         "--serve=0", "--serve-linger-ms=60000"],
+        [mbtc_check, "--scenario=elect_and_write/n3_w1_b1", "--serve=0",
+         "--serve-linger-ms=60000"],
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     try:
         for line in proc.stderr:
@@ -430,7 +430,7 @@ def main(argv):
             subprocess.run([xmodel_lint, f"--metrics-out={lint}"], check=True,
                            stdout=subprocess.DEVNULL)
             subprocess.run([mbtc_check, "--scenario=elect_and_write/n3_w1_b1",
-                            "--workers=2", f"--metrics-out={mbtc}"],
+                            f"--metrics-out={mbtc}"],
                            check=True, stdout=subprocess.DEVNULL,
                            stderr=subprocess.DEVNULL)
             scrapes = serve_and_scrape(mbtc_check, directory)
