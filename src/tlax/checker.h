@@ -104,8 +104,10 @@ struct CheckerOptions {
   /// delta-compressed run file with a Bloom filter, probed on inserts, so
   /// the checker handles state spaces far larger than RAM with
   /// bit-identical distinct/verdict results. 0 = unlimited (no spilling).
-  /// Spilling is incompatible with sleep-set POR and record_graph (they
-  /// need mutable records resident); when one of them is active the
+  /// Spilling is incompatible with sleep-set POR (it updates the masks
+  /// of records that eviction would seal) and with record_graph (spooled
+  /// frontier segments do not carry graph node ids, and the graph holds
+  /// every state in memory anyway); when one of them is active the
   /// budget is ignored and CheckResult::spill_notice explains.
   uint64_t memory_budget_mb = 0;
   /// Directory for spill runs and frontier segments. Empty = use

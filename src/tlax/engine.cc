@@ -24,8 +24,10 @@ namespace xmodel::tlax::internal {
 namespace {
 
 // Out-of-core gating (see CheckerOptions::memory_budget_mb): any of the
-// three knobs requests spilling; sleep-set POR / record_graph veto it
-// (they need mutable fingerprint records).
+// three knobs requests spilling. Sleep-set POR vetoes it because it
+// updates the masks of records that eviction would seal; record_graph
+// because spooled frontier segments do not carry LevelEntry::gid, and
+// its graph holds every state in memory anyway.
 bool SpillRequested(const CheckerOptions& o) {
   return o.memory_budget_mb > 0 || !o.checkpoint_dir.empty() ||
          !o.spill_dir.empty();
@@ -281,24 +283,18 @@ bool Engine::SeedInitial(std::vector<LevelEntry>* level) {
     uint64_t key;
   };
   std::vector<Seed> seeds;
-  std::vector<uint64_t> fps;
   uint64_t ordinal = 0;
   for (State& raw_init : spec_.InitialStates()) {
     ++result_.generated_states;
     State init = spec_.Canonicalize(raw_init);
     const uint64_t fp = Fingerprint(init);
     const uint64_t key = ordinal++;
-    FpInsert ins = fpset_.Insert(fp, 0, kFpInitialAction, 0, key, 0);
-    if (!ins.inserted && !ins.pending) continue;
-    fps.push_back(fp);
+    if (!fpset_.Insert(fp, 0, kFpInitialAction, 0, key, 0).inserted) continue;
     seeds.push_back(Seed{std::move(init), fp, key});
   }
-  // With a spill tier every new seed is pending; one batch settles them.
-  std::vector<uint8_t> on_disk;
-  fpset_.ResolvePending(fps, &on_disk);
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    if (on_disk[i] != 0) continue;
-    Seed& seed = seeds[i];
+  // Every seed is inserted before any is checked, so an initial
+  // violation reports all of them in the distinct count.
+  for (Seed& seed : seeds) {
     initial_by_fp_.emplace(seed.fp, seed.state);
     const bool constrained = spec_.WithinConstraint(seed.state);
     uint32_t gid = StateGraph::kNoId;
@@ -415,27 +411,11 @@ void Engine::FlushStaged(Scratch& s) {
   if (n == 0) return;
   s.staged_results.resize(n);
   fpset_.InsertBatch(s.staged_items, s.staged_results);
-  // Out-of-core: a hot-table miss deferred its disk probe; one sorted
-  // sweep settles the whole batch. POR / graph never coexist with
-  // spilling (see spill_enabled_ gating), so a pending result is either a
-  // new state or a revisit of a spilled one.
-  s.pending_fps.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (s.staged_results[i].pending) {
-      s.pending_fps.push_back(s.staged_items[i].fp);
-    }
-  }
-  if (!s.pending_fps.empty()) {
-    fpset_.ResolvePending(s.pending_fps, &s.pending_on_disk);
-  }
-  size_t pending = 0;
   for (size_t i = 0; i < n; ++i) {
     const FpInsert& ins = s.staged_results[i];
     const FpInsertItem& item = s.staged_items[i];
     State& state = s.staged_states[i];
-    const bool is_new =
-        ins.pending ? s.pending_on_disk[pending++] == 0 : ins.inserted;
-    if (is_new) {
+    if (ins.inserted) {
       AdmitNew(std::move(state), item.fp, item.depth, item.order_key, s);
     } else if (use_sleep_sets_ && ins.sleep_shrunk) {
       // The revisit shrank the record's pending sleep mask. Whether

@@ -49,10 +49,10 @@ constexpr uint32_t kProgressPollExpansions = 1024;
 constexpr uint32_t kHeartbeatBatchEntries = 1024;
 
 // Successors a worker stages before FlushStaged inserts them with one
-// FingerprintSet::InsertBatch (one lock per touched shard) and settles
-// the spill tier's misses with one sorted ResolvePending sweep. Roughly
-// a run block's worth of keys, so that sweep decodes each touched block
-// about once.
+// FingerprintSet::InsertBatch (one lock per touched shard, and one
+// sorted sweep of the spill tier's runs for the misses). Roughly a run
+// block's worth of keys, so that sweep decodes each touched block about
+// once.
 constexpr size_t kInsertBatch = 256;
 
 // One unit of frontier work. The level batches own the full states (the
@@ -142,8 +142,6 @@ class Engine {
     std::vector<State> staged_states;
     std::vector<FpInsertItem> staged_items;
     std::vector<FpInsert> staged_results;
-    std::vector<uint64_t> pending_fps;
-    std::vector<uint8_t> pending_on_disk;
     uint64_t generated = 0;
     uint64_t slept = 0;
     uint64_t expanded = 0;
@@ -183,10 +181,9 @@ class Engine {
   void CheckInvariants(const State& state, uint64_t fp, uint64_t key,
                        Scratch& s);
 
-  // Inserts the staged successors with one InsertBatch, settles the spill
-  // tier's misses with one ResolvePending, then applies the results in
-  // staged order: new states go through AdmitNew, POR shrinks into
-  // s.wake_candidates.
+  // Inserts the staged successors with one InsertBatch, then applies the
+  // results in staged order: new states go through AdmitNew, POR shrinks
+  // into s.wake_candidates.
   void FlushStaged(Scratch& s);
 
   // Barrier: the next level in settled order — every worker's run,

@@ -17,10 +17,6 @@ struct FpSlot {
   static constexpr uint8_t kOccupied = 1;
   /// POR: on a frontier, awaiting expansion.
   static constexpr uint8_t kQueued = 2;
-  /// Spill batching: created by an Insert miss with a spill tier, awaiting
-  /// a ResolvePending disk verdict. Not counted in size(); skipped by eviction (an
-  /// unresolved record must never be sealed to disk).
-  static constexpr uint8_t kProvisional = 4;
 
   uint64_t fp = 0;
   uint64_t pred_fp = 0;
@@ -48,12 +44,13 @@ struct FpPorMasks {
 /// One FingerprintSet shard's records: a flat open-addressing table with
 /// linear probing from the fingerprint's low bits (shards are chosen by
 /// the top bits). Capacity is a power of two that doubles before the
-/// load passes 7/8; deletion shifts the rest of the probe cluster back,
-/// so there are no tombstones and an empty slot always ends a probe.
-/// Empty slots are all-zero, so a freshly claimed slot starts zeroed.
+/// load passes 7/8. Records are only ever inserted, and Clear drops them
+/// all at once, so there are no tombstones and an empty slot always ends
+/// a probe. Empty slots are all-zero, so a freshly claimed slot starts
+/// zeroed.
 ///
-/// Not thread-safe (the shard mutex guards it). An insert or erase may
-/// move records, invalidating every index obtained before it.
+/// Not thread-safe (the shard mutex guards it). An insert may move
+/// records, invalidating every index obtained before it.
 class FpTable {
  public:
   static constexpr size_t kNone = SIZE_MAX;
@@ -69,7 +66,7 @@ class FpTable {
     Reallocate(kMinCapacity);
   }
 
-  /// Records stored (provisional ones included).
+  /// Records stored.
   size_t size() const { return size_; }
   size_t capacity() const { return slots_.size(); }
   /// Bytes of the slot array plus the POR array when present.
@@ -116,7 +113,7 @@ class FpTable {
     }
     *inserted = true;
     if (!Fits(size_ + 1, slots_.size())) {
-      Rehash(slots_.size() * 2, [](const FpSlot&) { return false; });
+      Rehash(slots_.size() * 2);
       i = FreeSlotFor(fp);
     }
     slots_[i].fp = fp;
@@ -125,36 +122,8 @@ class FpTable {
     return i;
   }
 
-  /// Backward-shift deletion: walks the cluster after `i` and pulls each
-  /// record whose home slot is not in the cyclic range (hole, position]
-  /// back into the hole, then zeroes the final hole.
-  void EraseAt(size_t i) {
-    const size_t mask = slots_.size() - 1;
-    for (size_t j = (i + 1) & mask; slots_[j].occupied(); j = (j + 1) & mask) {
-      const size_t home = slots_[j].fp & mask;
-      if (((j - home) & mask) >= ((j - i) & mask)) {
-        Move(j, i);
-        i = j;
-      }
-    }
-    slots_[i] = FpSlot{};
-    if (track_por_) por_[i] = FpPorMasks{};
-    --size_;
-  }
-
   /// Drops every record, back to the floor capacity.
   void Clear() { Reallocate(kMinCapacity); }
-
-  /// Drops every record `drop` selects and rebuilds the survivors at the
-  /// smallest capacity that holds them, so the freed memory is returned.
-  template <typename Drop>
-  void EraseIf(Drop drop) {
-    size_t keep = 0;
-    for (const FpSlot& s : slots_) keep += s.occupied() && !drop(s);
-    size_t capacity = kMinCapacity;
-    while (!Fits(keep, capacity)) capacity *= 2;
-    Rehash(capacity, drop);
-  }
 
   /// Calls fn(slot) for every occupied slot, in slot order.
   template <typename Fn>
@@ -174,11 +143,6 @@ class FpTable {
     size_t i = fp & mask;
     while (slots_[i].occupied()) i = (i + 1) & mask;
     return i;
-  }
-
-  void Move(size_t from, size_t to) {
-    slots_[to] = slots_[from];
-    if (track_por_) por_[to] = por_[from];
   }
 
   // Swaps in zeroed arrays of `capacity` slots, handing the old ones to
@@ -202,14 +166,13 @@ class FpTable {
     }
   }
 
-  template <typename Drop>
-  void Rehash(size_t capacity, Drop drop) {
+  void Rehash(size_t capacity) {
     std::vector<FpSlot> old_slots;
     std::vector<FpPorMasks> old_por;
     Reallocate(capacity, &old_slots, &old_por);
     for (size_t k = 0; k < old_slots.size(); ++k) {
       const FpSlot& s = old_slots[k];
-      if (!s.occupied() || drop(s)) continue;
+      if (!s.occupied()) continue;
       const size_t i = FreeSlotFor(s.fp);
       slots_[i] = s;
       if (track_por_) por_[i] = old_por[k];

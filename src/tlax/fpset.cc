@@ -56,53 +56,83 @@ FpInsert FingerprintSet::Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
 void FingerprintSet::InsertBatch(std::span<const FpInsertItem> items,
                                  std::span<FpInsert> out) {
   assert(out.size() == items.size());
-  size_t created = 0;
+  // Item indices grouped by shard, each group in item order: a stable
+  // counting sort (thread-local scratch), or the lone index of Insert.
+  thread_local std::vector<uint32_t> begin;
+  thread_local std::vector<uint32_t> order;
+  order.resize(items.size());
   if (items.size() == 1) {
-    // A single insert (Insert itself): nothing to group.
-    const uint32_t only = 0;
-    Shard& shard = ShardFor(items[0].fp);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    created = InsertRun(shard, items, {&only, 1}, out);
+    order[0] = 0;
   } else {
-    // Stable counting sort of the item indices by shard: after the
-    // scatter, begin[si] is where shard si's run ends, and the run starts
-    // where the previous shard's ends.
-    thread_local std::vector<uint32_t> begin;
-    thread_local std::vector<uint32_t> order;
     begin.assign(shards_.size(), 0);
     for (const FpInsertItem& item : items) ++begin[ShardIndex(item.fp)];
     uint32_t sum = 0;
     for (uint32_t& b : begin) sum += std::exchange(b, sum);
-    order.resize(items.size());
     for (size_t i = 0; i < items.size(); ++i) {
       order[begin[ShardIndex(items[i].fp)]++] = static_cast<uint32_t>(i);
     }
-    uint32_t run_start = 0;
-    for (size_t si = 0; si < shards_.size(); ++si) {
-      const uint32_t run_end = begin[si];
-      if (run_end == run_start) continue;
+  }
+  // Runs InsertRun over `run` (grouped by shard), one lock per group.
+  const auto insert_runs = [&](std::span<const uint32_t> run,
+                               std::vector<uint32_t>* misses) {
+    size_t created = 0;
+    for (size_t start = 0; start < run.size();) {
+      const size_t si = ShardIndex(items[run[start]].fp);
+      size_t end = start + 1;
+      while (end < run.size() && ShardIndex(items[run[end]].fp) == si) ++end;
       Shard& shard = shards_[si];
       std::lock_guard<std::mutex> lock(shard.mu);
-      created += InsertRun(
-          shard, items,
-          std::span<const uint32_t>(order).subspan(run_start,
-                                                   run_end - run_start),
-          out);
-      run_start = run_end;
+      created += InsertRun(shard, items, run.subspan(start, end - start), out,
+                           misses);
+      start = end;
+    }
+    return created;
+  };
+
+  size_t created = 0;
+  if (tier_ == nullptr) {
+    created = insert_runs(order, nullptr);
+  } else {
+    // Held until the misses are inserted: an eviction between the passes
+    // could seal a fingerprint that another worker inserted after the
+    // probe, and this batch would then insert it a second time.
+    std::shared_lock<std::shared_mutex> evict_lock(evict_mu_);
+    thread_local std::vector<uint32_t> misses;
+    thread_local std::vector<uint64_t> probe;
+    thread_local std::vector<uint8_t> on_disk;
+    misses.clear();
+    insert_runs(order, &misses);
+    if (!misses.empty()) {
+      probe.clear();
+      for (uint32_t i : misses) probe.push_back(items[i].fp);
+      std::sort(probe.begin(), probe.end());
+      probe.erase(std::unique(probe.begin(), probe.end()), probe.end());
+      tier_->FindBatch(probe, &on_disk);
+      // Misses a run holds were explored and evicted: revisits whose
+      // settled disk edge stays as it is. The rest stay in shard order.
+      size_t kept = 0;
+      for (uint32_t i : misses) {
+        const size_t at = static_cast<size_t>(
+            std::lower_bound(probe.begin(), probe.end(), items[i].fp) -
+            probe.begin());
+        if (on_disk[at] != 0) {
+          out[i] = FpInsert{};
+        } else {
+          misses[kept++] = i;
+        }
+      }
+      misses.resize(kept);
+      created = insert_runs(misses, nullptr);
     }
   }
-  // One counter update per batch. With a spill tier a new record is
-  // provisional: hot, but not counted in size() until ResolvePending.
-  if (created > 0) {
-    (tier_ != nullptr ? hot_count_ : size_)
-        .fetch_add(created, std::memory_order_relaxed);
-  }
+  if (created > 0) size_.fetch_add(created, std::memory_order_relaxed);
 }
 
 size_t FingerprintSet::InsertRun(Shard& shard,
                                  std::span<const FpInsertItem> items,
                                  std::span<const uint32_t> run,
-                                 std::span<FpInsert> out) {
+                                 std::span<FpInsert> out,
+                                 std::vector<uint32_t>* misses) {
   // Each lookup is usually a cache miss; prefetching a few items ahead
   // keeps several in flight at once.
   constexpr size_t kPrefetchAhead = 4;
@@ -117,28 +147,23 @@ size_t FingerprintSet::InsertRun(Shard& shard,
     const FpInsertItem& item = items[run[k]];
     FpInsert& result = out[run[k]];
     bool fresh = false;
-    const size_t index = shard.table.FindOrInsert(item.fp, &fresh);
+    size_t index;
+    if (misses == nullptr) {
+      index = shard.table.FindOrInsert(item.fp, &fresh);
+    } else {
+      index = shard.table.Find(item.fp);
+      if (index == internal::FpTable::kNone) {
+        misses->push_back(run[k]);
+        continue;
+      }
+    }
     if (!fresh) {
-      // Hot (possibly still provisional) record: revisit merge. A merge
-      // into a provisional record that later turns out to be on disk is
-      // simply discarded with it (disk-resident edges are settled and
-      // win).
       result = MergeRevisit(shard, index, item);
       continue;
     }
     InitRecord(shard.table, index, item);
     ++created;
-    result = FpInsert{};
-    result.depth = item.depth;
-    if (tier_ != nullptr) {
-      // The disk probe is deferred to ResolvePending; the provisional
-      // record keeps concurrent inserts of the same fingerprint from
-      // probing twice.
-      shard.table.slot(index).set(internal::FpSlot::kProvisional, true);
-      result.pending = true;
-    } else {
-      result.inserted = true;
-    }
+    result = FpInsert{.inserted = true};
   }
   return created;
 }
@@ -164,7 +189,6 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index,
                                       const FpInsertItem& item) {
   internal::FpSlot& rec = shard.table.slot(index);
   FpInsert out;
-  out.depth = rec.depth;
   if (options_.track_por) {
     internal::FpPorMasks& por = shard.table.por(index);
     // Sleep-set intersect-merge (Godefroid), deferred: the shrink lands
@@ -183,42 +207,6 @@ FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index,
     rec.action = item.action;
   }
   return out;
-}
-
-void FingerprintSet::ResolvePending(const std::vector<uint64_t>& fps,
-                                    std::vector<uint8_t>* on_disk) {
-  on_disk->assign(fps.size(), 0);
-  if (tier_ == nullptr || fps.empty()) return;
-  std::vector<uint64_t> sorted(fps);
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<SpillTier::BatchHit> hits;
-  tier_->FindBatch(sorted, &hits);
-  size_t dropped = 0;
-  size_t settled = 0;
-  for (size_t i = 0; i < fps.size(); ++i) {
-    const size_t si = static_cast<size_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), fps[i]) -
-        sorted.begin());
-    const bool found = hits[si].found;
-    Shard& shard = ShardFor(fps[i]);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const size_t index = shard.table.Find(fps[i]);
-    if (index == internal::FpTable::kNone) continue;
-    internal::FpSlot& rec = shard.table.slot(index);
-    if (!rec.has(internal::FpSlot::kProvisional)) continue;
-    if (found) {
-      // Already explored and evicted: drop the provisional record — the
-      // disk copy is the settled one.
-      shard.table.EraseAt(index);
-      ++dropped;
-      (*on_disk)[i] = 1;
-    } else {
-      rec.set(internal::FpSlot::kProvisional, false);
-      ++settled;
-    }
-  }
-  hot_count_.fetch_sub(dropped, std::memory_order_relaxed);
-  size_.fetch_add(settled, std::memory_order_relaxed);
 }
 
 FingerprintSet::ExpandGrant FingerprintSet::AcquireExpand(
@@ -304,17 +292,17 @@ common::Status FingerprintSet::EvictIfOverBudget(common::WorkerPool* pool) {
 
 common::Status FingerprintSet::EvictAll(common::WorkerPool* pool) {
   if (tier_ == nullptr) return common::Status::OK();
-  std::lock_guard<std::mutex> evict_lock(evict_mu_);
-  // Copy out, seal, then erase — never erase before the run is
-  // registered, so concurrent ResolvePending and GetEdge probes always see
-  // the fingerprint somewhere. Late same-level revisits of a captured record can still
-  // min-merge the hot copy after this snapshot; the engine only evicts
-  // once those fields are settled (at a level barrier), so the sealed
-  // edge is the settled one.
+  // Exclusive: no insert runs until the hot table is sealed and cleared.
+  // Copy out, seal, then clear — never clear before the run is
+  // registered, so a concurrent GetEdge always sees the fingerprint
+  // somewhere. The engine only evicts at a level barrier, once every
+  // revisit has min-merged its record, so the sealed edge is the settled
+  // one; a later revisit of a sealed fingerprint changes nothing.
   //
-  // Collect, sort and erase are one task per shard: shard si holds
+  // Collect, sort and clear are one task per shard: shard si holds
   // exactly the fingerprints whose top bits are si, so the shards' sorted
   // slices in shard order are the whole sorted run.
+  std::unique_lock<std::shared_mutex> evict_lock(evict_mu_);
   using Entry = SpillTier::Entry;
   std::vector<std::vector<Entry>> slices(shards_.size());
   common::ParallelFor(pool, shards_.size(), [&](size_t si) {
@@ -326,10 +314,6 @@ common::Status FingerprintSet::EvictAll(common::WorkerPool* pool) {
       std::lock_guard<std::mutex> lock(shard.mu);
       slice.reserve(shard.table.size());
       shard.table.ForEach([&slice](const internal::FpSlot& rec) {
-        // A provisional record has no disk verdict yet — sealing it could
-        // duplicate a fingerprint across runs. Its owner resolves it at
-        // the batch boundary; it stays hot until then.
-        if (rec.has(internal::FpSlot::kProvisional)) return;
         slice.emplace_back(rec.fp,
                            SpillTier::EdgeData{rec.pred_fp, rec.order_key,
                                                rec.depth, rec.action});
@@ -343,28 +327,13 @@ common::Status FingerprintSet::EvictAll(common::WorkerPool* pool) {
   common::Status status = tier_->SealRun(spans, pool);
   if (!status.ok()) return status;
   common::ParallelFor(pool, shards_.size(), [&](size_t si) {
-    const std::vector<Entry>& slice = slices[si];
-    if (slice.empty()) return;
+    if (slices[si].empty()) return;  // Already at the floor capacity.
     Shard& shard = shards_[si];
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      // Captured records stay put until here (only this evictor erases
-      // non-provisional ones), so equal counts mean nothing else is left.
-      if (shard.table.size() == slice.size()) {
-        shard.table.Clear();
-      } else {
-        shard.table.EraseIf([&slice](const internal::FpSlot& rec) {
-          const auto it = std::lower_bound(
-              slice.begin(), slice.end(), rec.fp,
-              [](const Entry& e, uint64_t fp) { return e.first < fp; });
-          return it != slice.end() && it->first == rec.fp;
-        });
-      }
-    }
-    hot_count_.fetch_sub(slice.size(), std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.table.Clear();
   });
-  // Merge only once the sealed records are erased, so the hot table and
-  // the merged run are never resident together.
+  // Merge only once the hot table is cleared, so it and the merged run
+  // are never resident together.
   return tier_->CompactIfNeeded();
 }
 

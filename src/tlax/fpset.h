@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -42,13 +43,6 @@ struct FpInsert {
   /// fingerprint as a wake candidate; SettlePor decides at the level
   /// barrier whether re-expansion is actually needed.
   bool sleep_shrunk = false;
-  /// Spill tier only: the fingerprint missed the hot table and a
-  /// provisional record was created; its disk probe is deferred. The
-  /// caller must pass the fingerprint to ResolvePending before treating
-  /// it as new — `inserted` is false until then.
-  bool pending = false;
-  /// BFS depth stored in the record (existing or newly created).
-  int64_t depth = 0;
 };
 
 /// One insert of a FingerprintSet::InsertBatch call: Insert's arguments.
@@ -70,10 +64,16 @@ struct FpInsertItem {
 /// along the predecessor chain from an initial state, so dropping the
 /// states costs nothing but that replay.
 ///
+/// The table is insert-only: a record is never erased on its own, and an
+/// eviction seals the whole hot table to disk and clears it.
+///
 /// Thread safety: every single-key operation takes exactly one shard
-/// mutex, and InsertBatch takes each shard it touches once; shards are
-/// selected by the fingerprint's top bits, so concurrent workers rarely
-/// collide. size() is a lock-free counter.
+/// mutex, and InsertBatch takes each shard it touches once per pass;
+/// shards are selected by the fingerprint's top bits, so concurrent
+/// workers rarely collide. With a spill tier, InsertBatch also holds the
+/// eviction lock shared for the whole batch and EvictAll holds it
+/// exclusively, so no eviction lands between a batch's hot-table miss and
+/// its insert. size() is a lock-free counter.
 class FingerprintSet {
  public:
   struct Options {
@@ -83,8 +83,9 @@ class FingerprintSet {
     /// Maintain per-state sleep/done masks for sleep-set POR.
     bool track_por = false;
     /// Out-of-core tier: directory for sealed spill runs. Empty disables
-    /// spilling entirely. Incompatible with track_por (it needs mutable
-    /// records; the engine gates this).
+    /// spilling entirely. Incompatible with track_por (sleep-set POR
+    /// updates the masks of records that eviction would have sealed; the
+    /// engine gates this).
     std::string spill_dir;
     /// Allocated hot-table bytes (see table_bytes()) that trigger eviction
     /// via EvictIfOverBudget. 0 means no budget (evictions only happen on
@@ -110,14 +111,11 @@ class FingerprintSet {
   /// AcquireExpand — that two-phase split is what makes every POR counter
   /// and trace worker-count-invariant.
   ///
-  /// With a spill tier, a hot-table miss does not probe disk: it records
-  /// a provisional entry and reports FpInsert::pending. The caller
-  /// accumulates pending fingerprints over an expansion batch and settles
-  /// them with one ResolvePending call, so each decoded run block is
-  /// visited once per batch instead of once per key. The "hot table or
-  /// on disk at every instant" invariant holds throughout: the
-  /// provisional record keeps concurrent inserts of the same fingerprint
-  /// from double-probing, and eviction skips provisional records.
+  /// With a spill tier, a hot-table miss is probed against the sealed
+  /// runs before it is recorded, so `inserted` is final either way; a
+  /// fingerprint found on disk is a revisit whose settled disk edge is
+  /// kept as is. Insert is a one-item InsertBatch: callers with many
+  /// fingerprints batch them so that the disk probe sweeps each run once.
   ///
   /// The trailing null argument carries nothing; it keeps seven-argument
   /// callers (xbench/bench_xmodel.cc) compiling.
@@ -133,21 +131,14 @@ class FingerprintSet {
   /// different fingerprints and touch disjoint records, so the grouping
   /// changes no result. Within a shard, each slot line is prefetched a
   /// few items before its lookup.
+  ///
+  /// With a spill tier the batch runs in two passes: the first merges
+  /// hot-table hits and collects the misses, one SpillTier::FindBatch
+  /// probes the misses' distinct fingerprints against every run, and the
+  /// second inserts the misses that no run holds. A fingerprint another
+  /// worker inserted between the passes is merged as a revisit there.
   void InsertBatch(std::span<const FpInsertItem> items,
                    std::span<FpInsert> out);
-
-  /// Settles a batch of provisional records created by Insert or
-  /// InsertBatch.
-  /// `fps` are this caller's pending fingerprints in discovery order
-  /// (unique by construction — only the insert that created the
-  /// provisional record reports pending). On return, on_disk[i] != 0
-  /// means fps[i] was already on disk: the provisional record has been
-  /// discarded and the fingerprint is NOT a new state. on_disk[i] == 0
-  /// means genuinely new: the record is now settled and counted in
-  /// size(). Probes all spill runs with one merged batched sweep; without
-  /// a spill tier every entry is 0.
-  void ResolvePending(const std::vector<uint64_t>& fps,
-                      std::vector<uint8_t>* on_disk);
 
   /// POR expansion handshake: atomically clears the record's queued flag,
   /// returns its current sleep mask and previously-expanded mask, and
@@ -206,19 +197,17 @@ class FingerprintSet {
 
   /// Whether the out-of-core tier is active (Options::spill_dir set).
   bool has_spill() const { return tier_ != nullptr; }
-  /// Records currently resident in the hot table (not yet evicted).
-  size_t hot_count() const {
-    return hot_count_.load(std::memory_order_relaxed);
-  }
 
   /// Evicts the whole hot table as one sealed run when table_bytes()
   /// exceeds Options::memory_budget_bytes; no-op otherwise.
-  /// Thread-compatible with concurrent Insert/GetEdge: a fingerprint is
-  /// visible in the hot table or on disk at every instant. Concurrent
-  /// callers serialize on an internal mutex. The per-shard collect, sort
-  /// and erase and the run encode run on `pool` (inline when null — a
-  /// caller that is itself a pool task passes null); the sealed run is
-  /// the same either way.
+  /// Safe to call concurrently with Insert/InsertBatch/GetEdge: it holds
+  /// the eviction lock exclusively, so it waits for running batches and
+  /// holds new ones off until the hot table is sealed and cleared, and a
+  /// GetEdge sees each fingerprint in the hot table or on disk at every
+  /// instant. Concurrent evictions serialize on the same lock. The
+  /// per-shard collect, sort and clear and the run encode run on `pool`
+  /// (inline when null — a caller that is itself a pool task passes
+  /// null); the sealed run is the same either way.
   common::Status EvictIfOverBudget(common::WorkerPool* pool = nullptr);
   /// Unconditionally evicts the hot table (checkpoint preparation: a
   /// manifest names only sealed runs, so everything must be on disk).
@@ -257,9 +246,12 @@ class FingerprintSet {
 
   // Inserts items[run[0]], items[run[1]], ... in that order into `shard`,
   // whose mutex the caller holds; fills out[] at the same indices and
-  // returns how many records it created.
+  // returns how many records it created. When `misses` is non-null, an
+  // item absent from the hot table is not inserted: its index is
+  // appended to *misses and its out[] entry is left to the caller.
   size_t InsertRun(Shard& shard, std::span<const FpInsertItem> items,
-                   std::span<const uint32_t> run, std::span<FpInsert> out);
+                   std::span<const uint32_t> run, std::span<FpInsert> out,
+                   std::vector<uint32_t>* misses);
 
   // Fills the record just claimed at `index` (queued, with the item's
   // edge and sleep mask).
@@ -274,14 +266,14 @@ class FingerprintSet {
   size_t shard_mask_ = 0;
   // Out-of-core tier (null unless Options::spill_dir is set).
   std::unique_ptr<SpillTier> tier_;
-  std::mutex evict_mu_;  // Serializes EvictAll/EvictIfOverBudget.
+  // With a tier: shared by each InsertBatch, exclusive in EvictAll.
+  std::shared_mutex evict_mu_;
 
   // Counters that inserts from every worker bump, each on a cache line of
   // its own: sharing one with each other or with the read-mostly fields
   // above would make every insert invalidate the line that every other
   // operation reads.
   alignas(64) std::atomic<size_t> size_{0};
-  alignas(64) std::atomic<size_t> hot_count_{0};
   // Allocated bytes of every shard's table.
   alignas(64) std::atomic<size_t> table_bytes_{0};
 };

@@ -526,8 +526,8 @@ bool SpillTier::FindOnDisk(uint64_t fp, EdgeData* edge) const {
 }
 
 void SpillTier::FindBatch(const std::vector<uint64_t>& sorted_fps,
-                          std::vector<BatchHit>* out) const {
-  out->assign(sorted_fps.size(), BatchHit{});
+                          std::vector<uint8_t>* found) const {
+  found->assign(sorted_fps.size(), 0);
   if (sorted_fps.empty()) return;
   std::shared_lock<std::shared_mutex> lock(runs_mu_);
   std::vector<size_t> survivors;
@@ -536,7 +536,7 @@ void SpillTier::FindBatch(const std::vector<uint64_t>& sorted_fps,
     // fingerprints — never touches disk at all.
     survivors.clear();
     for (size_t i = 0; i < sorted_fps.size(); ++i) {
-      if ((*out)[i].found) continue;  // Runs are disjoint.
+      if ((*found)[i] != 0) continue;  // Runs are disjoint.
       if (!BloomMayContain(run->bloom, sorted_fps[i])) continue;
       survivors.push_back(i);
     }
@@ -571,15 +571,15 @@ void SpillTier::FindBatch(const std::vector<uint64_t>& sorted_fps,
       // path.
       const std::string_view raw = run->Payload(block);
       for (size_t k = bi; k < bj; ++k) {
-        const int found = RawBlockContains(raw, sorted_fps[survivors[k]]);
-        if (found < 0) {
+        const int hit = RawBlockContains(raw, sorted_fps[survivors[k]]);
+        if (hit < 0) {
           RecordError(Corrupt(run->file, "malformed block header"));
           probe_ns_.fetch_add(
               common::MonotonicClock::Real()->NowNanos() - start_ns,
               std::memory_order_relaxed);
           return;
         }
-        if (found > 0) (*out)[survivors[k]].found = true;
+        if (hit > 0) (*found)[survivors[k]] = 1;
       }
       bi = bj;
     }

@@ -85,12 +85,6 @@ class SpillTier {
 
   using Entry = std::pair<uint64_t, EdgeData>;
 
-  /// One slot of a FindBatch result, parallel to the probed batch.
-  /// Membership only — edges stay on disk until FindOnDisk needs them.
-  struct BatchHit {
-    bool found = false;
-  };
-
   struct RunInfo {
     std::string file;  // Name within dir, not a path.
     uint64_t count = 0;
@@ -136,9 +130,10 @@ class SpillTier {
   /// unique. Every live run is swept once — per run, the surviving
   /// (Bloom-positive, not-yet-found) fingerprints walk the block index
   /// monotonically and binary-search each mapped block in place.
-  /// `out` is resized to match and filled positionally.
+  /// (*found)[i] is set to 1 when sorted_fps[i] is on disk, 0 otherwise.
+  /// Membership only — edges stay on disk until FindOnDisk needs them.
   void FindBatch(const std::vector<uint64_t>& sorted_fps,
-                 std::vector<BatchHit>* out) const;
+                 std::vector<uint8_t>* found) const;
 
   /// K-way merges all live runs into one when the run count has reached
   /// kCompactMinRuns; a no-op below it. Runs in the calling thread and

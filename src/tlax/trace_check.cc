@@ -107,9 +107,9 @@ Advance AdvanceFrontier(const Spec& spec, const TraceState& target,
                         const TraceCheckOptions& options, Frontier* frontier,
                         uint64_t* states_explored,
                         uint64_t* flushed_explored) {
-  static obs::Histogram& level_hist =
+  static obs::Histogram& layer_hist =
       obs::MetricsRegistry::Global().GetHistogram(
-          "checker.frontier.level_size");
+          "checker.trace.layer_size");
   static obs::Counter& live_explored =
       obs::MetricsRegistry::Global().GetCounter(
           "checker.trace.states.explored");
@@ -144,7 +144,7 @@ Advance AdvanceFrontier(const Spec& spec, const TraceState& target,
   for (int depth = 1;
        depth <= options.max_hidden_steps && !layer.empty() && budget > 0;
        ++depth) {
-    level_hist.Observe(static_cast<double>(layer.size()));
+    layer_hist.Observe(static_cast<double>(layer.size()));
     if (options.watchdog != nullptr) options.watchdog->Heartbeat();
     std::vector<State> next_layer;
     // Once the budget reaches 0, the layer stops after the state it is

@@ -13,6 +13,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -44,19 +45,18 @@ TEST(FpsetTest, InsertThenDuplicate) {
   FpInsert first = set.Insert(/*fp=*/100, /*pred_fp=*/0, kFpInitialAction,
                               /*depth=*/0, /*order_key=*/0, /*sleep_mask=*/0);
   EXPECT_TRUE(first.inserted);
-  EXPECT_EQ(first.depth, 0);
   EXPECT_EQ(set.size(), 1u);
 
   FpInsert dup = set.Insert(100, /*pred_fp=*/7, /*action=*/3, /*depth=*/5,
                             /*order_key=*/99, 0);
   EXPECT_FALSE(dup.inserted);
-  EXPECT_EQ(dup.depth, 0) << "existing record's depth is reported";
   EXPECT_EQ(set.size(), 1u);
 
   auto edge = set.GetEdge(100);
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->action, kFpInitialAction)
       << "a later, deeper insert must not overwrite the discovery edge";
+  EXPECT_EQ(edge->depth, 0) << "the record keeps its first depth";
   EXPECT_FALSE(set.GetEdge(101).has_value());
 }
 
@@ -182,25 +182,21 @@ TEST(FpsetTest, TableMatchesReferenceMap) {
     }
   };
 
-  // Fingerprint 0 is an ordinary key: absent, inserted, erased, back.
+  // Fingerprint 0 is an ordinary key: absent, then inserted. It stays
+  // live through the growth below, homed on slot 0 beside the
+  // low-pattern-0 keys.
   EXPECT_EQ(table.Find(0), FpTable::kNone);
   bool inserted = false;
-  table.FindOrInsert(0, &inserted);
-  EXPECT_TRUE(inserted);
-  table.EraseAt(table.Find(0));
-  EXPECT_EQ(table.Find(0), FpTable::kNone);
-  // It stays live through the growth below, homed on slot 0 beside the
-  // low-pattern-0 keys.
   table.slot(table.FindOrInsert(0, &inserted)).pred_fp = 77;
   EXPECT_TRUE(inserted);
   ref[0] = 77;
 
-  std::vector<uint64_t> drawn;  // Erase targets that are likely live.
+  std::vector<uint64_t> drawn;  // Keys already inserted.
   constexpr int kOps = 40'000;
   for (int op = 0; op < kOps; ++op) {
     const uint64_t roll = rng.Below(10);
     uint64_t fp = ClusteredKey(rng);
-    if (roll >= 6 && !drawn.empty() && rng.Below(2) == 0) {
+    if (!drawn.empty() && rng.Below(2) == 0) {
       fp = drawn[rng.Below(drawn.size())];
     }
     if (roll < 6) {
@@ -210,12 +206,9 @@ TEST(FpsetTest, TableMatchesReferenceMap) {
         table.slot(i).pred_fp = fp ^ 0x5555;
         ref[fp] = fp ^ 0x5555;
         drawn.push_back(fp);
+      } else {
+        EXPECT_EQ(table.slot(i).pred_fp, ref[fp]) << "fp " << fp;
       }
-    } else if (roll < 8) {
-      const size_t i = table.Find(fp);
-      ASSERT_EQ(i != FpTable::kNone, ref.count(fp) == 1) << "fp " << fp;
-      if (i != FpTable::kNone) table.EraseAt(i);
-      ref.erase(fp);
     } else {
       const size_t i = table.Find(fp);
       ASSERT_EQ(i != FpTable::kNone, ref.count(fp) == 1) << "fp " << fp;
@@ -236,12 +229,13 @@ TEST(FpsetTest, TableMatchesReferenceMap) {
   EXPECT_TRUE(saw_wrap) << "some probe cluster must wrap past the end";
   EXPECT_EQ(allocated.load(), table.bytes());
 
-  // Erase everything through the reference order, then the table is
-  // empty but keeps its capacity until Clear shrinks it to the floor.
-  for (const auto& [fp, payload] : ref) table.EraseAt(table.Find(fp));
-  EXPECT_EQ(table.size(), 0u);
+  // Clear drops every record and shrinks the table to the floor.
   table.Clear();
+  EXPECT_EQ(table.size(), 0u);
   EXPECT_EQ(table.capacity(), FpTable::kMinCapacity);
+  for (const auto& [fp, payload] : ref) {
+    ASSERT_EQ(table.Find(fp), FpTable::kNone) << "fp " << fp;
+  }
   EXPECT_EQ(allocated.load(), FpTable::kMinCapacity * sizeof(FpSlot));
 }
 
@@ -256,7 +250,8 @@ TEST(FpsetTest, PorMasksFollowSlots) {
   const auto masks_of = [](uint64_t fp) {
     return FpPorMasks{fp * 3, fp * 5, fp * 7};
   };
-  // Grow from the floor through several doublings.
+  // Grow from the floor through several doublings; every rehash must
+  // carry each record's masks to its new slot.
   while (live.size() < 3'000) {
     const uint64_t fp = ClusteredKey(rng);
     bool inserted = false;
@@ -265,30 +260,11 @@ TEST(FpsetTest, PorMasksFollowSlots) {
     live[fp] = true;
   }
   ASSERT_GE(table.capacity(), FpTable::kMinCapacity << 7);
-  // Backward-shift erases of every other key move cluster members back.
-  size_t n = 0;
-  for (auto& [fp, keep] : live) {
-    if (n++ % 2 == 0) continue;
-    keep = false;
-    table.EraseAt(table.Find(fp));
-  }
   for (const auto& [fp, keep] : live) {
     const size_t i = table.Find(fp);
-    if (!keep) {
-      EXPECT_EQ(i, FpTable::kNone);
-      continue;
-    }
     ASSERT_NE(i, FpTable::kNone);
     EXPECT_EQ(table.por(i).sleep, fp * 3) << "fp " << fp;
     EXPECT_EQ(table.por(i).pending, fp * 5) << "fp " << fp;
-    EXPECT_EQ(table.por(i).done, fp * 7) << "fp " << fp;
-  }
-  // A rebuild that drops nothing keeps every mask with its slot.
-  table.EraseIf([](const FpSlot&) { return false; });
-  for (const auto& [fp, keep] : live) {
-    if (!keep) continue;
-    const size_t i = table.Find(fp);
-    ASSERT_NE(i, FpTable::kNone);
     EXPECT_EQ(table.por(i).done, fp * 7) << "fp " << fp;
   }
   EXPECT_EQ(allocated.load(), table.bytes());
@@ -304,16 +280,11 @@ TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
   const size_t floor = 2 * FpTable::kMinCapacity * sizeof(FpSlot);
   EXPECT_EQ(set.table_bytes(), floor);
 
-  // With a spill tier a miss defers its disk probe; settle each insert at
-  // once so the record is no longer provisional and can be evicted.
   auto insert_new = [&set](uint64_t fp, uint64_t key) {
-    if (!set.Insert(fp, 0, kFpInitialAction, 0, key, 0).pending) {
-      return false;
-    }
-    std::vector<uint8_t> on_disk;
-    set.ResolvePending({fp}, &on_disk);
-    return on_disk[0] == 0;
+    return set.Insert(fp, 0, kFpInitialAction, 0, key, 0).inserted;
   };
+  // Records resident in the hot table.
+  auto hot = [&set] { return set.size() - set.spill_stats().spilled_records; };
   uint64_t evictions = 0;
   for (uint64_t k = 1; evictions < 3; ++k) {
     ASSERT_TRUE(insert_new(common::Mix64(k), k));
@@ -322,7 +293,7 @@ TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
     if (before > options.memory_budget_bytes) {
       ++evictions;
       EXPECT_EQ(set.spill_stats().generations, evictions);
-      EXPECT_EQ(set.hot_count(), 0u);
+      EXPECT_EQ(hot(), 0u);
       EXPECT_EQ(set.table_bytes(), floor) << "evicted shards shrink back";
     } else {
       EXPECT_EQ(set.spill_stats().generations, evictions)
@@ -337,7 +308,7 @@ TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
   ASSERT_LE(set.table_bytes(), options.memory_budget_bytes);
   ASSERT_TRUE(set.EvictAll().ok());
   EXPECT_EQ(set.table_bytes(), floor);
-  EXPECT_EQ(set.hot_count(), 0u);
+  EXPECT_EQ(hot(), 0u);
   EXPECT_TRUE(set.spill_status().ok());
 
   // Under POR the parallel mask array is part of the count.
@@ -372,7 +343,6 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
                                 /*action=*/static_cast<uint16_t>(t),
                                 /*depth=*/1, /*order_key=*/k, 0);
         if (r.inserted) ++local_wins;
-        EXPECT_EQ(r.depth, 1);
       }
       wins.fetch_add(local_wins, std::memory_order_relaxed);
     });
@@ -387,23 +357,23 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
     EXPECT_LT(edge->pred_fp, static_cast<uint64_t>(kThreads));
     EXPECT_EQ(edge->action, static_cast<uint16_t>(edge->pred_fp))
         << "pred_fp and action must come from the same racing insert";
+    EXPECT_EQ(edge->depth, 1);
   }
   EXPECT_GT(set.load_factor(), 0.0);
   EXPECT_LE(set.load_factor(), 0.875);
 }
 
 bool SameInsert(const FpInsert& a, const FpInsert& b) {
-  return a.inserted == b.inserted && a.sleep_shrunk == b.sleep_shrunk &&
-         a.pending == b.pending && a.depth == b.depth;
+  return a.inserted == b.inserted && a.sleep_shrunk == b.sleep_shrunk;
 }
 
 // InsertBatch against the same items inserted one at a time in order, in
 // every mode the engine uses it in. Keys come from a small pool spread
 // over few shards, so a batch holds many items per shard, duplicates of
 // one fingerprint, and same-depth revisits with smaller and larger keys.
-// Between batches both sets see the same expansion handshakes, settles,
-// resolutions and evictions, so later batches revisit records in every
-// state those leave behind.
+// Between batches both sets see the same expansion handshakes, settles
+// and evictions, so later batches revisit records in every state those
+// leave behind, on disk included.
 TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
   // Each mode's value seeds its random items.
   enum class Mode { kPlain = 0, kLevelPor = 1, kSpill = 3 };
@@ -430,6 +400,7 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
     uint64_t revisits = 0;
     uint64_t shrinks = 0;
     uint64_t disk_hits = 0;
+    std::unordered_set<uint64_t> evicted;  // Spill: sealed to disk.
     for (int round = 0; round < 40; ++round) {
       std::vector<FpInsertItem> items(1 + rng.Below(400));
       for (FpInsertItem& item : items) {
@@ -448,26 +419,23 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
       }
       std::vector<FpInsert> got(items.size());
       batched.InsertBatch(items, got);
-      std::vector<uint64_t> pending;
       for (size_t i = 0; i < items.size(); ++i) {
         ASSERT_TRUE(SameInsert(got[i], expected[i]))
             << "round " << round << " item " << i << " fp " << items[i].fp;
-        if (expected[i].pending) pending.push_back(items[i].fp);
-        revisits += !expected[i].inserted && !expected[i].pending;
+        revisits += !expected[i].inserted;
+        if (evicted.count(items[i].fp) != 0) {
+          ASSERT_FALSE(expected[i].inserted) << "fp " << items[i].fp;
+          ++disk_hits;
+        }
         shrinks += expected[i].sleep_shrunk;
       }
       ASSERT_EQ(batched.size(), one.size());
 
-      if (mode == Mode::kSpill) {
-        std::vector<uint8_t> one_disk;
-        std::vector<uint8_t> batched_disk;
-        one.ResolvePending(pending, &one_disk);
-        batched.ResolvePending(pending, &batched_disk);
-        ASSERT_EQ(batched_disk, one_disk);
-        for (uint8_t hit : one_disk) disk_hits += hit;
-        if (round % 5 == 4) {
-          ASSERT_TRUE(one.EvictAll().ok());
-          ASSERT_TRUE(batched.EvictAll().ok());
+      if (mode == Mode::kSpill && round % 5 == 4) {
+        ASSERT_TRUE(one.EvictAll().ok());
+        ASSERT_TRUE(batched.EvictAll().ok());
+        for (uint64_t fp : pool) {
+          if (one.GetEdge(fp).has_value()) evicted.insert(fp);
         }
       }
       if (mode == Mode::kLevelPor) {
@@ -545,7 +513,6 @@ TEST(FpsetTest, InsertBatchHammer) {
         set.InsertBatch(items, out);
         for (const FpInsert& r : out) {
           if (r.inserted) ++local_wins;
-          EXPECT_EQ(r.depth, 1);
         }
         items.clear();
       };

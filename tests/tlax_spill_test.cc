@@ -262,12 +262,12 @@ TEST(SpillTierTest, FindBatchMatchesFindOnDisk) {
   // between, and above the stored ranges.
   std::vector<uint64_t> batch;
   for (uint64_t fp = 0; fp < 1'000; ++fp) batch.push_back(fp);
-  std::vector<SpillTier::BatchHit> hits;
-  tier.FindBatch(batch, &hits);
-  ASSERT_EQ(hits.size(), batch.size());
+  std::vector<uint8_t> found;
+  tier.FindBatch(batch, &found);
+  ASSERT_EQ(found.size(), batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     SpillTier::EdgeData edge;
-    EXPECT_EQ(hits[i].found, tier.FindOnDisk(batch[i], &edge))
+    EXPECT_EQ(found[i] != 0, tier.FindOnDisk(batch[i], &edge))
         << "fp " << batch[i];
   }
   EXPECT_TRUE(tier.status().ok());
@@ -324,7 +324,7 @@ TEST(SpillTierTest, CompactionRacesProbesSafely) {
   for (int t = 0; t < 2; ++t) {
     probers.emplace_back([&tier, &sealed_runs, &stop, t] {
       std::vector<uint64_t> batch;
-      std::vector<SpillTier::BatchHit> hits;
+      std::vector<uint8_t> found;
       while (!stop.load(std::memory_order_acquire)) {
         const uint64_t visible = sealed_runs.load(std::memory_order_acquire);
         for (uint64_t r = 0; r < visible; ++r) {
@@ -334,8 +334,8 @@ TEST(SpillTierTest, CompactionRacesProbesSafely) {
             ASSERT_TRUE(tier.FindOnDisk(fp, &edge)) << "fp " << fp;
           } else {
             batch.assign({fp, fp + 1, 1'000'000 + fp});
-            tier.FindBatch(batch, &hits);
-            ASSERT_TRUE(hits[0].found) << "fp " << fp;
+            tier.FindBatch(batch, &found);
+            ASSERT_NE(found[0], 0) << "fp " << fp;
           }
         }
       }
@@ -375,10 +375,10 @@ TEST(SpillTierTest, BloomBitsAndBlockSizeOptionsRoundTrip) {
     ASSERT_TRUE(tier.SealRun(entries).ok());
     std::vector<uint64_t> batch;
     for (const SpillTier::Entry& e : entries) batch.push_back(e.first);
-    std::vector<SpillTier::BatchHit> hits;
-    tier.FindBatch(batch, &hits);
+    std::vector<uint8_t> found;
+    tier.FindBatch(batch, &found);
     for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_TRUE(hits[i].found)
+      EXPECT_NE(found[i], 0)
           << "fp " << batch[i] << " bloom_bits " << bloom_bits
           << " block_entries " << block_entries;
     }
@@ -498,18 +498,10 @@ TEST(SpillTierTest, CompactedRunBytesMatchOneSeal) {
   EXPECT_EQ(run_bytes(fresh, fresh_options.dir), merged);
 }
 
-// Insert followed at once by a one-key ResolvePending, the smallest batch
-// the engine settles: true when `fp` is a new state. With a spill tier a
-// hot-table miss always comes back pending, never inserted.
-bool InsertAndResolve(FingerprintSet& set, uint64_t fp, uint64_t pred_fp,
-                      uint16_t action, int64_t depth, uint64_t order_key) {
-  const FpInsert r =
-      set.Insert(fp, pred_fp, action, depth, order_key, 0);
-  EXPECT_FALSE(r.inserted) << "a miss with a spill tier defers its probe";
-  if (!r.pending) return false;  // Hot revisit.
-  std::vector<uint8_t> on_disk;
-  set.ResolvePending({fp}, &on_disk);
-  return on_disk[0] == 0;
+// Records resident in the hot table: the distinct count less the ones
+// sealed to disk.
+size_t HotRecords(const FingerprintSet& set) {
+  return set.size() - set.spill_stats().spilled_records;
 }
 
 TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
@@ -519,25 +511,27 @@ TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
   ASSERT_TRUE(set.has_spill());
 
   for (uint64_t fp = 1; fp <= 500; ++fp) {
-    ASSERT_TRUE(InsertAndResolve(set, fp, /*pred_fp=*/fp / 2, /*action=*/2,
-                                 /*depth=*/static_cast<int64_t>(fp % 13),
-                                 /*order_key=*/fp));
+    ASSERT_TRUE(set.Insert(fp, /*pred_fp=*/fp / 2, /*action=*/2,
+                           /*depth=*/static_cast<int64_t>(fp % 13),
+                           /*order_key=*/fp, /*sleep_mask=*/0)
+                    .inserted);
   }
   EXPECT_EQ(set.size(), 500u);
-  EXPECT_EQ(set.hot_count(), 500u);
+  EXPECT_EQ(HotRecords(set), 500u);
   ASSERT_TRUE(set.EvictAll().ok());
-  EXPECT_EQ(set.hot_count(), 0u);
+  EXPECT_EQ(HotRecords(set), 0u);
   EXPECT_EQ(set.size(), 500u) << "distinct count is unchanged by eviction";
 
   // Every evicted fingerprint is a revisit with its original depth…
   for (uint64_t fp = 1; fp <= 500; ++fp) {
-    EXPECT_FALSE(InsertAndResolve(set, fp, 999, 5, 7, 999'999)) << "fp " << fp;
+    EXPECT_FALSE(set.Insert(fp, 999, 5, 7, 999'999, 0).inserted)
+        << "fp " << fp;
     auto edge = set.GetEdge(fp);
     ASSERT_TRUE(edge.has_value()) << "fp " << fp;
     EXPECT_EQ(edge->depth, static_cast<int64_t>(fp % 13));
   }
   EXPECT_EQ(set.size(), 500u);
-  EXPECT_EQ(set.hot_count(), 0u) << "disk hits drop their provisional record";
+  EXPECT_EQ(HotRecords(set), 0u) << "a disk hit creates no hot record";
   // …its discovery edge still resolves (trace rebuild path)…
   auto edge = set.GetEdge(123);
   ASSERT_TRUE(edge.has_value());
@@ -545,9 +539,9 @@ TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
   EXPECT_EQ(edge->action, 2);
   EXPECT_EQ(edge->order_key, 123u);
   // …and genuinely new fingerprints still insert into the hot table.
-  EXPECT_TRUE(InsertAndResolve(set, 9'999, 1, 1, 3, 1));
+  EXPECT_TRUE(set.Insert(9'999, 1, 1, 3, 1, 0).inserted);
   EXPECT_EQ(set.size(), 501u);
-  EXPECT_EQ(set.hot_count(), 1u);
+  EXPECT_EQ(HotRecords(set), 1u);
   EXPECT_TRUE(set.spill_status().ok());
 }
 
@@ -557,47 +551,41 @@ TEST(FpsetSpillTest, DeferredInsertsResolveAgainstDiskInOneBatch) {
   FingerprintSet set(options);
   for (uint64_t fp = 1; fp <= 100; ++fp) {
     ASSERT_TRUE(
-        InsertAndResolve(set, fp, fp / 2, 1, static_cast<int64_t>(fp % 5), fp));
+        set.Insert(fp, fp / 2, 1, static_cast<int64_t>(fp % 5), fp, 0)
+            .inserted);
   }
   ASSERT_TRUE(set.EvictAll().ok());
   ASSERT_EQ(set.size(), 100u);
 
-  // A mixed batch: 50 is on disk, 1000/1001 are new, and 1000 revisited
-  // within the batch merges into its provisional record (not pending
-  // twice).
-  std::vector<uint64_t> pending;
-  FpInsert r = set.Insert(50, 7, 3, 9, 50, 0);
-  EXPECT_TRUE(r.pending);
-  pending.push_back(50);
-  r = set.Insert(1'000, 8, 2, 4, 60, 0);
-  EXPECT_TRUE(r.pending);
-  pending.push_back(1'000);
-  r = set.Insert(1'000, 9, 2, 4, 61, 0);
-  EXPECT_FALSE(r.pending) << "hot revisit merges, not a second probe";
-  EXPECT_FALSE(r.inserted);
-  r = set.Insert(1'001, 8, 2, 4, 62, 0);
-  EXPECT_TRUE(r.pending);
-  pending.push_back(1'001);
-
-  std::vector<uint8_t> on_disk;
-  set.ResolvePending(pending, &on_disk);
-  ASSERT_EQ(on_disk.size(), 3u);
-  EXPECT_EQ(on_disk[0], 1) << "fp 50 was evicted: the disk copy wins";
-  EXPECT_EQ(on_disk[1], 0);
-  EXPECT_EQ(on_disk[2], 0);
+  // One mixed batch: 50 is on disk, 1000 and 1001 are new, and 1000's
+  // second item is a revisit of the record its first item creates.
+  const std::vector<FpInsertItem> items = {
+      {.fp = 50, .pred_fp = 7, .order_key = 50, .depth = 9, .action = 3},
+      {.fp = 1'000, .pred_fp = 8, .order_key = 60, .depth = 4, .action = 2},
+      {.fp = 1'000, .pred_fp = 9, .order_key = 59, .depth = 4, .action = 2},
+      {.fp = 1'001, .pred_fp = 8, .order_key = 62, .depth = 4, .action = 2},
+  };
+  std::vector<FpInsert> out(items.size());
+  set.InsertBatch(items, out);
+  EXPECT_FALSE(out[0].inserted) << "fp 50 was evicted: the disk copy wins";
+  EXPECT_TRUE(out[1].inserted);
+  EXPECT_FALSE(out[2].inserted) << "an in-batch duplicate is a revisit";
+  EXPECT_TRUE(out[3].inserted);
   EXPECT_EQ(set.size(), 102u) << "two genuinely new fingerprints landed";
-  // The dropped provisional's disk edge is intact; the new ones resolve
-  // from the hot table.
+  EXPECT_EQ(HotRecords(set), 2u) << "the disk hit created no hot record";
+  // The disk edge of 50 is intact; the new ones resolve from the hot
+  // table, 1000 with its duplicate's smaller same-depth key.
   auto edge = set.GetEdge(50);
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->pred_fp, 25u);
   EXPECT_EQ(edge->order_key, 50u);
   edge = set.GetEdge(1'000);
   ASSERT_TRUE(edge.has_value());
-  EXPECT_EQ(edge->pred_fp, 8u);
+  EXPECT_EQ(edge->pred_fp, 9u);
+  EXPECT_EQ(edge->order_key, 59u);
   // Re-inserting any of them is a plain revisit now.
-  EXPECT_FALSE(InsertAndResolve(set, 50, 0, 0, 0, 0));
-  EXPECT_FALSE(InsertAndResolve(set, 1'000, 0, 0, 0, 0));
+  EXPECT_FALSE(set.Insert(50, 0, 0, 0, 0, 0).inserted);
+  EXPECT_FALSE(set.Insert(1'000, 0, 0, 0, 0, 0).inserted);
   EXPECT_EQ(set.size(), 102u);
   EXPECT_TRUE(set.spill_status().ok());
 }
@@ -613,7 +601,7 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
   FingerprintSet set(options);
 
   for (uint64_t fp = 1; fp <= 2'000; ++fp) {
-    InsertAndResolve(set, fp, fp / 2, 1, 0, fp);
+    ASSERT_TRUE(set.Insert(fp, fp / 2, 1, 0, fp, 0).inserted);
     ASSERT_TRUE(set.EvictIfOverBudget().ok());
   }
   SpillTier::Stats stats = set.spill_stats();
@@ -623,50 +611,73 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
   EXPECT_EQ(set.size(), 2'000u);
   EXPECT_LE(set.table_bytes(), options.memory_budget_bytes);
   for (uint64_t fp = 1; fp <= 2'000; ++fp) {
-    EXPECT_FALSE(InsertAndResolve(set, fp, 0, 0, 0, 0));
+    EXPECT_FALSE(set.Insert(fp, 0, 0, 0, 0, 0).inserted);
   }
   EXPECT_EQ(set.size(), 2'000u);
 }
 
+// Inserters race each other and a thread that evicts in a loop: threads
+// t and t + 2 insert the same fingerprints, and exactly one insert must
+// win each, however the evictions interleave. The first round inserts
+// one at a time; the second in batches of 64, so that each batch's hold
+// on the eviction lock races EvictAll.
 TEST(FpsetSpillTest, ConcurrentInsertsDuringEvictionsStayExact) {
-  FingerprintSet::Options options;
-  options.spill_dir = TestDir("fpset_hammer");
-  options.num_shards = 8;
-  FingerprintSet set(options);
-
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 2'000;
-  std::atomic<uint64_t> inserted{0};
-  std::atomic<bool> stop{false};
-  // Each fingerprint is inserted by exactly two racing threads; exactly
-  // one must win, no matter how evictions interleave.
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&set, &inserted, t] {
-      for (uint64_t i = 0; i < kPerThread; ++i) {
-        const uint64_t fp = 1 + (i * kThreads + t) % (kThreads * kPerThread / 2);
-        if (InsertAndResolve(set, fp, fp, 1, 0, fp)) {
-          inserted.fetch_add(1, std::memory_order_relaxed);
+  constexpr uint64_t kDistinct = kThreads * kPerThread / 2;
+  for (const size_t batch : {size_t{1}, size_t{64}}) {
+    SCOPED_TRACE(testing::Message() << "batch " << batch);
+    FingerprintSet::Options options;
+    options.spill_dir = TestDir("fpset_hammer");
+    options.num_shards = 8;
+    FingerprintSet set(options);
+    std::atomic<uint64_t> inserted{0};
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&set, &inserted, batch, t] {
+        std::vector<FpInsertItem> items;
+        std::vector<FpInsert> out;
+        const auto flush = [&] {
+          out.resize(items.size());
+          set.InsertBatch(items, out);
+          for (const FpInsert& r : out) {
+            if (r.inserted) inserted.fetch_add(1, std::memory_order_relaxed);
+          }
+          items.clear();
+        };
+        for (uint64_t i = 0; i < kPerThread; ++i) {
+          const uint64_t fp = 1 + i * 2 + static_cast<uint64_t>(t % 2);
+          if (batch == 1) {
+            if (set.Insert(fp, fp, 1, 0, fp, 0).inserted) {
+              inserted.fetch_add(1, std::memory_order_relaxed);
+            }
+            continue;
+          }
+          items.push_back(FpInsertItem{.fp = fp, .pred_fp = fp,
+                                       .order_key = fp, .action = 1});
+          if (items.size() == batch) flush();
         }
+        flush();
+      });
+    }
+    std::thread evictor([&set, &stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        ASSERT_TRUE(set.EvictAll().ok());
       }
     });
-  }
-  std::thread evictor([&set, &stop] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(set.EvictAll().ok());
-    }
-  });
-  for (std::thread& t : threads) t.join();
-  stop.store(true, std::memory_order_relaxed);
-  evictor.join();
+    for (std::thread& t : threads) t.join();
+    stop.store(true, std::memory_order_relaxed);
+    evictor.join();
 
-  EXPECT_EQ(inserted.load(), kThreads * kPerThread / 2);
-  EXPECT_EQ(set.size(), kThreads * kPerThread / 2);
-  EXPECT_TRUE(set.spill_status().ok());
-  // And every fingerprint is still findable for trace rebuild.
-  ASSERT_TRUE(set.EvictAll().ok());
-  for (uint64_t fp = 1; fp <= kThreads * kPerThread / 2; ++fp) {
-    EXPECT_TRUE(set.GetEdge(fp).has_value()) << "fp " << fp;
+    EXPECT_EQ(inserted.load(), kDistinct);
+    EXPECT_EQ(set.size(), kDistinct);
+    EXPECT_TRUE(set.spill_status().ok());
+    // And every fingerprint is still findable for trace rebuild.
+    ASSERT_TRUE(set.EvictAll().ok());
+    for (uint64_t fp = 1; fp <= kDistinct; ++fp) {
+      EXPECT_TRUE(set.GetEdge(fp).has_value()) << "fp " << fp;
+    }
   }
 }
 

@@ -173,21 +173,30 @@ TEST(TraceCheckTest, PresslerModeAgreesWithNative) {
 
 // The search flushes checker.trace.states.explored live every 1024
 // explored states; the live flushes plus the end-of-run remainder must add
-// up to exactly states_explored.
+// up to exactly states_explored. Its layers go to their own histogram,
+// not to the model checker's BFS level sizes.
 TEST(TraceCheckTest, LiveExploredCounterReconcilesWithResult) {
   CounterSpec spec(/*limit=*/40);
   // One observed step hiding 60 actions: the search sweeps the (x, y)
   // grid up to x + y = 60, several live flushes' worth of states.
   const std::vector<TraceState> trace = {Full(0, 0), Full(30, 30)};
-  obs::Counter& explored = obs::MetricsRegistry::Global().GetCounter(
-      "checker.trace.states.explored");
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& explored =
+      registry.GetCounter("checker.trace.states.explored");
+  obs::Histogram& levels = registry.GetHistogram("checker.frontier.level_size");
+  obs::Histogram& layers = registry.GetHistogram("checker.trace.layer_size");
   TraceCheckOptions options;
   options.max_hidden_steps = 60;
   const uint64_t before = explored.value();
+  const uint64_t levels_before = levels.count();
+  const uint64_t layers_before = layers.count();
   TraceCheckResult result = TraceChecker(options).Check(spec, trace);
   ASSERT_TRUE(result.ok()) << result.status.ToString();
   EXPECT_GT(result.states_explored, 1024u);
   EXPECT_EQ(explored.value() - before, result.states_explored);
+  EXPECT_EQ(levels.count(), levels_before);
+  EXPECT_EQ(layers.count() - layers_before, 60u)
+      << "one observation per search layer, 60 layers deep";
 }
 
 // A search cut short by max_search_states_per_step proves nothing: an
