@@ -64,11 +64,6 @@ class Rng {
     return static_cast<int>(Below(100)) < percent;
   }
 
-  /// Uniform double in [0, 1).
-  double NextDouble() {
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

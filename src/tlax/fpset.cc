@@ -260,13 +260,11 @@ std::optional<FingerprintSet::Edge> FingerprintSet::GetEdge(uint64_t fp) const {
       return Edge{rec.pred_fp, rec.order_key, rec.action, rec.depth};
     }
   }
-  if (tier_ != nullptr) {
-    SpillTier::EdgeData e;
-    if (tier_->FindOnDisk(fp, &e)) {
-      return Edge{e.pred_fp, e.order_key, e.action, e.depth};
-    }
-  }
-  return std::nullopt;
+  if (tier_ == nullptr) return std::nullopt;
+  std::shared_lock<std::shared_mutex> evict_lock(evict_mu_);
+  SpillTier::EdgeData e;
+  if (!tier_->FindOnDisk(fp, &e)) return std::nullopt;
+  return Edge{e.pred_fp, e.order_key, e.action, e.depth};
 }
 
 std::optional<uint64_t> FingerprintSet::QuiescentOrderKey(uint64_t fp) const {
@@ -292,12 +290,15 @@ common::Status FingerprintSet::EvictIfOverBudget(common::WorkerPool* pool) {
 
 common::Status FingerprintSet::EvictAll(common::WorkerPool* pool) {
   if (tier_ == nullptr) return common::Status::OK();
-  // Exclusive: no insert runs until the hot table is sealed and cleared.
-  // Copy out, seal, then clear — never clear before the run is
-  // registered, so a concurrent GetEdge always sees the fingerprint
-  // somewhere. The engine only evicts at a level barrier, once every
-  // revisit has min-merged its record, so the sealed edge is the settled
-  // one; a later revisit of a sealed fingerprint changes nothing.
+  // Exclusive, for two reasons. An InsertBatch between its disk probe and
+  // its insert must not see a seal: a fingerprint another worker inserted
+  // after the probe would be sealed, and then inserted a second time. And
+  // the lock is the tier's only one: SealRun and CompactIfNeeded change
+  // the run list that FindBatch and GetEdge read. Copy out, seal, then
+  // clear, so a failed seal loses no record. The engine only evicts at a
+  // level barrier, once every revisit has min-merged its record, so the
+  // sealed edge is the settled one; a later revisit of a sealed
+  // fingerprint changes nothing.
   //
   // Collect, sort and clear are one task per shard: shard si holds
   // exactly the fingerprints whose top bits are si, so the shards' sorted
@@ -343,6 +344,7 @@ common::Status FingerprintSet::AdoptSpillRuns(
     return common::Status::InvalidArgument(
         "AdoptSpillRuns: spilling is not enabled");
   }
+  std::unique_lock<std::shared_mutex> evict_lock(evict_mu_);
   common::Status status = tier_->AdoptRuns(files);
   if (!status.ok()) return status;
   size_t total = 0;
@@ -354,15 +356,21 @@ common::Status FingerprintSet::AdoptSpillRuns(
 }
 
 common::Status FingerprintSet::DropSpillOrphans() const {
-  return tier_ == nullptr ? common::Status::OK() : tier_->DropOrphans();
+  if (tier_ == nullptr) return common::Status::OK();
+  std::shared_lock<std::shared_mutex> evict_lock(evict_mu_);
+  return tier_->DropOrphans();
 }
 
 void FingerprintSet::PurgeSpillRetired() {
-  if (tier_ != nullptr) tier_->PurgeRetired();
+  if (tier_ == nullptr) return;
+  std::unique_lock<std::shared_mutex> evict_lock(evict_mu_);
+  tier_->PurgeRetired();
 }
 
 SpillTier::Stats FingerprintSet::spill_stats() const {
-  return tier_ == nullptr ? SpillTier::Stats{} : tier_->stats();
+  if (tier_ == nullptr) return SpillTier::Stats{};
+  std::shared_lock<std::shared_mutex> evict_lock(evict_mu_);
+  return tier_->stats();
 }
 
 common::Status FingerprintSet::spill_status() const {
@@ -370,8 +378,9 @@ common::Status FingerprintSet::spill_status() const {
 }
 
 std::vector<SpillTier::RunInfo> FingerprintSet::spill_run_infos() const {
-  return tier_ == nullptr ? std::vector<SpillTier::RunInfo>{}
-                          : tier_->run_infos();
+  if (tier_ == nullptr) return {};
+  std::shared_lock<std::shared_mutex> evict_lock(evict_mu_);
+  return tier_->run_infos();
 }
 
 double FingerprintSet::load_factor() const {

@@ -70,10 +70,13 @@ struct FpInsertItem {
 /// Thread safety: every single-key operation takes exactly one shard
 /// mutex, and InsertBatch takes each shard it touches once per pass;
 /// shards are selected by the fingerprint's top bits, so concurrent
-/// workers rarely collide. With a spill tier, InsertBatch also holds the
-/// eviction lock shared for the whole batch and EvictAll holds it
-/// exclusively, so no eviction lands between a batch's hot-table miss and
-/// its insert. size() is a lock-free counter.
+/// workers rarely collide. With a spill tier, the eviction lock is also
+/// the one lock on the tier's run list (SpillTier is externally
+/// synchronized). InsertBatch holds it shared for the whole batch, so no
+/// eviction lands between a batch's hot-table miss and its insert;
+/// GetEdge and the spill_* readers hold it shared around their tier
+/// calls; EvictAll, AdoptSpillRuns and PurgeSpillRetired hold it
+/// exclusively. size() is a lock-free counter.
 class FingerprintSet {
  public:
   struct Options {
@@ -169,7 +172,10 @@ class FingerprintSet {
   /// The discovery edge of `fp`: predecessor fingerprint and action
   /// (action == kFpInitialAction for initial states), plus the settled
   /// (min-merged) discovery order key. Nullopt when the fingerprint is
-  /// unknown.
+  /// unknown. A hot-table miss probes the spill runs under the eviction
+  /// lock held shared, so it waits out a running seal or compaction; an
+  /// evicted fingerprint was sealed before its shard was cleared, so it
+  /// is always found on one side or the other.
   struct Edge {
     uint64_t pred_fp = 0;
     uint64_t order_key = 0;
@@ -201,13 +207,13 @@ class FingerprintSet {
   /// Evicts the whole hot table as one sealed run when table_bytes()
   /// exceeds Options::memory_budget_bytes; no-op otherwise.
   /// Safe to call concurrently with Insert/InsertBatch/GetEdge: it holds
-  /// the eviction lock exclusively, so it waits for running batches and
-  /// holds new ones off until the hot table is sealed and cleared, and a
-  /// GetEdge sees each fingerprint in the hot table or on disk at every
-  /// instant. Concurrent evictions serialize on the same lock. The
-  /// per-shard collect, sort and clear and the run encode run on `pool`
-  /// (inline when null — a caller that is itself a pool task passes
-  /// null); the sealed run is the same either way.
+  /// the eviction lock exclusively for the seal, the clear and any
+  /// compaction, so it waits for running batches and disk probes and
+  /// holds new ones off until the run list is settled. Concurrent
+  /// evictions serialize on the same lock. The checker itself evicts only
+  /// at a level barrier. The per-shard collect, sort and clear and the
+  /// run encode run on `pool` (inline when null — a caller that is itself
+  /// a pool task passes null); the sealed run is the same either way.
   common::Status EvictIfOverBudget(common::WorkerPool* pool = nullptr);
   /// Unconditionally evicts the hot table (checkpoint preparation: a
   /// manifest names only sealed runs, so everything must be on disk).
@@ -266,8 +272,8 @@ class FingerprintSet {
   size_t shard_mask_ = 0;
   // Out-of-core tier (null unless Options::spill_dir is set).
   std::unique_ptr<SpillTier> tier_;
-  // With a tier: shared by each InsertBatch, exclusive in EvictAll.
-  std::shared_mutex evict_mu_;
+  // With a tier: the lock on the tier's run list (see the class comment).
+  mutable std::shared_mutex evict_mu_;
 
   // Counters that inserts from every worker bump, each on a cache line of
   // its own: sharing one with each other or with the read-mostly fields

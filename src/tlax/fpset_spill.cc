@@ -52,6 +52,9 @@ constexpr char kMagic[8] = {'X', 'F', 'P', 'R', 'U', 'N', '2', '\0'};
 constexpr size_t kHeaderBytes = 16;
 constexpr uint64_t kChecksumSeed = 0x5f3759df9e3779b9ULL;
 
+// Bloom filter geometry: about 0.8% false positives, each of which costs
+// one in-place block search.
+constexpr uint64_t kBloomBitsPerKey = 10;
 constexpr int kBloomProbes = 6;
 
 uint64_t ChecksumFinish(uint64_t fp_xor, uint64_t count) {
@@ -90,8 +93,8 @@ bool BloomMayContain(const std::vector<uint64_t>& words, uint64_t fp) {
   return true;
 }
 
-size_t BloomWords(uint64_t count, uint64_t bits_per_key) {
-  const uint64_t bits = std::max<uint64_t>(64, count * bits_per_key);
+size_t BloomWords(uint64_t count) {
+  const uint64_t bits = std::max<uint64_t>(64, count * kBloomBitsPerKey);
   return static_cast<size_t>((bits + 63) / 64);
 }
 
@@ -202,10 +205,8 @@ common::Status DecodeBlockPayload(std::string_view payload,
 // no header, for Append into the whole-run builder.
 class SpillTier::RunBuilder {
  public:
-  RunBuilder(size_t block_entries, uint64_t bloom_bits_per_key,
-             uint64_t expected_count, bool part = false)
-      : block_entries_(block_entries),
-        bloom_(BloomWords(expected_count, bloom_bits_per_key), 0) {
+  explicit RunBuilder(uint64_t expected_count, bool part = false)
+      : bloom_(BloomWords(expected_count), 0) {
     if (part) return;
     contents_.append(kMagic, sizeof(kMagic));
     common::PutFixed64(expected_count, &contents_);
@@ -215,7 +216,7 @@ class SpillTier::RunBuilder {
   // fingerprint, a predecessor and short varints each).
   void Reserve(size_t entries) {
     contents_.reserve(contents_.size() + entries * 32 +
-                      (entries / block_entries_ + 1) * 24);
+                      (entries / kBlockEntries + 1) * 24);
   }
 
   // Appends `part`'s blocks after this builder's: the bytes concatenate,
@@ -245,7 +246,7 @@ class SpillTier::RunBuilder {
     pending_.emplace_back(fp, edge);
     BloomAdd(&bloom_, fp);
     ++count_;
-    if (pending_.size() >= block_entries_) FlushBlock();
+    if (pending_.size() >= kBlockEntries) FlushBlock();
   }
 
   std::string Finish() {
@@ -295,7 +296,6 @@ class SpillTier::RunBuilder {
     pending_.clear();
   }
 
-  size_t block_entries_;
   std::string contents_;
   std::vector<SpillTier::Entry> pending_;
   std::vector<uint64_t> bloom_;
@@ -324,8 +324,7 @@ struct SpillTier::Run {
   }
 
   // Maps the whole file. The descriptor is closed right away: the
-  // mapping alone keeps the pages reachable, even after compaction
-  // unlinks the file under an in-flight probe. A file too short for a
+  // mapping alone keeps the pages reachable. A file too short for a
   // header and checksum is corrupt (mmap would refuse an empty one).
   common::Status Map() {
     const int fd = ::open(path.c_str(), O_RDONLY);
@@ -368,10 +367,9 @@ struct SpillTier::Run {
   }
 };
 
-SpillTier::SpillTier(Options options) : options_(std::move(options)) {
-  if (options_.block_entries == 0) options_.block_entries = 256;
-  if (options_.bloom_bits_per_key == 0) options_.bloom_bits_per_key = 10;
-}
+SpillTier::SpillTier(Options options) : options_(std::move(options)) {}
+
+SpillTier::~SpillTier() = default;
 
 void SpillTier::RecordError(const common::Status& status) const {
   std::lock_guard<std::mutex> lock(status_mu_);
@@ -386,8 +384,7 @@ common::Status SpillTier::status() const {
 std::string SpillTier::NextRunFile() {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "run-%06llu.run",
-                static_cast<unsigned long long>(
-                    next_generation_.fetch_add(1, std::memory_order_relaxed)));
+                static_cast<unsigned long long>(next_generation_++));
   return buf;
 }
 
@@ -415,8 +412,8 @@ common::Status SpillTier::FindInRun(const Run& run, uint64_t fp,
 }
 
 common::Status SpillTier::WriteRun(RunBuilder* builder,
-                                   std::shared_ptr<Run>* out) {
-  auto run = std::make_shared<Run>();
+                                   std::unique_ptr<Run>* out) {
+  auto run = std::make_unique<Run>();
   run->file = NextRunFile();
   run->path = options_.dir + "/" + run->file;
   const std::string contents = builder->Finish();
@@ -434,13 +431,9 @@ common::Status SpillTier::WriteRun(RunBuilder* builder,
   run->block_first_fp = builder->TakeBlockFirstFp();
   run->block_offset = builder->TakeBlockOffset();
   run->block_len = builder->TakeBlockLen();
-  bytes_written_.fetch_add(contents.size(), std::memory_order_relaxed);
+  bytes_written_ += contents.size();
   *out = std::move(run);
   return common::Status::OK();
-}
-
-common::Status SpillTier::SealRun(const std::vector<Entry>& entries) {
-  return SealRun({std::span<const Entry>(entries)}, nullptr);
 }
 
 common::Status SpillTier::SealRun(
@@ -464,14 +457,12 @@ common::Status SpillTier::SealRun(
   // Encode block-aligned ranges, one per pool worker, each into its own
   // builder (task-local, so no two tasks write one cache line); appending
   // the parts in order yields the bytes of a one-range encode.
-  const size_t block = options_.block_entries;
-  const size_t blocks = (total + block - 1) / block;
+  const size_t blocks = (total + kBlockEntries - 1) / kBlockEntries;
   const size_t parts = std::min(blocks, common::ParallelWidth(pool));
-  const size_t part_entries = (blocks + parts - 1) / parts * block;
+  const size_t part_entries = (blocks + parts - 1) / parts * kBlockEntries;
   std::vector<std::unique_ptr<RunBuilder>> built(parts);
   common::ParallelFor(pool, parts, [&](size_t p) {
-    auto part = std::make_unique<RunBuilder>(
-        block, options_.bloom_bits_per_key, total, /*part=*/true);
+    auto part = std::make_unique<RunBuilder>(total, /*part=*/true);
     // Walk the slices from the part's first entry.
     size_t slice = 0;
     size_t offset = std::min(total, p * part_entries);
@@ -483,32 +474,30 @@ common::Status SpillTier::SealRun(
     }
     built[p] = std::move(part);
   });
-  if (!dir_ready_.load(std::memory_order_acquire)) {
+  if (!dir_ready_) {
     common::Status status = common::EnsureDir(options_.dir);
     if (!status.ok()) {
       RecordError(status);
       return status;
     }
-    dir_ready_.store(true, std::memory_order_release);
+    dir_ready_ = true;
   }
-  RunBuilder builder(block, options_.bloom_bits_per_key, total);
+  RunBuilder builder(total);
   builder.Reserve(total);
   for (std::unique_ptr<RunBuilder>& part : built) {
     builder.Append(std::move(*part));
     part.reset();
   }
-  std::shared_ptr<Run> run;
+  std::unique_ptr<Run> run;
   common::Status status = WriteRun(&builder, &run);
   if (!status.ok()) return status;
-  generations_.fetch_add(1, std::memory_order_relaxed);
-  std::unique_lock<std::shared_mutex> lock(runs_mu_);
+  ++generations_;
   runs_.push_back(std::move(run));
   return common::Status::OK();
 }
 
 bool SpillTier::FindOnDisk(uint64_t fp, EdgeData* edge) const {
-  std::shared_lock<std::shared_mutex> lock(runs_mu_);
-  for (const std::shared_ptr<Run>& run : runs_) {
+  for (const std::unique_ptr<Run>& run : runs_) {
     if (!BloomMayContain(run->bloom, fp)) continue;
     probes_.fetch_add(1, std::memory_order_relaxed);
     const int64_t start_ns = common::MonotonicClock::Real()->NowNanos();
@@ -529,9 +518,8 @@ void SpillTier::FindBatch(const std::vector<uint64_t>& sorted_fps,
                           std::vector<uint8_t>* found) const {
   found->assign(sorted_fps.size(), 0);
   if (sorted_fps.empty()) return;
-  std::shared_lock<std::shared_mutex> lock(runs_mu_);
   std::vector<size_t> survivors;
-  for (const std::shared_ptr<Run>& run : runs_) {
+  for (const std::unique_ptr<Run>& run : runs_) {
     // Bloom-gate first: the common case — a batch of brand-new
     // fingerprints — never touches disk at all.
     survivors.clear();
@@ -590,10 +578,7 @@ void SpillTier::FindBatch(const std::vector<uint64_t>& sorted_fps,
 }
 
 common::Status SpillTier::CompactIfNeeded() {
-  // The caller serializes this with SealRun and AdoptRuns, so only this
-  // thread changes runs_ until the swap below: read it without the lock.
   if (runs_.size() < kCompactMinRuns) return common::Status::OK();
-  std::vector<std::shared_ptr<Run>> inputs = runs_;
   const int64_t start_ns = common::MonotonicClock::Real()->NowNanos();
 
   // Streaming k-way merge: one decoded block per run in memory at a
@@ -606,7 +591,7 @@ common::Status SpillTier::CompactIfNeeded() {
   };
   std::vector<Cursor> cursors;
   uint64_t total = 0;
-  for (const std::shared_ptr<Run>& run : inputs) {
+  for (const std::unique_ptr<Run>& run : runs_) {
     total += run->count;
     cursors.emplace_back();
     cursors.back().run = run.get();
@@ -637,8 +622,7 @@ common::Status SpillTier::CompactIfNeeded() {
       heap.emplace(cursors[ci].entries[0].first, ci);
     }
   }
-  RunBuilder builder(options_.block_entries, options_.bloom_bits_per_key,
-                     total);
+  RunBuilder builder(total);
   while (!heap.empty()) {
     const auto [fp, ci] = heap.top();
     heap.pop();
@@ -657,35 +641,28 @@ common::Status SpillTier::CompactIfNeeded() {
     }
   }
 
-  std::shared_ptr<Run> merged;
+  std::unique_ptr<Run> merged;
   common::Status status = WriteRun(&builder, &merged);
   if (!status.ok()) return status;
-  compactions_.fetch_add(1, std::memory_order_relaxed);
-  {
-    // In-flight probes hold the shared lock, so the inputs stay readable
-    // until this exclusive section swaps the merged run in for all of
-    // them.
-    std::unique_lock<std::shared_mutex> lock(runs_mu_);
-    runs_.assign(1, std::move(merged));
-  }
-  // The input runs are no longer reachable by probes; their files go now,
-  // or at the next PurgeRetired() when a manifest may still name them.
-  for (const std::shared_ptr<Run>& run : inputs) {
+  ++compactions_;
+  std::vector<std::unique_ptr<Run>> inputs = std::exchange(runs_, {});
+  runs_.push_back(std::move(merged));
+  // The inputs are unmapped when `inputs` goes; their files go now, or at
+  // the next PurgeRetired() when a manifest may still name them.
+  for (const std::unique_ptr<Run>& run : inputs) {
     if (options_.durable) {
-      std::lock_guard<std::mutex> lock(retired_mu_);
       retired_.push_back(run->path);
     } else {
       common::RemoveFileIfExists(run->path);
     }
   }
-  merge_ns_.fetch_add(common::MonotonicClock::Real()->NowNanos() - start_ns,
-                      std::memory_order_relaxed);
+  merge_ns_ += common::MonotonicClock::Real()->NowNanos() - start_ns;
   return common::Status::OK();
 }
 
 common::Status SpillTier::OpenRun(const std::string& file,
-                                  std::shared_ptr<Run>* out) {
-  auto run = std::make_shared<Run>();
+                                  std::unique_ptr<Run>* out) {
+  auto run = std::make_unique<Run>();
   run->file = file;
   run->path = options_.dir + "/" + file;
   // Validate over the map itself: no heap copy of the run, and on
@@ -699,6 +676,13 @@ common::Status SpillTier::OpenRun(const std::string& file,
   size_t pos = sizeof(kMagic);
   uint64_t declared = 0;
   common::GetFixed64(contents, &pos, &declared);
+  // The count sizes the Bloom filter, so one the file cannot hold must
+  // not reach the allocation: every entry takes at least 19 bytes (a
+  // fingerprint, a predecessor and three one-byte varints).
+  if (declared > run->bytes / 16) {
+    return Corrupt(file, "entry count exceeds the file size");
+  }
+  run->bloom.assign(BloomWords(declared), 0);
   uint64_t scanned = 0;
   uint64_t checksum = 0;
   uint64_t prev_fp = 0;
@@ -721,29 +705,16 @@ common::Status SpillTier::OpenRun(const std::string& file,
     run->block_first_fp.push_back(entries[0].first);
     run->block_offset.push_back(pos);
     run->block_len.push_back(static_cast<uint32_t>(payload_len));
+    for (const Entry& e : entries) {
+      BloomAdd(&run->bloom, e.first);
+      checksum ^= EntryChecksum(e.first, e.second);
+    }
     scanned += entries.size();
     prev_fp = entries.back().first;
     pos += static_cast<size_t>(payload_len);
   }
   if (scanned != declared) {
     return Corrupt(file, "entry count mismatch");
-  }
-  // Second pass for the filter + checksum (entries were consumed
-  // block-by-block above; re-walk cheaply for the fp stream only).
-  run->bloom.assign(BloomWords(declared, options_.bloom_bits_per_key), 0);
-  pos = kHeaderBytes;
-  while (pos < blocks_end) {
-    uint64_t payload_len = 0;
-    common::GetFixed64(contents, &pos, &payload_len);
-    const std::string_view payload(contents.data() + pos,
-                                   static_cast<size_t>(payload_len));
-    status = DecodeBlockPayload(payload, file, &entries);
-    if (!status.ok()) return status;
-    for (const Entry& e : entries) {
-      BloomAdd(&run->bloom, e.first);
-      checksum ^= EntryChecksum(e.first, e.second);
-    }
-    pos += static_cast<size_t>(payload_len);
   }
   uint64_t declared_checksum = 0;
   pos = blocks_end;
@@ -757,10 +728,10 @@ common::Status SpillTier::OpenRun(const std::string& file,
 }
 
 common::Status SpillTier::AdoptRuns(const std::vector<std::string>& files) {
-  std::vector<std::shared_ptr<Run>> adopted;
+  std::vector<std::unique_ptr<Run>> adopted;
   uint64_t max_generation = 0;
   for (const std::string& file : files) {
-    std::shared_ptr<Run> run;
+    std::unique_ptr<Run> run;
     common::Status status = OpenRun(file, &run);
     if (!status.ok()) {
       RecordError(status);
@@ -773,16 +744,9 @@ common::Status SpillTier::AdoptRuns(const std::vector<std::string>& files) {
     }
     adopted.push_back(std::move(run));
   }
-  dir_ready_.store(true, std::memory_order_release);
-  uint64_t current = next_generation_.load(std::memory_order_relaxed);
-  while (current < max_generation &&
-         !next_generation_.compare_exchange_weak(
-             current, max_generation, std::memory_order_relaxed)) {
-  }
-  {
-    std::unique_lock<std::shared_mutex> lock(runs_mu_);
-    runs_.swap(adopted);
-  }
+  dir_ready_ = true;
+  next_generation_ = std::max(next_generation_, max_generation);
+  runs_ = std::move(adopted);
   return common::Status::OK();
 }
 
@@ -794,11 +758,10 @@ common::Status SpillTier::DropOrphans() const {
                ? common::Status::OK()
                : status;
   }
-  std::shared_lock<std::shared_mutex> lock(runs_mu_);
   for (const std::string& file : files) {
     if (file.rfind("run-", 0) != 0) continue;
     bool live = false;
-    for (const std::shared_ptr<Run>& run : runs_) {
+    for (const std::unique_ptr<Run>& run : runs_) {
       if (run->file == file) {
         live = true;
         break;
@@ -812,21 +775,16 @@ common::Status SpillTier::DropOrphans() const {
 }
 
 void SpillTier::PurgeRetired() {
-  std::vector<std::string> doomed;
-  {
-    std::lock_guard<std::mutex> lock(retired_mu_);
-    doomed.swap(retired_);
-  }
-  for (const std::string& path : doomed) {
+  for (const std::string& path : retired_) {
     common::RemoveFileIfExists(path);
   }
+  retired_.clear();
 }
 
 std::vector<SpillTier::RunInfo> SpillTier::run_infos() const {
-  std::shared_lock<std::shared_mutex> lock(runs_mu_);
   std::vector<RunInfo> infos;
   infos.reserve(runs_.size());
-  for (const std::shared_ptr<Run>& run : runs_) {
+  for (const std::unique_ptr<Run>& run : runs_) {
     infos.push_back(RunInfo{run->file, run->count, run->bytes});
   }
   return infos;
@@ -834,22 +792,18 @@ std::vector<SpillTier::RunInfo> SpillTier::run_infos() const {
 
 SpillTier::Stats SpillTier::stats() const {
   Stats s;
-  {
-    std::shared_lock<std::shared_mutex> lock(runs_mu_);
-    s.runs = runs_.size();
-    for (const std::shared_ptr<Run>& run : runs_) {
-      s.spilled_records += run->count;
-      s.live_bytes += run->bytes;
-    }
+  s.runs = runs_.size();
+  for (const std::unique_ptr<Run>& run : runs_) {
+    s.spilled_records += run->count;
+    s.live_bytes += run->bytes;
   }
-  s.generations = generations_.load(std::memory_order_relaxed);
-  s.bytes_written = bytes_written_.load(std::memory_order_relaxed);
-  s.compactions = compactions_.load(std::memory_order_relaxed);
+  s.generations = generations_;
+  s.bytes_written = bytes_written_;
+  s.compactions = compactions_;
   s.probes = probes_.load(std::memory_order_relaxed);
   s.probe_ms =
       static_cast<double>(probe_ns_.load(std::memory_order_relaxed)) * 1e-6;
-  s.merge_ms =
-      static_cast<double>(merge_ns_.load(std::memory_order_relaxed)) * 1e-6;
+  s.merge_ms = static_cast<double>(merge_ns_) * 1e-6;
   return s;
 }
 

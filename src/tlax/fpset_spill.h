@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <utility>
@@ -19,7 +18,7 @@ namespace xmodel::tlax {
 /// The fingerprint set's disk tier: sealed, immutable runs of sorted
 /// fingerprints with their discovery edges, the TLC out-of-core design.
 /// Each run is one "spill generation" — the whole hot table frozen at
-/// an eviction point — laid out as fixed-entry-count blocks: a raw
+/// an eviction point — laid out as kBlockEntries-entry blocks: a raw
 /// sorted fixed64 fingerprint array plus a varint-packed edge sidecar
 /// (pred_fp, order_key, action, depth) so counterexample-trace rebuild
 /// still works after eviction.
@@ -42,31 +41,30 @@ namespace xmodel::tlax {
 /// Edge lookups (trace rebuild) decode the one mapped block that holds
 /// the fingerprint, re-verifying its checksum. The map is the only read
 /// path: a run that cannot be mapped is an error from SealRun, AdoptRuns
-/// or compaction. Compaction runs inline, in the thread that calls
-/// CompactIfNeeded. The checker only evicts (and so compacts) at a level
-/// barrier, where no worker probes, but the tier does not rely on that:
-/// probes may run concurrently, and retiring runs stay readable through
-/// shared_ptr references until the merged run is swapped in.
+/// or compaction.
 ///
-/// Thread safety: probes take a shared lock on the run list (runs_mu_);
-/// sealing and compaction take it exclusively only for the list swap. SealRun,
-/// AdoptRuns and CompactIfNeeded are caller-serialized (FingerprintSet's
-/// eviction mutex), so no run list change can overlap a merge. All file
-/// writes go through common::WriteFileAtomic, so a crash never leaves a
-/// half-written run visible.
+/// Thread safety: externally synchronized. SealRun, CompactIfNeeded,
+/// AdoptRuns and PurgeRetired change the run list or the retired files
+/// and need exclusive access; FindBatch, FindOnDisk, stats, run_infos and
+/// DropOrphans only read them and may overlap each other, but not a
+/// writer. The one owner, FingerprintSet, already holds its eviction lock
+/// around every call: shared for inserts, edge lookups and the stats and
+/// run readers; exclusive for eviction (which seals and compacts),
+/// adoption and purge. A second lock here would guard the same run list
+/// twice. The probe counters and the sticky status are the only state
+/// that overlapping readers write, so only they synchronize here. All
+/// file writes go through common::WriteFileAtomic, so a crash never
+/// leaves a half-written run visible.
 class SpillTier {
  public:
   /// CompactIfNeeded merges once the live run count reaches this.
   static constexpr size_t kCompactMinRuns = 8;
+  /// Fingerprints per block: the probe and merge IO granularity.
+  static constexpr size_t kBlockEntries = 256;
 
   struct Options {
     /// Directory sealed runs live in. Created on demand.
     std::string dir;
-    /// Fingerprints per block (the probe/merge IO granularity).
-    size_t block_entries = 256;
-    /// Bloom filter bits per key. More bits = fewer false-positive disk
-    /// probes, more RAM per spilled record.
-    uint64_t bloom_bits_per_key = 10;
     /// Checkpoint durability: fsync run files and the directory, and keep
     /// compacted-away run files on disk until PurgeRetired(). The last
     /// published manifest may still name a run that compaction just
@@ -104,20 +102,20 @@ class SpillTier {
   };
 
   explicit SpillTier(Options options);
+  ~SpillTier();
 
   SpillTier(const SpillTier&) = delete;
   SpillTier& operator=(const SpillTier&) = delete;
 
   const std::string& dir() const { return options_.dir; }
 
-  /// Seals `entries` (sorted by fingerprint, strictly increasing,
-  /// disjoint from every live run) as a new run file and registers it
-  /// for probes. Empty input is a no-op; input that is not strictly
-  /// ascending is a kInternal error and writes nothing.
-  common::Status SealRun(const std::vector<Entry>& entries);
-  /// SealRun of the concatenation of `slices`, without building it. The
-  /// blocks are encoded in one range per `pool` worker (inline when
-  /// null); the file bytes depend on neither the split nor the slicing.
+  /// Seals the concatenation of `slices` (sorted by fingerprint, strictly
+  /// increasing, disjoint from every live run) as a new run file and
+  /// registers it for probes, without building the concatenation. Empty
+  /// input is a no-op; input that is not strictly ascending is a
+  /// kInternal error and writes nothing. The blocks are encoded in one
+  /// range per `pool` worker (inline when null); the file bytes depend on
+  /// neither the split nor the slicing.
   common::Status SealRun(const std::vector<std::span<const Entry>>& slices,
                          common::WorkerPool* pool);
 
@@ -137,9 +135,8 @@ class SpillTier {
 
   /// K-way merges all live runs into one when the run count has reached
   /// kCompactMinRuns; a no-op below it. Runs in the calling thread and
-  /// returns once the merged run has replaced its inputs. Safe to call
-  /// concurrently with probes; the caller serializes it with SealRun and
-  /// AdoptRuns.
+  /// returns once the merged run has replaced its inputs; on an error the
+  /// inputs stay live.
   common::Status CompactIfNeeded();
 
   /// Resume path: opens and validates previously sealed run files (names
@@ -170,31 +167,29 @@ class SpillTier {
   struct Run;
   class RunBuilder;
 
-  common::Status OpenRun(const std::string& file, std::shared_ptr<Run>* out);
+  common::Status OpenRun(const std::string& file, std::unique_ptr<Run>* out);
   /// Writes a finished builder as a new run file and maps it.
-  common::Status WriteRun(RunBuilder* builder, std::shared_ptr<Run>* out);
+  common::Status WriteRun(RunBuilder* builder, std::unique_ptr<Run>* out);
   void RecordError(const common::Status& status) const;
   std::string NextRunFile();
   common::Status FindInRun(const Run& run, uint64_t fp, EdgeData* edge) const;
 
   Options options_;
-  mutable std::shared_mutex runs_mu_;
-  std::vector<std::shared_ptr<Run>> runs_;
-  std::atomic<uint64_t> next_generation_{0};
-  std::atomic<bool> dir_ready_{false};
-
-  std::mutex retired_mu_;
+  // Written only by the exclusive operations (see the class comment).
+  std::vector<std::unique_ptr<Run>> runs_;
+  uint64_t next_generation_ = 0;
+  bool dir_ready_ = false;
   std::vector<std::string> retired_;  // Paths awaiting PurgeRetired().
+  uint64_t generations_ = 0;
+  uint64_t bytes_written_ = 0;
+  uint64_t compactions_ = 0;
+  int64_t merge_ns_ = 0;
 
+  // Written by overlapping probes.
   mutable std::mutex status_mu_;
   mutable common::Status status_;
-
-  std::atomic<uint64_t> generations_{0};
-  std::atomic<uint64_t> bytes_written_{0};
-  std::atomic<uint64_t> compactions_{0};
   mutable std::atomic<uint64_t> probes_{0};
   mutable std::atomic<int64_t> probe_ns_{0};
-  std::atomic<int64_t> merge_ns_{0};
 };
 
 }  // namespace xmodel::tlax

@@ -17,15 +17,10 @@ namespace xmodel::tlax {
 /// This mirrors TLC's `-dump dot` output, which the paper's MBTCG pipeline
 /// parses to generate test cases (§5.2).
 ///
-/// Two construction modes:
-///
-/// **Serial** (tests, tools): `AddState`/`AddEdge`/`AddInitial`, exactly the
-/// classic append-only API.
-///
-/// **Concurrent recording** (the parallel checker): the graph doubles as a
-/// sharded fingerprint → id index, so N workers can record edges while the
-/// level drains and still produce a graph that is *byte-identical* to the
-/// single-worker one:
+/// Construction is concurrent recording by the checker: the graph doubles
+/// as a sharded fingerprint → id index, so N workers can record edges while
+/// the level drains and still produce a graph that is *byte-identical* to
+/// the single-worker one:
 ///
 ///  - `RecordEdge(worker, from_id, to_fp, action)` — appends to a
 ///    worker-local edge buffer, completely lock-free. A node's out-edges are
@@ -58,19 +53,12 @@ class StateGraph {
 
   StateGraph();
 
-  // --- Serial construction -------------------------------------------------
-
+  /// Appends a node holding `state` with no edges; returns its id.
   uint32_t AddState(State state) {
     states_.push_back(std::move(state));
     edges_.emplace_back();
     return static_cast<uint32_t>(states_.size() - 1);
   }
-
-  void AddEdge(uint32_t from, uint32_t to, uint16_t action) {
-    edges_[from].push_back(Edge{to, action});
-  }
-
-  void AddInitial(uint32_t id) { initial_.push_back(id); }
 
   // --- Concurrent recording ------------------------------------------------
 

@@ -1,8 +1,9 @@
 // Unit tests for the out-of-core machinery: the SpillTier run format
 // (seal, probe, compaction, corruption detection), FingerprintSet
 // eviction exactness under a memory budget, and the FrontierSpool FIFO
-// segment files. Includes a concurrent evict-vs-insert hammer that the
-// TSan CI job runs to certify the copy/seal/erase locking protocol.
+// segment files. Includes a concurrent evict-vs-insert-vs-GetEdge hammer
+// that the TSan CI job runs to certify that FingerprintSet's eviction
+// lock alone guards the tier's run list.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "common/varint.h"
 #include "tlax/fpset.h"
 #include "tlax/fpset_spill.h"
 #include "tlax/frontier_spill.h"
@@ -62,14 +64,23 @@ std::vector<SpillTier::Entry> MakeEntries(uint64_t start, uint64_t count,
   return entries;
 }
 
+// Seals `entries` as one slice, inline.
+common::Status Seal(SpillTier& tier,
+                    const std::vector<SpillTier::Entry>& entries) {
+  return tier.SealRun({std::span<const SpillTier::Entry>(entries)}, nullptr);
+}
+
+// Several full blocks and a partial last one.
+constexpr uint64_t kMultiBlock = 3 * SpillTier::kBlockEntries + 17;
+
 TEST(SpillTierTest, SealedRunRoundTripsEveryEntry) {
   SpillTier::Options options;
   options.dir = TestDir("roundtrip");
-  options.block_entries = 16;  // Several blocks for 100 entries.
   SpillTier tier(options);
 
-  const std::vector<SpillTier::Entry> entries = MakeEntries(10, 100, 3);
-  ASSERT_TRUE(tier.SealRun(entries).ok());
+  const std::vector<SpillTier::Entry> entries =
+      MakeEntries(10, kMultiBlock, 3);
+  ASSERT_TRUE(Seal(tier, entries).ok());
 
   for (const SpillTier::Entry& e : entries) {
     SpillTier::EdgeData edge;
@@ -89,20 +100,20 @@ TEST(SpillTierTest, SealedRunRoundTripsEveryEntry) {
   SpillTier::Stats stats = tier.stats();
   EXPECT_EQ(stats.runs, 1u);
   EXPECT_EQ(stats.generations, 1u);
-  EXPECT_EQ(stats.spilled_records, 100u);
+  EXPECT_EQ(stats.spilled_records, kMultiBlock);
   EXPECT_GT(stats.bytes_written, 0u);
 }
 
 TEST(SpillTierTest, CompactionMergesRunsAndKeepsEveryRecord) {
   SpillTier::Options options;
   options.dir = TestDir("compact");
-  options.block_entries = 8;
   SpillTier tier(options);
 
   // kCompactMinRuns disjoint runs with interleaved fingerprint ranges.
   constexpr uint64_t kRuns = SpillTier::kCompactMinRuns;
+  constexpr uint64_t kPerRun = 2 * SpillTier::kBlockEntries + 17;
   for (uint64_t r = 0; r < kRuns; ++r) {
-    ASSERT_TRUE(tier.SealRun(MakeEntries(100 + r, 50, kRuns)).ok());
+    ASSERT_TRUE(Seal(tier, MakeEntries(100 + r, kPerRun, kRuns)).ok());
     if (r + 1 < kRuns) {
       ASSERT_TRUE(tier.CompactIfNeeded().ok());
       EXPECT_EQ(tier.stats().compactions, 0u) << "below the threshold";
@@ -113,9 +124,9 @@ TEST(SpillTierTest, CompactionMergesRunsAndKeepsEveryRecord) {
   SpillTier::Stats stats = tier.stats();
   EXPECT_EQ(stats.runs, 1u);
   EXPECT_EQ(stats.compactions, 1u);
-  EXPECT_EQ(stats.spilled_records, kRuns * 50);
+  EXPECT_EQ(stats.spilled_records, kRuns * kPerRun);
   for (uint64_t r = 0; r < kRuns; ++r) {
-    for (const SpillTier::Entry& e : MakeEntries(100 + r, 50, kRuns)) {
+    for (const SpillTier::Entry& e : MakeEntries(100 + r, kPerRun, kRuns)) {
       SpillTier::EdgeData edge;
       ASSERT_TRUE(tier.FindOnDisk(e.first, &edge)) << "fp " << e.first;
       EXPECT_EQ(edge.pred_fp, e.second.pred_fp);
@@ -138,7 +149,7 @@ TEST(SpillTierTest, DeferredDeletesSurviveUntilPurge) {
   SpillTier tier(options);
   constexpr uint64_t kRuns = SpillTier::kCompactMinRuns;
   for (uint64_t r = 0; r < kRuns; ++r) {
-    ASSERT_TRUE(tier.SealRun(MakeEntries(10 + r, 20, kRuns)).ok());
+    ASSERT_TRUE(Seal(tier, MakeEntries(10 + r, 20, kRuns)).ok());
   }
   ASSERT_TRUE(tier.CompactIfNeeded().ok());
 
@@ -157,8 +168,8 @@ TEST(SpillTierTest, AdoptRunsRoundTripsAndDropsOrphans) {
   std::vector<std::string> manifest;
   {
     SpillTier tier(options);
-    ASSERT_TRUE(tier.SealRun(MakeEntries(5, 40, 5)).ok());
-    ASSERT_TRUE(tier.SealRun(MakeEntries(7, 40, 5)).ok());
+    ASSERT_TRUE(Seal(tier, MakeEntries(5, 40, 5)).ok());
+    ASSERT_TRUE(Seal(tier, MakeEntries(7, 40, 5)).ok());
     for (const SpillTier::RunInfo& info : tier.run_infos()) {
       manifest.push_back(info.file);
     }
@@ -171,7 +182,7 @@ TEST(SpillTierTest, AdoptRunsRoundTripsAndDropsOrphans) {
   {
     SpillTier tier(options);
     ASSERT_TRUE(tier.AdoptRuns(manifest).ok());
-    ASSERT_TRUE(tier.SealRun(MakeEntries(1'000'000, 5, 1)).ok());
+    ASSERT_TRUE(Seal(tier, MakeEntries(1'000'000, 5, 1)).ok());
   }
 
   SpillTier resumed(options);
@@ -189,7 +200,7 @@ TEST(SpillTierTest, AdoptRunsRoundTripsAndDropsOrphans) {
   EXPECT_FALSE(resumed.FindOnDisk(1'000'000, &edge))
       << "orphaned run must not be probed";
   // New runs sealed after adoption must not collide with adopted names.
-  ASSERT_TRUE(resumed.SealRun(MakeEntries(2'000'000, 5, 1)).ok());
+  ASSERT_TRUE(Seal(resumed, MakeEntries(2'000'000, 5, 1)).ok());
   std::vector<SpillTier::RunInfo> infos = resumed.run_infos();
   ASSERT_EQ(infos.size(), 3u);
   EXPECT_NE(infos[2].file, infos[0].file);
@@ -202,7 +213,7 @@ TEST(SpillTierTest, CorruptRunIsARefusedAdoption) {
   std::string file;
   {
     SpillTier tier(options);
-    ASSERT_TRUE(tier.SealRun(MakeEntries(3, 64, 3)).ok());
+    ASSERT_TRUE(Seal(tier, MakeEntries(3, 64, 3)).ok());
     file = tier.run_infos()[0].file;
   }
   const std::string path = options.dir + "/" + file;
@@ -231,6 +242,19 @@ TEST(SpillTierTest, CorruptRunIsARefusedAdoption) {
     EXPECT_EQ(status.code(), common::StatusCode::kCorruption)
         << "length " << len << ": " << status.ToString();
   }
+  // A header count no file could hold (2^62 entries): refused before it
+  // sizes the Bloom filter, so no huge allocation and no crash.
+  std::string forged = contents;
+  std::string huge_count;
+  common::PutFixed64(uint64_t{1} << 62, &huge_count);
+  forged.replace(8, huge_count.size(), huge_count);
+  ASSERT_TRUE(common::WriteFileAtomic(path, forged).ok());
+  {
+    SpillTier tier(options);
+    common::Status status = tier.AdoptRuns({file});
+    EXPECT_EQ(status.code(), common::StatusCode::kCorruption)
+        << status.ToString();
+  }
   // Bit flip in the middle (an entry payload), full length.
   std::string garbled = contents;
   garbled[garbled.size() / 2] ^= 0x40;
@@ -251,17 +275,16 @@ TEST(SpillTierTest, CorruptRunIsARefusedAdoption) {
 TEST(SpillTierTest, FindBatchMatchesFindOnDisk) {
   SpillTier::Options options;
   options.dir = TestDir("findbatch");
-  options.block_entries = 16;
   SpillTier tier(options);
   // Three disjoint runs with interleaved ranges, several blocks each.
-  ASSERT_TRUE(tier.SealRun(MakeEntries(100, 120, 6)).ok());
-  ASSERT_TRUE(tier.SealRun(MakeEntries(101, 120, 6)).ok());
-  ASSERT_TRUE(tier.SealRun(MakeEntries(103, 120, 6)).ok());
+  ASSERT_TRUE(Seal(tier, MakeEntries(100, kMultiBlock, 6)).ok());
+  ASSERT_TRUE(Seal(tier, MakeEntries(101, kMultiBlock, 6)).ok());
+  ASSERT_TRUE(Seal(tier, MakeEntries(103, kMultiBlock, 6)).ok());
 
   // A sorted batch mixing members of every run with absent keys below,
   // between, and above the stored ranges.
   std::vector<uint64_t> batch;
-  for (uint64_t fp = 0; fp < 1'000; ++fp) batch.push_back(fp);
+  for (uint64_t fp = 0; fp < 200 + 6 * kMultiBlock; ++fp) batch.push_back(fp);
   std::vector<uint8_t> found;
   tier.FindBatch(batch, &found);
   ASSERT_EQ(found.size(), batch.size());
@@ -276,10 +299,10 @@ TEST(SpillTierTest, FindBatchMatchesFindOnDisk) {
 TEST(SpillTierTest, GarbledMappedBlockFailsEdgeDecode) {
   SpillTier::Options options;
   options.dir = TestDir("block_sum");
-  options.block_entries = 8;
   SpillTier tier(options);
-  const std::vector<SpillTier::Entry> entries = MakeEntries(10, 64, 3);
-  ASSERT_TRUE(tier.SealRun(entries).ok());
+  const std::vector<SpillTier::Entry> entries =
+      MakeEntries(10, kMultiBlock, 3);
+  ASSERT_TRUE(Seal(tier, entries).ok());
   SpillTier::EdgeData edge;
   ASSERT_TRUE(tier.FindOnDisk(entries[0].first, &edge));
   ASSERT_TRUE(tier.status().ok());
@@ -292,9 +315,10 @@ TEST(SpillTierTest, GarbledMappedBlockFailsEdgeDecode) {
   const std::string path = options.dir + "/" + tier.run_infos()[0].file;
   std::FILE* f = std::fopen(path.c_str(), "r+b");
   ASSERT_NE(f, nullptr);
-  // 16 file header + 8 payload length + 8 count + 8*8 fps puts the
-  // cursor on the first sidecar byte.
-  ASSERT_EQ(std::fseek(f, 16 + 8 + 8 + 64, SEEK_SET), 0);
+  // 16 file header + 8 payload length + 8 count + 8 per fingerprint of a
+  // full block puts the cursor on the first sidecar byte.
+  ASSERT_EQ(std::fseek(f, 16 + 8 + 8 + 8 * SpillTier::kBlockEntries, SEEK_SET),
+            0);
   const int orig = std::fgetc(f);
   ASSERT_NE(orig, EOF);
   ASSERT_EQ(std::fseek(f, -1, SEEK_CUR), 0);
@@ -304,88 +328,6 @@ TEST(SpillTierTest, GarbledMappedBlockFailsEdgeDecode) {
   EXPECT_FALSE(tier.FindOnDisk(entries[0].first, &edge));
   EXPECT_EQ(tier.status().code(), common::StatusCode::kCorruption)
       << tier.status().ToString();
-}
-
-TEST(SpillTierTest, CompactionRacesProbesSafely) {
-  SpillTier::Options options;
-  options.dir = TestDir("race_compact");
-  options.block_entries = 16;
-  SpillTier tier(options);
-
-  // Two merges: the first of kCompactMinRuns fresh runs, the second of
-  // that merged run and kCompactMinRuns - 1 fresh ones.
-  constexpr uint64_t kRuns = 2 * SpillTier::kCompactMinRuns - 1;
-  constexpr uint64_t kPerRun = 200;
-  std::atomic<uint64_t> sealed_runs{0};
-  std::atomic<bool> stop{false};
-  // Probe continuously (point and batched) while this thread seals runs
-  // and merges them out from underneath the probers.
-  std::vector<std::thread> probers;
-  for (int t = 0; t < 2; ++t) {
-    probers.emplace_back([&tier, &sealed_runs, &stop, t] {
-      std::vector<uint64_t> batch;
-      std::vector<uint8_t> found;
-      while (!stop.load(std::memory_order_acquire)) {
-        const uint64_t visible = sealed_runs.load(std::memory_order_acquire);
-        for (uint64_t r = 0; r < visible; ++r) {
-          const uint64_t fp = 1'000 * (r + 1) + (t + 1);
-          if (t == 0) {
-            SpillTier::EdgeData edge;
-            ASSERT_TRUE(tier.FindOnDisk(fp, &edge)) << "fp " << fp;
-          } else {
-            batch.assign({fp, fp + 1, 1'000'000 + fp});
-            tier.FindBatch(batch, &found);
-            ASSERT_NE(found[0], 0) << "fp " << fp;
-          }
-        }
-      }
-    });
-  }
-  for (uint64_t r = 0; r < kRuns; ++r) {
-    // Run r holds [1000*(r+1), 1000*(r+1) + kPerRun): disjoint ranges.
-    ASSERT_TRUE(tier.SealRun(MakeEntries(1'000 * (r + 1), kPerRun, 1)).ok());
-    sealed_runs.store(r + 1, std::memory_order_release);
-    ASSERT_TRUE(tier.CompactIfNeeded().ok());
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& t : probers) t.join();
-
-  EXPECT_TRUE(tier.status().ok()) << tier.status().ToString();
-  EXPECT_EQ(tier.stats().compactions, 2u);
-  EXPECT_EQ(tier.stats().runs, 1u);
-  EXPECT_EQ(tier.stats().spilled_records, kRuns * kPerRun);
-  for (uint64_t r = 0; r < kRuns; ++r) {
-    for (const SpillTier::Entry& e : MakeEntries(1'000 * (r + 1), kPerRun, 1)) {
-      SpillTier::EdgeData edge;
-      ASSERT_TRUE(tier.FindOnDisk(e.first, &edge)) << "fp " << e.first;
-      EXPECT_EQ(edge.pred_fp, e.second.pred_fp);
-    }
-  }
-}
-
-TEST(SpillTierTest, BloomBitsAndBlockSizeOptionsRoundTrip) {
-  for (const auto& [bloom_bits, block_entries] :
-       std::vector<std::pair<uint64_t, size_t>>{{1, 16}, {24, 4096}}) {
-    SpillTier::Options options;
-    options.dir = TestDir("knobs");
-    options.bloom_bits_per_key = bloom_bits;
-    options.block_entries = block_entries;
-    SpillTier tier(options);
-    const std::vector<SpillTier::Entry> entries = MakeEntries(7, 300, 5);
-    ASSERT_TRUE(tier.SealRun(entries).ok());
-    std::vector<uint64_t> batch;
-    for (const SpillTier::Entry& e : entries) batch.push_back(e.first);
-    std::vector<uint8_t> found;
-    tier.FindBatch(batch, &found);
-    for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_NE(found[i], 0)
-          << "fp " << batch[i] << " bloom_bits " << bloom_bits
-          << " block_entries " << block_entries;
-    }
-    SpillTier::EdgeData edge;
-    EXPECT_FALSE(tier.FindOnDisk(8, &edge));
-    EXPECT_TRUE(tier.status().ok());
-  }
 }
 
 // Probes binary-search a run, so SealRun must refuse input whose
@@ -398,12 +340,12 @@ TEST(SpillTierTest, SealRunRejectsUnsortedOrDuplicateInput) {
 
   std::vector<SpillTier::Entry> unsorted = MakeEntries(10, 20, 1);
   std::swap(unsorted[5], unsorted[6]);
-  common::Status status = tier.SealRun(unsorted);
+  common::Status status = Seal(tier, unsorted);
   EXPECT_EQ(status.code(), common::StatusCode::kInternal) << status.ToString();
 
   std::vector<SpillTier::Entry> duplicate = MakeEntries(10, 20, 1);
   duplicate[8] = duplicate[7];
-  status = tier.SealRun(duplicate);
+  status = Seal(tier, duplicate);
   EXPECT_EQ(status.code(), common::StatusCode::kInternal) << status.ToString();
 
   EXPECT_EQ(tier.stats().generations, 0u) << "nothing was sealed";
@@ -411,7 +353,7 @@ TEST(SpillTierTest, SealRunRejectsUnsortedOrDuplicateInput) {
   SpillTier::EdgeData edge;
   EXPECT_FALSE(tier.FindOnDisk(10, &edge));
   EXPECT_TRUE(tier.status().ok()) << "a caller bug is not a sticky IO error";
-  ASSERT_TRUE(tier.SealRun(MakeEntries(10, 20, 1)).ok());
+  ASSERT_TRUE(Seal(tier, MakeEntries(10, 20, 1)).ok());
   EXPECT_TRUE(tier.FindOnDisk(15, &edge));
 }
 
@@ -419,12 +361,13 @@ TEST(SpillTierTest, SealRunRejectsUnsortedOrDuplicateInput) {
 // task or split across pool workers, and whether the input arrives as one
 // vector or as slices (EvictAll passes one per shard) that cut blocks.
 TEST(SpillTierTest, SealRunBytesMatchAcrossTaskCounts) {
-  const std::vector<SpillTier::Entry> entries = MakeEntries(5, 3000, 7);
+  constexpr size_t kBlock = SpillTier::kBlockEntries;
+  const std::vector<SpillTier::Entry> entries =
+      MakeEntries(5, 10 * kBlock + 17, 7);
   const auto sealed_bytes = [&entries](const char* name, size_t workers,
                                        std::vector<size_t> cuts) {
     SpillTier::Options options;
     options.dir = TestDir(name);
-    options.block_entries = 64;
     SpillTier tier(options);
     cuts.push_back(entries.size());
     std::vector<std::span<const SpillTier::Entry>> slices;
@@ -449,9 +392,11 @@ TEST(SpillTierTest, SealRunBytesMatchAcrossTaskCounts) {
   const std::string serial = sealed_bytes("seal_serial", 1, {});
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(sealed_bytes("seal_four", 4, {}), serial);
-  EXPECT_EQ(sealed_bytes("seal_three_sliced", 3, {0, 1, 100, 100, 2999}),
+  EXPECT_EQ(sealed_bytes("seal_three_sliced", 3,
+                         {0, 1, 100, 100, entries.size() - 1}),
             serial);
-  EXPECT_EQ(sealed_bytes("seal_one_sliced", 1, {640, 1000}), serial);
+  EXPECT_EQ(sealed_bytes("seal_one_sliced", 1, {2 * kBlock, 4 * kBlock - 24}),
+            serial);
 }
 
 // A compaction writes the same file as one SealRun of the sorted union
@@ -469,13 +414,13 @@ TEST(SpillTierTest, CompactedRunBytesMatchOneSeal) {
   };
   SpillTier::Options options;
   options.dir = TestDir("compact_bytes");
-  options.block_entries = 64;
   SpillTier tier(options);
   // Run r holds 5 + r, 5 + r + kRuns, ...: disjoint and interleaved.
   std::vector<SpillTier::Entry> all;
   for (uint64_t r = 0; r < kRuns; ++r) {
-    const std::vector<SpillTier::Entry> run = MakeEntries(5 + r, 300, kRuns);
-    ASSERT_TRUE(tier.SealRun(run).ok());
+    const std::vector<SpillTier::Entry> run =
+        MakeEntries(5 + r, 2 * SpillTier::kBlockEntries + 17, kRuns);
+    ASSERT_TRUE(Seal(tier, run).ok());
     all.insert(all.end(), run.begin(), run.end());
   }
   ASSERT_TRUE(tier.CompactIfNeeded().ok());
@@ -494,7 +439,7 @@ TEST(SpillTierTest, CompactedRunBytesMatchOneSeal) {
   SpillTier::Options fresh_options = options;
   fresh_options.dir = TestDir("compact_bytes_one_seal");
   SpillTier fresh(fresh_options);
-  ASSERT_TRUE(fresh.SealRun(all).ok());
+  ASSERT_TRUE(Seal(fresh, all).ok());
   EXPECT_EQ(run_bytes(fresh, fresh_options.dir), merged);
 }
 
@@ -616,15 +561,26 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
   EXPECT_EQ(set.size(), 2'000u);
 }
 
-// Inserters race each other and a thread that evicts in a loop: threads
-// t and t + 2 insert the same fingerprints, and exactly one insert must
-// win each, however the evictions interleave. The first round inserts
-// one at a time; the second in batches of 64, so that each batch's hold
-// on the eviction lock races EvictAll.
+// Inserters race each other, a thread that evicts in a loop and a thread
+// that looks up edges: threads t and t + 2 insert the same fingerprints,
+// and exactly one insert must win each, however the evictions
+// interleave. The first round inserts one at a time; the second in
+// batches of 64, so that each batch's hold on the eviction lock races
+// EvictAll. The edge thread calls GetEdge on every fingerprint once its
+// insert has returned, while the evictor seals and compacts under it: the
+// eviction lock is the only lock on the tier's run list.
 TEST(FpsetSpillTest, ConcurrentInsertsDuringEvictionsStayExact) {
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 2'000;
   constexpr uint64_t kDistinct = kThreads * kPerThread / 2;
+  // Every kStride inserts, an inserter flushes and waits until k = i /
+  // kStride runs are sealed. Its latest stride was first inserted after
+  // run k - 1 was sealed, so run k exists or is next: the waits force 15
+  // seals, and with them two compactions.
+  constexpr uint64_t kStride = kPerThread / 16;
+  const auto fp_of = [](int t, uint64_t i) {
+    return 1 + i * 2 + static_cast<uint64_t>(t % 2);
+  };
   for (const size_t batch : {size_t{1}, size_t{64}}) {
     SCOPED_TRACE(testing::Message() << "batch " << batch);
     FingerprintSet::Options options;
@@ -632,41 +588,67 @@ TEST(FpsetSpillTest, ConcurrentInsertsDuringEvictionsStayExact) {
     options.num_shards = 8;
     FingerprintSet set(options);
     std::atomic<uint64_t> inserted{0};
+    std::atomic<uint64_t> sealed{0};  // Seals so far, after each EvictAll.
     std::atomic<bool> stop{false};
+    // returned[t]: how many of thread t's inserts have returned.
+    std::vector<std::atomic<uint64_t>> returned(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&set, &inserted, batch, t] {
+      threads.emplace_back([&, t] {
         std::vector<FpInsertItem> items;
         std::vector<FpInsert> out;
-        const auto flush = [&] {
+        const auto flush = [&](uint64_t done) {
           out.resize(items.size());
           set.InsertBatch(items, out);
           for (const FpInsert& r : out) {
             if (r.inserted) inserted.fetch_add(1, std::memory_order_relaxed);
           }
           items.clear();
+          returned[t].store(done, std::memory_order_release);
         };
         for (uint64_t i = 0; i < kPerThread; ++i) {
-          const uint64_t fp = 1 + i * 2 + static_cast<uint64_t>(t % 2);
-          if (batch == 1) {
-            if (set.Insert(fp, fp, 1, 0, fp, 0).inserted) {
-              inserted.fetch_add(1, std::memory_order_relaxed);
+          if (i > 0 && i % kStride == 0) {
+            flush(i);
+            while (sealed.load(std::memory_order_acquire) < i / kStride) {
+              std::this_thread::yield();
             }
-            continue;
           }
+          const uint64_t fp = fp_of(t, i);
           items.push_back(FpInsertItem{.fp = fp, .pred_fp = fp,
                                        .order_key = fp, .action = 1});
-          if (items.size() == batch) flush();
+          if (items.size() == batch) flush(i + 1);
         }
-        flush();
+        flush(kPerThread);
       });
     }
-    std::thread evictor([&set, &stop] {
+    // One GetEdge per returned insert, so the edge thread takes the
+    // eviction lock no more often than the inserters and cannot starve
+    // EvictAll; it waits for progress without holding it.
+    std::thread edges([&] {
+      std::vector<uint64_t> probed(kThreads, 0);
+      for (uint64_t left = kThreads * kPerThread; left > 0;) {
+        for (int t = 0; t < kThreads; ++t) {
+          const uint64_t upto = returned[t].load(std::memory_order_acquire);
+          for (; probed[t] < upto; ++probed[t], --left) {
+            const uint64_t fp = fp_of(t, probed[t]);
+            EXPECT_TRUE(set.GetEdge(fp).has_value()) << "fp " << fp;
+          }
+        }
+        std::this_thread::yield();
+      }
+    });
+    std::thread evictor([&] {
       while (!stop.load(std::memory_order_relaxed)) {
-        ASSERT_TRUE(set.EvictAll().ok());
+        const common::Status status = set.EvictAll();
+        EXPECT_TRUE(status.ok()) << status.ToString();
+        // A failed eviction releases the waiting inserters.
+        sealed.store(status.ok() ? set.spill_stats().generations : UINT64_MAX,
+                     std::memory_order_release);
+        if (!status.ok()) return;
       }
     });
     for (std::thread& t : threads) t.join();
+    edges.join();
     stop.store(true, std::memory_order_relaxed);
     evictor.join();
 
@@ -675,6 +657,7 @@ TEST(FpsetSpillTest, ConcurrentInsertsDuringEvictionsStayExact) {
     EXPECT_TRUE(set.spill_status().ok());
     // And every fingerprint is still findable for trace rebuild.
     ASSERT_TRUE(set.EvictAll().ok());
+    EXPECT_GE(set.spill_stats().compactions, 2u);
     for (uint64_t fp = 1; fp <= kDistinct; ++fp) {
       EXPECT_TRUE(set.GetEdge(fp).has_value()) << "fp " << fp;
     }
