@@ -13,12 +13,17 @@ using specs::RaftMongoSpec;
 
 namespace {
 
-// Mutable per-node working state during processing.
+using tlax::Value;
+
+// Mutable per-node working state during processing: the node's value of
+// each logged spec variable, plus its oplog as plain terms for the repair
+// rules, so an event rebuilds only the values it changed.
 struct NodeView {
-  std::string role = "Follower";
-  int64_t term = 0;
-  std::pair<int64_t, int64_t> commit_point{0, 0};
+  Value role;
+  Value term;
+  Value commit_point;
   std::vector<int64_t> oplog;
+  Value oplog_value;
   // Inferred initial-sync data-image prefix: entries the node holds as data
   // but not as oplog history, so its trace events omit them. Prepended to
   // every subsequent logged oplog from this node (the paper's solution 4).
@@ -33,18 +38,11 @@ bool IsStrictSuffix(const std::vector<int64_t>& suffix,
                     full.end() - static_cast<int64_t>(suffix.size()));
 }
 
-tlax::State ToSpecState(const std::vector<NodeView>& nodes) {
-  std::vector<std::string> roles;
-  std::vector<int64_t> terms;
-  std::vector<std::pair<int64_t, int64_t>> cps;
-  std::vector<std::vector<int64_t>> oplogs;
-  for (const NodeView& n : nodes) {
-    roles.push_back(n.role);
-    terms.push_back(n.term);
-    cps.push_back(n.commit_point);
-    oplogs.push_back(n.oplog);
-  }
-  return RaftMongoSpec::MakeState(roles, terms, cps, oplogs);
+Value OplogValue(const std::vector<int64_t>& oplog) {
+  std::vector<Value> entries;
+  entries.reserve(oplog.size());
+  for (int64_t t : oplog) entries.push_back(Value::Int(t));
+  return Value::Seq(std::move(entries));
 }
 
 }  // namespace
@@ -52,16 +50,49 @@ tlax::State ToSpecState(const std::vector<NodeView>& nodes) {
 ProcessedTrace EventProcessor::Process(
     const std::vector<TraceEvent>& events) const {
   ProcessedTrace out;
-  std::vector<NodeView> nodes(options_.num_nodes);
+  const int num_nodes = options_.num_nodes;
+  out.states.reserve(events.size() + 1);
+  out.actions.reserve(events.size() + 1);
+
+  // The logged spec variables, each with the NodeView field that holds
+  // one node's value of it.
+  static constexpr std::pair<int, Value NodeView::*> kColumns[] = {
+      {RaftMongoSpec::kRole, &NodeView::role},
+      {RaftMongoSpec::kTerm, &NodeView::term},
+      {RaftMongoSpec::kCommitPoint, &NodeView::commit_point},
+      {RaftMongoSpec::kOplog, &NodeView::oplog_value},
+  };
 
   // The known initial state: every node a Follower at term 0 with an empty
   // oplog and no commit point.
-  out.states.push_back(ToSpecState(nodes));
+  tlax::State state = RaftMongoSpec::MakeState(
+      std::vector<std::string>(num_nodes, "Follower"),
+      std::vector<int64_t>(num_nodes, 0),
+      std::vector<std::pair<int64_t, int64_t>>(num_nodes, {0, 0}),
+      std::vector<std::vector<int64_t>>(num_nodes));
+  std::vector<NodeView> nodes(num_nodes);
+  for (int i = 0; i < num_nodes; ++i) {
+    for (const auto& [var, field] : kColumns) {
+      nodes[i].*field = state.var(var).at(i);
+    }
+  }
+  out.states.push_back(state);
   out.actions.push_back("Init");
 
+  // A variable's per-node tuple, from the nodes' current values.
+  auto column = [&nodes](Value NodeView::*field) {
+    std::vector<Value> tuple;
+    tuple.reserve(nodes.size());
+    for (const NodeView& node : nodes) tuple.push_back(node.*field);
+    return Value::Seq(std::move(tuple));
+  };
+  const Value leader = Value::Str("Leader");
+  const Value follower = Value::Str("Follower");
+  // The event's repaired oplog; kept across events to reuse its buffer.
+  std::vector<int64_t> repaired;
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
-    if (e.node_id < 0 || e.node_id >= options_.num_nodes) {
+    if (e.node_id < 0 || e.node_id >= num_nodes) {
       out.status = Status::InvalidArgument(
           StrCat("event ", i, " names unknown node ", e.node_id));
       return out;
@@ -77,19 +108,33 @@ ProcessedTrace EventProcessor::Process(
       return out;
     }
 
+    // The spec variables this event changed, one bit per variable index.
+    unsigned changed = 0;
+    auto set = [&changed](Value* slot, const Value& v, int var) {
+      if (*slot == v) return;
+      *slot = v;
+      changed |= 1u << var;
+    };
+
     // Figure 3 role rule: a Leader event demotes everyone else; the script
     // assumes there are never two leaders at once.
     if (e.role.has_value()) {
-      if (*e.role == "Leader") {
-        for (NodeView& other : nodes) other.role = "Follower";
-        n.role = "Leader";
-      } else {
-        n.role = *e.role;
+      const Value role = Value::Str(*e.role);
+      if (role == leader) {
+        for (NodeView& other : nodes) {
+          if (&other != &n) set(&other.role, follower, RaftMongoSpec::kRole);
+        }
       }
+      set(&n.role, role, RaftMongoSpec::kRole);
     }
-    if (e.term.has_value()) n.term = *e.term;
+    if (e.term.has_value()) {
+      set(&n.term, Value::Int(*e.term), RaftMongoSpec::kTerm);
+    }
     if (e.commit_point.has_value()) {
-      n.commit_point = {e.commit_point->term, e.commit_point->index};
+      set(&n.commit_point,
+          RaftMongoSpec::CommitPointValue(e.commit_point->term,
+                                          e.commit_point->index),
+          RaftMongoSpec::kCommitPoint);
     }
     if (e.oplog_terms.has_value()) {
       const std::vector<int64_t>& logged = *e.oplog_terms;
@@ -102,7 +147,7 @@ ProcessedTrace EventProcessor::Process(
         // history but IS a strict suffix of another node's log; remember
         // the inferred prefix and prepend it to this and all later events
         // from the node.
-        std::vector<int64_t> repaired = n.image_prefix;
+        repaired.assign(n.image_prefix.begin(), n.image_prefix.end());
         repaired.insert(repaired.end(), logged.begin(), logged.end());
         // An AppendOplog event can only extend the log: a repaired log
         // that is shorter than the node's previous log, or that disagrees
@@ -134,13 +179,20 @@ ProcessedTrace EventProcessor::Process(
             }
           }
         }
-        n.oplog = std::move(repaired);
       } else {
-        n.oplog = logged;
+        repaired.assign(logged.begin(), logged.end());
+      }
+      if (repaired != n.oplog) {
+        set(&n.oplog_value, OplogValue(repaired), RaftMongoSpec::kOplog);
+        n.oplog.swap(repaired);
       }
     }
 
-    out.states.push_back(ToSpecState(nodes));
+    // Rebuild only the per-node tuples this event changed.
+    for (const auto& [var, field] : kColumns) {
+      if (changed & (1u << var)) state = state.With(var, column(field));
+    }
+    out.states.push_back(state);
     out.actions.push_back(e.action);
   }
   return out;

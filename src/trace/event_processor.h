@@ -42,6 +42,10 @@ struct ProcessedTrace {
 ///    changes only that node.
 ///  - term, commitPoint, oplog: replace the acting node's values; other
 ///    nodes' values are unchanged.
+///
+/// Each state is its predecessor with only the variables the event changed
+/// rebuilt: an oplog value is built only when the node's repaired log
+/// differs from its previous one.
 class EventProcessor {
  public:
   explicit EventProcessor(EventProcessorOptions options)

@@ -1,98 +1,133 @@
 #include "trace/trace_event.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/json.h"
 #include "common/strings.h"
 
 namespace xmodel::trace {
 
-using common::Json;
+using common::JsonCursor;
 using common::Result;
 using common::Status;
 using common::StrCat;
 
 std::string TraceEvent::ToJsonLine() const {
-  Json obj = Json::MakeObject();
-  obj.Set("t", Json::Int(timestamp_ms));
-  obj.Set("node", Json::Int(node_id));
-  obj.Set("action", Json::Str(action));
-  if (role.has_value()) obj.Set("role", Json::Str(*role));
-  if (term.has_value()) obj.Set("term", Json::Int(*term));
+  std::string line = "{\"t\":";
+  line.reserve(96 + (oplog_terms.has_value() ? 4 * oplog_terms->size() : 0));
+  common::AppendJsonInt(&line, timestamp_ms);
+  line += ",\"node\":";
+  common::AppendJsonInt(&line, node_id);
+  line += ",\"action\":";
+  common::AppendJsonString(&line, action);
+  if (role.has_value()) {
+    line += ",\"role\":";
+    common::AppendJsonString(&line, *role);
+  }
+  if (term.has_value()) {
+    line += ",\"term\":";
+    common::AppendJsonInt(&line, *term);
+  }
   if (commit_point.has_value()) {
+    line += ",\"commitPoint\":";
     if (commit_point->IsNull()) {
-      obj.Set("commitPoint", Json::Null());
+      line += "null";
     } else {
-      Json cp = Json::MakeObject();
-      cp.Set("term", Json::Int(commit_point->term));
-      cp.Set("index", Json::Int(commit_point->index));
-      obj.Set("commitPoint", std::move(cp));
+      line += "{\"term\":";
+      common::AppendJsonInt(&line, commit_point->term);
+      line += ",\"index\":";
+      common::AppendJsonInt(&line, commit_point->index);
+      line += '}';
     }
   }
   if (oplog_terms.has_value()) {
-    Json arr = Json::MakeArray();
-    for (int64_t t : *oplog_terms) arr.Append(Json::Int(t));
-    obj.Set("oplog", std::move(arr));
+    line += ",\"oplog\":[";
+    for (size_t i = 0; i < oplog_terms->size(); ++i) {
+      if (i > 0) line += ',';
+      common::AppendJsonInt(&line, (*oplog_terms)[i]);
+    }
+    line += ']';
   }
-  if (oplog_from_stale_snapshot) obj.Set("stale", Json::Bool(true));
-  return obj.Dump();
+  if (oplog_from_stale_snapshot) line += ",\"stale\":true";
+  line += '}';
+  return line;
 }
 
-Result<TraceEvent> TraceEvent::FromJsonLine(const std::string& line) {
-  Result<Json> parsed = Json::Parse(line);
-  if (!parsed.ok()) return parsed.status();
-  const Json& obj = *parsed;
-  if (!obj.is_object()) return Status::Corruption("log line is not an object");
+namespace {
 
+// Reads a commitPoint value: null, or an object with integer term and
+// index (other keys skipped).
+bool ReadCommitPoint(JsonCursor& in, repl::OpTime* cp) {
+  *cp = repl::OpTime{};
+  if (in.ConsumeNull()) return true;
+  bool has_term = false;
+  bool has_index = false;
+  return in.ReadObject([&](std::string_view key) {
+           if (key == "term") return has_term = in.ReadInt(&cp->term);
+           if (key == "index") return has_index = in.ReadInt(&cp->index);
+           return in.ReadValue(nullptr);
+         }) &&
+         ((has_term && has_index) || in.Fail("malformed commitPoint"));
+}
+
+}  // namespace
+
+Result<TraceEvent> TraceEvent::FromJsonLine(std::string_view line) {
+  JsonCursor in(line);
   TraceEvent event;
-  const Json* t = obj.Find("t");
-  const Json* node = obj.Find("node");
-  const Json* action = obj.Find("action");
-  if (t == nullptr || node == nullptr || action == nullptr) {
+  int64_t node = 0;
+  bool has_t = false;
+  bool has_node = false;
+  bool has_action = false;
+  const bool read =
+      in.ReadObject([&](std::string_view key) {
+        if (key == "t") return has_t = in.ReadInt(&event.timestamp_ms);
+        if (key == "node") return has_node = in.ReadInt(&node);
+        if (key == "action") return has_action = in.ReadString(&event.action);
+        if (key == "role") return in.ReadString(&event.role.emplace());
+        if (key == "term") return in.ReadInt(&event.term.emplace());
+        if (key == "commitPoint") {
+          return ReadCommitPoint(in, &event.commit_point.emplace());
+        }
+        if (key == "oplog") {
+          std::vector<int64_t>& terms = event.oplog_terms.emplace();
+          return in.ReadArray(
+              [&] { return in.ReadInt(&terms.emplace_back()); });
+        }
+        if (key == "stale") {
+          return in.ReadBool(&event.oplog_from_stale_snapshot);
+        }
+        return in.ReadValue(nullptr);
+      }) &&
+      in.ExpectEnd();
+  if (!read) return in.status();
+  if (!has_t || !has_node || !has_action) {
     return Status::Corruption("log line missing t/node/action");
   }
-  event.timestamp_ms = t->int_value();
-  event.node_id = static_cast<int>(node->int_value());
-  event.action = action->string_value();
-
-  if (const Json* role = obj.Find("role")) {
-    event.role = role->string_value();
+  if (node < std::numeric_limits<int>::min() ||
+      node > std::numeric_limits<int>::max()) {
+    return Status::Corruption(StrCat("node id ", node, " out of range"));
   }
-  if (const Json* term = obj.Find("term")) {
-    event.term = term->int_value();
-  }
-  if (const Json* cp = obj.Find("commitPoint")) {
-    if (cp->is_null()) {
-      event.commit_point = repl::OpTime{};
-    } else {
-      const Json* cp_term = cp->Find("term");
-      const Json* cp_index = cp->Find("index");
-      if (cp_term == nullptr || cp_index == nullptr) {
-        return Status::Corruption("malformed commitPoint");
-      }
-      event.commit_point =
-          repl::OpTime{cp_term->int_value(), cp_index->int_value()};
-    }
-  }
-  if (const Json* oplog = obj.Find("oplog")) {
-    if (!oplog->is_array()) return Status::Corruption("malformed oplog");
-    std::vector<int64_t> terms;
-    for (const Json& entry : oplog->array()) terms.push_back(entry.int_value());
-    event.oplog_terms = std::move(terms);
-  }
-  if (const Json* stale = obj.Find("stale")) {
-    event.oplog_from_stale_snapshot = stale->bool_value();
-  }
+  event.node_id = static_cast<int>(node);
   return event;
 }
 
 Result<std::vector<TraceEvent>> MergeLogs(
     const std::vector<std::vector<std::string>>& per_node_log_lines) {
+  size_t total = 0;
+  for (const auto& log : per_node_log_lines) total += log.size();
   std::vector<TraceEvent> events;
-  for (const auto& log : per_node_log_lines) {
-    for (const std::string& line : log) {
-      Result<TraceEvent> event = TraceEvent::FromJsonLine(line);
-      if (!event.ok()) return event.status();
+  events.reserve(total);
+  for (size_t node = 0; node < per_node_log_lines.size(); ++node) {
+    const std::vector<std::string>& log = per_node_log_lines[node];
+    for (size_t i = 0; i < log.size(); ++i) {
+      if (log[i].empty()) continue;
+      Result<TraceEvent> event = TraceEvent::FromJsonLine(log[i]);
+      if (!event.ok()) {
+        return Status::Corruption(StrCat("node ", node, ", line ", i + 1,
+                                         ": ", event.status().message()));
+      }
       events.push_back(std::move(*event));
     }
   }

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -26,16 +27,22 @@ struct TraceEvent {
   std::optional<std::vector<int64_t>> oplog_terms;
   bool oplog_from_stale_snapshot = false;
 
-  /// Serializes to one JSON log line (no trailing newline).
+  /// Serializes to one JSON log line (no trailing newline): the keys t,
+  /// node, action, then each logged variable, in that order.
   std::string ToJsonLine() const;
 
-  /// Parses a log line produced by ToJsonLine.
-  static common::Result<TraceEvent> FromJsonLine(const std::string& line);
+  /// Parses a log line produced by ToJsonLine, in one pass and without a
+  /// JSON tree. Keys it does not know are skipped. A missing t, node or
+  /// action, a field of the wrong type, or an integer out of its field's
+  /// range is Corruption: log lines are untrusted input.
+  static common::Result<TraceEvent> FromJsonLine(std::string_view line);
 };
 
 /// Merges per-node log files into one event sequence ordered by timestamp.
-/// Fails with Corruption on unparsable lines or duplicate timestamps (the
-/// strict ordering that Figure 2's clock-tick wait guarantees).
+/// Empty lines are skipped. Fails with Corruption on an unparsable line,
+/// naming it as "node <N>, line <L>" (1-based, counting empty lines), or
+/// on duplicate timestamps (the strict ordering that Figure 2's clock-tick
+/// wait guarantees).
 common::Result<std::vector<TraceEvent>> MergeLogs(
     const std::vector<std::vector<std::string>>& per_node_log_lines);
 

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "common/strings.h"
 #include "obs/metrics.h"
@@ -120,14 +121,30 @@ TraceLogger::ReadLogFiles(const std::string& directory) {
     }
     std::vector<std::string> lines;
     std::string line;
-    while (std::getline(in, line)) {
-      if (!line.empty()) lines.push_back(line);
-    }
+    // Empty lines are kept so that MergeLogs' line numbers match the file.
+    while (std::getline(in, line)) lines.push_back(line);
     files.push_back(std::move(lines));
   }
   if (files.empty()) {
     return common::Status::NotFound(
         common::StrCat("no node<N>.log files in ", directory));
+  }
+  // The node files must be numbered without a gap: a missing node<N>.log
+  // would otherwise silently drop every later node from the check.
+  for (fs::directory_iterator it(directory, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    unsigned node = 0;
+    if (name.size() > 8 && common::StartsWith(name, "node") &&
+        name.compare(name.size() - 4, 4, ".log") == 0 &&
+        common::ParseInteger<unsigned>(
+            std::string_view(name).substr(4, name.size() - 8), 0,
+            std::numeric_limits<unsigned>::max(), &node) &&
+        node >= files.size()) {
+      return common::Status::NotFound(common::StrCat(
+          "node", files.size(), ".log is missing from ", directory,
+          " but ", name, " is there"));
+    }
   }
   return files;
 }

@@ -48,7 +48,8 @@ class TraceLogger : public repl::ReplTraceSink {
                                int num_nodes) const;
 
   /// Reads every `node<N>.log` in `directory` back into per-node line
-  /// vectors (index = N).
+  /// vectors (index = N), empty lines included. NotFound when there is no
+  /// node0.log, or when a node<N>.log is missing below one that exists.
   static common::Result<std::vector<std::vector<std::string>>> ReadLogFiles(
       const std::string& directory);
 

@@ -188,6 +188,90 @@ TEST(JsonTest, Equality) {
   EXPECT_TRUE(*a == *b);
 }
 
+TEST(JsonTest, IntegersSpanInt64AndOverflowIsCorruption) {
+  // Integers print exactly as StrCat prints them, so every document the
+  // tree writes (metrics export, event log, span trace, checkpoint
+  // manifest) keeps its bytes.
+  Rng rng(5);
+  std::vector<int64_t> values = {std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max(), 0, -1};
+  for (int i = 0; i < 1000; ++i) {
+    values.push_back(static_cast<int64_t>(rng.Next()) >> rng.Below(64));
+  }
+  for (int64_t v : values) {
+    ASSERT_EQ(Json::Int(v).Dump(), StrCat(v));
+    auto parsed = Json::Parse(Json::Int(v).Dump());
+    ASSERT_TRUE(parsed.ok()) << v;
+    EXPECT_EQ(parsed->int_value(), v);
+  }
+  for (const char* text : {"9223372036854775808", "-9223372036854775809",
+                           "12345678901234567890123", "[1e999]"}) {
+    auto parsed = Json::Parse(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption) << text;
+  }
+}
+
+TEST(JsonTest, NumbersFollowTheJsonGrammar) {
+  for (const char* text : {"0", "-0", "10", "0.5", "-1.5e-3", "2E+2"}) {
+    EXPECT_TRUE(Json::Parse(text).ok()) << text;
+  }
+  for (const char* text : {"01", "-01", "-", "1.", "1.e5", ".5", "1e", "1e+",
+                           "+1", "--1", "0x10"}) {
+    EXPECT_FALSE(Json::Parse(text).ok()) << text;
+  }
+  auto parsed = Json::Parse("-2.5e1");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->double_value(), -25.0);
+}
+
+TEST(JsonTest, NestingDepthIsBounded) {
+  const size_t max = JsonCursor::kMaxDepth;
+  EXPECT_TRUE(
+      Json::Parse(std::string(max, '[') + std::string(max, ']')).ok());
+  EXPECT_FALSE(
+      Json::Parse(std::string(max + 1, '[') + std::string(max + 1, ']'))
+          .ok());
+  // Deep enough to overflow the stack if read by unbounded recursion.
+  auto parsed = Json::Parse(std::string(1'000'000, '['));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kCorruption);
+}
+
+TEST(JsonCursorTest, ReadsAFixedSchemaInOnePass) {
+  JsonCursor in(
+      R"( {"n": -42, "skip": {"x": [1, {"y": null}], "z": 2.5},)"
+      R"( "s": "a\"b\u00e9", "b": true} )");
+  int64_t n = 0;
+  std::string str;
+  bool b = false;
+  const bool read = in.ReadObject([&](std::string_view key) {
+                      if (key == "n") return in.ReadInt(&n);
+                      if (key == "s") return in.ReadString(&str);
+                      if (key == "b") return in.ReadBool(&b);
+                      return in.ReadValue(nullptr);
+                    }) &&
+                    in.ExpectEnd();
+  ASSERT_TRUE(read) << in.status().ToString();
+  EXPECT_EQ(n, -42);
+  EXPECT_EQ(str, "a\"b\xc3\xa9");
+  EXPECT_TRUE(b);
+}
+
+TEST(JsonCursorTest, FirstErrorSticks) {
+  JsonCursor in("[7, 1.5, 2]");
+  std::vector<int64_t> ints;
+  EXPECT_FALSE(in.ReadArray([&] { return in.ReadInt(&ints.emplace_back()); }));
+  EXPECT_EQ(in.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(in.status().message(), "expected an integer at offset 4");
+  EXPECT_EQ(ints.front(), 7);
+  // Every later call fails and keeps the first error.
+  EXPECT_FALSE(in.Consume(','));
+  EXPECT_FALSE(in.ReadValue(nullptr));
+  EXPECT_FALSE(in.ExpectEnd());
+  EXPECT_EQ(in.status().message(), "expected an integer at offset 4");
+}
+
 }  // namespace
 }  // namespace xmodel::common
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <unordered_set>
 #include <vector>
 
@@ -150,6 +151,29 @@ TEST(TraceLoggerFileTest, WriteAndReadRoundTrip) {
   options.checker.allow_stuttering = true;
   MbtcPipeline pipeline(&spec, options);
   EXPECT_TRUE(pipeline.Run(*read_back).passed());
+  fs::remove_all(dir);
+}
+
+TEST(TraceLoggerFileTest, GapInNodeFilesRejected) {
+  // node1.log is missing: node2.log must not be silently dropped.
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "xmodel_trace_log_gap";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const char* name : {"node0.log", "node2.log", "node1.txt"}) {
+    std::ofstream(dir / name) << "{}\n";
+  }
+  auto read = TraceLogger::ReadLogFiles(dir.string());
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), common::StatusCode::kNotFound);
+  EXPECT_NE(read.status().message().find("node1.log is missing"),
+            std::string::npos)
+      << read.status().ToString();
+
+  std::ofstream(dir / "node1.log") << "{}\n";
+  read = TraceLogger::ReadLogFiles(dir.string());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->size(), 3u);
   fs::remove_all(dir);
 }
 

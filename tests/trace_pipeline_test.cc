@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/json.h"
+#include "common/rng.h"
 #include "obs/metrics.h"
 #include "repl/rollback_fuzzer.h"
 #include "repl/scenarios.h"
@@ -66,6 +70,235 @@ TEST(TraceEventTest, RejectsMalformedLines) {
           .ok());
 }
 
+TEST(TraceEventTest, RejectsWrongTypedFields) {
+  // Each line is well-formed JSON whose field has the wrong type or is out
+  // of its field's range. None may decode to a default or wrapped value.
+  const char* lines[] = {
+      R"({"t":"x","node":0,"action":"a"})",
+      R"({"t":1,"node":"zero","action":"a"})",
+      R"({"t":1,"node":0,"action":7})",
+      R"({"t":1,"node":0,"action":"a","oplog":["a",{}]})",
+      R"({"t":12345678901234567890123,"node":0,"action":"a"})",
+      R"({"t":1.9,"node":0,"action":"a"})",
+      R"({"t":1,"node":4294967296,"action":"a"})",
+      R"({"t":1,"node":-2147483649,"action":"a"})",
+      R"({"t":1,"node":0,"action":"a","role":5})",
+      R"({"t":1,"node":0,"action":"a","role":null})",
+      R"({"t":1,"node":0,"action":"a","term":"1"})",
+      R"({"t":1,"node":0,"action":"a","term":1e3})",
+      R"({"t":1,"node":0,"action":"a","commitPoint":3})",
+      R"({"t":1,"node":0,"action":"a","commitPoint":{"term":"1","index":2}})",
+      R"({"t":1,"node":0,"action":"a","oplog":{}})",
+      R"({"t":1,"node":0,"action":"a","oplog":[1.5]})",
+      R"({"t":1,"node":0,"action":"a","stale":1})",
+  };
+  for (const char* line : lines) {
+    auto parsed = TraceEvent::FromJsonLine(line);
+    ASSERT_FALSE(parsed.ok()) << line;
+    EXPECT_EQ(parsed.status().code(), common::StatusCode::kCorruption)
+        << line << ": " << parsed.status().ToString();
+  }
+  // The same fields with the right types decode.
+  auto good = TraceEvent::FromJsonLine(
+      R"({"t":-9223372036854775808,"node":-2147483648,"action":"a",)"
+      R"("role":"r","term":1,"commitPoint":{"term":1,"index":2},)"
+      R"("oplog":[],"stale":false,"extra":[{"k":[null,1.5,"s"]}]})");
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_EQ(good->timestamp_ms, std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(good->node_id, std::numeric_limits<int>::min());
+  EXPECT_TRUE(good->oplog_terms->empty());
+  EXPECT_FALSE(good->oplog_from_stale_snapshot);
+}
+
+// Per-node log files of one rollback-fuzzer run.
+std::vector<std::vector<std::string>> FuzzerLogFiles(
+    repl::RollbackFuzzerOptions options, bool partial_state_logging) {
+  repl::ReplicaSet rs(options.config);
+  TraceLoggerOptions logger_options;
+  logger_options.partial_state_logging = partial_state_logging;
+  TraceLogger logger(&rs.clock(), logger_options);
+  rs.AttachTraceSink(&logger);
+  repl::RollbackFuzzer(options).Run(&rs);
+  return logger.LogFiles(rs.num_nodes());
+}
+
+// The same fields as a common::Json tree, in the order the log line
+// format fixes.
+common::Json TreeOf(const TraceEvent& e) {
+  using common::Json;
+  Json obj = Json::MakeObject();
+  obj.Set("t", Json::Int(e.timestamp_ms));
+  obj.Set("node", Json::Int(e.node_id));
+  obj.Set("action", Json::Str(e.action));
+  if (e.role.has_value()) obj.Set("role", Json::Str(*e.role));
+  if (e.term.has_value()) obj.Set("term", Json::Int(*e.term));
+  if (e.commit_point.has_value()) {
+    if (e.commit_point->IsNull()) {
+      obj.Set("commitPoint", Json::Null());
+    } else {
+      Json cp = Json::MakeObject();
+      cp.Set("term", Json::Int(e.commit_point->term));
+      cp.Set("index", Json::Int(e.commit_point->index));
+      obj.Set("commitPoint", std::move(cp));
+    }
+  }
+  if (e.oplog_terms.has_value()) {
+    Json arr = Json::MakeArray();
+    for (int64_t t : *e.oplog_terms) arr.Append(Json::Int(t));
+    obj.Set("oplog", std::move(arr));
+  }
+  if (e.oplog_from_stale_snapshot) obj.Set("stale", Json::Bool(true));
+  return obj;
+}
+
+void ExpectSameEvent(const TraceEvent& a, const TraceEvent& b) {
+  EXPECT_EQ(a.timestamp_ms, b.timestamp_ms);
+  EXPECT_EQ(a.node_id, b.node_id);
+  EXPECT_EQ(a.action, b.action);
+  EXPECT_EQ(a.role, b.role);
+  EXPECT_EQ(a.term, b.term);
+  EXPECT_EQ(a.commit_point, b.commit_point);
+  EXPECT_EQ(a.oplog_terms, b.oplog_terms);
+  EXPECT_EQ(a.oplog_from_stale_snapshot, b.oplog_from_stale_snapshot);
+}
+
+// Every line the fuzzer logs is byte-identical to the tree encoding of its
+// fields, and the tree parser reads it as that tree: log directories
+// written before and after the tree-free codec read the same.
+TEST(TraceEventTest, LinesMatchJsonTreeEncoding) {
+  size_t checked = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    repl::RollbackFuzzerOptions options;
+    options.seed = seed;
+    options.num_steps = 4000;
+    options.sync_all_before_writes = true;
+    options.avoid_unclean_restarts = true;
+    options.avoid_two_leaders = true;
+    for (const auto& log : FuzzerLogFiles(options, false)) {
+      for (const std::string& line : log) {
+        auto event = TraceEvent::FromJsonLine(line);
+        ASSERT_TRUE(event.ok()) << line << ": " << event.status().ToString();
+        const common::Json tree = TreeOf(*event);
+        ASSERT_EQ(event->ToJsonLine(), tree.Dump());
+        ASSERT_EQ(line, tree.Dump());
+        auto parsed = common::Json::Parse(line);
+        ASSERT_TRUE(parsed.ok()) << line;
+        ASSERT_TRUE(*parsed == tree) << line;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
+TraceEvent RandomEvent(common::Rng* rng) {
+  auto random_int = [rng]() -> int64_t {
+    switch (rng->Below(4)) {
+      case 0:
+        return rng->Range(-3, 3);
+      case 1:
+        return std::numeric_limits<int64_t>::min() +
+               static_cast<int64_t>(rng->Below(2));
+      case 2:
+        return std::numeric_limits<int64_t>::max() -
+               static_cast<int64_t>(rng->Below(2));
+      default:
+        return static_cast<int64_t>(rng->Next());
+    }
+  };
+  auto random_string = [rng] {
+    // Plain bytes mixed with every kind of escape: quotes, backslashes,
+    // named control characters, \u00XX controls, and non-ASCII bytes.
+    static const char kAlphabet[] = "aZ0 \"\\/\n\t\r\x01\x1f\x7f\xc3\xa9";
+    std::string s;
+    const size_t len = rng->Below(12);
+    for (size_t i = 0; i < len; ++i) {
+      s.push_back(kAlphabet[rng->Below(sizeof(kAlphabet) - 1)]);
+    }
+    return s;
+  };
+  TraceEvent e;
+  e.timestamp_ms = random_int();
+  e.node_id = static_cast<int>(rng->Range(std::numeric_limits<int>::min(),
+                                          std::numeric_limits<int>::max()));
+  e.action = random_string();
+  if (rng->Chance(50)) e.role = random_string();
+  if (rng->Chance(50)) e.term = random_int();
+  if (rng->Chance(50)) {
+    e.commit_point = rng->Chance(30) ? OpTime{}
+                                     : OpTime{random_int(), random_int()};
+  }
+  if (rng->Chance(50)) {
+    std::vector<int64_t> terms(rng->Chance(10) ? 2000 : rng->Below(4));
+    for (int64_t& t : terms) t = random_int();
+    e.oplog_terms = std::move(terms);
+  }
+  e.oplog_from_stale_snapshot = rng->Chance(50);
+  return e;
+}
+
+TEST(TraceEventTest, SeededRoundTrip) {
+  common::Rng rng(20261019);
+  for (int i = 0; i < 2000; ++i) {
+    const TraceEvent e = RandomEvent(&rng);
+    const std::string line = e.ToJsonLine();
+    auto parsed = TraceEvent::FromJsonLine(line);
+    ASSERT_TRUE(parsed.ok()) << line << ": " << parsed.status().ToString();
+    ExpectSameEvent(*parsed, e);
+    ASSERT_EQ(line, TreeOf(e).Dump());
+  }
+}
+
+// Log lines are untrusted input. Every proper prefix and a seeded sample of
+// single-byte replacements of a real fuzzer line either fail cleanly or
+// decode to an event whose own encoding decodes back to the same bytes.
+TEST(TraceEventTest, PrefixesAndByteReplacementsRejectedOrConsistent) {
+  repl::RollbackFuzzerOptions options;
+  options.seed = 3;
+  options.num_steps = 300;
+  std::string line;
+  for (const auto& log : FuzzerLogFiles(options, false)) {
+    for (const std::string& l : log) {
+      if (l.find("\"commitPoint\":{") != std::string::npos &&
+          l.size() > line.size()) {
+        line = l;
+      }
+    }
+  }
+  ASSERT_FALSE(line.empty());
+  ASSERT_TRUE(TraceEvent::FromJsonLine(line).ok());
+
+  auto expect_consistent = [](const std::string& text) {
+    auto parsed = TraceEvent::FromJsonLine(text);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), common::StatusCode::kCorruption);
+      return false;
+    }
+    const std::string encoded = parsed->ToJsonLine();
+    auto again = TraceEvent::FromJsonLine(encoded);
+    EXPECT_TRUE(again.ok()) << text;
+    if (again.ok()) {
+      EXPECT_EQ(again->ToJsonLine(), encoded) << text;
+    }
+    return true;
+  };
+  for (size_t cut = 0; cut < line.size(); ++cut) {
+    EXPECT_FALSE(expect_consistent(line.substr(0, cut))) << cut;
+  }
+  common::Rng rng(7);
+  size_t accepted = 0;
+  for (size_t pos = 0; pos < line.size(); ++pos) {
+    for (int k = 0; k < 24; ++k) {
+      std::string mutated = line;
+      mutated[pos] = static_cast<char>(rng.Below(256));
+      if (mutated == line) continue;
+      if (expect_consistent(mutated)) ++accepted;
+    }
+  }
+  // Digit changes, for one, leave a valid line.
+  EXPECT_GT(accepted, 0u);
+}
+
 TEST(MergeLogsTest, OrdersByTimestampAcrossNodes) {
   TraceEvent a;
   a.timestamp_ms = 5;
@@ -97,6 +330,27 @@ TEST(MergeLogsTest, RejectsDuplicateTimestamps) {
   b.node_id = 1;
   auto merged = MergeLogs({{a.ToJsonLine()}, {b.ToJsonLine()}});
   EXPECT_FALSE(merged.ok());
+}
+
+TEST(MergeLogsTest, NamesNodeAndLineOfABadLine) {
+  TraceEvent a;
+  a.timestamp_ms = 5;
+  a.node_id = 0;
+  a.action = "A";
+  TraceEvent b = a;
+  b.timestamp_ms = 6;
+  b.node_id = 1;
+  // Empty lines are skipped but counted, so the number is the file's.
+  auto merged = MergeLogs(
+      {{a.ToJsonLine()}, {b.ToJsonLine(), "", R"({"t":7,"node":1})"}});
+  ASSERT_FALSE(merged.ok());
+  EXPECT_EQ(merged.status().code(), common::StatusCode::kCorruption);
+  EXPECT_EQ(merged.status().message().rfind("node 1, line 3: ", 0), 0u)
+      << merged.status().message();
+
+  merged = MergeLogs({{a.ToJsonLine(), ""}, {"", b.ToJsonLine()}});
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(merged->size(), 2u);
 }
 
 TEST(TraceLoggerTest, DistinctMonotonicTimestamps) {
@@ -214,13 +468,8 @@ TEST(EventProcessorTest, RejectsUnknownNode) {
   EXPECT_FALSE(out.ok());
 }
 
-TEST(EventProcessorTest, ImagePrefixRepairPersists) {
-  // Node 1 initial-syncs and thereafter logs only the trailing window; the
-  // processor must prepend the inferred prefix to every later event.
-  EventProcessorOptions options;
-  options.num_nodes = 2;
-  EventProcessor processor(options);
-
+// Node 1 initial-syncs and thereafter logs only the trailing window.
+std::vector<TraceEvent> ImagePrefixRepairEvents() {
   auto event = [](int64_t ts, int node, const std::string& action,
                   std::vector<int64_t> oplog) {
     TraceEvent e;
@@ -234,7 +483,7 @@ TEST(EventProcessorTest, ImagePrefixRepairPersists) {
     return e;
   };
 
-  std::vector<TraceEvent> events = {
+  return {
       event(1, 0, "BecomePrimaryByMagic", {}),
       event(2, 0, "ClientWrite", {1}),
       event(3, 0, "ClientWrite", {1, 2}),      // A term-2 write (re-election
@@ -245,11 +494,62 @@ TEST(EventProcessorTest, ImagePrefixRepairPersists) {
       // Later events from node 1 keep omitting the image prefix.
       event(6, 1, "AppendOplog", {2, 2}),
   };
-  ProcessedTrace out = processor.Process(events);
+}
+
+TEST(EventProcessorTest, ImagePrefixRepairPersists) {
+  // The processor must prepend the inferred prefix to every later event.
+  EventProcessorOptions options;
+  options.num_nodes = 2;
+  ProcessedTrace out =
+      EventProcessor(options).Process(ImagePrefixRepairEvents());
   ASSERT_TRUE(out.ok());
   // After the initial-sync event, node 1's processed oplog is the full log.
   EXPECT_EQ(out.states[5].var(RaftMongoSpec::kOplog).at(1).size(), 3u);
   EXPECT_EQ(out.states[6].var(RaftMongoSpec::kOplog).at(1).size(), 3u);
+}
+
+// Digest of a processed trace: every state's fingerprint and action.
+uint64_t ProcessedDigest(const ProcessedTrace& processed) {
+  uint64_t h = common::HashCombine(processed.states.size(),
+                                   processed.actions.size());
+  for (size_t i = 0; i < processed.states.size(); ++i) {
+    h = common::HashCombine(h, processed.states[i].fingerprint());
+    h = common::HashCombine(h, common::HashString(processed.actions[i]));
+  }
+  return h;
+}
+
+// Pins the post-processed states of fuzzer traces (with rollbacks, initial
+// syncs and so the image-prefix repair) under full and partial-state
+// logging, and of ImagePrefixRepairPersists's input. Any change to what
+// the processor builds for an event moves the digest.
+TEST(EventProcessorTest, ProcessedStatesArePinned) {
+  uint64_t digest = 0;
+  size_t states = 0;
+  for (bool partial : {false, true}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      repl::RollbackFuzzerOptions options;
+      options.seed = seed;
+      options.num_steps = 1000;
+      auto merged = MergeLogs(FuzzerLogFiles(options, partial));
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      EventProcessorOptions processor_options;
+      processor_options.num_nodes = options.config.num_nodes;
+      ProcessedTrace processed =
+          EventProcessor(processor_options).Process(*merged);
+      ASSERT_TRUE(processed.ok()) << processed.status.ToString();
+      states += processed.states.size();
+      digest = common::HashCombine(digest, ProcessedDigest(processed));
+    }
+  }
+  EventProcessorOptions options;
+  options.num_nodes = 2;
+  ProcessedTrace repair =
+      EventProcessor(options).Process(ImagePrefixRepairEvents());
+  ASSERT_TRUE(repair.ok());
+  digest = common::HashCombine(digest, ProcessedDigest(repair));
+  EXPECT_EQ(states, 1546u);
+  EXPECT_EQ(digest, 6652939075957864153u);
 }
 
 RaftMongoSpec UnboundedSpec(int num_nodes) {
