@@ -9,7 +9,8 @@
 //      asserting every sweep point produces the identical case list;
 //   2. an extraction micro-benchmark: repeated ExtractTestCases over the
 //      recorded graph.
-// Then it executes the cases against BOTH merge implementations.
+// Then it executes the cases against BOTH merge implementations, at 1 and 4
+// workers.
 
 #include <cstdio>
 #include <vector>
@@ -113,16 +114,34 @@ int main(int argc, char** argv) {
   }
 
   // --- Execute against both implementations --------------------------------
-  int64_t t0 = NowNs();
-  mbtcg::RunReport cpp_run = mbtcg::RunTestCases(cases);
-  std::printf("C++ implementation:       %zu/%zu passed (%.2f s)\n",
-              cpp_run.passed, cpp_run.total, Seconds(t0));
-
+  // At 1 and 4 workers; the reports must not depend on the worker count.
   otgo::GoMergeEngine go;
-  t0 = NowNs();
-  mbtcg::RunReport go_run = mbtcg::RunTestCases(cases, &go);
-  std::printf("Go   implementation:      %zu/%zu passed (%.2f s)\n",
-              go_run.passed, go_run.total, Seconds(t0));
+  mbtcg::RunReport cpp_run;
+  mbtcg::RunReport go_run;
+  for (int workers : {1, 4}) {
+    int64_t t0 = NowNs();
+    mbtcg::RunReport cpp = mbtcg::RunTestCases(cases, nullptr, true, workers);
+    const double cpp_seconds = Seconds(t0);
+    t0 = NowNs();
+    mbtcg::RunReport gor = mbtcg::RunTestCases(cases, &go, true, workers);
+    const double go_seconds = Seconds(t0);
+    std::printf("C++ implementation @ %d worker(s): %zu/%zu passed (%.3f s)\n",
+                workers, cpp.passed, cpp.total, cpp_seconds);
+    std::printf("Go  implementation @ %d worker(s): %zu/%zu passed (%.3f s)\n",
+                workers, gor.passed, gor.total, go_seconds);
+    bench.AddResult(common::StrCat("cpp_run_seconds_w", workers), cpp_seconds);
+    bench.AddResult(common::StrCat("go_run_seconds_w", workers), go_seconds);
+    if (workers == 1) {
+      cpp_run = std::move(cpp);
+      go_run = std::move(gor);
+    } else if (cpp.passed != cpp_run.passed ||
+               cpp.failures != cpp_run.failures ||
+               gor.passed != go_run.passed ||
+               gor.failures != go_run.failures) {
+      return bench.Fail(common::StrCat("run report diverged at workers=",
+                                       workers, " — determinism bug"));
+    }
+  }
 
   for (const std::string& f : cpp_run.failures) {
     std::printf("  C++ FAIL: %s\n", f.c_str());

@@ -1,6 +1,9 @@
 #include "mbtcg/generator.h"
 
+#include <algorithm>
+
 #include "common/clock.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "obs/metrics.h"
 #include "ot/fixture.h"
@@ -147,27 +150,50 @@ std::string GenerateCppTestFile(const std::vector<TestCase>& cases,
 
 RunReport RunTestCases(const std::vector<TestCase>& cases,
                        const ot::ListTransformer* transformer,
-                       bool check_applied_ops) {
+                       bool check_applied_ops, int num_workers) {
+  // Cases run in chunks (one pool task per kChunk cases, so the atomic
+  // cursor is touched once per chunk), and each case's first error, if
+  // any, lands in its own slot; the report is assembled afterwards in case
+  // order, identical at every worker count.
+  constexpr size_t kChunk = 64;
+  std::vector<std::string> errors(cases.size());
+  std::vector<char> failed(cases.size(), 0);
+  common::WorkerPool pool(common::ResolveWorkerCount(num_workers));
+  common::ParallelFor(
+      &pool, (cases.size() + kChunk - 1) / kChunk, [&](size_t chunk) {
+        const size_t end = std::min(cases.size(), (chunk + 1) * kChunk);
+        for (size_t i = chunk * kChunk; i < end; ++i) {
+          const TestCase& c = cases[i];
+          ot::TransformArrayFixture fixture(
+              static_cast<int>(c.client_ops.size()), c.initial, transformer);
+          for (size_t client = 0; client < c.client_ops.size(); ++client) {
+            fixture.transaction(static_cast<int>(client),
+                                c.client_ops[client]);
+          }
+          fixture.sync_all_clients(c.merge_descending);
+          fixture.check_array(c.final_array);
+          if (check_applied_ops) {
+            for (size_t client = 0; client < c.applied_ops.size();
+                 ++client) {
+              fixture.check_ops(static_cast<int>(client),
+                                c.applied_ops[client]);
+            }
+          }
+          if (!fixture.ok()) {
+            failed[i] = 1;
+            errors[i] = fixture.errors().front();
+          }
+        }
+      });
+
   RunReport report;
-  for (const TestCase& c : cases) {
-    ++report.total;
-    ot::TransformArrayFixture fixture(
-        static_cast<int>(c.client_ops.size()), c.initial, transformer);
-    for (size_t client = 0; client < c.client_ops.size(); ++client) {
-      fixture.transaction(static_cast<int>(client), c.client_ops[client]);
-    }
-    fixture.sync_all_clients(c.merge_descending);
-    fixture.check_array(c.final_array);
-    if (check_applied_ops) {
-      for (size_t client = 0; client < c.applied_ops.size(); ++client) {
-        fixture.check_ops(static_cast<int>(client), c.applied_ops[client]);
-      }
-    }
-    if (fixture.ok()) {
+  report.total = cases.size();
+  for (size_t i = 0; i < cases.size(); ++i) {
+    if (!failed[i]) {
       ++report.passed;
     } else if (report.failures.size() < 10) {
       report.failures.push_back(
-          StrCat("case ", c.case_id, ": ", fixture.errors().front()));
+          StrCat("case ", cases[i].case_id, ": ", errors[i]));
     }
   }
   return report;

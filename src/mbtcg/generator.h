@@ -52,7 +52,7 @@ std::string GenerateCppTestFile(const std::vector<TestCase>& cases,
 struct RunReport {
   size_t total = 0;
   size_t passed = 0;
-  /// Messages for the first few failures (diagnostics).
+  /// Messages for the first 10 failures, in case order (diagnostics).
   std::vector<std::string> failures;
 
   bool all_passed() const { return passed == total; }
@@ -63,9 +63,14 @@ struct RunReport {
 /// the transformed operations each client applied (exact for the C++
 /// implementation; the Go implementation represents swap decompositions
 /// differently, so callers disable it when swaps are in play).
+///
+/// Cases run concurrently on `num_workers` threads (0 = one per hardware
+/// thread), so `transformer` must be safe to call from several threads at
+/// once; both implementations are. The report is the same at every worker
+/// count.
 RunReport RunTestCases(const std::vector<TestCase>& cases,
                        const ot::ListTransformer* transformer = nullptr,
-                       bool check_applied_ops = true);
+                       bool check_applied_ops = true, int num_workers = 0);
 
 }  // namespace xmodel::mbtcg
 

@@ -1,7 +1,6 @@
 #include "mbtcg/testcase.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstddef>
 #include <utility>
@@ -114,34 +113,46 @@ class StateVarView {
   size_t index_[kNumVars];
 };
 
-std::string ActionLabel(const std::vector<std::string>& names, uint16_t a) {
+std::string ActionLabel(const std::vector<std::string>& names, size_t a) {
   return a < names.size() ? names[a] : StrCat("action", a);
 }
 
 // Ranks actions by their label in the sorted unique label table: that rank
-// is the path key that orders the emitted cases.
+// is the path key that orders the emitted cases. Each distinct action id is
+// labelled and ranked once; every edge then maps through the id -> rank
+// table.
 DecodedGraph DecodeStateGraph(const tlax::StateGraph& graph) {
   const size_t n = graph.num_states();
-  const std::vector<std::string>& names = graph.action_names();
-  std::vector<std::string> labels;
+  std::vector<char> used;  // Indexed by action id.
   for (uint32_t from = 0; from < n; ++from) {
     for (const tlax::StateGraph::Edge& e : graph.out_edges(from)) {
-      labels.push_back(ActionLabel(names, e.action));
+      if (e.action >= used.size()) used.resize(e.action + size_t{1}, 0);
+      used[e.action] = 1;
     }
+  }
+  const std::vector<std::string>& names = graph.action_names();
+  std::vector<std::string> labels;
+  for (size_t a = 0; a < used.size(); ++a) {
+    if (used[a]) labels.push_back(ActionLabel(names, a));
   }
   std::sort(labels.begin(), labels.end());
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
-  auto rank_of = [&labels](const std::string& label) {
-    return static_cast<uint32_t>(
-        std::lower_bound(labels.begin(), labels.end(), label) -
+  std::vector<uint32_t> rank(used.size(), 0);
+  for (size_t a = 0; a < used.size(); ++a) {
+    if (!used[a]) continue;
+    rank[a] = static_cast<uint32_t>(
+        std::lower_bound(labels.begin(), labels.end(),
+                         ActionLabel(names, a)) -
         labels.begin());
-  };
+  }
 
   DecodedGraph d;
   d.adj.resize(n);
   for (uint32_t from = 0; from < n; ++from) {
-    for (const tlax::StateGraph::Edge& e : graph.out_edges(from)) {
-      d.adj[from].emplace_back(e.to, rank_of(ActionLabel(names, e.action)));
+    const std::vector<tlax::StateGraph::Edge>& edges = graph.out_edges(from);
+    d.adj[from].reserve(edges.size());
+    for (const tlax::StateGraph::Edge& e : edges) {
+      d.adj[from].emplace_back(e.to, rank[e.action]);
     }
   }
   for (uint32_t id : graph.initial_states()) d.roots.push_back(id);
@@ -286,27 +297,22 @@ Result<std::vector<TestCase>> ExtractTestCases(
 
   const std::vector<WorkItem> items = EnumerateLeaves(decoded);
 
-  // Fan the per-leaf extraction out over the pool: an atomic cursor hands
-  // items to workers, each result lands in its item's pre-assigned slot,
-  // so output order is the item order regardless of scheduling.
+  // Fan the per-leaf extraction out over the pool: each result lands in
+  // its item's pre-assigned slot, so output order is the item order
+  // regardless of scheduling.
   std::vector<TestCase> slots(items.size());
   std::vector<char> filled(items.size(), 0);
   std::vector<Status> errors(items.size(), Status::OK());
-  std::atomic<size_t> cursor{0};
   common::WorkerPool pool(common::ResolveWorkerCount(num_workers));
-  pool.Run([&](int) {
-    for (;;) {
-      const size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= items.size()) return;
-      const WorkItem& item = items[i];
-      bool skip = false;
-      Status s = ExtractOne(view, item.leaf, initials[item.root_ordinal],
-                            num_clients, &slots[i], &skip);
-      if (!s.ok()) {
-        errors[i] = std::move(s);
-      } else if (!skip) {
-        filled[i] = 1;
-      }
+  common::ParallelFor(&pool, items.size(), [&](size_t i) {
+    const WorkItem& item = items[i];
+    bool skip = false;
+    Status s = ExtractOne(view, item.leaf, initials[item.root_ordinal],
+                          num_clients, &slots[i], &skip);
+    if (!s.ok()) {
+      errors[i] = std::move(s);
+    } else if (!skip) {
+      filled[i] = 1;
     }
   });
 

@@ -1,6 +1,5 @@
 #include "ot/coverage.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 
@@ -12,40 +11,39 @@ CoverageRegistry& CoverageRegistry::Instance() {
 }
 
 int CoverageRegistry::Declare(const std::string& name) {
-  hits_.emplace(name, 0);
+  hits_.try_emplace(name, 0);
   return static_cast<int>(hits_.size());
 }
 
 int CoverageRegistry::DeclareExcluded(const std::string& name) {
-  excluded_hits_.emplace(name, 0);
+  excluded_hits_.try_emplace(name, 0);
   return static_cast<int>(excluded_hits_.size());
 }
 
-void CoverageRegistry::Hit(const std::string& name) {
+void CoverageRegistry::Hit(std::string_view name) {
   auto it = hits_.find(name);
   if (it == hits_.end()) {
-    auto ex = excluded_hits_.find(name);
-    if (ex != excluded_hits_.end()) {
-      ++ex->second;
-      return;
+    it = excluded_hits_.find(name);
+    if (it == excluded_hits_.end()) {
+      std::fprintf(stderr, "MERGE_COVER of undeclared branch '%.*s'\n",
+                   static_cast<int>(name.size()), name.data());
+      std::abort();
     }
-
-    std::fprintf(stderr, "MERGE_COVER of undeclared branch '%s'\n",
-                 name.c_str());
-    std::abort();
   }
-  ++it->second;
+  it->second.fetch_add(1, std::memory_order_relaxed);
 }
 
 void CoverageRegistry::Reset() {
-  for (auto& [name, count] : hits_) count = 0;
-  for (auto& [name, count] : excluded_hits_) count = 0;
+  for (auto& [name, count] : hits_) count.store(0, std::memory_order_relaxed);
+  for (auto& [name, count] : excluded_hits_) {
+    count.store(0, std::memory_order_relaxed);
+  }
 }
 
 size_t CoverageRegistry::covered_branches() const {
   size_t covered = 0;
   for (const auto& [name, count] : hits_) {
-    if (count > 0) ++covered;
+    if (count.load(std::memory_order_relaxed) > 0) ++covered;
   }
   return covered;
 }
@@ -59,16 +57,18 @@ double CoverageRegistry::CoverageFraction() const {
 std::vector<std::string> CoverageRegistry::UncoveredBranches() const {
   std::vector<std::string> out;
   for (const auto& [name, count] : hits_) {
-    if (count == 0) out.push_back(name);
+    if (count.load(std::memory_order_relaxed) == 0) out.push_back(name);
   }
   return out;
 }
 
-uint64_t CoverageRegistry::hits(const std::string& name) const {
+uint64_t CoverageRegistry::hits(std::string_view name) const {
   auto it = hits_.find(name);
-  if (it != hits_.end()) return it->second;
-  auto ex = excluded_hits_.find(name);
-  return ex == excluded_hits_.end() ? 0 : ex->second;
+  if (it == hits_.end()) {
+    it = excluded_hits_.find(name);
+    if (it == excluded_hits_.end()) return 0;
+  }
+  return it->second.load(std::memory_order_relaxed);
 }
 
 }  // namespace xmodel::ot

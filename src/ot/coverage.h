@@ -1,9 +1,12 @@
 #ifndef XMODEL_OT_COVERAGE_H_
 #define XMODEL_OT_COVERAGE_H_
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace xmodel::ot {
@@ -16,6 +19,12 @@ namespace xmodel::ot {
 /// MERGE_COVER("RuleName_case"); the full branch universe is declared
 /// statically so that "N of M branches" is well-defined even before any
 /// branch executes.
+///
+/// Thread safety: the branch set is fixed once static initialization is
+/// over (Declare runs only from merge_rules.cc's static initializer), and
+/// each counter is a relaxed atomic, so Hit and the readers may run on any
+/// number of threads at once (the MBTCG runner merges cases in parallel).
+/// Reset is not concurrent with Hit: call it between runs.
 class CoverageRegistry {
  public:
   static CoverageRegistry& Instance();
@@ -29,10 +38,11 @@ class CoverageRegistry {
   /// config-gated code the spec is not meant to exercise.
   int DeclareExcluded(const std::string& name);
 
-  /// Marks a branch hit. Aborts in debug builds when the name was never
-  /// declared (catching typos in instrumentation).
-  void Hit(const std::string& name);
+  /// Marks a branch hit. Aborts when the name was never declared
+  /// (catching typos in instrumentation).
+  void Hit(std::string_view name);
 
+  /// Zeroes every counter. Not safe while another thread is in Hit.
   void Reset();
 
   size_t total_branches() const { return hits_.size(); }
@@ -42,12 +52,14 @@ class CoverageRegistry {
   /// Names of branches never hit since the last Reset.
   std::vector<std::string> UncoveredBranches() const;
 
-  uint64_t hits(const std::string& name) const;
+  uint64_t hits(std::string_view name) const;
 
  private:
+  using Counters = std::map<std::string, std::atomic<uint64_t>, std::less<>>;
+
   CoverageRegistry() = default;
-  std::map<std::string, uint64_t> hits_;
-  std::map<std::string, uint64_t> excluded_hits_;
+  Counters hits_;
+  Counters excluded_hits_;
 };
 
 /// RAII scope that resets coverage on entry (for measuring one suite).

@@ -28,14 +28,18 @@ class TransformArrayFixture {
   void transaction(int client, const Operation& op) {
     // The spec does not model time; the 1-based client id breaks ties.
     Operation stamped = op.At(/*ts=*/0, client + 1);
-    Note(sync_.ClientApply(client, stamped),
-         common::StrCat("transaction(", client, ", ", op.ToString(), ")"));
+    const common::Status status = sync_.ClientApply(client, stamped);
+    if (!status.ok()) {
+      Fail(common::StrCat("transaction(", client, ", ", op.ToString(),
+                          "): ", status.ToString()));
+    }
   }
 
   /// Merges every client with the server, ascending ids (or descending,
   /// matching a merge_descending specification), until quiescent.
   void sync_all_clients(bool descending = false) {
-    Note(sync_.SyncAll(/*max_rounds=*/16, descending), "sync_all_clients");
+    const common::Status status = sync_.SyncAll(/*max_rounds=*/16, descending);
+    if (!status.ok()) Fail("sync_all_clients: " + status.ToString());
   }
 
   /// Asserts the final converged array on the server and every client.
@@ -73,11 +77,6 @@ class TransformArrayFixture {
   SyncSystem& sync() { return sync_; }
 
  private:
-  void Note(const common::Status& status, const std::string& what) {
-    if (!status.ok()) {
-      Fail(common::StrCat(what, ": ", status.ToString()));
-    }
-  }
   void Fail(std::string message) { errors_.push_back(std::move(message)); }
 
   SyncSystem sync_;

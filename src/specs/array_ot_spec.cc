@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_map>
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 // The transcribed merge rules. This file is the analogue of the paper's
@@ -29,6 +31,18 @@ struct SpecOp {
   int64_t ndx2 = 0;
   int64_t val = 0;
   int64_t client = 0;
+
+  bool operator==(const SpecOp&) const = default;
+};
+
+struct SpecOpHash {
+  size_t operator()(const SpecOp& op) const {
+    uint64_t h = common::HashString(op.type);
+    for (int64_t x : {op.ndx, op.ndx2, op.val, op.client}) {
+      h = common::HashCombine(h, static_cast<uint64_t>(x));
+    }
+    return static_cast<size_t>(h);
+  }
 };
 
 struct SpecPair {
@@ -36,22 +50,37 @@ struct SpecPair {
   std::vector<SpecOp> right;
 };
 
-SpecOp FromValue(const Value& v) {
-  SpecOp op;
-  op.type = v.FieldOrDie("type").string_value();
-  op.ndx = v.FieldOrDie("ndx").int_value();
-  op.ndx2 = v.FieldOrDie("ndx2").int_value();
-  op.val = v.FieldOrDie("val").int_value();
-  op.client = v.FieldOrDie("client").int_value();
-  return op;
+// Every merge step reads and writes operation records, and a run sees only
+// a few hundred distinct ones, so both conversions are memoized per thread
+// (no locks on the checker's hot path). A record's interned rep is never
+// freed, so its address is a key that cannot dangle.
+const SpecOp& FromValue(const Value& v) {
+  thread_local std::unordered_map<const void*, SpecOp> memo;
+  assert(!v.is_inline() && "operation records are interned");
+  auto [it, inserted] = memo.try_emplace(v.interned_rep());
+  if (inserted) {
+    SpecOp& op = it->second;
+    op.type = v.FieldOrDie("type").string_value();
+    op.ndx = v.FieldOrDie("ndx").int_value();
+    op.ndx2 = v.FieldOrDie("ndx2").int_value();
+    op.val = v.FieldOrDie("val").int_value();
+    op.client = v.FieldOrDie("client").int_value();
+  }
+  return it->second;
 }
 
 Value ToValue(const SpecOp& op) {
-  return Value::Record({{"type", Value::Str(op.type)},
-                        {"ndx", Value::Int(op.ndx)},
-                        {"ndx2", Value::Int(op.ndx2)},
-                        {"val", Value::Int(op.val)},
-                        {"client", Value::Int(op.client)}});
+  thread_local std::unordered_map<SpecOp, Value, SpecOpHash> memo;
+  auto it = memo.find(op);
+  if (it == memo.end()) {
+    it = memo.emplace(op, Value::Record({{"type", Value::Str(op.type)},
+                                         {"ndx", Value::Int(op.ndx)},
+                                         {"ndx2", Value::Int(op.ndx2)},
+                                         {"val", Value::Int(op.val)},
+                                         {"client", Value::Int(op.client)}}))
+             .first;
+  }
+  return it->second;
 }
 
 // The specification does not model time (§5.1.2); operation order falls
@@ -504,7 +533,7 @@ void ArrayOtSpec::BuildActions() {
             ArrayFromValue(s.var(kClientState).at(client - 1));
         for (Value& op_value : EnumerateOps(config.initial_array_len, client,
                                             config.include_swap)) {
-          SpecOp op = FromValue(op_value);
+          const SpecOp& op = FromValue(op_value);
           std::vector<int64_t> next_array = my_state;
           if (!ApplySpecOp(op, &next_array)) continue;
           State next = s.With(
@@ -574,8 +603,9 @@ void ArrayOtSpec::BuildActions() {
             out->push_back(s.With(kErr, Value::Bool(true)));
             return;
           }
-          client_log = client_log.Append(ToValue(op));
-          applied = applied.Append(ToValue(op));
+          const Value record = ToValue(op);
+          client_log = client_log.Append(record);
+          applied = applied.Append(record);
         }
         // Server applies the transformed client ops.
         std::vector<int64_t> server_array =

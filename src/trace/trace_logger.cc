@@ -82,6 +82,19 @@ std::vector<std::vector<std::string>> TraceLogger::LogFiles(
   return files;
 }
 
+namespace {
+
+// True when `name` is `node<N>.log`; sets *node to N.
+bool ParseNodeLogName(const std::string& name, unsigned* node) {
+  return name.size() > 8 && common::StartsWith(name, "node") &&
+         name.compare(name.size() - 4, 4, ".log") == 0 &&
+         common::ParseInteger<unsigned>(
+             std::string_view(name).substr(4, name.size() - 8), 0,
+             std::numeric_limits<unsigned>::max(), node);
+}
+
+}  // namespace
+
 common::Status TraceLogger::WriteLogFiles(const std::string& directory,
                                           int num_nodes) const {
   namespace fs = std::filesystem;
@@ -90,15 +103,37 @@ common::Status TraceLogger::WriteLogFiles(const std::string& directory,
     return common::Status::NotFound(
         common::StrCat("no such directory: ", directory));
   }
+  // An earlier run with more nodes may have left node<N>.log files past
+  // this run's last node; ReadLogFiles would merge them into this run.
+  std::vector<fs::path> stale;
+  for (fs::directory_iterator it(directory, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    unsigned node = 0;
+    if (ParseNodeLogName(it->path().filename().string(), &node) &&
+        static_cast<int64_t>(node) >= num_nodes) {
+      stale.push_back(it->path());
+    }
+  }
+  if (ec) {
+    return common::Status::Internal(
+        common::StrCat("cannot list ", directory, ": ", ec.message()));
+  }
+  for (const fs::path& path : stale) {
+    if (!fs::remove(path, ec) && ec) {
+      return common::Status::Internal(common::StrCat(
+          "cannot delete stale ", path.string(), ": ", ec.message()));
+    }
+  }
   auto files = LogFiles(num_nodes);
   for (int node = 0; node < num_nodes; ++node) {
     std::string path =
         common::StrCat(directory, "/node", node, ".log");
     std::ofstream out(path, std::ios::trunc);
+    for (const std::string& line : files[node]) out << line << "\n";
+    out.close();
     if (!out) {
       return common::Status::Internal(common::StrCat("cannot write ", path));
     }
-    for (const std::string& line : files[node]) out << line << "\n";
   }
   return common::Status::OK();
 }
@@ -135,12 +170,7 @@ TraceLogger::ReadLogFiles(const std::string& directory) {
        it.increment(ec)) {
     const std::string name = it->path().filename().string();
     unsigned node = 0;
-    if (name.size() > 8 && common::StartsWith(name, "node") &&
-        name.compare(name.size() - 4, 4, ".log") == 0 &&
-        common::ParseInteger<unsigned>(
-            std::string_view(name).substr(4, name.size() - 8), 0,
-            std::numeric_limits<unsigned>::max(), &node) &&
-        node >= files.size()) {
+    if (ParseNodeLogName(name, &node) && node >= files.size()) {
       return common::Status::NotFound(common::StrCat(
           "node", files.size(), ".log is missing from ", directory,
           " but ", name, " is there"));

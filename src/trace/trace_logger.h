@@ -43,7 +43,10 @@ class TraceLogger : public repl::ReplTraceSink {
   std::vector<std::vector<std::string>> LogFiles(int num_nodes) const;
 
   /// Writes one `node<N>.log` file per node into `directory` (which must
-  /// exist) — the on-disk shape of the paper's Figure 1 pipeline.
+  /// exist) — the on-disk shape of the paper's Figure 1 pipeline — and
+  /// deletes any `node<N>.log` with N >= num_nodes left by an earlier,
+  /// larger run. Internal when a file cannot be listed, deleted, written
+  /// or closed.
   common::Status WriteLogFiles(const std::string& directory,
                                int num_nodes) const;
 

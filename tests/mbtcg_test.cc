@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "fuzz/transform_fuzzer.h"
 #include "ot/fixture.h"
 #include "ot/handwritten_cases.h"
@@ -218,6 +219,78 @@ TEST(GeneratorTest, DetectsImplementationDivergence) {
   RunReport run = RunTestCases(cases);
   EXPECT_EQ(run.passed, 9u);
   ASSERT_EQ(run.failures.size(), 1u);
+}
+
+TEST(GeneratorTest, ParallelRunMatchesSerial) {
+  // The xbench mbtcg_ot corpus: 4 clients over a 2-element array, 10,000
+  // cases. Sabotaged cases spread over the list must fail in the same
+  // order, and the merge rules must record the same coverage, whether the
+  // cases run on one worker or four.
+  ArrayOtConfig config;
+  config.num_clients = 4;
+  config.initial_array_len = 2;
+  std::vector<TestCase> cases;
+  ASSERT_TRUE(GenerateTestCases(config, &cases).status.ok());
+  ASSERT_EQ(cases.size(), 10000u);
+  // RunTestCases hands out cases in chunks of 64. Eight sit in pairs just
+  // before and just after four chunk boundaries, so concurrent workers
+  // tend to finish each pair in reverse order; the other seven are spread
+  // over the rest of the list.
+  std::vector<size_t> sabotaged;
+  for (size_t chunk : {15, 25, 35, 45}) {
+    sabotaged.push_back(chunk * 64 - 2);
+    sabotaged.push_back(chunk * 64 + 1);
+  }
+  for (size_t k = 0; k < 7; ++k) sabotaged.push_back(3500 + k * 1000);
+  for (size_t k = 0; k < sabotaged.size(); ++k) {
+    const size_t i = sabotaged[k];
+    if (k % 2 == 0) {
+      cases[i].final_array.push_back(12345);
+    } else {
+      cases[i].applied_ops[k % 4].push_back(ot::Operation::Clear());
+    }
+  }
+
+  const otgo::GoMergeEngine go;
+  auto& registry = ot::CoverageRegistry::Instance();
+  registry.Reset();
+  const std::vector<std::string> branches = registry.UncoveredBranches();
+  ASSERT_EQ(branches.size(), registry.total_branches());
+  for (const ot::ListTransformer* transformer :
+       {static_cast<const ot::ListTransformer*>(nullptr),
+        static_cast<const ot::ListTransformer*>(&go)}) {
+    std::vector<RunReport> reports;
+    std::vector<std::vector<uint64_t>> hits;
+    for (int workers : {1, 4}) {
+      registry.Reset();
+      reports.push_back(RunTestCases(cases, transformer,
+                                     /*check_applied_ops=*/true, workers));
+      hits.emplace_back();
+      for (const std::string& b : branches) {
+        hits.back().push_back(registry.hits(b));
+      }
+    }
+    const char* impl = transformer == nullptr ? "ot" : "otgo";
+    const RunReport& serial = reports[0];
+    EXPECT_EQ(serial.total, 10000u) << impl;
+    EXPECT_EQ(serial.passed, 10000u - sabotaged.size()) << impl;
+    ASSERT_EQ(serial.failures.size(), 10u) << impl;
+    for (size_t k = 0; k < serial.failures.size(); ++k) {
+      EXPECT_EQ(serial.failures[k].rfind(
+                    common::StrCat("case ", cases[sabotaged[k]].case_id, ":"),
+                    0),
+                0u)
+          << impl << ": " << serial.failures[k];
+    }
+    const RunReport& parallel = reports[1];
+    EXPECT_EQ(parallel.total, serial.total) << impl;
+    EXPECT_EQ(parallel.passed, serial.passed) << impl;
+    EXPECT_EQ(parallel.failures, serial.failures) << impl;
+    for (size_t b = 0; b < branches.size(); ++b) {
+      EXPECT_EQ(hits[1][b], hits[0][b]) << impl << ": " << branches[b];
+    }
+  }
+  registry.Reset();
 }
 
 TEST(FuzzerTest, ConvergesOverRandomWorkloads) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/rng.h"
 #include "ot/coverage.h"
 #include "ot/merge.h"
@@ -256,6 +260,41 @@ TEST(CoverageTest, HitAndReset) {
   EXPECT_GT(registry.hits("SetSet_same_right_wins"), 0u);
   registry.Reset();
   EXPECT_EQ(registry.hits("SetSet_same_right_wins"), 0u);
+}
+
+TEST(CoverageTest, ConcurrentHitsCountExactly) {
+  // Parallel MBTCG case runs hit the registry from every worker; no hit
+  // may be lost.
+  auto& registry = CoverageRegistry::Instance();
+  registry.Reset();
+  const std::vector<std::string> names = {
+      "SetSet_diff", "InsertInsert_left_lower", "MoveMove_diff_src_before",
+      "EraseErase_same", "MoveSwap_buggy_rewrite"};
+  constexpr int kThreads = 4;
+  constexpr int kHitsPerThread = 100'000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&names, t] {
+      auto& r = CoverageRegistry::Instance();
+      for (int i = 0; i < kHitsPerThread; ++i) {
+        r.Hit(names[static_cast<size_t>(t + i) % names.size()]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  // Every thread spreads its hits round-robin from a different start, so
+  // each name's exact total is known.
+  std::vector<uint64_t> expected(names.size(), 0);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kHitsPerThread; ++i) {
+      ++expected[static_cast<size_t>(t + i) % names.size()];
+    }
+  }
+  for (size_t n = 0; n < names.size(); ++n) {
+    EXPECT_EQ(registry.hits(names[n]), expected[n]) << names[n];
+  }
+  EXPECT_EQ(registry.covered_branches(), names.size() - 1);
+  registry.Reset();
 }
 
 TEST(CoverageTest, ExcludedBranchDoesNotCount) {

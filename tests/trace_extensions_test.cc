@@ -177,6 +177,36 @@ TEST(TraceLoggerFileTest, GapInNodeFilesRejected) {
   fs::remove_all(dir);
 }
 
+TEST(TraceLoggerFileTest, RewriteWithFewerNodesLeavesNoStaleLogs) {
+  // A 3-node run written over a 5-node run must not leave node3.log and
+  // node4.log behind for ReadLogFiles to merge in.
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() / "xmodel_trace_log_rewrite";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  auto write_scenario = [&dir](const std::string& name) {
+    for (const repl::Scenario& s : repl::AllScenarios()) {
+      if (s.name != name) continue;
+      repl::ReplicaSet rs(s.config);
+      TraceLogger logger(&rs.clock());
+      rs.AttachTraceSink(&logger);
+      EXPECT_TRUE(s.run(rs).ok()) << name;
+      EXPECT_TRUE(logger.WriteLogFiles(dir.string(), rs.num_nodes()).ok());
+      return logger.LogFiles(rs.num_nodes());
+    }
+    ADD_FAILURE() << "no scenario " << name;
+    return std::vector<std::vector<std::string>>{};
+  };
+  EXPECT_EQ(write_scenario("elect_and_write/n5_w1_b1").size(), 5u);
+  const auto three = write_scenario("elect_and_write/n3_w1_b1");
+  ASSERT_EQ(three.size(), 3u);
+  auto read = TraceLogger::ReadLogFiles(dir.string());
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->size(), 3u);
+  EXPECT_EQ(*read, three);
+  fs::remove_all(dir);
+}
+
 TEST(TraceLoggerFileTest, MissingDirectoryRejected) {
   EXPECT_FALSE(TraceLogger::ReadLogFiles("/nonexistent/xmodel").ok());
   repl::SimClock clock;
