@@ -82,11 +82,10 @@ struct CheckerOptions {
   /// Off by default: when null, the checker's only mid-run clock reads are
   /// the worker idle-time profiler's stamps (see
   /// CheckResult::worker_busy_ms). When set,
-  /// Report() is called roughly every progress_interval_ms (polled every
-  /// few thousand expansions, so lines can lag on very slow specs) and
-  /// once at the end with final_report set.
+  /// Report() is called roughly every two seconds (polled every 1024
+  /// expansions, so lines can lag on very slow specs) and once at the end
+  /// with final_report set.
   obs::ProgressReporter* progress_reporter = nullptr;
-  int64_t progress_interval_ms = 2000;
   /// Wall-time source for seconds/progress pacing; null = the process
   /// steady clock. Tests inject a FakeMonotonicClock for determinism.
   common::MonotonicClock* clock = nullptr;

@@ -1,5 +1,7 @@
 #include "tlax/checkpoint.h"
 
+#include <set>
+#include <string_view>
 #include <utility>
 
 #include "common/fileio.h"
@@ -68,6 +70,22 @@ bool GetStr(const common::Json& obj, const char* key, std::string* out) {
   const common::Json* v = obj.Find(key);
   if (v == nullptr || !v->is_string()) return false;
   *out = v->string_value();
+  return true;
+}
+
+// Whether `name` is `<tier>-<digits>.<tier>` with six or more digits: a
+// plain file name of the spill tier `tier` ("run" or "seg").
+bool IsTierFileName(std::string_view name, std::string_view tier) {
+  if (name.size() < 2 * tier.size() + 8 || !name.starts_with(tier) ||
+      name[tier.size()] != '-' || !name.ends_with(tier) ||
+      name[name.size() - tier.size() - 1] != '.') {
+    return false;
+  }
+  const std::string_view digits =
+      name.substr(tier.size() + 1, name.size() - 2 * tier.size() - 2);
+  for (char c : digits) {
+    if (c < '0' || c > '9') return false;
+  }
   return true;
 }
 
@@ -154,6 +172,9 @@ common::Status ReadCheckpointManifest(const std::string& dir,
         !GetU64(run, "bytes", &info.bytes)) {
       return Corrupt("malformed run entry");
     }
+    if (!IsTierFileName(info.file, "run")) {
+      return Corrupt("run entry '" + info.file + "' is not a run file name");
+    }
     manifest->runs.push_back(std::move(info));
   }
 
@@ -163,6 +184,10 @@ common::Status ReadCheckpointManifest(const std::string& dir,
   }
   for (const common::Json& file : frontier->array()) {
     if (!file.is_string()) return Corrupt("malformed frontier file");
+    if (!IsTierFileName(file.string_value(), "seg")) {
+      return Corrupt("frontier entry '" + file.string_value() +
+                     "' is not a segment file name");
+    }
     manifest->frontier.push_back(file.string_value());
   }
 
@@ -176,6 +201,27 @@ common::Status ReadCheckpointManifest(const std::string& dir,
       return Corrupt("malformed initial state blob");
     }
     manifest->initial_states.push_back(std::move(raw));
+  }
+  return common::Status::OK();
+}
+
+common::Status DropCheckpointOrphans(const std::string& dir,
+                                     const CheckpointManifest& manifest) {
+  std::vector<std::string> files;
+  common::Status status = common::ListDirFiles(dir, &files);
+  if (!status.ok()) {
+    return status.code() == common::StatusCode::kNotFound
+               ? common::Status::OK()
+               : status;
+  }
+  std::set<std::string_view> live(manifest.frontier.begin(),
+                                  manifest.frontier.end());
+  for (const SpillTier::RunInfo& run : manifest.runs) live.insert(run.file);
+  for (const std::string& file : files) {
+    if ((IsTierFileName(file, "run") || IsTierFileName(file, "seg")) &&
+        !live.contains(file)) {
+      common::RemoveFileIfExists(dir + "/" + file);
+    }
   }
   return common::Status::OK();
 }

@@ -48,9 +48,18 @@ common::Status WriteCheckpointManifest(const std::string& dir,
 
 /// Reads and validates `<dir>/MANIFEST.json`. Missing file is a clean
 /// kNotFound; a garbled or wrong-schema file is kCorruption (naming the
-/// schema found and the one expected).
+/// schema found and the one expected), and so is a run or frontier entry
+/// that is not a plain file name of its tier, `run-NNNNNN.run` or
+/// `seg-NNNNNN.seg` (naming the entry): the names are untrusted input
+/// that resume opens and compaction deletes.
 common::Status ReadCheckpointManifest(const std::string& dir,
                                       CheckpointManifest* manifest);
+
+/// --resume: deletes every run and segment file (by the names above) in
+/// `dir` that `manifest` does not name, i.e. what the killed run sealed after its last
+/// manifest. Other files are left alone; a missing `dir` is OK.
+common::Status DropCheckpointOrphans(const std::string& dir,
+                                     const CheckpointManifest& manifest);
 
 }  // namespace xmodel::tlax
 

@@ -1,6 +1,6 @@
 // The exploration engine's per-state work (see tlax/explore.h):
 // construction, seeding, expansion, invariant checks, trace rebuild,
-// checkpoint manifests, progress snapshots, and end-of-run publication.
+// checkpoint manifests, and the run record's progress lines and metrics.
 // The level loop and its barrier live in explore_level.cc.
 
 #include <unistd.h>
@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <string_view>
 #include <utility>
 
 #include "common/fileio.h"
@@ -90,12 +91,13 @@ Engine::Engine(const CheckerOptions& options, const Spec& spec)
       pool_(workers_),
       scratch_(static_cast<size_t>(workers_)) {}
 
+Engine::~Engine() = default;
+
 void Engine::StartRun() {
   start_ns_ = clock_->NowNanos();
   intern_at_start_ = Value::GetInternStats();
   result_.workers_used = workers_;
   report_progress_ = options_.progress_reporter != nullptr;
-  interval_ns_ = options_.progress_interval_ms * 1'000'000;
   last_report_ns_ = start_ns_;
   if (options_.watchdog != nullptr) options_.watchdog->Heartbeat();
   if (events_->enabled()) {
@@ -155,19 +157,19 @@ bool Engine::CheckpointDue(int64_t now_ns) const {
 }
 
 void Engine::CheckpointWritten(int64_t now_ns) {
-  ++checkpoints_written_;
+  ++result_.checkpoints_written;
   if (options_.checkpoint_every_s > 0) {
     next_checkpoint_ns_ =
         now_ns + options_.checkpoint_every_s * 1'000'000'000;
   }
   if (events_->enabled()) {
     events_->Emit(obs::EventSeverity::kInfo, "checker", "checkpoint.written",
-                  {{"ordinal", common::StrCat(checkpoints_written_)},
+                  {{"ordinal", common::StrCat(result_.checkpoints_written)},
                    {"distinct", common::StrCat(fpset_.size())}});
   }
 }
 
-CheckpointManifest Engine::MakeManifest(const FrontierSpool& spool) {
+CheckpointManifest Engine::MakeManifest() {
   CheckpointManifest m;
   m.generated = result_.generated_states;
   m.distinct = fpset_.size();
@@ -175,10 +177,10 @@ CheckpointManifest Engine::MakeManifest(const FrontierSpool& spool) {
   m.levels_completed = result_.levels_completed;
   m.frontier_peak = result_.frontier_peak;
   m.slept = result_.por_slept_actions;
-  m.checkpoints = checkpoints_written_ + 1;
+  m.checkpoints = result_.checkpoints_written + 1;
   m.runs = fpset_.spill_run_infos();
-  m.frontier = spool.live_segment_files();
-  m.frontier_total = spool.size();
+  m.frontier = spool_->live_segment_files();
+  m.frontier_total = spool_->size();
   // Initial states sorted by fingerprint so the manifest bytes are
   // stable across identical runs.
   std::vector<const std::pair<const uint64_t, State>*> initials;
@@ -194,7 +196,7 @@ CheckpointManifest Engine::MakeManifest(const FrontierSpool& spool) {
   return m;
 }
 
-common::Status Engine::Resume(FrontierSpool* spool) {
+common::Status Engine::Resume() {
   CheckpointManifest manifest;
   common::Status status =
       ReadCheckpointManifest(options_.checkpoint_dir, &manifest);
@@ -220,16 +222,18 @@ common::Status Engine::Resume(FrontierSpool* spool) {
     initial_by_fp_.emplace(Fingerprint(init), std::move(init));
   }
   uint64_t adopted = 0;
-  status = spool->AdoptSegments(manifest.frontier, &adopted);
+  status = spool_->AdoptSegments(manifest.frontier, &adopted);
   if (!status.ok()) return status;
   result_.generated_states = manifest.generated;
   result_.diameter = manifest.diameter;
   result_.levels_completed = manifest.levels_completed;
   result_.frontier_peak = manifest.frontier_peak;
   result_.por_slept_actions = manifest.slept;
-  checkpoints_written_ = manifest.checkpoints;
-  // The global checkpoint counter counts writes by THIS process.
-  published_checkpoints_ = checkpoints_written_;
+  result_.checkpoints_written = manifest.checkpoints;
+  // The levels and checkpoint counters count this process's; the states
+  // totals continue from the manifest's.
+  published_.levels_completed = manifest.levels_completed;
+  published_.checkpoints_written = manifest.checkpoints;
   result_.resumed = true;
   if (events_->enabled()) {
     events_->Emit(obs::EventSeverity::kInfo, "checker", "run.resumed",
@@ -237,33 +241,7 @@ common::Status Engine::Resume(FrontierSpool* spool) {
                    {"distinct", common::StrCat(manifest.distinct)},
                    {"frontier", common::StrCat(manifest.frontier_total)}});
   }
-  return fpset_.DropSpillOrphans();
-}
-
-void Engine::FlushSpillMetrics(uint64_t frontier_segments_total) {
-  frontier_segments_total_ = frontier_segments_total;
-  if (!spill_enabled_) return;
-  const SpillTier::Stats stats = fpset_.spill_stats();
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("checker.spill.bytes")
-      .Increment(stats.bytes_written - published_spill_bytes_);
-  published_spill_bytes_ = stats.bytes_written;
-  registry.GetCounter("checker.spill.frontier_segments")
-      .Increment(frontier_segments_total - published_frontier_segments_);
-  published_frontier_segments_ = frontier_segments_total;
-  registry.GetGauge("checker.spill.runs")
-      .Set(static_cast<double>(stats.runs));
-  registry.GetGauge("checker.spill.probe_ms").Set(stats.probe_ms);
-  registry.GetGauge("checker.spill.merge_ms").Set(stats.merge_ms);
-  registry.GetCounter("checker.spill.compact.count")
-      .Increment(stats.compactions - published_compactions_);
-  published_compactions_ = stats.compactions;
-  if (checkpointing_) {
-    registry.GetCounter("checker.checkpoint.writes")
-        .Increment(checkpoints_written_ - published_checkpoints_);
-    published_checkpoints_ = checkpoints_written_;
-    registry.GetGauge("checker.checkpoint.ms").Set(checkpoint_ms_);
-  }
+  return DropCheckpointOrphans(spill_dir_, manifest);
 }
 
 void Engine::CleanupSpillDir() {
@@ -477,21 +455,31 @@ std::vector<TraceStep> Engine::BuildTrace(uint64_t end_fp,
   return trace;
 }
 
-obs::CheckerProgress Engine::LiveSnapshot(int64_t now_ns,
-                                              uint64_t frontier_estimate) {
+obs::CheckerProgress Engine::Progress(int64_t now_ns, uint64_t frontier,
+                                      bool final_report) const {
   obs::CheckerProgress p;
-  p.generated_states = result_.generated_states +
-                       generated_level_.load(std::memory_order_relaxed);
+  p.generated_states = result_.generated_states;
   p.distinct_states = fpset_.size();
-  p.frontier_size = frontier_estimate;
-  p.depth = std::max(result_.diameter, scratch_[0].diameter);
+  p.frontier_size = frontier;
+  p.depth = result_.diameter;
   p.seconds = static_cast<double>(now_ns - start_ns_) * 1e-9;
-  const double dt = static_cast<double>(now_ns - last_report_ns_) * 1e-9;
-  const uint64_t dgen = p.generated_states - last_report_generated_;
-  p.states_per_sec = dt > 0 ? static_cast<double>(dgen) / dt : 0;
   p.fingerprint_load = fpset_.load_factor();
-  p.por_slept = result_.por_slept_actions + scratch_[0].slept;
-  p.final_report = false;
+  p.por_slept = result_.por_slept_actions;
+  p.final_report = final_report;
+  // The final line's rate spans the run, an interval line's the interval.
+  int64_t since_ns = start_ns_;
+  uint64_t since_generated = 0;
+  if (!final_report) {
+    p.generated_states += generated_level_.load(std::memory_order_relaxed);
+    p.depth = std::max(p.depth, scratch_[0].diameter);
+    p.por_slept += scratch_[0].slept;
+    since_ns = last_report_ns_;
+    since_generated = last_report_generated_;
+  }
+  const double dt = static_cast<double>(now_ns - since_ns) * 1e-9;
+  p.states_per_sec =
+      dt > 0 ? static_cast<double>(p.generated_states - since_generated) / dt
+             : 0;
   return p;
 }
 
@@ -499,18 +487,115 @@ void Engine::PollProgress(size_t level_size, size_t pos) {
   if (--poll_countdown_ != 0) return;
   poll_countdown_ = kProgressPollExpansions;
   const int64_t now_ns = clock_->NowNanos();
-  if (now_ns - last_report_ns_ < interval_ns_) return;
-  obs::CheckerProgress p = LiveSnapshot(
-      now_ns, (level_size - pos) +
-                  next_count_.load(std::memory_order_relaxed));
+  if (now_ns - last_report_ns_ < kProgressIntervalMs * 1'000'000) return;
+  obs::CheckerProgress p = Progress(
+      now_ns,
+      (level_size - pos) + next_count_.load(std::memory_order_relaxed),
+      /*final_report=*/false);
   options_.progress_reporter->Report(p);
   last_report_ns_ = now_ns;
   last_report_generated_ = p.generated_states;
 }
 
+void Engine::SyncResult() {
+  result_.distinct_states = fpset_.size();
+  if (!spill_enabled_) return;
+  const SpillTier::Stats spill = fpset_.spill_stats();
+  result_.spill_runs = spill.runs;
+  result_.spill_generations = spill.generations;
+  result_.spill_records = spill.spilled_records;
+  result_.spill_bytes = spill.bytes_written;
+  result_.spill_compactions = spill.compactions;
+  result_.spill_probe_ms = spill.probe_ms;
+  result_.spill_merge_ms = spill.merge_ms;
+  result_.frontier_segments = spool_->segments_written();
+}
+
+void Engine::Publish(bool run_ended) {
+  auto& registry = obs::MetricsRegistry::Global();
+  const auto raise = [this, &registry](std::string_view name,
+                                       uint64_t CheckResult::*field) {
+    registry.GetCounter(name).Increment(result_.*field - published_.*field);
+    published_.*field = result_.*field;
+  };
+  const auto set = [&registry](std::string_view name, double value) {
+    registry.GetGauge(name).Set(value);
+  };
+  raise("checker.states.generated", &CheckResult::generated_states);
+  raise("checker.states.distinct", &CheckResult::distinct_states);
+  raise("checker.levels.completed", &CheckResult::levels_completed);
+  raise("checker.por.actions_slept", &CheckResult::por_slept_actions);
+  set("checker.workers.used", result_.workers_used);
+  set("checker.frontier.peak", static_cast<double>(result_.frontier_peak));
+  if (spill_enabled_) {
+    raise("checker.spill.bytes", &CheckResult::spill_bytes);
+    raise("checker.spill.frontier_segments", &CheckResult::frontier_segments);
+    raise("checker.spill.compact.count", &CheckResult::spill_compactions);
+    set("checker.spill.runs", static_cast<double>(result_.spill_runs));
+    set("checker.spill.generations",
+        static_cast<double>(result_.spill_generations));
+    set("checker.spill.probe_ms", result_.spill_probe_ms);
+    set("checker.spill.merge_ms", result_.spill_merge_ms);
+  }
+  if (checkpointing_) {
+    raise("checker.checkpoint.writes", &CheckResult::checkpoints_written);
+    set("checker.checkpoint.ms", checkpoint_ms_);
+  }
+  if (!run_ended) return;
+
+  registry.GetCounter("checker.runs.completed").Increment();
+  if (result_.violation.has_value()) {
+    registry.GetCounter("checker.violations.found").Increment();
+  }
+  for (int w = 0; w < workers_; ++w) {
+    const size_t i = static_cast<size_t>(w);
+    registry.GetCounter(common::StrCat("checker.worker", w, ".expansions"))
+        .Increment(scratch_[i].expanded);
+    set(common::StrCat("checker.worker", w, ".busy_ms"),
+        result_.worker_busy_ms[i]);
+    set(common::StrCat("checker.worker", w, ".barrier_wait_ms"),
+        result_.worker_barrier_wait_ms[i]);
+  }
+  set("checker.barrier.settle_ms", result_.barrier_settle_ms);
+  set("checker.barrier.assemble_ms", static_cast<double>(assemble_ns_) * 1e-6);
+  set("checker.barrier.graph_ms", static_cast<double>(graph_ns_) * 1e-6);
+  set("checker.barrier.evict_ms", static_cast<double>(evict_ns_) * 1e-6);
+  set("checker.barrier.spool_ms", static_cast<double>(spool_ns_) * 1e-6);
+  set("checker.idle_fraction", result_.idle_fraction);
+  set("checker.fingerprint.load", result_.fingerprint_load);
+  set("checker.fingerprint.collision_probability",
+      result_.fingerprint_collision_probability);
+  set("checker.run.seconds", result_.seconds);
+  set("checker.run.states_per_sec",
+      result_.seconds > 0
+          ? static_cast<double>(result_.generated_states) / result_.seconds
+          : 0);
+  if (result_.graph) {
+    set("checker.graph.nodes",
+        static_cast<double>(result_.graph->num_states()));
+    set("checker.graph.edges",
+        static_cast<double>(result_.graph->num_edges()));
+    set("checker.graph.dup_edges",
+        static_cast<double>(result_.graph->num_duplicate_edges()));
+  }
+  // Value-interning telemetry: table totals plus how many NEW composite
+  // reps this run allocated per distinct state — the per-state allocator
+  // pressure the interned value layer is meant to shrink.
+  const Value::InternStats intern = Value::GetInternStats();
+  set("value.intern.hits", static_cast<double>(intern.hits));
+  set("value.intern.misses", static_cast<double>(intern.misses));
+  set("value.intern.live", static_cast<double>(intern.live));
+  set("value.intern.bytes", static_cast<double>(intern.bytes));
+  set("checker.alloc.values_per_state",
+      result_.distinct_states > 0
+          ? static_cast<double>(intern.misses - intern_at_start_.misses) /
+                static_cast<double>(result_.distinct_states)
+          : 0);
+}
+
 CheckResult Engine::Finish(common::Status status) {
   result_.status = std::move(status);
-  result_.distinct_states = fpset_.size();
+  SyncResult();
   result_.fingerprint_load = fpset_.load_factor();
   // TLC's optimistic estimate: each of the g - n revisits could have hit
   // one of the n stored fingerprints by chance, with probability n / 2^64.
@@ -522,21 +607,6 @@ CheckResult Engine::Finish(common::Status status) {
   const int64_t end_ns = clock_->NowNanos();
   result_.seconds = static_cast<double>(end_ns - start_ns_) * 1e-9;
 
-  if (spill_enabled_) {
-    const SpillTier::Stats spill = fpset_.spill_stats();
-    result_.spill_runs = spill.runs;
-    result_.spill_generations = spill.generations;
-    result_.spill_records = spill.spilled_records;
-    result_.spill_bytes = spill.bytes_written;
-    result_.spill_compactions = spill.compactions;
-    result_.spill_probe_ms = spill.probe_ms;
-    result_.spill_merge_ms = spill.merge_ms;
-    result_.frontier_segments = frontier_segments_total_;
-    result_.checkpoints_written = checkpoints_written_;
-  }
-
-  result_.worker_busy_ms.reserve(static_cast<size_t>(workers_));
-  result_.worker_barrier_wait_ms.reserve(static_cast<size_t>(workers_));
   double busy_ms_total = 0;
   double wait_ms_total = 0;
   for (int w = 0; w < workers_; ++w) {
@@ -555,104 +625,11 @@ CheckResult Engine::Finish(common::Status status) {
   const double total_ms = busy_ms_total + idle_ms;
   result_.idle_fraction = total_ms > 0 ? idle_ms / total_ms : 0;
   if (report_progress_) {
-    obs::CheckerProgress p;
-    p.generated_states = result_.generated_states;
-    p.distinct_states = result_.distinct_states;
-    p.frontier_size = next_count_.load(std::memory_order_relaxed);
-    p.depth = result_.diameter;
-    p.seconds = result_.seconds;
-    p.states_per_sec =
-        result_.seconds > 0
-            ? static_cast<double>(result_.generated_states) / result_.seconds
-            : 0;
-    p.fingerprint_load = result_.fingerprint_load;
-    p.por_slept = result_.por_slept_actions;
-    p.final_report = true;
-    options_.progress_reporter->Report(p);
+    options_.progress_reporter->Report(
+        Progress(end_ns, next_count_.load(std::memory_order_relaxed),
+                 /*final_report=*/true));
   }
-  auto& registry = obs::MetricsRegistry::Global();
-  registry.GetCounter("checker.runs.completed").Increment();
-  // The mid-run live flush already published most of these; add only
-  // the remainder so the run totals match exactly.
-  registry.GetCounter("checker.states.generated")
-      .Increment(result_.generated_states -
-                 published_generated_.load(std::memory_order_relaxed));
-  registry.GetCounter("checker.states.distinct")
-      .Increment(result_.distinct_states -
-                 published_distinct_.load(std::memory_order_relaxed));
-  registry.GetCounter("checker.por.actions_slept")
-      .Increment(result_.por_slept_actions -
-                 published_slept_.load(std::memory_order_relaxed));
-  if (result_.violation.has_value()) {
-    registry.GetCounter("checker.violations.found").Increment();
-  }
-  for (int w = 0; w < workers_; ++w) {
-    registry
-        .GetCounter(common::StrCat("checker.worker", w, ".expansions"))
-        .Increment(scratch_[static_cast<size_t>(w)].expanded);
-  }
-  for (int w = 0; w < workers_; ++w) {
-    registry.GetGauge(common::StrCat("checker.worker", w, ".busy_ms"))
-        .Set(result_.worker_busy_ms[static_cast<size_t>(w)]);
-    registry
-        .GetGauge(common::StrCat("checker.worker", w, ".barrier_wait_ms"))
-        .Set(result_.worker_barrier_wait_ms[static_cast<size_t>(w)]);
-  }
-  registry.GetGauge("checker.barrier.settle_ms")
-      .Set(result_.barrier_settle_ms);
-  registry.GetGauge("checker.barrier.assemble_ms")
-      .Set(static_cast<double>(assemble_ns_) * 1e-6);
-  registry.GetGauge("checker.barrier.graph_ms")
-      .Set(static_cast<double>(graph_ns_) * 1e-6);
-  registry.GetGauge("checker.barrier.evict_ms")
-      .Set(static_cast<double>(evict_ns_) * 1e-6);
-  registry.GetGauge("checker.barrier.spool_ms")
-      .Set(static_cast<double>(spool_ns_) * 1e-6);
-  registry.GetGauge("checker.idle_fraction").Set(result_.idle_fraction);
-  registry.GetGauge("checker.workers.used").Set(static_cast<double>(workers_));
-  registry.GetGauge("checker.frontier.peak")
-      .Set(static_cast<double>(result_.frontier_peak));
-  registry.GetGauge("checker.fingerprint.load")
-      .Set(result_.fingerprint_load);
-  registry.GetGauge("checker.fingerprint.collision_probability")
-      .Set(result_.fingerprint_collision_probability);
-  registry.GetGauge("checker.run.seconds").Set(result_.seconds);
-  registry.GetGauge("checker.run.states_per_sec")
-      .Set(result_.seconds > 0
-               ? static_cast<double>(result_.generated_states) /
-                     result_.seconds
-               : 0);
-  if (result_.graph) {
-    registry.GetGauge("checker.graph.nodes")
-        .Set(static_cast<double>(result_.graph->num_states()));
-    registry.GetGauge("checker.graph.edges")
-        .Set(static_cast<double>(result_.graph->num_edges()));
-    registry.GetGauge("checker.graph.dup_edges")
-        .Set(static_cast<double>(result_.graph->num_duplicate_edges()));
-  }
-  // Value-interning telemetry: table totals plus how many NEW composite
-  // reps this run allocated per distinct state — the per-state allocator
-  // pressure the interned value layer is meant to shrink.
-  const Value::InternStats intern = Value::GetInternStats();
-  registry.GetGauge("value.intern.hits").Set(static_cast<double>(intern.hits));
-  registry.GetGauge("value.intern.misses")
-      .Set(static_cast<double>(intern.misses));
-  registry.GetGauge("value.intern.live").Set(static_cast<double>(intern.live));
-  registry.GetGauge("value.intern.bytes")
-      .Set(static_cast<double>(intern.bytes));
-  registry.GetGauge("checker.alloc.values_per_state")
-      .Set(result_.distinct_states > 0
-               ? static_cast<double>(intern.misses -
-                                     intern_at_start_.misses) /
-                     static_cast<double>(result_.distinct_states)
-               : 0);
-  // Final spill/checkpoint flush: publishes whatever the mid-run
-  // flushes have not (counters reconcile through published_*).
-  FlushSpillMetrics(frontier_segments_total_);
-  if (spill_enabled_) {
-    registry.GetGauge("checker.spill.generations")
-        .Set(static_cast<double>(result_.spill_generations));
-  }
+  Publish(/*run_ended=*/true);
   if (events_->enabled()) {
     if (result_.violation.has_value()) {
       events_->Emit(

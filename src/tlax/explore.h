@@ -8,11 +8,12 @@
 //
 //   engine.cc        — construction, seeding, expansion, invariant
 //                      checks, trace rebuild, checkpoint manifests,
-//                      progress and result publication.
+//                      and the run record's progress lines and metrics.
 //   explore_level.cc — the level loop and its barrier.
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -41,6 +42,9 @@ class FrontierSpool;  // tlax/frontier_spill.h (includes this header).
 // invisible in the states/sec budget, small enough that progress lines
 // land within ~a second of their nominal interval on realistic specs.
 constexpr uint32_t kProgressPollExpansions = 1024;
+
+// Wall time between progress lines, checked at each poll.
+constexpr int64_t kProgressIntervalMs = 2000;
 
 // Expansion batch between watchdog heartbeats: a level can take
 // arbitrarily long, so heartbeating only at its barrier reads as a stall
@@ -122,6 +126,7 @@ inline uint64_t DeadlockKey(size_t parent_pos) {
 class Engine {
  public:
   Engine(const CheckerOptions& options, const Spec& spec);
+  ~Engine();
 
   CheckResult Run();
 
@@ -199,8 +204,16 @@ class Engine {
   std::vector<TraceStep> BuildTrace(uint64_t end_fp, const State& end_state);
 
   void PollProgress(size_t level_size, size_t pos);
-  obs::CheckerProgress LiveSnapshot(int64_t now_ns,
-                                    uint64_t frontier_estimate);
+  // A progress line from result_; a mid-level one (worker 0 polls) adds
+  // the tallies no barrier has merged yet.
+  obs::CheckerProgress Progress(int64_t now_ns, uint64_t frontier,
+                                bool final_report) const;
+  // Refreshes result_'s distinct count and out-of-core counts.
+  void SyncResult();
+  // Raises each checker.* counter by what result_ gained since published_
+  // and sets the gauges; at every barrier, and from Finish (`run_ended`:
+  // plus the end-of-run metrics).
+  void Publish(bool run_ended);
   CheckResult Finish(common::Status status);
 
   // --- Out-of-core support (spill_enabled_ only) ---
@@ -210,16 +223,12 @@ class Engine {
   // Stamps the next checkpoint deadline after a successful write.
   void CheckpointWritten(int64_t now_ns);
   // The manifest of a checkpoint at this barrier: the run counters, the
-  // sealed runs, the initial states and `spool`'s sealed segments.
-  CheckpointManifest MakeManifest(const FrontierSpool& spool);
+  // sealed runs, the initial states and the spool's sealed segments.
+  CheckpointManifest MakeManifest();
   // --resume: reads and validates the manifest, adopts the sealed runs
-  // and frontier segments (into `spool`), and restores the counters and
-  // the initial states.
-  common::Status Resume(FrontierSpool* spool);
-  // Live flush of the checker.spill.* metric family (monotone counters
-  // reconciled via published_*; gauges overwritten). Called from the
-  // barrier and from Finish.
-  void FlushSpillMetrics(uint64_t frontier_segments_total);
+  // and frontier segments, restores the counters and the initial states,
+  // and deletes the run and segment files the manifest does not name.
+  common::Status Resume();
   // Removes the per-process temp spill dir (no-op when the dir was
   // user-provided). Called after the last stats read.
   void CleanupSpillDir();
@@ -274,10 +283,17 @@ class Engine {
   FingerprintSet fpset_;
   common::WorkerPool pool_;
   std::vector<Scratch> scratch_;
+  // spill_enabled_ only: the settled level beyond the in-memory head, as
+  // sealed segment files replayed FIFO.
+  std::unique_ptr<FrontierSpool> spool_;
   std::vector<uint64_t> commuting_mask_;  // Per action: bits of commuters.
   std::unordered_map<uint64_t, State> initial_by_fp_;  // Replay anchors.
 
+  // The run's one record, and the part of it already added to the
+  // checker.* counters (only the barrier thread and Finish touch that).
+  // --resume starts published_'s levels and checkpoints at the manifest's.
   CheckResult result_;
+  CheckResult published_;
   int64_t start_ns_ = 0;
   // Barrier wall time, run total: from the end of each drain to the start
   // of the next level (checker.barrier.settle_ms), and its steps
@@ -289,22 +305,6 @@ class Engine {
   int64_t evict_ns_ = 0;
   int64_t spool_ns_ = 0;
   Value::InternStats intern_at_start_;
-  // Live-metric flushing: the portion of this run's tallies already
-  // published to the global counters at level barriers, so /metrics
-  // advances mid-run and Finish adds only the remainder (totals stay
-  // identical to publishing once at the end). Only the barrier and
-  // Finish touch them.
-  std::atomic<uint64_t> published_generated_{0};
-  std::atomic<uint64_t> published_distinct_{0};
-  std::atomic<uint64_t> published_slept_{0};
-  // Spill-metric reconciliation + end-of-run totals (single-writer: the
-  // barrier, then Finish).
-  uint64_t published_spill_bytes_ = 0;
-  uint64_t published_frontier_segments_ = 0;
-  uint64_t published_checkpoints_ = 0;
-  uint64_t published_compactions_ = 0;
-  uint64_t frontier_segments_total_ = 0;
-  uint64_t checkpoints_written_ = 0;
   double checkpoint_ms_ = 0;
   int64_t next_checkpoint_ns_ = 0;
 
@@ -315,7 +315,6 @@ class Engine {
   // other workers flush per-parent deltas into the two relaxed atomics so
   // its lines see the whole fleet's progress.
   bool report_progress_ = false;
-  int64_t interval_ns_ = 0;
   int64_t last_report_ns_ = 0;
   uint64_t last_report_generated_ = 0;
   uint32_t poll_countdown_ = kProgressPollExpansions;

@@ -238,11 +238,8 @@ void Engine::SettleGraph(Level& next) {
 CheckResult Engine::Run() {
   StartRun();
 
-  // Frontier overflow spool: the settled next level beyond the in-memory
-  // head chunk lives here as sealed segment files, replayed FIFO — the
-  // settled sort order survives the disk round trip, so results stay
-  // bit-identical with or without spilling.
-  std::unique_ptr<FrontierSpool> spool;
+  // The settled sort order survives the spool's disk round trip, so
+  // results stay bit-identical with or without spilling.
   if (spill_enabled_) {
     FrontierSpool::Options spool_options;
     spool_options.dir = spill_dir_;
@@ -252,7 +249,7 @@ CheckResult Engine::Run() {
     // the cap would defeat it.
     spool_options.segment_entries =
         std::min(spool_options.segment_entries, frontier_inmem_cap_);
-    spool = std::make_unique<FrontierSpool>(std::move(spool_options));
+    spool_ = std::make_unique<FrontierSpool>(std::move(spool_options));
   }
 
   // The in-memory part of the current level.
@@ -264,7 +261,7 @@ CheckResult Engine::Run() {
               ? "--resume requires --checkpoint-dir"
               : common::StrCat("--resume: ", result_.spill_notice)));
     }
-    common::Status status = Resume(spool.get());
+    common::Status status = Resume();
     if (!status.ok()) return Finish(status);
   } else {
     std::vector<LevelEntry> seeds;
@@ -277,7 +274,7 @@ CheckResult Engine::Run() {
 
   while (true) {
     const size_t level_size =
-        level.size() + (spool != nullptr ? spool->size() : 0);
+        level.size() + (spool_ != nullptr ? spool_->size() : 0);
     if (level_size == 0) break;
     if (level_size > result_.frontier_peak) {
       result_.frontier_peak = level_size;
@@ -292,9 +289,9 @@ CheckResult Engine::Run() {
     int64_t pool_end_ns = 0;
     while (true) {
       if (level.size() == 0) {
-        if (spool == nullptr || spool->empty()) break;
+        if (spool_ == nullptr || spool_->empty()) break;
         std::vector<LevelEntry> batch;
-        common::Status status = spool->PopBatch(&batch);
+        common::Status status = spool_->PopBatch(&batch);
         if (!status.ok()) return Finish(status);
         if (batch.empty()) break;
         level = Level::Of(std::move(batch));
@@ -341,28 +338,10 @@ CheckResult Engine::Run() {
     generated_level_.store(0, std::memory_order_relaxed);
     ++result_.levels_completed;
 
-    // Liveness + live observability: a completed level is the checker's
-    // natural heartbeat, the point where the global counters are brought
-    // up to date (so a /metrics scrape advances mid-run), and a debug
-    // event. None of this touches exploration state.
+    // A completed level is the checker's natural heartbeat and a debug
+    // event; its end publishes the run record (so a /metrics scrape
+    // advances mid-run). None of this touches exploration state.
     if (options_.watchdog != nullptr) options_.watchdog->Heartbeat();
-    auto& registry = obs::MetricsRegistry::Global();
-    registry.GetCounter("checker.levels.completed").Increment();
-    registry.GetCounter("checker.states.generated")
-        .Increment(result_.generated_states -
-                   published_generated_.load(std::memory_order_relaxed));
-    published_generated_.store(result_.generated_states,
-                               std::memory_order_relaxed);
-    const uint64_t distinct = fpset_.size();
-    registry.GetCounter("checker.states.distinct")
-        .Increment(distinct -
-                   published_distinct_.load(std::memory_order_relaxed));
-    published_distinct_.store(distinct, std::memory_order_relaxed);
-    registry.GetCounter("checker.por.actions_slept")
-        .Increment(result_.por_slept_actions -
-                   published_slept_.load(std::memory_order_relaxed));
-    published_slept_.store(result_.por_slept_actions,
-                           std::memory_order_relaxed);
     if (events_->enabled()) {
       events_->Emit(
           obs::EventSeverity::kDebug, "checker", "level.completed",
@@ -442,19 +421,19 @@ CheckResult Engine::Run() {
         step_ns = clock_->NowNanos();
         status = fpset_.EvictAll(&pool_);
         step_done(&evict_ns_);
-        if (status.ok()) status = spool->Append(next.order, &pool_);
-        if (status.ok()) status = spool->Seal();
+        if (status.ok()) status = spool_->Append(next.order, &pool_);
+        if (status.ok()) status = spool_->Seal();
         step_done(&spool_ns_);
         if (status.ok()) {
           status = WriteCheckpointManifest(options_.checkpoint_dir,
-                                           MakeManifest(*spool),
+                                           MakeManifest(),
                                            /*durable=*/true);
         }
         if (status.ok()) {
           // The new manifest no longer references compacted-away runs or
           // consumed segments; their files can finally go.
           fpset_.PurgeSpillRetired();
-          spool->PurgeConsumed();
+          spool_->PurgeConsumed();
           const int64_t ckpt_end_ns = clock_->NowNanos();
           checkpoint_ms_ +=
               static_cast<double>(ckpt_end_ns - ckpt_start_ns) * 1e-6;
@@ -464,16 +443,17 @@ CheckResult Engine::Run() {
       } else if (status.ok()) {
         // Keep the head hot, spool the (later-ordered) rest.
         if (next.size() > frontier_inmem_cap_) {
-          status = spool->Append(std::span<LevelEntry* const>(next.order)
-                                     .subspan(frontier_inmem_cap_),
-                                 &pool_);
+          status = spool_->Append(std::span<LevelEntry* const>(next.order)
+                                      .subspan(frontier_inmem_cap_),
+                                  &pool_);
           next.order.resize(frontier_inmem_cap_);
           step_done(&spool_ns_);
         }
       }
       if (!status.ok()) return end_barrier(status);
-      FlushSpillMetrics(spool->segments_written());
     }
+    SyncResult();
+    Publish(/*run_ended=*/false);
     level = std::move(next);
     next_count_.store(0, std::memory_order_relaxed);
     settle_ns_ += clock_->NowNanos() - pool_end_ns;

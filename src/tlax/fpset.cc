@@ -355,12 +355,6 @@ common::Status FingerprintSet::AdoptSpillRuns(
   return common::Status::OK();
 }
 
-common::Status FingerprintSet::DropSpillOrphans() const {
-  if (tier_ == nullptr) return common::Status::OK();
-  std::shared_lock<std::shared_mutex> evict_lock(evict_mu_);
-  return tier_->DropOrphans();
-}
-
 void FingerprintSet::PurgeSpillRetired() {
   if (tier_ == nullptr) return;
   std::unique_lock<std::shared_mutex> evict_lock(evict_mu_);

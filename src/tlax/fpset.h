@@ -225,8 +225,6 @@ class FingerprintSet {
   /// files are a clean kCorruption error) and resets size() to their
   /// record total. The hot table must be empty.
   common::Status AdoptSpillRuns(const std::vector<std::string>& files);
-  /// Removes non-live run files left by a crash after the last manifest.
-  common::Status DropSpillOrphans() const;
   /// Deletes compaction-retired run files (after a manifest write).
   void PurgeSpillRetired();
 

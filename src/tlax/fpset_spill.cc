@@ -750,30 +750,6 @@ common::Status SpillTier::AdoptRuns(const std::vector<std::string>& files) {
   return common::Status::OK();
 }
 
-common::Status SpillTier::DropOrphans() const {
-  std::vector<std::string> files;
-  common::Status status = common::ListDirFiles(options_.dir, &files);
-  if (!status.ok()) {
-    return status.code() == common::StatusCode::kNotFound
-               ? common::Status::OK()
-               : status;
-  }
-  for (const std::string& file : files) {
-    if (file.rfind("run-", 0) != 0) continue;
-    bool live = false;
-    for (const std::unique_ptr<Run>& run : runs_) {
-      if (run->file == file) {
-        live = true;
-        break;
-      }
-    }
-    if (!live) {
-      common::RemoveFileIfExists(options_.dir + "/" + file);
-    }
-  }
-  return common::Status::OK();
-}
-
 void SpillTier::PurgeRetired() {
   for (const std::string& path : retired_) {
     common::RemoveFileIfExists(path);

@@ -45,10 +45,10 @@ namespace xmodel::tlax {
 ///
 /// Thread safety: externally synchronized. SealRun, CompactIfNeeded,
 /// AdoptRuns and PurgeRetired change the run list or the retired files
-/// and need exclusive access; FindBatch, FindOnDisk, stats, run_infos and
-/// DropOrphans only read them and may overlap each other, but not a
-/// writer. The one owner, FingerprintSet, already holds its eviction lock
-/// around every call: shared for inserts, edge lookups and the stats and
+/// and need exclusive access; FindBatch, FindOnDisk, stats and run_infos
+/// only read them and may overlap each other, but not a writer. The one
+/// owner, FingerprintSet, already holds its eviction lock around every
+/// call: shared for inserts, edge lookups and the stats and
 /// run readers; exclusive for eviction (which seals and compacts),
 /// adoption and purge. A second lock here would guard the same run list
 /// twice. The probe counters and the sticky status are the only state
@@ -143,10 +143,6 @@ class SpillTier {
   /// within dir, in manifest order). A truncated or garbled file is a
   /// clean kCorruption error. Replaces the current (empty) run list.
   common::Status AdoptRuns(const std::vector<std::string>& files);
-
-  /// Deletes run files in dir that are not currently live — leftovers
-  /// from a run that died between sealing and manifest publication.
-  common::Status DropOrphans() const;
 
   /// Deletes run files retired by compaction since the last purge
   /// (durable mode; no-op otherwise). Call after each manifest

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <limits>
@@ -454,7 +455,8 @@ TEST(VarintTest, Fixed64RoundTrip) {
 }
 
 TEST(FileIoTest, AtomicWriteThenRead) {
-  const std::string dir = "fileio_test_dir/nested";
+  const std::string root = testing::TempDir() + "fileio_test_dir";
+  const std::string dir = root + "/nested";
   ASSERT_TRUE(EnsureDir(dir).ok());
   const std::string path = dir + "/doc.txt";
   ASSERT_TRUE(WriteFileAtomic(path, "first").ok());
@@ -477,6 +479,8 @@ TEST(FileIoTest, AtomicWriteThenRead) {
   EXPECT_TRUE(RemoveFileIfExists(path).ok());
   EXPECT_TRUE(RemoveFileIfExists(path).ok());  // Idempotent.
   EXPECT_EQ(ReadFileToString(path, &got).code(), StatusCode::kNotFound);
+  EXPECT_EQ(::rmdir(dir.c_str()), 0);
+  EXPECT_EQ(::rmdir(root.c_str()), 0);
 }
 
 TEST(FileIoTest, MissingFileIsNotFound) {

@@ -70,14 +70,16 @@ std::vector<std::string> Lines(const std::string& text) {
 // drains, then one final "done:" line matching the check result exactly.
 TEST(ProgressReporterTest, CheckerEmitsDeterministicProgress) {
   specs::CounterSpec spec(60);  // >1024 expansions, so polls fire.
+  // Each clock read advances past the 2 s progress interval, so every
+  // poll reports.
+  constexpr int64_t kPerRead = 2'000'000'000;
   common::FakeMonotonicClock clock;
-  clock.set_auto_advance_ns(1'000'000);  // 1 ms per clock read.
+  clock.set_auto_advance_ns(kPerRead);
 
   std::string sink;
   obs::TextProgressReporter reporter(&sink);
   tlax::CheckerOptions options;
   options.progress_reporter = &reporter;
-  options.progress_interval_ms = 0;  // Report at every poll.
   options.clock = &clock;
   tlax::CheckResult result = tlax::ModelChecker(options).Check(spec);
   ASSERT_TRUE(result.status.ok());
@@ -106,7 +108,7 @@ TEST(ProgressReporterTest, CheckerEmitsDeterministicProgress) {
   // The fake clock makes the run fully deterministic: a second run
   // produces byte-identical output.
   common::FakeMonotonicClock clock2;
-  clock2.set_auto_advance_ns(1'000'000);
+  clock2.set_auto_advance_ns(kPerRead);
   std::string sink2;
   obs::TextProgressReporter reporter2(&sink2);
   options.progress_reporter = &reporter2;

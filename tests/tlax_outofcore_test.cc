@@ -15,12 +15,16 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/fileio.h"
 #include "common/json.h"
 #include "common/status.h"
 #include "common/strings.h"
+#include "obs/metrics.h"
+#include "obs/progress.h"
 #include "specs/toy_specs.h"
 #include "tlax/checker.h"
+#include "tlax/checkpoint.h"
 #include "tlax/spec.h"
 
 namespace xmodel::tlax {
@@ -141,6 +145,39 @@ TEST(OutOfCoreTest, MidRunCompactionStaysExact) {
   EXPECT_EQ(result.fingerprint_collision_probability,
             base.fingerprint_collision_probability);
   EXPECT_FALSE(result.violation.has_value());
+}
+
+// The spill family is published at every level barrier, generations
+// included: a registry read from a mid-run progress report already sees
+// the evictions the run has made.
+TEST(OutOfCoreTest, SpillGenerationsPublishedMidRun) {
+  class RegistryProbe : public obs::ProgressReporter {
+   public:
+    void Report(const obs::CheckerProgress& progress) override {
+      if (progress.final_report) return;
+      const obs::RegistrySnapshot snap =
+          obs::MetricsRegistry::Global().Snapshot();
+      const obs::MetricSnapshot* generations =
+          snap.Find("checker.spill.generations");
+      if (generations != nullptr && generations->value > 0) ++seen;
+    }
+    int seen = 0;
+  };
+  obs::MetricsRegistry::Global().Reset();
+  common::FakeMonotonicClock clock;
+  clock.set_auto_advance_ns(2'000'000'000);  // Every poll reports.
+  RegistryProbe probe;
+  CheckerOptions options;
+  options.memory_budget_mb = 1;
+  options.spill_dir = FreshDir("midrun_generations");
+  options.progress_reporter = &probe;
+  options.clock = &clock;
+  CheckResult result =
+      ModelChecker(options).Check(specs::CounterSpec(kWideLimit));
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_GE(result.spill_generations, 4u);
+  EXPECT_GT(probe.seen, 0);
+  obs::MetricsRegistry::Global().Reset();
 }
 
 // Spilling silently steps aside for modes that need full in-memory
@@ -319,6 +356,189 @@ TEST(CheckpointTest, CorruptedRunFailsResumeCleanly) {
   CheckResult result = ModelChecker(resume).Check(spec);
   EXPECT_EQ(result.status.code(), common::StatusCode::kCorruption)
       << result.status.ToString();
+}
+
+// Manifest file names are untrusted input: resume opens them, and
+// compaction and purge later delete them. A run entry that reaches a
+// valid run file outside the checkpoint dir through ".." is refused.
+TEST(CheckpointTest, ManifestNamesMustBePlainTierFiles) {
+  const specs::CounterSpec spec(kResumeLimit);
+  std::string dir;
+  CheckResult partial = RunInterrupted(spec, 1, "resume_escape", &dir);
+  ASSERT_GE(partial.checkpoints_written, 1u);
+  const std::string path = dir + "/MANIFEST.json";
+  std::string contents;
+  ASSERT_TRUE(common::ReadFileToString(path, &contents).ok());
+  common::Result<common::Json> parsed = common::Json::Parse(contents);
+  ASSERT_TRUE(parsed.ok());
+  common::Json doc = parsed.value();
+  common::Json runs = *doc.Find("runs");
+  ASSERT_FALSE(runs.array().empty());
+  const std::string name = runs.array()[0].Find("file")->string_value();
+
+  // Move the run out of the checkpoint dir, intact, and point at it.
+  const std::string outside_dir = FreshDir("escape_target");
+  std::string run;
+  ASSERT_TRUE(common::ReadFileToString(dir + "/" + name, &run).ok());
+  ASSERT_TRUE(common::WriteFileAtomic(outside_dir + "/" + name, run).ok());
+  ASSERT_TRUE(common::RemoveFileIfExists(dir + "/" + name).ok());
+  const std::string escaped = "../xmodel_ooc_escape_target/" + name;
+  runs.array()[0].Set("file", common::Json::Str(escaped));
+  doc.Set("runs", std::move(runs));
+  ASSERT_TRUE(common::WriteFileAtomic(path, doc.Dump()).ok());
+
+  CheckerOptions resume = CheckpointOptions(1, dir);
+  resume.resume = true;
+  CheckResult result = ModelChecker(resume).Check(spec);
+  EXPECT_EQ(result.status.code(), common::StatusCode::kCorruption)
+      << result.status.ToString();
+  EXPECT_NE(result.status.message().find(escaped), std::string::npos)
+      << result.status.ToString();
+  EXPECT_FALSE(result.resumed);
+  EXPECT_TRUE(common::FileSize(outside_dir + "/" + name).ok());
+
+  // The same for a frontier segment entry, beside a plain run entry.
+  common::Json plain_runs = *doc.Find("runs");
+  plain_runs.array()[0].Set("file", common::Json::Str(name));
+  doc.Set("runs", std::move(plain_runs));
+  common::Json frontier = *doc.Find("frontier");
+  ASSERT_FALSE(frontier.array().empty());
+  const std::string segment = "seg-000000.seg/../seg-000000.seg";
+  frontier.array()[0] = common::Json::Str(segment);
+  doc.Set("frontier", std::move(frontier));
+  ASSERT_TRUE(common::WriteFileAtomic(path, doc.Dump()).ok());
+  result = ModelChecker(resume).Check(spec);
+  EXPECT_EQ(result.status.code(), common::StatusCode::kCorruption)
+      << result.status.ToString();
+  EXPECT_NE(result.status.message().find(segment), std::string::npos)
+      << result.status.ToString();
+}
+
+// A killed run can seal frontier segments and runs after its last
+// manifest. --resume deletes both kinds of orphan, and the counts are
+// those of an uninterrupted run.
+TEST(CheckpointTest, ResumeDropsOrphanSegmentsAndRuns) {
+  const specs::CounterSpec spec(kResumeLimit);
+  CheckerOptions plain;
+  plain.num_workers = 2;
+  CheckResult reference = ModelChecker(plain).Check(spec);
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+
+  std::string dir;
+  CheckResult partial = RunInterrupted(spec, 2, "resume_orphans", &dir);
+  ASSERT_GE(partial.checkpoints_written, 1u);
+  const std::string orphan_segment = dir + "/seg-999999.seg";
+  const std::string orphan_run = dir + "/run-999999.run";
+  ASSERT_TRUE(common::WriteFileAtomic(orphan_segment, "sealed late").ok());
+  ASSERT_TRUE(common::WriteFileAtomic(orphan_run, "sealed late").ok());
+
+  CheckerOptions resume = CheckpointOptions(2, dir);
+  resume.resume = true;
+  CheckResult result = ModelChecker(resume).Check(spec);
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  EXPECT_EQ(result.distinct_states, reference.distinct_states);
+  EXPECT_EQ(result.generated_states, reference.generated_states);
+  EXPECT_EQ(result.diameter, reference.diameter);
+  EXPECT_EQ(common::FileSize(orphan_segment).status().code(),
+            common::StatusCode::kNotFound);
+  EXPECT_EQ(common::FileSize(orphan_run).status().code(),
+            common::StatusCode::kNotFound);
+}
+
+double MetricValue(const obs::RegistrySnapshot& snap,
+                   const std::string& name) {
+  const obs::MetricSnapshot* metric = snap.Find(name);
+  return metric == nullptr ? 0 : metric->value;
+}
+
+// Checks `spec` under `options` against a freshly reset registry and
+// expects every checker.* counter and gauge that mirrors a CheckResult
+// field to equal it. `prior` is the manifest a resumed run starts from
+// (empty otherwise): the levels and checkpoint counters count only this
+// process, while the states totals continue from the manifest's.
+CheckResult CheckMetricsEqualResult(const Spec& spec,
+                                    const CheckerOptions& options,
+                                    const CheckpointManifest& prior = {}) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  registry.Reset();
+  CheckResult r = ModelChecker(options).Check(spec);
+  EXPECT_TRUE(r.status.ok()) << r.status.ToString();
+  const obs::RegistrySnapshot snap = registry.Snapshot();
+  const auto expect = [&snap](const std::string& name, double want) {
+    EXPECT_EQ(MetricValue(snap, name), want) << name;
+  };
+  const auto d = [](uint64_t v) { return static_cast<double>(v); };
+  expect("checker.runs.completed", 1);
+  expect("checker.violations.found", r.violation.has_value() ? 1 : 0);
+  expect("checker.states.generated", d(r.generated_states));
+  expect("checker.states.distinct", d(r.distinct_states));
+  expect("checker.levels.completed",
+         d(r.levels_completed - prior.levels_completed));
+  expect("checker.por.actions_slept", d(r.por_slept_actions));
+  expect("checker.frontier.peak", d(r.frontier_peak));
+  expect("checker.workers.used", r.workers_used);
+  expect("checker.fingerprint.load", r.fingerprint_load);
+  expect("checker.fingerprint.collision_probability",
+         r.fingerprint_collision_probability);
+  expect("checker.run.seconds", r.seconds);
+  expect("checker.barrier.settle_ms", r.barrier_settle_ms);
+  expect("checker.idle_fraction", r.idle_fraction);
+  for (int w = 0; w < r.workers_used; ++w) {
+    const size_t i = static_cast<size_t>(w);
+    expect(common::StrCat("checker.worker", w, ".busy_ms"),
+           r.worker_busy_ms[i]);
+    expect(common::StrCat("checker.worker", w, ".barrier_wait_ms"),
+           r.worker_barrier_wait_ms[i]);
+  }
+  expect("checker.spill.bytes", d(r.spill_bytes));
+  expect("checker.spill.frontier_segments", d(r.frontier_segments));
+  expect("checker.spill.compact.count", d(r.spill_compactions));
+  expect("checker.spill.runs", d(r.spill_runs));
+  expect("checker.spill.generations", d(r.spill_generations));
+  expect("checker.spill.probe_ms", r.spill_probe_ms);
+  expect("checker.spill.merge_ms", r.spill_merge_ms);
+  expect("checker.checkpoint.writes",
+         d(r.checkpoints_written - prior.checkpoints));
+  registry.Reset();
+  return r;
+}
+
+TEST(OutOfCoreTest, CheckerMetricsEqualCheckResult) {
+  // A plain in-memory run.
+  const specs::CounterSpec small(kResumeLimit);
+  CheckerOptions plain;
+  plain.num_workers = 2;
+  const CheckResult reference = CheckMetricsEqualResult(small, plain);
+  EXPECT_FALSE(reference.spill_enabled);
+
+  // A tight budget that spools frontier segments and compacts runs.
+  CheckerOptions tight = plain;
+  tight.memory_budget_mb = 1;
+  tight.frontier_inmem_entries = 64;
+  tight.spill_dir = FreshDir("metrics_tight");
+  const CheckResult spilled =
+      CheckMetricsEqualResult(specs::CounterSpec(/*limit=*/500), tight);
+  EXPECT_GE(spilled.spill_compactions, 1u);
+  EXPECT_GT(spilled.frontier_segments, 0u);
+
+  // A checkpointed run.
+  const CheckResult written = CheckMetricsEqualResult(
+      small, CheckpointOptions(2, FreshDir("metrics_checkpointed")));
+  EXPECT_GE(written.checkpoints_written, 1u);
+
+  // A run resumed from an interrupted one.
+  std::string dir;
+  RunInterrupted(small, 2, "metrics_resumed", &dir);
+  CheckpointManifest manifest;
+  ASSERT_TRUE(ReadCheckpointManifest(dir, &manifest).ok());
+  ASSERT_GT(manifest.levels_completed, 0u);
+  CheckerOptions resume = CheckpointOptions(2, dir);
+  resume.resume = true;
+  const CheckResult resumed = CheckMetricsEqualResult(small, resume, manifest);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_GT(resumed.checkpoints_written, manifest.checkpoints);
+  EXPECT_EQ(resumed.generated_states, reference.generated_states);
+  EXPECT_EQ(resumed.distinct_states, reference.distinct_states);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "common/varint.h"
+#include "tlax/checkpoint.h"
 #include "tlax/fpset.h"
 #include "tlax/fpset_spill.h"
 #include "tlax/frontier_spill.h"
@@ -188,7 +189,11 @@ TEST(SpillTierTest, AdoptRunsRoundTripsAndDropsOrphans) {
   SpillTier resumed(options);
   ASSERT_TRUE(resumed.AdoptRuns(manifest).ok());
   EXPECT_EQ(resumed.stats().spilled_records, 80u);
-  ASSERT_TRUE(resumed.DropOrphans().ok());
+  CheckpointManifest adopted;
+  for (const std::string& file : manifest) {
+    adopted.runs.push_back(SpillTier::RunInfo{file, 0, 0});
+  }
+  ASSERT_TRUE(DropCheckpointOrphans(options.dir, adopted).ok());
   std::vector<std::string> files;
   ASSERT_TRUE(common::ListDirFiles(options.dir, &files).ok());
   EXPECT_EQ(files.size(), 2u);
