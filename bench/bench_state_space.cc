@@ -17,12 +17,8 @@
 // on N workers.
 
 #include <cstdio>
-#include <memory>
 #include <thread>
 
-#include "analysis/footprint.h"
-#include "analysis/domain.h"
-#include "analysis/independence.h"
 #include "bench_util.h"
 #include "common/strings.h"
 #include "specs/raft_mongo_spec.h"
@@ -326,132 +322,6 @@ int main(int argc, char** argv) {
                   spill_w1_rate > 0 ? rate / spill_w1_rate : 0);
       bench.AddResult(
           xmodel::common::StrCat("spill_w", w, "_states_per_sec"), rate);
-    }
-  }
-
-  // Partial-order-reduction hints from the action-independence analysis:
-  // the same exploration with and without the commutativity matrix,
-  // measured through the metrics registry (checker.states.generated and
-  // checker.por.actions_slept accumulate per run; resetting between runs
-  // isolates each one). The reachable state set is preserved by
-  // construction (sleep sets prune redundant interleavings, not states),
-  // so `distinct` must match — what drops is the successors generated.
-  // RaftMongo's footprint-only reduction is modest: its state constraint
-  // reads term and oplog, and an action writing a constraint-read variable
-  // is disqualified outright (the pruned interleaving could pass outside
-  // the explored region). The abstract-domain pass recovers most of that:
-  // an exhaustive probe proving an action's successors closed under the
-  // constraint re-qualifies it, so the refined matrix sleeps strictly more
-  // while visiting the identical state set — measured below against the
-  // footprint-only baseline.
-  auto& registry = xmodel::obs::MetricsRegistry::Global();
-  auto counter_value = [](const xmodel::obs::RegistrySnapshot& snapshot,
-                          const char* name) -> unsigned long long {
-    const xmodel::obs::MetricSnapshot* m = snapshot.Find(name);
-    return m == nullptr ? 0
-                        : static_cast<unsigned long long>(m->value);
-  };
-
-  std::printf("\nindependence-guided exploration (sleep-set hints, "
-              "registry-measured):\n");
-  for (auto variant :
-       {RaftMongoVariant::kAbstract, RaftMongoVariant::kDetailed}) {
-    RaftMongoConfig config;
-    config.variant = variant;
-    config.num_nodes = 3;
-    config.max_term = 2;
-    config.max_oplog_len = 2;
-    RaftMongoSpec spec(config);
-    auto footprints = xmodel::analysis::InferFootprints(spec);
-    auto matrix = std::make_shared<xmodel::tlax::ActionIndependence>(
-        xmodel::analysis::ComputeIndependence(spec, footprints));
-
-    registry.Reset();
-    auto plain = xmodel::tlax::ModelChecker().Check(spec);
-    xmodel::obs::RegistrySnapshot before = registry.Snapshot();
-
-    registry.Reset();
-    xmodel::tlax::CheckerOptions por_options;
-    por_options.independence = matrix;
-    auto reduced = xmodel::tlax::ModelChecker(por_options).Check(spec);
-    xmodel::obs::RegistrySnapshot after = registry.Snapshot();
-
-    if (!plain.status.ok() || !reduced.status.ok()) {
-      return bench.Fail("POR comparison check aborted");
-    }
-
-    unsigned long long generated_before =
-        counter_value(before, "checker.states.generated");
-    unsigned long long generated_after =
-        counter_value(after, "checker.states.generated");
-    std::printf("%-22s %zu commuting pair(s)  distinct %llu -> %llu  "
-                "generated %llu -> %llu (%.1f%% pruned, %llu slept)\n",
-                spec.name().c_str(), matrix->NumCommutingPairs(),
-                counter_value(before, "checker.states.distinct"),
-                counter_value(after, "checker.states.distinct"),
-                generated_before, generated_after,
-                generated_before == 0
-                    ? 0.0
-                    : 100.0 * (1.0 - static_cast<double>(generated_after) /
-                                         static_cast<double>(
-                                             generated_before)),
-                counter_value(after, "checker.por.actions_slept"));
-    if (variant == RaftMongoVariant::kDetailed) {
-      bench.AddResult("por_generated_before",
-                      static_cast<double>(generated_before));
-      bench.AddResult("por_generated_after",
-                      static_cast<double>(generated_after));
-      bench.AddResult(
-          "por_actions_slept",
-          static_cast<double>(
-              counter_value(after, "checker.por.actions_slept")));
-    }
-
-    // Value-sensitive refinement on top: the abstract-domain probe must
-    // exhaust the reachable region (the constraint-closure proof is
-    // worthless otherwise), and the refined matrix must keep the state
-    // space bit-identical while sleeping strictly more actions.
-    xmodel::analysis::DomainOptions domain_options;
-    domain_options.max_samples = 1 << 18;
-    auto domains = xmodel::analysis::InferDomains(spec, domain_options);
-    auto refined =
-        xmodel::analysis::RefineIndependence(spec, footprints, domains);
-    registry.Reset();
-    xmodel::tlax::CheckerOptions refined_options;
-    refined_options.independence =
-        std::make_shared<xmodel::tlax::ActionIndependence>(refined.matrix);
-    auto refined_run =
-        xmodel::tlax::ModelChecker(refined_options).Check(spec);
-    xmodel::obs::RegistrySnapshot refined_snapshot = registry.Snapshot();
-    if (!refined_run.status.ok()) {
-      return bench.Fail("refined POR check aborted");
-    }
-    if (!domains.exhaustive ||
-        refined_run.distinct_states != reduced.distinct_states ||
-        refined_run.diameter != reduced.diameter ||
-        refined_run.por_slept_actions <= reduced.por_slept_actions) {
-      return bench.Fail(
-          "value-sensitive refinement must preserve distinct/diameter and "
-          "sleep strictly more than the footprint-only baseline");
-    }
-    std::printf("%-22s refined %zu -> %zu pair(s)  slept %llu -> %llu  "
-                "generated %llu -> %llu\n",
-                spec.name().c_str(), refined.base_commuting,
-                refined.matrix.NumCommutingPairs(),
-                static_cast<unsigned long long>(reduced.por_slept_actions),
-                static_cast<unsigned long long>(
-                    refined_run.por_slept_actions),
-                generated_after,
-                counter_value(refined_snapshot, "checker.states.generated"));
-    if (variant == RaftMongoVariant::kDetailed) {
-      bench.AddResult("por_refined_pairs",
-                      static_cast<double>(refined.matrix.NumCommutingPairs()));
-      bench.AddResult("por_refined_slept",
-                      static_cast<double>(refined_run.por_slept_actions));
-      bench.AddResult(
-          "por_refined_generated",
-          static_cast<double>(counter_value(refined_snapshot,
-                                            "checker.states.generated")));
     }
   }
   return bench.Finish(0);

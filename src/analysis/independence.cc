@@ -8,10 +8,10 @@
 
 namespace xmodel::analysis {
 
-tlax::ActionIndependence ComputeIndependence(
-    const tlax::Spec& spec, const SpecFootprints& footprints) {
+ActionIndependence ComputeIndependence(const tlax::Spec& spec,
+                                       const SpecFootprints& footprints) {
   const size_t num_actions = spec.actions().size();
-  tlax::ActionIndependence matrix(num_actions);
+  ActionIndependence matrix(num_actions);
   const uint64_t all_vars =
       spec.variables().size() >= 64
           ? ~uint64_t{0}
@@ -33,8 +33,9 @@ tlax::ActionIndependence ComputeIndependence(
   // Writing a variable the state constraint reads breaks the commutativity
   // diamond even when the two actions' own footprints are disjoint: the
   // a-then-b interleaving can pass through a state outside the constraint,
-  // which the checker never expands, so b-then-a successors would be lost
-  // if b were slept. Such writers therefore commute with nothing.
+  // which the checker never expands, so a reduction that explored only the
+  // other interleaving could lose successors. Such writers therefore
+  // commute with nothing.
   const uint64_t constraint_reads = footprints.constraint_reads;
   for (size_t a = 0; a < num_actions; ++a) {
     for (size_t b = a + 1; b < num_actions; ++b) {
@@ -97,7 +98,7 @@ RefinedIndependence RefineIndependence(const tlax::Spec& spec,
 }
 
 std::string IndependenceToText(const tlax::Spec& spec,
-                               const tlax::ActionIndependence& matrix) {
+                               const ActionIndependence& matrix) {
   const std::vector<tlax::Action>& actions = spec.actions();
   size_t width = 0;
   for (const tlax::Action& action : actions) {

@@ -15,11 +15,6 @@ std::string TextProgressReporter::FormatLine(
       progress.states_per_sec, progress.distinct_states,
       progress.frontier_size, progress.depth, progress.fingerprint_load);
   std::string line(buf);
-  if (progress.por_slept > 0) {
-    std::snprintf(buf, sizeof(buf), ", %" PRIu64 " slept",
-                  progress.por_slept);
-    line += buf;
-  }
   if (progress.final_report) {
     std::snprintf(buf, sizeof(buf), " (%.2f s total)", progress.seconds);
     line += buf;
@@ -88,7 +83,6 @@ common::Json ProgressTracker::ToJson() const {
   out.Set("seconds", common::Json::Double(p.seconds));
   out.Set("states_per_sec", common::Json::Double(p.states_per_sec));
   out.Set("fingerprint_load", common::Json::Double(p.fingerprint_load));
-  out.Set("por_slept", common::Json::Int(static_cast<int64_t>(p.por_slept)));
   out.Set("final_report", common::Json::Bool(p.final_report));
   return out;
 }

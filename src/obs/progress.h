@@ -22,8 +22,6 @@ struct CheckerProgress {
   double states_per_sec = 0;
   /// Fingerprint (seen-states) hash-table load factor.
   double fingerprint_load = 0;
-  /// Successor expansions skipped by sleep-set POR so far.
-  uint64_t por_slept = 0;
   /// True for the single final report emitted when the check ends.
   bool final_report = false;
 };

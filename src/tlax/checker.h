@@ -12,12 +12,10 @@
 #include "common/status.h"
 #include "common/strings.h"
 #include "obs/progress.h"
-#include "tlax/independence.h"
 #include "tlax/spec.h"
 #include "tlax/state_graph.h"
 
 namespace xmodel::obs {
-class EventLog;
 class Watchdog;
 }  // namespace xmodel::obs
 
@@ -44,12 +42,10 @@ struct CheckerOptions {
   /// level-synchronous — workers drain one BFS level in parallel and
   /// barrier before the next — so counterexamples stay minimal and
   /// `distinct_states`/`diameter`/violation traces are identical across
-  /// worker counts, POR included (sleep-set merges settle at the level
-  /// barrier, so every counter and trace is worker-count-invariant
-  /// there too — though POR traces need not be minimal). record_graph
-  /// runs at full parallelism too: node ids are assigned from the settled
-  /// discovery order at each level barrier, so the recorded graph — DOT
-  /// output included — is byte-identical across worker counts.
+  /// worker counts. record_graph runs at full parallelism too: node ids
+  /// are assigned from the settled discovery order at each level barrier,
+  /// so the recorded graph — DOT output included — is byte-identical
+  /// across worker counts.
   int num_workers = 1;
   /// Record the full state graph (needed for DOT export / MBTCG / liveness).
   bool record_graph = false;
@@ -60,24 +56,6 @@ struct CheckerOptions {
   uint64_t max_distinct_states = 100'000'000;
   /// Report a violation when a state within the constraint has no successor.
   bool check_deadlock = false;
-  /// Optional action-commutativity matrix (from analysis::ComputeIndependence)
-  /// enabling sleep-set partial-order reduction: redundant interleavings of
-  /// commuting actions are pruned, cutting generated successors while every
-  /// reachable state is still discovered and invariant-checked. Soundness
-  /// requires the matrix to be valid for the spec: two actions may commute
-  /// only if their write sets are disjoint from each other's footprints
-  /// and neither can steer the run out of the state constraint from a
-  /// reachable state — either by not writing constraint-read variables at
-  /// all (ComputeIndependence) or by a proof that every probe successor
-  /// stays within the constraint (analysis::RefineIndependence's
-  /// value-sensitive matrix); specs overriding Canonicalize (symmetry)
-  /// should not be combined with POR — a permuted representative can
-  /// break the diamond. Two
-  /// caveats, the standard POR trade-offs: counterexample traces are no
-  /// longer guaranteed minimal, and the reported diameter may exceed the
-  /// true one. Ignored when record_graph is set (the recorded graph must
-  /// carry every edge) or when the spec has more than 64 actions.
-  std::shared_ptr<const ActionIndependence> independence;
   /// Interval-driven progress telemetry (TLC's periodic status lines).
   /// Off by default: when null, the checker's only mid-run clock reads are
   /// the worker idle-time profiler's stamps (see
@@ -93,21 +71,16 @@ struct CheckerOptions {
   /// level barrier, so /healthz can detect a wedged run (a level that
   /// never completes) from outside. Null = no heartbeats.
   obs::Watchdog* watchdog = nullptr;
-  /// Structured event sink for lifecycle events (run started/completed,
-  /// per-level barriers at debug severity, violations, limit aborts).
-  /// Null = the process-global obs::EventLog.
-  obs::EventLog* event_log = nullptr;
   /// Out-of-core checking (the TLC disk-tiered fingerprint set): when
   /// nonzero, the hot fingerprint table is bounded to roughly this many
   /// megabytes; crossing the budget evicts it as a sorted,
   /// delta-compressed run file with a Bloom filter, probed on inserts, so
   /// the checker handles state spaces far larger than RAM with
   /// bit-identical distinct/verdict results. 0 = unlimited (no spilling).
-  /// Spilling is incompatible with sleep-set POR (it updates the masks
-  /// of records that eviction would seal) and with record_graph (spooled
-  /// frontier segments do not carry graph node ids, and the graph holds
-  /// every state in memory anyway); when one of them is active the
-  /// budget is ignored and CheckResult::spill_notice explains.
+  /// Spilling is incompatible with record_graph (spooled frontier
+  /// segments do not carry graph node ids, and the graph holds every
+  /// state in memory anyway); with record_graph set the budget is
+  /// ignored and CheckResult::spill_notice explains.
   uint64_t memory_budget_mb = 0;
   /// Directory for spill runs and frontier segments. Empty = use
   /// checkpoint_dir when set, else a per-process temp directory removed
@@ -175,8 +148,6 @@ struct CheckResult {
   int64_t diameter = 0;
   /// Largest BFS level (frontier batch) observed during the run.
   uint64_t frontier_peak = 0;
-  /// Action expansions skipped by sleep-set POR (0 without a matrix).
-  uint64_t por_slept_actions = 0;
   /// Final aggregate load factor of the sharded fingerprint table
   /// (records per slot summed across shards; at most 7/8).
   double fingerprint_load = 0;
@@ -228,8 +199,8 @@ struct CheckResult {
   uint64_t checkpoints_written = 0;
   /// True when this run restored state from a checkpoint manifest.
   bool resumed = false;
-  /// Set when spilling/checkpointing was requested but gated off by an
-  /// incompatible option (sleep-set POR, record_graph).
+  /// Set when spilling/checkpointing was requested but gated off by
+  /// record_graph.
   std::string spill_notice;
 
   bool ok() const { return status.ok() && !violation.has_value(); }

@@ -104,7 +104,6 @@ common::Status WriteCheckpointManifest(const std::string& dir,
   doc.Set("diameter", common::Json::Int(manifest.diameter));
   doc.Set("levels_completed", U64(manifest.levels_completed));
   doc.Set("frontier_peak", U64(manifest.frontier_peak));
-  doc.Set("slept", U64(manifest.slept));
   doc.Set("checkpoints", U64(manifest.checkpoints));
 
   common::Json runs = common::Json::MakeArray();
@@ -157,7 +156,6 @@ common::Status ReadCheckpointManifest(const std::string& dir,
       !GetI64(doc, "diameter", &manifest->diameter) ||
       !GetU64(doc, "levels_completed", &manifest->levels_completed) ||
       !GetU64(doc, "frontier_peak", &manifest->frontier_peak) ||
-      !GetU64(doc, "slept", &manifest->slept) ||
       !GetU64(doc, "checkpoints", &manifest->checkpoints) ||
       !GetU64(doc, "frontier_total", &manifest->frontier_total)) {
     return Corrupt("missing or malformed counter fields");

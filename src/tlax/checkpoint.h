@@ -25,7 +25,6 @@ struct CheckpointManifest {
   int64_t diameter = 0;
   uint64_t levels_completed = 0;
   uint64_t frontier_peak = 0;
-  uint64_t slept = 0;
   uint64_t checkpoints = 0;  // Ordinal of this manifest (1-based).
 
   // Fingerprint-set disk tier: every sealed run, in generation order.

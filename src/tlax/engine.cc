@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <string_view>
 #include <utility>
@@ -25,10 +24,9 @@ namespace xmodel::tlax::internal {
 namespace {
 
 // Out-of-core gating (see CheckerOptions::memory_budget_mb): any of the
-// three knobs requests spilling. Sleep-set POR vetoes it because it
-// updates the masks of records that eviction would seal; record_graph
-// because spooled frontier segments do not carry LevelEntry::gid, and
-// its graph holds every state in memory anyway.
+// three knobs requests spilling. record_graph vetoes it because spooled
+// frontier segments do not carry LevelEntry::gid, and its graph holds
+// every state in memory anyway.
 bool SpillRequested(const CheckerOptions& o) {
   return o.memory_budget_mb > 0 || !o.checkpoint_dir.empty() ||
          !o.spill_dir.empty();
@@ -68,26 +66,15 @@ Engine::Engine(const CheckerOptions& options, const Spec& spec)
       invariants_(spec.invariants()),
       clock_(options.clock != nullptr ? options.clock
                                       : common::MonotonicClock::Real()),
-      events_(options.event_log != nullptr ? options.event_log
-                                           : &obs::EventLog::Global()),
       workers_(common::ResolveWorkerCount(options.num_workers)),
-      use_sleep_sets_(options.independence != nullptr &&
-                      !options.record_graph &&
-                      options.independence->num_actions() ==
-                          actions_.size() &&
-                      actions_.size() <= 64),
-      all_actions_(actions_.size() >= 64
-                       ? ~uint64_t{0}
-                       : (uint64_t{1} << actions_.size()) - 1),
-      spill_enabled_(SpillRequested(options) && !use_sleep_sets_ &&
-                     !options.record_graph),
+      spill_enabled_(SpillRequested(options) && !options.record_graph),
       checkpointing_(spill_enabled_ && !options.checkpoint_dir.empty()),
       spill_dir_(ResolveSpillDir(options, spill_enabled_)),
       spill_dir_is_temp_(spill_enabled_ && options.spill_dir.empty() &&
                          options.checkpoint_dir.empty()),
       frontier_inmem_cap_(ResolveFrontierCap(options, spill_enabled_)),
-      fpset_(FpOptions(use_sleep_sets_, spill_dir_,
-                       options.memory_budget_mb << 20, checkpointing_)),
+      fpset_(FpOptions(spill_dir_, options.memory_budget_mb << 20,
+                       checkpointing_)),
       pool_(workers_),
       scratch_(static_cast<size_t>(workers_)) {}
 
@@ -100,47 +87,31 @@ void Engine::StartRun() {
   report_progress_ = options_.progress_reporter != nullptr;
   last_report_ns_ = start_ns_;
   if (options_.watchdog != nullptr) options_.watchdog->Heartbeat();
-  if (events_->enabled()) {
-    events_->Emit(obs::EventSeverity::kInfo, "checker", "run.started",
-                  {{"workers", common::StrCat(workers_)},
-                   {"actions", common::StrCat(actions_.size())},
-                   {"invariants", common::StrCat(invariants_.size())}});
+  obs::EventLog& events = obs::EventLog::Global();
+  if (events.enabled()) {
+    events.Emit(obs::EventSeverity::kInfo, "checker", "run.started",
+                {{"workers", common::StrCat(workers_)},
+                 {"actions", common::StrCat(actions_.size())},
+                 {"invariants", common::StrCat(invariants_.size())}});
   }
 
   result_.spill_enabled = spill_enabled_;
   if (SpillRequested(options_) && !spill_enabled_) {
-    std::string blockers;
-    auto add = [&blockers](const char* what) {
-      if (!blockers.empty()) blockers += " + ";
-      blockers += what;
-    };
-    if (use_sleep_sets_) add("sleep-set POR");
-    if (options_.record_graph) add("record_graph");
-    result_.spill_notice = common::StrCat(
-        "out-of-core spilling disabled: incompatible with ", blockers);
+    result_.spill_notice =
+        "out-of-core spilling disabled: incompatible with record_graph";
   }
   if (checkpointing_ && options_.checkpoint_every_s > 0) {
     next_checkpoint_ns_ =
         start_ns_ + options_.checkpoint_every_s * 1'000'000'000;
   }
-  if (spill_enabled_ && events_->enabled()) {
-    events_->Emit(
+  if (spill_enabled_ && events.enabled()) {
+    events.Emit(
         obs::EventSeverity::kInfo, "checker", "spill.enabled",
         {{"dir", spill_dir_},
          {"budget_mb", common::StrCat(options_.memory_budget_mb)},
          {"checkpointing", checkpointing_ ? "1" : "0"}});
   }
 
-  if (use_sleep_sets_) {
-    commuting_mask_.resize(actions_.size(), 0);
-    for (size_t a = 0; a < actions_.size(); ++a) {
-      for (size_t b = 0; b < actions_.size(); ++b) {
-        if (options_.independence->Commutes(a, b)) {
-          commuting_mask_[a] |= uint64_t{1} << b;
-        }
-      }
-    }
-  }
   if (options_.record_graph) {
     result_.graph = std::make_shared<StateGraph>();
     result_.graph->BeginRecording(workers_);
@@ -162,10 +133,11 @@ void Engine::CheckpointWritten(int64_t now_ns) {
     next_checkpoint_ns_ =
         now_ns + options_.checkpoint_every_s * 1'000'000'000;
   }
-  if (events_->enabled()) {
-    events_->Emit(obs::EventSeverity::kInfo, "checker", "checkpoint.written",
-                  {{"ordinal", common::StrCat(result_.checkpoints_written)},
-                   {"distinct", common::StrCat(fpset_.size())}});
+  obs::EventLog& events = obs::EventLog::Global();
+  if (events.enabled()) {
+    events.Emit(obs::EventSeverity::kInfo, "checker", "checkpoint.written",
+                {{"ordinal", common::StrCat(result_.checkpoints_written)},
+                 {"distinct", common::StrCat(fpset_.size())}});
   }
 }
 
@@ -176,7 +148,6 @@ CheckpointManifest Engine::MakeManifest() {
   m.diameter = result_.diameter;
   m.levels_completed = result_.levels_completed;
   m.frontier_peak = result_.frontier_peak;
-  m.slept = result_.por_slept_actions;
   m.checkpoints = result_.checkpoints_written + 1;
   m.runs = fpset_.spill_run_infos();
   m.frontier = spool_->live_segment_files();
@@ -228,18 +199,18 @@ common::Status Engine::Resume() {
   result_.diameter = manifest.diameter;
   result_.levels_completed = manifest.levels_completed;
   result_.frontier_peak = manifest.frontier_peak;
-  result_.por_slept_actions = manifest.slept;
   result_.checkpoints_written = manifest.checkpoints;
   // The levels and checkpoint counters count this process's; the states
   // totals continue from the manifest's.
   published_.levels_completed = manifest.levels_completed;
   published_.checkpoints_written = manifest.checkpoints;
   result_.resumed = true;
-  if (events_->enabled()) {
-    events_->Emit(obs::EventSeverity::kInfo, "checker", "run.resumed",
-                  {{"checkpoint", common::StrCat(manifest.checkpoints)},
-                   {"distinct", common::StrCat(manifest.distinct)},
-                   {"frontier", common::StrCat(manifest.frontier_total)}});
+  obs::EventLog& events = obs::EventLog::Global();
+  if (events.enabled()) {
+    events.Emit(obs::EventSeverity::kInfo, "checker", "run.resumed",
+                {{"checkpoint", common::StrCat(manifest.checkpoints)},
+                 {"distinct", common::StrCat(manifest.distinct)},
+                 {"frontier", common::StrCat(manifest.frontier_total)}});
   }
   return DropCheckpointOrphans(spill_dir_, manifest);
 }
@@ -267,7 +238,7 @@ bool Engine::SeedInitial(std::vector<LevelEntry>* level) {
     State init = spec_.Canonicalize(raw_init);
     const uint64_t fp = Fingerprint(init);
     const uint64_t key = ordinal++;
-    if (!fpset_.Insert(fp, 0, kFpInitialAction, 0, key, 0).inserted) continue;
+    if (!fpset_.Insert(fp, 0, kFpInitialAction, 0, key).inserted) continue;
     seeds.push_back(Seed{std::move(init), fp, key});
   }
   // Every seed is inserted before any is checked, so an initial
@@ -320,44 +291,20 @@ void Engine::AdmitNew(State&& state, uint64_t fp, int64_t depth,
 void Engine::ProcessEntry(const LevelEntry& entry, size_t pos,
                               Scratch& s, int worker) {
   if (entry.depth > s.diameter) s.diameter = entry.depth;
-
-  uint64_t cur_sleep = 0;
-  uint64_t explored_before = 0;
-  uint64_t to_expand = all_actions_;
-  if (use_sleep_sets_) {
-    FingerprintSet::ExpandGrant grant =
-        fpset_.AcquireExpand(entry.fp, all_actions_);
-    cur_sleep = grant.sleep;
-    explored_before = grant.explored_before;
-    to_expand = grant.to_expand;
-    s.slept += static_cast<uint64_t>(
-        std::popcount(all_actions_ & cur_sleep & ~explored_before));
-    if (to_expand == 0) return;  // Redundant re-enqueue.
-  }
   ++s.expanded;
 
   std::vector<State>& successors = s.successors;
   successors.clear();
   for (uint16_t ai = 0; ai < actions_.size(); ++ai) {
-    if (use_sleep_sets_ && !((to_expand >> ai) & 1)) continue;  // Slept.
-    // Sleep mask for successors via `ai`: commuters of `ai` that were
-    // slept here or explored earlier at this state (previous visits, or
-    // lower-indexed actions of this pass).
-    const uint64_t succ_sleep =
-        use_sleep_sets_
-            ? (cur_sleep | explored_before |
-               (to_expand & ((uint64_t{1} << ai) - 1))) &
-                  commuting_mask_[ai]
-            : 0;
     const size_t before = successors.size();
     actions_[ai].next(entry.state, &successors);
     for (size_t si = before; si < successors.size(); ++si) {
       ++s.generated;
       s.staged_states.push_back(spec_.Canonicalize(successors[si]));
       const uint64_t fp = Fingerprint(s.staged_states.back());
-      s.staged_items.push_back(FpInsertItem{
-          fp, entry.fp, EventKey(pos, ai, si - before), succ_sleep,
-          entry.depth + 1, ai});
+      s.staged_items.push_back(FpInsertItem{fp, entry.fp,
+                                            EventKey(pos, ai, si - before),
+                                            entry.depth + 1, ai});
       if (result_.graph && entry.gid != StateGraph::kNoId) {
         result_.graph->RecordEdge(worker, entry.gid, fp, ai);
       }
@@ -366,19 +313,6 @@ void Engine::ProcessEntry(const LevelEntry& entry, size_t pos,
   }
 
   if (options_.check_deadlock && successors.empty()) {
-    if (use_sleep_sets_ && (cur_sleep | explored_before) != 0) {
-      // Slept actions were skipped; confirm genuine deadlock unpruned.
-      bool any_enabled = false;
-      for (const Action& action : actions_) {
-        action.next(entry.state, &successors);
-        if (!successors.empty()) {
-          any_enabled = true;
-          successors.clear();
-          break;
-        }
-      }
-      if (any_enabled) return;
-    }
     s.candidates.push_back(CandidateViolation{DeadlockKey(pos), "Deadlock",
                                               entry.fp, entry.state});
   }
@@ -390,20 +324,10 @@ void Engine::FlushStaged(Scratch& s) {
   s.staged_results.resize(n);
   fpset_.InsertBatch(s.staged_items, s.staged_results);
   for (size_t i = 0; i < n; ++i) {
-    const FpInsert& ins = s.staged_results[i];
+    if (!s.staged_results[i].inserted) continue;
     const FpInsertItem& item = s.staged_items[i];
-    State& state = s.staged_states[i];
-    if (ins.inserted) {
-      AdmitNew(std::move(state), item.fp, item.depth, item.order_key, s);
-    } else if (use_sleep_sets_ && ins.sleep_shrunk) {
-      // The revisit shrank the record's pending sleep mask. Whether
-      // that warrants a re-expansion is decided once per level at the
-      // barrier (SettlePor), not here — a mid-level decision would
-      // depend on how workers interleaved. Only constrained states
-      // ever clear their queued flag, so no constraint recheck is
-      // needed if the settle wakes it.
-      s.wake_candidates.try_emplace(item.fp, std::move(state));
-    }
+    AdmitNew(std::move(s.staged_states[i]), item.fp, item.depth,
+             item.order_key, s);
   }
   s.staged_states.clear();
   s.staged_items.clear();
@@ -464,7 +388,6 @@ obs::CheckerProgress Engine::Progress(int64_t now_ns, uint64_t frontier,
   p.depth = result_.diameter;
   p.seconds = static_cast<double>(now_ns - start_ns_) * 1e-9;
   p.fingerprint_load = fpset_.load_factor();
-  p.por_slept = result_.por_slept_actions;
   p.final_report = final_report;
   // The final line's rate spans the run, an interval line's the interval.
   int64_t since_ns = start_ns_;
@@ -472,7 +395,6 @@ obs::CheckerProgress Engine::Progress(int64_t now_ns, uint64_t frontier,
   if (!final_report) {
     p.generated_states += generated_level_.load(std::memory_order_relaxed);
     p.depth = std::max(p.depth, scratch_[0].diameter);
-    p.por_slept += scratch_[0].slept;
     since_ns = last_report_ns_;
     since_generated = last_report_generated_;
   }
@@ -524,7 +446,6 @@ void Engine::Publish(bool run_ended) {
   raise("checker.states.generated", &CheckResult::generated_states);
   raise("checker.states.distinct", &CheckResult::distinct_states);
   raise("checker.levels.completed", &CheckResult::levels_completed);
-  raise("checker.por.actions_slept", &CheckResult::por_slept_actions);
   set("checker.workers.used", result_.workers_used);
   set("checker.frontier.peak", static_cast<double>(result_.frontier_peak));
   if (spill_enabled_) {
@@ -630,19 +551,20 @@ CheckResult Engine::Finish(common::Status status) {
                  /*final_report=*/true));
   }
   Publish(/*run_ended=*/true);
-  if (events_->enabled()) {
+  obs::EventLog& events = obs::EventLog::Global();
+  if (events.enabled()) {
     if (result_.violation.has_value()) {
-      events_->Emit(
+      events.Emit(
           obs::EventSeverity::kError, "checker", "violation.found",
           {{"kind", result_.violation->kind},
            {"trace_length", common::StrCat(result_.violation->trace.size())},
            {"distinct", common::StrCat(result_.distinct_states)}});
     }
     if (!result_.status.ok()) {
-      events_->Emit(obs::EventSeverity::kWarn, "checker", "run.aborted",
-                    {{"status", result_.status.ToString()}});
+      events.Emit(obs::EventSeverity::kWarn, "checker", "run.aborted",
+                  {{"status", result_.status.ToString()}});
     }
-    events_->Emit(
+    events.Emit(
         obs::EventSeverity::kInfo, "checker", "run.completed",
         {{"distinct", common::StrCat(result_.distinct_states)},
          {"generated", common::StrCat(result_.generated_states)},

@@ -29,10 +29,6 @@
 #include "tlax/spec.h"
 #include "tlax/state_graph.h"
 
-namespace xmodel::obs {
-class EventLog;
-}  // namespace xmodel::obs
-
 namespace xmodel::tlax::internal {
 
 class FrontierSpool;  // tlax/frontier_spill.h (includes this header).
@@ -120,7 +116,7 @@ inline uint64_t DeadlockKey(size_t parent_pos) {
 // The level-synchronous exploration engine. Workers pull parent entries
 // from the current level via an atomic cursor, push discoveries into
 // worker-local buffers, and barrier; the barrier merges tallies, settles
-// the next level's order (POR SettlePor, graph node ids), and handles
+// the next level's order (and its graph node ids), and handles
 // violations/limits. Every barrier step runs on the worker pool, which is
 // otherwise idle there.
 class Engine {
@@ -139,16 +135,12 @@ class Engine {
     std::vector<LevelEntry> next;
     std::vector<CandidateViolation> candidates;
     std::vector<State> successors;
-    // POR: states whose pending sleep mask shrank this level, with their
-    // full state for a potential wake re-enqueue. Settled at the barrier.
-    std::unordered_map<uint64_t, State> wake_candidates;
     // Successors awaiting FlushStaged, in discovery order: staged_items[i]
     // inserts staged_states[i]. The rest is reusable flush scratch.
     std::vector<State> staged_states;
     std::vector<FpInsertItem> staged_items;
     std::vector<FpInsert> staged_results;
     uint64_t generated = 0;
-    uint64_t slept = 0;
     uint64_t expanded = 0;
     int64_t diameter = 0;
     // Worker idle-time profile (CheckResult::worker_busy_ms): wall time
@@ -160,7 +152,7 @@ class Engine {
   };
 
   // Run() preamble: stamps the start, resolves progress plumbing, emits
-  // run.started, builds the POR commuting masks and the graph recorder.
+  // run.started, and builds the graph recorder.
   void StartRun();
 
   // Serial: canonicalizes and inserts the spec's initial states, checking
@@ -186,9 +178,8 @@ class Engine {
   void CheckInvariants(const State& state, uint64_t fp, uint64_t key,
                        Scratch& s);
 
-  // Inserts the staged successors with one InsertBatch, then applies the
-  // results in staged order: new states go through AdmitNew, POR shrinks
-  // into s.wake_candidates.
+  // Inserts the staged successors with one InsertBatch, then passes the
+  // new states, in staged order, through AdmitNew.
   void FlushStaged(Scratch& s);
 
   // Barrier: the next level in settled order — every worker's run,
@@ -233,12 +224,10 @@ class Engine {
   // user-provided). Called after the last stats read.
   void CleanupSpillDir();
 
-  static FingerprintSet::Options FpOptions(bool por,
-                                           const std::string& spill_dir,
+  static FingerprintSet::Options FpOptions(const std::string& spill_dir,
                                            uint64_t memory_budget_bytes,
                                            bool checkpointing) {
     FingerprintSet::Options o;
-    o.track_por = por;
     o.spill_dir = spill_dir;  // Empty when spilling is off or gated off.
     o.memory_budget_bytes = memory_budget_bytes;
     o.spill_durable = checkpointing;
@@ -250,28 +239,9 @@ class Engine {
   const std::vector<Action>& actions_;
   const std::vector<Invariant>& invariants_;
   common::MonotonicClock* const clock_;
-  obs::EventLog* const events_;
   const int workers_;
-  // Sleep-set partial-order reduction (Godefroid): when expanding a
-  // state, actions in its sleep set are skipped; a successor reached via
-  // action a sleeps every action that commutes with a and was either
-  // already slept or explored earlier at the parent. Revisiting a state
-  // with a smaller sleep set shrinks the stored set (intersection) and
-  // re-expands ONLY the newly woken actions (the per-record `done` mask
-  // remembers what already ran), so every reachable state is eventually
-  // explored with every non-redundant action — the reduction removes
-  // redundant interleavings, not reachable states. Shrinks are
-  // two-phase: mid-level revisits only narrow a pending mask, and the
-  // level barrier settles it and re-enqueues woken states (fpset.h
-  // SettlePor), so every counter and trace is worker-count-invariant
-  // under POR too. Soundness requires the independence relation to
-  // respect the state constraint (see analysis::ComputeIndependence /
-  // RefineIndependence). Disabled under record_graph: the recorded graph
-  // must carry every edge for MBTCG/liveness.
-  const bool use_sleep_sets_;
-  const uint64_t all_actions_;
   // Out-of-core tier, resolved after gating (see CheckerOptions::
-  // memory_budget_mb): spilling runs only without POR / record_graph.
+  // memory_budget_mb): spilling runs only without record_graph.
   // checkpointing_ additionally requires checkpoint_dir.
   const bool spill_enabled_;
   const bool checkpointing_;
@@ -286,7 +256,6 @@ class Engine {
   // spill_enabled_ only: the settled level beyond the in-memory head, as
   // sealed segment files replayed FIFO.
   std::unique_ptr<FrontierSpool> spool_;
-  std::vector<uint64_t> commuting_mask_;  // Per action: bits of commuters.
   std::unordered_map<uint64_t, State> initial_by_fp_;  // Replay anchors.
 
   // The run's one record, and the part of it already added to the

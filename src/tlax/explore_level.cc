@@ -73,10 +73,10 @@ struct RunRef {
 };
 
 // The settled order of a level: discovery key, then fingerprint. Keys are
-// unique within one level's events, but a POR wake keeps the key of the
-// level it was first discovered in, which can collide numerically with a
-// fresh key — the fingerprint breaks the tie so the order stays a pure
-// function of the state graph.
+// unique within one level's events unless one action yields more than
+// 0xFFFF successors at one parent (EventKey saturates the ordinal); the
+// fingerprint breaks such ties, so the order stays a pure function of the
+// state graph.
 bool RefBefore(const RunRef& a, const RunRef& b) {
   return a.key != b.key ? a.key < b.key : a.fp < b.fp;
 }
@@ -174,28 +174,6 @@ std::vector<LevelEntry*> MergeSettledRuns(
 }
 
 Level Engine::AssembleNext() {
-  // Every worker has drained, so the records are settled up to POR, and
-  // each worker readies its own run.
-  if (use_sleep_sets_) {
-    // Settle the sleep-mask shrinks. The per-record pending mask is an
-    // intersection, so it is independent of worker interleaving;
-    // SettlePor folds it into the settled mask and reports whether
-    // uncovered actions require a re-expansion. A state several workers
-    // report is settled by each, but only the first call can wake it.
-    // Woken states rejoin the frontier at their original depth.
-    pool_.Run([this](int worker) {
-      Scratch& s = scratch_[static_cast<size_t>(worker)];
-      for (auto& [fp, state] : s.wake_candidates) {
-        FingerprintSet::PorSettle settle =
-            fpset_.SettlePor(fp, all_actions_);
-        if (settle.wake) {
-          s.next.push_back(LevelEntry{std::move(state), fp, settle.depth,
-                                      settle.order_key});
-        }
-      }
-      s.wake_candidates.clear();
-    });
-  }
   if (workers_ > 1) {
     // Two workers can race to discover the same state; whoever wins the
     // insert owns the enqueue, but the record's min-merged key is the
@@ -219,8 +197,8 @@ Level Engine::AssembleNext() {
 
 void Engine::SettleGraph(Level& next) {
   // With record_graph the next level is exactly this level's constrained
-  // new states (no POR wakes, no spilling), in settled order — the order
-  // a serial scan numbers them in.
+  // new states (no spilling), in settled order — the order a serial scan
+  // numbers them in.
   StateGraph& graph = *result_.graph;
   const uint32_t first = graph.AddNodes(next.size());
   const size_t parts = common::ParallelWidth(&pool_);
@@ -327,8 +305,6 @@ CheckResult Engine::Run() {
       level_generated += s.generated;
       result_.generated_states += s.generated;
       s.generated = 0;
-      result_.por_slept_actions += s.slept;
-      s.slept = 0;
       if (s.diameter > result_.diameter) result_.diameter = s.diameter;
       for (CandidateViolation& c : s.candidates) {
         candidates.push_back(std::move(c));
@@ -342,8 +318,9 @@ CheckResult Engine::Run() {
     // event; its end publishes the run record (so a /metrics scrape
     // advances mid-run). None of this touches exploration state.
     if (options_.watchdog != nullptr) options_.watchdog->Heartbeat();
-    if (events_->enabled()) {
-      events_->Emit(
+    obs::EventLog& events = obs::EventLog::Global();
+    if (events.enabled()) {
+      events.Emit(
           obs::EventSeverity::kDebug, "checker", "level.completed",
           {{"level", common::StrCat(result_.levels_completed)},
            {"level_size", common::StrCat(level_size)},

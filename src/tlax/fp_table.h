@@ -15,8 +15,6 @@ namespace xmodel::tlax::internal {
 /// ordinary key (Fingerprint() is a Mix64 bijection and can produce it).
 struct FpSlot {
   static constexpr uint8_t kOccupied = 1;
-  /// POR: on a frontier, awaiting expansion.
-  static constexpr uint8_t kQueued = 2;
 
   uint64_t fp = 0;
   uint64_t pred_fp = 0;
@@ -26,20 +24,8 @@ struct FpSlot {
   uint8_t flags = 0;
 
   bool occupied() const { return (flags & kOccupied) != 0; }
-  bool has(uint8_t flag) const { return (flags & flag) != 0; }
-  void set(uint8_t flag, bool on) {
-    flags = static_cast<uint8_t>(on ? flags | flag : flags & ~flag);
-  }
 };
 static_assert(sizeof(FpSlot) == 32, "two slots per cache line");
-
-/// Sleep-set POR masks of one record, kept in an array parallel to the
-/// slots (same index) that exists only when the table tracks POR.
-struct FpPorMasks {
-  uint64_t sleep = 0;    // Settled mask expansion reads.
-  uint64_t pending = 0;  // sleep ∩ this level's revisit masks.
-  uint64_t done = 0;     // Actions already expanded here.
-};
 
 /// One FingerprintSet shard's records: a flat open-addressing table with
 /// linear probing from the fingerprint's low bits (shards are chosen by
@@ -60,8 +46,7 @@ class FpTable {
   /// Allocates the floor capacity. `allocated_bytes`, when non-null, is
   /// adjusted on every allocation change so that it holds the sum of
   /// bytes() over all tables sharing it.
-  void Init(bool track_por, std::atomic<size_t>* allocated_bytes) {
-    track_por_ = track_por;
+  void Init(std::atomic<size_t>* allocated_bytes) {
     allocated_bytes_ = allocated_bytes;
     Reallocate(kMinCapacity);
   }
@@ -69,16 +54,11 @@ class FpTable {
   /// Records stored.
   size_t size() const { return size_; }
   size_t capacity() const { return slots_.size(); }
-  /// Bytes of the slot array plus the POR array when present.
-  size_t bytes() const {
-    return capacity() *
-           (sizeof(FpSlot) + (track_por_ ? sizeof(FpPorMasks) : 0));
-  }
+  /// Bytes of the slot array.
+  size_t bytes() const { return capacity() * sizeof(FpSlot); }
 
   FpSlot& slot(size_t i) { return slots_[i]; }
   const FpSlot& slot(size_t i) const { return slots_[i]; }
-  /// Requires track_por.
-  FpPorMasks& por(size_t i) { return por_[i]; }
 
   /// Index of `fp`'s record, or kNone.
   size_t Find(uint64_t fp) const {
@@ -90,13 +70,12 @@ class FpTable {
     }
   }
 
-  /// Starts loading the line of `fp`'s home slot (and its POR masks), for
-  /// writing: a batch issues this a few keys ahead of FindOrInsert so
-  /// that their cache misses overlap instead of running one by one.
+  /// Starts loading the line of `fp`'s home slot, for writing: a batch
+  /// issues this a few keys ahead of FindOrInsert so that their cache
+  /// misses overlap instead of running one by one.
   void Prefetch(uint64_t fp) const {
     const size_t i = fp & (slots_.size() - 1);
     __builtin_prefetch(&slots_[i], 1);
-    if (track_por_) __builtin_prefetch(&por_[i], 1);
   }
 
   /// Index of `fp`'s record; claims a zeroed, occupied slot for it (and
@@ -145,19 +124,15 @@ class FpTable {
     return i;
   }
 
-  // Swaps in zeroed arrays of `capacity` slots, handing the old ones to
-  // the caller when asked (otherwise they are freed), and accounts the
+  // Swaps in a zeroed array of `capacity` slots, handing the old one to
+  // the caller when asked (otherwise it is freed), and accounts the
   // change in allocated bytes.
   void Reallocate(size_t capacity,
-                  std::vector<FpSlot>* old_slots = nullptr,
-                  std::vector<FpPorMasks>* old_por = nullptr) {
+                  std::vector<FpSlot>* old_slots = nullptr) {
     const size_t old_bytes = bytes();
     std::vector<FpSlot> slots(capacity);
-    std::vector<FpPorMasks> por(track_por_ ? capacity : 0);
     slots.swap(slots_);
-    por.swap(por_);
     if (old_slots != nullptr) *old_slots = std::move(slots);
-    if (old_por != nullptr) *old_por = std::move(por);
     size_ = 0;
     if (allocated_bytes_ != nullptr) {
       // Unsigned wrap-around makes a shrink a subtraction.
@@ -168,22 +143,16 @@ class FpTable {
 
   void Rehash(size_t capacity) {
     std::vector<FpSlot> old_slots;
-    std::vector<FpPorMasks> old_por;
-    Reallocate(capacity, &old_slots, &old_por);
-    for (size_t k = 0; k < old_slots.size(); ++k) {
-      const FpSlot& s = old_slots[k];
+    Reallocate(capacity, &old_slots);
+    for (const FpSlot& s : old_slots) {
       if (!s.occupied()) continue;
-      const size_t i = FreeSlotFor(s.fp);
-      slots_[i] = s;
-      if (track_por_) por_[i] = old_por[k];
+      slots_[FreeSlotFor(s.fp)] = s;
       ++size_;
     }
   }
 
   std::vector<FpSlot> slots_;
-  std::vector<FpPorMasks> por_;  // track_por only; parallel to slots_.
   size_t size_ = 0;
-  bool track_por_ = false;
   std::atomic<size_t>* allocated_bytes_ = nullptr;
 };
 

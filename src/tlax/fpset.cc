@@ -29,7 +29,7 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
   int shards = RoundUpPow2(options_.num_shards < 1 ? 1 : options_.num_shards);
   shards_ = std::vector<Shard>(static_cast<size_t>(shards));
   for (Shard& shard : shards_) {
-    shard.table.Init(options_.track_por, &table_bytes_);
+    shard.table.Init(&table_bytes_);
   }
   // Index by the top bits: the low bits pick each shard's home slot, so
   // reusing them for shard selection would correlate the two.
@@ -45,9 +45,9 @@ FingerprintSet::FingerprintSet(Options options) : options_(options) {
 }
 
 FpInsert FingerprintSet::Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
-                                int64_t depth, uint64_t order_key,
-                                uint64_t sleep_mask, std::nullptr_t) {
-  const FpInsertItem item{fp, pred_fp, order_key, sleep_mask, depth, action};
+                                int64_t depth, uint64_t order_key, uint64_t,
+                                std::nullptr_t) {
+  const FpInsertItem item{fp, pred_fp, order_key, depth, action};
   FpInsert out;
   InsertBatch({&item, 1}, {&out, 1});
   return out;
@@ -145,7 +145,6 @@ size_t FingerprintSet::InsertRun(Shard& shard,
       shard.table.Prefetch(items[run[k + kPrefetchAhead]].fp);
     }
     const FpInsertItem& item = items[run[k]];
-    FpInsert& result = out[run[k]];
     bool fresh = false;
     size_t index;
     if (misses == nullptr) {
@@ -157,97 +156,24 @@ size_t FingerprintSet::InsertRun(Shard& shard,
         continue;
       }
     }
-    if (!fresh) {
-      result = MergeRevisit(shard, index, item);
+    out[run[k]] = FpInsert{.inserted = fresh};
+    internal::FpSlot& rec = shard.table.slot(index);
+    if (fresh) {
+      // Slots store depth as int32; BFS depths never come near that bound.
+      assert(item.depth >= INT32_MIN && item.depth <= INT32_MAX);
+      rec.depth = static_cast<int32_t>(item.depth);
+      ++created;
+    } else if (item.depth != rec.depth || item.order_key >= rec.order_key) {
       continue;
     }
-    InitRecord(shard.table, index, item);
-    ++created;
-    result = FpInsert{.inserted = true};
-  }
-  return created;
-}
-
-void FingerprintSet::InitRecord(internal::FpTable& table, size_t index,
-                                const FpInsertItem& item) const {
-  // Slots store depth as int32; BFS depths never come near that bound.
-  assert(item.depth >= INT32_MIN && item.depth <= INT32_MAX);
-  internal::FpSlot& rec = table.slot(index);
-  rec.pred_fp = item.pred_fp;
-  rec.order_key = item.order_key;
-  rec.depth = static_cast<int32_t>(item.depth);
-  rec.action = item.action;
-  rec.set(internal::FpSlot::kQueued, true);
-  if (options_.track_por) {
-    table.por(index).sleep = item.sleep_mask;
-    table.por(index).pending = item.sleep_mask;
-  }
-}
-
-// Revisit path of InsertRun; shard.mu must be held.
-FpInsert FingerprintSet::MergeRevisit(Shard& shard, size_t index,
-                                      const FpInsertItem& item) {
-  internal::FpSlot& rec = shard.table.slot(index);
-  FpInsert out;
-  if (options_.track_por) {
-    internal::FpPorMasks& por = shard.table.por(index);
-    // Sleep-set intersect-merge (Godefroid), deferred: the shrink lands
-    // in the pending mask only. SettlePor folds it into the settled mask
-    // at the next level barrier, after every worker has drained — the
-    // intersection is commutative, so the settled result is independent
-    // of the order revisits arrived in.
-    por.pending &= item.sleep_mask;
-    out.sleep_shrunk = por.pending != por.sleep;
-  }
-  if (item.depth == rec.depth && item.order_key < rec.order_key) {
-    // Same BFS level, earlier discovery order: adopt this edge so the
-    // reconstructed trace matches what a serial scan would record.
+    // A new record, or a revisit at the same BFS level with an earlier
+    // discovery order: adopt this edge so the reconstructed trace matches
+    // what a serial scan would record.
     rec.pred_fp = item.pred_fp;
     rec.order_key = item.order_key;
     rec.action = item.action;
   }
-  return out;
-}
-
-FingerprintSet::ExpandGrant FingerprintSet::AcquireExpand(
-    uint64_t fp, uint64_t all_actions) {
-  assert(options_.track_por);
-  Shard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  ExpandGrant grant;
-  const size_t index = shard.table.Find(fp);
-  if (index == internal::FpTable::kNone) return grant;
-  internal::FpPorMasks& por = shard.table.por(index);
-  shard.table.slot(index).set(internal::FpSlot::kQueued, false);
-  grant.sleep = por.sleep;
-  grant.explored_before = por.done;
-  grant.to_expand = all_actions & ~por.sleep & ~por.done;
-  por.done |= grant.to_expand;
-  return grant;
-}
-
-FingerprintSet::PorSettle FingerprintSet::SettlePor(uint64_t fp,
-                                                    uint64_t all_actions) {
-  assert(options_.track_por);
-  Shard& shard = ShardFor(fp);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  PorSettle settle;
-  const size_t index = shard.table.Find(fp);
-  if (index == internal::FpTable::kNone) return settle;
-  internal::FpSlot& rec = shard.table.slot(index);
-  internal::FpPorMasks& por = shard.table.por(index);
-  por.sleep = por.pending;
-  settle.depth = rec.depth;
-  settle.order_key = rec.order_key;
-  // Wake only when the shrink uncovered work: an action neither settled
-  // asleep nor already expanded. Already-queued states pick the new mask
-  // up at their scheduled expansion.
-  if (!rec.has(internal::FpSlot::kQueued) &&
-      (all_actions & ~por.sleep & ~por.done) != 0) {
-    rec.set(internal::FpSlot::kQueued, true);
-    settle.wake = true;
-  }
-  return settle;
+  return created;
 }
 
 std::optional<FingerprintSet::Edge> FingerprintSet::GetEdge(uint64_t fp) const {

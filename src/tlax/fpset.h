@@ -38,11 +38,6 @@ inline constexpr uint16_t kFpInitialAction = UINT16_MAX;
 struct FpInsert {
   /// The fingerprint was new; a record was created.
   bool inserted = false;
-  /// POR mode only: this revisit left the record's pending sleep mask
-  /// strictly below its settled one. The caller should report the
-  /// fingerprint as a wake candidate; SettlePor decides at the level
-  /// barrier whether re-expansion is actually needed.
-  bool sleep_shrunk = false;
 };
 
 /// One insert of a FingerprintSet::InsertBatch call: Insert's arguments.
@@ -50,7 +45,6 @@ struct FpInsertItem {
   uint64_t fp = 0;
   uint64_t pred_fp = 0;
   uint64_t order_key = 0;
-  uint64_t sleep_mask = 0;
   int64_t depth = 0;
   uint16_t action = 0;
 };
@@ -59,10 +53,9 @@ struct FpInsertItem {
 /// keyed by 64-bit fingerprint, storing compact predecessor records
 /// `{pred_fp, action}` instead of full states — the TLC fingerprint-set
 /// design. Each shard is a flat open-addressing table of 32-byte slots
-/// (internal::FpTable); POR masks live in a parallel array only under
-/// Options::track_por. Counterexample traces are reconstructed by replaying actions
-/// along the predecessor chain from an initial state, so dropping the
-/// states costs nothing but that replay.
+/// (internal::FpTable). Counterexample traces are reconstructed by
+/// replaying actions along the predecessor chain from an initial state,
+/// so dropping the states costs nothing but that replay.
 ///
 /// The table is insert-only: a record is never erased on its own, and an
 /// eviction seals the whole hot table to disk and clears it.
@@ -83,12 +76,8 @@ class FingerprintSet {
     /// Lock stripes; rounded up to a power of two. Many more stripes than
     /// workers keeps contention negligible.
     int num_shards = 64;
-    /// Maintain per-state sleep/done masks for sleep-set POR.
-    bool track_por = false;
     /// Out-of-core tier: directory for sealed spill runs. Empty disables
-    /// spilling entirely. Incompatible with track_por (sleep-set POR
-    /// updates the masks of records that eviction would have sealed; the
-    /// engine gates this).
+    /// spilling entirely.
     std::string spill_dir;
     /// Allocated hot-table bytes (see table_bytes()) that trigger eviction
     /// via EvictIfOverBudget. 0 means no budget (evictions only happen on
@@ -104,15 +93,9 @@ class FingerprintSet {
   explicit FingerprintSet(Options options);
 
   /// Records `fp` if unseen (predecessor `pred_fp` via `action`, at
-  /// `depth`, discovered at `order_key`); otherwise merges: min-merges
-  /// the predecessor for same-depth candidates with a smaller order key
-  /// — so counterexample traces are bit-identical across worker counts
-  /// — and intersects the POR sleep mask into the record's PENDING mask
-  /// (reporting sleep_shrunk when pending drops below the settled mask).
-  /// The settled mask that expansion reads is only updated by SettlePor
-  /// at a level barrier, so mid-level revisits never race with
-  /// AcquireExpand — that two-phase split is what makes every POR counter
-  /// and trace worker-count-invariant.
+  /// `depth`, discovered at `order_key`); otherwise min-merges the
+  /// predecessor for same-depth candidates with a smaller order key, so
+  /// counterexample traces are bit-identical across worker counts.
   ///
   /// With a spill tier, a hot-table miss is probed against the sealed
   /// runs before it is recorded, so `inserted` is final either way; a
@@ -120,10 +103,10 @@ class FingerprintSet {
   /// kept as is. Insert is a one-item InsertBatch: callers with many
   /// fingerprints batch them so that the disk probe sweeps each run once.
   ///
-  /// The trailing null argument carries nothing; it keeps seven-argument
-  /// callers (xbench/bench_xmodel.cc) compiling.
+  /// The sixth (`uint64_t`) and seventh (null) arguments are ignored;
+  /// they keep seven-argument callers (xbench/bench_xmodel.cc) compiling.
   FpInsert Insert(uint64_t fp, uint64_t pred_fp, uint16_t action,
-                  int64_t depth, uint64_t order_key, uint64_t sleep_mask,
+                  int64_t depth, uint64_t order_key, uint64_t = 0,
                   std::nullptr_t = nullptr);
 
   /// Inserts `items` and stores in out[i] exactly what Insert(items[i])
@@ -142,32 +125,6 @@ class FingerprintSet {
   /// worker inserted between the passes is merged as a revisit there.
   void InsertBatch(std::span<const FpInsertItem> items,
                    std::span<FpInsert> out);
-
-  /// POR expansion handshake: atomically clears the record's queued flag,
-  /// returns its current sleep mask and previously-expanded mask, and
-  /// marks the newly grantable actions (`all_actions & ~sleep & ~done`)
-  /// as done. Requires Options::track_por.
-  struct ExpandGrant {
-    uint64_t sleep = 0;
-    uint64_t explored_before = 0;
-    uint64_t to_expand = 0;
-  };
-  ExpandGrant AcquireExpand(uint64_t fp, uint64_t all_actions);
-
-  /// POR barrier step: applies the pending sleep-mask shrinks accumulated
-  /// by this level's Inserts to the settled mask, and decides whether the
-  /// state must be re-enqueued (`wake`): it is not already queued and the
-  /// shrink uncovered actions neither slept nor done. Sets the queued
-  /// flag when waking; `depth` and `order_key` are the record's settled
-  /// values for building the wake entry. Call once per wake-candidate
-  /// fingerprint at each barrier; the per-record result is independent of
-  /// call order. Requires Options::track_por.
-  struct PorSettle {
-    bool wake = false;
-    int64_t depth = 0;
-    uint64_t order_key = 0;
-  };
-  PorSettle SettlePor(uint64_t fp, uint64_t all_actions);
 
   /// The discovery edge of `fp`: predecessor fingerprint and action
   /// (action == kFpInitialAction for initial states), plus the settled
@@ -194,7 +151,7 @@ class FingerprintSet {
   /// Aggregate load factor across shards (records per slot, at most 7/8):
   /// what CheckResult::fingerprint_load reports.
   double load_factor() const;
-  /// Bytes allocated by every shard's slot array (and POR array): what
+  /// Bytes allocated by every shard's slot array: what
   /// EvictIfOverBudget compares against Options::memory_budget_bytes.
   size_t table_bytes() const {
     return table_bytes_.load(std::memory_order_relaxed);
@@ -256,12 +213,6 @@ class FingerprintSet {
   size_t InsertRun(Shard& shard, std::span<const FpInsertItem> items,
                    std::span<const uint32_t> run, std::span<FpInsert> out,
                    std::vector<uint32_t>* misses);
-
-  // Fills the record just claimed at `index` (queued, with the item's
-  // edge and sleep mask).
-  void InitRecord(internal::FpTable& table, size_t index,
-                  const FpInsertItem& item) const;
-  FpInsert MergeRevisit(Shard& shard, size_t index, const FpInsertItem& item);
 
   Options options_;
   // Read by every operation and written only by the constructor.

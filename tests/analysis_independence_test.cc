@@ -1,10 +1,7 @@
-// Tests for the action-independence analysis: golden commutativity
-// matrices on the toy specs, the value-sensitive refinement layered on the
-// abstract-domain pass, and the soundness contract of the sleep-set
-// partial-order reduction they feed — the reduced exploration must reach
-// exactly the same distinct states.
+// Tests for the action-independence analysis that xmodel_lint reports:
+// golden commutativity matrices on the toy specs, and the value-sensitive
+// refinement layered on the abstract-domain pass.
 
-#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -12,7 +9,6 @@
 #include "analysis/domain.h"
 #include "analysis/footprint.h"
 #include "analysis/independence.h"
-#include "obs/metrics.h"
 #include "specs/raft_mongo_spec.h"
 #include "specs/toy_specs.h"
 #include "tlax/checker.h"
@@ -23,7 +19,7 @@ namespace {
 TEST(IndependenceTest, CounterMatrixGolden) {
   specs::CounterSpec spec(3);
   SpecFootprints footprints = InferFootprints(spec);
-  tlax::ActionIndependence matrix = ComputeIndependence(spec, footprints);
+  ActionIndependence matrix = ComputeIndependence(spec, footprints);
   // The two increments touch disjoint variables and there is no state
   // constraint, so they commute.
   EXPECT_EQ(IndependenceToText(spec, matrix),
@@ -35,7 +31,7 @@ TEST(IndependenceTest, CounterMatrixGolden) {
 TEST(IndependenceTest, DieHardMatrixGolden) {
   specs::DieHardSpec spec;
   SpecFootprints footprints = InferFootprints(spec);
-  tlax::ActionIndependence matrix = ComputeIndependence(spec, footprints);
+  ActionIndependence matrix = ComputeIndependence(spec, footprints);
   // Fill/Empty of one jug commutes with Fill/Empty of the other (2x2
   // pairs); the two pour actions read and write both jugs, so they
   // conflict with everything.
@@ -53,8 +49,8 @@ TEST(IndependenceTest, DieHardMatrixGolden) {
 TEST(IndependenceTest, ConstraintReadsDisqualifyWriters) {
   // RaftMongo's constraint bounds term and oplog length; actions writing
   // those variables must not commute with anything even when their own
-  // footprints are disjoint — the pruned interleaving could pass through
-  // an out-of-constraint state the checker never expands.
+  // footprints are disjoint — one interleaving could pass through an
+  // out-of-constraint state the checker never expands.
   specs::RaftMongoConfig config;
   config.num_nodes = 3;
   config.max_term = 2;
@@ -63,7 +59,7 @@ TEST(IndependenceTest, ConstraintReadsDisqualifyWriters) {
   SpecFootprints footprints = InferFootprints(spec);
   ASSERT_NE(footprints.constraint_reads, 0u);
 
-  tlax::ActionIndependence matrix = ComputeIndependence(spec, footprints);
+  ActionIndependence matrix = ComputeIndependence(spec, footprints);
   const auto& actions = spec.actions();
   for (size_t a = 0; a < actions.size(); ++a) {
     if ((footprints.actions[a].writes() & footprints.constraint_reads) == 0) {
@@ -76,55 +72,6 @@ TEST(IndependenceTest, ConstraintReadsDisqualifyWriters) {
           << "commutes with " << actions[b].name;
     }
   }
-}
-
-// The POR soundness contract: with a matrix from ComputeIndependence, the
-// checker visits exactly the same distinct states, only generating fewer
-// duplicate successors.
-void ExpectSameStateSpace(const tlax::Spec& spec) {
-  auto footprints = InferFootprints(spec);
-  auto matrix = std::make_shared<tlax::ActionIndependence>(
-      ComputeIndependence(spec, footprints));
-
-  tlax::CheckResult plain = tlax::ModelChecker().Check(spec);
-  tlax::CheckerOptions options;
-  options.independence = matrix;
-  tlax::CheckResult reduced = tlax::ModelChecker(options).Check(spec);
-
-  ASSERT_TRUE(plain.status.ok());
-  ASSERT_TRUE(reduced.status.ok());
-  EXPECT_EQ(reduced.distinct_states, plain.distinct_states) << spec.name();
-  EXPECT_EQ(reduced.violation.has_value(), plain.violation.has_value())
-      << spec.name();
-  EXPECT_LE(reduced.generated_states, plain.generated_states) << spec.name();
-}
-
-TEST(IndependenceTest, SleepSetsPreserveCounterStateSpace) {
-  specs::CounterSpec spec(4);
-  ExpectSameStateSpace(spec);
-}
-
-TEST(IndependenceTest, SleepSetsPreserveRaftMongoStateSpace) {
-  specs::RaftMongoConfig config;
-  config.num_nodes = 3;
-  config.max_term = 2;
-  config.max_oplog_len = 2;
-  specs::RaftMongoSpec spec(config);
-  ExpectSameStateSpace(spec);
-}
-
-TEST(IndependenceTest, SleepSetsPruneCounterSuccessors) {
-  // The fully commuting Counter spec is the best case: the diamond
-  // interleavings collapse, so strictly fewer successors are generated.
-  specs::CounterSpec spec(4);
-  auto footprints = InferFootprints(spec);
-  auto matrix = std::make_shared<tlax::ActionIndependence>(
-      ComputeIndependence(spec, footprints));
-  tlax::CheckResult plain = tlax::ModelChecker().Check(spec);
-  tlax::CheckerOptions options;
-  options.independence = matrix;
-  tlax::CheckResult reduced = tlax::ModelChecker(options).Check(spec);
-  EXPECT_LT(reduced.generated_states, plain.generated_states);
 }
 
 specs::RaftMongoSpec MakeRaftMongo(specs::RaftMongoVariant variant,
@@ -144,7 +91,7 @@ TEST(RefinementTest, RefinedMatrixIsSupersetOfBase) {
   SpecDomains domains = InferDomains(spec);
   ASSERT_TRUE(domains.exhaustive);
 
-  tlax::ActionIndependence base = ComputeIndependence(spec, footprints);
+  ActionIndependence base = ComputeIndependence(spec, footprints);
   RefinedIndependence refined = RefineIndependence(spec, footprints, domains);
   EXPECT_EQ(refined.base_commuting, base.NumCommutingPairs());
   for (size_t a = 0; a < spec.actions().size(); ++a) {
@@ -207,55 +154,14 @@ TEST(RefinementTest, TruncatedProbeProvesNothing) {
   EXPECT_EQ(refined.matrix.NumCommutingPairs(), refined.base_commuting);
 }
 
-TEST(RefinementTest, RefinedMatrixPreservesStateSpaceAndSleepsMore) {
-  // The acceptance bar for the whole refinement chain: against the
-  // footprint-only baseline the refined matrix must visit bit-identical
-  // distinct/diameter while putting strictly more actions to sleep, and
-  // the checker.por.actions_slept counter must account for the run.
-  specs::RaftMongoSpec spec = MakeRaftMongo(specs::RaftMongoVariant::kDetailed);
-  SpecFootprints footprints = InferFootprints(spec);
-  SpecDomains domains = InferDomains(spec);
-  ASSERT_TRUE(domains.exhaustive);
-  RefinedIndependence refined = RefineIndependence(spec, footprints, domains);
-  ASSERT_GT(refined.matrix.NumCommutingPairs(), refined.base_commuting);
-
-  tlax::CheckerOptions base_options;
-  base_options.independence = std::make_shared<tlax::ActionIndependence>(
-      ComputeIndependence(spec, footprints));
-  tlax::CheckResult base = tlax::ModelChecker(base_options).Check(spec);
-  ASSERT_TRUE(base.status.ok());
-
-  auto& slept_counter =
-      obs::MetricsRegistry::Global().GetCounter("checker.por.actions_slept");
-  const uint64_t counter_before = slept_counter.value();
-
-  tlax::CheckerOptions refined_options;
-  refined_options.independence =
-      std::make_shared<tlax::ActionIndependence>(refined.matrix);
-  tlax::CheckResult reduced = tlax::ModelChecker(refined_options).Check(spec);
-  ASSERT_TRUE(reduced.status.ok());
-
-  EXPECT_EQ(reduced.distinct_states, base.distinct_states);
-  EXPECT_EQ(reduced.diameter, base.diameter);
-  EXPECT_EQ(reduced.violation.has_value(), base.violation.has_value());
-  EXPECT_GT(reduced.por_slept_actions, base.por_slept_actions)
-      << "value-sensitive refinement must prune strictly more";
-  EXPECT_EQ(slept_counter.value() - counter_before,
-            reduced.por_slept_actions)
-      << "the metrics registry must account for the refined run";
-}
-
 TEST(RefinementTest, ComposesWithSymmetryCanonicalization) {
   // Regression for the probe/checker contract: footprint, domain, and
-  // independence inference all sample CANONICAL states, so switching on
-  // symmetry reduction must compose — same reachable quotient space with
-  // and without the refined matrix.
+  // independence inference all sample CANONICAL states, so with symmetry
+  // reduction on the probe must walk the checker's quotient space.
   specs::RaftMongoSpec spec =
       MakeRaftMongo(specs::RaftMongoVariant::kAbstract, /*use_symmetry=*/true);
-  SpecFootprints footprints = InferFootprints(spec);
   SpecDomains domains = InferDomains(spec);
   ASSERT_TRUE(domains.exhaustive);
-  RefinedIndependence refined = RefineIndependence(spec, footprints, domains);
 
   tlax::CheckResult plain = tlax::ModelChecker().Check(spec);
   ASSERT_TRUE(plain.status.ok());
@@ -263,28 +169,6 @@ TEST(RefinementTest, ComposesWithSymmetryCanonicalization) {
   // checker explores.
   EXPECT_EQ(domains.joined_states, plain.distinct_states);
   EXPECT_GE(domains.StateBound(), static_cast<double>(plain.distinct_states));
-
-  tlax::CheckerOptions options;
-  options.independence =
-      std::make_shared<tlax::ActionIndependence>(refined.matrix);
-  tlax::CheckResult reduced = tlax::ModelChecker(options).Check(spec);
-  ASSERT_TRUE(reduced.status.ok());
-  EXPECT_EQ(reduced.distinct_states, plain.distinct_states);
-  EXPECT_EQ(reduced.diameter, plain.diameter);
-}
-
-TEST(IndependenceTest, SleepSetsPreserveViolations) {
-  // A violating spec must still report a violation under POR (the trace
-  // need not be minimal, but the verdict must match).
-  specs::CounterSpec spec(4, /*violate_at=*/5);
-  auto footprints = InferFootprints(spec);
-  auto matrix = std::make_shared<tlax::ActionIndependence>(
-      ComputeIndependence(spec, footprints));
-  tlax::CheckerOptions options;
-  options.independence = matrix;
-  tlax::CheckResult reduced = tlax::ModelChecker(options).Check(spec);
-  ASSERT_TRUE(reduced.violation.has_value());
-  EXPECT_EQ(reduced.violation->kind, "Sum");
 }
 
 }  // namespace

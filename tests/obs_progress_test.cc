@@ -25,12 +25,6 @@ TEST(ProgressFormatTest, GoldenLines) {
             "progress: 123456 states generated (45678 s/sec), 9999 distinct, "
             "321 on queue, depth 12, fp load 0.43");
 
-  p.por_slept = 17;
-  EXPECT_EQ(obs::TextProgressReporter::FormatLine(p),
-            "progress: 123456 states generated (45678 s/sec), 9999 distinct, "
-            "321 on queue, depth 12, fp load 0.43, 17 slept");
-
-  p.por_slept = 0;
   p.final_report = true;
   p.seconds = 2.5;
   p.frontier_size = 0;
@@ -100,7 +94,6 @@ TEST(ProgressReporterTest, CheckerEmitsDeterministicProgress) {
   final_progress.states_per_sec =
       static_cast<double>(result.generated_states) / result.seconds;
   final_progress.fingerprint_load = result.fingerprint_load;
-  final_progress.por_slept = result.por_slept_actions;
   final_progress.final_report = true;
   EXPECT_EQ(lines.back(),
             obs::TextProgressReporter::FormatLine(final_progress));

@@ -9,14 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
-#include "analysis/domain.h"
-#include "analysis/footprint.h"
-#include "analysis/independence.h"
 #include "common/parallel.h"
 #include "specs/array_ot_spec.h"
 #include "specs/locking_spec.h"
@@ -50,7 +46,6 @@ void ExpectWorkerInvariant(const Spec& spec, CheckerOptions options = {}) {
     EXPECT_EQ(result.generated_states, base.generated_states);
     EXPECT_EQ(result.diameter, base.diameter);
     EXPECT_EQ(result.frontier_peak, base.frontier_peak);
-    EXPECT_EQ(result.por_slept_actions, base.por_slept_actions);
     EXPECT_EQ(result.fingerprint_collision_probability,
               base.fingerprint_collision_probability);
 
@@ -73,9 +68,9 @@ void ExpectWorkerInvariant(const Spec& spec, CheckerOptions options = {}) {
 
 // The level barrier builds the next level by sorting each worker's run and
 // merging them in parallel; the result must be exactly a sort of the
-// concatenation. Keys collide across runs (a POR wake keeps the key of the
-// level it was first discovered in) and, rarely, a (key, fingerprint) pair
-// repeats; runs may be empty.
+// concatenation. Keys collide across runs (EventKey saturates a parent's
+// successor ordinal) and, rarely, a (key, fingerprint) pair repeats; runs
+// may be empty.
 TEST(DeterminismTest, MergedLevelEqualsSortOfConcatenation) {
   using internal::LevelEntry;
   std::mt19937_64 rng(20261017);
@@ -202,80 +197,6 @@ TEST(DeterminismTest, DieHardMinimalCounterexample) {
   }
 }
 
-// Checker options carrying a sleep-set POR matrix: the footprint-only
-// matrix, or the value-sensitive refined one from the abstract-domain
-// pass. Two-phase settle at the level barrier makes every CheckResult
-// field worker-count-invariant even under POR, so these run through the
-// same ExpectWorkerInvariant bar as the unreduced checks.
-CheckerOptions PorOptions(const Spec& spec, bool refined) {
-  analysis::SpecFootprints footprints = analysis::InferFootprints(spec);
-  CheckerOptions options;
-  if (refined) {
-    analysis::SpecDomains domains = analysis::InferDomains(spec);
-    options.independence = std::make_shared<ActionIndependence>(
-        analysis::RefineIndependence(spec, footprints, domains).matrix);
-  } else {
-    options.independence = std::make_shared<ActionIndependence>(
-        analysis::ComputeIndependence(spec, footprints));
-  }
-  return options;
-}
-
-TEST(PorDeterminismTest, RaftMongoAbstractFootprintOnly) {
-  specs::RaftMongoConfig config;
-  config.variant = specs::RaftMongoVariant::kAbstract;
-  config.num_nodes = 3;
-  config.max_term = 2;
-  config.max_oplog_len = 2;
-  specs::RaftMongoSpec spec(config);
-  ExpectWorkerInvariant(spec, PorOptions(spec, /*refined=*/false));
-}
-
-TEST(PorDeterminismTest, RaftMongoAbstractRefined) {
-  specs::RaftMongoConfig config;
-  config.variant = specs::RaftMongoVariant::kAbstract;
-  config.num_nodes = 3;
-  config.max_term = 2;
-  config.max_oplog_len = 2;
-  specs::RaftMongoSpec spec(config);
-  ExpectWorkerInvariant(spec, PorOptions(spec, /*refined=*/true));
-}
-
-TEST(PorDeterminismTest, RaftMongoDetailedRefined) {
-  specs::RaftMongoConfig config;
-  config.variant = specs::RaftMongoVariant::kDetailed;
-  config.num_nodes = 3;
-  config.max_term = 2;
-  config.max_oplog_len = 2;
-  specs::RaftMongoSpec spec(config);
-  ExpectWorkerInvariant(spec, PorOptions(spec, /*refined=*/true));
-}
-
-TEST(PorDeterminismTest, CounterViolationUnderPor) {
-  // A violating run with a fully commuting matrix: the sleep sets prune
-  // aggressively, yet the counterexample must stay identical at every
-  // worker count.
-  specs::CounterSpec spec(/*limit=*/30, /*violate_at=*/17);
-  ExpectWorkerInvariant(spec, PorOptions(spec, /*refined=*/false));
-}
-
-TEST(PorDeterminismTest, RefinedSleepsAtLeastAsMuchAsFootprintOnly) {
-  specs::RaftMongoConfig config;
-  config.variant = specs::RaftMongoVariant::kDetailed;
-  config.num_nodes = 3;
-  config.max_term = 2;
-  config.max_oplog_len = 2;
-  specs::RaftMongoSpec spec(config);
-  CheckResult base =
-      ModelChecker(PorOptions(spec, /*refined=*/false)).Check(spec);
-  CheckResult refined =
-      ModelChecker(PorOptions(spec, /*refined=*/true)).Check(spec);
-  ASSERT_TRUE(base.status.ok());
-  ASSERT_TRUE(refined.status.ok());
-  EXPECT_EQ(refined.distinct_states, base.distinct_states);
-  EXPECT_GT(refined.por_slept_actions, base.por_slept_actions);
-}
-
 // The cap is tested at the level barrier, so a cut run finishes the level
 // that crossed it and reports the same counts at every worker count. On
 // the E1 bounds (terms <= 3, oplog <= 2) the level that crosses 20,000
@@ -342,7 +263,6 @@ void ExpectInterningInvariant(const Spec& spec, CheckerOptions options = {},
   EXPECT_EQ(warm.generated_states, cold.generated_states);
   EXPECT_EQ(warm.diameter, cold.diameter);
   EXPECT_EQ(warm.frontier_peak, cold.frontier_peak);
-  EXPECT_EQ(warm.por_slept_actions, cold.por_slept_actions);
   EXPECT_EQ(warm.fingerprint_collision_probability,
             cold.fingerprint_collision_probability);
   ASSERT_EQ(warm.violation.has_value(), cold.violation.has_value());

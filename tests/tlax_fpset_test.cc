@@ -1,8 +1,8 @@
 // Unit tests for the sharded fingerprint table backing the parallel
 // checker: the flat per-shard table against a reference map, insert/merge
-// semantics, the POR expansion handshake, the allocated-bytes memory
-// budget, batched inserts against one-at-a-time ones, and multi-threaded
-// insert hammers that the TSan CI job runs to certify the locking.
+// semantics, the allocated-bytes memory budget, batched inserts against
+// one-at-a-time ones, and multi-threaded insert hammers that the TSan CI
+// job runs to certify the locking.
 
 #include <gtest/gtest.h>
 
@@ -43,12 +43,12 @@ TEST(FingerprintTest, StableAndDiscriminating) {
 TEST(FpsetTest, InsertThenDuplicate) {
   FingerprintSet set;
   FpInsert first = set.Insert(/*fp=*/100, /*pred_fp=*/0, kFpInitialAction,
-                              /*depth=*/0, /*order_key=*/0, /*sleep_mask=*/0);
+                              /*depth=*/0, /*order_key=*/0);
   EXPECT_TRUE(first.inserted);
   EXPECT_EQ(set.size(), 1u);
 
   FpInsert dup = set.Insert(100, /*pred_fp=*/7, /*action=*/3, /*depth=*/5,
-                            /*order_key=*/99, 0);
+                            /*order_key=*/99);
   EXPECT_FALSE(dup.inserted);
   EXPECT_EQ(set.size(), 1u);
 
@@ -62,69 +62,23 @@ TEST(FpsetTest, InsertThenDuplicate) {
 
 TEST(FpsetTest, MinMergeAdoptsSmallerSameDepthKey) {
   FingerprintSet set;
-  set.Insert(/*fp=*/1, 0, kFpInitialAction, 0, 0, 0);
-  set.Insert(/*fp=*/2, 0, kFpInitialAction, 0, 1, 0);
+  set.Insert(/*fp=*/1, 0, kFpInitialAction, 0, 0);
+  set.Insert(/*fp=*/2, 0, kFpInitialAction, 0, 1);
   // First discovery of fp 50 at depth 1 via pred 2, key 40.
-  set.Insert(50, /*pred_fp=*/2, /*action=*/4, /*depth=*/1, /*order_key=*/40,
-             0);
+  set.Insert(50, /*pred_fp=*/2, /*action=*/4, /*depth=*/1, /*order_key=*/40);
   // A same-depth rediscovery with a SMALLER key wins the predecessor slot…
-  set.Insert(50, /*pred_fp=*/1, /*action=*/2, /*depth=*/1, /*order_key=*/10,
-             0);
+  set.Insert(50, /*pred_fp=*/1, /*action=*/2, /*depth=*/1, /*order_key=*/10);
   auto edge = set.GetEdge(50);
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->pred_fp, 1u);
   EXPECT_EQ(edge->action, 2);
   EXPECT_EQ(edge->order_key, 10u);
   // …and a larger key does not.
-  set.Insert(50, /*pred_fp=*/2, /*action=*/9, /*depth=*/1, /*order_key=*/20,
-             0);
+  set.Insert(50, /*pred_fp=*/2, /*action=*/9, /*depth=*/1, /*order_key=*/20);
   edge = set.GetEdge(50);
   ASSERT_TRUE(edge.has_value());
   EXPECT_EQ(edge->pred_fp, 1u);
   EXPECT_EQ(edge->order_key, 10u);
-}
-
-TEST(FpsetTest, PorSleepIntersectSettleAndWake) {
-  FingerprintSet::Options options;
-  options.track_por = true;
-  FingerprintSet set(options);
-  const uint64_t all = 0b1111;
-
-  // Discovered with actions {1,3} slept (mask 0b1010).
-  set.Insert(7, 0, kFpInitialAction, 0, 0, /*sleep_mask=*/0b1010);
-  FingerprintSet::ExpandGrant grant = set.AcquireExpand(7, all);
-  EXPECT_EQ(grant.sleep, 0b1010u);
-  EXPECT_EQ(grant.explored_before, 0u);
-  EXPECT_EQ(grant.to_expand, 0b0101u);
-
-  // Re-discovery with a smaller sleep set {3}: the shrink is pending, not
-  // settled — expansion still sees the old mask until the barrier.
-  FpInsert shrink = set.Insert(7, 9, 2, 1, 5, /*sleep_mask=*/0b1000);
-  EXPECT_FALSE(shrink.inserted);
-  EXPECT_TRUE(shrink.sleep_shrunk);
-
-  // Barrier: settling applies the shrink and wakes the freed action 1.
-  FingerprintSet::PorSettle settle = set.SettlePor(7, all);
-  EXPECT_TRUE(settle.wake);
-  EXPECT_EQ(settle.depth, 0);
-  grant = set.AcquireExpand(7, all);
-  EXPECT_EQ(grant.sleep, 0b1000u);
-  EXPECT_EQ(grant.explored_before, 0b0101u);
-  EXPECT_EQ(grant.to_expand, 0b0010u) << "only the newly freed action";
-
-  // A further revisit with the same mask leaves pending == settled…
-  FpInsert quiet = set.Insert(7, 9, 2, 1, 6, /*sleep_mask=*/0b1000);
-  EXPECT_FALSE(quiet.sleep_shrunk);
-  // …and settling an already-queued state applies the mask but does not
-  // enqueue it a second time.
-  set.Insert(8, 0, kFpInitialAction, 0, 1, 0b0001);
-  FpInsert requeue = set.Insert(8, 9, 1, 1, 7, /*sleep_mask=*/0);
-  EXPECT_TRUE(requeue.sleep_shrunk);
-  settle = set.SettlePor(8, all);
-  EXPECT_FALSE(settle.wake)
-      << "still queued from the original insert; no duplicate enqueue";
-  grant = set.AcquireExpand(8, all);
-  EXPECT_EQ(grant.sleep, 0u) << "the settled mask picked up the shrink";
 }
 
 TEST(FpsetTest, ShardCountRoundsUpToPowerOfTwo) {
@@ -135,13 +89,12 @@ TEST(FpsetTest, ShardCountRoundsUpToPowerOfTwo) {
   // Single-shard degenerate case still works (shift-by-64 guard).
   options.num_shards = 1;
   FingerprintSet one(options);
-  set.Insert(0xFFFFFFFFFFFFFFFFull, 0, kFpInitialAction, 0, 0, 0);
-  one.Insert(0xFFFFFFFFFFFFFFFFull, 0, kFpInitialAction, 0, 0, 0);
+  set.Insert(0xFFFFFFFFFFFFFFFFull, 0, kFpInitialAction, 0, 0);
+  one.Insert(0xFFFFFFFFFFFFFFFFull, 0, kFpInitialAction, 0, 0);
   EXPECT_EQ(one.num_shards(), 1u);
   EXPECT_EQ(one.size(), 1u);
 }
 
-using internal::FpPorMasks;
 using internal::FpSlot;
 using internal::FpTable;
 
@@ -169,7 +122,7 @@ bool HasWrappedRecord(const FpTable& table) {
 TEST(FpsetTest, TableMatchesReferenceMap) {
   std::atomic<size_t> allocated{0};
   FpTable table;
-  table.Init(/*track_por=*/false, &allocated);
+  table.Init(&allocated);
   std::unordered_map<uint64_t, uint64_t> ref;  // fp -> pred_fp payload.
   common::Rng rng(20260917);
   bool saw_wrap = false;
@@ -239,37 +192,6 @@ TEST(FpsetTest, TableMatchesReferenceMap) {
   EXPECT_EQ(allocated.load(), FpTable::kMinCapacity * sizeof(FpSlot));
 }
 
-TEST(FpsetTest, PorMasksFollowSlots) {
-  std::atomic<size_t> allocated{0};
-  FpTable table;
-  table.Init(/*track_por=*/true, &allocated);
-  EXPECT_EQ(table.bytes(), FpTable::kMinCapacity *
-                               (sizeof(FpSlot) + sizeof(FpPorMasks)));
-  common::Rng rng(7);
-  std::unordered_map<uint64_t, bool> live;
-  const auto masks_of = [](uint64_t fp) {
-    return FpPorMasks{fp * 3, fp * 5, fp * 7};
-  };
-  // Grow from the floor through several doublings; every rehash must
-  // carry each record's masks to its new slot.
-  while (live.size() < 3'000) {
-    const uint64_t fp = ClusteredKey(rng);
-    bool inserted = false;
-    const size_t i = table.FindOrInsert(fp, &inserted);
-    if (inserted) table.por(i) = masks_of(fp);
-    live[fp] = true;
-  }
-  ASSERT_GE(table.capacity(), FpTable::kMinCapacity << 7);
-  for (const auto& [fp, keep] : live) {
-    const size_t i = table.Find(fp);
-    ASSERT_NE(i, FpTable::kNone);
-    EXPECT_EQ(table.por(i).sleep, fp * 3) << "fp " << fp;
-    EXPECT_EQ(table.por(i).pending, fp * 5) << "fp " << fp;
-    EXPECT_EQ(table.por(i).done, fp * 7) << "fp " << fp;
-  }
-  EXPECT_EQ(allocated.load(), table.bytes());
-}
-
 TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
   FingerprintSet::Options options;
   options.num_shards = 2;
@@ -281,7 +203,7 @@ TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
   EXPECT_EQ(set.table_bytes(), floor);
 
   auto insert_new = [&set](uint64_t fp, uint64_t key) {
-    return set.Insert(fp, 0, kFpInitialAction, 0, key, 0).inserted;
+    return set.Insert(fp, 0, kFpInitialAction, 0, key).inserted;
   };
   // Records resident in the hot table.
   auto hot = [&set] { return set.size() - set.spill_stats().spilled_records; };
@@ -310,13 +232,6 @@ TEST(FpsetTest, EvictionFollowsAllocatedBytes) {
   EXPECT_EQ(set.table_bytes(), floor);
   EXPECT_EQ(hot(), 0u);
   EXPECT_TRUE(set.spill_status().ok());
-
-  // Under POR the parallel mask array is part of the count.
-  FingerprintSet::Options por;
-  por.num_shards = 2;
-  por.track_por = true;
-  EXPECT_EQ(FingerprintSet(por).table_bytes(),
-            2 * FpTable::kMinCapacity * (sizeof(FpSlot) + sizeof(FpPorMasks)));
 }
 
 // Concurrent insert hammer: T threads race to insert an overlapping key
@@ -341,7 +256,7 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
         uint64_t fp = common::Mix64(k + 1);
         FpInsert r = set.Insert(fp, /*pred_fp=*/static_cast<uint64_t>(t),
                                 /*action=*/static_cast<uint16_t>(t),
-                                /*depth=*/1, /*order_key=*/k, 0);
+                                /*depth=*/1, /*order_key=*/k);
         if (r.inserted) ++local_wins;
       }
       wins.fetch_add(local_wins, std::memory_order_relaxed);
@@ -363,28 +278,21 @@ TEST(FpsetTest, ConcurrentInsertHammer) {
   EXPECT_LE(set.load_factor(), 0.875);
 }
 
-bool SameInsert(const FpInsert& a, const FpInsert& b) {
-  return a.inserted == b.inserted && a.sleep_shrunk == b.sleep_shrunk;
-}
-
 // InsertBatch against the same items inserted one at a time in order, in
 // every mode the engine uses it in. Keys come from a small pool spread
 // over few shards, so a batch holds many items per shard, duplicates of
 // one fingerprint, and same-depth revisits with smaller and larger keys.
-// Between batches both sets see the same expansion handshakes, settles
-// and evictions, so later batches revisit records in every state those
-// leave behind, on disk included.
+// Between batches both spill sets see the same evictions, so later
+// batches revisit records on disk too.
 TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
   // Each mode's value seeds its random items.
-  enum class Mode { kPlain = 0, kLevelPor = 1, kSpill = 3 };
-  constexpr uint64_t kAllActions = 0b1111;
-  for (Mode mode : {Mode::kPlain, Mode::kLevelPor, Mode::kSpill}) {
+  enum class Mode { kPlain = 0, kSpill = 3 };
+  for (Mode mode : {Mode::kPlain, Mode::kSpill}) {
     const int m = static_cast<int>(mode);
     SCOPED_TRACE(testing::Message() << "mode " << m);
     auto options_for = [&](const char* side) {
       FingerprintSet::Options o;
       o.num_shards = 4;
-      o.track_por = mode == Mode::kLevelPor;
       if (mode == Mode::kSpill) {
         o.spill_dir = common::StrCat(::testing::TempDir(), "/fpset_batch_",
                                      side);
@@ -398,7 +306,6 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
     for (uint64_t k = 0; k < 300; ++k) pool.push_back(common::Mix64(k));
 
     uint64_t revisits = 0;
-    uint64_t shrinks = 0;
     uint64_t disk_hits = 0;
     std::unordered_set<uint64_t> evicted;  // Spill: sealed to disk.
     for (int round = 0; round < 40; ++round) {
@@ -407,27 +314,24 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
         item.fp = pool[rng.Below(pool.size())];
         item.pred_fp = rng.Next();
         item.order_key = rng.Below(1000);
-        item.sleep_mask = rng.Below(kAllActions + 1);
         item.depth = 1 + static_cast<int64_t>(rng.Below(2));
         item.action = static_cast<uint16_t>(rng.Below(4));
       }
       std::vector<FpInsert> expected;
       for (const FpInsertItem& item : items) {
         expected.push_back(one.Insert(item.fp, item.pred_fp, item.action,
-                                      item.depth, item.order_key,
-                                      item.sleep_mask));
+                                      item.depth, item.order_key));
       }
       std::vector<FpInsert> got(items.size());
       batched.InsertBatch(items, got);
       for (size_t i = 0; i < items.size(); ++i) {
-        ASSERT_TRUE(SameInsert(got[i], expected[i]))
+        ASSERT_EQ(got[i].inserted, expected[i].inserted)
             << "round " << round << " item " << i << " fp " << items[i].fp;
         revisits += !expected[i].inserted;
         if (evicted.count(items[i].fp) != 0) {
           ASSERT_FALSE(expected[i].inserted) << "fp " << items[i].fp;
           ++disk_hits;
         }
-        shrinks += expected[i].sleep_shrunk;
       }
       ASSERT_EQ(batched.size(), one.size());
 
@@ -436,28 +340,6 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
         ASSERT_TRUE(batched.EvictAll().ok());
         for (uint64_t fp : pool) {
           if (one.GetEdge(fp).has_value()) evicted.insert(fp);
-        }
-      }
-      if (mode == Mode::kLevelPor) {
-        // Expand some records (clearing their queued flags), then settle
-        // every fingerprint as a barrier would.
-        for (int k = 0; k < 50; ++k) {
-          const uint64_t fp = pool[rng.Below(pool.size())];
-          const FingerprintSet::ExpandGrant a =
-              one.AcquireExpand(fp, kAllActions);
-          const FingerprintSet::ExpandGrant b =
-              batched.AcquireExpand(fp, kAllActions);
-          ASSERT_EQ(b.sleep, a.sleep);
-          ASSERT_EQ(b.explored_before, a.explored_before);
-          ASSERT_EQ(b.to_expand, a.to_expand);
-        }
-        for (uint64_t fp : pool) {
-          const FingerprintSet::PorSettle a = one.SettlePor(fp, kAllActions);
-          const FingerprintSet::PorSettle b =
-              batched.SettlePor(fp, kAllActions);
-          ASSERT_EQ(b.wake, a.wake);
-          ASSERT_EQ(b.depth, a.depth);
-          ASSERT_EQ(b.order_key, a.order_key);
         }
       }
     }
@@ -474,9 +356,6 @@ TEST(FpsetTest, InsertBatchEqualsOneAtATime) {
     }
     // Every mode reached the results it can produce.
     EXPECT_GT(revisits, 0u);
-    if (mode == Mode::kLevelPor) {
-      EXPECT_GT(shrinks, 0u);
-    }
     if (mode == Mode::kSpill) {
       EXPECT_GT(disk_hits, 0u);
     }

@@ -463,7 +463,7 @@ TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
   for (uint64_t fp = 1; fp <= 500; ++fp) {
     ASSERT_TRUE(set.Insert(fp, /*pred_fp=*/fp / 2, /*action=*/2,
                            /*depth=*/static_cast<int64_t>(fp % 13),
-                           /*order_key=*/fp, /*sleep_mask=*/0)
+                           /*order_key=*/fp)
                     .inserted);
   }
   EXPECT_EQ(set.size(), 500u);
@@ -474,7 +474,7 @@ TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
 
   // Every evicted fingerprint is a revisit with its original depth…
   for (uint64_t fp = 1; fp <= 500; ++fp) {
-    EXPECT_FALSE(set.Insert(fp, 999, 5, 7, 999'999, 0).inserted)
+    EXPECT_FALSE(set.Insert(fp, 999, 5, 7, 999'999).inserted)
         << "fp " << fp;
     auto edge = set.GetEdge(fp);
     ASSERT_TRUE(edge.has_value()) << "fp " << fp;
@@ -489,7 +489,7 @@ TEST(FpsetSpillTest, EvictionKeepsMembershipAndEdgesExact) {
   EXPECT_EQ(edge->action, 2);
   EXPECT_EQ(edge->order_key, 123u);
   // …and genuinely new fingerprints still insert into the hot table.
-  EXPECT_TRUE(set.Insert(9'999, 1, 1, 3, 1, 0).inserted);
+  EXPECT_TRUE(set.Insert(9'999, 1, 1, 3, 1).inserted);
   EXPECT_EQ(set.size(), 501u);
   EXPECT_EQ(HotRecords(set), 1u);
   EXPECT_TRUE(set.spill_status().ok());
@@ -501,7 +501,7 @@ TEST(FpsetSpillTest, DeferredInsertsResolveAgainstDiskInOneBatch) {
   FingerprintSet set(options);
   for (uint64_t fp = 1; fp <= 100; ++fp) {
     ASSERT_TRUE(
-        set.Insert(fp, fp / 2, 1, static_cast<int64_t>(fp % 5), fp, 0)
+        set.Insert(fp, fp / 2, 1, static_cast<int64_t>(fp % 5), fp)
             .inserted);
   }
   ASSERT_TRUE(set.EvictAll().ok());
@@ -534,8 +534,8 @@ TEST(FpsetSpillTest, DeferredInsertsResolveAgainstDiskInOneBatch) {
   EXPECT_EQ(edge->pred_fp, 9u);
   EXPECT_EQ(edge->order_key, 59u);
   // Re-inserting any of them is a plain revisit now.
-  EXPECT_FALSE(set.Insert(50, 0, 0, 0, 0, 0).inserted);
-  EXPECT_FALSE(set.Insert(1'000, 0, 0, 0, 0, 0).inserted);
+  EXPECT_FALSE(set.Insert(50, 0, 0, 0, 0).inserted);
+  EXPECT_FALSE(set.Insert(1'000, 0, 0, 0, 0).inserted);
   EXPECT_EQ(set.size(), 102u);
   EXPECT_TRUE(set.spill_status().ok());
 }
@@ -551,7 +551,7 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
   FingerprintSet set(options);
 
   for (uint64_t fp = 1; fp <= 2'000; ++fp) {
-    ASSERT_TRUE(set.Insert(fp, fp / 2, 1, 0, fp, 0).inserted);
+    ASSERT_TRUE(set.Insert(fp, fp / 2, 1, 0, fp).inserted);
     ASSERT_TRUE(set.EvictIfOverBudget().ok());
   }
   SpillTier::Stats stats = set.spill_stats();
@@ -561,7 +561,7 @@ TEST(FpsetSpillTest, BudgetTriggersGenerationsAndCompaction) {
   EXPECT_EQ(set.size(), 2'000u);
   EXPECT_LE(set.table_bytes(), options.memory_budget_bytes);
   for (uint64_t fp = 1; fp <= 2'000; ++fp) {
-    EXPECT_FALSE(set.Insert(fp, 0, 0, 0, 0, 0).inserted);
+    EXPECT_FALSE(set.Insert(fp, 0, 0, 0, 0).inserted);
   }
   EXPECT_EQ(set.size(), 2'000u);
 }
