@@ -12,7 +12,7 @@
 // check and the per-leaf extraction fan-out (0 = one per hardware
 // thread; the generated file is identical at every worker count), and
 // --metrics-out; README.md "Shared flags" lists them all. An unknown
-// flag or a bad value exits 2.
+// flag, a bad value, or an output path that starts with '-' exits 2.
 
 #include <cstdio>
 #include <fstream>
@@ -30,7 +30,9 @@
 
 int main(int argc, char** argv) {
   using xmodel::common::FlagResult;
-  if (argc < 2) {
+  // The output path comes first; one that starts with '-' is a misplaced
+  // flag (`mbtcg_gen --help`), not a file to write.
+  if (argc < 2 || argv[1][0] == '-') {
     std::fprintf(stderr,
                  "usage: %s <output.cc> [max_cases] [--swap] [--descending] "
                  "[--workers=N] [--metrics-out=FILE]\n",

@@ -50,37 +50,42 @@ struct SpecPair {
   std::vector<SpecOp> right;
 };
 
+SpecOp DecodeOp(const Value& v) {
+  SpecOp op;
+  op.type = v.FieldOrDie("type").string_value();
+  op.ndx = v.FieldOrDie("ndx").int_value();
+  op.ndx2 = v.FieldOrDie("ndx2").int_value();
+  op.val = v.FieldOrDie("val").int_value();
+  op.client = v.FieldOrDie("client").int_value();
+  return op;
+}
+
 // Every merge step reads and writes operation records, and a run sees only
 // a few hundred distinct ones, so both conversions are memoized per thread
-// (no locks on the checker's hot path). A record's interned rep is never
-// freed, so its address is a key that cannot dangle.
-const SpecOp& FromValue(const Value& v) {
+// (no locks on the checker's hot path). A global rep is never freed, so
+// its address is a key that cannot dangle; a scoped one (built inside a
+// Value::InternScope) is freed at the scope's close, so neither memo keeps
+// one.
+SpecOp FromValue(const Value& v) {
   thread_local std::unordered_map<const void*, SpecOp> memo;
   assert(!v.is_inline() && "operation records are interned");
+  if (v.is_scoped()) return DecodeOp(v);
   auto [it, inserted] = memo.try_emplace(v.interned_rep());
-  if (inserted) {
-    SpecOp& op = it->second;
-    op.type = v.FieldOrDie("type").string_value();
-    op.ndx = v.FieldOrDie("ndx").int_value();
-    op.ndx2 = v.FieldOrDie("ndx2").int_value();
-    op.val = v.FieldOrDie("val").int_value();
-    op.client = v.FieldOrDie("client").int_value();
-  }
+  if (inserted) it->second = DecodeOp(v);
   return it->second;
 }
 
 Value ToValue(const SpecOp& op) {
   thread_local std::unordered_map<SpecOp, Value, SpecOpHash> memo;
   auto it = memo.find(op);
-  if (it == memo.end()) {
-    it = memo.emplace(op, Value::Record({{"type", Value::Str(op.type)},
-                                         {"ndx", Value::Int(op.ndx)},
-                                         {"ndx2", Value::Int(op.ndx2)},
-                                         {"val", Value::Int(op.val)},
-                                         {"client", Value::Int(op.client)}}))
-             .first;
-  }
-  return it->second;
+  if (it != memo.end()) return it->second;
+  const Value record = Value::Record({{"type", Value::Str(op.type)},
+                                      {"ndx", Value::Int(op.ndx)},
+                                      {"ndx2", Value::Int(op.ndx2)},
+                                      {"val", Value::Int(op.val)},
+                                      {"client", Value::Int(op.client)}});
+  if (!record.is_scoped()) memo.emplace(op, record);
+  return record;
 }
 
 // The specification does not model time (§5.1.2); operation order falls
@@ -533,7 +538,7 @@ void ArrayOtSpec::BuildActions() {
             ArrayFromValue(s.var(kClientState).at(client - 1));
         for (Value& op_value : EnumerateOps(config.initial_array_len, client,
                                             config.include_swap)) {
-          const SpecOp& op = FromValue(op_value);
+          const SpecOp op = FromValue(op_value);
           std::vector<int64_t> next_array = my_state;
           if (!ApplySpecOp(op, &next_array)) continue;
           State next = s.With(

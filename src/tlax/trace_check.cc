@@ -280,6 +280,7 @@ TraceCheckResult CheckSteps(const TraceCheckOptions& options,
 
 TraceCheckResult TraceChecker::Check(const Spec& spec,
                                      const std::vector<TraceState>& trace) const {
+  const Value::InternScope scope;  // No value of the search outlives it.
   if (options_.mode == TraceCheckMode::kPresslerReparse) {
     // Serialize once; CheckModule re-parses the text before every step.
     return CheckModule(spec, TraceModuleText("Trace", spec.variables(), trace));
@@ -289,6 +290,7 @@ TraceCheckResult TraceChecker::Check(const Spec& spec,
 
 TraceCheckResult TraceChecker::CheckModule(const Spec& spec,
                                            const std::string& module_text) const {
+  const Value::InternScope scope;  // No value of the search outlives it.
   const Timer timer(options_.clock);
   auto parsed = ParseTraceModule(module_text, spec.variables().size());
   if (!parsed.ok()) {

@@ -89,6 +89,11 @@ struct TraceCheckResult {
 /// checker.trace.states.explored from the search every 1024 explored states,
 /// so a mid-run /metrics scrape sees the counter advance. The total always
 /// reconciles exactly with TraceCheckResult::states_explored.
+///
+/// Each check runs inside a Value::InternScope: every value it builds that
+/// was not interned before is freed when it returns (the result holds only
+/// strings), so checking many traces in one process does not grow the
+/// intern table.
 class TraceChecker {
  public:
   explicit TraceChecker(TraceCheckOptions options = {}) : options_(options) {}

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <mutex>
 #include <unordered_map>
 
@@ -100,12 +101,16 @@ uint64_t RepBytes(const ValueRep& rep) {
 // bits, each a mutex plus a hash -> rep multimap (a multimap, not a map,
 // so two structurally distinct reps colliding on the full 64-bit hash can
 // coexist — the collision policy is "both live, equality falls back to a
-// structural walk"). Reps are never freed: a model-checking run's distinct
-// value universe is bounded by the explored state space, and permanent
-// reps are what make Value trivially copyable with no refcount traffic.
+// structural walk"). Global reps are never freed: a model-checking run's
+// distinct value universe is bounded by the explored state space, and
+// permanent reps are what make Value trivially copyable with no refcount
+// traffic. Work whose values all die with it (a trace check) opens a
+// Value::InternScope instead, whose reps are freed at its close.
+using RepsByHash = std::unordered_multimap<uint64_t, const ValueRep*>;
+
 struct InternShard {
   std::mutex mu;
-  std::unordered_multimap<uint64_t, const ValueRep*> by_hash;
+  RepsByHash by_hash;
 };
 
 constexpr size_t kInternShards = 64;  // Power of two.
@@ -136,11 +141,23 @@ InternTable& Table() {
 // Per-thread direct-mapped front cache over the shared table. Checker
 // workers rebuild the same few composites (role vectors, oplog prefixes)
 // over and over; a hit here returns the canonical rep with no lock and no
-// multimap probe. Entries are canonical reps, which are permanent, so a
-// stale slot is never a dangling pointer — at worst a miss.
+// multimap probe. Entries are global reps, which are permanent, or the
+// thread's own scoped reps, which its outermost scope close clears from
+// here before freeing them; so a stale slot is never a dangling pointer —
+// at worst a miss.
 constexpr size_t kThreadCacheSlots = 4096;  // Power of two.
 thread_local const ValueRep* t_intern_cache[kThreadCacheSlots];
 thread_local HitCounter* t_hit_counter = nullptr;
+
+// The reps one thread created inside its open Value::InternScope, owned
+// here until the outermost scope closes. Only the owning thread reads or
+// writes it, so it takes no lock.
+struct ScopeTable {
+  int depth = 0;  // Open scopes, nested ones included.
+  RepsByHash by_hash;
+  uint64_t bytes = 0;  // RepBytes of every rep in `by_hash`.
+};
+thread_local ScopeTable* t_scope = nullptr;  // Null while no scope is open.
 
 // Counts one hit in the calling thread's block, linking the block on the
 // thread's first hit. Only the owner writes a block, so a plain
@@ -176,10 +193,30 @@ ScopedWeakCompositeHashForTesting::~ScopedWeakCompositeHashForTesting() {
 
 namespace {
 
+// The rep in `by_hash` structurally equal to `probe`, or nullptr.
+const ValueRep* FindEqual(const RepsByHash& by_hash, const ValueRep& probe) {
+  auto [begin, end] = by_hash.equal_range(probe.hash);
+  for (auto it = begin; it != end; ++it) {
+    if (RepEquals(*it->second, probe)) return it->second;
+  }
+  return nullptr;
+}
+
+// Counts a freshly allocated rep in the table totals and returns its
+// accounted bytes.
+uint64_t CountMiss(InternTable& table, const ValueRep& fresh) {
+  const uint64_t bytes = RepBytes(fresh);
+  table.misses.fetch_add(1, std::memory_order_relaxed);
+  table.live.fetch_add(1, std::memory_order_relaxed);
+  table.bytes.fetch_add(bytes, std::memory_order_relaxed);
+  return bytes;
+}
+
 // Shared lookup-or-insert. `materialize` builds the heap rep only on a
-// miss, and runs under the shard lock so a racing thread can never insert
-// a structurally equal duplicate (pointer equality of interned reps is
-// the whole point).
+// miss. Outside a scope it runs under the shard lock, so a racing thread
+// can never insert a structurally equal duplicate into the global table.
+// Inside a scope a global miss falls through to the thread's own table,
+// which needs no lock because no other thread ever reads it.
 template <typename Materialize>
 const ValueRep* InternImpl(const ValueRep& probe, Materialize materialize) {
   InternTable& table = Table();
@@ -192,25 +229,27 @@ const ValueRep* InternImpl(const ValueRep& probe, Materialize materialize) {
   }
   InternShard& shard =
       table.shards[(probe.hash >> 58) & (kInternShards - 1)];
+  ScopeTable* scope = t_scope;
   const ValueRep* canonical = nullptr;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto [begin, end] = shard.by_hash.equal_range(probe.hash);
-    for (auto it = begin; it != end; ++it) {
-      if (RepEquals(*it->second, probe)) {
-        canonical = it->second;
-        break;
-      }
-    }
-    if (canonical == nullptr) {
+    canonical = FindEqual(shard.by_hash, probe);
+    if (canonical == nullptr && scope == nullptr) {
       const ValueRep* fresh = materialize();
       shard.by_hash.emplace(fresh->hash, fresh);
-      table.misses.fetch_add(1, std::memory_order_relaxed);
-      table.live.fetch_add(1, std::memory_order_relaxed);
-      table.bytes.fetch_add(RepBytes(*fresh), std::memory_order_relaxed);
+      CountMiss(table, *fresh);
       t_intern_cache[slot] = fresh;
       return fresh;
     }
+  }
+  if (canonical == nullptr) canonical = FindEqual(scope->by_hash, probe);
+  if (canonical == nullptr) {
+    ValueRep* fresh = materialize();
+    fresh->scoped = 1;
+    scope->by_hash.emplace(fresh->hash, fresh);
+    scope->bytes += CountMiss(table, *fresh);
+    t_intern_cache[slot] = fresh;
+    return fresh;
   }
   CountHit(table);
   t_intern_cache[slot] = canonical;
@@ -236,6 +275,23 @@ const ValueRep* Value::Intern(ValueRep&& rep) {
 
 const ValueRep* Value::InternCopy(const ValueRep& probe) {
   return InternImpl(probe, [&probe] { return new ValueRep(probe); });
+}
+
+Value::InternScope::InternScope() {
+  if (t_scope == nullptr) t_scope = new ScopeTable();
+  ++t_scope->depth;
+}
+
+Value::InternScope::~InternScope() {
+  if (--t_scope->depth > 0) return;
+  // Clear the cache first: it may hold the reps freed below.
+  std::fill(std::begin(t_intern_cache), std::end(t_intern_cache), nullptr);
+  InternTable& table = Table();
+  table.live.fetch_sub(t_scope->by_hash.size(), std::memory_order_relaxed);
+  table.bytes.fetch_sub(t_scope->bytes, std::memory_order_relaxed);
+  for (const auto& entry : t_scope->by_hash) delete entry.second;
+  delete t_scope;
+  t_scope = nullptr;
 }
 
 Value::InternStats Value::GetInternStats() {
@@ -353,11 +409,14 @@ ValueRep& StageProbe(Value::Kind kind) {
   return probe;
 }
 
-// Records `prefix` as the link of `rep` unless it already has one. Every
-// writer stores the same canonical rep, so the first store wins and later
-// calls only load: a rep's cache line is written at most once, not on
-// every intern hit. Release pairs with the acquire load in Value::Prefix.
+// Records `prefix` as the link of `rep` unless it already has one, or
+// unless `rep` is global and `prefix` scoped: the link would dangle once
+// the scope closes, and other threads read global reps. Every writer
+// stores a structurally equal rep, so the first store wins and later calls
+// only load: a rep's cache line is written at most once, not on every
+// intern hit. Release pairs with the acquire load in Value::Prefix.
 void LinkPrefix(const ValueRep& rep, const ValueRep* prefix) {
+  if (prefix->scoped > rep.scoped) return;
   if (rep.prefix.rep.load(std::memory_order_relaxed) == nullptr) {
     rep.prefix.rep.store(prefix, std::memory_order_release);
   }

@@ -32,14 +32,16 @@ struct PrefixLink {
 };
 
 /// Heap representation of a composite value (sequence, set, record, or a
-/// string longer than the inline limit). Every ValueRep is owned by the
-/// process-wide intern table and lives until process exit: structurally
-/// equal composites share one ValueRep, so a Value holding one is a plain
-/// pointer — trivially copyable, pointer-comparable, never freed out from
-/// under a reader. See DESIGN.md "Value representation & interning".
+/// string longer than the inline limit). A rep created outside any
+/// Value::InternScope is owned by the process-wide intern table and lives
+/// until process exit; one created inside a scope is owned by its thread's
+/// scope table and is freed when that thread's outermost scope closes.
+/// Either way a Value holding one is a plain pointer — trivially copyable,
+/// never refcounted. See DESIGN.md "Value representation & interning".
 struct ValueRep {
   uint64_t hash = 0;
   uint8_t kind = 0;                 // Value::Kind, stored raw.
+  uint8_t scoped = 0;               // 1: owned by a thread's InternScope.
   std::string s;                    // kString (inline limit exceeded).
   std::vector<Value> elems;         // kSeq / kSet.
   std::vector<std::pair<std::string, Value>> fields;  // kRecord.
@@ -158,9 +160,8 @@ class Value {
     return store_.num.i;
   }
   /// The string's bytes. The view is valid as long as this Value (for
-  /// inline short strings) or the process (for interned long strings)
-  /// lives — the same lifetime contract the old `const std::string&`
-  /// accessor had.
+  /// inline short strings) or its rep (for interned long strings: the
+  /// process, or the enclosing InternScope for a scoped rep) lives.
   std::string_view string_value() const {
     const uint8_t t = store_.small.tag;
     if (t >= kTagSmallStr) {
@@ -213,7 +214,9 @@ class Value {
   /// A non-empty sequence minus its last element: the same value, and the
   /// same interned rep, as SubSeq(1, size() - 1). O(1) once the rep is
   /// linked to its prefix: Append links its result for free, and a rep
-  /// without a link computes the prefix once with SubSeq and keeps it.
+  /// without a link computes the prefix once with SubSeq and keeps it. A
+  /// global rep never keeps a scoped prefix, so inside an InternScope it
+  /// recomputes one that exists only in the scope.
   Value Prefix() const;
   /// Sequence with 1-based index `i` replaced by `v`.
   Value WithIndex1(size_t i, Value v) const;
@@ -266,15 +269,47 @@ class Value {
 
   /// True when the value is stored inline (no heap, no intern table).
   bool is_inline() const { return store_.small.tag != kTagInterned; }
-  /// The interned rep's identity, or nullptr for inline values. Two
-  /// structurally equal composites always report the same identity.
+  /// The interned rep's identity, or nullptr for inline values. Outside
+  /// any InternScope, two structurally equal composites report the same
+  /// identity. A thread inside a scope may hold a private rep and, once
+  /// another thread interns the same structure globally, the global one
+  /// too: equal values then differ in identity, never in ==, hash() or
+  /// Compare.
   const void* interned_rep() const {
     return is_inline() ? nullptr : store_.ptr.rep;
   }
+  /// True when the rep was created inside an InternScope, so it is freed
+  /// when its thread's outermost scope closes. A cache that outlives the
+  /// scope must not keep such a value or its rep address.
+  bool is_scoped() const {
+    return !is_inline() && store_.ptr.rep->scoped != 0;
+  }
 
-  /// Point-in-time totals of the process-wide intern table. `hits` and
-  /// `misses` count intern requests (a miss allocates a new rep); `live`
-  /// is the number of reps currently in the table and `bytes` their
+  /// Frees, at its close, every rep its thread creates while it is open.
+  ///
+  /// While a scope is open on a thread, an intern request of that thread
+  /// that no global rep satisfies creates the rep in a private table owned
+  /// by the thread (no lock; no other thread ever sees it) instead of the
+  /// global table. Lookups still find global reps first, so values that
+  /// exist before the scope are shared, not copied. Closing the outermost
+  /// scope of a thread frees every private rep, takes them off `live` and
+  /// `bytes` in InternStats, and clears the thread's intern cache; a
+  /// nested scope frees nothing at its close.
+  ///
+  /// Nothing built inside a scope may be used after it closes: not a
+  /// Value, not a State holding one, not a string_view into a long string.
+  /// A global sequence is never linked to a scoped prefix (see Prefix).
+  class InternScope {
+   public:
+    InternScope();
+    ~InternScope();
+    InternScope(const InternScope&) = delete;
+    InternScope& operator=(const InternScope&) = delete;
+  };
+
+  /// Point-in-time totals of the intern tables. `hits` and `misses` count
+  /// intern requests (a miss allocates a new rep); `live` is the number of
+  /// reps currently allocated, global and scoped, and `bytes` their
   /// accounted footprint (struct + owned heap payloads, capacity-based).
   /// Published by the checker as the `value.intern.*` gauge family.
   struct InternStats {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/strings.h"
@@ -12,6 +14,8 @@
 #include "otgo/go_merge.h"
 #include "specs/array_ot_spec.h"
 #include "tlax/checker.h"
+#include "tlax/state.h"
+#include "tlax/value.h"
 
 namespace xmodel::mbtcg {
 namespace {
@@ -66,6 +70,53 @@ TEST(ArrayOtSpecTest, TranscriptionErrorCaught) {
   ArrayOtSpec spec(config);
   auto result = tlax::ModelChecker().Check(spec);
   ASSERT_TRUE(result.violation.has_value());
+}
+
+// ArrayOtSpec memoizes operation records per thread. Records built inside
+// a Value::InternScope are freed at its close, so neither memo may keep
+// one: expanding the same states again outside the scope must give the
+// same text (and, under ASan, read no freed rep).
+TEST(ArrayOtSpecTest, MemosSurviveInternScopeClose) {
+  ArrayOtConfig config;
+  config.num_clients = 2;
+  config.initial_array_len = 5;  // Records no other test interns first.
+  const ArrayOtSpec spec(config);
+  auto expand_all = [&spec](bool* saw_scoped) {
+    std::vector<std::string> text;
+    std::vector<tlax::State> layer = spec.InitialStates();
+    std::vector<tlax::State> successors;
+    while (!layer.empty()) {
+      std::vector<tlax::State> next_layer;
+      for (const tlax::State& s : layer) {
+        for (const tlax::Action& action : spec.actions()) {
+          successors.clear();
+          action.next(s, &successors);
+          for (tlax::State& succ : successors) {
+            std::string line = action.name;
+            for (const tlax::Value& v : succ.vars()) {
+              line += " " + v.ToTla();
+              *saw_scoped = *saw_scoped || v.is_scoped();
+            }
+            text.push_back(std::move(line));
+            next_layer.push_back(std::move(succ));
+          }
+        }
+      }
+      layer = std::move(next_layer);
+    }
+    return text;
+  };
+  bool saw_scoped = false;
+  std::vector<std::string> in_scope;
+  {
+    const tlax::Value::InternScope scope;
+    in_scope = expand_all(&saw_scoped);
+  }
+  ASSERT_TRUE(saw_scoped) << "the scope built no new values";
+  ASSERT_FALSE(in_scope.empty());
+  bool unused = false;
+  EXPECT_EQ(expand_all(&unused), in_scope);
+  EXPECT_EQ(expand_all(&unused), in_scope);  // Now from the memos.
 }
 
 TEST(GeneratorTest, ProducesExactly4913Cases) {

@@ -411,5 +411,178 @@ TEST(ValueInternTest, PrefixLinkHammer) {
   for (int t = 1; t < kThreads; ++t) EXPECT_EQ(last[t], last[0]);
 }
 
+// A composite with a long string, a set, an Append-built sequence and a
+// record around them; `tag` makes its reps new to the intern table.
+Value ScopeSample(const std::string& tag, int i) {
+  const Value seq = Value::Seq({Value::Str("scope-sample-" + tag)})
+                        .Append(Value::Int(i))
+                        .Append(Value::Int(i % 3));
+  return Value::Record(
+      {{"long", Value::Str("scope-sample-long-string-" + tag)},
+       {"seq", seq},
+       {"set", Value::SetOf({Value::Int(i), Value::Int(i % 4), seq})}});
+}
+
+TEST(ValueInternScopeTest, ScopedValuesEqualGlobalOnes) {
+  // The scoped thread builds the values first, so they are private reps;
+  // another thread (outside any scope) then builds them globally. Every
+  // observable but identity must agree.
+  constexpr int kValues = 8;
+  const Value before_scope = ScopeSample("eq-pre", 0);
+  Value::InternScope scope;
+  // A value interned before the scope is found, not copied.
+  EXPECT_EQ(ScopeSample("eq-pre", 0).interned_rep(),
+            before_scope.interned_rep());
+  EXPECT_FALSE(ScopeSample("eq-pre", 0).is_scoped());
+  std::vector<Value> scoped;
+  for (int i = 0; i < kValues; ++i) scoped.push_back(ScopeSample("eq", i));
+  std::vector<Value> global(kValues);
+  std::thread([&global] {
+    for (int i = 0; i < kValues; ++i) global[i] = ScopeSample("eq", i);
+  }).join();
+  for (int i = 0; i < kValues; ++i) {
+    SCOPED_TRACE(i);
+    ASSERT_TRUE(scoped[i].is_scoped());
+    ASSERT_FALSE(global[i].is_scoped());
+    EXPECT_NE(scoped[i].interned_rep(), global[i].interned_rep());
+    EXPECT_EQ(scoped[i], global[i]);
+    EXPECT_EQ(scoped[i].hash(), global[i].hash());
+    EXPECT_EQ(Value::Compare(scoped[i], global[i]), 0);
+    EXPECT_EQ(scoped[i].ToTla(), global[i].ToTla());
+    EXPECT_EQ(scoped[i].FieldOrDie("long").string_value(),
+              global[i].FieldOrDie("long").string_value());
+    for (int j = 0; j < kValues; ++j) {
+      EXPECT_EQ(Value::Compare(scoped[i], global[j]),
+                Value::Compare(global[i], global[j]));
+    }
+    const State a({scoped[i], Value::Int(i)});
+    const State b({global[i], Value::Int(i)});
+    EXPECT_EQ(a.fingerprint(), b.fingerprint());
+    EXPECT_EQ(a, b);
+  }
+}
+
+TEST(ValueInternScopeTest, CloseReturnsLiveAndBytes) {
+  const Value::InternStats before = Value::GetInternStats();
+  {
+    Value::InternScope scope;
+    for (int i = 0; i < 64; ++i) ScopeSample("stats", i);
+    const Value::InternStats open = Value::GetInternStats();
+    EXPECT_GT(open.live, before.live);
+    EXPECT_GT(open.bytes, before.bytes);
+    EXPECT_GT(open.misses, before.misses);
+  }
+  const Value::InternStats after = Value::GetInternStats();
+  EXPECT_EQ(after.live, before.live);
+  EXPECT_EQ(after.bytes, before.bytes);
+  // The same values built after the close are new global reps.
+  const Value global = ScopeSample("stats", 0);
+  EXPECT_FALSE(global.is_scoped());
+  EXPECT_GT(Value::GetInternStats().live, after.live);
+}
+
+TEST(ValueInternScopeTest, GlobalPrefixTakenInScopeSurvivesClose) {
+  // Seq builds a global rep with no prefix link, and its prefix exists
+  // nowhere yet: Prefix() inside the scope makes a scoped one.
+  const Value seq = Value::Seq({Value::Str("scope-prefix-global"),
+                                Value::Int(1), Value::Int(2)});
+  // Append inside the scope hits this global rep from a scoped operand.
+  const Value appended_target = Value::Seq(
+      {Value::Str("scope-prefix-append"), Value::Int(1), Value::Int(2)});
+  {
+    Value::InternScope scope;
+    const Value prefix = seq.Prefix();
+    EXPECT_TRUE(prefix.is_scoped());
+    EXPECT_EQ(prefix.ToTla(), R"(<<"scope-prefix-global", 1>>)");
+    const Value scoped_base =
+        Value::Seq({Value::Str("scope-prefix-append"), Value::Int(1)});
+    ASSERT_TRUE(scoped_base.is_scoped());
+    const Value hit = scoped_base.Append(Value::Int(2));
+    EXPECT_EQ(hit.interned_rep(), appended_target.interned_rep());
+    EXPECT_EQ(hit.Prefix(), scoped_base);
+  }
+  // Neither global rep kept a link to the freed scoped prefix.
+  const Value prefix = seq.Prefix();
+  EXPECT_FALSE(prefix.is_scoped());
+  EXPECT_EQ(prefix.interned_rep(), seq.SubSeq(1, 2).interned_rep());
+  EXPECT_EQ(prefix.ToTla(), R"(<<"scope-prefix-global", 1>>)");
+  const Value target_prefix = appended_target.Prefix();
+  EXPECT_FALSE(target_prefix.is_scoped());
+  EXPECT_EQ(target_prefix.ToTla(), R"(<<"scope-prefix-append", 1>>)");
+}
+
+TEST(ValueInternScopeTest, NestedScopesFreeOnlyAtOutermostClose) {
+  const Value::InternStats before = Value::GetInternStats();
+  {
+    Value::InternScope outer;
+    const Value first = ScopeSample("nested-outer", 1);
+    Value inner_value;
+    uint64_t live_in_inner = 0;
+    {
+      Value::InternScope inner;
+      inner_value = ScopeSample("nested-inner", 2);
+      live_in_inner = Value::GetInternStats().live;
+    }
+    // The inner close freed nothing: its values are still readable.
+    EXPECT_EQ(Value::GetInternStats().live, live_in_inner);
+    EXPECT_TRUE(inner_value.is_scoped());
+    EXPECT_EQ(inner_value, ScopeSample("nested-inner", 2));
+    EXPECT_EQ(inner_value.FieldOrDie("long").string_value(),
+              "scope-sample-long-string-nested-inner");
+    EXPECT_TRUE(first.is_scoped());
+  }
+  const Value::InternStats after = Value::GetInternStats();
+  EXPECT_EQ(after.live, before.live);
+  EXPECT_EQ(after.bytes, before.bytes);
+}
+
+TEST(ValueInternScopeTest, ScopedThreadsRaceGlobalInterning) {
+  // Two threads, each in its own scope, build the same values while a
+  // third interns them globally and publishes them. Every scoped value
+  // must equal its published global twin; afterwards the global table
+  // holds exactly the third thread's reps. Runs under the TSan CI job.
+  constexpr int kValues = 64;
+  constexpr int kRounds = 10;
+  std::vector<Value> global(kValues);
+  std::atomic<int> published{0};
+  std::atomic<int> mismatches{0};
+  std::thread global_thread([&global, &published] {
+    for (int i = 0; i < kValues; ++i) {
+      global[i] = ScopeSample("race", i);
+      published.store(i + 1, std::memory_order_release);
+    }
+  });
+  std::vector<std::thread> scoped_threads;
+  for (int t = 0; t < 2; ++t) {
+    scoped_threads.emplace_back([&global, &published, &mismatches] {
+      for (int round = 0; round < kRounds; ++round) {
+        Value::InternScope scope;
+        for (int i = 0; i < kValues; ++i) {
+          const Value mine = ScopeSample("race", i);
+          if (mine.FieldOrDie("seq").Prefix().Prefix().ToTla() !=
+              R"(<<"scope-sample-race">>)") {
+            mismatches.fetch_add(1);
+          }
+          if (i >= published.load(std::memory_order_acquire)) continue;
+          const Value& theirs = global[i];
+          if (mine != theirs || mine.hash() != theirs.hash() ||
+              Value::Compare(mine, theirs) != 0 ||
+              mine.ToTla() != theirs.ToTla()) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  global_thread.join();
+  for (auto& th : scoped_threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  for (int i = 0; i < kValues; ++i) {
+    const Value again = ScopeSample("race", i);
+    EXPECT_FALSE(again.is_scoped());
+    EXPECT_EQ(again.interned_rep(), global[i].interned_rep()) << i;
+  }
+}
+
 }  // namespace
 }  // namespace xmodel::tlax

@@ -16,6 +16,9 @@
 #include "trace/mbtc_pipeline.h"
 #include "trace/trace_event.h"
 #include "trace/trace_logger.h"
+#include "tlax/tla_text.h"
+#include "tlax/trace_check.h"
+#include "tlax/value.h"
 
 namespace xmodel::trace {
 namespace {
@@ -724,6 +727,59 @@ TEST(MbtcPipelineTest, FuzzerTraceSearchIsPinned) {
   EXPECT_EQ(report.check.states_explored, 30606u);
   EXPECT_EQ(report.check.step_actions.size(), 357u);
   EXPECT_EQ(common::HashString(actions), 11304585133480058267u);
+}
+
+// A trace check frees every value it interns: the intern table holds as
+// many reps, and as many bytes, after it as before, in either entry point.
+// The trace's own states are interned before the check and survive it, so
+// a second check of the same trace gives the same answer.
+TEST(TraceCheckTest, CheckLeavesNoInternedReps) {
+  repl::RollbackFuzzerOptions options;
+  options.seed = 3;
+  options.num_steps = 600;
+  options.sync_all_before_writes = true;
+  options.avoid_unclean_restarts = true;
+  options.avoid_two_leaders = true;
+  auto merged = MergeLogs(FuzzerLogFiles(options, false));
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EventProcessorOptions processor_options;
+  processor_options.num_nodes = options.config.num_nodes;
+  const ProcessedTrace processed =
+      EventProcessor(processor_options).Process(*merged);
+  ASSERT_TRUE(processed.ok()) << processed.status.ToString();
+  const std::vector<tlax::TraceState> states =
+      MbtcPipeline::ToTraceStates(processed.states);
+  const RaftMongoSpec spec = UnboundedSpec(options.config.num_nodes);
+  tlax::TraceCheckOptions check_options;
+  check_options.allow_stuttering = true;
+  const tlax::TraceChecker checker(check_options);
+
+  std::vector<tlax::TraceCheckResult> results;
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(run);
+    const tlax::Value::InternStats before = tlax::Value::GetInternStats();
+    results.push_back(checker.Check(spec, states));
+    const tlax::Value::InternStats after = tlax::Value::GetInternStats();
+    ASSERT_TRUE(results.back().ok()) << results.back().status.ToString();
+    EXPECT_GT(after.misses, before.misses);  // The search built new reps...
+    EXPECT_EQ(after.live, before.live);      // ...and freed every one.
+    EXPECT_EQ(after.bytes, before.bytes);
+  }
+  EXPECT_GT(results[0].states_explored, states.size());
+  EXPECT_EQ(results[1].states_explored, results[0].states_explored);
+  EXPECT_EQ(results[1].step_actions, results[0].step_actions);
+
+  // CheckModule parses the module inside its scope too.
+  const std::string module =
+      tlax::TraceModuleText("Trace", spec.variables(), states);
+  const tlax::Value::InternStats before = tlax::Value::GetInternStats();
+  const tlax::TraceCheckResult parsed = checker.CheckModule(spec, module);
+  const tlax::Value::InternStats after = tlax::Value::GetInternStats();
+  ASSERT_TRUE(parsed.ok()) << parsed.status.ToString();
+  EXPECT_EQ(after.live, before.live);
+  EXPECT_EQ(after.bytes, before.bytes);
+  EXPECT_EQ(parsed.states_explored, results[0].states_explored);
+  EXPECT_EQ(parsed.step_actions, results[0].step_actions);
 }
 
 TEST(RollbackFuzzerTest, DeterministicPerSeed) {
